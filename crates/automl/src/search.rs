@@ -619,6 +619,7 @@ mod tests {
 
     #[test]
     fn random_search_returns_sorted_leaderboard() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
             SearchStrategy::Random,
@@ -644,6 +645,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let seq = run_search(
             SearchStrategy::Random,
@@ -676,6 +678,7 @@ mod tests {
 
     #[test]
     fn halving_prunes_candidates() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
             SearchStrategy::SuccessiveHalving,
@@ -718,6 +721,7 @@ mod tests {
 
     #[test]
     fn restricted_family_list_respected() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
             SearchStrategy::Random,
@@ -733,8 +737,9 @@ mod tests {
         assert!(out.iter().all(|c| c.config.family() == ModelFamily::Knn));
     }
 
-    /// Fault-plan installs mutate process-global state; serialize the
-    /// sandbox tests through one lock.
+    /// Fault-plan installs mutate process-global state; serialize every
+    /// test that runs a search through one lock, so a plan installed by a
+    /// sandbox test never leaks into a search that expects none.
     static FAULT_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn hold_faults() -> std::sync::MutexGuard<'static, ()> {
@@ -834,6 +839,7 @@ mod tests {
 
     #[test]
     fn budgeted_path_matches_unbudgeted_results() {
+        let _guard = hold_faults();
         let (train, val) = splits();
         let plain = run_search(
             SearchStrategy::Random,

@@ -25,9 +25,9 @@
 //!    causal chain chart from [`crate::critview`] plus the Amdahl
 //!    speedup ceiling and dominant phase.
 //!
-//! Parsing uses [`crate::minijson`]; unknown ledger event types are
-//! skipped so the report stays forward compatible with additive schema
-//! changes (the ledger versioning contract).
+//! Ledgers are read with `aml_telemetry::ledger::read`; unknown event
+//! types are skipped so the report stays forward compatible with
+//! additive schema changes (the ledger versioning contract).
 //!
 //! [`render_compare_html`] (the bin's `--compare A.jsonl B.jsonl` mode)
 //! renders a cross-run diff instead: per-round accuracy deltas per
@@ -35,260 +35,115 @@
 //! region-suggestion drift per feature — same primitives, same
 //! self-containment contract.
 
-use crate::minijson::{self, Value};
 use crate::report::BenchReport;
-use aml_telemetry::{CritReport, QualityReport, SearchReport, LEDGER_SCHEMA_VERSION};
+use aml_telemetry::{
+    ledger, CritReport, EnsembleMember, LedgerEvent, QualityReport, RunHeader, SearchReport,
+    LEDGER_SCHEMA_VERSION,
+};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 // ------------------------------------------------------------- ledger data
 
-/// A `trial_finished` line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialScore {
-    /// Stable trial id (sampling index).
-    pub trial: u64,
-    /// Successive-halving rung.
-    pub rung: u64,
-    /// Model family name.
-    pub family: String,
-    /// Validation accuracy at the rung.
-    pub score: f64,
-}
-
-/// An `ensemble_selected` line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnsembleRecord {
-    /// Ensemble validation score.
-    pub val_score: f64,
-    /// `(trial, family, weight, score)` per member.
-    pub members: Vec<(u64, String, f64, f64)>,
-}
-
-/// A `round_completed` line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoundRecord {
-    /// Process-wide round sequence number.
-    pub round: u64,
-    /// Strategy name.
-    pub strategy: String,
-    /// Mean / min / max accuracy across the round's test sets.
-    pub acc_mean: f64,
-    /// Minimum accuracy.
-    pub acc_min: f64,
-    /// Maximum accuracy.
-    pub acc_max: f64,
-    /// Labeled points added this round.
-    pub points_added: u64,
-    /// Suggested intervals this round.
-    pub regions: u64,
-}
-
-/// A `region_suggested` line: the ALE mean±std band and the intervals
-/// derived from it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BandRecord {
-    /// Feature index.
-    pub feature: u64,
-    /// Feature name.
-    pub name: String,
-    /// Uncertainty threshold.
-    pub threshold: f64,
-    /// Suggested `[lo, hi]` intervals.
-    pub intervals: Vec<(f64, f64)>,
-    /// Grid cell centers.
-    pub grid: Vec<f64>,
-    /// Cross-model mean ALE per cell.
-    pub mean: Vec<f64>,
-    /// Cross-model std per cell.
-    pub std: Vec<f64>,
-}
-
-/// One parsed `ledger.jsonl`.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One parsed `ledger.jsonl`: the run header and its events in file
+/// order.
+#[derive(Debug, Clone, Default)]
 pub struct LedgerData {
-    /// Run id from the header line.
-    pub run_id: String,
-    /// Workload name.
-    pub workload: String,
-    /// Master seed.
-    pub seed: u64,
-    /// Build git describe.
-    pub git: String,
-    /// `trial_started` count.
-    pub started: u64,
-    /// `trial_finished` lines.
-    pub finished: Vec<TrialScore>,
-    /// `(trial, rung, family, reason)` of `trial_failed` lines. The
-    /// reason is one of `error` / `panic` / `timeout` / `nonfinite`
-    /// (older ledgers without the field read as `error`).
-    pub failed: Vec<(u64, u64, String, String)>,
-    /// `ensemble_selected` lines in order.
-    pub ensembles: Vec<EnsembleRecord>,
-    /// `round_completed` lines in order.
-    pub rounds: Vec<RoundRecord>,
-    /// `region_suggested` lines in order.
-    pub bands: Vec<BandRecord>,
-    /// `(feature, model, method, grid_points, rows)` of `ale_curve` lines.
-    pub curves: Vec<(u64, String, String, u64, u64)>,
+    /// The header line's run identity.
+    pub header: RunHeader,
+    /// Every event of a type this build knows.
+    pub events: Vec<LedgerEvent>,
 }
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Numeric field; a JSON `null` (the ledger encoding of a non-finite
-/// float) reads back as NaN.
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn f64_item(v: &Value) -> Option<f64> {
-    match v {
-        Value::Null => Some(f64::NAN),
-        other => other.as_f64(),
-    }
-}
-
-fn f64_array(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing or non-array field '{key}'"))?
-        .iter()
-        .map(|item| f64_item(item).ok_or_else(|| format!("non-numeric item in '{key}'")))
-        .collect()
-}
-
-/// Parse the text of one `ledger.jsonl` file. The first line must be a
-/// `{"type":"ledger", ...}` header with a supported schema version;
-/// unknown event types on later lines are skipped (additive schema
-/// changes don't bump the version).
+/// Parse the text of one `ledger.jsonl` file (see [`ledger::read`]).
 pub fn parse_ledger(text: &str) -> Result<LedgerData, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header_line) = lines.next().ok_or("empty ledger file")?;
-    let header = minijson::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if str_field(&header, "type")? != "ledger" {
-        return Err("line 1: not a ledger header".into());
+    let (header, events) = ledger::read(text)?;
+    Ok(LedgerData { header, events })
+}
+
+impl LedgerData {
+    fn count(&self, is: impl Fn(&LedgerEvent) -> bool) -> usize {
+        self.events.iter().filter(|e| is(e)).count()
     }
-    let version = u64_field(&header, "schema_version")?;
-    if version != LEDGER_SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
-        ));
+
+    /// `(trial, rung, family, score)` of each `trial_finished` event.
+    fn finished(&self) -> Vec<(u64, u64, &str, f64)> {
+        self.events
+            .iter()
+            .filter_map(|e| match e {
+                LedgerEvent::TrialFinished {
+                    trial,
+                    rung,
+                    family,
+                    score,
+                } => Some((*trial, *rung, family.as_str(), *score)),
+                _ => None,
+            })
+            .collect()
     }
-    let mut data = LedgerData {
-        run_id: str_field(&header, "run_id")?,
-        workload: str_field(&header, "workload")?,
-        seed: u64_field(&header, "seed")?,
-        git: str_field(&header, "git")?,
-        ..LedgerData::default()
-    };
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = minijson::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let event = str_field(&v, "type").map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let parsed: Result<(), String> = (|| {
-            match event.as_str() {
-                "trial_started" => data.started += 1,
-                "trial_finished" => data.finished.push(TrialScore {
-                    trial: u64_field(&v, "trial")?,
-                    rung: u64_field(&v, "rung")?,
-                    family: str_field(&v, "family")?,
-                    score: f64_field(&v, "score")?,
-                }),
-                "trial_failed" => data.failed.push((
-                    u64_field(&v, "trial")?,
-                    u64_field(&v, "rung")?,
-                    str_field(&v, "family")?,
-                    str_field(&v, "reason").unwrap_or_else(|_| "error".into()),
-                )),
-                "ensemble_selected" => {
-                    let members = v
-                        .get("members")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing or non-array field 'members'")?
-                        .iter()
-                        .map(|m| {
-                            Ok((
-                                u64_field(m, "trial")?,
-                                str_field(m, "family")?,
-                                f64_field(m, "weight")?,
-                                f64_field(m, "score")?,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    data.ensembles.push(EnsembleRecord {
-                        val_score: f64_field(&v, "val_score")?,
-                        members,
-                    });
-                }
-                "round_completed" => data.rounds.push(RoundRecord {
-                    round: u64_field(&v, "round")?,
-                    strategy: str_field(&v, "strategy")?,
-                    acc_mean: f64_field(&v, "acc_mean")?,
-                    acc_min: f64_field(&v, "acc_min")?,
-                    acc_max: f64_field(&v, "acc_max")?,
-                    points_added: u64_field(&v, "points_added")?,
-                    regions: u64_field(&v, "regions")?,
-                }),
-                "region_suggested" => {
-                    let intervals = v
-                        .get("intervals")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing or non-array field 'intervals'")?
-                        .iter()
-                        .map(|pair| {
-                            let pair = pair.as_arr().filter(|p| p.len() == 2);
-                            match pair {
-                                Some([lo, hi]) => match (f64_item(lo), f64_item(hi)) {
-                                    (Some(lo), Some(hi)) => Ok((lo, hi)),
-                                    _ => Err("non-numeric interval bound".to_string()),
-                                },
-                                _ => Err("interval is not a [lo, hi] pair".to_string()),
-                            }
-                        })
-                        .collect::<Result<Vec<_>, String>>()?;
-                    data.bands.push(BandRecord {
-                        feature: u64_field(&v, "feature")?,
-                        name: str_field(&v, "name")?,
-                        threshold: f64_field(&v, "threshold")?,
-                        intervals,
-                        grid: f64_array(&v, "grid")?,
-                        mean: f64_array(&v, "mean")?,
-                        std: f64_array(&v, "std")?,
-                    });
-                }
-                "ale_curve" => data.curves.push((
-                    u64_field(&v, "feature")?,
-                    str_field(&v, "model")?,
-                    str_field(&v, "method")?,
-                    u64_field(&v, "grid_points")?,
-                    u64_field(&v, "rows")?,
-                )),
-                _ => {} // forward compatible: skip unknown event types
+
+    /// The reason of each `trial_failed` event.
+    fn failure_reasons(&self) -> Vec<&str> {
+        self.events
+            .iter()
+            .filter_map(|e| match e {
+                LedgerEvent::TrialFailed { reason, .. } => Some(reason.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `(val_score, members)` of the last `ensemble_selected` event —
+    /// the selection that shipped.
+    fn shipped_ensemble(&self) -> Option<(f64, &[EnsembleMember])> {
+        self.events.iter().rev().find_map(|e| match e {
+            LedgerEvent::EnsembleSelected { val_score, members } => {
+                Some((*val_score, &members[..]))
             }
-            Ok(())
-        })();
-        parsed.map_err(|e| format!("line {}: {e}", idx + 1))?;
+            _ => None,
+        })
     }
-    Ok(data)
+
+    /// `round_completed` events as `(strategy, [acc_mean, acc_min,
+    /// acc_max], points_added, regions)`, in order.
+    fn rounds(&self) -> Vec<(&str, [f64; 3], u64, u64)> {
+        self.events
+            .iter()
+            .filter_map(|e| match e {
+                LedgerEvent::RoundCompleted {
+                    strategy,
+                    acc_mean,
+                    acc_min,
+                    acc_max,
+                    points_added,
+                    regions,
+                    ..
+                } => Some((
+                    strategy.as_str(),
+                    [*acc_mean, *acc_min, *acc_max],
+                    *points_added,
+                    *regions,
+                )),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Last `region_suggested` event per feature (first-seen feature
+    /// order) — the final state of the evidence.
+    fn latest_bands(&self) -> Vec<&LedgerEvent> {
+        let mut latest: Vec<(u64, &LedgerEvent)> = Vec::new();
+        for e in &self.events {
+            let LedgerEvent::RegionSuggested { feature, .. } = e else {
+                continue;
+            };
+            match latest.iter_mut().find(|(f, _)| f == feature) {
+                Some(slot) => slot.1 = e,
+                None => latest.push((*feature, e)),
+            }
+        }
+        latest.into_iter().map(|(_, e)| e).collect()
+    }
 }
 
 // ------------------------------------------------------------- svg helpers
@@ -552,16 +407,16 @@ fn section_runs(out: &mut String, ledgers: &[LedgerData]) {
             out,
             "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&l.run_id),
-            esc(&l.workload),
-            l.seed,
-            esc(&l.git),
-            l.started,
-            l.finished.len(),
-            l.failed.len(),
-            l.rounds.len(),
-            l.bands.len(),
-            l.curves.len(),
+            esc(&l.header.run_id),
+            esc(&l.header.workload),
+            l.header.seed,
+            esc(&l.header.git),
+            l.count(|e| matches!(e, LedgerEvent::TrialStarted { .. })),
+            l.count(|e| matches!(e, LedgerEvent::TrialFinished { .. })),
+            l.count(|e| matches!(e, LedgerEvent::TrialFailed { .. })),
+            l.count(|e| matches!(e, LedgerEvent::RoundCompleted { .. })),
+            l.count(|e| matches!(e, LedgerEvent::RegionSuggested { .. })),
+            l.count(|e| matches!(e, LedgerEvent::AleCurveComputed { .. })),
         );
     }
     out.push_str("</table>");
@@ -588,29 +443,36 @@ fn section_search(out: &mut String, ledgers: &[LedgerData], benches: &[BenchRepo
     out.push_str("<h2>Search</h2>");
     let mut plotted = false;
     for l in ledgers {
-        if l.finished.is_empty() && l.failed.is_empty() {
+        let finished = l.finished();
+        let failed = l.failure_reasons();
+        if finished.is_empty() && failed.is_empty() {
             continue;
         }
         plotted = true;
-        let _ = write!(out, "<h3>{} — {}</h3>", esc(&l.workload), esc(&l.run_id));
-        let families = uniques(l.finished.iter().map(|t| t.family.as_str()));
+        let _ = write!(
+            out,
+            "<h3>{} — {}</h3>",
+            esc(&l.header.workload),
+            esc(&l.header.run_id)
+        );
+        let families = uniques(finished.iter().map(|t| t.2));
         let frame = Frame::new(
-            l.finished.iter().map(|t| t.trial as f64),
-            l.finished.iter().map(|t| t.score),
+            finished.iter().map(|t| t.0 as f64),
+            finished.iter().map(|t| t.3),
         );
         frame.open(out);
-        for t in &l.finished {
-            if !t.score.is_finite() {
+        for &(trial, rung, family, score) in &finished {
+            if !score.is_finite() {
                 continue;
             }
-            let fi = families.iter().position(|f| f == &t.family).unwrap_or(0);
+            let fi = families.iter().position(|f| f == family).unwrap_or(0);
             // Higher rungs get larger markers: the survivors stand out.
             let _ = write!(
                 out,
                 "<circle cx=\"{}\" cy=\"{}\" r=\"{}\" fill=\"{}\" fill-opacity=\"0.75\"/>",
-                px(frame.x(t.trial as f64)),
-                px(frame.y(t.score)),
-                px(2.0 + t.rung as f64),
+                px(frame.x(trial as f64)),
+                px(frame.y(score)),
+                px(2.0 + rung as f64),
                 color(fi),
             );
         }
@@ -621,11 +483,10 @@ fn section_search(out: &mut String, ledgers: &[LedgerData], benches: &[BenchRepo
              <th>mean score</th><th>mean fit (ms)</th></tr>",
         );
         for (fi, family) in families.iter().enumerate() {
-            let scores: Vec<f64> = l
-                .finished
+            let scores: Vec<f64> = finished
                 .iter()
-                .filter(|t| &t.family == family && t.score.is_finite())
-                .map(|t| t.score)
+                .filter(|t| t.2 == family && t.3.is_finite())
+                .map(|t| t.3)
                 .collect();
             let best = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             let mean = scores.iter().sum::<f64>() / scores.len().max(1) as f64;
@@ -644,10 +505,10 @@ fn section_search(out: &mut String, ledgers: &[LedgerData], benches: &[BenchRepo
             );
         }
         out.push_str("</table>");
-        if !l.failed.is_empty() {
+        if !failed.is_empty() {
             let mut by_reason: BTreeMap<&str, usize> = BTreeMap::new();
-            for (_, _, _, reason) in &l.failed {
-                *by_reason.entry(reason.as_str()).or_default() += 1;
+            for reason in &failed {
+                *by_reason.entry(reason).or_default() += 1;
             }
             let breakdown = by_reason
                 .iter()
@@ -657,7 +518,7 @@ fn section_search(out: &mut String, ledgers: &[LedgerData], benches: &[BenchRepo
             let _ = write!(
                 out,
                 "<p class=\"note\">{} trial(s) failed ({breakdown}).</p>",
-                l.failed.len()
+                failed.len()
             );
         }
     }
@@ -671,28 +532,28 @@ fn section_ensembles(out: &mut String, ledgers: &[LedgerData]) {
     let mut any = false;
     for l in ledgers {
         // The last selection is the one that shipped.
-        let Some(e) = l.ensembles.last() else {
+        let Some((val_score, members)) = l.shipped_ensemble() else {
             continue;
         };
         any = true;
         let _ = write!(
             out,
             "<h3>{} — {} (val score {})</h3>",
-            esc(&l.workload),
-            esc(&l.run_id),
-            sig(e.val_score)
+            esc(&l.header.workload),
+            esc(&l.header.run_id),
+            sig(val_score)
         );
         out.push_str(
             "<table><tr><th>trial</th><th>family</th><th>weight</th><th>member score</th></tr>",
         );
-        for (trial, family, weight, score) in &e.members {
+        for m in members {
             let _ = write!(
                 out,
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                trial,
-                esc(family),
-                sig(*weight),
-                sig(*score),
+                m.trial,
+                esc(&m.family),
+                sig(m.weight),
+                sig(m.score),
             );
         }
         out.push_str("</table>");
@@ -706,47 +567,55 @@ fn section_rounds(out: &mut String, ledgers: &[LedgerData]) {
     out.push_str("<h2>Feedback rounds</h2>");
     let mut any = false;
     for l in ledgers {
-        if l.rounds.is_empty() {
+        let rounds = l.rounds();
+        if rounds.is_empty() {
             continue;
         }
         any = true;
-        let _ = write!(out, "<h3>{} — {}</h3>", esc(&l.workload), esc(&l.run_id));
-        let strategies = uniques(l.rounds.iter().map(|r| r.strategy.as_str()));
+        let _ = write!(
+            out,
+            "<h3>{} — {}</h3>",
+            esc(&l.header.workload),
+            esc(&l.header.run_id)
+        );
+        let strategies = uniques(rounds.iter().map(|r| r.0));
+        let series = |strategy: &str| {
+            rounds
+                .iter()
+                .filter(|r| r.0 == strategy)
+                .collect::<Vec<_>>()
+        };
         // x = round index within the strategy's own series.
         let max_len = strategies
             .iter()
-            .map(|s| l.rounds.iter().filter(|r| &r.strategy == s).count())
+            .map(|s| series(s).len())
             .max()
             .unwrap_or(1);
         let frame = Frame::new(
             (0..max_len).map(|i| i as f64),
-            l.rounds.iter().flat_map(|r| [r.acc_min, r.acc_max]),
+            rounds.iter().flat_map(|&(_, [_, min, max], ..)| [min, max]),
         );
         frame.open(out);
         for (si, strategy) in strategies.iter().enumerate() {
-            let series: Vec<&RoundRecord> = l
-                .rounds
-                .iter()
-                .filter(|r| &r.strategy == strategy)
-                .collect();
+            let series = series(strategy);
             let band: Vec<(f64, f64)> = series
                 .iter()
                 .enumerate()
-                .map(|(i, r)| (frame.x(i as f64), frame.y(r.acc_max)))
+                .map(|(i, &&(_, [_, _, max], ..))| (frame.x(i as f64), frame.y(max)))
                 .chain(
                     series
                         .iter()
                         .enumerate()
                         .rev()
-                        .map(|(i, r)| (frame.x(i as f64), frame.y(r.acc_min))),
+                        .map(|(i, &&(_, [_, min, _], ..))| (frame.x(i as f64), frame.y(min))),
                 )
                 .collect();
             polygon(out, &band, color(si));
             let mean: Vec<(f64, f64)> = series
                 .iter()
                 .enumerate()
-                .filter(|(_, r)| r.acc_mean.is_finite())
-                .map(|(i, r)| (frame.x(i as f64), frame.y(r.acc_mean)))
+                .filter(|(_, r)| r.1[0].is_finite())
+                .map(|(i, r)| (frame.x(i as f64), frame.y(r.1[0])))
                 .collect();
             polyline(out, &mean, color(si), "stroke-width=\"1.6\"");
         }
@@ -757,14 +626,10 @@ fn section_rounds(out: &mut String, ledgers: &[LedgerData]) {
              <th>points added</th><th>regions</th></tr>",
         );
         for strategy in &strategies {
-            let series: Vec<&RoundRecord> = l
-                .rounds
-                .iter()
-                .filter(|r| &r.strategy == strategy)
-                .collect();
-            let last = series.last().map(|r| r.acc_mean).unwrap_or(f64::NAN);
-            let points: u64 = series.iter().map(|r| r.points_added).sum();
-            let regions: u64 = series.iter().map(|r| r.regions).sum();
+            let series = series(strategy);
+            let last = series.last().map(|r| r.1[0]).unwrap_or(f64::NAN);
+            let points: u64 = series.iter().map(|r| r.2).sum();
+            let regions: u64 = series.iter().map(|r| r.3).sum();
             let _ = write!(
                 out,
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
@@ -789,39 +654,40 @@ fn section_bands(out: &mut String, ledgers: &[LedgerData]) {
     out.push_str("<h2>ALE bands and suggested regions</h2>");
     let mut any = false;
     for l in ledgers {
-        // Last band per feature = the final state of the evidence.
-        let mut latest: Vec<&BandRecord> = Vec::new();
-        for band in &l.bands {
-            if let Some(slot) = latest.iter_mut().find(|b| b.feature == band.feature) {
-                *slot = band;
-            } else {
-                latest.push(band);
-            }
-        }
+        let latest = l.latest_bands();
         let total = latest.len();
         for band in latest.into_iter().take(MAX_BAND_PLOTS) {
-            if band.grid.len() != band.mean.len() || band.grid.len() != band.std.len() {
+            let LedgerEvent::RegionSuggested {
+                feature,
+                name,
+                threshold,
+                intervals,
+                grid,
+                mean,
+                std,
+            } = band
+            else {
+                continue;
+            };
+            if grid.len() != mean.len() || grid.len() != std.len() {
                 continue;
             }
             any = true;
             let _ = write!(
                 out,
                 "<h3>{} (feature {}) — {} — threshold {}</h3>",
-                esc(&band.name),
-                band.feature,
-                esc(&l.run_id),
-                sig(band.threshold),
+                esc(name),
+                feature,
+                esc(&l.header.run_id),
+                sig(*threshold),
             );
             let frame = Frame::new(
-                band.grid.iter().copied(),
-                band.mean
-                    .iter()
-                    .zip(&band.std)
-                    .flat_map(|(m, s)| [m - s, m + s]),
+                grid.iter().copied(),
+                mean.iter().zip(std).flat_map(|(m, s)| [m - s, m + s]),
             );
             frame.open(out);
             // Suggested intervals: full-height shaded rects.
-            for (lo, hi) in &band.intervals {
+            for (lo, hi) in intervals {
                 if !lo.is_finite() || !hi.is_finite() {
                     continue;
                 }
@@ -837,24 +703,21 @@ fn section_bands(out: &mut String, ledgers: &[LedgerData]) {
                 );
             }
             // ±std band around the mean.
-            let band_pts: Vec<(f64, f64)> = band
-                .grid
+            let band_pts: Vec<(f64, f64)> = grid
                 .iter()
-                .zip(band.mean.iter().zip(&band.std))
+                .zip(mean.iter().zip(std))
                 .map(|(g, (m, s))| (frame.x(*g), frame.y(m + s)))
                 .chain(
-                    band.grid
-                        .iter()
-                        .zip(band.mean.iter().zip(&band.std))
+                    grid.iter()
+                        .zip(mean.iter().zip(std))
                         .rev()
                         .map(|(g, (m, s))| (frame.x(*g), frame.y(m - s))),
                 )
                 .collect();
             polygon(out, &band_pts, "#2f6fb4");
-            let mean_pts: Vec<(f64, f64)> = band
-                .grid
+            let mean_pts: Vec<(f64, f64)> = grid
                 .iter()
-                .zip(&band.mean)
+                .zip(mean)
                 .filter(|(g, m)| g.is_finite() && m.is_finite())
                 .map(|(g, m)| (frame.x(*g), frame.y(*m)))
                 .collect();
@@ -863,7 +726,7 @@ fn section_bands(out: &mut String, ledgers: &[LedgerData]) {
             let _ = write!(
                 out,
                 "<p class=\"note\">{} suggested interval(s); shaded red. Blue band is cross-model mean&#177;std ALE.</p>",
-                band.intervals.len()
+                intervals.len()
             );
         }
         if total > MAX_BAND_PLOTS {
@@ -871,7 +734,7 @@ fn section_bands(out: &mut String, ledgers: &[LedgerData]) {
                 out,
                 "<p class=\"note\">{} further feature(s) omitted from {}.</p>",
                 total - MAX_BAND_PLOTS,
-                esc(&l.run_id)
+                esc(&l.header.run_id)
             );
         }
     }
@@ -1134,35 +997,37 @@ pub fn render_html(
 /// `ensemble_selected` event. Empty when no ensemble was recorded.
 fn family_weights(l: &LedgerData) -> Vec<(String, f64)> {
     let mut weights: Vec<(String, f64)> = Vec::new();
-    if let Some(e) = l.ensembles.last() {
-        for (_, family, weight, _) in &e.members {
-            if let Some(slot) = weights.iter_mut().find(|(f, _)| f == family) {
-                slot.1 += weight;
+    if let Some((_, members)) = l.shipped_ensemble() {
+        for m in members {
+            if let Some(slot) = weights.iter_mut().find(|(f, _)| f == &m.family) {
+                slot.1 += m.weight;
             } else {
-                weights.push((family.clone(), *weight));
+                weights.push((m.family.clone(), m.weight));
             }
         }
     }
     weights
 }
 
-/// Last suggested-region band per feature — the final state of the
-/// evidence, matching what [`section_bands`] plots.
-fn latest_bands(l: &LedgerData) -> Vec<&BandRecord> {
-    let mut latest: Vec<&BandRecord> = Vec::new();
-    for band in &l.bands {
-        if let Some(slot) = latest.iter_mut().find(|b| b.feature == band.feature) {
-            *slot = band;
-        } else {
-            latest.push(band);
-        }
+/// `(feature, name, threshold, intervals)` of a `region_suggested` event.
+type BandSummary<'a> = (u64, &'a str, f64, &'a [(f64, f64)]);
+
+fn band_summary(e: &LedgerEvent) -> Option<BandSummary<'_>> {
+    match e {
+        LedgerEvent::RegionSuggested {
+            feature,
+            name,
+            threshold,
+            intervals,
+            ..
+        } => Some((*feature, name.as_str(), *threshold, &intervals[..])),
+        _ => None,
     }
-    latest
 }
 
 /// Total length covered by a band's suggested intervals.
-fn interval_len(b: &BandRecord) -> f64 {
-    b.intervals
+fn interval_len(intervals: &[(f64, f64)]) -> f64 {
+    intervals
         .iter()
         .filter(|(lo, hi)| lo.is_finite() && hi.is_finite())
         .map(|(lo, hi)| (hi - lo).max(0.0))
@@ -1194,18 +1059,18 @@ fn section_compare_summary(out: &mut String, a: &LedgerData, b: &LedgerData) {
             out,
             "<tr><td>{label}: {}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&l.run_id),
-            esc(&l.workload),
-            l.seed,
-            esc(&l.git),
-            l.finished.len(),
-            l.failed.len(),
-            l.rounds.len(),
-            l.bands.len(),
+            esc(&l.header.run_id),
+            esc(&l.header.workload),
+            l.header.seed,
+            esc(&l.header.git),
+            l.count(|e| matches!(e, LedgerEvent::TrialFinished { .. })),
+            l.count(|e| matches!(e, LedgerEvent::TrialFailed { .. })),
+            l.count(|e| matches!(e, LedgerEvent::RoundCompleted { .. })),
+            l.count(|e| matches!(e, LedgerEvent::RegionSuggested { .. })),
         );
     }
     out.push_str("</table>");
-    if a.workload != b.workload {
+    if a.header.workload != b.header.workload {
         out.push_str(
             "<p class=\"note\">Workloads differ — deltas below compare \
              different problems; read accordingly.</p>",
@@ -1215,43 +1080,48 @@ fn section_compare_summary(out: &mut String, a: &LedgerData, b: &LedgerData) {
 
 fn section_compare_rounds(out: &mut String, a: &LedgerData, b: &LedgerData) {
     out.push_str("<h2>Per-round accuracy delta</h2>");
-    if a.rounds.is_empty() && b.rounds.is_empty() {
+    let (ra, rb) = (a.rounds(), b.rounds());
+    if ra.is_empty() && rb.is_empty() {
         out.push_str("<p class=\"note\">Neither run recorded feedback rounds.</p>");
         return;
     }
-    let mut strategies = uniques(a.rounds.iter().map(|r| r.strategy.as_str()));
-    for s in uniques(b.rounds.iter().map(|r| r.strategy.as_str())) {
+    let mut strategies = uniques(ra.iter().map(|r| r.0));
+    for s in uniques(rb.iter().map(|r| r.0)) {
         if !strategies.contains(&s) {
             strategies.push(s);
         }
     }
-    fn series<'l>(l: &'l LedgerData, strategy: &str) -> Vec<&'l RoundRecord> {
-        l.rounds.iter().filter(|r| r.strategy == strategy).collect()
+    // Mean accuracy per round of one strategy's series.
+    fn series(rounds: &[(&str, [f64; 3], u64, u64)], strategy: &str) -> Vec<f64> {
+        rounds
+            .iter()
+            .filter(|r| r.0 == strategy)
+            .map(|r| r.1[0])
+            .collect()
     }
     let max_len = strategies
         .iter()
-        .map(|s| series(a, s).len().max(series(b, s).len()))
+        .map(|s| series(&ra, s).len().max(series(&rb, s).len()))
         .max()
         .unwrap_or(1);
     let frame = Frame::new(
         (0..max_len).map(|i| i as f64),
-        a.rounds
-            .iter()
-            .chain(&b.rounds)
-            .map(|r| r.acc_mean)
+        ra.iter()
+            .chain(&rb)
+            .map(|r| r.1[0])
             .filter(|v| v.is_finite()),
     );
     frame.open(out);
     for (si, strategy) in strategies.iter().enumerate() {
-        for (l, extra) in [
-            (a, "stroke-width=\"1.6\""),
-            (b, "stroke-width=\"1.6\" stroke-dasharray=\"5,3\""),
+        for (rounds, extra) in [
+            (&ra, "stroke-width=\"1.6\""),
+            (&rb, "stroke-width=\"1.6\" stroke-dasharray=\"5,3\""),
         ] {
-            let pts: Vec<(f64, f64)> = series(l, strategy)
-                .iter()
+            let pts: Vec<(f64, f64)> = series(rounds, strategy)
+                .into_iter()
                 .enumerate()
-                .filter(|(_, r)| r.acc_mean.is_finite())
-                .map(|(i, r)| (frame.x(i as f64), frame.y(r.acc_mean)))
+                .filter(|(_, acc)| acc.is_finite())
+                .map(|(i, acc)| (frame.x(i as f64), frame.y(acc)))
                 .collect();
             polyline(out, &pts, color(si), extra);
         }
@@ -1264,11 +1134,11 @@ fn section_compare_rounds(out: &mut String, a: &LedgerData, b: &LedgerData) {
          <th>acc B</th><th>&#916; (B &#8722; A)</th></tr>",
     );
     for strategy in &strategies {
-        let sa = series(a, strategy);
-        let sb = series(b, strategy);
+        let sa = series(&ra, strategy);
+        let sb = series(&rb, strategy);
         for i in 0..sa.len().max(sb.len()) {
-            let va = sa.get(i).map(|r| r.acc_mean);
-            let vb = sb.get(i).map(|r| r.acc_mean);
+            let va = sa.get(i).copied();
+            let vb = sb.get(i).copied();
             let _ = write!(
                 out,
                 "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
@@ -1294,7 +1164,7 @@ fn section_compare_ensembles(out: &mut String, a: &LedgerData, b: &LedgerData) {
         out.push_str("<p class=\"note\">Neither run recorded an ensemble selection.</p>");
         return;
     }
-    let val = |l: &LedgerData| l.ensembles.last().map(|e| e.val_score);
+    let val = |l: &LedgerData| l.shipped_ensemble().map(|(v, _)| v);
     if let (Some(va), Some(vb)) = (val(a), val(b)) {
         let _ = write!(
             out,
@@ -1332,16 +1202,24 @@ fn section_compare_ensembles(out: &mut String, a: &LedgerData, b: &LedgerData) {
 
 fn section_compare_bands(out: &mut String, a: &LedgerData, b: &LedgerData) {
     out.push_str("<h2>Region-suggestion drift</h2>");
-    let la = latest_bands(a);
-    let lb = latest_bands(b);
+    let la: Vec<_> = a
+        .latest_bands()
+        .into_iter()
+        .filter_map(band_summary)
+        .collect();
+    let lb: Vec<_> = b
+        .latest_bands()
+        .into_iter()
+        .filter_map(band_summary)
+        .collect();
     if la.is_empty() && lb.is_empty() {
         out.push_str("<p class=\"note\">Neither run suggested regions.</p>");
         return;
     }
-    let mut features: Vec<u64> = la.iter().map(|band| band.feature).collect();
+    let mut features: Vec<u64> = la.iter().map(|band| band.0).collect();
     for band in &lb {
-        if !features.contains(&band.feature) {
-            features.push(band.feature);
+        if !features.contains(&band.0) {
+            features.push(band.0);
         }
     }
     out.push_str(
@@ -1350,29 +1228,29 @@ fn section_compare_bands(out: &mut String, a: &LedgerData, b: &LedgerData) {
          <th>length A</th><th>length B</th><th>&#916; length</th></tr>",
     );
     for feature in features {
-        let ba = la.iter().find(|band| band.feature == feature);
-        let bb = lb.iter().find(|band| band.feature == feature);
-        let name = ba.or(bb).map(|band| band.name.as_str()).unwrap_or("?");
+        let ba = la.iter().find(|band| band.0 == feature);
+        let bb = lb.iter().find(|band| band.0 == feature);
+        let name = ba.or(bb).map(|band| band.1).unwrap_or("?");
         let opt = |v: Option<f64>| v.map(sig).unwrap_or_else(|| "—".into());
         let _ = write!(
             out,
             "<tr><td>{} ({feature})</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             esc(name),
-            opt(ba.map(|band| band.threshold)),
-            opt(bb.map(|band| band.threshold)),
+            opt(ba.map(|band| band.2)),
+            opt(bb.map(|band| band.2)),
             match (ba, bb) {
-                (Some(ba), Some(bb)) => delta(ba.threshold, bb.threshold),
+                (Some(ba), Some(bb)) => delta(ba.2, bb.2),
                 _ => "—".into(),
             },
-            ba.map(|band| band.intervals.len().to_string())
+            ba.map(|band| band.3.len().to_string())
                 .unwrap_or_else(|| "—".into()),
-            bb.map(|band| band.intervals.len().to_string())
+            bb.map(|band| band.3.len().to_string())
                 .unwrap_or_else(|| "—".into()),
-            opt(ba.map(|band| interval_len(band))),
-            opt(bb.map(|band| interval_len(band))),
+            opt(ba.map(|band| interval_len(band.3))),
+            opt(bb.map(|band| interval_len(band.3))),
             match (ba, bb) {
-                (Some(ba), Some(bb)) => delta(interval_len(ba), interval_len(bb)),
+                (Some(ba), Some(bb)) => delta(interval_len(ba.3), interval_len(bb.3)),
                 _ => "—".into(),
             },
         );
@@ -1407,8 +1285,8 @@ pub fn render_compare_html(
     let _ = write!(
         out,
         "<p class=\"note\">A = {} vs B = {}. Ledger schema v{}.</p>",
-        esc(&a.run_id),
-        esc(&b.run_id),
+        esc(&a.header.run_id),
+        esc(&b.header.run_id),
         LEDGER_SCHEMA_VERSION
     );
     if let (Some(ra), Some(rb)) = (
@@ -1498,42 +1376,6 @@ mod tests {
                 peak_bytes: 1 << 20,
             }),
         }
-    }
-
-    #[test]
-    fn parses_every_event_type_and_skips_unknown_ones() {
-        let l = parse_ledger(&sample_ledger_text()).unwrap();
-        assert_eq!(l.run_id, "w-s1-p2");
-        assert_eq!(l.workload, "w");
-        assert_eq!(l.seed, 1);
-        assert_eq!(l.started, 3);
-        assert_eq!(l.finished.len(), 3);
-        assert_eq!(l.finished[0].family, "forest");
-        assert!((l.finished[0].score - 0.91).abs() < 1e-12);
-        assert!(l.finished[2].score.is_nan(), "null score reads as NaN");
-        assert_eq!(l.failed, vec![(1, 0, "logreg".into(), "panic".into())]);
-        assert_eq!(l.ensembles.len(), 1);
-        assert_eq!(l.ensembles[0].members[0].1, "forest");
-        assert_eq!(l.rounds.len(), 3);
-        assert_eq!(l.rounds[2].strategy, "Random");
-        assert_eq!(l.bands.len(), 1);
-        assert_eq!(l.bands[0].intervals, vec![(0.2, 0.4), (0.7, 0.9)]);
-        assert_eq!(l.curves.len(), 1);
-    }
-
-    #[test]
-    fn rejects_bad_headers_and_versions() {
-        assert!(parse_ledger("").is_err());
-        assert!(parse_ledger("{\"type\":\"events\"}").is_err());
-        let bumped = sample_ledger_text().replace("\"schema_version\":1", "\"schema_version\":99");
-        let err = parse_ledger(&bumped).unwrap_err();
-        assert!(err.contains("schema_version 99"), "{err}");
-        // A malformed event line reports its line number.
-        let err = parse_ledger(
-            "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n{oops",
-        )
-        .unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
     }
 
     /// A small hand-built critical-path report (datagen -> labeling ->
@@ -1752,9 +1594,11 @@ mod tests {
             family_weights(&b),
             vec![("forest".into(), 2.0), ("mlp".into(), 1.0)]
         );
-        let bands = latest_bands(&a);
+        let bands = a.latest_bands();
         assert_eq!(bands.len(), 1);
-        assert!((interval_len(bands[0]) - 0.4).abs() < 1e-12);
+        let (feature, _, _, intervals) = band_summary(bands[0]).unwrap();
+        assert_eq!(feature, 0);
+        assert!((interval_len(intervals) - 0.4).abs() < 1e-12);
         assert_eq!(delta(0.8, 0.85), "+0.050");
         assert_eq!(delta(0.85, 0.8), "&#8722;0.050");
     }

@@ -69,15 +69,15 @@
 //! the worker by the PR 5 sandbox and surface as `trial_failed` ledger
 //! events, not worker deaths.
 
-use crate::minijson::{self, Value};
 use aml_core::{run_strategy, ExperimentConfig, ExperimentLoop, Strategy};
 use aml_dataset::split::{split_into_k, three_way_split};
 use aml_dataset::{csv, synth, Dataset};
 use aml_faults::FaultPlan;
+use aml_telemetry::json::{self, Value};
 use aml_telemetry::serve::{dashboard_html, render_history_json, HttpRequest};
 use aml_telemetry::serve::{read_request, render_prometheus, write_response};
 use aml_telemetry::sink::{self, RunHeader};
-use aml_telemetry::{json_string_literal, HistoryRecord, LedgerJsonlSink, Snapshot};
+use aml_telemetry::{HistoryRecord, LedgerJsonlSink, Snapshot};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -282,16 +282,12 @@ impl JobSpec {
 
     /// Serialize for `job.json` (same shape `from_json` accepts).
     pub fn to_json(&self) -> String {
-        let rounds: Vec<String> = self
-            .rounds
-            .iter()
-            .map(|s| json_string_literal(s.name()))
-            .collect();
+        let rounds: Vec<String> = self.rounds.iter().map(|s| json::string(s.name())).collect();
         format!(
             "{{\"name\":{},\"seed\":{},\"dataset\":{},\"rounds\":[{}],\
              \"n_candidates\":{},\"parallelism\":{},\"n_feedback_points\":{},\
              \"n_cross_runs\":{},\"n_test_sets\":{},\"round_sleep_ms\":{},\"timeout_ms\":{}}}",
-            json_string_literal(&self.name),
+            json::string(&self.name),
             self.seed,
             self.dataset.to_json(),
             rounds.join(","),
@@ -394,7 +390,7 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
     let started = Instant::now();
     let text = fs::read_to_string(job_dir.join("job.json"))
         .map_err(|e| format!("cannot read job.json: {e}"))?;
-    let parsed = minijson::parse(&text).map_err(|e| format!("job.json: {e}"))?;
+    let parsed = json::parse(&text).map_err(|e| format!("job.json: {e}"))?;
     let id = parsed
         .get("id")
         .and_then(Value::as_str)
@@ -508,23 +504,19 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
 
     sink::finish(&Snapshot::default());
     let totals = summary.snapshot();
-    let final_acc = if last_scores.is_empty() {
-        "null".to_string()
-    } else {
-        let acc = last_scores.iter().sum::<f64>() / last_scores.len() as f64;
-        format!("{acc}")
-    };
+    // An empty round list reads as NaN, written as `null`.
+    let final_acc = json::num(last_scores.iter().sum::<f64>() / last_scores.len() as f64);
     let result = format!(
         "{{\"id\":{},\"name\":{},\"seed\":{},\"final_acc\":{},\"trials_finished\":{},\
          \"trials_failed\":{},\"rounds\":{},\"ece\":{},\"wall_time_s\":{}}}",
-        json_string_literal(&id),
-        json_string_literal(&spec.name),
+        json::string(&id),
+        json::string(&spec.name),
         spec.seed,
         final_acc,
         totals.trials_finished,
         totals.trials_failed,
         totals.rounds,
-        totals.ece.map_or("null".to_string(), |e| format!("{e}")),
+        json::num(totals.ece.unwrap_or(f64::NAN)),
         started.elapsed().as_secs_f64(),
     );
     // result.json is the completion marker; written last, atomically.
@@ -661,10 +653,7 @@ impl Response {
     }
 
     fn error(status: &'static str, message: &str) -> Response {
-        Response::json(
-            status,
-            format!("{{\"error\":{}}}\n", json_string_literal(message)),
-        )
+        Response::json(status, format!("{{\"error\":{}}}\n", json::string(message)))
     }
 }
 
@@ -701,7 +690,7 @@ fn replay_journal(text: &str) -> Vec<(String, ReplayedJob)> {
     let mut order: Vec<String> = Vec::new();
     let mut map: HashMap<String, ReplayedJob> = HashMap::new();
     for line in text.lines() {
-        let Ok(v) = minijson::parse(line) else {
+        let Ok(v) = json::parse(line) else {
             continue;
         };
         let (Some(event), Some(id)) = (
@@ -777,8 +766,8 @@ impl Server {
     fn journal(&self, event: &str, id: &str, extra: &[(&str, String)]) {
         let mut line = format!(
             "{{\"event\":{},\"job\":{}",
-            json_string_literal(event),
-            json_string_literal(id)
+            json::string(event),
+            json::string(id)
         );
         for (key, value) in extra {
             line.push_str(&format!(",\"{key}\":{value}"));
@@ -815,7 +804,7 @@ impl Server {
             let job_dir = server.job_dir(&id);
             let spec = fs::read_to_string(job_dir.join("job.json"))
                 .ok()
-                .and_then(|t| minijson::parse(&t).ok())
+                .and_then(|t| json::parse(&t).ok())
                 .and_then(|v| v.get("spec").and_then(|s| JobSpec::from_json(s).ok()));
             let tenant = if replayed.tenant.is_empty() {
                 "default".to_string()
@@ -984,14 +973,14 @@ impl Server {
                 &[
                     ("attempt", self.jobs[i].attempt.to_string()),
                     ("delay_ms", delay.as_millis().to_string()),
-                    ("reason", json_string_literal(&reason)),
+                    ("reason", json::string(&reason)),
                 ],
             );
             aml_telemetry::counter_add("serve.jobs_retried", 1);
         } else {
             self.jobs[i].state = JobState::Failed;
             self.jobs[i].failure = Some(reason.clone());
-            self.journal("failed", &id, &[("reason", json_string_literal(&reason))]);
+            self.journal("failed", &id, &[("reason", json::string(&reason))]);
             aml_telemetry::counter_add("serve.jobs_failed", 1);
         }
     }
@@ -1002,7 +991,7 @@ impl Server {
         let id = self.jobs[i].id.clone();
         let result = fs::read_to_string(self.job_dir(&id).join("result.json"))
             .ok()
-            .and_then(|t| minijson::parse(&t).ok());
+            .and_then(|t| json::parse(&t).ok());
         let get_u64 = |v: &Option<Value>, key: &str| {
             v.as_ref()
                 .and_then(|v| v.get(key).and_then(Value::as_u64))
@@ -1158,7 +1147,7 @@ impl Server {
                 let reason = format!("cannot spawn worker: {e}");
                 self.jobs[i].state = JobState::Failed;
                 self.jobs[i].failure = Some(reason.clone());
-                self.journal("failed", &id, &[("reason", json_string_literal(&reason))]);
+                self.journal("failed", &id, &[("reason", json::string(&reason))]);
                 aml_telemetry::counter_add("serve.jobs_failed", 1);
             }
         }
@@ -1273,7 +1262,7 @@ impl Server {
             return reject(self, "injected submit_burst: queue treated as full");
         }
         let body = String::from_utf8_lossy(&req.body).into_owned();
-        let parsed = match minijson::parse(if body.trim().is_empty() { "{}" } else { &body }) {
+        let parsed = match json::parse(if body.trim().is_empty() { "{}" } else { &body }) {
             Ok(v) => v,
             Err(e) => return Response::error("400 Bad Request", &format!("body: {e}")),
         };
@@ -1319,8 +1308,8 @@ impl Server {
         }
         let job_json = format!(
             "{{\"id\":{},\"tenant\":{},\"spec\":{}}}",
-            json_string_literal(&id),
-            json_string_literal(&tenant),
+            json::string(&id),
+            json::string(&tenant),
             spec.to_json()
         );
         if let Err(e) = write_atomic(&job_dir.join("job.json"), job_json.as_bytes()) {
@@ -1330,7 +1319,7 @@ impl Server {
             "submitted",
             &id,
             &[
-                ("tenant", json_string_literal(&tenant)),
+                ("tenant", json::string(&tenant)),
                 ("cost", spec.cost().to_string()),
             ],
         );
@@ -1351,10 +1340,7 @@ impl Server {
         });
         Response::json(
             "202 Accepted",
-            format!(
-                "{{\"job\":{},\"state\":\"queued\"}}\n",
-                json_string_literal(&id)
-            ),
+            format!("{{\"job\":{},\"state\":\"queued\"}}\n", json::string(&id)),
         )
     }
 
@@ -1408,9 +1394,9 @@ impl Server {
             .map(|j| {
                 format!(
                     "{{\"id\":{},\"name\":{},\"tenant\":{},\"state\":\"{}\",\"attempt\":{}}}",
-                    json_string_literal(&j.id),
-                    json_string_literal(&j.spec.name),
-                    json_string_literal(&j.tenant),
+                    json::string(&j.id),
+                    json::string(&j.spec.name),
+                    json::string(&j.tenant),
                     j.state.as_str(),
                     j.attempt
                 )
@@ -1452,21 +1438,21 @@ impl Server {
             .unwrap_or_default();
         let result = fs::read_to_string(job_dir.join("result.json"))
             .ok()
-            .filter(|t| minijson::parse(t).is_ok())
+            .filter(|t| json::parse(t).is_ok())
             .unwrap_or_else(|| "null".to_string());
         Response::json(
             "200 OK",
             format!(
                 "{{\"id\":{},\"name\":{},\"tenant\":{},\"state\":\"{}\",\"attempt\":{},\
                  \"failure\":{},\"checkpoint\":{},\"events\":[{}],\"result\":{}}}\n",
-                json_string_literal(&job.id),
-                json_string_literal(&job.spec.name),
-                json_string_literal(&job.tenant),
+                json::string(&job.id),
+                json::string(&job.spec.name),
+                json::string(&job.tenant),
                 job.state.as_str(),
                 job.attempt,
                 job.failure
                     .as_deref()
-                    .map_or("null".to_string(), json_string_literal),
+                    .map_or("null".to_string(), json::string),
                 job_dir.join("run.ckpt").exists(),
                 events.join(","),
                 result.trim(),
@@ -1527,7 +1513,7 @@ mod tests {
 
     #[test]
     fn spec_defaults_and_round_trip() {
-        let spec = JobSpec::from_json(&minijson::parse("{}").unwrap()).unwrap();
+        let spec = JobSpec::from_json(&json::parse("{}").unwrap()).unwrap();
         assert_eq!(spec.name, "job");
         assert_eq!(spec.seed, 21);
         assert_eq!(spec.rounds, vec![Strategy::NoFeedback, Strategy::Uniform]);
@@ -1540,14 +1526,27 @@ mod tests {
             }
         );
         assert_eq!(spec.cost(), 2);
-        let reparsed = JobSpec::from_json(&minijson::parse(&spec.to_json()).unwrap()).unwrap();
+        let reparsed = JobSpec::from_json(&json::parse(&spec.to_json()).unwrap()).unwrap();
         assert_eq!(reparsed, spec);
+    }
+
+    #[test]
+    fn spec_seeds_round_trip_exactly_above_two_to_the_53() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let text =
+                format!("{{\"seed\":{seed},\"dataset\":{{\"kind\":\"blobs\",\"seed\":{seed}}}}}");
+            let spec = JobSpec::from_json(&json::parse(&text).unwrap()).unwrap();
+            assert_eq!(spec.seed, seed, "a submitted seed must run as given");
+            assert!(spec.to_json().contains(&format!("\"seed\":{seed},")));
+            let reparsed = JobSpec::from_json(&json::parse(&spec.to_json()).unwrap()).unwrap();
+            assert_eq!(reparsed, spec);
+        }
     }
 
     #[test]
     fn spec_parses_explicit_fields_and_rejects_bad_ones() {
         let spec = JobSpec::from_json(
-            &minijson::parse(
+            &json::parse(
                 "{\"name\":\"x\",\"seed\":7,\"dataset\":{\"kind\":\"xor\",\"n\":100,\"flip\":0.1,\
                  \"seed\":3},\"rounds\":[\"Uniform\",\"QBC\"],\"round_sleep_ms\":250,\
                  \"timeout_ms\":9000}",
@@ -1561,23 +1560,20 @@ mod tests {
         assert_eq!(spec.timeout_ms, Some(9000));
         assert!(matches!(spec.dataset, DatasetSpec::Xor { n: 100, .. }));
 
-        let err =
-            JobSpec::from_json(&minijson::parse("{\"rounds\":[\"Nope\"]}").unwrap()).unwrap_err();
+        let err = JobSpec::from_json(&json::parse("{\"rounds\":[\"Nope\"]}").unwrap()).unwrap_err();
         assert!(err.contains("unknown strategy 'Nope'"), "{err}");
-        let err =
-            JobSpec::from_json(&minijson::parse("{\"dataset\":{\"kind\":\"parquet\"}}").unwrap())
-                .unwrap_err();
+        let err = JobSpec::from_json(&json::parse("{\"dataset\":{\"kind\":\"parquet\"}}").unwrap())
+            .unwrap_err();
         assert!(err.contains("unknown dataset.kind"), "{err}");
-        let err = JobSpec::from_json(&minijson::parse("{\"rounds\":[]}").unwrap()).unwrap_err();
+        let err = JobSpec::from_json(&json::parse("{\"rounds\":[]}").unwrap()).unwrap_err();
         assert!(err.contains("must not be empty"), "{err}");
     }
 
     #[test]
     fn csv_submissions_default_to_csv_dataset() {
-        let spec = JobSpec::from_json(
-            &minijson::parse("{\"csv\":\"f0,f1,label\\n0.1,0.2,0\\n\"}").unwrap(),
-        )
-        .unwrap();
+        let spec =
+            JobSpec::from_json(&json::parse("{\"csv\":\"f0,f1,label\\n0.1,0.2,0\\n\"}").unwrap())
+                .unwrap();
         assert_eq!(spec.dataset, DatasetSpec::Csv);
     }
 

@@ -8,7 +8,6 @@
 //! ```
 
 use aml_automl::AutoMlConfig;
-use aml_bench::minijson::{ToJson, Value};
 use aml_bench::{cached_dataset, mean, write_json, RunOpts};
 use aml_core::{run_strategy, AleFeedback, ExperimentConfig, InterpretationMethod, Strategy};
 use aml_dataset::split::split_into_k;
@@ -17,6 +16,7 @@ use aml_netsim::datagen::{generate_dataset, label_rows};
 use aml_netsim::runner::winner_index;
 use aml_netsim::sim::{QueueKind, SimConfig, Simulation};
 use aml_netsim::{CcKind, ConditionDomain, NetworkCondition};
+use aml_telemetry::json::{ToJson, Value};
 use aml_telemetry::report;
 use std::collections::BTreeMap;
 

@@ -15,9 +15,9 @@
 
 use aml_bench::amlreport::{parse_ledger, render_compare_html, render_html, LedgerData};
 use aml_bench::critview::parse_crit;
-use aml_bench::qualityview::parse_quality_ledger;
 use aml_bench::report::BenchReport;
-use aml_bench::searchview::parse_search_ledger;
+use aml_telemetry::quality::QualityCollector;
+use aml_telemetry::searchview::SearchCollector;
 use aml_telemetry::{CritReport, QualityReport, SearchReport};
 use std::path::{Path, PathBuf};
 
@@ -137,13 +137,10 @@ fn run_compare(opts: &Opts) -> i32 {
     };
     // Quality reports feed the header's final-acc/ECE deltas; ledgers
     // without quality events simply omit that header line.
-    let quality = |path: &Path| {
-        std::fs::read_to_string(path)
-            .ok()
-            .and_then(|text| parse_quality_ledger(&text).ok())
-            .filter(|q| !q.rounds.is_empty())
+    let quality = |l: &LedgerData| {
+        Some(QualityCollector::from_events(&l.events).report()).filter(|q| !q.rounds.is_empty())
     };
-    let (qa, qb) = (quality(&opts.inputs[0]), quality(&opts.inputs[1]));
+    let (qa, qb) = (quality(&a), quality(&b));
     let html = render_compare_html(&a, &b, qa.as_ref(), qb.as_ref(), &title);
     if let Err(e) = std::fs::write(&opts.out, &html) {
         eprintln!("error: cannot write {}: {e}", opts.out.display());
@@ -152,8 +149,8 @@ fn run_compare(opts: &Opts) -> i32 {
     println!(
         "amlreport: wrote {} (compare {} vs {}, {} bytes)",
         opts.out.display(),
-        a.run_id,
-        b.run_id,
+        a.header.run_id,
+        b.header.run_id,
         html.len()
     );
     0
@@ -188,21 +185,13 @@ fn main() {
         } else if is_crit_record(path) {
             load_crit(path).map(|c| crits.push(c))
         } else {
-            // Each ledger feeds three sections: the event-level parse
-            // plus the recomputed search and quality reports.
-            std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))
-                .and_then(|text| {
-                    let l = parse_ledger(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-                    let s = parse_search_ledger(&text)
-                        .map_err(|e| format!("{}: {e}", path.display()))?;
-                    let q = parse_quality_ledger(&text)
-                        .map_err(|e| format!("{}: {e}", path.display()))?;
-                    ledgers.push(l);
-                    searches.push(s);
-                    qualities.push(q);
-                    Ok(())
-                })
+            // Each ledger feeds three sections: the events themselves
+            // plus the search and quality reports folded from them.
+            load_ledger(path).map(|l| {
+                searches.push(SearchCollector::from_events(&l.events).report());
+                qualities.push(QualityCollector::from_events(&l.events).report());
+                ledgers.push(l);
+            })
         };
         if let Err(msg) = result {
             eprintln!("error: {msg}");

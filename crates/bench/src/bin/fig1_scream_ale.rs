@@ -11,7 +11,7 @@
 //! `fig1_all_features.json`.
 
 use aml_automl::{AutoMl, AutoMlConfig};
-use aml_bench::{write_artifact, write_json, RunOpts};
+use aml_bench::{ale_bands_json, write_artifact, write_json, RunOpts};
 use aml_core::{AleFeedback, AleMode};
 use aml_interpret::plot::{band_to_ascii, band_to_csv, band_to_svg};
 use aml_netsim::datagen::generate_dataset;
@@ -94,7 +94,11 @@ fn main() {
         "fig1_link_rate.svg",
         &band_to_svg(band, 640, 360),
     );
-    write_json(&opts.out_dir, "fig1_all_features.json", &analysis.bands);
+    write_json(
+        &opts.out_dir,
+        "fig1_all_features.json",
+        &ale_bands_json(&analysis.bands),
+    );
 
     report("\nper-feature summary:");
     for (band, region) in analysis.bands.iter().zip(&analysis.regions) {

@@ -9,7 +9,7 @@
 //! ```
 
 use aml_automl::{AutoMl, AutoMlConfig};
-use aml_bench::{write_artifact, write_json, RunOpts};
+use aml_bench::{ale_bands_json, write_artifact, write_json, RunOpts};
 use aml_core::{AleFeedback, AleMode, ThresholdRule};
 use aml_dataset::split::three_way_split;
 use aml_fwgen::{generate, FwGenConfig};
@@ -93,7 +93,11 @@ fn main() {
             &band_to_svg(band, 640, 360),
         );
     }
-    write_json(&opts.out_dir, "fig2_all_bands.json", &analysis.bands);
+    write_json(
+        &opts.out_dir,
+        "fig2_all_bands.json",
+        &ale_bands_json(&analysis.bands),
+    );
 
     // The §4.2 shape checks.
     let src = train.feature_index("src_port").expect("schema");

@@ -22,17 +22,17 @@
 //! Exit codes: 0 pass, 1 regression (or a workload failed to run),
 //! 2 usage error.
 
-use aml_bench::amlreport::{parse_ledger, LedgerData};
 use aml_bench::critview::parse_crit;
 use aml_bench::gate::{
     compare, gate_against_history, gate_quality_against_history, history_baseline, parse_history,
     GateConfig, GateOutcome,
 };
-use aml_bench::minijson::Value;
 use aml_bench::qualityview::parse_quality_artifact;
 use aml_bench::report::{median_report, BenchReport};
 use aml_telemetry::history::DEFAULT_HISTORY_PATH;
-use aml_telemetry::{CritReport, HistoryRecord};
+use aml_telemetry::json::Value;
+use aml_telemetry::quality::QualityCollector;
+use aml_telemetry::{ledger, CritReport, HistoryRecord, LedgerEvent};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -632,7 +632,7 @@ fn run_workloads(opts: RunPlanOpts) -> i32 {
 /// and write `BENCH_<workload>.json` into the output directory. The
 /// first repeat also exports `trace.json` / `events.jsonl` /
 /// `ledger.jsonl` / `crit.json` for the workload so every gate run
-/// doubles as a profiling artifact (and feeds `amlreport` / `amlcrit`).
+/// doubles as a profiling artifact (and feeds `amlreport` / `amlinspect crit`).
 fn run_one_workload(
     bin_dir: &Path,
     workload: &str,
@@ -725,27 +725,32 @@ fn history_from_gate_run(
     median: &BenchReport,
     ledger_path: &Path,
 ) -> HistoryRecord {
-    let ledger: Option<LedgerData> =
-        std::fs::read_to_string(ledger_path)
-            .ok()
-            .and_then(|text| match parse_ledger(&text) {
-                Ok(data) => Some(data),
-                Err(e) => {
-                    eprintln!("perfgate: warning: {}: {e}", ledger_path.display());
-                    None
-                }
-            });
-    let final_acc = ledger
-        .as_ref()
-        .and_then(|l| l.rounds.last())
-        .map(|r| r.acc_mean)
+    let events: Vec<LedgerEvent> = std::fs::read_to_string(ledger_path)
+        .ok()
+        .and_then(|text| match ledger::read(&text) {
+            Ok((_, events)) => Some(events),
+            Err(e) => {
+                eprintln!("perfgate: warning: {}: {e}", ledger_path.display());
+                None
+            }
+        })
+        .unwrap_or_default();
+    let count = |is: fn(&LedgerEvent) -> bool| events.iter().filter(|e| is(e)).count() as u64;
+    let final_acc = events
+        .iter()
+        .rev()
+        .find_map(|e| match e {
+            LedgerEvent::RoundCompleted { acc_mean, .. } => Some(*acc_mean),
+            _ => None,
+        })
         .filter(|a| a.is_finite());
     // The same ledger carries the quality events; recompute ECE from it
     // so gate runs feed the quality gate's history medians too.
-    let ece = std::fs::read_to_string(ledger_path)
-        .ok()
-        .and_then(|text| parse_quality_artifact(&text).ok())
-        .and_then(|q| q.rounds.last().map(|r| r.ece))
+    let ece = QualityCollector::from_events(&events)
+        .report()
+        .rounds
+        .last()
+        .map(|r| r.ece)
         .filter(|e| e.is_finite());
     HistoryRecord {
         workload: workload.to_string(),
@@ -757,9 +762,9 @@ fn history_from_gate_run(
         peak_rss_bytes: 0,
         alloc_peak_bytes: median.alloc.as_ref().map_or(0, |a| a.peak_bytes),
         final_acc,
-        trials_finished: ledger.as_ref().map_or(0, |l| l.finished.len() as u64),
-        trials_failed: ledger.as_ref().map_or(0, |l| l.failed.len() as u64),
-        rounds: ledger.as_ref().map_or(0, |l| l.rounds.len() as u64),
+        trials_finished: count(|e| matches!(e, LedgerEvent::TrialFinished { .. })),
+        trials_failed: count(|e| matches!(e, LedgerEvent::TrialFailed { .. })),
+        rounds: count(|e| matches!(e, LedgerEvent::RoundCompleted { .. })),
         ece,
     }
 }

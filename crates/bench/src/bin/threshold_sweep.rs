@@ -8,13 +8,13 @@
 //! ```
 
 use aml_automl::{AutoMl, AutoMlConfig};
-use aml_bench::minijson::{ToJson, Value};
 use aml_bench::{cached_dataset, mean, write_json, RunOpts};
 use aml_core::{run_strategy, AleFeedback, ExperimentConfig, Strategy, ThresholdRule};
 use aml_dataset::split::split_into_k;
 use aml_dataset::Dataset;
 use aml_netsim::datagen::{generate_dataset, label_rows};
 use aml_netsim::ConditionDomain;
+use aml_telemetry::json::{ToJson, Value};
 use aml_telemetry::report;
 
 struct SweepRow {

@@ -1,7 +1,7 @@
 //! Read-side of `crit.json`: parse the critical-path report written by
 //! `--crit-out` (or served at `/crit`) back into an
 //! [`aml_telemetry::CritReport`], render the chain as an inline SVG for
-//! `amlreport`, and diff two reports for `amlcrit --compare`.
+//! `amlreport`, and diff two reports for `amlinspect crit --compare`.
 //!
 //! The parser is strict about the pinned shape (see the byte-pinned
 //! golden in `aml-telemetry`'s `crit` module): `active` must be `true`
@@ -9,14 +9,14 @@
 //! so a stale artifact from a future schema fails loudly instead of
 //! rendering nonsense.
 
-use crate::minijson::{self, Value};
 use aml_telemetry::crit::{PhaseStat, ScenarioStats, Segment};
+use aml_telemetry::json::{self, Value};
 use aml_telemetry::{CritReport, CRIT_SCHEMA_VERSION};
 use std::fmt::Write;
 
 /// Parse a `crit.json` document (one object, as written by `--crit-out`).
 pub fn parse_crit(text: &str) -> Result<CritReport, String> {
-    let v = minijson::parse(text)?;
+    let v = json::parse(text)?;
     match v.get("active") {
         Some(Value::Bool(true)) => {}
         Some(Value::Bool(false)) => {
@@ -24,7 +24,7 @@ pub fn parse_crit(text: &str) -> Result<CritReport, String> {
         }
         _ => return Err("missing 'active' field — not a crit.json document".into()),
     }
-    let schema = req_u64(&v, "schema_version")?;
+    let schema = v.u64_at("schema_version")?;
     if schema != CRIT_SCHEMA_VERSION as u64 {
         return Err(format!(
             "unsupported crit schema v{schema} (this build reads v{CRIT_SCHEMA_VERSION})"
@@ -50,36 +50,22 @@ pub fn parse_crit(text: &str) -> Result<CritReport, String> {
         Some(s) => Some(parse_scenarios(s)?),
     };
     Ok(CritReport {
-        wall_ns: req_u64(&v, "wall_ns")?,
+        wall_ns: v.u64_at("wall_ns")?,
         cpu_ns: v.get("cpu_ns").and_then(Value::as_u64),
-        dominant_phase: v
-            .get("dominant_phase")
-            .and_then(Value::as_str)
-            .ok_or("missing 'dominant_phase'")?
-            .to_string(),
-        critical_path_ns: req_u64(&v, "critical_path_ns")?,
+        dominant_phase: v.str_at("dominant_phase")?.to_string(),
+        critical_path_ns: v.u64_at("critical_path_ns")?,
         path,
         phases,
         amdahl,
         scenarios,
-        nodes: req_u64(&v, "nodes")? as usize,
-        nodes_dropped: req_u64(&v, "nodes_dropped")?,
+        nodes: v.u64_at("nodes")? as usize,
+        nodes_dropped: v.u64_at("nodes_dropped")?,
     })
-}
-
-fn req_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer '{key}'"))
 }
 
 fn parse_segment(v: &Value) -> Result<Segment, String> {
     Ok(Segment {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("segment missing 'name'")?
-            .to_string(),
+        name: v.str_at("name")?.to_string(),
         // Ids are rendered as decimal strings: as JSON numbers the
         // 64-bit hashes would round through f64 and lose low bits.
         id: v
@@ -87,23 +73,19 @@ fn parse_segment(v: &Value) -> Result<Segment, String> {
             .and_then(Value::as_str)
             .and_then(|s| s.parse().ok())
             .ok_or("segment missing string 'id'")?,
-        depth: req_u64(v, "depth")? as usize,
-        total_ns: req_u64(v, "total_ns")?,
-        contribution_ns: req_u64(v, "contribution_ns")?,
+        depth: v.u64_at("depth")? as usize,
+        total_ns: v.u64_at("total_ns")?,
+        contribution_ns: v.u64_at("contribution_ns")?,
         parallel: matches!(v.get("parallel"), Some(Value::Bool(true))),
     })
 }
 
 fn parse_phase(v: &Value) -> Result<PhaseStat, String> {
     Ok(PhaseStat {
-        name: v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("phase missing 'name'")?
-            .to_string(),
-        total_ns: req_u64(v, "total_ns")?,
-        work_ns: req_u64(v, "work_ns")?,
-        ideal_ns: req_u64(v, "ideal_ns")?,
+        name: v.str_at("name")?.to_string(),
+        total_ns: v.u64_at("total_ns")?,
+        work_ns: v.u64_at("work_ns")?,
+        ideal_ns: v.u64_at("ideal_ns")?,
         serial_fraction: v
             .get("serial_fraction")
             .and_then(Value::as_f64)
@@ -112,20 +94,20 @@ fn parse_phase(v: &Value) -> Result<PhaseStat, String> {
             .get("max_speedup")
             .and_then(Value::as_f64)
             .unwrap_or(f64::NAN),
-        subtree_spans: req_u64(v, "subtree_spans")?,
+        subtree_spans: v.u64_at("subtree_spans")?,
     })
 }
 
 fn parse_scenarios(v: &Value) -> Result<ScenarioStats, String> {
     let hist = v.get("histogram").ok_or("scenarios missing 'histogram'")?;
     Ok(ScenarioStats {
-        total: req_u64(v, "total")?,
-        count: req_u64(hist, "count")?,
-        sum_ns: req_u64(hist, "sum_ns")?,
-        mean_ns: req_u64(hist, "mean_ns")?,
-        p50_ns: req_u64(hist, "p50_ns")?,
-        p95_ns: req_u64(hist, "p95_ns")?,
-        max_ns: req_u64(hist, "max_ns")?,
+        total: v.u64_at("total")?,
+        count: hist.u64_at("count")?,
+        sum_ns: hist.u64_at("sum_ns")?,
+        mean_ns: hist.u64_at("mean_ns")?,
+        p50_ns: hist.u64_at("p50_ns")?,
+        p95_ns: hist.u64_at("p95_ns")?,
+        max_ns: hist.u64_at("max_ns")?,
     })
 }
 
@@ -181,7 +163,7 @@ pub fn render_crit_svg(report: &CritReport) -> String {
     out
 }
 
-/// Text diff of two reports for `amlcrit --compare`: the figures someone
+/// Text diff of two reports for `amlinspect crit --compare`: the figures someone
 /// checks before and after a performance PR.
 pub fn render_compare(a: &CritReport, b: &CritReport) -> String {
     let mut out = String::from("critical path compare (A -> B):\n");

@@ -19,9 +19,9 @@
 //! tolerance/abs-floor rules to the medians. An empty history cannot
 //! anchor any check, so the caller treats it as a pass with a warning.
 
-use crate::minijson::{ToJson, Value};
 use crate::report::BenchReport;
-use aml_telemetry::{HistoryRecord, HISTORY_SCHEMA_VERSION};
+use aml_telemetry::json::{ToJson, Value};
+use aml_telemetry::HistoryRecord;
 use std::fmt::Write as _;
 
 /// Gate parameters.
@@ -307,35 +307,8 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// the whole window).
 pub fn parse_history(text: &str) -> Vec<HistoryRecord> {
     text.lines()
-        .filter_map(|line| {
-            let line = line.trim();
-            if line.is_empty() {
-                return None;
-            }
-            let v = crate::minijson::parse(line).ok()?;
-            if v.get("type")?.as_str()? != "history"
-                || v.get("schema_version")?.as_u64()? != HISTORY_SCHEMA_VERSION
-            {
-                return None;
-            }
-            Some(HistoryRecord {
-                workload: v.get("workload")?.as_str()?.to_string(),
-                seed: v.get("seed")?.as_u64()?,
-                git: v.get("git")?.as_str()?.to_string(),
-                source: v.get("source")?.as_str()?.to_string(),
-                wall_time_s: v.get("wall_time_s")?.as_f64()?,
-                top_span_total_s: v.get("top_span_total_s")?.as_f64()?,
-                peak_rss_bytes: v.get("peak_rss_bytes")?.as_u64()?,
-                alloc_peak_bytes: v.get("alloc_peak_bytes")?.as_u64()?,
-                final_acc: v.get("final_acc").and_then(Value::as_f64),
-                trials_finished: v.get("trials_finished")?.as_u64()?,
-                trials_failed: v.get("trials_failed")?.as_u64()?,
-                rounds: v.get("rounds")?.as_u64()?,
-                // Trailing field, absent from records written before the
-                // quality plane existed: those parse as None.
-                ece: v.get("ece").and_then(Value::as_f64),
-            })
-        })
+        .filter(|line| !line.trim().is_empty())
+        .filter_map(|line| HistoryRecord::from_json_line(line.trim()).ok())
         .collect()
 }
 
@@ -650,7 +623,7 @@ mod tests {
         let cfg = GateConfig::default();
         let outcome = compare(&old, &new, &cfg);
         let json = outcome.render_json("table1_scream", &cfg);
-        let v = crate::minijson::parse(&json).expect("render_json emits valid JSON");
+        let v = aml_telemetry::json::parse(&json).expect("render_json emits valid JSON");
         assert_eq!(v.get("workload").unwrap().as_str(), Some("table1_scream"));
         assert_eq!(v.get("tolerance_pct").unwrap().as_f64(), Some(10.0));
         assert_eq!(v.get("abs_floor_ms").unwrap().as_f64(), Some(5.0));
@@ -670,7 +643,7 @@ mod tests {
 
         // A zero baseline renders delta_pct as JSON null.
         let zero = compare(&report(0.0, &[]), &report(0.0, &[]), &cfg);
-        let v = crate::minijson::parse(&zero.render_json("w", &cfg)).unwrap();
+        let v = aml_telemetry::json::parse(&zero.render_json("w", &cfg)).unwrap();
         assert_eq!(
             v.get("metrics").unwrap().as_arr().unwrap()[0]
                 .get("delta_pct")
@@ -713,6 +686,17 @@ mod tests {
         assert_eq!(records, vec![good, null_acc]);
         assert_eq!(records[1].final_acc, None);
         assert!(parse_history("").is_empty());
+    }
+
+    #[test]
+    fn parse_history_keeps_seeds_above_two_to_the_53_exact() {
+        for seed in [(1u64 << 53) + 1, u64::MAX] {
+            let rec = HistoryRecord {
+                seed,
+                ..history_record("w", 1, 1.0, 0)
+            };
+            assert_eq!(parse_history(&rec.to_json_line()), vec![rec]);
+        }
     }
 
     #[test]
@@ -792,8 +776,9 @@ mod tests {
         let baseline = history_baseline(&records, "w", 5).unwrap();
         let cfg = GateConfig::default();
         let outcome = gate_against_history(&baseline, &history_record("w", 2, 10.1, 0), &cfg);
-        let v = crate::minijson::parse(&outcome.render_history_json("w", &cfg, 5, baseline.n_used))
-            .unwrap();
+        let v =
+            aml_telemetry::json::parse(&outcome.render_history_json("w", &cfg, 5, baseline.n_used))
+                .unwrap();
         assert_eq!(v.get("workload").unwrap().as_str(), Some("w"));
         assert_eq!(v.get("history_requested").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("history_n").unwrap().as_u64(), Some(1));
@@ -804,7 +789,7 @@ mod tests {
             diffs: vec![],
             unmatched: vec![],
         };
-        let v = crate::minijson::parse(&empty.render_history_json("w", &cfg, 5, 0)).unwrap();
+        let v = aml_telemetry::json::parse(&empty.render_history_json("w", &cfg, 5, 0)).unwrap();
         assert_eq!(v.get("history_n").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("pass").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("regressions").unwrap().as_u64(), Some(0));

@@ -31,13 +31,12 @@ pub mod amlreport;
 pub mod amlserve;
 pub mod critview;
 pub mod gate;
-pub mod minijson;
 pub mod qualityview;
 pub mod report;
 pub mod searchview;
 
 use aml_dataset::Dataset;
-use aml_telemetry::TelemetryLevel;
+use aml_telemetry::{json, TelemetryLevel};
 use report::BenchReport;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -112,13 +111,13 @@ pub struct RunOpts {
     /// funnels, hyperparameter importance) during the run and write
     /// `search.json` here at the end; also printed as a table on stderr,
     /// served live at `/search` with `--serve`, and read by the
-    /// `amlsearch` bin (which recomputes the same report from a ledger).
+    /// `amlinspect search` bin (which recomputes the same report from a ledger).
     pub search_out: Option<PathBuf>,
     /// Collect the model/data-quality plane (dataset profiles, PSI drift,
     /// confusion/calibration diagnostics) during the run and write
     /// `quality.json` here at the end; also printed as a table on stderr,
     /// served live at `/quality` with `--serve`, and read by the
-    /// `amlquality` bin (which recomputes the same report from a ledger).
+    /// `amlinspect quality` bin (which recomputes the same report from a ledger).
     pub quality_out: Option<PathBuf>,
     /// Drift baseline for the quality plane (`--quality-ref`): a previous
     /// run's `quality.json` whose latest train profile anchors the PSI
@@ -180,17 +179,17 @@ options:
                           per-phase serial fraction / Amdahl speedup ceiling,
                           per-scenario datagen costs) as JSON; printed as a
                           table on stderr, served live at /crit, and read by
-                          the `amlcrit` bin
+                          `amlinspect crit`
   --search-out PATH       collect search observability (declared-space
                           coverage, successive-halving rung funnels,
                           fANOVA-lite hyperparameter importance) and write
                           search.json; printed as a table on stderr, served
-                          live at /search, and read by the `amlsearch` bin
+                          live at /search, and read by `amlinspect search`
   --quality-out PATH      collect the model/data-quality plane (per-feature
                           dataset profiles, PSI drift, confusion matrix,
                           reliability/ECE calibration) and write quality.json;
                           printed as a table on stderr, served live at
-                          /quality, and read by the `amlquality` bin
+                          /quality, and read by `amlinspect quality`
   --quality-ref PATH      drift baseline: a previous run's quality.json whose
                           latest train profile anchors the PSI scores (the
                           default drifts each round against the previous one)
@@ -679,7 +678,7 @@ impl RunOpts {
         if let Some(path) = &self.search_out {
             // Deactivate first so the report is computed over a frozen
             // trial set; render_table gives the operator the same view
-            // amlsearch prints from the ledger.
+            // amlinspect search prints from the ledger.
             aml_telemetry::searchview::set_active(false);
             match aml_telemetry::searchview::write_json(path) {
                 Ok(report) => {
@@ -694,7 +693,7 @@ impl RunOpts {
         }
         if let Some(path) = &self.quality_out {
             // Deactivate first so the report reduces a frozen event store;
-            // render_table mirrors what amlquality prints from the ledger.
+            // render_table mirrors what amlinspect quality prints from the ledger.
             aml_telemetry::quality::set_active(false);
             match aml_telemetry::quality::write_json(path) {
                 Ok(report) => {
@@ -810,22 +809,30 @@ pub fn write_artifact(out_dir: &Path, name: &str, content: &str) {
     }
 }
 
-/// Write a JSON artifact (pretty-printed via [`minijson::Value::render`]).
-pub fn write_json<T: minijson::ToJson + ?Sized>(out_dir: &Path, name: &str, value: &T) {
+/// Write a JSON artifact (pretty-printed via [`json::Value::render`]).
+pub fn write_json<T: json::ToJson + ?Sized>(out_dir: &Path, name: &str, value: &T) {
     write_artifact(out_dir, name, &value.to_json().render());
 }
 
-impl minijson::ToJson for aml_interpret::AleBand {
-    fn to_json(&self) -> minijson::Value {
-        minijson::Value::Obj(vec![
-            ("feature".into(), self.feature.to_json()),
-            ("feature_name".into(), self.feature_name.to_json()),
-            ("grid".into(), self.grid.to_json()),
-            ("mean".into(), self.mean.to_json()),
-            ("std".into(), self.std.to_json()),
-            ("n_models".into(), self.n_models.to_json()),
-        ])
-    }
+/// The JSON form of a set of ALE bands (the figure binaries' data
+/// artifacts).
+pub fn ale_bands_json(bands: &[aml_interpret::AleBand]) -> json::Value {
+    use json::ToJson;
+    json::Value::Arr(
+        bands
+            .iter()
+            .map(|b| {
+                json::Value::Obj(vec![
+                    ("feature".into(), b.feature.to_json()),
+                    ("feature_name".into(), b.feature_name.to_json()),
+                    ("grid".into(), b.grid.to_json()),
+                    ("mean".into(), b.mean.to_json()),
+                    ("std".into(), b.std.to_json()),
+                    ("n_models".into(), b.n_models.to_json()),
+                ])
+            })
+            .collect(),
+    )
 }
 
 /// Load a cached dataset or generate-and-cache it. The cache key must

@@ -1,200 +1,28 @@
 //! Read-side of the quality plane: recompute the model/data-quality
 //! report from a `ledger.jsonl`, read back a rendered `quality.json`,
 //! load a drift baseline for `--quality-ref`, render the SVG panels for
-//! `amlreport`, and diff two reports for `amlquality --compare`.
+//! `amlreport`, and diff two reports for `amlinspect quality --compare`.
 //!
-//! The heavy lifting lives in `aml_telemetry::quality::report_from_events`
-//! — this module only reconstructs its inputs (the `dataset_profile` and
-//! `model_diagnostics` ledger lines) and reuses the identical pure
-//! reduction, so `amlquality ledger.jsonl` reproduces `--quality-out`'s
-//! `quality.json` byte for byte (when the run used no `--quality-ref`;
-//! a baseline changes the drift section by design).
+//! A ledger is read with `aml_telemetry::ledger::read` and folded
+//! through the same `QualityCollector` the live `--quality-out` path
+//! uses, so `amlinspect quality ledger.jsonl` reproduces `quality.json`
+//! byte for byte (when the run used no `--quality-ref`; a baseline
+//! changes the drift section by design).
 
-use crate::minijson::{self, Value};
+use aml_telemetry::json::{self, Value};
 use aml_telemetry::quality::{
-    report_from_events, DriftReport, FinalDiagnostics, QualityReport, Reliability, RoundQuality,
-    SplitProfile,
+    ClassQuality, DriftReport, FeatureDrift, FinalDiagnostics, QualityCollector, QualityReport,
+    Reliability, RoundQuality, SplitProfile,
 };
-use aml_telemetry::{
-    FeatureProfile, LedgerEvent, QualityReference, LEDGER_SCHEMA_VERSION, QUALITY_SCHEMA_VERSION,
-};
+use aml_telemetry::{ledger, FeatureProfile, QualityReference, QUALITY_SCHEMA_VERSION};
 use std::fmt::Write;
-
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Numeric field; a JSON `null` (the ledger encoding of a non-finite
-/// float) reads back as NaN.
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-/// Optional field: JSON `null` reads back as `None`.
-fn opt_f64_field(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-fn bool_field(v: &Value, key: &str) -> Result<bool, String> {
-    match v.get(key) {
-        Some(Value::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing or non-boolean field '{key}'")),
-    }
-}
-
-fn u64_array_field(v: &Value, key: &str) -> Result<Vec<u64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(|c| {
-            c.as_u64()
-                .ok_or_else(|| format!("non-integer entry in '{key}'"))
-        })
-        .collect()
-}
-
-fn f64_array_field(v: &Value, key: &str) -> Result<Vec<f64>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(|c| match c {
-            Value::Null => Ok(f64::NAN),
-            n => n
-                .as_f64()
-                .ok_or_else(|| format!("non-numeric entry in '{key}'")),
-        })
-        .collect()
-}
-
-fn parse_feature_profile(v: &Value) -> Result<FeatureProfile, String> {
-    Ok(FeatureProfile {
-        name: str_field(v, "name")?,
-        count: u64_field(v, "count")?,
-        mean: f64_field(v, "mean")?,
-        std: f64_field(v, "std")?,
-        min: f64_field(v, "min")?,
-        max: f64_field(v, "max")?,
-        log10: bool_field(v, "log10")?,
-        lo: f64_field(v, "lo")?,
-        hi: f64_field(v, "hi")?,
-        bins: u64_array_field(v, "bins")?,
-    })
-}
-
-fn parse_features(v: &Value, key: &str) -> Result<Vec<FeatureProfile>, String> {
-    v.get(key)
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("missing '{key}' array"))?
-        .iter()
-        .map(parse_feature_profile)
-        .collect()
-}
-
-fn parse_confusion(v: &Value) -> Result<Vec<Vec<u64>>, String> {
-    v.get("confusion")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'confusion' array")?
-        .iter()
-        .map(|row| {
-            row.as_arr()
-                .ok_or("confusion row is not an array")?
-                .iter()
-                .map(|c| {
-                    c.as_u64()
-                        .ok_or_else(|| "non-integer confusion count".to_string())
-                })
-                .collect()
-        })
-        .collect()
-}
 
 /// Parse the text of one `ledger.jsonl` and recompute its quality
 /// report (no drift baseline — the recompute matches a run without
-/// `--quality-ref`). The first line must be a `{"type":"ledger", ...}`
-/// header with a supported schema version; unknown event types are
-/// skipped (additive schema changes don't bump the version).
+/// `--quality-ref`).
 pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header_line) = lines.next().ok_or("empty ledger file")?;
-    let header = minijson::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if str_field(&header, "type")? != "ledger" {
-        return Err("line 1: not a ledger header".into());
-    }
-    let version = u64_field(&header, "schema_version")?;
-    if version != LEDGER_SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
-        ));
-    }
-    let mut events: Vec<LedgerEvent> = Vec::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = minijson::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let event = str_field(&v, "type").map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let parsed: Result<(), String> = (|| {
-            match event.as_str() {
-                "dataset_profile" => events.push(LedgerEvent::DatasetProfile {
-                    round: u64_field(&v, "round")?,
-                    split: str_field(&v, "split")?,
-                    rows: u64_field(&v, "rows")?,
-                    class_counts: u64_array_field(&v, "class_counts")?,
-                    features: parse_features(&v, "features")?,
-                }),
-                "model_diagnostics" => events.push(LedgerEvent::ModelDiagnostics {
-                    round: u64_field(&v, "round")?,
-                    strategy: str_field(&v, "strategy")?,
-                    rows: u64_field(&v, "rows")?,
-                    classes: v
-                        .get("classes")
-                        .and_then(Value::as_arr)
-                        .ok_or("missing 'classes' array")?
-                        .iter()
-                        .map(|c| {
-                            c.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| "non-string class name".to_string())
-                        })
-                        .collect::<Result<Vec<_>, String>>()?,
-                    confusion: parse_confusion(&v)?,
-                    brier: f64_field(&v, "brier")?,
-                    bin_count: u64_array_field(&v, "bin_count")?,
-                    bin_conf_sum: f64_array_field(&v, "bin_conf_sum")?,
-                    bin_hit: u64_array_field(&v, "bin_hit")?,
-                    ale_band_width: f64_field(&v, "ale_band_width")?,
-                }),
-                _ => {}
-            }
-            Ok(())
-        })();
-        parsed.map_err(|e| format!("line {}: {e}", idx + 1))?;
-    }
-    Ok(report_from_events(events.iter(), None, 0))
+    let (_, events) = ledger::read(text)?;
+    Ok(QualityCollector::from_events(&events).report())
 }
 
 /// Parse a rendered `quality.json` artifact back into a
@@ -204,111 +32,100 @@ pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
 /// Round-trips byte-for-byte:
 /// `parse_quality_json(r.render_json()).render_json() == r.render_json()`.
 pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
-    let v = minijson::parse(text.trim_end())?;
+    let v = json::parse(text.trim_end())?;
     match v.get("active") {
         Some(Value::Bool(true)) => {}
         Some(Value::Bool(false)) => {
-            return Err("inactive document: the collector was disarmed (run with --quality-out, or point amlquality at a ledger.jsonl)".into())
+            return Err("inactive document: the collector was disarmed (run with --quality-out, or point amlinspect quality at a ledger.jsonl)".into())
         }
         _ => return Err("not a quality.json document (missing 'active')".into()),
     }
-    let version = u64_field(&v, "schema_version")?;
+    let version = v.u64_at("schema_version")?;
     if version > u64::from(QUALITY_SCHEMA_VERSION) {
         return Err(format!(
-            "schema_version {version} is newer than this amlquality ({QUALITY_SCHEMA_VERSION})"
+            "schema_version {version} is newer than this amlinspect ({QUALITY_SCHEMA_VERSION})"
         ));
     }
     let rounds = v
-        .get("rounds")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'rounds' array")?
+        .arr_at("rounds")?
         .iter()
         .map(|r| {
             Ok(RoundQuality {
-                round: u64_field(r, "round")?,
-                strategy: str_field(r, "strategy")?,
-                rows: u64_field(r, "rows")?,
-                accuracy: f64_field(r, "accuracy")?,
-                balanced_accuracy: f64_field(r, "balanced_accuracy")?,
-                macro_f1: f64_field(r, "macro_f1")?,
-                brier: f64_field(r, "brier")?,
-                ece: f64_field(r, "ece")?,
-                ale_band_width: f64_field(r, "ale_band_width")?,
-                psi_mean: opt_f64_field(r, "psi_mean")?,
-                psi_max: opt_f64_field(r, "psi_max")?,
+                round: r.u64_at("round")?,
+                strategy: r.str_at("strategy")?.to_string(),
+                rows: r.u64_at("rows")?,
+                accuracy: r.f64_at("accuracy")?,
+                balanced_accuracy: r.f64_at("balanced_accuracy")?,
+                macro_f1: r.f64_at("macro_f1")?,
+                brier: r.f64_at("brier")?,
+                ece: r.f64_at("ece")?,
+                ale_band_width: r.f64_at("ale_band_width")?,
+                psi_mean: r.opt_f64_at("psi_mean")?,
+                psi_max: r.opt_f64_at("psi_max")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
-    let final_diag = match v.get("final") {
-        None => return Err("missing 'final' field".into()),
-        Some(Value::Null) => None,
-        Some(d) => Some(FinalDiagnostics {
-            round: u64_field(d, "round")?,
-            classes: d
-                .get("classes")
-                .and_then(Value::as_arr)
-                .ok_or("missing 'classes' array")?
+    let final_diag = match v.req("final")? {
+        Value::Null => None,
+        d => Some(FinalDiagnostics {
+            round: d.u64_at("round")?,
+            classes: d.strs_at("classes")?,
+            confusion: d
+                .arr_at("confusion")?
                 .iter()
-                .map(|c| {
-                    c.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| "non-string class name".to_string())
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            confusion: parse_confusion(d)?,
+                .map(|row| row.u64s().ok_or("confusion row is not an integer array"))
+                .collect::<Result<Vec<_>, _>>()?,
             per_class: d
-                .get("per_class")
-                .and_then(Value::as_arr)
-                .ok_or("missing 'per_class' array")?
+                .arr_at("per_class")?
                 .iter()
                 .map(|c| {
-                    Ok(aml_telemetry::quality::ClassQuality {
-                        class: str_field(c, "class")?,
-                        support: u64_field(c, "support")?,
-                        precision: f64_field(c, "precision")?,
-                        recall: f64_field(c, "recall")?,
-                        f1: f64_field(c, "f1")?,
+                    Ok(ClassQuality {
+                        class: c.str_at("class")?.to_string(),
+                        support: c.u64_at("support")?,
+                        precision: c.f64_at("precision")?,
+                        recall: c.f64_at("recall")?,
+                        f1: c.f64_at("f1")?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?,
             reliability: {
-                let rel = d.get("reliability").ok_or("missing 'reliability' object")?;
+                let rel = d.req("reliability")?;
                 Reliability {
-                    count: u64_array_field(rel, "count")?,
-                    confidence: f64_array_field(rel, "confidence")?,
-                    accuracy: f64_array_field(rel, "accuracy")?,
+                    count: rel.u64s_at("count")?,
+                    confidence: rel.f64s_at("confidence")?,
+                    accuracy: rel.f64s_at("accuracy")?,
                 }
             },
         }),
     };
-    let drift_v = v.get("drift").ok_or("missing 'drift' object")?;
+    let drift_v = v.req("drift")?;
     let drift = DriftReport {
-        reference: str_field(drift_v, "reference")?,
+        reference: drift_v.str_at("reference")?.to_string(),
         features: drift_v
-            .get("features")
-            .and_then(Value::as_arr)
-            .ok_or("drift missing 'features' array")?
+            .arr_at("features")?
             .iter()
             .map(|f| {
-                Ok(aml_telemetry::quality::FeatureDrift {
-                    name: str_field(f, "name")?,
-                    psi: opt_f64_field(f, "psi")?,
+                Ok(FeatureDrift {
+                    name: f.str_at("name")?.to_string(),
+                    psi: f.opt_f64_at("psi")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?,
     };
     let profiles = v
-        .get("profiles")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'profiles' array")?
+        .arr_at("profiles")?
         .iter()
         .map(|p| {
             Ok(SplitProfile {
-                round: u64_field(p, "round")?,
-                split: str_field(p, "split")?,
-                rows: u64_field(p, "rows")?,
-                class_counts: u64_array_field(p, "class_counts")?,
-                features: parse_features(p, "features")?,
+                round: p.u64_at("round")?,
+                split: p.str_at("split")?.to_string(),
+                rows: p.u64_at("rows")?,
+                class_counts: p.u64s_at("class_counts")?,
+                features: p
+                    .arr_at("features")?
+                    .iter()
+                    .map(FeatureProfile::from_json)
+                    .collect::<Result<_, _>>()?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -318,7 +135,7 @@ pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
         final_diag,
         drift,
         profiles,
-        dropped: u64_field(&v, "dropped")?,
+        dropped: v.u64_at("dropped")?,
     })
 }
 
@@ -328,7 +145,7 @@ pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
 /// first line's JSON shape.
 pub fn parse_quality_artifact(text: &str) -> Result<QualityReport, String> {
     let first = text.lines().next().unwrap_or("");
-    let looks_rendered = minijson::parse(first)
+    let looks_rendered = json::parse(first)
         .ok()
         .is_some_and(|v| v.get("active").is_some());
     if looks_rendered {
@@ -355,7 +172,7 @@ pub fn load_reference(text: &str) -> Result<QualityReference, String> {
     })
 }
 
-/// Text diff of two reports for `amlquality --compare`: the figures
+/// Text diff of two reports for `amlinspect quality --compare`: the figures
 /// someone checks when changing a strategy, a sampler, or the data mix.
 pub fn render_compare(a: &QualityReport, b: &QualityReport) -> String {
     let mut out = String::from("quality compare (A -> B):\n");
@@ -580,7 +397,8 @@ pub fn render_drift_svg(drift: &DriftReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aml_telemetry::quality::profile_feature;
+    use aml_telemetry::quality::{profile_feature, report_from_events};
+    use aml_telemetry::LedgerEvent;
 
     fn sample_events() -> Vec<LedgerEvent> {
         vec![

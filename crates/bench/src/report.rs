@@ -9,10 +9,10 @@
 //! ids like `span:bench.datagen` (see [`crate::gate`]).
 //!
 //! Serialization is hand-rolled (like the manifest) and parsing uses
-//! [`crate::minijson`], so the format works identically with or without
+//! [`aml_telemetry::json`], so the format works identically with or without
 //! a real serde_json in the build.
 
-use aml_telemetry::Manifest;
+use aml_telemetry::{json, Manifest};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -174,16 +174,20 @@ impl BenchReport {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": {BENCH_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"workload\": {},", json_str(&self.workload));
+        let _ = writeln!(out, "  \"workload\": {},", json::string(&self.workload));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"scale\": {},", json_f64(self.scale));
+        let _ = writeln!(out, "  \"scale\": {},", json::fixed(self.scale, 6));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"git\": {},", json_str(&self.git));
-        let _ = writeln!(out, "  \"wall_time_s\": {},", json_f64(self.wall_time_s));
+        let _ = writeln!(out, "  \"git\": {},", json::string(&self.git));
+        let _ = writeln!(
+            out,
+            "  \"wall_time_s\": {},",
+            json::fixed(self.wall_time_s, 6)
+        );
         let _ = writeln!(
             out,
             "  \"top_span_total_s\": {},",
-            json_f64(self.top_span_total_s)
+            json::fixed(self.top_span_total_s, 6)
         );
 
         out.push_str("  \"spans\": {");
@@ -192,18 +196,18 @@ impl BenchReport {
                 out,
                 "{}\n    {}: {{\"calls\": {}, \"total_s\": {}, \"mean_ms\": {}, \"max_ms\": {}}}",
                 comma(i),
-                json_str(&s.name),
+                json::string(&s.name),
                 s.calls,
-                json_f64(s.total_s),
-                json_f64(s.mean_ms),
-                json_f64(s.max_ms),
+                json::fixed(s.total_s, 6),
+                json::fixed(s.mean_ms, 6),
+                json::fixed(s.max_ms, 6),
             );
         }
         out.push_str(close_map(self.spans.is_empty()));
 
         out.push_str("  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
-            let _ = write!(out, "{}\n    {}: {}", comma(i), json_str(name), value);
+            let _ = write!(out, "{}\n    {}: {}", comma(i), json::string(name), value);
         }
         out.push_str(close_map(self.counters.is_empty()));
 
@@ -213,8 +217,8 @@ impl BenchReport {
                 out,
                 "{}\n    {}: {}",
                 comma(i),
-                json_str(name),
-                json_f64(*value)
+                json::string(name),
+                json::fixed(*value, 6)
             );
         }
         out.push_str(close_map(self.throughput.is_empty()));
@@ -225,7 +229,7 @@ impl BenchReport {
                 out,
                 "{}\n    {}: {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p95\": {}, \"max\": {}}}",
                 comma(i),
-                json_str(&h.name),
+                json::string(&h.name),
                 h.count,
                 h.mean,
                 h.p50,
@@ -249,28 +253,30 @@ impl BenchReport {
         out
     }
 
-    /// Parse a report back from JSON (see [`crate::minijson`]).
+    /// Parse a report back from JSON (see [`aml_telemetry::json`]).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let v = crate::minijson::parse(text)?;
-        let version = field_u64(&v, "schema_version")?;
+        let v = json::parse(text)?;
+        let version = v.u64_at("schema_version")?;
         if version != BENCH_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported BENCH schema_version {version} (expected {BENCH_SCHEMA_VERSION})"
             ));
         }
-        let spans = map_entries(&v, "spans")?
+        let spans = v
+            .obj_at("spans")?
             .iter()
             .map(|(name, s)| {
                 Ok(BenchSpan {
                     name: name.clone(),
-                    calls: field_u64(s, "calls")?,
-                    total_s: field_f64(s, "total_s")?,
-                    mean_ms: field_f64(s, "mean_ms")?,
-                    max_ms: field_f64(s, "max_ms")?,
+                    calls: s.u64_at("calls")?,
+                    total_s: s.f64_at("total_s")?,
+                    mean_ms: s.f64_at("mean_ms")?,
+                    max_ms: s.f64_at("max_ms")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let counters = map_entries(&v, "counters")?
+        let counters = v
+            .obj_at("counters")?
             .iter()
             .map(|(name, c)| {
                 c.as_u64()
@@ -278,7 +284,8 @@ impl BenchReport {
                     .ok_or_else(|| format!("counter '{name}' is not an integer"))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let throughput = map_entries(&v, "throughput")?
+        let throughput = v
+            .obj_at("throughput")?
             .iter()
             .map(|(name, t)| {
                 t.as_f64()
@@ -286,35 +293,36 @@ impl BenchReport {
                     .ok_or_else(|| format!("throughput '{name}' is not a number"))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let histograms = map_entries(&v, "histograms")?
+        let histograms = v
+            .obj_at("histograms")?
             .iter()
             .map(|(name, h)| {
                 Ok(BenchHist {
                     name: name.clone(),
-                    count: field_u64(h, "count")?,
-                    mean: field_u64(h, "mean")?,
-                    p50: field_u64(h, "p50")?,
-                    p95: field_u64(h, "p95")?,
-                    max: field_u64(h, "max")?,
+                    count: h.u64_at("count")?,
+                    mean: h.u64_at("mean")?,
+                    p50: h.u64_at("p50")?,
+                    p95: h.u64_at("p95")?,
+                    max: h.u64_at("max")?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
         let alloc = match v.get("alloc") {
-            None | Some(crate::minijson::Value::Null) => None,
+            None | Some(json::Value::Null) => None,
             Some(a) => Some(BenchAlloc {
-                bytes: field_u64(a, "bytes")?,
-                count: field_u64(a, "count")?,
-                peak_bytes: field_u64(a, "peak_bytes")?,
+                bytes: a.u64_at("bytes")?,
+                count: a.u64_at("count")?,
+                peak_bytes: a.u64_at("peak_bytes")?,
             }),
         };
         Ok(BenchReport {
-            workload: field_str(&v, "workload")?,
-            seed: field_u64(&v, "seed")?,
-            scale: field_f64(&v, "scale")?,
-            threads: field_u64(&v, "threads")?,
-            git: field_str(&v, "git")?,
-            wall_time_s: field_f64(&v, "wall_time_s")?,
-            top_span_total_s: field_f64(&v, "top_span_total_s")?,
+            workload: v.str_at("workload")?.to_string(),
+            seed: v.u64_at("seed")?,
+            scale: v.f64_at("scale")?,
+            threads: v.u64_at("threads")?,
+            git: v.str_at("git")?.to_string(),
+            wall_time_s: v.f64_at("wall_time_s")?,
+            top_span_total_s: v.f64_at("top_span_total_s")?,
             spans,
             counters,
             throughput,
@@ -456,64 +464,6 @@ fn close_map(empty: bool) -> &'static str {
         "},\n"
     } else {
         "\n  },\n"
-    }
-}
-
-fn field_u64(v: &crate::minijson::Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(|f| f.as_u64())
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-fn field_f64(v: &crate::minijson::Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(|f| f.as_f64())
-        .ok_or_else(|| format!("missing or non-numeric field '{key}'"))
-}
-
-fn field_str(v: &crate::minijson::Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(|f| f.as_str())
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn map_entries<'a>(
-    v: &'a crate::minijson::Value,
-    key: &str,
-) -> Result<&'a [(String, crate::minijson::Value)], String> {
-    v.get(key)
-        .and_then(|m| m.as_obj())
-        .ok_or_else(|| format!("missing or non-object field '{key}'"))
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Fixed-precision finite JSON number (6 decimals: µs resolution for
-/// seconds fields); non-finite becomes `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
     }
 }
 

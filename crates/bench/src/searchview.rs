@@ -1,211 +1,22 @@
 //! Read-side of search telemetry: re-derive the search-observability
 //! report (coverage, rung funnels, fANOVA-lite importance) from a
 //! `ledger.jsonl`, render SVG panels for `amlreport`, and diff two
-//! reports for `amlsearch --compare`.
+//! reports for `amlinspect search --compare`.
 //!
-//! The heavy lifting lives in `aml_telemetry::searchview::analyze` —
-//! this module only reconstructs its inputs (the declared
-//! [`SpaceFamily`] descriptors from the once-per-run `search_space`
-//! line, one trial record per `trial_started` line settled by the
-//! matching outcome line) and reuses the identical pure analysis, so
-//! `amlsearch ledger.jsonl` reproduces `--search-out`'s `search.json`
-//! byte for byte.
+//! A ledger is read with `aml_telemetry::ledger::read` and folded
+//! through the same `SearchCollector` the live `--search-out` path
+//! uses, so `amlinspect search ledger.jsonl` reproduces `search.json`
+//! byte for byte — collection cap included.
 
-use crate::minijson::{self, Value};
-use aml_telemetry::searchview::{analyze, DimReport, FamilyReport, RungReport, TrialRec};
-use aml_telemetry::{ParamValue, SearchReport, SpaceDim, SpaceFamily, LEDGER_SCHEMA_VERSION};
+use aml_telemetry::json::{self, Value};
+use aml_telemetry::searchview::{DimReport, FamilyReport, RungReport, SearchCollector};
+use aml_telemetry::{ledger, SearchReport};
 use std::fmt::Write;
 
-fn str_field(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
-}
-
-fn u64_field(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
-
-/// Numeric field; a JSON `null` (the ledger encoding of a non-finite
-/// float) reads back as NaN.
-fn f64_field(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::NAN),
-        Some(n) => n
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
-}
-
-/// Re-type one rendered parameter value. The ledger writes `Int` params
-/// as bare integers and `Float` params via the shortest float form, so
-/// integral numbers read back as `Int` — the distinction only feeds the
-/// grouping signature, which stays internally consistent either way.
-fn param_value(v: &Value) -> ParamValue {
-    match v {
-        Value::Num(n) if n.fract() == 0.0 && n.abs() < 9.0e15 => ParamValue::Int(*n as i64),
-        Value::Num(n) => ParamValue::Float(*n),
-        Value::Str(s) => ParamValue::Cat(s.clone()),
-        _ => ParamValue::Float(f64::NAN),
-    }
-}
-
-/// The typed `params` map of a `trial_started` line; empty for ledgers
-/// written before the field existed (pre-search-observability runs).
-fn parse_params(v: &Value) -> Vec<(String, ParamValue)> {
-    v.get("params")
-        .and_then(Value::as_obj)
-        .map(|members| {
-            members
-                .iter()
-                .map(|(name, value)| (name.clone(), param_value(value)))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-fn parse_space(v: &Value) -> Result<Vec<SpaceFamily>, String> {
-    v.get("families")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'families' array")?
-        .iter()
-        .map(|f| {
-            Ok(SpaceFamily {
-                family: str_field(f, "family")?,
-                dims: f
-                    .get("dims")
-                    .and_then(Value::as_arr)
-                    .ok_or("family missing 'dims' array")?
-                    .iter()
-                    .map(|d| {
-                        Ok(SpaceDim {
-                            name: str_field(d, "name")?,
-                            kind: str_field(d, "kind")?,
-                            scale: str_field(d, "scale")?,
-                            lo: f64_field(d, "lo")?,
-                            hi: f64_field(d, "hi")?,
-                            choices: d
-                                .get("choices")
-                                .and_then(Value::as_arr)
-                                .ok_or("dim missing 'choices' array")?
-                                .iter()
-                                .map(|c| {
-                                    c.as_str()
-                                        .map(str::to_string)
-                                        .ok_or_else(|| "non-string choice".to_string())
-                                })
-                                .collect::<Result<Vec<_>, String>>()?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?,
-            })
-        })
-        .collect()
-}
-
-/// Settle the most recent unsettled record for `(trial, rung, family)` —
-/// trial ids repeat across the many searches of one run, so matching
-/// from the back pairs each outcome with its own start (the same rule
-/// as the live collector).
-fn settle(
-    trials: &mut [TrialRec],
-    trial: u64,
-    rung: u64,
-    family: &str,
-    score: Option<f64>,
-    failed: Option<String>,
-) {
-    if let Some(rec) = trials.iter_mut().rev().find(|r| {
-        r.trial == trial
-            && r.rung == rung
-            && r.family == family
-            && r.score.is_none()
-            && r.failed.is_none()
-    }) {
-        rec.score = score;
-        rec.failed = failed;
-    }
-}
-
 /// Parse the text of one `ledger.jsonl` and compute its search report.
-/// The first line must be a `{"type":"ledger", ...}` header with a
-/// supported schema version; unknown event types are skipped (additive
-/// schema changes don't bump the version).
 pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
-    let mut lines = text.lines().enumerate();
-    let (_, header_line) = lines.next().ok_or("empty ledger file")?;
-    let header = minijson::parse(header_line).map_err(|e| format!("line 1: {e}"))?;
-    if str_field(&header, "type")? != "ledger" {
-        return Err("line 1: not a ledger header".into());
-    }
-    let version = u64_field(&header, "schema_version")?;
-    if version != LEDGER_SCHEMA_VERSION {
-        return Err(format!(
-            "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
-        ));
-    }
-    let mut space: Vec<SpaceFamily> = Vec::new();
-    let mut trials: Vec<TrialRec> = Vec::new();
-    for (idx, line) in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = minijson::parse(line).map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let event = str_field(&v, "type").map_err(|e| format!("line {}: {e}", idx + 1))?;
-        let parsed: Result<(), String> = (|| {
-            match event.as_str() {
-                // First wins, like the live collector: a resumed run
-                // that accidentally re-emitted keeps the original.
-                "search_space" if space.is_empty() => {
-                    space = parse_space(&v)?;
-                }
-                "trial_started" => trials.push(TrialRec {
-                    trial: u64_field(&v, "trial")?,
-                    rung: u64_field(&v, "rung")?,
-                    family: str_field(&v, "family")?,
-                    params: parse_params(&v),
-                    score: None,
-                    failed: None,
-                }),
-                "trial_finished" => settle(
-                    &mut trials,
-                    u64_field(&v, "trial")?,
-                    u64_field(&v, "rung")?,
-                    &str_field(&v, "family")?,
-                    Some(f64_field(&v, "score")?),
-                    None,
-                ),
-                "trial_failed" => settle(
-                    &mut trials,
-                    u64_field(&v, "trial")?,
-                    u64_field(&v, "rung")?,
-                    &str_field(&v, "family")?,
-                    None,
-                    Some(str_field(&v, "reason").unwrap_or_else(|_| "error".into())),
-                ),
-                _ => {}
-            }
-            Ok(())
-        })();
-        parsed.map_err(|e| format!("line {}: {e}", idx + 1))?;
-    }
-    Ok(analyze(&space, &trials, 0))
-}
-
-/// Optional score field: JSON `null` reads back as `None`.
-fn opt_f64_field(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(None),
-        Some(n) => n
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| format!("non-numeric field '{key}'")),
-        None => Err(format!("missing field '{key}'")),
-    }
+    let (_, events) = ledger::read(text)?;
+    Ok(SearchCollector::from_events(&events).report())
 }
 
 /// Parse a rendered `search.json` artifact back into a [`SearchReport`].
@@ -214,55 +25,49 @@ fn opt_f64_field(v: &Value, key: &str) -> Result<Option<f64>, String> {
 /// loudly instead of guessing. Round-trips byte-for-byte:
 /// `parse_search_json(r.render_json()).render_json() == r.render_json()`.
 pub fn parse_search_json(text: &str) -> Result<SearchReport, String> {
-    let v = minijson::parse(text.trim_end())?;
+    let v = json::parse(text.trim_end())?;
     match v.get("active") {
         Some(Value::Bool(true)) => {}
         Some(Value::Bool(false)) => {
-            return Err("inactive document: the collector was disarmed (run with --search-out, or point amlsearch at a ledger.jsonl)".into())
+            return Err("inactive document: the collector was disarmed (run with --search-out, or point amlinspect search at a ledger.jsonl)".into())
         }
         _ => return Err("not a search.json document (missing 'active')".into()),
     }
-    let version = u64_field(&v, "schema_version")?;
+    let version = v.u64_at("schema_version")?;
     if version > u64::from(aml_telemetry::SEARCH_SCHEMA_VERSION) {
         return Err(format!(
-            "schema_version {version} is newer than this amlsearch ({})",
+            "schema_version {version} is newer than this amlinspect ({})",
             aml_telemetry::SEARCH_SCHEMA_VERSION
         ));
     }
-    let trials = v.get("trials").ok_or("missing 'trials' object")?;
+    let trials = v.req("trials")?;
     let rungs = v
-        .get("rungs")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'rungs' array")?
+        .arr_at("rungs")?
         .iter()
         .map(|r| {
             Ok(RungReport {
-                rung: u64_field(r, "rung")?,
-                started: u64_field(r, "started")?,
-                finished: u64_field(r, "finished")?,
-                failed: u64_field(r, "failed")?,
-                promoted: u64_field(r, "promoted")?,
-                eliminated: u64_field(r, "eliminated")?,
+                rung: r.u64_at("rung")?,
+                started: r.u64_at("started")?,
+                finished: r.u64_at("finished")?,
+                failed: r.u64_at("failed")?,
+                promoted: r.u64_at("promoted")?,
+                eliminated: r.u64_at("eliminated")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     let families = v
-        .get("families")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'families' array")?
+        .arr_at("families")?
         .iter()
         .map(|f| {
             Ok(FamilyReport {
-                family: str_field(f, "family")?,
-                configs: u64_field(f, "configs")?,
-                fits: u64_field(f, "fits")?,
-                failed: u64_field(f, "failed")?,
-                best_score: opt_f64_field(f, "best_score")?,
-                mean_score: opt_f64_field(f, "mean_score")?,
+                family: f.str_at("family")?.to_string(),
+                configs: f.u64_at("configs")?,
+                fits: f.u64_at("fits")?,
+                failed: f.u64_at("failed")?,
+                best_score: f.opt_f64_at("best_score")?,
+                mean_score: f.opt_f64_at("mean_score")?,
                 dims: f
-                    .get("dims")
-                    .and_then(Value::as_arr)
-                    .ok_or("family missing 'dims' array")?
+                    .arr_at("dims")?
                     .iter()
                     .map(parse_dim_report)
                     .collect::<Result<Vec<_>, String>>()?,
@@ -270,54 +75,33 @@ pub fn parse_search_json(text: &str) -> Result<SearchReport, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(SearchReport {
-        started: u64_field(trials, "started")?,
-        finished: u64_field(trials, "finished")?,
-        failed: u64_field(trials, "failed")?,
+        started: trials.u64_at("started")?,
+        finished: trials.u64_at("finished")?,
+        failed: trials.u64_at("failed")?,
         rungs,
         families,
-        dropped: u64_field(&v, "dropped")?,
+        dropped: v.u64_at("dropped")?,
     })
 }
 
 fn parse_dim_report(d: &Value) -> Result<DimReport, String> {
     Ok(DimReport {
-        name: str_field(d, "name")?,
-        kind: str_field(d, "kind")?,
-        scale: str_field(d, "scale")?,
-        lo: f64_field(d, "lo")?,
-        hi: f64_field(d, "hi")?,
-        choices: d
-            .get("choices")
-            .and_then(Value::as_arr)
-            .ok_or("dim missing 'choices' array")?
-            .iter()
-            .map(|c| {
-                c.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string choice".to_string())
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        bins: u64_field(d, "bins")? as usize,
-        hist: d
-            .get("hist")
-            .and_then(Value::as_arr)
-            .ok_or("dim missing 'hist' array")?
-            .iter()
-            .map(|c| c.as_u64().ok_or_else(|| "non-integer hist count".into()))
-            .collect::<Result<Vec<_>, String>>()?,
-        visited: u64_field(d, "visited")? as usize,
-        coverage: f64_field(d, "coverage")?,
-        importance: f64_field(d, "importance")?,
+        name: d.str_at("name")?.to_string(),
+        kind: d.str_at("kind")?.to_string(),
+        scale: d.str_at("scale")?.to_string(),
+        lo: d.f64_at("lo")?,
+        hi: d.f64_at("hi")?,
+        choices: d.strs_at("choices")?,
+        bins: d.u64_at("bins")? as usize,
+        hist: d.u64s_at("hist")?,
+        visited: d.u64_at("visited")? as usize,
+        coverage: d.f64_at("coverage")?,
+        importance: d.f64_at("importance")?,
         points: d
-            .get("points")
-            .and_then(Value::as_arr)
-            .ok_or("dim missing 'points' array")?
+            .arr_at("points")?
             .iter()
-            .map(|p| match p.as_arr() {
-                Some([t, s]) => Ok((
-                    t.as_f64().ok_or("non-numeric point position")?,
-                    s.as_f64().ok_or("non-numeric point score")?,
-                )),
+            .map(|p| match p.f64s().as_deref() {
+                Some(&[t, s]) => Ok((t, s)),
                 _ => Err("point is not a [position, score] pair".to_string()),
             })
             .collect::<Result<Vec<_>, String>>()?,
@@ -325,12 +109,12 @@ fn parse_dim_report(d: &Value) -> Result<DimReport, String> {
 }
 
 /// Parse either artifact the search pipeline produces: a `ledger.jsonl`
-/// (the report is recomputed through [`analyze`]) or a rendered
+/// (the report is recomputed through [`SearchCollector`]) or a rendered
 /// `search.json` (the report is read back verbatim), told apart by the
 /// first line's JSON shape.
 pub fn parse_search_artifact(text: &str) -> Result<SearchReport, String> {
     let first = text.lines().next().unwrap_or("");
-    let looks_rendered = minijson::parse(first)
+    let looks_rendered = json::parse(first)
         .ok()
         .is_some_and(|v| v.get("active").is_some());
     if looks_rendered {
@@ -456,7 +240,7 @@ pub fn render_dim_scatter_svg(family: &str, dim: &DimReport) -> String {
     out
 }
 
-/// Text diff of two reports for `amlsearch --compare`: the figures
+/// Text diff of two reports for `amlinspect search --compare`: the figures
 /// someone checks when changing the sampler or the search budget.
 pub fn render_compare(a: &SearchReport, b: &SearchReport) -> String {
     let mut out = String::from("search compare (A -> B):\n");
@@ -546,6 +330,8 @@ pub fn render_compare(a: &SearchReport, b: &SearchReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aml_telemetry::searchview::{analyze, TrialRec};
+    use aml_telemetry::{ParamValue, SpaceDim, SpaceFamily};
 
     fn knn_space() -> Vec<SpaceFamily> {
         vec![SpaceFamily {
@@ -704,15 +490,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn param_values_re_type_from_their_rendering() {
-        let v = minijson::parse("{\"a\":3,\"b\":0.05,\"c\":\"gini\"}").unwrap();
-        let obj = v.as_obj().unwrap();
-        assert_eq!(param_value(&obj[0].1), ParamValue::Int(3));
-        assert_eq!(param_value(&obj[1].1), ParamValue::Float(0.05));
-        assert_eq!(param_value(&obj[2].1), ParamValue::Cat("gini".into()));
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! revisited — adding a *new* event type or a trailing field is the only
 //! change that may land without a bump.
 
-use aml_bench::amlreport;
 use aml_telemetry::sink::RunHeader;
 use aml_telemetry::{
-    EnsembleMember, LedgerEvent, LedgerJsonlSink, ParamValue, Sink, Snapshot, SpaceDim,
+    ledger, EnsembleMember, LedgerEvent, LedgerJsonlSink, ParamValue, Sink, Snapshot, SpaceDim,
     SpaceFamily, LEDGER_SCHEMA_VERSION,
 };
 
@@ -265,20 +264,35 @@ fn ledger_file_round_trips_through_amlreport_parser() {
         text.lines().next().unwrap_or_default()
     );
 
-    let parsed = amlreport::parse_ledger(&text).unwrap();
-    assert_eq!(parsed.run_id, "table1_scream-s11-p2");
-    assert_eq!(parsed.workload, "table1_scream");
-    assert_eq!(parsed.seed, 11);
-    assert_eq!(parsed.git, "abc1234");
-    assert_eq!(parsed.started, 1);
-    assert_eq!(parsed.finished.len(), 1);
-    assert_eq!(parsed.failed.len(), 1);
-    assert_eq!(parsed.ensembles.len(), 1);
-    assert_eq!(parsed.rounds.len(), 1);
-    assert_eq!(parsed.bands.len(), 1);
-    assert_eq!(parsed.bands[0].intervals, vec![(0.5, 0.75)]);
-    assert_eq!(parsed.curves.len(), 1);
-    assert_eq!(parsed.curves[0].2, "pdp");
+    let (header, events) = ledger::read(&text).unwrap();
+    assert_eq!(header.run_id, "table1_scream-s11-p2");
+    assert_eq!(header.workload, "table1_scream");
+    assert_eq!(header.seed, 11);
+    assert_eq!(header.git, "abc1234");
+    let count = |is: fn(&LedgerEvent) -> bool| events.iter().filter(|e| is(e)).count();
+    assert_eq!(count(|e| matches!(e, LedgerEvent::TrialStarted { .. })), 1);
+    assert_eq!(count(|e| matches!(e, LedgerEvent::TrialFinished { .. })), 1);
+    assert_eq!(count(|e| matches!(e, LedgerEvent::TrialFailed { .. })), 1);
+    assert_eq!(
+        count(|e| matches!(e, LedgerEvent::EnsembleSelected { .. })),
+        1
+    );
+    assert_eq!(
+        count(|e| matches!(e, LedgerEvent::RoundCompleted { .. })),
+        1
+    );
+    assert!(events.iter().any(|e| matches!(
+        e,
+        LedgerEvent::RegionSuggested { intervals, .. } if intervals == &[(0.5, 0.75)]
+    )));
+    assert!(events.iter().any(|e| matches!(
+        e,
+        LedgerEvent::AleCurveComputed { method, .. } if method == "pdp"
+    )));
+    // Every event line reads back to the event that wrote it.
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    let rendered: Vec<String> = events.iter().map(LedgerEvent::to_json_line).collect();
+    assert_eq!(rendered, lines);
 
     // The same file feeds the search-observability parser: the declared
     // space and the typed params come back out.

@@ -3,7 +3,7 @@
 //! * a full `RunOpts` round trip with `--quality-out`, `--ledger-out`,
 //!   and `--serve` answers `/quality` mid-run (active, versioned
 //!   schema), exports the quality gauges on `/metrics`, and leaves a
-//!   `quality.json` behind whose bytes are exactly what `amlquality`
+//!   `quality.json` behind whose bytes are exactly what `amlinspect quality`
 //!   recomputes from the ledger — the write path and the read path are
 //!   held to the same pinned renderer;
 //! * `quality.json` is byte-identical whether the underlying AutoML
@@ -137,7 +137,7 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
     opts.finish();
     assert!(!quality::active(), "finish must disarm the collector");
 
-    // The artifact's bytes are exactly what `amlquality --json` recomputes
+    // The artifact's bytes are exactly what `amlinspect quality --json` recomputes
     // from the ledger: write path and read path share one renderer.
     let json = std::fs::read_to_string(&quality_path).expect("quality.json written");
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");

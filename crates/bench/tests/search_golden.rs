@@ -3,7 +3,7 @@
 //! * a full `RunOpts` round trip with `--search-out`, `--ledger-out`,
 //!   and `--serve` answers `/search` mid-run (active, versioned schema)
 //!   and leaves a `search.json` behind whose bytes are exactly what
-//!   `amlsearch` recomputes from the ledger — the write path and the
+//!   `amlinspect search` recomputes from the ledger — the write path and the
 //!   read path are held to the same pinned renderer;
 //! * `search.json` is byte-identical whether the search trains
 //!   candidates on 1 worker or 4 — the same determinism contract as the
@@ -113,7 +113,7 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
     opts.finish();
     assert!(!searchview::active(), "finish must disarm the collector");
 
-    // The artifact's bytes are exactly what `amlsearch --json` recomputes
+    // The artifact's bytes are exactly what `amlinspect search --json` recomputes
     // from the ledger: write path and read path share one renderer.
     let json = std::fs::read_to_string(&search_path).expect("search.json written");
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
@@ -179,6 +179,81 @@ fn search_json_is_identical_across_worker_counts() {
     let four = run(4);
     assert!(one.contains("\"active\":true"), "{one}");
     assert_eq!(one, four, "search.json must not depend on the worker count");
+
+    searchview::reset();
+    set_level(TelemetryLevel::Off);
+    aml_telemetry::global().reset();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Past the collector cap, the live `--search-out` report and the
+/// offline recompute from the same ledger still agree byte for byte:
+/// both fold the events through one collector, cap and drop count
+/// included. Events are emitted directly — no model fitting.
+#[test]
+fn search_out_matches_the_ledger_recompute_past_the_trial_cap() {
+    use aml_telemetry::searchview::TRIAL_CAP;
+    use aml_telemetry::{LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
+
+    let _guard = hold();
+    let dir = std::env::temp_dir().join(format!("aml_search_cap_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let search_path = dir.join("search.json");
+    let ledger_path = dir.join("ledger.jsonl");
+    let args: Vec<String> = [
+        "--search-out",
+        &search_path.to_string_lossy(),
+        "--ledger-out",
+        &ledger_path.to_string_lossy(),
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect();
+    let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
+    opts.workload = "search_cap".into();
+    opts.out_dir = dir.clone();
+    opts.prepare().expect("prepare arms the search collector");
+
+    const OVER_CAP: usize = 100;
+    ledger::emit(&LedgerEvent::SearchSpace {
+        families: vec![SpaceFamily {
+            family: "knn".into(),
+            dims: vec![SpaceDim {
+                name: "k".into(),
+                kind: "int".into(),
+                scale: "linear".into(),
+                lo: 1.0,
+                hi: 25.0,
+                choices: vec![],
+            }],
+        }],
+    });
+    for i in 0..(TRIAL_CAP + OVER_CAP) as u64 {
+        ledger::emit(&LedgerEvent::TrialStarted {
+            trial: i,
+            rung: 0,
+            family: "knn".into(),
+            config: String::new(),
+            params: vec![("k".into(), ParamValue::Int(1 + (i % 25) as i64))],
+        });
+        ledger::emit(&LedgerEvent::TrialFinished {
+            trial: i,
+            rung: 0,
+            family: "knn".into(),
+            score: 0.5 + (i % 25) as f64 / 100.0,
+        });
+    }
+    opts.finish();
+
+    let json = std::fs::read_to_string(&search_path).expect("search.json written");
+    let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
+    let report = parse_search_ledger(&ledger_text).expect("ledger parses");
+    assert_eq!(report.started, TRIAL_CAP as u64);
+    assert_eq!(report.dropped, OVER_CAP as u64);
+    assert!(
+        report.render_json() == json,
+        "search.json differs from the ledger recompute past the cap"
+    );
 
     searchview::reset();
     set_level(TelemetryLevel::Off);

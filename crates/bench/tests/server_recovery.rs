@@ -171,11 +171,19 @@ fn kill_and_restart_recovers_all_jobs() {
     }
 
     // Wait until the crash-target job has a checkpoint on disk (i.e. it
-    // launched, recorded a round, aborted, and left durable state).
+    // launched, recorded a round, aborted, and left durable state), and
+    // until the server has journaled its retry: the checkpoint lands
+    // before the abort, so killing on the checkpoint alone races the
+    // server's reaping of the crashed worker.
     let j1 = data.join("jobs/j000001");
     let deadline = Instant::now() + Duration::from_secs(60);
     while !j1.join("run.ckpt").exists() {
         assert!(Instant::now() < deadline, "job never checkpointed");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let journal_path = data.join("queue.jsonl");
+    while !fs::read_to_string(&journal_path).is_ok_and(|j| j.contains("\"event\":\"retried\"")) {
+        assert!(Instant::now() < deadline, "crashed job never retried");
         std::thread::sleep(Duration::from_millis(50));
     }
 

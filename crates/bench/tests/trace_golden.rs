@@ -1,12 +1,12 @@
 //! Golden test for the export sinks, end to end: install the Chrome
 //! trace and JSONL sinks exactly as `--trace-out` / `--events-out` do,
 //! run a small multi-threaded span tree, finish, and validate the files
-//! structurally with [`aml_bench::minijson`] — valid JSON, the stable
+//! structurally with [`aml_telemetry::json`] — valid JSON, the stable
 //! field order Perfetto relies on, balanced B/E pairs, thread lanes,
 //! and counter events. Integration tests get their own process, so the
 //! global sink registry cannot race with the unit-test suites.
 
-use aml_bench::minijson::{self, Value};
+use aml_telemetry::json::{self, Value};
 use aml_telemetry::{
     counter_add, global, set_level, sink, ChromeTraceSink, JsonlSink, RunHeader, TelemetryLevel,
 };
@@ -64,7 +64,7 @@ fn trace_and_events_files_are_well_formed() {
 }
 
 fn check_trace(text: &str) {
-    let doc = minijson::parse(text).expect("trace.json is valid JSON");
+    let doc = json::parse(text).expect("trace.json is valid JSON");
 
     // Top-level shape, stable key order.
     let top: Vec<&str> = doc
@@ -156,7 +156,7 @@ fn check_events(text: &str) {
     assert!(lines.len() >= 5, "expected run + spans + counter lines");
 
     // Every line is a standalone JSON object; the first is the header.
-    let first = minijson::parse(lines[0]).expect("line 0 parses");
+    let first = json::parse(lines[0]).expect("line 0 parses");
     assert_eq!(first.get("type").unwrap().as_str(), Some("run"));
     assert_eq!(
         first.get("workload").unwrap().as_str(),
@@ -167,7 +167,7 @@ fn check_events(text: &str) {
     let mut span_lines = 0;
     let mut counter_lines = 0;
     for (i, line) in lines.iter().enumerate() {
-        let v = minijson::parse(line).unwrap_or_else(|e| panic!("line {i} invalid: {e}"));
+        let v = json::parse(line).unwrap_or_else(|e| panic!("line {i} invalid: {e}"));
         match v.get("type").and_then(Value::as_str) {
             Some("span") => {
                 span_lines += 1;

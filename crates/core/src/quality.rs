@@ -9,7 +9,7 @@
 //! reliability-bin tallies). The events carry raw counts and sums only;
 //! every derived metric is computed on the read side
 //! ([`aml_telemetry::quality`]), which keeps a `quality.json` and an
-//! `amlquality` recompute from the ledger byte-identical.
+//! `amlinspect quality` recompute from the ledger byte-identical.
 
 use crate::Result;
 use aml_dataset::{Dataset, FeatureDomain};

@@ -27,8 +27,9 @@
 //! cost-attribution story. Rendered two ways: [`CritReport::render_json`]
 //! (hand-rolled, field order pinned by a golden test; written by
 //! `--crit-out` and served at `/crit`) and [`CritReport::render_table`]
-//! (the human summary `amlcrit` and the run footer print).
+//! (the human summary `amlinspect crit` and the run footer print).
 
+use crate::json;
 use crate::registry::Snapshot;
 use crate::tracetree::{Node, SpanId};
 use std::collections::HashMap;
@@ -303,14 +304,6 @@ pub fn analyze_with_drops(nodes: &[Node], snapshot: &Snapshot, dropped: u64) -> 
     }
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl CritReport {
     /// Render as one JSON line (plus trailing newline). Field order and
     /// formatting are pinned by a golden test; `/crit` serves exactly
@@ -326,7 +319,7 @@ impl CritReport {
                 let ratio = if self.wall_ns == 0 {
                     "null".to_string()
                 } else {
-                    json_f64(cpu as f64 / self.wall_ns as f64)
+                    json::fixed(cpu as f64 / self.wall_ns as f64, 6)
                 };
                 out.push_str(&format!(",\"cpu_wall_ratio\":{ratio}"));
             }
@@ -334,7 +327,7 @@ impl CritReport {
         }
         out.push_str(&format!(
             ",\"dominant_phase\":{}",
-            crate::json_string_literal(&self.dominant_phase)
+            json::string(&self.dominant_phase)
         ));
         out.push_str(&format!(",\"critical_path_ns\":{}", self.critical_path_ns));
         out.push_str(",\"critical_path\":[");
@@ -347,7 +340,7 @@ impl CritReport {
             // decimal strings.
             out.push_str(&format!(
                 "{{\"name\":{},\"id\":\"{}\",\"depth\":{},\"total_ns\":{},\"contribution_ns\":{},\"parallel\":{}}}",
-                crate::json_string_literal(&s.name),
+                json::string(&s.name),
                 s.id,
                 s.depth,
                 s.total_ns,
@@ -381,17 +374,17 @@ impl CritReport {
     fn phase_json(p: &PhaseStat) -> String {
         format!(
             "{{\"name\":{},\"total_ns\":{},\"work_ns\":{},\"ideal_ns\":{},\"serial_fraction\":{},\"max_speedup\":{},\"subtree_spans\":{}}}",
-            crate::json_string_literal(&p.name),
+            json::string(&p.name),
             p.total_ns,
             p.work_ns,
             p.ideal_ns,
-            json_f64(p.serial_fraction),
-            json_f64(p.max_speedup),
+            json::fixed(p.serial_fraction, 6),
+            json::fixed(p.max_speedup, 6),
             p.subtree_spans,
         )
     }
 
-    /// The human-readable summary `amlcrit` prints and `--crit-out`
+    /// The human-readable summary `amlinspect crit` prints and `--crit-out`
     /// appends to the run footer on stderr.
     pub fn render_table(&self) -> String {
         let mut out = String::from("critical path (causal trace tree):\n");

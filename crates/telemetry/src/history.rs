@@ -35,6 +35,7 @@
 //! versions. Nothing in this module runs unless `--record` is given —
 //! no thread, no allocation, no file handle.
 
+use crate::json;
 use std::io::Write;
 use std::path::Path;
 
@@ -82,36 +83,57 @@ pub struct HistoryRecord {
     pub ece: Option<f64>,
 }
 
-/// Shortest round-trip float; non-finite values become `null` (the
-/// ledger's convention).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl HistoryRecord {
     /// Serialize as one JSON line (no trailing newline) with fixed field
     /// order, pinned by the golden test in `aml-bench`.
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"type\":\"history\",\"schema_version\":{HISTORY_SCHEMA_VERSION},\"workload\":{},\"seed\":{},\"git\":{},\"source\":{},\"wall_time_s\":{},\"top_span_total_s\":{},\"peak_rss_bytes\":{},\"alloc_peak_bytes\":{},\"final_acc\":{},\"trials_finished\":{},\"trials_failed\":{},\"rounds\":{},\"ece\":{}}}",
-            crate::json_string_literal(&self.workload),
+            json::string(&self.workload),
             self.seed,
-            crate::json_string_literal(&self.git),
-            crate::json_string_literal(&self.source),
-            json_f64(self.wall_time_s),
-            json_f64(self.top_span_total_s),
+            json::string(&self.git),
+            json::string(&self.source),
+            json::num(self.wall_time_s),
+            json::num(self.top_span_total_s),
             self.peak_rss_bytes,
             self.alloc_peak_bytes,
-            self.final_acc.map_or("null".to_string(), json_f64),
+            json::num(self.final_acc.unwrap_or(f64::NAN)),
             self.trials_finished,
             self.trials_failed,
             self.rounds,
-            self.ece.map_or("null".to_string(), json_f64),
+            json::num(self.ece.unwrap_or(f64::NAN)),
         )
+    }
+
+    /// Parse one line written by [`Self::to_json_line`]. Lines of another
+    /// type or schema version are errors, so callers can skip them. The
+    /// optional `final_acc`/`ece` read `null` as `None`; `ece` is a
+    /// trailing field, and records written before it parse as `None`.
+    pub fn from_json_line(line: &str) -> Result<HistoryRecord, String> {
+        let v = json::parse(line)?;
+        if v.str_at("type")? != "history" {
+            return Err("not a history record".into());
+        }
+        let version = v.u64_at("schema_version")?;
+        if version != HISTORY_SCHEMA_VERSION {
+            return Err(format!("unsupported history schema_version {version}"));
+        }
+        let opt = |key: &str| v.get(key).and_then(json::Value::as_f64);
+        Ok(HistoryRecord {
+            workload: v.str_at("workload")?.to_string(),
+            seed: v.u64_at("seed")?,
+            git: v.str_at("git")?.to_string(),
+            source: v.str_at("source")?.to_string(),
+            wall_time_s: v.f64_at("wall_time_s")?,
+            top_span_total_s: v.f64_at("top_span_total_s")?,
+            peak_rss_bytes: v.u64_at("peak_rss_bytes")?,
+            alloc_peak_bytes: v.u64_at("alloc_peak_bytes")?,
+            final_acc: opt("final_acc"),
+            trials_finished: v.u64_at("trials_finished")?,
+            trials_failed: v.u64_at("trials_failed")?,
+            rounds: v.u64_at("rounds")?,
+            ece: opt("ece"),
+        })
     }
 
     /// Append this record to `path` as one line, creating the parent
@@ -174,6 +196,34 @@ mod tests {
              \"final_acc\":0.91,\"trials_finished\":120,\"trials_failed\":3,\"rounds\":12,\
              \"ece\":0.05}",
         );
+    }
+
+    #[test]
+    fn lines_round_trip_including_seeds_above_two_to_the_53() {
+        for seed in [11, (1u64 << 53) + 1, u64::MAX] {
+            let rec = HistoryRecord { seed, ..sample() };
+            let line = rec.to_json_line();
+            let back = HistoryRecord::from_json_line(&line).unwrap();
+            assert_eq!(back, rec);
+            assert_eq!(back.to_json_line(), line);
+        }
+        let mut rec = sample();
+        rec.final_acc = None;
+        rec.ece = None;
+        assert_eq!(HistoryRecord::from_json_line(&rec.to_json_line()), Ok(rec));
+    }
+
+    #[test]
+    fn foreign_lines_are_rejected() {
+        let line = sample().to_json_line();
+        let other = line.replace("\"type\":\"history\"", "\"type\":\"ledger\"");
+        assert!(HistoryRecord::from_json_line(&other).is_err());
+        let future = line.replace("\"schema_version\":1", "\"schema_version\":2");
+        assert!(HistoryRecord::from_json_line(&future).is_err());
+        assert!(HistoryRecord::from_json_line(&line[..line.len() / 2]).is_err());
+        // Records written before the trailing `ece` field read it as None.
+        let old = line.replace(",\"ece\":0.05", "");
+        assert_eq!(HistoryRecord::from_json_line(&old).unwrap().ece, None);
     }
 
     #[test]

@@ -1,20 +1,101 @@
-//! A minimal JSON reader *and writer* for the harness's own artifacts.
+//! The workspace's one JSON reader and writer.
 //!
-//! `perfgate --compare` must parse `BENCH_*.json` files, and the golden
-//! tests validate `trace.json` / `events.jsonl` structurally. The files
-//! are written by this workspace (manifest-style hand-rolled JSON), so a
-//! small strict recursive-descent parser is enough — and it keeps the
-//! read path as dependency-light as the write path, mirroring
-//! `aml-telemetry`'s hand-rolled serializer.
+//! Every artifact the workspace emits — ledger and history lines,
+//! `manifest.json`, `crit.json`/`search.json`/`quality.json`, BENCH
+//! records, the trace and event streams, the live routes — is written by
+//! hand in a pinned field order, and read back by the inspectors and
+//! gates. Both directions share this module:
 //!
-//! The write side ([`Value::render`] and the [`ToJson`] trait) backs
-//! [`crate::write_json`]: benchmark binaries convert their result rows
-//! into a [`Value`] tree and get pretty-printed JSON that this module's
-//! own parser round-trips.
+//! * **write**: [`string`] (the escaper), [`num`] (shortest round-trip
+//!   form, `null` when non-finite), [`fixed`] (fixed decimals, `null`
+//!   when non-finite), [`u64_array`] / [`f64_array`], and the
+//!   [`Value::render`] pretty-printer behind the [`ToJson`] trait for
+//!   data artifacts;
+//! * **read**: [`parse`], a small strict recursive-descent parser, plus
+//!   typed field accessors ([`Value::str_at`], [`Value::u64_at`], …)
+//!   whose errors name the offending field.
 //!
-//! Objects preserve key order (they're backed by a `Vec`), numbers are
-//! `f64`, and the full escape set of the workspace's writers
+//! Objects preserve key order (they're backed by a `Vec`). Integer
+//! literals (no fraction, no exponent) parse as exact [`Value::Int`]s,
+//! so seeds and counts above 2^53 survive a round trip; everything else
+//! parses as an `f64`. The full escape set of [`string`]
 //! (`\" \\ \n \r \t \uXXXX`) plus `\/ \b \f` is accepted.
+
+use std::fmt::Write as _;
+
+// ---------------------------------------------------------------- writer
+
+/// JSON string literal (quotes included) with the mandatory escapes.
+pub fn string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A float in its shortest round-trip form (`Display`, deterministic
+/// across platforms); non-finite values become `null`, since JSON has no
+/// NaN or infinity.
+pub fn num(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// A float with exactly `decimals` fractional digits; non-finite values
+/// become `null`.
+pub fn fixed(v: f64, decimals: usize) -> String {
+    if v.is_finite() {
+        format!("{v:.decimals$}")
+    } else {
+        "null".to_string()
+    }
+}
+
+/// `[1,2,3]` — compact, no spaces.
+pub fn u64_array(vs: &[u64]) -> String {
+    let mut out = String::with_capacity(2 + vs.len() * 4);
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{v}");
+    }
+    out.push(']');
+    out
+}
+
+/// `[0.5,2,null]` — compact, each element via [`num`].
+pub fn f64_array(vs: &[f64]) -> String {
+    let mut out = String::with_capacity(2 + vs.len() * 8);
+    out.push('[');
+    for (i, v) in vs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&num(*v));
+    }
+    out.push(']');
+    out
+}
+
+// ----------------------------------------------------------------- value
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +104,9 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number.
+    /// An integer literal (no fraction or exponent), kept exact.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// String.
     Str(String),
@@ -45,15 +128,28 @@ impl Value {
     /// The number in this value, if it is one.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// The number as a `u64`, if it is a non-negative integer.
+    /// The number as a float, reading `null` (the writers' encoding of a
+    /// non-finite float) back as NaN.
+    fn as_f64_or_nan(&self) -> Option<f64> {
+        match self {
+            Value::Null => Some(f64::NAN),
+            other => other.as_f64(),
+        }
+    }
+
+    /// The number as a `u64`, if it is a non-negative integer in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Value::Int(n) => u64::try_from(*n).ok(),
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -81,7 +177,98 @@ impl Value {
             _ => None,
         }
     }
+
+    /// Required member `key`.
+    pub fn req(&self, key: &str) -> Result<&Value, String> {
+        self.get(key)
+            .ok_or_else(|| format!("missing field '{key}'"))
+    }
+
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        read(self.req(key)?).ok_or_else(|| format!("field '{key}' is not {what}"))
+    }
+
+    /// Required string member.
+    pub fn str_at(&self, key: &str) -> Result<&str, String> {
+        self.typed(key, "a string", Value::as_str)
+    }
+
+    /// Required non-negative integer member.
+    pub fn u64_at(&self, key: &str) -> Result<u64, String> {
+        self.typed(key, "a non-negative integer", Value::as_u64)
+    }
+
+    /// Required numeric member; `null` reads as NaN.
+    pub fn f64_at(&self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", Value::as_f64_or_nan)
+    }
+
+    /// Required numeric member where `null` means "absent".
+    pub fn opt_f64_at(&self, key: &str) -> Result<Option<f64>, String> {
+        match self.req(key)? {
+            Value::Null => Ok(None),
+            v => v
+                .as_f64()
+                .map(Some)
+                .ok_or_else(|| format!("field '{key}' is not a number")),
+        }
+    }
+
+    /// Required boolean member.
+    pub fn bool_at(&self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a boolean", |v| match v {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    /// Required array member.
+    pub fn arr_at(&self, key: &str) -> Result<&[Value], String> {
+        self.typed(key, "an array", Value::as_arr)
+    }
+
+    /// Required object member.
+    pub fn obj_at(&self, key: &str) -> Result<&[(String, Value)], String> {
+        self.typed(key, "an object", Value::as_obj)
+    }
+
+    /// Required array-of-integers member.
+    pub fn u64s_at(&self, key: &str) -> Result<Vec<u64>, String> {
+        self.typed(key, "an integer array", Value::u64s)
+    }
+
+    /// Required array-of-numbers member; `null` items read as NaN.
+    pub fn f64s_at(&self, key: &str) -> Result<Vec<f64>, String> {
+        self.typed(key, "a number array", Value::f64s)
+    }
+
+    /// Required array-of-strings member.
+    pub fn strs_at(&self, key: &str) -> Result<Vec<String>, String> {
+        self.typed(key, "a string array", |v| {
+            v.as_arr()?
+                .iter()
+                .map(|s| s.as_str().map(str::to_string))
+                .collect()
+        })
+    }
+
+    /// This array's elements as integers.
+    pub fn u64s(&self) -> Option<Vec<u64>> {
+        self.as_arr()?.iter().map(Value::as_u64).collect()
+    }
+
+    /// This array's elements as floats; `null` items read as NaN.
+    pub fn f64s(&self) -> Option<Vec<f64>> {
+        self.as_arr()?.iter().map(Value::as_f64_or_nan).collect()
+    }
 }
+
+// ---------------------------------------------------------------- parser
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
@@ -152,9 +339,20 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     {
         *pos += 1;
     }
-    std::str::from_utf8(&bytes[start..*pos])
+    let text = std::str::from_utf8(&bytes[start..*pos]).unwrap_or("");
+    // Integer literals stay exact; `-0` is a float (the writers' form of
+    // negative zero), as is anything too wide for an i128.
+    if !text.contains(['.', 'e', 'E']) {
+        if let Ok(n) = text.parse::<i128>() {
+            return Ok(if n == 0 && text.starts_with('-') {
+                Value::Num(-0.0)
+            } else {
+                Value::Int(n)
+            });
+        }
+    }
+    text.parse::<f64>()
         .ok()
-        .and_then(|s| s.parse::<f64>().ok())
         .filter(|n| n.is_finite())
         .map(Value::Num)
         .ok_or_else(|| format!("invalid number at byte {start}"))
@@ -276,13 +474,11 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
+// ---------------------------------------------------------- pretty print
+
 impl Value {
-    /// Pretty-print with 2-space indentation.
-    ///
-    /// Numbers use Rust's shortest-roundtrip `f64` formatting, so a
-    /// render → [`parse`] → render cycle is a fixpoint; strings use the
-    /// same escape set the parser accepts (shared with the telemetry
-    /// manifest writer).
+    /// Pretty-print with 2-space indentation. Numbers use [`num`], so a
+    /// render → [`parse`] → render cycle is a fixpoint.
     pub fn render(&self) -> String {
         let mut out = String::new();
         self.render_into(&mut out, 0);
@@ -293,16 +489,11 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    let s = format!("{n}");
-                    out.push_str(&s);
-                } else {
-                    // JSON has no NaN/Infinity.
-                    out.push_str("null");
-                }
+            Value::Int(n) => {
+                let _ = write!(out, "{n}");
             }
-            Value::Str(s) => out.push_str(&aml_telemetry::json_string_literal(s)),
+            Value::Num(n) => out.push_str(&num(*n)),
+            Value::Str(s) => out.push_str(&string(s)),
             Value::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -333,7 +524,7 @@ impl Value {
                     }
                     out.push('\n');
                     out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&aml_telemetry::json_string_literal(k));
+                    out.push_str(&string(k));
                     out.push_str(": ");
                     v.render_into(out, indent + 1);
                 }
@@ -345,12 +536,8 @@ impl Value {
     }
 }
 
-/// Conversion into a [`Value`] — the write-side counterpart of the
-/// parser, used by [`crate::write_json`] for data artifacts
+/// Conversion into a [`Value`], for pretty-printed data artifacts
 /// (score tables, ALE bands, sweep rows).
-///
-/// The trait lives here (not in a shared crate) so benchmark binaries
-/// can implement it for foreign types like `aml_interpret::AleBand`.
 pub trait ToJson {
     /// The JSON form of `self`.
     fn to_json(&self) -> Value;
@@ -376,13 +563,13 @@ impl ToJson for f64 {
 
 impl ToJson for usize {
     fn to_json(&self) -> Value {
-        Value::Num(*self as f64)
+        Value::Int(*self as i128)
     }
 }
 
 impl ToJson for u64 {
     fn to_json(&self) -> Value {
-        Value::Num(*self as f64)
+        Value::Int(i128::from(*self))
     }
 }
 
@@ -429,6 +616,7 @@ mod tests {
                 Value::Arr(vec![
                     Value::Num(1.5),
                     Value::Num(-0.000125),
+                    Value::Int(-7),
                     Value::Bool(true),
                     Value::Null,
                 ]),
@@ -443,9 +631,32 @@ mod tests {
     }
 
     #[test]
-    fn render_emits_null_for_non_finite() {
+    fn writers_emit_null_for_non_finite() {
         assert_eq!(Value::Num(f64::NAN).render(), "null");
         assert_eq!(Value::Num(f64::INFINITY).render(), "null");
+        assert_eq!(num(f64::NEG_INFINITY), "null");
+        assert_eq!(fixed(f64::NAN, 6), "null");
+    }
+
+    #[test]
+    fn float_formatters_pin_their_forms() {
+        assert_eq!(num(0.25), "0.25");
+        assert_eq!(num(1.0), "1");
+        assert_eq!(num(1e-7), "0.0000001");
+        assert_eq!(fixed(0.5, 6), "0.500000");
+        assert_eq!(fixed(2.0 / 3.0, 3), "0.667");
+        assert_eq!(f64_array(&[0.5, 2.0, f64::NAN]), "[0.5,2,null]");
+        assert_eq!(u64_array(&[]), "[]");
+        assert_eq!(u64_array(&[1, 20]), "[1,20]");
+    }
+
+    #[test]
+    fn string_escapes_control_characters() {
+        assert_eq!(string("a\"b\\c\n\t\r"), "\"a\\\"b\\\\c\\n\\t\\r\"");
+        assert_eq!(string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(string("µs ✓"), "\"µs ✓\"");
+        let back = parse(&string("x\u{1f}\u{7f}y")).unwrap();
+        assert_eq!(back.as_str(), Some("x\u{1f}\u{7f}y"));
     }
 
     #[test]
@@ -461,8 +672,9 @@ mod tests {
             )])
         );
         assert_eq!("s".to_string().to_json(), Value::Str("s".into()));
-        assert_eq!(3usize.to_json(), Value::Num(3.0));
+        assert_eq!(3usize.to_json(), Value::Int(3));
         assert_eq!(true.to_json(), Value::Bool(true));
+        assert_eq!(u64::MAX.to_json().render(), u64::MAX.to_string());
     }
 
     #[test]
@@ -470,9 +682,26 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("true").unwrap(), Value::Bool(true));
         assert_eq!(parse("false").unwrap(), Value::Bool(false));
-        assert_eq!(parse("42").unwrap(), Value::Num(42.0));
+        assert_eq!(parse("42").unwrap(), Value::Int(42));
         assert_eq!(parse("-1.5e2").unwrap(), Value::Num(-150.0));
         assert_eq!(parse("\"hi\"").unwrap(), Value::Str("hi".into()));
+    }
+
+    #[test]
+    fn integers_stay_exact_above_two_to_the_53() {
+        let big = (1u64 << 53) + 1;
+        let v = parse(&format!("{{\"seed\":{big}}}")).unwrap();
+        assert_eq!(v.u64_at("seed"), Ok(big));
+        let v = parse(&format!("{{\"seed\":{}}}", u64::MAX)).unwrap();
+        assert_eq!(v.u64_at("seed"), Ok(u64::MAX));
+        // Negative integers and negative zero.
+        assert_eq!(parse("-3").unwrap(), Value::Int(-3));
+        assert_eq!(parse("-3").unwrap().as_u64(), None);
+        let z = parse("-0").unwrap().as_f64().unwrap();
+        assert!(z == 0.0 && z.is_sign_negative());
+        // Wider than an i128: falls back to a float.
+        let wide = "1".repeat(45);
+        assert!(matches!(parse(&wide).unwrap(), Value::Num(_)));
     }
 
     #[test]
@@ -481,10 +710,10 @@ mod tests {
         let obj = v.as_obj().unwrap();
         assert_eq!(obj[0].0, "b");
         assert_eq!(obj[1].0, "a");
-        let arr = v.get("b").unwrap().as_arr().unwrap();
+        let arr = v.arr_at("b").unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].get("x").unwrap().as_str(), Some("y"));
-        assert_eq!(v.get("a").unwrap().as_obj().unwrap().len(), 0);
+        assert_eq!(arr[1].str_at("x"), Ok("y"));
+        assert_eq!(v.obj_at("a").unwrap().len(), 0);
     }
 
     #[test]
@@ -510,10 +739,30 @@ mod tests {
     }
 
     #[test]
+    fn typed_accessors_name_the_field() {
+        let v = parse(r#"{"s":"x","n":null,"f":1.5,"xs":[1,null],"b":true,"ss":["a"]}"#).unwrap();
+        assert_eq!(v.str_at("s"), Ok("x"));
+        assert!(v.f64_at("n").unwrap().is_nan());
+        assert_eq!(v.opt_f64_at("n"), Ok(None));
+        assert_eq!(v.opt_f64_at("f"), Ok(Some(1.5)));
+        assert_eq!(v.bool_at("b"), Ok(true));
+        assert_eq!(v.strs_at("ss"), Ok(vec!["a".to_string()]));
+        let xs = v.f64s_at("xs").unwrap();
+        assert_eq!(xs[0], 1.0);
+        assert!(xs[1].is_nan());
+        assert_eq!(v.u64_at("gone").unwrap_err(), "missing field 'gone'");
+        assert_eq!(
+            v.u64_at("s").unwrap_err(),
+            "field 's' is not a non-negative integer"
+        );
+        assert!(v.u64s_at("xs").unwrap_err().contains("'xs'"));
+    }
+
+    #[test]
     fn round_trips_the_manifest_writer() {
-        // The telemetry manifest is the most complex document our writers
+        // The manifest is the most complex document the pretty writers
         // produce; it must parse cleanly.
-        let manifest = aml_telemetry::Manifest {
+        let manifest = crate::Manifest {
             binary: "weird\"name\\x".into(),
             seed: 7,
             scale: 0.05,
@@ -521,12 +770,12 @@ mod tests {
             git: "abc".into(),
             telemetry: "summary".into(),
             wall_time_s: 1.5,
-            snapshot: aml_telemetry::Snapshot::default(),
+            snapshot: crate::Snapshot::default(),
         };
         let v = parse(&manifest.to_json()).unwrap();
-        assert_eq!(v.get("seed").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("binary").unwrap().as_str(), Some("weird\"name\\x"));
-        assert_eq!(v.get("spans").unwrap().as_obj().unwrap().len(), 0);
+        assert_eq!(v.u64_at("seed"), Ok(7));
+        assert_eq!(v.str_at("binary"), Ok("weird\"name\\x"));
+        assert_eq!(v.obj_at("spans").unwrap().len(), 0);
     }
 
     #[test]
@@ -535,5 +784,6 @@ mod tests {
         assert_eq!(Value::Num(-2.0).as_u64(), None);
         assert_eq!(Value::Num(3.0).as_u64(), Some(3));
         assert_eq!(Value::Num(2.5).as_f64(), Some(2.5));
+        assert_eq!(Value::Int(-1).as_u64(), None);
     }
 }

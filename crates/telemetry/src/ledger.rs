@@ -34,8 +34,9 @@
 //! backward compatible and does not bump the version. The golden test in
 //! `aml-bench` pins every line shape.
 
+use crate::json::{self, Value};
 use crate::registry::Snapshot;
-use crate::sink::{json_str, RunHeader, Sink, SpanEvent};
+use crate::sink::{RunHeader, Sink, SpanEvent};
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -64,9 +65,24 @@ impl ParamValue {
     pub(crate) fn to_json(&self) -> String {
         match self {
             ParamValue::Int(v) => format!("{v}"),
-            ParamValue::Float(v) => json_f64(*v),
-            ParamValue::Cat(tag) => json_str(tag),
+            ParamValue::Float(v) => json::num(*v),
+            ParamValue::Cat(tag) => json::string(tag),
         }
+    }
+
+    /// Re-type one rendered value. `Int` renders as a bare integer and
+    /// `Float` in its shortest form, so an integral float reads back as
+    /// `Int` — it renders to the same bytes either way.
+    fn from_json(v: &Value) -> Result<ParamValue, String> {
+        Ok(match v {
+            Value::Int(n) => {
+                i64::try_from(*n).map_or(ParamValue::Float(*n as f64), ParamValue::Int)
+            }
+            Value::Num(n) => ParamValue::Float(*n),
+            Value::Null => ParamValue::Float(f64::NAN),
+            Value::Str(tag) => ParamValue::Cat(tag.clone()),
+            _ => return Err("param is not a number or a string".into()),
+        })
     }
 }
 
@@ -271,43 +287,6 @@ pub enum LedgerEvent {
     },
 }
 
-/// Format an `f64` for the ledger: shortest round-trip representation
-/// (`Display`), which is deterministic across platforms; non-finite
-/// values become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_u64_array(vs: &[u64]) -> String {
-    let mut out = String::with_capacity(2 + vs.len() * 4);
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
-fn json_f64_array(vs: &[f64]) -> String {
-    let mut out = String::with_capacity(2 + vs.len() * 8);
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_f64(*v));
-    }
-    out.push(']');
-    out
-}
-
 impl LedgerEvent {
     /// Serialize as one JSON line (no trailing newline) with fixed field
     /// order. Pinned by the `ledger_golden` test in `aml-bench`.
@@ -322,14 +301,14 @@ impl LedgerEvent {
             } => {
                 let mut out = format!(
                     "{{\"type\":\"trial_started\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"config\":{},\"params\":{{",
-                    json_str(family),
-                    json_str(config),
+                    json::string(family),
+                    json::string(config),
                 );
                 for (i, (name, value)) in params.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{}:{}", json_str(name), value.to_json());
+                    let _ = write!(out, "{}:{}", json::string(name), value.to_json());
                 }
                 out.push_str("}}");
                 out
@@ -341,8 +320,8 @@ impl LedgerEvent {
                 score,
             } => format!(
                 "{{\"type\":\"trial_finished\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"score\":{}}}",
-                json_str(family),
-                json_f64(*score),
+                json::string(family),
+                json::num(*score),
             ),
             LedgerEvent::TrialFailed {
                 trial,
@@ -351,13 +330,13 @@ impl LedgerEvent {
                 reason,
             } => format!(
                 "{{\"type\":\"trial_failed\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"reason\":{}}}",
-                json_str(family),
-                json_str(reason),
+                json::string(family),
+                json::string(reason),
             ),
             LedgerEvent::EnsembleSelected { val_score, members } => {
                 let mut out = format!(
                     "{{\"type\":\"ensemble_selected\",\"val_score\":{},\"members\":[",
-                    json_f64(*val_score)
+                    json::num(*val_score)
                 );
                 for (i, m) in members.iter().enumerate() {
                     if i > 0 {
@@ -367,9 +346,9 @@ impl LedgerEvent {
                         out,
                         "{{\"trial\":{},\"family\":{},\"weight\":{},\"score\":{}}}",
                         m.trial,
-                        json_str(&m.family),
-                        json_f64(m.weight),
-                        json_f64(m.score),
+                        json::string(&m.family),
+                        json::num(m.weight),
+                        json::num(m.score),
                     );
                 }
                 out.push_str("]}");
@@ -387,12 +366,12 @@ impl LedgerEvent {
                 ale_std_max,
             } => format!(
                 "{{\"type\":\"round_completed\",\"round\":{round},\"strategy\":{},\"acc_mean\":{},\"acc_min\":{},\"acc_max\":{},\"points_added\":{points_added},\"regions\":{regions},\"ale_std_mean\":{},\"ale_std_max\":{}}}",
-                json_str(strategy),
-                json_f64(*acc_mean),
-                json_f64(*acc_min),
-                json_f64(*acc_max),
-                json_f64(*ale_std_mean),
-                json_f64(*ale_std_max),
+                json::string(strategy),
+                json::num(*acc_mean),
+                json::num(*acc_min),
+                json::num(*acc_max),
+                json::num(*ale_std_mean),
+                json::num(*ale_std_max),
             ),
             LedgerEvent::RegionSuggested {
                 feature,
@@ -408,16 +387,16 @@ impl LedgerEvent {
                     if i > 0 {
                         ivals.push(',');
                     }
-                    let _ = write!(ivals, "[{},{}]", json_f64(*lo), json_f64(*hi));
+                    let _ = write!(ivals, "[{},{}]", json::num(*lo), json::num(*hi));
                 }
                 ivals.push(']');
                 format!(
                     "{{\"type\":\"region_suggested\",\"feature\":{feature},\"name\":{},\"threshold\":{},\"intervals\":{ivals},\"grid\":{},\"mean\":{},\"std\":{}}}",
-                    json_str(name),
-                    json_f64(*threshold),
-                    json_f64_array(grid),
-                    json_f64_array(mean),
-                    json_f64_array(std),
+                    json::string(name),
+                    json::num(*threshold),
+                    json::f64_array(grid),
+                    json::f64_array(mean),
+                    json::f64_array(std),
                 )
             }
             LedgerEvent::SearchSpace { families } => {
@@ -426,7 +405,7 @@ impl LedgerEvent {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{{\"family\":{},\"dims\":[", json_str(&fam.family));
+                    let _ = write!(out, "{{\"family\":{},\"dims\":[", json::string(&fam.family));
                     for (j, d) in fam.dims.iter().enumerate() {
                         if j > 0 {
                             out.push(',');
@@ -436,17 +415,17 @@ impl LedgerEvent {
                             if k > 0 {
                                 choices.push(',');
                             }
-                            choices.push_str(&json_str(c));
+                            choices.push_str(&json::string(c));
                         }
                         choices.push(']');
                         let _ = write!(
                             out,
                             "{{\"name\":{},\"kind\":{},\"scale\":{},\"lo\":{},\"hi\":{},\"choices\":{choices}}}",
-                            json_str(&d.name),
-                            json_str(&d.kind),
-                            json_str(&d.scale),
-                            json_f64(d.lo),
-                            json_f64(d.hi),
+                            json::string(&d.name),
+                            json::string(&d.kind),
+                            json::string(&d.scale),
+                            json::num(d.lo),
+                            json::num(d.hi),
                         );
                     }
                     out.push_str("]}");
@@ -462,8 +441,8 @@ impl LedgerEvent {
                 rows,
             } => format!(
                 "{{\"type\":\"ale_curve\",\"feature\":{feature},\"model\":{},\"method\":{},\"grid_points\":{grid_points},\"rows\":{rows}}}",
-                json_str(model),
-                json_str(method),
+                json::string(model),
+                json::string(method),
             ),
             LedgerEvent::DatasetProfile {
                 round,
@@ -474,8 +453,8 @@ impl LedgerEvent {
             } => {
                 let mut out = format!(
                     "{{\"type\":\"dataset_profile\",\"round\":{round},\"split\":{},\"rows\":{rows},\"class_counts\":{},\"features\":[",
-                    json_str(split),
-                    json_u64_array(class_counts),
+                    json::string(split),
+                    json::u64_array(class_counts),
                 );
                 for (i, f) in features.iter().enumerate() {
                     if i > 0 {
@@ -500,34 +479,239 @@ impl LedgerEvent {
             } => {
                 let mut out = format!(
                     "{{\"type\":\"model_diagnostics\",\"round\":{round},\"strategy\":{},\"rows\":{rows},\"classes\":[",
-                    json_str(strategy),
+                    json::string(strategy),
                 );
                 for (i, c) in classes.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_str(c));
+                    out.push_str(&json::string(c));
                 }
                 out.push_str("],\"confusion\":[");
                 for (i, row) in confusion.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_u64_array(row));
+                    out.push_str(&json::u64_array(row));
                 }
                 let _ = write!(
                     out,
                     "],\"brier\":{},\"bin_count\":{},\"bin_conf_sum\":{},\"bin_hit\":{},\"ale_band_width\":{}}}",
-                    json_f64(*brier),
-                    json_u64_array(bin_count),
-                    json_f64_array(bin_conf_sum),
-                    json_u64_array(bin_hit),
-                    json_f64(*ale_band_width),
+                    json::num(*brier),
+                    json::u64_array(bin_count),
+                    json::f64_array(bin_conf_sum),
+                    json::u64_array(bin_hit),
+                    json::num(*ale_band_width),
                 );
                 out
             }
         }
     }
+}
+
+impl LedgerEvent {
+    /// Parse one event line: the exact inverse of [`Self::to_json_line`]
+    /// (`to_json_line(from_json_line(l)) == l` byte for byte). Two
+    /// trailing fields added without a schema bump have defaults: a
+    /// missing `params` reads as empty, a missing `reason` as `"error"`.
+    /// An event type this build does not know parses as `Ok(None)` —
+    /// additive schema changes don't bump the version.
+    pub fn from_json_line(line: &str) -> Result<Option<LedgerEvent>, String> {
+        let v = json::parse(line)?;
+        let s = |key: &str| v.str_at(key).map(str::to_string);
+        let event = match v.str_at("type")? {
+            "trial_started" => LedgerEvent::TrialStarted {
+                trial: v.u64_at("trial")?,
+                rung: v.u64_at("rung")?,
+                family: s("family")?,
+                config: s("config")?,
+                params: match v.get("params") {
+                    None => Vec::new(),
+                    Some(_) => v
+                        .obj_at("params")?
+                        .iter()
+                        .map(|(name, p)| Ok((name.clone(), ParamValue::from_json(p)?)))
+                        .collect::<Result<_, String>>()?,
+                },
+            },
+            "trial_finished" => LedgerEvent::TrialFinished {
+                trial: v.u64_at("trial")?,
+                rung: v.u64_at("rung")?,
+                family: s("family")?,
+                score: v.f64_at("score")?,
+            },
+            "trial_failed" => LedgerEvent::TrialFailed {
+                trial: v.u64_at("trial")?,
+                rung: v.u64_at("rung")?,
+                family: s("family")?,
+                reason: match v.get("reason") {
+                    None => "error".to_string(),
+                    Some(_) => s("reason")?,
+                },
+            },
+            "ensemble_selected" => LedgerEvent::EnsembleSelected {
+                val_score: v.f64_at("val_score")?,
+                members: v
+                    .arr_at("members")?
+                    .iter()
+                    .map(|m| {
+                        Ok(EnsembleMember {
+                            trial: m.u64_at("trial")?,
+                            family: m.str_at("family")?.to_string(),
+                            weight: m.f64_at("weight")?,
+                            score: m.f64_at("score")?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?,
+            },
+            "round_completed" => LedgerEvent::RoundCompleted {
+                round: v.u64_at("round")?,
+                strategy: s("strategy")?,
+                acc_mean: v.f64_at("acc_mean")?,
+                acc_min: v.f64_at("acc_min")?,
+                acc_max: v.f64_at("acc_max")?,
+                points_added: v.u64_at("points_added")?,
+                regions: v.u64_at("regions")?,
+                ale_std_mean: v.f64_at("ale_std_mean")?,
+                ale_std_max: v.f64_at("ale_std_max")?,
+            },
+            "region_suggested" => LedgerEvent::RegionSuggested {
+                feature: v.u64_at("feature")?,
+                name: s("name")?,
+                threshold: v.f64_at("threshold")?,
+                intervals: v
+                    .arr_at("intervals")?
+                    .iter()
+                    .map(|pair| match pair.f64s().as_deref() {
+                        Some(&[lo, hi]) => Ok((lo, hi)),
+                        _ => Err("interval is not a [lo, hi] pair".to_string()),
+                    })
+                    .collect::<Result<_, String>>()?,
+                grid: v.f64s_at("grid")?,
+                mean: v.f64s_at("mean")?,
+                std: v.f64s_at("std")?,
+            },
+            "search_space" => LedgerEvent::SearchSpace {
+                families: v
+                    .arr_at("families")?
+                    .iter()
+                    .map(|f| {
+                        Ok(SpaceFamily {
+                            family: f.str_at("family")?.to_string(),
+                            dims: f
+                                .arr_at("dims")?
+                                .iter()
+                                .map(|d| {
+                                    Ok(SpaceDim {
+                                        name: d.str_at("name")?.to_string(),
+                                        kind: d.str_at("kind")?.to_string(),
+                                        scale: d.str_at("scale")?.to_string(),
+                                        lo: d.f64_at("lo")?,
+                                        hi: d.f64_at("hi")?,
+                                        choices: d.strs_at("choices")?,
+                                    })
+                                })
+                                .collect::<Result<_, String>>()?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?,
+            },
+            "ale_curve" => LedgerEvent::AleCurveComputed {
+                feature: v.u64_at("feature")?,
+                model: s("model")?,
+                method: s("method")?,
+                grid_points: v.u64_at("grid_points")?,
+                rows: v.u64_at("rows")?,
+            },
+            "dataset_profile" => LedgerEvent::DatasetProfile {
+                round: v.u64_at("round")?,
+                split: s("split")?,
+                rows: v.u64_at("rows")?,
+                class_counts: v.u64s_at("class_counts")?,
+                features: v
+                    .arr_at("features")?
+                    .iter()
+                    .map(crate::quality::FeatureProfile::from_json)
+                    .collect::<Result<_, String>>()?,
+            },
+            "model_diagnostics" => LedgerEvent::ModelDiagnostics {
+                round: v.u64_at("round")?,
+                strategy: s("strategy")?,
+                rows: v.u64_at("rows")?,
+                classes: v.strs_at("classes")?,
+                confusion: v
+                    .arr_at("confusion")?
+                    .iter()
+                    .map(|row| row.u64s().ok_or("confusion row is not an integer array"))
+                    .collect::<Result<_, _>>()?,
+                brier: v.f64_at("brier")?,
+                bin_count: v.u64s_at("bin_count")?,
+                bin_conf_sum: v.f64s_at("bin_conf_sum")?,
+                bin_hit: v.u64s_at("bin_hit")?,
+                ale_band_width: v.f64_at("ale_band_width")?,
+            },
+            _ => return Ok(None),
+        };
+        Ok(Some(event))
+    }
+}
+
+/// The first line of every ledger file: run identity plus
+/// [`LEDGER_SCHEMA_VERSION`].
+pub fn header_line(header: &RunHeader) -> String {
+    format!(
+        "{{\"type\":\"ledger\",\"schema_version\":{LEDGER_SCHEMA_VERSION},\"run_id\":{},\"workload\":{},\"seed\":{},\"git\":{}}}",
+        json::string(&header.run_id),
+        json::string(&header.workload),
+        header.seed,
+        json::string(&header.git),
+    )
+}
+
+/// Read a whole `ledger.jsonl`: the header line (which must be a
+/// `{"type":"ledger", ...}` line carrying this build's
+/// [`LEDGER_SCHEMA_VERSION`]) and every event after it. Blank lines and
+/// unknown event types are skipped; any other malformed line is an
+/// error naming its line number.
+pub fn read(text: &str) -> Result<(RunHeader, Vec<LedgerEvent>), String> {
+    let mut lines = text.lines().enumerate();
+    let (_, first) = lines.next().ok_or("empty ledger file")?;
+    let header = json::parse(first).map_err(|e| format!("line 1: {e}"))?;
+    if header.str_at("type") != Ok("ledger") {
+        return Err("line 1: not a ledger header".into());
+    }
+    let version = header
+        .u64_at("schema_version")
+        .map_err(|e| format!("line 1: {e}"))?;
+    if version != LEDGER_SCHEMA_VERSION {
+        return Err(format!(
+            "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
+        ));
+    }
+    let field = |key: &str| {
+        header
+            .str_at(key)
+            .map(str::to_string)
+            .map_err(|e| format!("line 1: {e}"))
+    };
+    let run = RunHeader {
+        run_id: field("run_id")?,
+        workload: field("workload")?,
+        seed: header.u64_at("seed").map_err(|e| format!("line 1: {e}"))?,
+        git: field("git")?,
+    };
+    let mut events = Vec::new();
+    for (idx, line) in lines {
+        if line.trim().is_empty() {
+            continue;
+        }
+        if let Some(event) =
+            LedgerEvent::from_json_line(line).map_err(|e| format!("line {}: {e}", idx + 1))?
+        {
+            events.push(event);
+        }
+    }
+    Ok((run, events))
 }
 
 /// Whether any installed sink consumes ledger events — the hot-path gate
@@ -654,14 +838,7 @@ impl LedgerJsonlSink {
         header: &RunHeader,
     ) -> std::io::Result<LedgerJsonlSink> {
         let mut writer = BufWriter::new(writer);
-        writeln!(
-            writer,
-            "{{\"type\":\"ledger\",\"schema_version\":{LEDGER_SCHEMA_VERSION},\"run_id\":{},\"workload\":{},\"seed\":{},\"git\":{}}}",
-            json_str(&header.run_id),
-            json_str(&header.workload),
-            header.seed,
-            json_str(&header.git),
-        )?;
+        writeln!(writer, "{}", header_line(header))?;
         Ok(LedgerJsonlSink {
             target: target.to_string(),
             writer: Mutex::new(writer),
@@ -783,13 +960,6 @@ mod tests {
     }
 
     #[test]
-    fn floats_use_shortest_round_trip_form() {
-        assert_eq!(json_f64(0.25), "0.25");
-        assert_eq!(json_f64(1.0), "1");
-        assert_eq!(json_f64_array(&[0.5, 2.0]), "[0.5,2]");
-    }
-
-    #[test]
     fn ledger_sink_writes_header_and_event_lines() {
         let dir = std::env::temp_dir().join(format!("aml_ledger_sink_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -821,6 +991,183 @@ mod tests {
             "{\"type\":\"trial_failed\",\"trial\":3,\"rung\":1,\"family\":\"mlp\",\"reason\":\"error\"}"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A ledger with one line of every event type plus a future one.
+    fn sample_ledger_text() -> String {
+        [
+            r#"{"type":"ledger","schema_version":1,"run_id":"w-s1-p2","workload":"w","seed":1,"git":"abc"}"#,
+            r#"{"type":"search_space","families":[{"family":"forest","dims":[{"name":"trees","kind":"int","scale":"linear","lo":4,"hi":16,"choices":[]}]},{"family":"logreg","dims":[{"name":"l2","kind":"float","scale":"log10","lo":0.00001,"hi":1,"choices":[]}]}]}"#,
+            r#"{"type":"trial_started","trial":0,"rung":0,"family":"forest","config":"ForestConfig { trees: 8 }","params":{"trees":8}}"#,
+            r#"{"type":"trial_finished","trial":0,"rung":0,"family":"forest","score":0.91}"#,
+            r#"{"type":"trial_started","trial":3,"rung":0,"family":"forest","config":"ForestConfig { trees: 14 }","params":{"trees":14}}"#,
+            r#"{"type":"trial_finished","trial":3,"rung":0,"family":"forest","score":0.84}"#,
+            r#"{"type":"trial_started","trial":1,"rung":0,"family":"logreg","config":"LogRegConfig { l2: 0.1 }","params":{"l2":0.1}}"#,
+            r#"{"type":"trial_failed","trial":1,"rung":0,"family":"logreg","reason":"panic"}"#,
+            r#"{"type":"trial_finished","trial":2,"rung":1,"family":"forest","score":null}"#,
+            r#"{"type":"ensemble_selected","val_score":0.93,"members":[{"trial":0,"family":"forest","weight":3,"score":0.91}]}"#,
+            r#"{"type":"round_completed","round":0,"strategy":"Within-ALE","acc_mean":0.8,"acc_min":0.7,"acc_max":0.9,"points_added":40,"regions":2,"ale_std_mean":0.02,"ale_std_max":0.09}"#,
+            r#"{"type":"round_completed","round":1,"strategy":"Within-ALE","acc_mean":0.85,"acc_min":0.8,"acc_max":0.9,"points_added":40,"regions":1,"ale_std_mean":0.01,"ale_std_max":0.05}"#,
+            r#"{"type":"round_completed","round":2,"strategy":"Random","acc_mean":0.75,"acc_min":0.7,"acc_max":0.8,"points_added":40,"regions":0,"ale_std_mean":0,"ale_std_max":0}"#,
+            r#"{"type":"region_suggested","feature":0,"name":"pkt_size","threshold":0.05,"intervals":[[0.2,0.4],[0.7,0.9]],"grid":[0,0.25,0.5,0.75,1],"mean":[0.1,0.3,0.2,0.4,0.1],"std":[0.01,0.08,0.02,0.09,0.01]}"#,
+            r#"{"type":"ale_curve","feature":0,"model":"forest","method":"ale","grid_points":5,"rows":200}"#,
+            r#"{"type":"dataset_profile","round":0,"split":"train","rows":4,"class_counts":[2,2],"features":[{"name":"pkt_size","count":4,"mean":0.4,"std":0.2,"min":0.1,"max":0.9,"log10":false,"lo":0,"hi":1,"bins":[2,1,0,1]}]}"#,
+            r#"{"type":"model_diagnostics","round":0,"strategy":"Within-ALE","rows":2,"classes":["a","b"],"confusion":[[1,0],[1,0]],"brier":0.4,"bin_count":[0,0,0,0,0,0,0,2,0,0],"bin_conf_sum":[0,0,0,0,0,0,0,1.5,0,0],"bin_hit":[0,0,0,0,0,0,0,1,0,0],"ale_band_width":0.3}"#,
+            r#"{"type":"some_future_event","payload":42}"#,
+        ]
+        .join("\n")
+    }
+
+    #[test]
+    fn read_parses_every_event_type_and_skips_unknown_ones() {
+        let text = sample_ledger_text();
+        let (header, events) = read(&text).unwrap();
+        assert_eq!(header.run_id, "w-s1-p2");
+        assert_eq!(header.workload, "w");
+        assert_eq!(header.seed, 1);
+        assert_eq!(header.git, "abc");
+        // Every known line parses; the future event is skipped.
+        assert_eq!(events.len(), text.lines().count() - 2);
+        let count = |is: fn(&LedgerEvent) -> bool| events.iter().filter(|e| is(e)).count();
+        assert_eq!(count(|e| matches!(e, LedgerEvent::TrialStarted { .. })), 3);
+        assert_eq!(count(|e| matches!(e, LedgerEvent::TrialFinished { .. })), 3);
+        assert_eq!(
+            count(|e| matches!(e, LedgerEvent::RoundCompleted { .. })),
+            3
+        );
+        assert_eq!(
+            count(|e| matches!(e, LedgerEvent::AleCurveComputed { .. })),
+            1
+        );
+        let finished: Vec<(&str, f64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                LedgerEvent::TrialFinished { family, score, .. } => Some((family.as_str(), *score)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished[0], ("forest", 0.91));
+        assert!(finished[2].1.is_nan(), "null score reads as NaN");
+        assert!(events.contains(&LedgerEvent::TrialFailed {
+            trial: 1,
+            rung: 0,
+            family: "logreg".into(),
+            reason: "panic".into(),
+        }));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            LedgerEvent::EnsembleSelected { members, .. } if members[0].family == "forest"
+        )));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            LedgerEvent::RoundCompleted { round: 2, strategy, .. } if strategy == "Random"
+        )));
+        assert!(events.iter().any(|e| matches!(
+            e,
+            LedgerEvent::RegionSuggested { intervals, .. } if intervals == &[(0.2, 0.4), (0.7, 0.9)]
+        )));
+        // And every known line is reproduced byte for byte.
+        let rendered: Vec<String> = events.iter().map(LedgerEvent::to_json_line).collect();
+        let known: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .filter(|l| !l.contains("future"))
+            .collect();
+        assert_eq!(rendered, known);
+    }
+
+    #[test]
+    fn trailing_fields_default_when_absent() {
+        let started = LedgerEvent::from_json_line(
+            r#"{"type":"trial_started","trial":9,"rung":0,"family":"knn","config":"c"}"#,
+        )
+        .unwrap()
+        .unwrap();
+        assert!(matches!(started, LedgerEvent::TrialStarted { params, .. } if params.is_empty()));
+        let failed = LedgerEvent::from_json_line(
+            r#"{"type":"trial_failed","trial":1,"rung":0,"family":"mlp"}"#,
+        )
+        .unwrap()
+        .unwrap();
+        assert!(matches!(failed, LedgerEvent::TrialFailed { reason, .. } if reason == "error"));
+        // Any other missing field is an error naming it.
+        let err = LedgerEvent::from_json_line(r#"{"type":"trial_finished","trial":1,"rung":0}"#)
+            .unwrap_err();
+        assert!(err.contains("'family'"), "{err}");
+    }
+
+    #[test]
+    fn unknown_types_and_blank_lines_are_skipped() {
+        assert_eq!(
+            LedgerEvent::from_json_line(r#"{"type":"mystery_event","x":1}"#),
+            Ok(None)
+        );
+        let header = header_line(&RunHeader::default());
+        let text = format!(
+            "{header}\n\n   \n{{\"type\":\"mystery_event\",\"x\":1}}\n{}\n\n",
+            r#"{"type":"trial_failed","trial":3,"rung":1,"family":"mlp","reason":"error"}"#
+        );
+        let (_, events) = read(&text).unwrap();
+        assert_eq!(events.len(), 1);
+    }
+
+    #[test]
+    fn a_torn_line_names_its_line_number() {
+        let header = header_line(&RunHeader::default());
+        let text = format!(
+            "{header}\n{}\n{{\"type\":\"trial_fin",
+            r#"{"type":"trial_failed","trial":3,"rung":1,"family":"mlp","reason":"error"}"#
+        );
+        let err = read(&text).unwrap_err();
+        assert!(err.starts_with("line 3:"), "{err}");
+        let err = read(&format!("{header}\n{{oops")).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn wrong_header_or_schema_version_is_rejected() {
+        assert_eq!(read("").unwrap_err(), "empty ledger file");
+        assert!(read("{\"type\":\"events\"}")
+            .unwrap_err()
+            .contains("not a ledger header"));
+        assert!(read("not json").unwrap_err().starts_with("line 1:"));
+        let bumped = sample_ledger_text().replace("\"schema_version\":1", "\"schema_version\":99");
+        let err = read(&bumped).unwrap_err();
+        assert!(err.contains("schema_version 99"), "{err}");
+        let no_seed = header_line(&RunHeader::default()).replace(",\"seed\":0", "");
+        assert!(read(&no_seed).unwrap_err().contains("'seed'"));
+    }
+
+    #[test]
+    fn header_seed_round_trips_above_two_to_the_53() {
+        for seed in [0, (1u64 << 53) + 1, u64::MAX] {
+            let header = RunHeader {
+                run_id: "r".into(),
+                workload: "w \"quoted\"".into(),
+                seed,
+                git: "g".into(),
+            };
+            let (back, events) = read(&header_line(&header)).unwrap();
+            assert_eq!(back.seed, seed);
+            assert_eq!(back.workload, header.workload);
+            assert!(events.is_empty());
+        }
+    }
+
+    #[test]
+    fn param_values_re_type_from_their_rendering() {
+        let v = json::parse("{\"a\":3,\"b\":0.05,\"c\":\"gini\",\"d\":null,\"e\":1e30}").unwrap();
+        let obj = v.as_obj().unwrap();
+        let typed: Vec<ParamValue> = obj
+            .iter()
+            .map(|(_, p)| ParamValue::from_json(p).unwrap())
+            .collect();
+        assert_eq!(typed[0], ParamValue::Int(3));
+        assert_eq!(typed[1], ParamValue::Float(0.05));
+        assert_eq!(typed[2], ParamValue::Cat("gini".into()));
+        assert!(matches!(typed[3], ParamValue::Float(v) if v.is_nan()));
+        assert_eq!(typed[4], ParamValue::Float(1e30));
+        assert!(ParamValue::from_json(&json::Value::Bool(true)).is_err());
     }
 
     /// Fails every write; exercises the ledger's drop accounting.
@@ -881,5 +1228,202 @@ mod tests {
             }
         });
         assert!(!ran, "closure must not run without a ledger sink");
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::*;
+    use aml_propcheck::prelude::*;
+    use aml_propcheck::TestRng;
+
+    /// Integers biased toward the edges that break float-backed parsers.
+    fn any_u64(rng: &mut TestRng) -> u64 {
+        let small = rng.next_u64() % 1000;
+        match rng.next_u64() % 4 {
+            0 => small,
+            1 => (1u64 << 53) + small,
+            2 => u64::MAX - small,
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// Floats covering the writer's special cases: non-finite (written as
+    /// `null`), signed zero, integral values, extremes, and random bits.
+    fn any_f64(rng: &mut TestRng) -> f64 {
+        const SPECIAL: [f64; 12] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0,
+            -3.0,
+            1e-7,
+            1e20,
+            1e300,
+            5e-324,
+            f64::MAX,
+        ];
+        match rng.next_u64() % 3 {
+            0 => SPECIAL[(rng.next_u64() % SPECIAL.len() as u64) as usize],
+            1 => (rng.next_u64() % 100_000) as f64 / 1000.0,
+            _ => f64::from_bits(rng.next_u64()),
+        }
+    }
+
+    /// Short strings over the escaper's interesting characters.
+    fn any_string(rng: &mut TestRng) -> String {
+        const CHARS: [char; 14] = [
+            'a', 'Z', '0', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '😀',
+        ];
+        let len = rng.next_u64() % 8;
+        (0..len)
+            .map(|_| CHARS[(rng.next_u64() % CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    fn vec_of<T>(rng: &mut TestRng, mut item: impl FnMut(&mut TestRng) -> T) -> Vec<T> {
+        let len = rng.next_u64() % 5;
+        (0..len).map(|_| item(rng)).collect()
+    }
+
+    fn any_param(rng: &mut TestRng) -> ParamValue {
+        match rng.next_u64() % 3 {
+            0 => ParamValue::Int(rng.next_u64() as i64),
+            1 => ParamValue::Float(any_f64(rng)),
+            _ => ParamValue::Cat(any_string(rng)),
+        }
+    }
+
+    /// One event of the given variant, fields drawn at random.
+    fn any_event(variant: u64, rng: &mut TestRng) -> LedgerEvent {
+        match variant {
+            0 => LedgerEvent::TrialStarted {
+                trial: any_u64(rng),
+                rung: any_u64(rng),
+                family: any_string(rng),
+                config: any_string(rng),
+                params: vec_of(rng, |r| (any_string(r), any_param(r))),
+            },
+            1 => LedgerEvent::TrialFinished {
+                trial: any_u64(rng),
+                rung: any_u64(rng),
+                family: any_string(rng),
+                score: any_f64(rng),
+            },
+            2 => LedgerEvent::TrialFailed {
+                trial: any_u64(rng),
+                rung: any_u64(rng),
+                family: any_string(rng),
+                reason: any_string(rng),
+            },
+            3 => LedgerEvent::EnsembleSelected {
+                val_score: any_f64(rng),
+                members: vec_of(rng, |r| EnsembleMember {
+                    trial: any_u64(r),
+                    family: any_string(r),
+                    weight: any_f64(r),
+                    score: any_f64(r),
+                }),
+            },
+            4 => LedgerEvent::RoundCompleted {
+                round: any_u64(rng),
+                strategy: any_string(rng),
+                acc_mean: any_f64(rng),
+                acc_min: any_f64(rng),
+                acc_max: any_f64(rng),
+                points_added: any_u64(rng),
+                regions: any_u64(rng),
+                ale_std_mean: any_f64(rng),
+                ale_std_max: any_f64(rng),
+            },
+            5 => LedgerEvent::RegionSuggested {
+                feature: any_u64(rng),
+                name: any_string(rng),
+                threshold: any_f64(rng),
+                intervals: vec_of(rng, |r| (any_f64(r), any_f64(r))),
+                grid: vec_of(rng, any_f64),
+                mean: vec_of(rng, any_f64),
+                std: vec_of(rng, any_f64),
+            },
+            6 => LedgerEvent::SearchSpace {
+                families: vec_of(rng, |r| SpaceFamily {
+                    family: any_string(r),
+                    dims: vec_of(r, |r| SpaceDim {
+                        name: any_string(r),
+                        kind: any_string(r),
+                        scale: any_string(r),
+                        lo: any_f64(r),
+                        hi: any_f64(r),
+                        choices: vec_of(r, any_string),
+                    }),
+                }),
+            },
+            7 => LedgerEvent::AleCurveComputed {
+                feature: any_u64(rng),
+                model: any_string(rng),
+                method: any_string(rng),
+                grid_points: any_u64(rng),
+                rows: any_u64(rng),
+            },
+            8 => LedgerEvent::DatasetProfile {
+                round: any_u64(rng),
+                split: any_string(rng),
+                rows: any_u64(rng),
+                class_counts: vec_of(rng, any_u64),
+                features: vec_of(rng, |r| crate::quality::FeatureProfile {
+                    name: any_string(r),
+                    count: any_u64(r),
+                    mean: any_f64(r),
+                    std: any_f64(r),
+                    min: any_f64(r),
+                    max: any_f64(r),
+                    log10: r.next_u64() % 2 == 0,
+                    lo: any_f64(r),
+                    hi: any_f64(r),
+                    bins: vec_of(r, any_u64),
+                }),
+            },
+            _ => LedgerEvent::ModelDiagnostics {
+                round: any_u64(rng),
+                strategy: any_string(rng),
+                rows: any_u64(rng),
+                classes: vec_of(rng, any_string),
+                confusion: vec_of(rng, |r| vec_of(r, any_u64)),
+                brier: any_f64(rng),
+                bin_count: vec_of(rng, any_u64),
+                bin_conf_sum: vec_of(rng, any_f64),
+                bin_hit: vec_of(rng, any_u64),
+                ale_band_width: any_f64(rng),
+            },
+        }
+    }
+
+    /// One generated event of every variant per case.
+    struct EveryVariant;
+
+    impl Strategy for EveryVariant {
+        type Value = Vec<LedgerEvent>;
+        fn gen_value(&self, rng: &mut TestRng) -> Vec<LedgerEvent> {
+            (0..10).map(|variant| any_event(variant, rng)).collect()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The codec is a fixpoint on the writer's output:
+        /// `to_json_line(from_json_line(l)) == l` byte for byte.
+        #[test]
+        fn prop_ledger_lines_are_a_codec_fixpoint(events in EveryVariant) {
+            for event in &events {
+                let line = event.to_json_line();
+                let back = LedgerEvent::from_json_line(&line)
+                    .unwrap_or_else(|e| panic!("{line}: {e}"))
+                    .unwrap_or_else(|| panic!("{line}: type not recognized"));
+                prop_assert_eq!(back.to_json_line(), line);
+            }
+        }
     }
 }

@@ -81,6 +81,7 @@
 pub mod alloc;
 pub mod crit;
 pub mod history;
+pub mod json;
 pub mod ledger;
 pub mod manifest;
 pub mod profile;
@@ -103,7 +104,7 @@ pub use ledger::{
     EnsembleMember, LedgerEvent, LedgerJsonlSink, ParamValue, SpaceDim, SpaceFamily,
     LEDGER_SCHEMA_VERSION,
 };
-pub use manifest::{json_string_literal, Manifest};
+pub use manifest::Manifest;
 pub use progress::{note, report, warn, Progress};
 pub use quality::{FeatureProfile, QualityReference, QualityReport, QUALITY_SCHEMA_VERSION};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, SpanSnapshot};

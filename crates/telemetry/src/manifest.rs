@@ -22,6 +22,7 @@
 //! }
 //! ```
 
+use crate::json;
 use crate::registry::Snapshot;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -81,13 +82,17 @@ impl Manifest {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema_version\": 1,");
-        let _ = writeln!(out, "  \"binary\": {},", json_str(&self.binary));
+        let _ = writeln!(out, "  \"binary\": {},", json::string(&self.binary));
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"scale\": {},", json_f64(self.scale));
+        let _ = writeln!(out, "  \"scale\": {},", json::fixed(self.scale, 3));
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"git\": {},", json_str(&self.git));
-        let _ = writeln!(out, "  \"telemetry\": {},", json_str(&self.telemetry));
-        let _ = writeln!(out, "  \"wall_time_s\": {},", json_f64(self.wall_time_s));
+        let _ = writeln!(out, "  \"git\": {},", json::string(&self.git));
+        let _ = writeln!(out, "  \"telemetry\": {},", json::string(&self.telemetry));
+        let _ = writeln!(
+            out,
+            "  \"wall_time_s\": {},",
+            json::fixed(self.wall_time_s, 3)
+        );
 
         out.push_str("  \"spans\": {");
         for (i, s) in self.snapshot.spans.iter().enumerate() {
@@ -95,11 +100,11 @@ impl Manifest {
                 out,
                 "{}\n    {}: {{\"calls\": {}, \"total_s\": {}, \"mean_ms\": {}, \"max_ms\": {}}}",
                 if i == 0 { "" } else { "," },
-                json_str(&s.name),
+                json::string(&s.name),
                 s.calls,
-                json_f64(s.total_secs()),
-                json_f64(s.mean_ns() as f64 / 1e6),
-                json_f64(s.max_ns as f64 / 1e6),
+                json::fixed(s.total_secs(), 3),
+                json::fixed(s.mean_ns() as f64 / 1e6, 3),
+                json::fixed(s.max_ns as f64 / 1e6, 3),
             );
         }
         out.push_str(if self.snapshot.spans.is_empty() {
@@ -114,7 +119,7 @@ impl Manifest {
                 out,
                 "{}\n    {}: {}",
                 if i == 0 { "" } else { "," },
-                json_str(name),
+                json::string(name),
                 value
             );
         }
@@ -130,7 +135,7 @@ impl Manifest {
                 out,
                 "{}\n    {}: {}",
                 if i == 0 { "" } else { "," },
-                json_str(name),
+                json::string(name),
                 value
             );
         }
@@ -146,7 +151,7 @@ impl Manifest {
                 out,
                 "{}\n    {}: {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}}}",
                 if i == 0 { "" } else { "," },
-                json_str(&h.name),
+                json::string(&h.name),
                 h.count,
                 h.sum,
                 h.min,
@@ -263,44 +268,6 @@ pub fn git_describe() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-/// JSON string literal with the mandatory escapes — shared with the
-/// export sinks ([`crate::sink`], [`crate::trace`]) and the workspace's
-/// other hand-rolled JSON writers (e.g. `aml-bench`'s `minijson`).
-pub fn json_string_literal(s: &str) -> String {
-    json_str(s)
-}
-
-/// JSON string literal with the mandatory escapes.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A finite f64 as a JSON number (3 decimal places is plenty for timing
-/// data); non-finite values become `null` — JSON has no NaN/Infinity.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Nanoseconds as a compact human duration: `431ns`, `5.2µs`, `87ms`,

@@ -14,10 +14,12 @@
 //!   events (`dataset_profile`, `model_diagnostics`). The events carry
 //!   only *raw counts and sums*; every derived metric (accuracy,
 //!   precision/recall/F1, ECE, PSI) is recomputed on the read side so a
-//!   `quality.json` and an `amlquality` recompute from the ledger are
+//!   `quality.json` and an `amlinspect quality` recompute from the ledger are
 //!   byte-identical.
-//! * **collector** — when armed ([`set_active`]), [`observe`] keeps a
-//!   copy of each quality event; [`live_json`] serves the current
+//! * **collector** — a [`QualityCollector`] keeps a copy of each quality
+//!   event. The global one is fed by [`observe`] while armed
+//!   ([`set_active`]); the offline recompute from a `ledger.jsonl` folds
+//!   the parsed events through the same type. [`live_json`] serves the current
 //!   report at `/quality` mid-run, and [`write_json`] renders the final
 //!   pinned-field-order `quality.json` behind `--quality-out`.
 //! * **drift** — [`psi`] scores each feature's histogram against a
@@ -27,17 +29,17 @@
 //!   empty bin can never produce an infinite score.
 //!
 //! Disarmed, everything is free: [`observe`] is one relaxed atomic
-//! load, the store is never allocated, and `/quality` answers with the
+//! load, the collector stays empty, and `/quality` answers with the
 //! `{"active":false}` sentinel.
 
+use crate::json;
 use crate::ledger::LedgerEvent;
-use crate::manifest::json_string_literal;
 use crate::sink::{Sink, SpanEvent};
 use crate::Snapshot;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Version stamped into `quality.json` and the `/quality` route. Bump
 /// only on breaking shape changes; the read side rejects newer versions.
@@ -60,40 +62,6 @@ const PSI_EPSILON: f64 = 1e-6;
 /// Stored quality events are capped so a pathological run cannot grow
 /// the store unboundedly; further events count as `dropped`.
 const EVENT_CAP: usize = 4096;
-
-/// Shortest round-trip float; non-finite renders as `null` (the
-/// ledger's convention).
-fn shortest(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn u64_array(vs: &[u64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
-}
-
-fn f64_array(vs: &[f64]) -> String {
-    let mut out = String::from("[");
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&shortest(*v));
-    }
-    out.push(']');
-    out
-}
 
 /// Per-feature summary of one split: moment statistics plus a fixed
 /// equal-width histogram over the feature's *declared* domain (log10
@@ -131,17 +99,34 @@ impl FeatureProfile {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"name\":{},\"count\":{},\"mean\":{},\"std\":{},\"min\":{},\"max\":{},\"log10\":{},\"lo\":{},\"hi\":{},\"bins\":{}}}",
-            json_string_literal(&self.name),
+            json::string(&self.name),
             self.count,
-            shortest(self.mean),
-            shortest(self.std),
-            shortest(self.min),
-            shortest(self.max),
+            json::num(self.mean),
+            json::num(self.std),
+            json::num(self.min),
+            json::num(self.max),
             self.log10,
-            shortest(self.lo),
-            shortest(self.hi),
-            u64_array(&self.bins),
+            json::num(self.lo),
+            json::num(self.hi),
+            json::u64_array(&self.bins),
         )
+    }
+
+    /// Parse the object [`Self::to_json`] writes (`null` moments read
+    /// back as NaN).
+    pub fn from_json(v: &json::Value) -> Result<FeatureProfile, String> {
+        Ok(FeatureProfile {
+            name: v.str_at("name")?.to_string(),
+            count: v.u64_at("count")?,
+            mean: v.f64_at("mean")?,
+            std: v.f64_at("std")?,
+            min: v.f64_at("min")?,
+            max: v.f64_at("max")?,
+            log10: v.bool_at("log10")?,
+            lo: v.f64_at("lo")?,
+            hi: v.f64_at("hi")?,
+            bins: v.u64s_at("bins")?,
+        })
     }
 }
 
@@ -388,9 +373,9 @@ impl SplitProfile {
         let mut out = format!(
             "{{\"round\":{},\"split\":{},\"rows\":{},\"class_counts\":{},\"features\":[",
             self.round,
-            json_string_literal(&self.split),
+            json::string(&self.split),
             self.rows,
-            u64_array(&self.class_counts),
+            json::u64_array(&self.class_counts),
         );
         for (i, f) in self.features.iter().enumerate() {
             if i > 0 {
@@ -425,7 +410,7 @@ pub struct QualityReport {
 impl QualityReport {
     /// Render the pinned-field-order JSON document (trailing newline
     /// included), byte-identical between `--quality-out`, `/quality`,
-    /// and an `amlquality` recompute from the same ledger.
+    /// and an `amlinspect quality` recompute from the same ledger.
     pub fn render_json(&self) -> String {
         let mut out = format!(
             "{{\"active\":true,\"schema_version\":{},\"rounds\":[",
@@ -439,16 +424,16 @@ impl QualityReport {
                 out,
                 "{{\"round\":{},\"strategy\":{},\"rows\":{},\"accuracy\":{},\"balanced_accuracy\":{},\"macro_f1\":{},\"brier\":{},\"ece\":{},\"ale_band_width\":{},\"psi_mean\":{},\"psi_max\":{}}}",
                 r.round,
-                json_string_literal(&r.strategy),
+                json::string(&r.strategy),
                 r.rows,
-                shortest(r.accuracy),
-                shortest(r.balanced_accuracy),
-                shortest(r.macro_f1),
-                shortest(r.brier),
-                shortest(r.ece),
-                shortest(r.ale_band_width),
-                r.psi_mean.map_or("null".to_string(), shortest),
-                r.psi_max.map_or("null".to_string(), shortest),
+                json::num(r.accuracy),
+                json::num(r.balanced_accuracy),
+                json::num(r.macro_f1),
+                json::num(r.brier),
+                json::num(r.ece),
+                json::num(r.ale_band_width),
+                json::num(r.psi_mean.unwrap_or(f64::NAN)),
+                json::num(r.psi_max.unwrap_or(f64::NAN)),
             );
         }
         out.push_str("],\"final\":");
@@ -460,14 +445,14 @@ impl QualityReport {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_string_literal(c));
+                    out.push_str(&json::string(c));
                 }
                 out.push_str("],\"confusion\":[");
                 for (i, row) in d.confusion.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&u64_array(row));
+                    out.push_str(&json::u64_array(row));
                 }
                 out.push_str("],\"per_class\":[");
                 for (i, c) in d.per_class.iter().enumerate() {
@@ -477,26 +462,26 @@ impl QualityReport {
                     let _ = write!(
                         out,
                         "{{\"class\":{},\"support\":{},\"precision\":{},\"recall\":{},\"f1\":{}}}",
-                        json_string_literal(&c.class),
+                        json::string(&c.class),
                         c.support,
-                        shortest(c.precision),
-                        shortest(c.recall),
-                        shortest(c.f1),
+                        json::num(c.precision),
+                        json::num(c.recall),
+                        json::num(c.f1),
                     );
                 }
                 let _ = write!(
                     out,
                     "],\"reliability\":{{\"count\":{},\"confidence\":{},\"accuracy\":{}}}}}",
-                    u64_array(&d.reliability.count),
-                    f64_array(&d.reliability.confidence),
-                    f64_array(&d.reliability.accuracy),
+                    json::u64_array(&d.reliability.count),
+                    json::f64_array(&d.reliability.confidence),
+                    json::f64_array(&d.reliability.accuracy),
                 );
             }
         }
         let _ = write!(
             out,
             ",\"drift\":{{\"reference\":{},\"features\":[",
-            json_string_literal(&self.drift.reference)
+            json::string(&self.drift.reference)
         );
         for (i, f) in self.drift.features.iter().enumerate() {
             if i > 0 {
@@ -505,8 +490,8 @@ impl QualityReport {
             let _ = write!(
                 out,
                 "{{\"name\":{},\"psi\":{}}}",
-                json_string_literal(&f.name),
-                f.psi.map_or("null".to_string(), shortest),
+                json::string(&f.name),
+                json::num(f.psi.unwrap_or(f64::NAN)),
             );
         }
         out.push_str("]},\"profiles\":[");
@@ -603,9 +588,9 @@ impl QualityReport {
         };
         let mut out = String::new();
         let _ = writeln!(out, "# TYPE quality_final_acc gauge");
-        let _ = writeln!(out, "quality_final_acc {}", shortest(last.accuracy));
+        let _ = writeln!(out, "quality_final_acc {}", json::num(last.accuracy));
         let _ = writeln!(out, "# TYPE quality_ece gauge");
-        let _ = writeln!(out, "quality_ece {}", shortest(last.ece));
+        let _ = writeln!(out, "quality_ece {}", json::num(last.ece));
         let drifted: Vec<&FeatureDrift> = self
             .drift
             .features
@@ -619,7 +604,7 @@ impl QualityReport {
                     out,
                     "quality_psi{{key=\"{}\"}} {}",
                     f.name.replace('"', "'"),
-                    shortest(f.psi.unwrap_or(0.0)),
+                    json::num(f.psi.unwrap_or(0.0)),
                 );
             }
         }
@@ -929,18 +914,70 @@ where
 // Armed collector (off-is-free, searchview pattern)
 // ---------------------------------------------------------------------
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-#[derive(Default)]
-struct Store {
+/// The quality collector: a copy of each quality event (capped at
+/// `EVENT_CAP`, later events count as dropped) plus the optional drift
+/// baseline. The armed global behind `--quality-out`/`/quality` and the
+/// offline recompute from a `ledger.jsonl` both fold events through this
+/// one type, so the two reports agree by construction.
+#[derive(Debug, Clone, Default)]
+pub struct QualityCollector {
     events: Vec<LedgerEvent>,
     reference: Option<QualityReference>,
     dropped: u64,
 }
 
-fn store() -> &'static Mutex<Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(Store::default()))
+impl QualityCollector {
+    /// An empty collector with no drift baseline.
+    pub const fn new() -> QualityCollector {
+        QualityCollector {
+            events: Vec::new(),
+            reference: None,
+            dropped: 0,
+        }
+    }
+
+    /// Fold a sequence of ledger events into a fresh collector.
+    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a LedgerEvent>) -> QualityCollector {
+        let mut c = QualityCollector::new();
+        for event in events {
+            c.observe(event);
+        }
+        c
+    }
+
+    /// Record `event` if it is a quality event (`dataset_profile` or
+    /// `model_diagnostics`); other events are ignored.
+    pub fn observe(&mut self, event: &LedgerEvent) {
+        if !matches!(
+            event,
+            LedgerEvent::DatasetProfile { .. } | LedgerEvent::ModelDiagnostics { .. }
+        ) {
+            return;
+        }
+        if self.events.len() >= EVENT_CAP {
+            self.dropped += 1;
+        } else {
+            self.events.push(event.clone());
+        }
+    }
+
+    /// Whether no quality event has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Reduce the recorded events into a [`QualityReport`].
+    pub fn report(&self) -> QualityReport {
+        report_from_events(&self.events, self.reference.as_ref(), self.dropped)
+    }
+}
+
+static ACTIVE: AtomicBool = AtomicBool::new(false);
+
+static STORE: Mutex<QualityCollector> = Mutex::new(QualityCollector::new());
+
+fn store() -> MutexGuard<'static, QualityCollector> {
+    STORE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Arm or disarm the quality collector. Armed, [`observe`] records
@@ -957,76 +994,47 @@ pub fn active() -> bool {
 
 /// Clear all recorded quality state (events, reference, drop counter).
 pub fn reset() {
-    let mut s = store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    s.events.clear();
-    s.reference = None;
-    s.dropped = 0;
+    *store() = QualityCollector::new();
 }
 
 /// Install the drift baseline loaded from a previous run's
 /// `quality.json` (`--quality-ref`). Replaces any prior reference.
 pub fn set_reference(reference: QualityReference) {
-    let mut s = store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    s.reference = Some(reference);
+    store().reference = Some(reference);
 }
 
-/// Record a ledger event if it is a quality event and the collector is
-/// armed. Called from the ledger emission path for every event.
+/// Record a ledger event in the global collector if it is armed. Called
+/// from the ledger emission path for every event.
 pub fn observe(event: &LedgerEvent) {
-    if !active() {
-        return;
+    if active() {
+        store().observe(event);
     }
-    if !matches!(
-        event,
-        LedgerEvent::DatasetProfile { .. } | LedgerEvent::ModelDiagnostics { .. }
-    ) {
-        return;
-    }
-    let mut s = store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if s.events.len() >= EVENT_CAP {
-        s.dropped += 1;
-        return;
-    }
-    s.events.push(event.clone());
 }
 
-/// Reduce the recorded events into a [`QualityReport`].
+/// Reduce the global collector's events into a [`QualityReport`].
 pub fn analyze() -> QualityReport {
-    let s = store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    report_from_events(s.events.iter(), s.reference.as_ref(), s.dropped)
+    store().report()
 }
 
 /// The `/quality` route body: the live report as JSON, or the
 /// `{"active":false}` sentinel when the collector is disarmed and has
 /// recorded nothing.
 pub fn live_json() -> String {
-    let s = store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if s.events.is_empty() && !active() {
+    let c = store();
+    if c.is_empty() && !active() {
         return "{\"active\":false}\n".to_string();
     }
-    report_from_events(s.events.iter(), s.reference.as_ref(), s.dropped).render_json()
+    c.report().render_json()
 }
 
 /// Prometheus gauges for the `/metrics` route; empty when the collector
 /// has recorded nothing.
 pub fn prometheus_gauges() -> String {
-    let s = store()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if s.events.is_empty() {
+    let c = store();
+    if c.is_empty() {
         return String::new();
     }
-    report_from_events(s.events.iter(), s.reference.as_ref(), s.dropped).render_prometheus()
+    c.report().render_prometheus()
 }
 
 /// Render the report and write it to `path` (creating parent

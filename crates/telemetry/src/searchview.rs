@@ -9,13 +9,15 @@
 //!
 //! ## Data flow
 //!
-//! [`observe`] is called from `ledger::emit`/`emit_with` for every
-//! ledger event while the collector is armed ([`set_active`]) — one
-//! relaxed atomic load when it is not, so the off path stays free. The
-//! collector keeps the declared [`SpaceFamily`] descriptors (from the
-//! once-per-run `search_space` event) plus one [`TrialRec`] per
-//! `trial_started`, settled by the matching `trial_finished` /
-//! `trial_failed` line. [`analyze`] is pure and order-independent: it
+//! A [`SearchCollector`] keeps the declared [`SpaceFamily`] descriptors
+//! (from the once-per-run `search_space` event) plus one [`TrialRec`]
+//! per `trial_started`, settled by the matching `trial_finished` /
+//! `trial_failed` line. The global collector is fed by [`observe`],
+//! called from `ledger::emit`/`emit_with` for every ledger event while
+//! armed ([`set_active`]) — one relaxed atomic load when it is not, so
+//! the off path stays free. The offline recompute from a `ledger.jsonl`
+//! folds the parsed events through the same type, so the two reports
+//! agree by construction. [`analyze`] is pure and order-independent: it
 //! sorts the records by content first, so the report is byte-identical
 //! whether the search ran on 1 or N workers — the same determinism
 //! contract as `crit.json`.
@@ -38,23 +40,24 @@
 //!
 //! Rendered three ways: [`SearchReport::render_json`] (pinned field
 //! order, written by `--search-out`, served at `/search`),
-//! [`SearchReport::render_table`] (the `amlsearch` summary), and the
+//! [`SearchReport::render_table`] (the `amlinspect search` summary), and the
 //! dashboard's search-explorer panel (which consumes the JSON).
 
+use crate::json;
 use crate::ledger::{LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
 use crate::registry::Snapshot;
 use crate::sink::{Sink, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Schema version stamped into `search.json`.
 pub const SEARCH_SCHEMA_VERSION: u32 = 1;
 
 /// Retained trial records before the collector starts counting drops —
 /// ~64k records is two orders of magnitude above a full table-1 run.
-const TRIAL_CAP: usize = 65_536;
+pub const TRIAL_CAP: usize = 65_536;
 
 /// Scatter points kept per dimension in the rendered report (the
 /// analytics always use every observation; only the plot payload is
@@ -83,18 +86,121 @@ pub struct TrialRec {
     pub failed: Option<String>,
 }
 
-#[derive(Default)]
-struct Store {
+/// The search collector: the declared space plus one [`TrialRec`] per
+/// `trial_started` event, settled by the matching outcome event. The
+/// armed global behind `--search-out`/`/search` and the offline
+/// recompute from a `ledger.jsonl` both fold events through this one
+/// type, so the two reports agree by construction — cap included.
+#[derive(Debug, Clone, Default)]
+pub struct SearchCollector {
     space: Vec<SpaceFamily>,
     trials: Vec<TrialRec>,
     dropped: u64,
 }
 
+impl SearchCollector {
+    /// An empty collector.
+    pub const fn new() -> SearchCollector {
+        SearchCollector {
+            space: Vec::new(),
+            trials: Vec::new(),
+            dropped: 0,
+        }
+    }
+
+    /// Fold a sequence of ledger events into a fresh collector.
+    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a LedgerEvent>) -> SearchCollector {
+        let mut c = SearchCollector::new();
+        for event in events {
+            c.observe(event);
+        }
+        c
+    }
+
+    /// Ingest one ledger event; non-search events are ignored. The first
+    /// `search_space` event wins (a resumed run that re-emitted keeps the
+    /// original), and starts past [`TRIAL_CAP`] count as dropped.
+    pub fn observe(&mut self, event: &LedgerEvent) {
+        match event {
+            LedgerEvent::SearchSpace { families } if self.space.is_empty() => {
+                self.space = families.clone();
+            }
+            LedgerEvent::TrialStarted {
+                trial,
+                rung,
+                family,
+                params,
+                ..
+            } => {
+                if self.trials.len() >= TRIAL_CAP {
+                    self.dropped += 1;
+                } else {
+                    self.trials.push(TrialRec {
+                        trial: *trial,
+                        rung: *rung,
+                        family: family.clone(),
+                        params: params.clone(),
+                        score: None,
+                        failed: None,
+                    });
+                }
+            }
+            LedgerEvent::TrialFinished {
+                trial,
+                rung,
+                family,
+                score,
+            } => self.settle(*trial, *rung, family, Some(*score), None),
+            LedgerEvent::TrialFailed {
+                trial,
+                rung,
+                family,
+                reason,
+            } => self.settle(*trial, *rung, family, None, Some(reason.clone())),
+            _ => {}
+        }
+    }
+
+    /// Settle the most recent unsettled record for `(trial, rung,
+    /// family)`. Trial ids repeat across the many searches of one run,
+    /// so matching from the back pairs each outcome with its own start.
+    fn settle(
+        &mut self,
+        trial: u64,
+        rung: u64,
+        family: &str,
+        score: Option<f64>,
+        failed: Option<String>,
+    ) {
+        if let Some(rec) = self.trials.iter_mut().rev().find(|r| {
+            r.trial == trial
+                && r.rung == rung
+                && r.family == family
+                && r.score.is_none()
+                && r.failed.is_none()
+        }) {
+            rec.score = score;
+            rec.failed = failed;
+        }
+    }
+
+    /// Whether nothing has been collected.
+    pub fn is_empty(&self) -> bool {
+        self.space.is_empty() && self.trials.is_empty()
+    }
+
+    /// Analyze the collected records.
+    pub fn report(&self) -> SearchReport {
+        analyze(&self.space, &self.trials, self.dropped)
+    }
+}
+
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-fn store() -> &'static Mutex<Store> {
-    static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-    STORE.get_or_init(|| Mutex::new(Store::default()))
+static STORE: Mutex<SearchCollector> = Mutex::new(SearchCollector::new());
+
+fn store() -> MutexGuard<'static, SearchCollector> {
+    STORE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Arm (or disarm) the collector. Arming does not clear previous state —
@@ -111,83 +217,15 @@ pub fn active() -> bool {
 
 /// Clear all recorded state (space, trials, drop count).
 pub fn reset() {
-    *store().lock().unwrap_or_else(PoisonError::into_inner) = Store::default();
+    *store() = SearchCollector::new();
 }
 
-/// Ingest one ledger event. Called from `ledger::emit`/`emit_with`;
-/// a no-op (one relaxed load) unless the collector is armed.
+/// Ingest one ledger event into the global collector. Called from
+/// `ledger::emit`/`emit_with`; a no-op (one relaxed load) unless armed.
 pub fn observe(event: &LedgerEvent) {
-    if !active() {
-        return;
+    if active() {
+        store().observe(event);
     }
-    let mut s = store().lock().unwrap_or_else(PoisonError::into_inner);
-    match event {
-        LedgerEvent::SearchSpace { families } if s.space.is_empty() => {
-            s.space = families.clone();
-        }
-        LedgerEvent::TrialStarted {
-            trial,
-            rung,
-            family,
-            params,
-            ..
-        } => {
-            if s.trials.len() >= TRIAL_CAP {
-                s.dropped += 1;
-            } else {
-                s.trials.push(TrialRec {
-                    trial: *trial,
-                    rung: *rung,
-                    family: family.clone(),
-                    params: params.clone(),
-                    score: None,
-                    failed: None,
-                });
-            }
-        }
-        LedgerEvent::TrialFinished {
-            trial,
-            rung,
-            family,
-            score,
-        } => settle(&mut s, *trial, *rung, family, Some(*score), None),
-        LedgerEvent::TrialFailed {
-            trial,
-            rung,
-            family,
-            reason,
-        } => settle(&mut s, *trial, *rung, family, None, Some(reason.clone())),
-        _ => {}
-    }
-}
-
-/// Settle the most recent unsettled record for `(trial, rung, family)`.
-/// Trial ids repeat across the many searches of one run, so matching
-/// from the back pairs each outcome with its own start.
-fn settle(
-    s: &mut Store,
-    trial: u64,
-    rung: u64,
-    family: &str,
-    score: Option<f64>,
-    failed: Option<String>,
-) {
-    if let Some(rec) = s.trials.iter_mut().rev().find(|r| {
-        r.trial == trial
-            && r.rung == rung
-            && r.family == family
-            && r.score.is_none()
-            && r.failed.is_none()
-    }) {
-        rec.score = score;
-        rec.failed = failed;
-    }
-}
-
-/// Take a consistent copy of the collector state.
-fn snapshot_store() -> (Vec<SpaceFamily>, Vec<TrialRec>, u64) {
-    let s = store().lock().unwrap_or_else(PoisonError::into_inner);
-    (s.space.clone(), s.trials.clone(), s.dropped)
 }
 
 /// One rung of the successive-halving funnel, aggregated over every
@@ -547,26 +585,6 @@ fn dim_report(
     }
 }
 
-fn f6(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn opt_f6(v: Option<f64>) -> String {
-    v.map_or_else(|| "null".to_string(), f6)
-}
-
-fn shortest(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 impl SearchReport {
     /// Render as one JSON line (plus trailing newline). Field order and
     /// formatting are pinned by a golden test; `/search` serves exactly
@@ -597,12 +615,12 @@ impl SearchReport {
             let _ = write!(
                 out,
                 "{{\"family\":{},\"configs\":{},\"fits\":{},\"failed\":{},\"best_score\":{},\"mean_score\":{},\"dims\":[",
-                crate::json_string_literal(&f.family),
+                json::string(&f.family),
                 f.configs,
                 f.fits,
                 f.failed,
-                opt_f6(f.best_score),
-                opt_f6(f.mean_score),
+                json::fixed(f.best_score.unwrap_or(f64::NAN), 6),
+                json::fixed(f.mean_score.unwrap_or(f64::NAN), 6),
             );
             for (j, d) in f.dims.iter().enumerate() {
                 if j > 0 {
@@ -613,7 +631,7 @@ impl SearchReport {
                     if k > 0 {
                         choices.push(',');
                     }
-                    choices.push_str(&crate::json_string_literal(c));
+                    choices.push_str(&json::string(c));
                 }
                 choices.push(']');
                 let mut hist = String::from("[");
@@ -635,15 +653,15 @@ impl SearchReport {
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"kind\":{},\"scale\":{},\"lo\":{},\"hi\":{},\"choices\":{choices},\"bins\":{},\"hist\":{hist},\"visited\":{},\"coverage\":{},\"importance\":{},\"points\":{points}}}",
-                    crate::json_string_literal(&d.name),
-                    crate::json_string_literal(&d.kind),
-                    crate::json_string_literal(&d.scale),
-                    shortest(d.lo),
-                    shortest(d.hi),
+                    json::string(&d.name),
+                    json::string(&d.kind),
+                    json::string(&d.scale),
+                    json::num(d.lo),
+                    json::num(d.hi),
                     d.bins,
                     d.visited,
-                    f6(d.coverage),
-                    f6(d.importance),
+                    json::fixed(d.coverage, 6),
+                    json::fixed(d.importance, 6),
                 );
             }
             out.push_str("]}");
@@ -653,7 +671,7 @@ impl SearchReport {
         out
     }
 
-    /// The human-readable summary `amlsearch` prints and `--search-out`
+    /// The human-readable summary `amlinspect search` prints and `--search-out`
     /// appends to the run footer on stderr.
     pub fn render_table(&self) -> String {
         let mut out = String::from("hyperparameter search:\n");
@@ -712,18 +730,19 @@ impl SearchReport {
 /// report when the collector is (or was) recording, else
 /// `{"active":false}`.
 pub fn live_json() -> String {
-    let (space, trials, dropped) = snapshot_store();
-    if space.is_empty() && trials.is_empty() && !active() {
+    // Analyze a copy, so emitters never wait on the analysis.
+    let c = store().clone();
+    if c.is_empty() && !active() {
         return "{\"active\":false}\n".to_string();
     }
-    analyze(&space, &trials, dropped).render_json()
+    c.report().render_json()
 }
 
 /// Write the report for the current collector state to `path` and return
 /// the rendered report for further display.
 pub fn write_json(path: &std::path::Path) -> std::io::Result<SearchReport> {
-    let (space, trials, dropped) = snapshot_store();
-    let report = analyze(&space, &trials, dropped);
+    let c = store().clone();
+    let report = c.report();
     std::fs::write(path, report.render_json())?;
     Ok(report)
 }
@@ -970,12 +989,12 @@ mod tests {
             family: "knn".into(),
             reason: "panic".into(),
         });
-        let (space, trials, dropped) = snapshot_store();
-        assert_eq!(space.len(), 1);
-        assert_eq!(trials.len(), 2);
-        assert_eq!(trials[0].score, Some(0.8));
-        assert_eq!(trials[1].failed.as_deref(), Some("panic"));
-        assert_eq!(dropped, 0);
+        let c = store().clone();
+        assert_eq!(c.space.len(), 1);
+        assert_eq!(c.trials.len(), 2);
+        assert_eq!(c.trials[0].score, Some(0.8));
+        assert_eq!(c.trials[1].failed.as_deref(), Some("panic"));
+        assert_eq!(c.dropped, 0);
         let live = live_json();
         assert!(live.starts_with("{\"active\":true,"), "{live}");
         set_active(false);
@@ -996,7 +1015,6 @@ mod tests {
             config: String::new(),
             params: vec![],
         });
-        let (_, trials, _) = snapshot_store();
-        assert!(trials.is_empty());
+        assert!(store().trials.is_empty());
     }
 }

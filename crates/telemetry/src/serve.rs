@@ -102,7 +102,7 @@ pub fn set_phase(phase: &str) {
         *phase_slot().lock().unwrap_or_else(PoisonError::into_inner) = phase.to_string();
         sse_broadcast(
             "phase",
-            &format!("{{\"phase\":{}}}", crate::json_string_literal(phase)),
+            &format!("{{\"phase\":{}}}", crate::json::string(phase)),
         );
     }
 }
@@ -329,8 +329,8 @@ pub fn render_history_json(path: &Path, query: Option<&str>) -> String {
     };
     // Records are single-line objects with a pinned field order, so a
     // workload filter is a substring match on the rendered field.
-    let workload_field = query_param(query, "workload")
-        .map(|w| format!("\"workload\":{}", crate::json_string_literal(w)));
+    let workload_field =
+        query_param(query, "workload").map(|w| format!("\"workload\":{}", crate::json::string(w)));
     let mut records: Vec<&str> = text
         .lines()
         .map(str::trim)
@@ -702,9 +702,9 @@ fn healthz_json(state: &ServerState) -> String {
         .clone();
     format!(
         "{{\"status\":\"ok\",\"workload\":{},\"seed\":{},\"phase\":{},\"uptime_s\":{:.3}}}\n",
-        crate::json_string_literal(&state.header.workload),
+        crate::json::string(&state.header.workload),
         state.header.seed,
-        crate::json_string_literal(&phase),
+        crate::json::string(&phase),
         state.started.elapsed().as_secs_f64(),
     )
 }
@@ -729,11 +729,11 @@ fn runs_json(state: &ServerState, tail: usize) -> String {
             "\"metrics\":{{\"spans\":{},\"counters\":{},\"gauges\":{},\"histograms\":{}}},",
             "\"events\":[{}]}}\n"
         ),
-        crate::json_string_literal(&state.header.run_id),
-        crate::json_string_literal(&state.header.workload),
+        crate::json::string(&state.header.run_id),
+        crate::json::string(&state.header.workload),
         state.header.seed,
-        crate::json_string_literal(&state.header.git),
-        crate::json_string_literal(&phase),
+        crate::json::string(&state.header.git),
+        crate::json::string(&phase),
         ROUNDS_DONE.load(Ordering::Relaxed),
         TRIALS_DONE.load(Ordering::Relaxed),
         TRIALS_PLANNED.load(Ordering::Relaxed),

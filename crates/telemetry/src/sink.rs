@@ -18,6 +18,7 @@
 //! is installed is a single relaxed atomic load, preserving the crate's
 //! off-is-free guarantee.
 
+use crate::json;
 use crate::ledger::LedgerEvent;
 use crate::registry::Snapshot;
 use std::io::{BufWriter, Write};
@@ -318,10 +319,10 @@ impl JsonlSink {
         writeln!(
             writer,
             "{{\"type\":\"run\",\"run_id\":{},\"workload\":{},\"seed\":{},\"git\":{}}}",
-            json_str(&header.run_id),
-            json_str(&header.workload),
+            json::string(&header.run_id),
+            json::string(&header.workload),
             header.seed,
-            json_str(&header.git),
+            json::string(&header.git),
         )?;
         Ok(JsonlSink {
             target: target.to_string(),
@@ -338,7 +339,7 @@ impl Sink for JsonlSink {
         let written = writeln!(
             w,
             "{{\"type\":\"span\",\"name\":{},\"tid\":{},\"depth\":{},\"ts_us\":{:.3},\"dur_us\":{:.3}}}",
-            json_str(&event.name),
+            json::string(&event.name),
             event.tid,
             event.depth,
             event.start_us,
@@ -355,7 +356,7 @@ impl Sink for JsonlSink {
             writeln!(
                 w,
                 "{{\"type\":\"counter\",\"name\":{},\"value\":{}}}",
-                json_str(name),
+                json::string(name),
                 value
             )?;
         }
@@ -363,7 +364,7 @@ impl Sink for JsonlSink {
             writeln!(
                 w,
                 "{{\"type\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{}}}",
-                json_str(&h.name),
+                json::string(&h.name),
                 h.count,
                 h.sum,
                 h.min,
@@ -378,10 +379,6 @@ impl Sink for JsonlSink {
     fn target(&self) -> String {
         self.target.clone()
     }
-}
-
-pub(crate) fn json_str(s: &str) -> String {
-    crate::manifest::json_string_literal(s)
 }
 
 #[cfg(test)]

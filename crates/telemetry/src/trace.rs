@@ -20,8 +20,9 @@
 //! The emitted `pid` is a constant `1`: the trace describes one process,
 //! and a stable value keeps output diffable across runs.
 
+use crate::json;
 use crate::registry::Snapshot;
-use crate::sink::{json_str, RunHeader, Sink, SpanEvent};
+use crate::sink::{RunHeader, Sink, SpanEvent};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -110,10 +111,10 @@ pub fn chrome_trace_json(events: &[SpanEvent], snapshot: &Snapshot, header: &Run
     let _ = write!(
         out,
         "\"run_id\": {}, \"workload\": {}, \"seed\": \"{}\", \"git\": {}",
-        json_str(&header.run_id),
-        json_str(&header.workload),
+        json::string(&header.run_id),
+        json::string(&header.workload),
         header.seed,
-        json_str(&header.git),
+        json::string(&header.git),
     );
     out.push_str("},\n\"traceEvents\": [\n");
 
@@ -135,7 +136,7 @@ pub fn chrome_trace_json(events: &[SpanEvent], snapshot: &Snapshot, header: &Run
         emit(
             format!(
                 "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"args\": {{\"name\": {}}}}}",
-                json_str(&label)
+                json::string(&label)
             ),
             &mut out,
         );
@@ -149,7 +150,7 @@ pub fn chrome_trace_json(events: &[SpanEvent], snapshot: &Snapshot, header: &Run
         emit(
             format!(
                 "{{\"name\": {}, \"cat\": \"span\", \"ph\": \"{ph}\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}}}",
-                json_str(&e.name),
+                json::string(&e.name),
                 e.tid,
             ),
             &mut out,
@@ -162,7 +163,7 @@ pub fn chrome_trace_json(events: &[SpanEvent], snapshot: &Snapshot, header: &Run
         emit(
             format!(
                 "{{\"name\": {}, \"cat\": \"counter\", \"ph\": \"C\", \"pid\": 1, \"tid\": 0, \"ts\": {end_us:.3}, \"args\": {{\"value\": {value}}}}}",
-                json_str(name),
+                json::string(name),
             ),
             &mut out,
         );

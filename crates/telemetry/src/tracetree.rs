@@ -368,12 +368,14 @@ impl Drop for AttachGuard {
     }
 }
 
-/// Every recorded node, sorted by `(start_ns, id)` — parents may sort
-/// after children they outlived (nodes are recorded at close).
+/// Every recorded node in canonical order, `(parent, id)`. Both keys are
+/// structural, so the order never depends on which thread opened or
+/// closed its span first: every consumer sees the same sequence at any
+/// worker count.
 pub fn entries() -> Vec<Node> {
     let store = store().lock().unwrap_or_else(PoisonError::into_inner);
     let mut out = store.0.clone();
-    out.sort_by(|a, b| a.start_ns.cmp(&b.start_ns).then(a.id.cmp(&b.id)));
+    out.sort_by_key(|n| (n.parent, n.id));
     out
 }
 
