@@ -77,7 +77,7 @@ use aml_telemetry::json::{self, Value};
 use aml_telemetry::serve::{dashboard_html, render_history_json, HttpRequest};
 use aml_telemetry::serve::{read_request, render_prometheus, write_response};
 use aml_telemetry::sink::{self, RunHeader};
-use aml_telemetry::{HistoryRecord, LedgerJsonlSink, Snapshot};
+use aml_telemetry::{Fold, HistoryRecord, LedgerJsonlSink, LedgerSummary, Snapshot};
 use std::collections::HashMap;
 use std::fs;
 use std::io::Write;
@@ -434,7 +434,6 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
         ));
         ExperimentLoop::new(&workload, spec.seed, Some(ckpt_path), Some(ledger.clone()))
     };
-    let summary = aml_core::summary::install_collector();
 
     // Three-way split so every strategy capability is covered: free
     // strategies label through the oracle, pool strategies draw from
@@ -453,10 +452,6 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
     let mut last_scores: Vec<f64> = Vec::new();
     for (round, strategy) in spec.rounds.iter().enumerate() {
         let round = round as u64;
-        if let Some(rec) = exp_loop.completed(round) {
-            last_scores = rec.scores.clone();
-            continue;
-        }
         if stop_requested(job_dir) {
             sink::finish(&Snapshot::default());
             return Ok(STOP_EXIT_CODE);
@@ -472,24 +467,22 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
             seed: spec.seed ^ ((round + 1) * 0xA5A5),
             ..Default::default()
         };
-        let out = run_strategy(
-            *strategy,
-            &cfg,
-            &train,
-            Some(&pool),
-            Some(&oracle),
-            &test_sets,
-        )
-        .map_err(|e| format!("round {round}: {e}"))?;
-        last_scores = out.scores.clone();
-        exp_loop
-            .record(ExperimentLoop::round_record(
-                round,
-                *strategy,
-                out.n_points_added,
-                &out.scores,
-            ))
-            .map_err(|e| format!("checkpoint: {e}"))?;
+        let (rec, resumed) = exp_loop
+            .run_round(round, *strategy, || {
+                run_strategy(
+                    *strategy,
+                    &cfg,
+                    &train,
+                    Some(&pool),
+                    Some(&oracle),
+                    &test_sets,
+                )
+            })
+            .map_err(|e| format!("round {round}: {e}"))?;
+        last_scores = rec.scores;
+        if resumed {
+            continue;
+        }
         if crash_armed {
             // The round above is checkpointed and its ledger bytes are
             // flushed; abort models a worker crash whose retry must
@@ -503,7 +496,13 @@ fn worker_inner(job_dir: &Path, inject_crash: bool) -> Result<i32, String> {
     }
 
     sink::finish(&Snapshot::default());
-    let totals = summary.snapshot();
+    // The ledger holds the whole job, including rounds a crashed attempt
+    // ran before this retry resumed it.
+    let totals = fs::read_to_string(&ledger)
+        .map_err(|e| e.to_string())
+        .and_then(|text| aml_telemetry::ledger::read(&text))
+        .map(|(_, events)| LedgerSummary::from_events(&events))
+        .map_err(|e| format!("ledger: {e}"))?;
     // An empty round list reads as NaN, written as `null`.
     let final_acc = json::num(last_scores.iter().sum::<f64>() / last_scores.len() as f64);
     let result = format!(

@@ -18,7 +18,7 @@ use aml_bench::critview::parse_crit;
 use aml_bench::report::BenchReport;
 use aml_telemetry::quality::QualityCollector;
 use aml_telemetry::searchview::SearchCollector;
-use aml_telemetry::{CritReport, QualityReport, SearchReport};
+use aml_telemetry::{CritReport, Fold, QualityReport, SearchReport};
 use std::path::{Path, PathBuf};
 
 const USAGE: &str = "\

@@ -31,8 +31,7 @@ use aml_bench::qualityview::parse_quality_artifact;
 use aml_bench::report::{median_report, BenchReport};
 use aml_telemetry::history::DEFAULT_HISTORY_PATH;
 use aml_telemetry::json::Value;
-use aml_telemetry::quality::QualityCollector;
-use aml_telemetry::{ledger, CritReport, HistoryRecord, LedgerEvent};
+use aml_telemetry::{ledger, CritReport, Fold, HistoryRecord, LedgerSummary};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -725,33 +724,16 @@ fn history_from_gate_run(
     median: &BenchReport,
     ledger_path: &Path,
 ) -> HistoryRecord {
-    let events: Vec<LedgerEvent> = std::fs::read_to_string(ledger_path)
+    let summary = std::fs::read_to_string(ledger_path)
         .ok()
         .and_then(|text| match ledger::read(&text) {
-            Ok((_, events)) => Some(events),
+            Ok((_, events)) => Some(LedgerSummary::from_events(&events)),
             Err(e) => {
                 eprintln!("perfgate: warning: {}: {e}", ledger_path.display());
                 None
             }
         })
         .unwrap_or_default();
-    let count = |is: fn(&LedgerEvent) -> bool| events.iter().filter(|e| is(e)).count() as u64;
-    let final_acc = events
-        .iter()
-        .rev()
-        .find_map(|e| match e {
-            LedgerEvent::RoundCompleted { acc_mean, .. } => Some(*acc_mean),
-            _ => None,
-        })
-        .filter(|a| a.is_finite());
-    // The same ledger carries the quality events; recompute ECE from it
-    // so gate runs feed the quality gate's history medians too.
-    let ece = QualityCollector::from_events(&events)
-        .report()
-        .rounds
-        .last()
-        .map(|r| r.ece)
-        .filter(|e| e.is_finite());
     HistoryRecord {
         workload: workload.to_string(),
         seed: median.seed,
@@ -761,11 +743,11 @@ fn history_from_gate_run(
         top_span_total_s: median.top_span_total_s,
         peak_rss_bytes: 0,
         alloc_peak_bytes: median.alloc.as_ref().map_or(0, |a| a.peak_bytes),
-        final_acc,
-        trials_finished: count(|e| matches!(e, LedgerEvent::TrialFinished { .. })),
-        trials_failed: count(|e| matches!(e, LedgerEvent::TrialFailed { .. })),
-        rounds: count(|e| matches!(e, LedgerEvent::RoundCompleted { .. })),
-        ece,
+        final_acc: summary.final_acc,
+        trials_finished: summary.trials_finished,
+        trials_failed: summary.trials_failed,
+        rounds: summary.rounds,
+        ece: summary.ece,
     }
 }
 

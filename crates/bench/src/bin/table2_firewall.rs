@@ -14,9 +14,7 @@
 
 use aml_automl::AutoMlConfig;
 use aml_bench::{mean, write_artifact, write_json, RunOpts};
-use aml_core::{
-    run_strategy, AleFeedback, ExperimentConfig, ExperimentLoop, Strategy, ThresholdRule,
-};
+use aml_core::{run_strategy, AleFeedback, ExperimentConfig, Strategy, ThresholdRule};
 use aml_dataset::split::{split_into_k, three_way_split};
 use aml_fwgen::{generate, FwGenConfig};
 use aml_stats::wilcoxon::{wilcoxon_signed_rank, Alternative};
@@ -97,49 +95,28 @@ fn main() {
         };
 
         for strategy in strategies {
-            let this_round = round;
-            round += 1;
-            if let Some(rec) = exp_loop.completed(this_round) {
-                assert_eq!(
-                    rec.strategy,
-                    strategy.name(),
-                    "checkpoint round {this_round} records a different strategy — \
-                     resumed with mismatched settings?"
-                );
-                note(&format!(
-                    "  {:<22} mean BA {:>5.1}% | +{:>4} pts | resumed",
-                    strategy.name(),
-                    mean(&rec.scores) * 100.0,
-                    rec.points_added,
-                ));
-                all_scores
-                    .entry(strategy)
-                    .or_default()
-                    .extend(rec.scores.iter());
-                continue;
-            }
             let t0 = std::time::Instant::now();
-            let out = run_strategy(strategy, &cfg, &train, Some(&pool), None, &test_sets)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", strategy.name()));
+            let (rec, resumed) = exp_loop
+                .run_round(round, strategy, || {
+                    run_strategy(strategy, &cfg, &train, Some(&pool), None, &test_sets)
+                })
+                .unwrap_or_else(|e| panic!("round {round} ({}) failed: {e}", strategy.name()));
+            round += 1;
             note(&format!(
-                "  {:<22} mean BA {:>5.1}% | +{:>4} pts | {:>6.1?}",
+                "  {:<22} mean BA {:>5.1}% | +{:>4} pts | {}",
                 strategy.name(),
-                mean(&out.scores) * 100.0,
-                out.n_points_added,
-                t0.elapsed()
+                mean(&rec.scores) * 100.0,
+                rec.points_added,
+                if resumed {
+                    "resumed".to_string()
+                } else {
+                    format!("{:>6.1?}", t0.elapsed())
+                }
             ));
-            exp_loop
-                .record(ExperimentLoop::round_record(
-                    this_round,
-                    strategy,
-                    out.n_points_added,
-                    &out.scores,
-                ))
-                .unwrap_or_else(|e| panic!("checkpoint after round {this_round} failed: {e}"));
             all_scores
                 .entry(strategy)
                 .or_default()
-                .extend(out.scores.iter());
+                .extend(rec.scores.iter());
         }
     }
 

@@ -85,9 +85,6 @@ pub struct RunOpts {
     /// `results/history/history.jsonl`). Feeds
     /// `perfgate --against-history` and the `/dashboard` trend section.
     pub record: Option<PathBuf>,
-    /// Live tallies of the ledger summary collector installed by
-    /// [`RunOpts::prepare`] when `--record` was given.
-    pub summary: Option<aml_core::SummaryHandle>,
     /// Write a Chrome trace-event file (Perfetto-loadable) here.
     pub trace_out: Option<PathBuf>,
     /// Stream telemetry as JSON lines here.
@@ -218,7 +215,6 @@ impl RunOpts {
             telemetry: TelemetryLevel::Off,
             emit_bench: false,
             record: None,
-            summary: None,
             trace_out: None,
             events_out: None,
             ledger_out: None,
@@ -296,7 +292,10 @@ impl RunOpts {
         // Resume: validate the checkpoint and truncate the ledger file
         // back to its recorded byte length BEFORE any sink reopens it —
         // the sink below then appends, continuing the original run's
-        // ledger byte-identically.
+        // ledger byte-identically. The kept prefix is read once here and
+        // replayed into the folds armed below, so search.json,
+        // quality.json and the history record cover the whole run.
+        let mut kept_prefix = Vec::new();
         if let Some(resume) = &self.resume {
             let ckpt = aml_core::checkpoint::prepare_resume(
                 &self.workload,
@@ -306,6 +305,13 @@ impl RunOpts {
             )
             .map_err(|e| format!("--resume {}: {e}", resume.display()))?;
             self.resumed = Some(ckpt);
+            if let Some(path) = &self.ledger_out {
+                let (_, events) = std::fs::read_to_string(path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| aml_telemetry::ledger::read(&text))
+                    .map_err(|e| format!("--resume: cannot read {}: {e}", path.display()))?;
+                kept_prefix = events;
+            }
             // The original run already wrote its search_space line; a
             // resumed continuation must not append a second one.
             aml_telemetry::ledger::mark_search_space_emitted();
@@ -349,12 +355,11 @@ impl RunOpts {
             }
         }
 
+        // Every in-process ledger reader is a fold armed here: its sink
+        // raises the ledger gate, so events flow without --ledger-out.
         if let Some(path) = &self.record {
             ensure_parent(path, "--record")?;
-            // The summary collector tallies trials/failures/rounds and the
-            // last round's accuracy in memory (and raises the ledger gate,
-            // so events flow even without --ledger-out).
-            self.summary = Some(aml_core::summary::install_collector());
+            SUMMARY.arm(aml_telemetry::LedgerSummary::new());
             // Point the live plane's /history route at the same store the
             // run appends to.
             aml_telemetry::serve::set_history_path(path);
@@ -372,31 +377,28 @@ impl RunOpts {
         }
         if let Some(path) = &self.search_out {
             ensure_parent(path, "--search-out")?;
-            aml_telemetry::searchview::reset();
-            aml_telemetry::searchview::set_active(true);
-            // The collector observes events inside ledger::emit, which only
-            // fires when some sink wants ledger events; GateSink raises that
-            // gate without writing anywhere, so --search-out works alone.
-            aml_telemetry::sink::install(Box::new(aml_telemetry::searchview::GateSink));
         }
+        // The live plane answers /search and /quality from the same folds.
+        if self.search_out.is_some() || self.serve.is_some() {
+            aml_telemetry::searchview::arm();
+        }
+        let mut reference = None;
         if let Some(path) = &self.quality_out {
             ensure_parent(path, "--quality-out")?;
-            aml_telemetry::quality::reset();
             if let Some(ref_path) = &self.quality_ref {
                 let text = std::fs::read_to_string(ref_path).map_err(|e| {
                     format!("cannot read --quality-ref {}: {e}", ref_path.display())
                 })?;
-                let reference = qualityview::load_reference(&text)
-                    .map_err(|e| format!("--quality-ref {}: {e}", ref_path.display()))?;
-                aml_telemetry::quality::set_reference(reference);
+                reference = Some(
+                    qualityview::load_reference(&text)
+                        .map_err(|e| format!("--quality-ref {}: {e}", ref_path.display()))?,
+                );
             }
-            aml_telemetry::quality::set_active(true);
-            // Same off-is-free arrangement as --search-out: the collector
-            // observes events inside ledger::emit, and GateSink raises the
-            // ledger gate without writing anywhere.
-            aml_telemetry::sink::install(Box::new(aml_telemetry::quality::GateSink));
         } else if self.quality_ref.is_some() {
             return Err("--quality-ref requires --quality-out".into());
+        }
+        if self.quality_out.is_some() || self.serve.is_some() {
+            aml_telemetry::quality::arm(reference);
         }
         if let Some(addr) = &self.serve {
             let header = aml_telemetry::RunHeader::new(&self.workload, self.seed);
@@ -412,6 +414,7 @@ impl RunOpts {
             ));
             aml_telemetry::resource::start_sampler(std::time::Duration::from_millis(500));
         }
+        aml_telemetry::sink::replay_ledger(&kept_prefix);
         Ok(())
     }
 
@@ -676,10 +679,9 @@ impl RunOpts {
             }
         }
         if let Some(path) = &self.search_out {
-            // Deactivate first so the report is computed over a frozen
-            // trial set; render_table gives the operator the same view
-            // amlinspect search prints from the ledger.
-            aml_telemetry::searchview::set_active(false);
+            // The sinks are finished, so the report is computed over a
+            // frozen trial set; render_table gives the operator the same
+            // view amlinspect search prints from the ledger.
             match aml_telemetry::searchview::write_json(path) {
                 Ok(report) => {
                     aml_telemetry::note(&format!("wrote {}", path.display()));
@@ -692,9 +694,9 @@ impl RunOpts {
             }
         }
         if let Some(path) = &self.quality_out {
-            // Deactivate first so the report reduces a frozen event store;
-            // render_table mirrors what amlinspect quality prints from the ledger.
-            aml_telemetry::quality::set_active(false);
+            // The sinks are finished, so the report reduces a frozen event
+            // store; render_table mirrors what amlinspect quality prints
+            // from the ledger.
             match aml_telemetry::quality::write_json(path) {
                 Ok(report) => {
                     aml_telemetry::note(&format!("wrote {}", path.display()));
@@ -711,8 +713,8 @@ impl RunOpts {
 
     /// Distill this run into one cross-run history record: perf numbers
     /// from the BENCH report, peak RSS from the `proc.*` gauges, ML
-    /// totals from the summary collector (zeros when no collector was
-    /// installed — e.g. a workload that never emits ledger events).
+    /// totals from the ledger summary armed by `--record` (zeros for a
+    /// workload that never emits ledger events).
     pub fn history_record(
         &self,
         bench: &BenchReport,
@@ -725,7 +727,7 @@ impl RunOpts {
                 .find(|(n, _)| n == name)
                 .map(|(_, v)| *v)
         };
-        let summary = self.summary.as_ref().map(|h| h.snapshot());
+        let summary = SUMMARY.read(|s, _| *s);
         aml_telemetry::HistoryRecord {
             workload: self.workload.clone(),
             seed: self.seed,
@@ -737,14 +739,22 @@ impl RunOpts {
                 .or_else(|| gauge("proc.rss_bytes"))
                 .unwrap_or(0),
             alloc_peak_bytes: bench.alloc.as_ref().map_or(0, |a| a.peak_bytes),
-            final_acc: summary.as_ref().and_then(|s| s.final_acc),
-            trials_finished: summary.as_ref().map_or(0, |s| s.trials_finished),
-            trials_failed: summary.as_ref().map_or(0, |s| s.trials_failed),
-            rounds: summary.as_ref().map_or(0, |s| s.rounds),
-            ece: summary.as_ref().and_then(|s| s.ece),
+            final_acc: summary.final_acc,
+            trials_finished: summary.trials_finished,
+            trials_failed: summary.trials_failed,
+            rounds: summary.rounds,
+            ece: summary.ece,
         }
     }
 }
+
+/// The run summary behind `--record`: the ledger fold whose totals land
+/// in this run's history record.
+static SUMMARY: aml_telemetry::FoldStore<aml_telemetry::LedgerSummary> =
+    aml_telemetry::FoldStore::new(
+        "ledger summary (in memory)",
+        aml_telemetry::LedgerSummary::new(),
+    );
 
 /// Ledger sink wrapper driving the `sink_fail@N` fault: scheduled writes
 /// are dropped — counted under `telemetry.events_dropped` — instead of
@@ -1154,7 +1164,6 @@ mod tests {
             .unwrap()
             .unwrap();
         let lp = opts.experiment_loop();
-        assert!(lp.rounds().is_empty());
         assert!(lp.completed(0).is_none());
     }
 

@@ -14,7 +14,7 @@ use aml_telemetry::quality::{
     ClassQuality, DriftReport, FeatureDrift, FinalDiagnostics, QualityCollector, QualityReport,
     Reliability, RoundQuality, SplitProfile,
 };
-use aml_telemetry::{ledger, FeatureProfile, QualityReference, QUALITY_SCHEMA_VERSION};
+use aml_telemetry::{ledger, FeatureProfile, Fold, QualityReference, QUALITY_SCHEMA_VERSION};
 use std::fmt::Write;
 
 /// Parse the text of one `ledger.jsonl` and recompute its quality

@@ -10,7 +10,7 @@
 
 use aml_telemetry::json::{self, Value};
 use aml_telemetry::searchview::{DimReport, FamilyReport, RungReport, SearchCollector};
-use aml_telemetry::{ledger, SearchReport};
+use aml_telemetry::{ledger, Fold, SearchReport};
 use std::fmt::Write;
 
 /// Parse the text of one `ledger.jsonl` and compute its search report.

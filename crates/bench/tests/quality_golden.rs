@@ -84,7 +84,10 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
     opts.out_dir = dir.clone();
     opts.prepare()
         .expect("prepare activates the quality collector");
-    assert!(quality::active(), "--quality-out must arm the collector");
+    assert!(
+        quality::live_json().starts_with("{\"active\":true,"),
+        "--quality-out must arm the collector"
+    );
 
     let addr = std::fs::read_to_string(dir.join("serve.addr"))
         .expect("serve.addr written")
@@ -135,7 +138,7 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
     assert!(metrics.contains("quality_psi{key="), "{metrics}");
 
     opts.finish();
-    assert!(!quality::active(), "finish must disarm the collector");
+    assert!(!ledger::active(), "finish must drain the collector's sink");
 
     // The artifact's bytes are exactly what `amlinspect quality --json` recomputes
     // from the ledger: write path and read path share one renderer.
@@ -169,7 +172,6 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
         "{last:?}"
     );
 
-    quality::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();
@@ -184,11 +186,9 @@ fn quality_json_is_identical_across_worker_counts() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let run = |workers: usize| {
-        quality::reset();
-        quality::set_active(true);
-        // GateSink raises the ledger emission gate so quality events
-        // reach the collector without any file sink.
-        sink::install(Box::new(quality::GateSink));
+        // Arming installs the collector's fold sink, so quality events
+        // reach it without any file sink.
+        quality::arm(None);
         // Pin round numbering so both runs produce the same sequence.
         ledger::set_next_round(0);
         let cfg = small_cfg(workers);
@@ -203,7 +203,6 @@ fn quality_json_is_identical_across_worker_counts() {
             )
             .unwrap_or_else(|e| panic!("round {round} with {workers} workers: {e}"));
         }
-        quality::set_active(false);
         let path = dir.join(format!("quality_{workers}.json"));
         quality::write_json(&path).expect("write quality.json");
         for (target, result) in sink::finish(&Snapshot::default()) {
@@ -220,7 +219,6 @@ fn quality_json_is_identical_across_worker_counts() {
         "quality.json must not depend on the worker count"
     );
 
-    quality::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();

@@ -72,27 +72,18 @@ fn drive(exp_loop: &mut ExperimentLoop, train: &Dataset, test_sets: &[Dataset], 
     };
     for (round, strategy) in ROUNDS.iter().take(to).enumerate() {
         let round = round as u64;
-        if let Some(rec) = exp_loop.completed(round) {
-            assert_eq!(rec.strategy, strategy.name(), "resumed round mismatch");
-            continue;
-        }
-        let out = run_strategy(
-            *strategy,
-            &round_cfg(round),
-            train,
-            None,
-            Some(&oracle),
-            test_sets,
-        )
-        .expect("round");
         exp_loop
-            .record(ExperimentLoop::round_record(
-                round,
-                *strategy,
-                out.n_points_added,
-                &out.scores,
-            ))
-            .expect("checkpoint");
+            .run_round(round, *strategy, || {
+                run_strategy(
+                    *strategy,
+                    &round_cfg(round),
+                    train,
+                    None,
+                    Some(&oracle),
+                    test_sets,
+                )
+            })
+            .expect("round");
     }
 }
 

@@ -13,6 +13,7 @@ use aml_automl::ModelFamily;
 use aml_bench::searchview::parse_search_ledger;
 use aml_bench::RunOpts;
 use aml_dataset::{split::train_test_split, synth, Dataset};
+use aml_telemetry::searchview::SearchCollector;
 use aml_telemetry::{ledger, searchview, set_level, sink, Snapshot, TelemetryLevel};
 use std::io::{Read as _, Write as _};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -80,7 +81,11 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
     opts.out_dir = dir.clone();
     opts.prepare()
         .expect("prepare activates the search collector");
-    assert!(searchview::active(), "--search-out must arm the collector");
+    assert_eq!(
+        searchview::live_json(),
+        SearchCollector::new().report().render_json(),
+        "--search-out must arm an empty collector"
+    );
 
     let addr = std::fs::read_to_string(dir.join("serve.addr"))
         .expect("serve.addr written")
@@ -111,7 +116,7 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
     assert!(metrics.contains("search_rung_eliminations"), "{metrics}");
 
     opts.finish();
-    assert!(!searchview::active(), "finish must disarm the collector");
+    assert!(!ledger::active(), "finish must drain the collector's sink");
 
     // The artifact's bytes are exactly what `amlinspect search --json` recomputes
     // from the ledger: write path and read path share one renderer.
@@ -143,7 +148,6 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
         "all importances degenerate"
     );
 
-    searchview::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();
@@ -158,13 +162,10 @@ fn search_json_is_identical_across_worker_counts() {
     std::fs::create_dir_all(&dir).unwrap();
 
     let run = |workers: usize| {
-        searchview::reset();
-        searchview::set_active(true);
-        // GateSink raises the ledger emission gate so trial events reach
-        // the collector without any file sink.
-        sink::install(Box::new(searchview::GateSink));
+        // Arming installs the collector's fold sink, so trial events
+        // reach it without any file sink.
+        searchview::arm();
         run_search(&train, &val, workers);
-        searchview::set_active(false);
         let path = dir.join(format!("search_{workers}.json"));
         searchview::write_json(&path).expect("write search.json");
         // finish() resets the search_space gate so the next run emits
@@ -180,7 +181,6 @@ fn search_json_is_identical_across_worker_counts() {
     assert!(one.contains("\"active\":true"), "{one}");
     assert_eq!(one, four, "search.json must not depend on the worker count");
 
-    searchview::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();
@@ -255,7 +255,6 @@ fn search_out_matches_the_ledger_recompute_past_the_trial_cap() {
         "search.json differs from the ledger recompute past the cap"
     );
 
-    searchview::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();

@@ -217,6 +217,22 @@ fn kill_and_restart_recovers_all_jobs() {
     );
     assert!(detail.body.contains("\"final_acc\":"), "{}", detail.body);
 
+    // The retried job's result covers the whole job — rounds the crashed
+    // attempt ran before the retry resumed it included — and agrees with
+    // the run-summary fold over the job's ledger.
+    let result = aml_telemetry::json::parse(&fs::read_to_string(j1.join("result.json")).unwrap())
+        .expect("result.json parses");
+    let (_, events) =
+        aml_telemetry::ledger::read(&fs::read_to_string(j1.join("ledger.jsonl")).unwrap())
+            .expect("ledger parses");
+    let summary = <aml_telemetry::LedgerSummary as aml_telemetry::Fold>::from_events(&events);
+    assert_eq!(
+        result.u64_at("trials_finished").unwrap(),
+        summary.trials_finished
+    );
+    assert_eq!(result.u64_at("rounds").unwrap(), summary.rounds);
+    assert_eq!(summary.rounds, 4, "SLOW_SPEC runs four rounds");
+
     // Completion appended one history record per job.
     let history = fs::read_to_string(data.join("history.jsonl")).unwrap();
     assert_eq!(count(&history, "\"source\":\"amlserve\""), 3, "{history}");

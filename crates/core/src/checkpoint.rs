@@ -40,7 +40,7 @@
 //! never panics, no matter how the input was mangled (property-tested by
 //! truncating a valid encoding at every byte).
 
-use crate::experiment::Strategy;
+use crate::experiment::{Strategy, StrategyOutcome};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -394,11 +394,11 @@ pub fn prepare_resume(
 }
 
 /// Driver state for a checkpointed (and possibly resumed) sequence of
-/// feedback rounds. The bench bins consult [`ExperimentLoop::completed`]
-/// before each `run_strategy` call — a recorded round is skipped and its
-/// scores reused — and call [`ExperimentLoop::record`] after each round
-/// completes, which flushes the telemetry sinks and commits a new
-/// checkpoint referencing the flushed ledger length.
+/// feedback rounds. Every driver (the bench bins, the `amlserve`
+/// worker) runs each round through [`ExperimentLoop::run_round`]: a
+/// round the checkpoint already holds is skipped and its record reused;
+/// a fresh one runs and is recorded, which flushes the telemetry sinks
+/// and commits a new checkpoint referencing the flushed ledger length.
 pub struct ExperimentLoop {
     checkpoint_path: Option<PathBuf>,
     ledger_path: Option<PathBuf>,
@@ -422,34 +422,9 @@ impl ExperimentLoop {
         }
     }
 
-    /// Resume from `resume_path`: loads and validates the checkpoint
-    /// (workload and seed must match — a checkpoint from a different run
-    /// is rejected with [`ExperimentError::CheckpointMismatch`]),
-    /// truncates the ledger file back to the checkpoint's recorded
-    /// length (dropping partially-flushed post-checkpoint events), and
-    /// fast-forwards the process-wide round counter.
-    ///
-    /// Must be called **before** the ledger sink is (re)installed — the
-    /// caller reopens the ledger in append mode afterwards.
-    pub fn resume(
-        workload: &str,
-        seed: u64,
-        resume_path: &Path,
-        checkpoint_path: Option<PathBuf>,
-        ledger_path: Option<PathBuf>,
-    ) -> Result<ExperimentLoop, ExperimentError> {
-        let ckpt = prepare_resume(workload, seed, resume_path, ledger_path.as_deref())?;
-        Ok(ExperimentLoop::from_checkpoint(
-            ckpt,
-            checkpoint_path,
-            ledger_path,
-        ))
-    }
-
-    /// Build a loop around an already-validated checkpoint (the second
-    /// half of [`ExperimentLoop::resume`]; the bench harness calls
-    /// [`prepare_resume`] early — before reinstalling the ledger sink —
-    /// and constructs the loop later).
+    /// Build a loop around a checkpoint validated by [`prepare_resume`]
+    /// (which runs early — before the ledger sink is reinstalled — while
+    /// the loop is built later).
     pub fn from_checkpoint(
         ckpt: Checkpoint,
         checkpoint_path: Option<PathBuf>,
@@ -469,16 +444,11 @@ impl ExperimentLoop {
         self.ckpt.rounds.iter().find(|r| r.round == round)
     }
 
-    /// Rounds completed so far (recorded + resumed).
-    pub fn rounds(&self) -> &[RoundRecord] {
-        &self.ckpt.rounds
-    }
-
     /// Record one freshly completed round and commit a checkpoint
     /// (when a checkpoint path is configured): flush the telemetry sinks
     /// so every ledger line of this round is on disk, capture the
     /// ledger's byte length, and atomically replace the checkpoint file.
-    pub fn record(&mut self, rec: RoundRecord) -> Result<(), ExperimentError> {
+    fn record(&mut self, rec: RoundRecord) -> Result<(), ExperimentError> {
         self.ckpt.rounds.push(rec);
         if let Some(path) = self.checkpoint_path.clone() {
             // Best-effort flush: a failing sink already counts
@@ -496,19 +466,41 @@ impl ExperimentLoop {
         Ok(())
     }
 
-    /// Convenience: build a [`RoundRecord`] from a strategy outcome.
-    pub fn round_record(
+    /// Run feedback round `round` with `strategy`: when the checkpoint
+    /// already holds it, return its record without calling `run`;
+    /// otherwise call `run`, record the outcome (committing a
+    /// checkpoint), and return the new record. The flag says whether
+    /// the round was resumed. A checkpointed round naming a different
+    /// strategy is [`ExperimentError::CheckpointMismatch`] — the run was
+    /// resumed with different settings.
+    pub fn run_round(
+        &mut self,
         round: u64,
         strategy: Strategy,
-        points_added: usize,
-        scores: &[f64],
-    ) -> RoundRecord {
-        RoundRecord {
+        run: impl FnOnce() -> crate::Result<StrategyOutcome>,
+    ) -> crate::Result<(RoundRecord, bool)> {
+        if let Some(rec) = self.completed(round) {
+            if rec.strategy != strategy.name() {
+                return Err(ExperimentError::CheckpointMismatch {
+                    message: format!(
+                        "checkpoint round {round} ran '{}', this run asks for '{}'",
+                        rec.strategy,
+                        strategy.name()
+                    ),
+                }
+                .into());
+            }
+            return Ok((rec.clone(), true));
+        }
+        let out = run()?;
+        let rec = RoundRecord {
             round,
             strategy: strategy.name().to_string(),
-            points_added: points_added as u64,
-            scores: scores.to_vec(),
-        }
+            points_added: out.n_points_added as u64,
+            scores: out.scores,
+        };
+        self.record(rec.clone())?;
+        Ok((rec, false))
     }
 }
 
@@ -639,14 +631,14 @@ mod tests {
         let path = dir.join("run.ckpt");
         sample().write_atomic(&path).unwrap();
         assert!(matches!(
-            ExperimentLoop::resume("other_workload", 11, &path, None, None),
+            prepare_resume("other_workload", 11, &path, None),
             Err(ExperimentError::CheckpointMismatch { .. })
         ));
         assert!(matches!(
-            ExperimentLoop::resume("table1_scream", 99, &path, None, None),
+            prepare_resume("table1_scream", 99, &path, None),
             Err(ExperimentError::CheckpointMismatch { .. })
         ));
-        assert!(ExperimentLoop::resume("table1_scream", 11, &path, None, None).is_ok());
+        assert!(prepare_resume("table1_scream", 11, &path, None).is_ok());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -674,9 +666,27 @@ mod tests {
         .unwrap();
         assert_eq!(lp.completed(0).unwrap().points_added, 40);
 
-        let resumed = ExperimentLoop::resume("w", 1, &path, None, None).unwrap();
+        let ckpt = prepare_resume("w", 1, &path, None).unwrap();
+        let mut resumed = ExperimentLoop::from_checkpoint(ckpt, None, None);
         assert_eq!(resumed.completed(0).unwrap().scores, vec![0.5]);
         assert!(resumed.completed(1).is_none());
+
+        // run_round reuses the checkpointed round without running it...
+        let never = || -> crate::Result<StrategyOutcome> { panic!("a resumed round must not run") };
+        let (rec, was_resumed) = resumed.run_round(0, Strategy::Uniform, never).unwrap();
+        assert!(was_resumed);
+        assert_eq!(rec.scores, vec![0.5]);
+        // ...and a checkpoint naming another strategy is a typed mismatch.
+        let err = resumed
+            .run_round(0, Strategy::WithinAle, never)
+            .expect_err("strategy mismatch");
+        assert!(
+            matches!(
+                err,
+                crate::CoreError::Experiment(ExperimentError::CheckpointMismatch { .. })
+            ),
+            "{err}"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -46,7 +46,6 @@ pub mod feedback;
 pub mod qbc;
 pub mod quality;
 pub mod report;
-pub mod summary;
 pub mod uncertainty;
 pub mod uniform;
 pub mod upsampling;
@@ -56,7 +55,6 @@ pub use checkpoint::{Checkpoint, ExperimentError, ExperimentLoop, RoundRecord};
 pub use experiment::{run_strategy, ExperimentConfig, Strategy, StrategyOutcome};
 pub use feedback::{Feedback, Labeler, Suggestion};
 pub use report::Table;
-pub use summary::{LedgerSummary, SummaryHandle};
 
 /// Errors from the feedback layer.
 #[derive(Debug)]

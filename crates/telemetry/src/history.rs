@@ -23,10 +23,12 @@
 //!  "trials_failed":3,"rounds":12}
 //! ```
 //!
-//! Perf fields come from the BENCH record; `final_acc` and the
-//! trial/failure/round counts come from the ledger summary
-//! (`aml_core::summary`). `final_acc` is `null` when the run completed
-//! no feedback rounds (the figure bins, for instance).
+//! Perf fields come from the BENCH record; `final_acc`, `ece` and the
+//! trial/failure/round counts come from [`LedgerSummary`], the one fold
+//! that turns ledger events into them — live under `--record`, over the
+//! rep-0 ledger in `perfgate --record`, and over the job's ledger in
+//! `amlserve`. `final_acc` is `null` when the run completed no feedback
+//! rounds (the figure bins, for instance).
 //!
 //! ## Versioning and off-is-free
 //!
@@ -36,6 +38,7 @@
 //! no thread, no allocation, no file handle.
 
 use crate::json;
+use crate::ledger::{Fold, LedgerEvent};
 use std::io::Write;
 use std::path::Path;
 
@@ -161,6 +164,61 @@ impl HistoryRecord {
             .append(true)
             .open(path)?;
         file.write_all(line.as_bytes())
+    }
+}
+
+/// The ML totals a completed run is remembered by, folded from its
+/// ledger: how many trials finished and failed, how many feedback rounds
+/// ran, and the last round's accuracy and calibration.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LedgerSummary {
+    /// `trial_finished` ledger events observed.
+    pub trials_finished: u64,
+    /// `trial_failed` ledger events observed.
+    pub trials_failed: u64,
+    /// `round_completed` ledger events observed.
+    pub rounds: u64,
+    /// Mean accuracy of the last completed feedback round; `None` before
+    /// the first round or when that accuracy is not finite.
+    pub final_acc: Option<f64>,
+    /// Expected Calibration Error of the last `model_diagnostics` event;
+    /// `None` before the first one or when it is not finite.
+    pub ece: Option<f64>,
+}
+
+impl LedgerSummary {
+    /// Nothing observed yet.
+    pub const fn new() -> LedgerSummary {
+        LedgerSummary {
+            trials_finished: 0,
+            trials_failed: 0,
+            rounds: 0,
+            final_acc: None,
+            ece: None,
+        }
+    }
+}
+
+impl Fold for LedgerSummary {
+    fn observe(&mut self, event: &LedgerEvent) {
+        match event {
+            LedgerEvent::TrialFinished { .. } => self.trials_finished += 1,
+            LedgerEvent::TrialFailed { .. } => self.trials_failed += 1,
+            LedgerEvent::RoundCompleted { acc_mean, .. } => {
+                self.rounds += 1;
+                self.final_acc = Some(*acc_mean).filter(|a| a.is_finite());
+            }
+            LedgerEvent::ModelDiagnostics {
+                bin_count,
+                bin_conf_sum,
+                bin_hit,
+                ..
+            } => {
+                let ece = crate::quality::ece_from_bins(bin_count, bin_conf_sum, bin_hit);
+                self.ece = Some(ece).filter(|e| e.is_finite());
+            }
+            _ => {}
+        }
     }
 }
 
@@ -291,5 +349,102 @@ mod tests {
         assert!(lines[0].contains("\"seed\":11"));
         assert!(lines[1].contains("\"seed\":12"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn summary_tallies_trials_failures_and_rounds() {
+        let round = |round: u64, acc_mean: f64| LedgerEvent::RoundCompleted {
+            round,
+            strategy: "Within-ALE".into(),
+            acc_mean,
+            acc_min: acc_mean - 0.02,
+            acc_max: acc_mean + 0.02,
+            points_added: 50,
+            regions: 1,
+            ale_std_mean: 0.0,
+            ale_std_max: 0.0,
+        };
+        let mut events: Vec<LedgerEvent> = (0..3)
+            .map(|trial| LedgerEvent::TrialFinished {
+                trial,
+                rung: 0,
+                family: "forest".into(),
+                score: 0.8,
+            })
+            .collect();
+        events.push(LedgerEvent::TrialFailed {
+            trial: 3,
+            rung: 0,
+            family: "mlp".into(),
+            reason: "error".into(),
+        });
+        events.push(round(0, 0.82));
+        events.push(round(1, 0.91));
+        assert_eq!(LedgerSummary::from_events(&[]), LedgerSummary::new());
+        let summary = LedgerSummary::from_events(&events);
+        assert_eq!(
+            summary,
+            LedgerSummary {
+                trials_finished: 3,
+                trials_failed: 1,
+                rounds: 2,
+                final_acc: Some(0.91),
+                ece: None,
+            }
+        );
+        // A model_diagnostics event fills in the calibration summary.
+        events.push(LedgerEvent::ModelDiagnostics {
+            round: 1,
+            strategy: "Within-ALE".into(),
+            rows: 4,
+            classes: vec!["a".into(), "b".into()],
+            confusion: vec![vec![2, 0], vec![1, 1]],
+            brier: 0.2,
+            bin_count: vec![4],
+            bin_conf_sum: vec![3.2],
+            bin_hit: vec![3],
+            ale_band_width: 0.0,
+        });
+        let ece = LedgerSummary::from_events(&events)
+            .ece
+            .expect("diagnostics set ece");
+        assert!((ece - 0.05).abs() < 1e-12, "{ece}");
+    }
+
+    #[test]
+    fn summary_reads_non_finite_round_accuracy_as_none() {
+        let summary = LedgerSummary::from_events(&[LedgerEvent::RoundCompleted {
+            round: 0,
+            strategy: "Random".into(),
+            acc_mean: f64::NAN,
+            acc_min: f64::NAN,
+            acc_max: f64::NAN,
+            points_added: 0,
+            regions: 0,
+            ale_std_mean: 0.0,
+            ale_std_max: 0.0,
+        }]);
+        assert_eq!(summary.rounds, 1);
+        assert_eq!(summary.final_acc, None);
+    }
+
+    #[test]
+    fn armed_summary_store_folds_emitted_events_and_writes_nothing() {
+        static STORE: crate::ledger::FoldStore<LedgerSummary> =
+            crate::ledger::FoldStore::new("ledger summary (in memory)", LedgerSummary::new());
+        let _guard = crate::test_lock::hold();
+        STORE.arm(LedgerSummary::new());
+        assert!(crate::ledger::active(), "arming raises the ledger gate");
+        crate::ledger::emit(&LedgerEvent::TrialFailed {
+            trial: 0,
+            rung: 0,
+            family: "mlp".into(),
+            reason: "error".into(),
+        });
+        let finished = crate::sink::finish(&crate::Snapshot::default());
+        assert_eq!(finished.len(), 1);
+        assert_eq!(finished[0].0, "ledger summary (in memory)");
+        assert!(finished[0].1.is_ok());
+        assert_eq!(STORE.read(|s, armed| (s.trials_failed, armed)), (1, false));
     }
 }

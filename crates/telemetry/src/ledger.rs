@@ -733,8 +733,6 @@ pub(crate) fn set_active(on: bool) {
 /// allocates.
 pub fn emit(event: &LedgerEvent) {
     if active() {
-        crate::searchview::observe(event);
-        crate::quality::observe(event);
         crate::sink::emit_ledger_event(event);
     }
 }
@@ -745,10 +743,7 @@ pub fn emit(event: &LedgerEvent) {
 #[inline]
 pub fn emit_with(f: impl FnOnce() -> LedgerEvent) {
     if active() {
-        let event = f();
-        crate::searchview::observe(&event);
-        crate::quality::observe(&event);
-        crate::sink::emit_ledger_event(&event);
+        crate::sink::emit_ledger_event(&f());
     }
 }
 
@@ -876,6 +871,111 @@ impl Sink for LedgerJsonlSink {
 
     fn target(&self) -> String {
         self.target.clone()
+    }
+}
+
+/// An in-process reader of the ledger: a value that folds events one at
+/// a time. The search and quality collectors and the run summary are
+/// folds. Each runs live, fed by the sink a [`FoldStore`] installs, and
+/// offline over a parsed `ledger.jsonl` through [`Fold::from_events`] —
+/// one piece of code both ways, so a live report equals its offline
+/// recompute by construction.
+pub trait Fold: Default + Send + 'static {
+    /// Ingest one event; events this fold does not read are ignored.
+    fn observe(&mut self, event: &LedgerEvent);
+
+    /// Fold a sequence of events into a fresh value.
+    fn from_events<'a>(events: impl IntoIterator<Item = &'a LedgerEvent>) -> Self {
+        let mut fold = Self::default();
+        for event in events {
+            fold.observe(event);
+        }
+        fold
+    }
+}
+
+/// Process-global home of one live [`Fold`] (the state behind `/search`,
+/// `/quality` or a `--record` line). [`FoldStore::arm`] installs a sink
+/// that feeds it every ledger event, and a resumed run's kept prefix
+/// through [`crate::sink::replay_ledger`]. The sink's `finish` disarms
+/// the store; the folded state stays readable after the run.
+pub struct FoldStore<F> {
+    target: &'static str,
+    slot: Mutex<FoldSlot<F>>,
+}
+
+struct FoldSlot<F> {
+    fold: F,
+    armed: bool,
+}
+
+impl<F: Fold> FoldStore<F> {
+    /// A disarmed store holding `fold`; `target` names its sink in the
+    /// end-of-run notes.
+    pub const fn new(target: &'static str, fold: F) -> FoldStore<F> {
+        FoldStore {
+            target,
+            slot: Mutex::new(FoldSlot { fold, armed: false }),
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, FoldSlot<F>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Start the store over from `fresh` and, unless a sink already
+    /// feeds it, install one (raising the ledger emission gate).
+    pub fn arm(&'static self, fresh: F) {
+        let mut slot = self.lock();
+        slot.fold = fresh;
+        if !std::mem::replace(&mut slot.armed, true) {
+            drop(slot);
+            crate::sink::install(Box::new(FoldSink(self)));
+        }
+    }
+
+    /// Run `f` over the folded state and whether a sink still feeds it.
+    pub fn read<R>(&self, f: impl FnOnce(&F, bool) -> R) -> R {
+        let slot = self.lock();
+        f(&slot.fold, slot.armed)
+    }
+
+    /// Disarmed and back to `F::default()` — the never-armed state.
+    #[cfg(test)]
+    pub(crate) fn clear(&self) {
+        *self.lock() = FoldSlot {
+            fold: F::default(),
+            armed: false,
+        };
+    }
+}
+
+/// The sink an armed [`FoldStore`] installs: folds live and replayed
+/// events into the store, writes nothing.
+struct FoldSink<F: 'static>(&'static FoldStore<F>);
+
+impl<F: Fold> Sink for FoldSink<F> {
+    fn on_span_close(&self, _event: &SpanEvent) {}
+
+    fn on_ledger_event(&self, event: &LedgerEvent) {
+        self.0.lock().fold.observe(event);
+    }
+
+    fn on_ledger_replay(&self, event: &LedgerEvent) {
+        self.on_ledger_event(event);
+    }
+
+    fn wants_ledger(&self) -> bool {
+        true
+    }
+
+    fn finish(&self, _snapshot: &Snapshot) -> std::io::Result<()> {
+        self.0.lock().armed = false;
+        Ok(())
+    }
+
+    fn target(&self) -> String {
+        self.0.target.to_string()
     }
 }
 

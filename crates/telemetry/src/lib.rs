@@ -99,10 +99,10 @@ pub mod tracetree;
 
 pub use alloc::AllocStats;
 pub use crit::{CritReport, CRIT_SCHEMA_VERSION};
-pub use history::{HistoryRecord, HISTORY_SCHEMA_VERSION};
+pub use history::{HistoryRecord, LedgerSummary, HISTORY_SCHEMA_VERSION};
 pub use ledger::{
-    EnsembleMember, LedgerEvent, LedgerJsonlSink, ParamValue, SpaceDim, SpaceFamily,
-    LEDGER_SCHEMA_VERSION,
+    EnsembleMember, Fold, FoldStore, LedgerEvent, LedgerJsonlSink, ParamValue, SpaceDim,
+    SpaceFamily, LEDGER_SCHEMA_VERSION,
 };
 pub use manifest::Manifest;
 pub use progress::{note, report, warn, Progress};

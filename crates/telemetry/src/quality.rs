@@ -5,7 +5,7 @@
 //! fast* the pipeline runs and *where the search goes*; nobody watches
 //! what the model actually learned or whether the data it sees is
 //! shifting. This module closes that gap with the same
-//! armed-collector/off-is-free design as [`crate::searchview`]:
+//! live-fold/off-is-free design as [`crate::searchview`]:
 //!
 //! * **write side** — `aml-core::experiment` computes, once per feedback
 //!   round, a [`FeatureProfile`] per feature for the train and eval
@@ -16,30 +16,26 @@
 //!   precision/recall/F1, ECE, PSI) is recomputed on the read side so a
 //!   `quality.json` and an `amlinspect quality` recompute from the ledger are
 //!   byte-identical.
-//! * **collector** — a [`QualityCollector`] keeps a copy of each quality
-//!   event. The global one is fed by [`observe`] while armed
-//!   ([`set_active`]); the offline recompute from a `ledger.jsonl` folds
-//!   the parsed events through the same type. [`live_json`] serves the current
+//! * **collector** — a [`QualityCollector`] [`Fold`] keeps a copy of each
+//!   quality event. [`arm`] puts a fresh one in the live store and
+//!   installs the sink that feeds it; the offline recompute from a
+//!   `ledger.jsonl` folds the parsed events through the same type. [`live_json`] serves the current
 //!   report at `/quality` mid-run, and [`write_json`] renders the final
 //!   pinned-field-order `quality.json` behind `--quality-out`.
 //! * **drift** — [`psi`] scores each feature's histogram against a
 //!   reference: the previous round's profile by default, or a baseline
-//!   loaded from a prior run's `quality.json` (`--quality-ref`,
-//!   installed via [`set_reference`]). Bins are epsilon-smoothed so an
+//!   loaded from a prior run's `quality.json` (`--quality-ref`, handed
+//!   to [`arm`]). Bins are epsilon-smoothed so an
 //!   empty bin can never produce an infinite score.
 //!
-//! Disarmed, everything is free: [`observe`] is one relaxed atomic
-//! load, the collector stays empty, and `/quality` answers with the
+//! Unarmed, everything is free: no sink is installed, ledger emission
+//! is one relaxed atomic load, and `/quality` answers with the
 //! `{"active":false}` sentinel.
 
 use crate::json;
-use crate::ledger::LedgerEvent;
-use crate::sink::{Sink, SpanEvent};
-use crate::Snapshot;
+use crate::ledger::{Fold, FoldStore, LedgerEvent};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Version stamped into `quality.json` and the `/quality` route. Bump
 /// only on breaking shape changes; the read side rejects newer versions.
@@ -911,12 +907,12 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Armed collector (off-is-free, searchview pattern)
+// Live collector (off-is-free, searchview pattern)
 // ---------------------------------------------------------------------
 
 /// The quality collector: a copy of each quality event (capped at
 /// `EVENT_CAP`, later events count as dropped) plus the optional drift
-/// baseline. The armed global behind `--quality-out`/`/quality` and the
+/// baseline. The live store behind `--quality-out`/`/quality` and the
 /// offline recompute from a `ledger.jsonl` both fold events through this
 /// one type, so the two reports agree by construction.
 #[derive(Debug, Clone, Default)]
@@ -927,37 +923,13 @@ pub struct QualityCollector {
 }
 
 impl QualityCollector {
-    /// An empty collector with no drift baseline.
-    pub const fn new() -> QualityCollector {
+    /// An empty collector drifting against `reference` (the previous
+    /// round when `None`).
+    pub const fn new(reference: Option<QualityReference>) -> QualityCollector {
         QualityCollector {
             events: Vec::new(),
-            reference: None,
+            reference,
             dropped: 0,
-        }
-    }
-
-    /// Fold a sequence of ledger events into a fresh collector.
-    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a LedgerEvent>) -> QualityCollector {
-        let mut c = QualityCollector::new();
-        for event in events {
-            c.observe(event);
-        }
-        c
-    }
-
-    /// Record `event` if it is a quality event (`dataset_profile` or
-    /// `model_diagnostics`); other events are ignored.
-    pub fn observe(&mut self, event: &LedgerEvent) {
-        if !matches!(
-            event,
-            LedgerEvent::DatasetProfile { .. } | LedgerEvent::ModelDiagnostics { .. }
-        ) {
-            return;
-        }
-        if self.events.len() >= EVENT_CAP {
-            self.dropped += 1;
-        } else {
-            self.events.push(event.clone());
         }
     }
 
@@ -972,75 +944,64 @@ impl QualityCollector {
     }
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-static STORE: Mutex<QualityCollector> = Mutex::new(QualityCollector::new());
-
-fn store() -> MutexGuard<'static, QualityCollector> {
-    STORE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arm or disarm the quality collector. Armed, [`observe`] records
-/// quality events; disarmed, observation is one relaxed atomic load.
-pub fn set_active(on: bool) {
-    ACTIVE.store(on, Ordering::Release);
-}
-
-/// Whether the collector is currently armed.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Clear all recorded quality state (events, reference, drop counter).
-pub fn reset() {
-    *store() = QualityCollector::new();
-}
-
-/// Install the drift baseline loaded from a previous run's
-/// `quality.json` (`--quality-ref`). Replaces any prior reference.
-pub fn set_reference(reference: QualityReference) {
-    store().reference = Some(reference);
-}
-
-/// Record a ledger event in the global collector if it is armed. Called
-/// from the ledger emission path for every event.
-pub fn observe(event: &LedgerEvent) {
-    if active() {
-        store().observe(event);
+impl Fold for QualityCollector {
+    /// Records quality events (`dataset_profile`, `model_diagnostics`);
+    /// other events are ignored.
+    fn observe(&mut self, event: &LedgerEvent) {
+        if !matches!(
+            event,
+            LedgerEvent::DatasetProfile { .. } | LedgerEvent::ModelDiagnostics { .. }
+        ) {
+            return;
+        }
+        if self.events.len() >= EVENT_CAP {
+            self.dropped += 1;
+        } else {
+            self.events.push(event.clone());
+        }
     }
 }
 
-/// Reduce the global collector's events into a [`QualityReport`].
-pub fn analyze() -> QualityReport {
-    store().report()
+/// The live collector behind `--quality-out` and `/quality`.
+static STORE: FoldStore<QualityCollector> =
+    FoldStore::new("quality collector (in memory)", QualityCollector::new(None));
+
+/// Arm the live collector for a new run: it starts empty, drifts against
+/// `reference` (a previous run's `quality.json`, `--quality-ref`) or the
+/// previous round, and every ledger event from here on is folded into it.
+pub fn arm(reference: Option<QualityReference>) {
+    STORE.arm(QualityCollector::new(reference));
 }
 
 /// The `/quality` route body: the live report as JSON, or the
 /// `{"active":false}` sentinel when the collector is disarmed and has
 /// recorded nothing.
 pub fn live_json() -> String {
-    let c = store();
-    if c.is_empty() && !active() {
-        return "{\"active\":false}\n".to_string();
-    }
-    c.report().render_json()
+    STORE.read(|c, armed| {
+        if c.is_empty() && !armed {
+            "{\"active\":false}\n".to_string()
+        } else {
+            c.report().render_json()
+        }
+    })
 }
 
 /// Prometheus gauges for the `/metrics` route; empty when the collector
 /// has recorded nothing.
 pub fn prometheus_gauges() -> String {
-    let c = store();
-    if c.is_empty() {
-        return String::new();
-    }
-    c.report().render_prometheus()
+    STORE.read(|c, _| {
+        if c.is_empty() {
+            String::new()
+        } else {
+            c.report().render_prometheus()
+        }
+    })
 }
 
-/// Render the report and write it to `path` (creating parent
-/// directories), returning the report for further rendering.
+/// Render the live collector's report and write it to `path` (creating
+/// parent directories), returning the report for further rendering.
 pub fn write_json(path: &Path) -> std::io::Result<QualityReport> {
-    let report = analyze();
+    let report = STORE.read(|c, _| c.report());
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -1048,28 +1009,6 @@ pub fn write_json(path: &Path) -> std::io::Result<QualityReport> {
     }
     std::fs::write(path, report.render_json())?;
     Ok(report)
-}
-
-/// A no-op sink whose only job is to raise the ledger emission gate
-/// (`wants_ledger`), so `--quality-out` works without `--ledger-out`.
-pub struct GateSink;
-
-impl Sink for GateSink {
-    fn on_span_close(&self, _event: &SpanEvent) {}
-
-    fn on_ledger_event(&self, _event: &LedgerEvent) {}
-
-    fn wants_ledger(&self) -> bool {
-        true
-    }
-
-    fn finish(&self, _snapshot: &Snapshot) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    fn target(&self) -> String {
-        "quality collector (in memory)".into()
-    }
 }
 
 #[cfg(test)]
@@ -1348,30 +1287,31 @@ mod tests {
     #[test]
     fn collector_round_trips_and_serves_the_inactive_sentinel() {
         let _guard = crate::test_lock::hold();
-        reset();
-        set_active(false);
+        STORE.clear();
         assert_eq!(live_json(), "{\"active\":false}\n");
         assert_eq!(prometheus_gauges(), "");
-        // Disarmed observation records nothing.
-        observe(&diag_event(0, 20));
+        // Unarmed, emitted events reach no collector.
+        crate::ledger::emit(&diag_event(0, 20));
         assert_eq!(live_json(), "{\"active\":false}\n");
-        set_active(true);
-        observe(&profile_event(0, "train", &[0.1, 0.9]));
-        observe(&diag_event(0, 20));
+        arm(None);
+        // Armed but empty: an active, empty report.
+        assert!(live_json().starts_with("{\"active\":true,"));
+        crate::ledger::emit(&profile_event(0, "train", &[0.1, 0.9]));
+        crate::ledger::emit(&diag_event(0, 20));
         // Non-quality events are ignored.
-        observe(&LedgerEvent::TrialFinished {
+        crate::ledger::emit(&LedgerEvent::TrialFinished {
             trial: 0,
             rung: 0,
             family: "forest".to_string(),
             score: 0.5,
         });
-        let report = analyze();
+        let report = STORE.read(|c, _| c.report());
         assert_eq!(report.rounds.len(), 1);
         assert_eq!(report.profiles.len(), 1);
         assert_eq!(live_json(), report.render_json());
         assert!(!prometheus_gauges().is_empty());
         // Disarmed with data still serves the last report (finish() path).
-        set_active(false);
+        crate::sink::finish(&crate::Snapshot::default());
         assert_eq!(live_json(), report.render_json());
         let dir = std::env::temp_dir().join(format!("aml_quality_{}", std::process::id()));
         let path = dir.join("nested/quality.json");
@@ -1381,34 +1321,16 @@ mod tests {
             written.render_json()
         );
         std::fs::remove_dir_all(&dir).ok();
-        reset();
+        STORE.clear();
         assert_eq!(live_json(), "{\"active\":false}\n");
-    }
-
-    fn diag_event_template() -> LedgerEvent {
-        diag_event(0, 20)
     }
 
     #[test]
     fn store_cap_counts_dropped_events() {
-        let _guard = crate::test_lock::hold();
-        reset();
-        set_active(true);
-        for _ in 0..(EVENT_CAP + 3) {
-            observe(&diag_event_template());
-        }
-        let report = analyze();
+        let events = vec![diag_event(0, 20); EVENT_CAP + 3];
+        let report = QualityCollector::from_events(&events).report();
         assert_eq!(report.dropped, 3);
         assert!(report.render_json().contains("\"dropped\":3"));
-        set_active(false);
-        reset();
-    }
-
-    #[test]
-    fn gate_sink_raises_the_ledger_gate_and_writes_nothing() {
-        let sink = GateSink;
-        assert!(sink.wants_ledger());
-        assert_eq!(sink.target(), "quality collector (in memory)");
     }
 }
 

@@ -12,12 +12,12 @@
 //! A [`SearchCollector`] keeps the declared [`SpaceFamily`] descriptors
 //! (from the once-per-run `search_space` event) plus one [`TrialRec`]
 //! per `trial_started`, settled by the matching `trial_finished` /
-//! `trial_failed` line. The global collector is fed by [`observe`],
-//! called from `ledger::emit`/`emit_with` for every ledger event while
-//! armed ([`set_active`]) — one relaxed atomic load when it is not, so
-//! the off path stays free. The offline recompute from a `ledger.jsonl`
-//! folds the parsed events through the same type, so the two reports
-//! agree by construction. [`analyze`] is pure and order-independent: it
+//! `trial_failed` line. It is a [`Fold`]: [`arm`] puts a fresh one in
+//! the live store behind `--search-out`/`/search` and installs the sink
+//! that feeds it, and the offline recompute from a `ledger.jsonl` folds
+//! the parsed events through the same type, so the two reports agree by
+//! construction. Unarmed, nothing is installed and ledger emission stays
+//! one relaxed atomic load. [`analyze`] is pure and order-independent: it
 //! sorts the records by content first, so the report is byte-identical
 //! whether the search ran on 1 or N workers — the same determinism
 //! contract as `crit.json`.
@@ -44,13 +44,9 @@
 //! dashboard's search-explorer panel (which consumes the JSON).
 
 use crate::json;
-use crate::ledger::{LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
-use crate::registry::Snapshot;
-use crate::sink::{Sink, SpanEvent};
+use crate::ledger::{Fold, FoldStore, LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Schema version stamped into `search.json`.
 pub const SEARCH_SCHEMA_VERSION: u32 = 1;
@@ -88,9 +84,9 @@ pub struct TrialRec {
 
 /// The search collector: the declared space plus one [`TrialRec`] per
 /// `trial_started` event, settled by the matching outcome event. The
-/// armed global behind `--search-out`/`/search` and the offline
-/// recompute from a `ledger.jsonl` both fold events through this one
-/// type, so the two reports agree by construction — cap included.
+/// live store behind `--search-out`/`/search` and the offline recompute
+/// from a `ledger.jsonl` both fold events through this one type, so the
+/// two reports agree by construction — cap included.
 #[derive(Debug, Clone, Default)]
 pub struct SearchCollector {
     space: Vec<SpaceFamily>,
@@ -108,19 +104,45 @@ impl SearchCollector {
         }
     }
 
-    /// Fold a sequence of ledger events into a fresh collector.
-    pub fn from_events<'a>(events: impl IntoIterator<Item = &'a LedgerEvent>) -> SearchCollector {
-        let mut c = SearchCollector::new();
-        for event in events {
-            c.observe(event);
+    /// Settle the most recent unsettled record for `(trial, rung,
+    /// family)`. Trial ids repeat across the many searches of one run,
+    /// so matching from the back pairs each outcome with its own start.
+    fn settle(
+        &mut self,
+        trial: u64,
+        rung: u64,
+        family: &str,
+        score: Option<f64>,
+        failed: Option<String>,
+    ) {
+        if let Some(rec) = self.trials.iter_mut().rev().find(|r| {
+            r.trial == trial
+                && r.rung == rung
+                && r.family == family
+                && r.score.is_none()
+                && r.failed.is_none()
+        }) {
+            rec.score = score;
+            rec.failed = failed;
         }
-        c
     }
 
-    /// Ingest one ledger event; non-search events are ignored. The first
-    /// `search_space` event wins (a resumed run that re-emitted keeps the
-    /// original), and starts past [`TRIAL_CAP`] count as dropped.
-    pub fn observe(&mut self, event: &LedgerEvent) {
+    /// Whether nothing has been collected.
+    pub fn is_empty(&self) -> bool {
+        self.space.is_empty() && self.trials.is_empty()
+    }
+
+    /// Analyze the collected records.
+    pub fn report(&self) -> SearchReport {
+        analyze(&self.space, &self.trials, self.dropped)
+    }
+}
+
+impl Fold for SearchCollector {
+    /// Non-search events are ignored. The first `search_space` event wins
+    /// (a resumed run that re-emitted keeps the original), and starts
+    /// past [`TRIAL_CAP`] count as dropped.
+    fn observe(&mut self, event: &LedgerEvent) {
         match event {
             LedgerEvent::SearchSpace { families } if self.space.is_empty() => {
                 self.space = families.clone();
@@ -160,72 +182,16 @@ impl SearchCollector {
             _ => {}
         }
     }
-
-    /// Settle the most recent unsettled record for `(trial, rung,
-    /// family)`. Trial ids repeat across the many searches of one run,
-    /// so matching from the back pairs each outcome with its own start.
-    fn settle(
-        &mut self,
-        trial: u64,
-        rung: u64,
-        family: &str,
-        score: Option<f64>,
-        failed: Option<String>,
-    ) {
-        if let Some(rec) = self.trials.iter_mut().rev().find(|r| {
-            r.trial == trial
-                && r.rung == rung
-                && r.family == family
-                && r.score.is_none()
-                && r.failed.is_none()
-        }) {
-            rec.score = score;
-            rec.failed = failed;
-        }
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.space.is_empty() && self.trials.is_empty()
-    }
-
-    /// Analyze the collected records.
-    pub fn report(&self) -> SearchReport {
-        analyze(&self.space, &self.trials, self.dropped)
-    }
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
+/// The live collector behind `--search-out` and `/search`.
+static STORE: FoldStore<SearchCollector> =
+    FoldStore::new("search collector", SearchCollector::new());
 
-static STORE: Mutex<SearchCollector> = Mutex::new(SearchCollector::new());
-
-fn store() -> MutexGuard<'static, SearchCollector> {
-    STORE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arm (or disarm) the collector. Arming does not clear previous state —
-/// call [`reset`] for a fresh run.
-pub fn set_active(on: bool) {
-    ACTIVE.store(on, Ordering::Release);
-}
-
-/// Whether the collector is currently recording.
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Clear all recorded state (space, trials, drop count).
-pub fn reset() {
-    *store() = SearchCollector::new();
-}
-
-/// Ingest one ledger event into the global collector. Called from
-/// `ledger::emit`/`emit_with`; a no-op (one relaxed load) unless armed.
-pub fn observe(event: &LedgerEvent) {
-    if active() {
-        store().observe(event);
-    }
+/// Arm the live collector for a new run: it starts empty and every
+/// ledger event from here on is folded into it.
+pub fn arm() {
+    STORE.arm(SearchCollector::new());
 }
 
 /// One rung of the successive-halving funnel, aggregated over every
@@ -731,8 +697,8 @@ impl SearchReport {
 /// `{"active":false}`.
 pub fn live_json() -> String {
     // Analyze a copy, so emitters never wait on the analysis.
-    let c = store().clone();
-    if c.is_empty() && !active() {
+    let (c, armed) = STORE.read(|c, armed| (c.clone(), armed));
+    if c.is_empty() && !armed {
         return "{\"active\":false}\n".to_string();
     }
     c.report().render_json()
@@ -741,32 +707,9 @@ pub fn live_json() -> String {
 /// Write the report for the current collector state to `path` and return
 /// the rendered report for further display.
 pub fn write_json(path: &std::path::Path) -> std::io::Result<SearchReport> {
-    let c = store().clone();
-    let report = c.report();
+    let report = STORE.read(|c, _| c.clone()).report();
     std::fs::write(path, report.render_json())?;
     Ok(report)
-}
-
-/// A no-op sink whose only job is to raise the ledger emission gate
-/// (same trick as the summary collector): `--search-out` without any
-/// other ledger consumer still needs `trial_started` lines flowing into
-/// [`observe`].
-pub struct GateSink;
-
-impl Sink for GateSink {
-    fn on_span_close(&self, _event: &SpanEvent) {}
-
-    fn wants_ledger(&self) -> bool {
-        true
-    }
-
-    fn finish(&self, _snapshot: &Snapshot) -> std::io::Result<()> {
-        Ok(())
-    }
-
-    fn target(&self) -> String {
-        "search collector".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -958,38 +901,38 @@ mod tests {
     #[test]
     fn observe_collects_and_settles_trials() {
         let _guard = crate::test_lock::hold();
-        reset();
-        set_active(true);
-        observe(&LedgerEvent::SearchSpace {
+        arm();
+        let emit = crate::ledger::emit;
+        emit(&LedgerEvent::SearchSpace {
             families: knn_space(),
         });
-        observe(&LedgerEvent::TrialStarted {
+        emit(&LedgerEvent::TrialStarted {
             trial: 0,
             rung: 0,
             family: "knn".into(),
             config: "KnnConfig".into(),
             params: vec![("k".into(), ParamValue::Int(3))],
         });
-        observe(&LedgerEvent::TrialFinished {
+        emit(&LedgerEvent::TrialFinished {
             trial: 0,
             rung: 0,
             family: "knn".into(),
             score: 0.8,
         });
-        observe(&LedgerEvent::TrialStarted {
+        emit(&LedgerEvent::TrialStarted {
             trial: 1,
             rung: 0,
             family: "knn".into(),
             config: "KnnConfig".into(),
             params: vec![("k".into(), ParamValue::Int(5))],
         });
-        observe(&LedgerEvent::TrialFailed {
+        emit(&LedgerEvent::TrialFailed {
             trial: 1,
             rung: 0,
             family: "knn".into(),
             reason: "panic".into(),
         });
-        let c = store().clone();
+        let c = STORE.read(|c, _| c.clone());
         assert_eq!(c.space.len(), 1);
         assert_eq!(c.trials.len(), 2);
         assert_eq!(c.trials[0].score, Some(0.8));
@@ -997,8 +940,10 @@ mod tests {
         assert_eq!(c.dropped, 0);
         let live = live_json();
         assert!(live.starts_with("{\"active\":true,"), "{live}");
-        set_active(false);
-        reset();
+        // Finishing the sinks disarms the store; the data stays served.
+        crate::sink::finish(&crate::Snapshot::default());
+        assert_eq!(live_json(), live);
+        STORE.clear();
         // Disarmed and empty: the sentinel payload.
         assert_eq!(live_json(), "{\"active\":false}\n");
     }
@@ -1006,15 +951,15 @@ mod tests {
     #[test]
     fn observe_is_a_no_op_when_disarmed() {
         let _guard = crate::test_lock::hold();
-        set_active(false);
-        reset();
-        observe(&LedgerEvent::TrialStarted {
+        STORE.clear();
+        crate::ledger::emit(&LedgerEvent::TrialStarted {
             trial: 0,
             rung: 0,
             family: "knn".into(),
             config: String::new(),
             params: vec![],
         });
-        assert!(store().trials.is_empty());
+        assert!(STORE.read(|c, armed| c.trials.is_empty() && !armed));
+        assert_eq!(live_json(), "{\"active\":false}\n");
     }
 }

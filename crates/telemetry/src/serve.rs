@@ -522,11 +522,6 @@ pub fn start(addr: &str, header: &RunHeader) -> std::io::Result<SocketAddr> {
         .name("aml-telemetry-serve".into())
         .spawn(move || serve_loop(listener, stop_seen, state))?;
     reset_status();
-    // The live plane answers /search and /quality from their collectors;
-    // arm them here (without clearing — `--search-out`/`--quality-out`
-    // may have armed and reset them already during flag preparation).
-    crate::searchview::set_active(true);
-    crate::quality::set_active(true);
     crate::sink::install(Box::new(RingSink));
     *server_slot().lock().unwrap_or_else(PoisonError::into_inner) = Some(Server {
         addr: bound,
@@ -1011,6 +1006,10 @@ mod tests {
             seed: 1,
             git: "abc".into(),
         };
+        // The bins arm the search and quality collectors alongside
+        // --serve; /search and /quality answer from them.
+        crate::searchview::arm();
+        crate::quality::arm(None);
         let addr = start("127.0.0.1:0", &header).unwrap();
         assert!(active());
         assert_eq!(bound_addr(), Some(addr));
@@ -1055,17 +1054,17 @@ mod tests {
         assert!(crit.contains("application/json"), "{crit}");
         assert!(crit.contains("{\"active\":false}"), "{crit}");
 
-        // start() armed the search collector, so /search answers live —
-        // the emitted ledger event above flowed into it.
+        // The search collector is armed, so /search answers live — the
+        // emitted ledger event above flowed into it.
         let search = http_get(addr, "/search");
         assert!(search.contains("application/json"), "{search}");
         assert!(search.contains("\"active\":true"), "{search}");
         assert!(search.contains("\"schema_version\":1"), "{search}");
         assert!(search.contains("\"families\":["), "{search}");
 
-        // start() also armed the quality collector; before any quality
-        // event it serves an active-but-empty report, and a diagnostics
-        // event fills it in live.
+        // The quality collector is armed too; before any quality event
+        // it serves an active-but-empty report, and a diagnostics event
+        // fills it in live.
         let quality = http_get(addr, "/quality");
         assert!(quality.contains("application/json"), "{quality}");
         assert!(quality.contains("\"active\":true"), "{quality}");
@@ -1124,12 +1123,8 @@ mod tests {
         assert!(bound_addr().is_none());
         assert!(TcpStream::connect(addr).is_err() || http_get_err(addr));
 
-        // Drain the RingSink installed by start() and disarm the search
-        // and quality collectors it armed.
-        crate::searchview::set_active(false);
-        crate::searchview::reset();
-        crate::quality::set_active(false);
-        crate::quality::reset();
+        // Drain the RingSink installed by start() and the collectors'
+        // fold sinks.
         crate::sink::finish(&Snapshot::default());
         set_level(TelemetryLevel::Off);
         crate::global().reset();
@@ -1173,10 +1168,6 @@ mod tests {
             started.elapsed()
         );
 
-        crate::searchview::set_active(false);
-        crate::searchview::reset();
-        crate::quality::set_active(false);
-        crate::quality::reset();
         crate::sink::finish(&Snapshot::default());
         set_level(TelemetryLevel::Off);
         crate::global().reset();

@@ -88,6 +88,11 @@ pub trait Sink: Send + Sync {
     /// Called once per experiment-ledger event, but only when
     /// [`Sink::wants_ledger`] returns `true`. Default: ignore.
     fn on_ledger_event(&self, _event: &LedgerEvent) {}
+    /// Called once per event of a resumed run's kept ledger prefix
+    /// ([`replay_ledger`]). The in-process readers (fold sinks) take it,
+    /// so their reports cover the whole run; sinks that export events —
+    /// the ledger file, the live stream — ignore it. Default: ignore.
+    fn on_ledger_replay(&self, _event: &LedgerEvent) {}
     /// Whether this sink consumes [`LedgerEvent`]s. The ledger emission
     /// gate ([`crate::ledger::active`]) is only raised when at least one
     /// installed sink returns `true`, keeping emission off-is-free.
@@ -239,6 +244,17 @@ pub(crate) fn emit_ledger_event(event: &LedgerEvent) {
     {
         if sink.wants_ledger() {
             sink.on_ledger_event(event);
+        }
+    }
+}
+
+/// Replay the events a resumed run kept from its ledger to every
+/// installed sink's [`Sink::on_ledger_replay`].
+pub fn replay_ledger(events: &[LedgerEvent]) {
+    let sinks = sinks().lock().unwrap_or_else(PoisonError::into_inner);
+    for event in events {
+        for sink in sinks.iter() {
+            sink.on_ledger_replay(event);
         }
     }
 }
