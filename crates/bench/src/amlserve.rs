@@ -74,7 +74,7 @@ use aml_dataset::split::{split_into_k, three_way_split};
 use aml_dataset::{csv, synth, Dataset};
 use aml_faults::FaultPlan;
 use aml_telemetry::json::{self, Value};
-use aml_telemetry::serve::{dashboard_html, render_history_json, HttpRequest};
+use aml_telemetry::serve::{dashboard_html, render_history_array, HttpRequest};
 use aml_telemetry::serve::{read_request, render_prometheus, write_response};
 use aml_telemetry::sink::{self, RunHeader};
 use aml_telemetry::{Fold, HistoryRecord, LedgerJsonlSink, LedgerSummary, Snapshot};
@@ -1220,7 +1220,7 @@ impl Server {
             ("GET", "/healthz") => Response::json("200 OK", self.healthz_json()),
             ("GET", "/history") => Response::json(
                 "200 OK",
-                render_history_json(&self.cfg.history_path(), req.query.as_deref()),
+                render_history_array(&self.cfg.history_path(), req.query.as_deref()),
             ),
             ("GET", "/dashboard") => Response {
                 status: "200 OK",

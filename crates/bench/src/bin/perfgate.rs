@@ -1,37 +1,35 @@
 //! `perfgate` — the perf-regression gate (DESIGN.md §6).
 //!
-//! Three modes:
+//! Two modes:
 //!
 //! * **Run** (default): execute the benchmark workloads at a fixed seed,
 //!   collect their `BENCH_<workload>.json` reports over a few repeats,
 //!   and write the per-workload median report into the output directory.
 //!   Workload binaries are found next to `perfgate` itself (they are
-//!   cargo siblings in `target/<profile>/`). With `--record` each
-//!   workload additionally appends one cross-run history record (median
-//!   perf + the rep-0 ledger's accuracy/trial summary) to the
-//!   append-only history store.
-//! * **Compare** (`--compare OLD NEW`): diff two reports with the gate
-//!   math in [`aml_bench::gate`] and exit nonzero on regression, with a
-//!   human-readable table either way.
-//! * **Against history** (`--against-history N NEW...`): gate each BENCH
-//!   report against the rolling median of the last N history records of
-//!   its workload, so a regression is judged against the trajectory
-//!   instead of one frozen baseline. Missing history passes with a
-//!   warning (a brand-new workload must not fail CI).
+//!   cargo siblings in `target/<profile>/`). With `--record` rep 0 of
+//!   each workload records its own history line, and perfgate appends
+//!   that record with the median's perf numbers to the history store.
+//! * **Gate** (`--compare OLD NEW` or `--against-history N NEW...`):
+//!   judge each new BENCH report with the one gate in
+//!   [`aml_bench::gate`] against the per-metric median of a baseline
+//!   window — the OLD report alone, or the last N history records of the
+//!   report's workload — and print a table (or `--json`) verdict. Missing
+//!   history passes with a warning (a brand-new workload must not fail
+//!   CI).
 //!
 //! Exit codes: 0 pass, 1 regression (or a workload failed to run),
 //! 2 usage error.
 
 use aml_bench::critview::parse_crit;
 use aml_bench::gate::{
-    compare, gate_against_history, gate_quality_against_history, history_baseline, parse_history,
-    GateConfig, GateOutcome,
+    flatten_history, flatten_report, gate, history_window, parse_history, GateConfig, GateOutcome,
+    Measurement,
 };
 use aml_bench::qualityview::parse_quality_artifact;
 use aml_bench::report::{median_report, BenchReport};
 use aml_telemetry::history::DEFAULT_HISTORY_PATH;
 use aml_telemetry::json::Value;
-use aml_telemetry::{ledger, CritReport, Fold, HistoryRecord, LedgerSummary};
+use aml_telemetry::{CritReport, HistoryRecord};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -41,10 +39,11 @@ perfgate — run benchmark workloads and gate on perf regressions
 
 usage:
   perfgate [run options]            run workloads, write BENCH_<w>.json
-  perfgate --compare OLD NEW [...]  diff two BENCH reports, exit 1 on regression
-  perfgate --against-history N NEW... [...]
-                                    gate BENCH reports against the rolling
-                                    median of the last N history records
+  perfgate --compare OLD NEW [gate options]
+                                    gate NEW against the OLD report
+  perfgate --against-history N NEW... [gate options]
+                                    gate each NEW against the median of the
+                                    last N history records of its workload
 
 run options:
   --workloads A,B,C       comma-separated workload binaries
@@ -54,26 +53,33 @@ run options:
   --threads N             worker threads per workload (default 2)
   --out DIR               output directory (default target/perfgate)
   --full                  run at paper scale instead of --quick
-  --record [PATH]         append one history record per workload (median perf
-                          + rep-0 ledger summary) to PATH
-                          (default results/history/history.jsonl)
+  --record [PATH]         append one history record per workload to PATH
+                          (default results/history/history.jsonl): rep 0's
+                          own record (ML totals, kernel peak RSS) with the
+                          median's wall/top-span times and peak heap
   --timeout MS            kill a workload running longer than MS milliseconds;
                           writes TIMEOUT_<workload>.json (timed_out: true)
                           into the output directory and exits nonzero
   --fault-plan SPEC       forward a deterministic fault plan to every
                           workload (see the workload binaries' --help)
 
-compare / against-history options:
-  --history PATH          history store to gate against
-                          (default results/history/history.jsonl)
-  --tolerance PCT         allowed relative growth in percent (default 10)
-  --abs-floor-ms MS       absolute growth floor in milliseconds (default 5)
+gate: every metric's baseline is the nearest-rank median over the window
+(OLD alone, or the last N records that measured it). A metric regresses
+when it got worse (up for timings, memory and ECE; down for final_acc)
+by more than its floor and by more than the tolerance (or from a zero
+baseline). A memory figure of 0 or a null quality field means \"not
+measured\"; a metric only one side measured is listed, not compared.
+
+gate options:
+  --tolerance PCT         allowed relative change in percent (default 10)
+  --abs-floor-ms MS       absolute floor for timings in milliseconds
+                          (default 5); memory uses 1 MiB, quality 0.005
   --scale F               multiply NEW's timings by F before comparing
                           (test hook: --scale 2 must trip the gate)
   --json                  print the verdict as JSON instead of the table
-                          (same exit codes; schema in gate::render_json,
-                          plus history_requested/history_n for
-                          --against-history; history_n 0 = no baseline,
+                          (same exit codes; schema in gate::render_json;
+                          --against-history adds history_requested and
+                          history_n, where history_n 0 = no baseline,
                           vacuous pass)
   --crit PATH             attach the critical-path summary from a
                           --crit-out artifact (run mode writes one to
@@ -81,11 +87,12 @@ compare / against-history options:
                           contribution land in the --json verdict under
                           \"crit\", table mode appends the crit table.
                           An unreadable file warns and is skipped
-  --gate-quality          (against-history only) additionally gate model
-                          quality — final balanced accuracy (a *drop*
-                          regresses) and ECE — against the history
-                          medians; metrics absent on either side pass
-                          vacuously
+
+against-history only:
+  --history PATH          history store to gate against
+                          (default results/history/history.jsonl)
+  --gate-quality          also gate final balanced accuracy (a drop
+                          regresses) and ECE against the history medians
   --quality PATH          quality artifact supplying the new run's
                           final-accuracy/ECE measurements for
                           --gate-quality: a ledger.jsonl (run mode writes
@@ -103,13 +110,11 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let code = if args.iter().any(|a| a == "--against-history") {
-        match parse_against(&args).map(run_against) {
-            Ok(code) => code,
-            Err(msg) => usage_error(&msg),
-        }
-    } else if args.iter().any(|a| a == "--compare") {
-        match parse_compare(&args).map(run_compare) {
+    let code = if args
+        .iter()
+        .any(|a| a == "--compare" || a == "--against-history")
+    {
+        match parse_gate(&args).map(run_gate) {
             Ok(code) => code,
             Err(msg) => usage_error(&msg),
         }
@@ -127,104 +132,17 @@ fn usage_error(msg: &str) -> i32 {
     2
 }
 
-// ---------------------------------------------------------------- compare
+// ------------------------------------------------------------------- gate
 
-struct CompareOpts {
-    old: PathBuf,
-    new: PathBuf,
-    cfg: GateConfig,
-    json: bool,
-    crit: Option<PathBuf>,
-}
-
-fn parse_compare(args: &[String]) -> Result<CompareOpts, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut cfg = GateConfig::default();
-    let mut json = false;
-    let mut crit = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--compare" => {}
-            "--json" => json = true,
-            "--crit" => crit = Some(PathBuf::from(str_value(args, &mut i, "--crit")?)),
-            "--tolerance" => cfg.tolerance_pct = float_value(args, &mut i, "--tolerance")?,
-            "--abs-floor-ms" => {
-                cfg.abs_floor_s = float_value(args, &mut i, "--abs-floor-ms")? / 1e3;
-            }
-            "--scale" => cfg.scale_new = float_value(args, &mut i, "--scale")?,
-            flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
-            path => paths.push(PathBuf::from(path)),
-        }
-        i += 1;
-    }
-    if cfg.tolerance_pct < 0.0 || cfg.abs_floor_s < 0.0 || cfg.scale_new <= 0.0 {
-        return Err("--tolerance/--abs-floor-ms must be >= 0 and --scale > 0".into());
-    }
-    match <[PathBuf; 2]>::try_from(paths) {
-        Ok([old, new]) => Ok(CompareOpts {
-            old,
-            new,
-            cfg,
-            json,
-            crit,
-        }),
-        Err(other) => Err(format!(
-            "--compare expects exactly two report paths, got {}",
-            other.len()
-        )),
-    }
-}
-
-fn run_compare(opts: CompareOpts) -> i32 {
-    let load = |path: &Path| -> Result<BenchReport, String> {
-        BenchReport::load(path).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    let (old, new) = match (load(&opts.old), load(&opts.new)) {
-        (Ok(old), Ok(new)) => (old, new),
-        (old, new) => {
-            for err in [old.err(), new.err()].into_iter().flatten() {
-                eprintln!("error: {err}");
-            }
-            return 2;
-        }
-    };
-    let outcome = compare(&old, &new, &opts.cfg);
-    let crit = opts.crit.as_deref().and_then(load_crit);
-    if opts.json {
-        println!(
-            "{}",
-            outcome.render_json_with(&old.workload, &opts.cfg, crit_fields(crit.as_ref()))
-        );
-        return i32::from(!outcome.passed());
-    }
-    println!(
-        "perfgate: {} ({} @ {}) vs ({} @ {})",
-        old.workload,
-        old.git,
-        opts.old.display(),
-        new.git,
-        opts.new.display()
-    );
-    print!("{}", outcome.render_table(&opts.cfg));
-    if let Some(report) = &crit {
-        print!("{}", report.render_table());
-    }
-    if outcome.passed() {
-        println!("PASS");
-        0
-    } else {
-        println!("FAIL");
-        1
-    }
-}
-
-// ---------------------------------------------------------- against-history
-
-struct AgainstOpts {
-    n: usize,
-    history: PathBuf,
+/// Options of the one gate path: `--compare OLD NEW` (a window of one
+/// report) or `--against-history N NEW...` (the last N history records
+/// of each report's workload).
+struct GateOpts {
+    /// `Some(N)` for `--against-history N`; `None` for `--compare`.
+    against: Option<usize>,
+    /// `--compare`: `[OLD, NEW]`; `--against-history`: the new reports.
     reports: Vec<PathBuf>,
+    history: PathBuf,
     cfg: GateConfig,
     json: bool,
     crit: Option<PathBuf>,
@@ -233,11 +151,11 @@ struct AgainstOpts {
     acc_scale: f64,
 }
 
-fn parse_against(args: &[String]) -> Result<AgainstOpts, String> {
-    let mut opts = AgainstOpts {
-        n: 0,
-        history: PathBuf::from(DEFAULT_HISTORY_PATH),
+fn parse_gate(args: &[String]) -> Result<GateOpts, String> {
+    let mut opts = GateOpts {
+        against: None,
         reports: Vec::new(),
+        history: PathBuf::from(DEFAULT_HISTORY_PATH),
         cfg: GateConfig::default(),
         json: false,
         crit: None,
@@ -245,30 +163,38 @@ fn parse_against(args: &[String]) -> Result<AgainstOpts, String> {
         quality: None,
         acc_scale: 1.0,
     };
+    let mut compare = false;
+    // The first flag seen that only --against-history accepts.
+    let mut history_only = None;
     let mut i = 0;
     while i < args.len() {
-        match args[i].as_str() {
+        let flag = args[i].as_str();
+        match flag {
+            "--compare" => compare = true,
             "--against-history" => {
-                opts.n = int_value(args, &mut i, "--against-history")? as usize;
-                if opts.n == 0 {
+                let n = int_value(args, &mut i, flag)? as usize;
+                if n == 0 {
                     return Err("--against-history expects a window of >= 1 records".into());
                 }
+                opts.against = Some(n);
             }
-            "--history" => opts.history = PathBuf::from(str_value(args, &mut i, "--history")?),
             "--json" => opts.json = true,
-            "--crit" => opts.crit = Some(PathBuf::from(str_value(args, &mut i, "--crit")?)),
+            "--crit" => opts.crit = Some(PathBuf::from(str_value(args, &mut i, flag)?)),
+            "--tolerance" => opts.cfg.tolerance_pct = float_value(args, &mut i, flag)?,
+            "--abs-floor-ms" => opts.cfg.abs_floor_s = float_value(args, &mut i, flag)? / 1e3,
+            "--scale" => opts.cfg.scale_new = float_value(args, &mut i, flag)?,
+            "--history" => opts.history = PathBuf::from(str_value(args, &mut i, flag)?),
             "--gate-quality" => opts.gate_quality = true,
-            "--quality" => {
-                opts.quality = Some(PathBuf::from(str_value(args, &mut i, "--quality")?))
-            }
-            "--acc-scale" => opts.acc_scale = float_value(args, &mut i, "--acc-scale")?,
-            "--tolerance" => opts.cfg.tolerance_pct = float_value(args, &mut i, "--tolerance")?,
-            "--abs-floor-ms" => {
-                opts.cfg.abs_floor_s = float_value(args, &mut i, "--abs-floor-ms")? / 1e3;
-            }
-            "--scale" => opts.cfg.scale_new = float_value(args, &mut i, "--scale")?,
+            "--quality" => opts.quality = Some(PathBuf::from(str_value(args, &mut i, flag)?)),
+            "--acc-scale" => opts.acc_scale = float_value(args, &mut i, flag)?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             path => opts.reports.push(PathBuf::from(path)),
+        }
+        if matches!(
+            flag,
+            "--history" | "--gate-quality" | "--quality" | "--acc-scale"
+        ) {
+            history_only.get_or_insert(flag);
         }
         i += 1;
     }
@@ -281,15 +207,25 @@ fn parse_against(args: &[String]) -> Result<AgainstOpts, String> {
     if opts.quality.is_some() && !opts.gate_quality {
         return Err("--quality requires --gate-quality".into());
     }
-    if opts.reports.is_empty() {
-        return Err("--against-history expects at least one BENCH report path".into());
+    match (compare, opts.against) {
+        (true, Some(_)) => Err("--compare and --against-history are exclusive".into()),
+        (true, None) => match (history_only, opts.reports.len()) {
+            (Some(flag), _) => Err(format!("{flag} is only valid with --against-history")),
+            (None, 2) => Ok(opts),
+            (None, n) => Err(format!(
+                "--compare expects exactly two report paths, got {n}"
+            )),
+        },
+        (false, _) if opts.reports.is_empty() => {
+            Err("--against-history expects at least one BENCH report path".into())
+        }
+        (false, _) => Ok(opts),
     }
-    Ok(opts)
 }
 
 /// The new run's quality measurements for `--gate-quality`, from a
 /// `--quality` artifact (ledger.jsonl or quality.json). Problems warn
-/// and return nothing — the quality gate then passes vacuously rather
+/// and return nothing — the quality metrics are then unmatched rather
 /// than failing on a missing artifact. Balanced accuracy is the
 /// measurement because the history's `final_acc` is the experiment
 /// loop's balanced-accuracy mean — the gate must compare like to like.
@@ -318,108 +254,128 @@ fn quality_measurements(path: &Path) -> (Option<f64>, Option<f64>) {
     }
 }
 
-fn run_against(opts: AgainstOpts) -> i32 {
-    // A missing store is the day-one case, not an error: every workload
-    // then passes vacuously (with a warning) until --record seeds it.
-    let text = std::fs::read_to_string(&opts.history).unwrap_or_default();
-    let records = parse_history(&text);
+fn run_gate(opts: GateOpts) -> i32 {
+    let mut reports = Vec::with_capacity(opts.reports.len());
+    for path in &opts.reports {
+        match BenchReport::load(path) {
+            Ok(report) => reports.push(report),
+            Err(e) => eprintln!("error: {e}"),
+        }
+    }
+    if reports.len() < opts.reports.len() {
+        return 2;
+    }
     // One --crit artifact attaches to every verdict printed (CI gates one
     // report at a time, where this is unambiguous).
     let crit = opts.crit.as_deref().and_then(load_crit);
-    // The new run's quality measurements, when --gate-quality was given
-    // with a --quality artifact; absent measurements pass vacuously.
-    let (quality_acc, quality_ece) = match (opts.gate_quality, &opts.quality) {
-        (true, Some(path)) => quality_measurements(path),
-        _ => (None, None),
+    let cfg = &opts.cfg;
+    let Some(n) = opts.against else {
+        let [old, new] = &reports[..] else {
+            unreachable!("parse_gate checks --compare has two paths")
+        };
+        let header = format!(
+            "perfgate: {} ({} @ {}) vs ({} @ {})",
+            old.workload,
+            old.git,
+            opts.reports[0].display(),
+            new.git,
+            opts.reports[1].display()
+        );
+        let outcome = gate(
+            &[flatten_report(old, cfg)],
+            &flatten_report(new, cfg),
+            cfg,
+            opts.acc_scale,
+        );
+        return i32::from(!print_verdict(
+            &opts,
+            &old.workload,
+            &header,
+            None,
+            &outcome,
+            crit.as_ref(),
+        ));
+    };
+    // A missing store is the day-one case, not an error: every workload
+    // then passes vacuously (with a warning) until --record seeds it.
+    let records = parse_history(&std::fs::read_to_string(&opts.history).unwrap_or_default());
+    let (final_acc, ece) = match &opts.quality {
+        Some(path) => quality_measurements(path),
+        None => (None, None),
     };
     let mut failed = false;
-    for path in &opts.reports {
-        let report = match BenchReport::load(path) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {}: {e}", path.display());
-                return 2;
-            }
-        };
+    for report in &reports {
+        let window: Vec<Vec<Measurement>> = history_window(&records, &report.workload, n)
+            .into_iter()
+            .map(|r| flatten_history(r, cfg, opts.gate_quality))
+            .collect();
+        // A BENCH report carries no RSS: peak_rss_bytes stays unmeasured.
         let new = HistoryRecord {
-            workload: report.workload.clone(),
-            seed: report.seed,
-            git: report.git.clone(),
-            source: "report".into(),
             wall_time_s: report.wall_time_s,
             top_span_total_s: report.top_span_total_s,
-            peak_rss_bytes: 0,
             alloc_peak_bytes: report.alloc.as_ref().map_or(0, |a| a.peak_bytes),
-            final_acc: quality_acc.map(|a| a * opts.acc_scale),
-            trials_finished: 0,
-            trials_failed: 0,
-            rounds: 0,
-            ece: quality_ece,
+            final_acc,
+            ece,
+            ..HistoryRecord::default()
         };
-        match history_baseline(&records, &report.workload, opts.n) {
-            Some(baseline) => {
-                let mut outcome = gate_against_history(&baseline, &new, &opts.cfg);
-                if opts.gate_quality {
-                    outcome
-                        .diffs
-                        .extend(gate_quality_against_history(&baseline, &new, &opts.cfg).diffs);
-                }
-                if opts.json {
-                    println!(
-                        "{}",
-                        outcome.render_history_json_with(
-                            &report.workload,
-                            &opts.cfg,
-                            opts.n,
-                            baseline.n_used,
-                            crit_fields(crit.as_ref()),
-                        )
-                    );
-                } else {
-                    println!(
-                        "perfgate: {} ({}) vs median of last {} history record(s) in {}",
-                        report.workload,
-                        report.git,
-                        baseline.n_used,
-                        opts.history.display()
-                    );
-                    print!("{}", outcome.render_table(&opts.cfg));
-                    if let Some(report) = &crit {
-                        print!("{}", report.render_table());
-                    }
-                    println!("{}", if outcome.passed() { "PASS" } else { "FAIL" });
-                }
-                failed |= !outcome.passed();
-            }
-            None => {
-                let empty = GateOutcome {
-                    diffs: vec![],
-                    unmatched: vec![],
-                };
-                if opts.json {
-                    println!(
-                        "{}",
-                        empty.render_history_json_with(
-                            &report.workload,
-                            &opts.cfg,
-                            opts.n,
-                            0,
-                            crit_fields(crit.as_ref()),
-                        )
-                    );
-                } else {
-                    eprintln!(
-                        "perfgate: warning: no history for {} in {} — passing by default \
-                         (run with --record to seed the store)",
-                        report.workload,
-                        opts.history.display()
-                    );
-                    println!("PASS (no history)");
-                }
-            }
-        }
+        let outcome = gate(
+            &window,
+            &flatten_history(&new, cfg, opts.gate_quality),
+            cfg,
+            opts.acc_scale,
+        );
+        let header = format!(
+            "perfgate: {} ({}) vs median of last {} history record(s) in {}",
+            report.workload,
+            report.git,
+            window.len(),
+            opts.history.display()
+        );
+        let history = Some((n, window.len()));
+        failed |= !print_verdict(
+            &opts,
+            &report.workload,
+            &header,
+            history,
+            &outcome,
+            crit.as_ref(),
+        );
     }
     i32::from(failed)
+}
+
+/// Print one verdict — JSON, or the table under `header` — and return
+/// whether it passed. An empty history window passes with a warning.
+fn print_verdict(
+    opts: &GateOpts,
+    workload: &str,
+    header: &str,
+    history: Option<(usize, usize)>,
+    outcome: &GateOutcome,
+    crit: Option<&CritReport>,
+) -> bool {
+    if opts.json {
+        let extra = crit_fields(crit);
+        println!(
+            "{}",
+            outcome.render_json(workload, &opts.cfg, history, extra)
+        );
+    } else if history.is_some_and(|(_, found)| found == 0) {
+        eprintln!(
+            "perfgate: warning: no history for {workload} in {} — passing by default \
+             (run with --record to seed the store)",
+            opts.history.display()
+        );
+        println!("PASS (no history)");
+    } else {
+        println!("{header}");
+        print!("{}", outcome.render_table(&opts.cfg));
+        if let Some(report) = crit {
+            print!("{}", report.render_table());
+        }
+        println!("{}", if outcome.passed() { "PASS" } else { "FAIL" });
+    }
+    outcome.passed()
 }
 
 // ------------------------------------------------------------------- crit
@@ -598,17 +554,16 @@ fn run_workloads(opts: RunPlanOpts) -> i32 {
             Ok((path, median)) => {
                 println!("perfgate: wrote {}", path.display());
                 if let Some(store) = &opts.record {
-                    let ledger = opts.out.join(workload).join("ledger.jsonl");
-                    let record = history_from_gate_run(workload, &median, &ledger);
-                    match record.append(store) {
-                        Ok(()) => {
-                            println!("perfgate: recorded history -> {}", store.display())
-                        }
-                        Err(e) => {
-                            eprintln!(
-                                "error: {workload}: cannot append --record {}: {e}",
-                                store.display()
-                            );
+                    let appended = history_from_gate_run(&opts.out.join(workload), &median)
+                        .and_then(|record| {
+                            record.append(store).map_err(|e| {
+                                format!("cannot append --record {}: {e}", store.display())
+                            })
+                        });
+                    match appended {
+                        Ok(()) => println!("perfgate: recorded history -> {}", store.display()),
+                        Err(msg) => {
+                            eprintln!("error: {workload}: {msg}");
                             failed = true;
                         }
                     }
@@ -631,7 +586,8 @@ fn run_workloads(opts: RunPlanOpts) -> i32 {
 /// and write `BENCH_<workload>.json` into the output directory. The
 /// first repeat also exports `trace.json` / `events.jsonl` /
 /// `ledger.jsonl` / `crit.json` for the workload so every gate run
-/// doubles as a profiling artifact (and feeds `amlreport` / `amlinspect crit`).
+/// doubles as a profiling artifact (and feeds `amlreport` / `amlinspect crit`),
+/// and under `--record` appends its own history line to `REP0_HISTORY`.
 fn run_one_workload(
     bin_dir: &Path,
     workload: &str,
@@ -677,6 +633,13 @@ fn run_one_workload(
                 "--crit-out".as_ref(),
                 work_dir.join("crit.json").as_os_str(),
             ]);
+            if opts.record.is_some() {
+                // Start from an empty file so a line left by an earlier
+                // run into the same --out is never read back.
+                let history = work_dir.join(REP0_HISTORY);
+                let _ = std::fs::remove_file(&history);
+                cmd.args(["--record".as_ref(), history.as_os_str()]);
+            }
         }
         eprintln!("perfgate: {workload} rep {}/{} …", rep + 1, opts.repeats);
         let (status, stderr) = wait_with_timeout(cmd, &bin, opts.timeout).map_err(|e| match e {
@@ -715,40 +678,25 @@ fn run_one_workload(
     Ok((path, median))
 }
 
-/// Distill a gate run into one history record: perf numbers from the
-/// median report, ML totals from the rep-0 ledger. A missing or
-/// unparsable ledger degrades to zero totals with a warning — recording
-/// must never fail the gate run itself.
-fn history_from_gate_run(
-    workload: &str,
-    median: &BenchReport,
-    ledger_path: &Path,
-) -> HistoryRecord {
-    let summary = std::fs::read_to_string(ledger_path)
+/// File in `<out>/<workload>/` that rep 0 appends its own `--record`
+/// line to.
+const REP0_HISTORY: &str = "rep0.history.jsonl";
+
+/// One history line for a gate run: rep 0's own record — its ML totals
+/// and the kernel's peak RSS — with the median report's perf numbers.
+fn history_from_gate_run(work_dir: &Path, median: &BenchReport) -> Result<HistoryRecord, String> {
+    let path = work_dir.join(REP0_HISTORY);
+    let rep0 = std::fs::read_to_string(&path)
         .ok()
-        .and_then(|text| match ledger::read(&text) {
-            Ok((_, events)) => Some(LedgerSummary::from_events(&events)),
-            Err(e) => {
-                eprintln!("perfgate: warning: {}: {e}", ledger_path.display());
-                None
-            }
-        })
-        .unwrap_or_default();
-    HistoryRecord {
-        workload: workload.to_string(),
-        seed: median.seed,
-        git: median.git.clone(),
+        .and_then(|text| parse_history(&text).pop())
+        .ok_or_else(|| format!("no rep-0 history record in {}", path.display()))?;
+    Ok(HistoryRecord {
         source: "perfgate".into(),
         wall_time_s: median.wall_time_s,
         top_span_total_s: median.top_span_total_s,
-        peak_rss_bytes: 0,
         alloc_peak_bytes: median.alloc.as_ref().map_or(0, |a| a.peak_bytes),
-        final_acc: summary.final_acc,
-        trials_finished: summary.trials_finished,
-        trials_failed: summary.trials_failed,
-        rounds: summary.rounds,
-        ece: summary.ece,
-    }
+        ..rep0
+    })
 }
 
 enum WaitError {

@@ -1,23 +1,31 @@
-//! Regression gating: compare two [`BenchReport`]s and decide pass/fail.
+//! Regression gating: one median-of-window gate over direction-tagged
+//! measurements.
 //!
-//! The gate flattens each report to named metrics — `wall_time_s`,
-//! `top_span_total_s`, `span:<name>` (total seconds per span), and
-//! `alloc.bytes` — and flags a metric as regressed when the new value
-//! exceeds the old by more than the relative tolerance **and** the
-//! absolute floor (so microsecond-scale spans can't fail the gate on
-//! scheduler noise). A zero/absent baseline can't anchor a relative
-//! check, so it regresses only when the new value exceeds the floor
-//! outright.
-
+//! Every gate input flattens to a list of named [`Measurement`]s, each
+//! carrying its direction ([`Better`]), an absolute floor in its own
+//! unit, and the test-hook scale that applies to it ([`Hook`]):
 //!
-//! Besides the frozen-file comparison (`perfgate --compare`), the gate
-//! can judge a run against the **rolling median** of the last N
-//! [`HistoryRecord`]s for its workload (`perfgate --against-history N`):
-//! [`parse_history`] reads the append-only JSONL store,
-//! [`history_baseline`] distills the trailing window into per-metric
-//! medians, and [`gate_against_history`] applies the same
-//! tolerance/abs-floor rules to the medians. An empty history cannot
-//! anchor any check, so the caller treats it as a pass with a warning.
+//! * a [`BenchReport`] ([`flatten_report`]) gives `wall_time_s`,
+//!   `top_span_total_s` and `span:<name>` (timings), then `alloc.bytes`
+//!   and `alloc.peak_bytes` (1 MiB floor, unscaled);
+//! * a [`HistoryRecord`] ([`flatten_history`]) gives `wall_time_s`,
+//!   `top_span_total_s`, `peak_rss_bytes` and `alloc.peak_bytes`, plus
+//!   `final_acc` (higher is better) and `ece` when quality is gated.
+//!
+//! A memory figure of 0 and a `None` quality field mean "not measured"
+//! and are left out. [`gate`] takes the per-metric nearest-rank median
+//! over a window of flattened records — only the records that measured
+//! the metric — and flags a metric as regressed when it got worse by
+//! more than its floor **and** either by more than the relative
+//! tolerance or from a zero baseline. "Worse" is up for lower-is-better
+//! metrics and down for higher-is-better ones. A metric only one side
+//! measured is listed as unmatched, not gated.
+//!
+//! `perfgate --compare OLD NEW` is a window of one; `perfgate
+//! --against-history N` uses the last N same-workload records of the
+//! append-only history store ([`parse_history`], [`history_window`]).
+//! An empty window cannot anchor any check, so the caller treats it as
+//! a pass with a warning.
 
 use crate::report::BenchReport;
 use aml_telemetry::json::{ToJson, Value};
@@ -30,9 +38,9 @@ pub struct GateConfig {
     /// Allowed relative growth, percent (`10.0` = +10%).
     pub tolerance_pct: f64,
     /// Absolute growth below which a timing change never regresses,
-    /// seconds. Applied as bytes for `alloc.bytes`.
+    /// seconds.
     pub abs_floor_s: f64,
-    /// Multiplier applied to the new report's timing metrics before
+    /// Multiplier applied to the new side's timing metrics before
     /// comparing — a test hook to inject synthetic slowdowns
     /// (`--scale 2` must trip the gate).
     pub scale_new: f64,
@@ -48,14 +56,133 @@ impl Default for GateConfig {
     }
 }
 
+/// Which way a metric improves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Better {
+    /// Timings, memory, calibration error.
+    Lower,
+    /// Accuracy, throughput.
+    Higher,
+}
+
+/// The test-hook multiplier applied to a new measurement before gating.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hook {
+    /// Never scaled.
+    None,
+    /// Scaled by [`GateConfig::scale_new`] (`--scale`).
+    Timing,
+    /// Scaled by the accuracy hook (`--acc-scale`).
+    Accuracy,
+}
+
+/// One named measurement fed to the gate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Measurement {
+    /// Metric id (`wall_time_s`, `span:<name>`, `final_acc`, …).
+    pub name: String,
+    /// Measured value, in the metric's own unit.
+    pub value: f64,
+    /// Which direction is an improvement.
+    pub better: Better,
+    /// Absolute change, in the metric's unit, below which it never
+    /// regresses.
+    pub floor: f64,
+    /// Test-hook scale that applies to the new side.
+    pub hook: Hook,
+}
+
+impl Measurement {
+    fn timing(name: impl Into<String>, value: f64, cfg: &GateConfig) -> Measurement {
+        Measurement {
+            name: name.into(),
+            value,
+            better: Better::Lower,
+            floor: cfg.abs_floor_s,
+            hook: Hook::Timing,
+        }
+    }
+
+    /// Memory grows by more than 1 MiB before it can regress; `--scale`
+    /// injects a timing slowdown, not a memory one. 0 = not measured.
+    fn memory(name: &str, bytes: u64) -> Option<Measurement> {
+        (bytes > 0).then(|| Measurement {
+            name: name.into(),
+            value: bytes as f64,
+            better: Better::Lower,
+            floor: (1u64 << 20) as f64,
+            hook: Hook::None,
+        })
+    }
+
+    fn quality(name: &str, value: Option<f64>, better: Better, hook: Hook) -> Option<Measurement> {
+        value.map(|value| Measurement {
+            name: name.into(),
+            value,
+            better,
+            floor: QUALITY_ABS_FLOOR,
+            hook,
+        })
+    }
+}
+
+/// Accuracy and calibration move on a 0–1 scale; a swing below half a
+/// point of accuracy (or ECE) is noise, not signal.
+pub const QUALITY_ABS_FLOOR: f64 = 0.005;
+
+/// Flatten a BENCH report: timings (`wall_time_s`, `top_span_total_s`,
+/// `span:<name>` per span) then the allocation totals when tracked.
+pub fn flatten_report(r: &BenchReport, cfg: &GateConfig) -> Vec<Measurement> {
+    let mut out = vec![
+        Measurement::timing("wall_time_s", r.wall_time_s, cfg),
+        Measurement::timing("top_span_total_s", r.top_span_total_s, cfg),
+    ];
+    out.extend(
+        r.spans
+            .iter()
+            .map(|s| Measurement::timing(format!("span:{}", s.name), s.total_s, cfg)),
+    );
+    if let Some(a) = &r.alloc {
+        out.extend(Measurement::memory("alloc.bytes", a.bytes));
+        out.extend(Measurement::memory("alloc.peak_bytes", a.peak_bytes));
+    }
+    out
+}
+
+/// Flatten a history record: timings and memory, plus final accuracy
+/// (higher is better, scaled by `--acc-scale`) and ECE when `quality`.
+pub fn flatten_history(r: &HistoryRecord, cfg: &GateConfig, quality: bool) -> Vec<Measurement> {
+    let mut out = vec![
+        Measurement::timing("wall_time_s", r.wall_time_s, cfg),
+        Measurement::timing("top_span_total_s", r.top_span_total_s, cfg),
+    ];
+    out.extend(Measurement::memory("peak_rss_bytes", r.peak_rss_bytes));
+    out.extend(Measurement::memory("alloc.peak_bytes", r.alloc_peak_bytes));
+    if quality {
+        out.extend(Measurement::quality(
+            "final_acc",
+            r.final_acc,
+            Better::Higher,
+            Hook::Accuracy,
+        ));
+        out.extend(Measurement::quality(
+            "ece",
+            r.ece,
+            Better::Lower,
+            Hook::None,
+        ));
+    }
+    out
+}
+
 /// One compared metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDiff {
     /// Metric id (`wall_time_s`, `span:<name>`, `alloc.bytes`, …).
     pub metric: String,
-    /// Baseline value.
+    /// Baseline value (the window median).
     pub old: f64,
-    /// New value (after [`GateConfig::scale_new`]).
+    /// New value (after its test-hook scale).
     pub new: f64,
     /// Relative change in percent; `None` when the baseline is zero.
     pub delta_pct: Option<f64>,
@@ -64,11 +191,11 @@ pub struct MetricDiff {
 }
 
 /// The gate's verdict: every compared metric plus the regression count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GateOutcome {
-    /// All compared metrics, report order.
+    /// All compared metrics, baseline order.
     pub diffs: Vec<MetricDiff>,
-    /// Metrics that were only present on one side (not compared).
+    /// Metrics that only one side measured (not compared).
     pub unmatched: Vec<String>,
 }
 
@@ -127,62 +254,21 @@ impl GateOutcome {
         out
     }
 
-    /// Machine-readable verdict for `perfgate --compare --json`: the gate
-    /// parameters, overall pass/fail, and every compared metric. Schema:
-    /// `{workload, tolerance_pct, abs_floor_ms, scale, pass, regressions,
-    /// metrics: [{metric, old, new, delta_pct|null, regressed}],
-    /// unmatched: [..]}`.
-    pub fn render_json(&self, workload: &str, cfg: &GateConfig) -> String {
-        self.render_json_with(workload, cfg, Vec::new())
-    }
-
-    /// [`render_json`](Self::render_json) with caller-supplied top-level
-    /// fields appended at the end of the object — `perfgate --crit` uses
-    /// this to embed the critical-path summary next to the verdict.
-    pub fn render_json_with(
+    /// Machine-readable verdict for `perfgate --json`. Schema:
+    /// `{workload, [history_requested, history_n,] tolerance_pct,
+    /// abs_floor_ms, scale, pass, regressions, metrics: [{metric, old,
+    /// new, delta_pct|null, regressed}], unmatched: [..], ..extra}`.
+    /// `history` is `(requested N, records found)` for
+    /// `--against-history` (0 found = no baseline, vacuous pass); `extra`
+    /// fields are appended at the end (`--crit` embeds the critical-path
+    /// summary this way).
+    pub fn render_json(
         &self,
         workload: &str,
         cfg: &GateConfig,
+        history: Option<(usize, usize)>,
         extra: Vec<(String, Value)>,
     ) -> String {
-        let mut fields = self.json_fields(workload, cfg);
-        fields.extend(extra);
-        Value::Obj(fields).render()
-    }
-
-    /// Machine-readable verdict for `perfgate --against-history --json`:
-    /// the `--compare` schema plus `history_requested` (the N asked for)
-    /// and `history_n` (records actually found; 0 = no baseline, the
-    /// gate vacuously passes).
-    pub fn render_history_json(
-        &self,
-        workload: &str,
-        cfg: &GateConfig,
-        requested: usize,
-        n_used: usize,
-    ) -> String {
-        self.render_history_json_with(workload, cfg, requested, n_used, Vec::new())
-    }
-
-    /// [`render_history_json`](Self::render_history_json) with extra
-    /// top-level fields appended, mirroring
-    /// [`render_json_with`](Self::render_json_with).
-    pub fn render_history_json_with(
-        &self,
-        workload: &str,
-        cfg: &GateConfig,
-        requested: usize,
-        n_used: usize,
-        extra: Vec<(String, Value)>,
-    ) -> String {
-        let mut fields = self.json_fields(workload, cfg);
-        fields.insert(1, ("history_n".into(), n_used.to_json()));
-        fields.insert(1, ("history_requested".into(), requested.to_json()));
-        fields.extend(extra);
-        Value::Obj(fields).render()
-    }
-
-    fn json_fields(&self, workload: &str, cfg: &GateConfig) -> Vec<(String, Value)> {
         let metrics: Vec<Value> = self
             .diffs
             .iter()
@@ -199,8 +285,12 @@ impl GateOutcome {
                 ])
             })
             .collect();
-        vec![
-            ("workload".into(), workload.to_json()),
+        let mut fields = vec![("workload".into(), workload.to_json())];
+        if let Some((requested, found)) = history {
+            fields.push(("history_requested".into(), requested.to_json()));
+            fields.push(("history_n".into(), found.to_json()));
+        }
+        fields.extend([
             ("tolerance_pct".into(), cfg.tolerance_pct.to_json()),
             ("abs_floor_ms".into(), (cfg.abs_floor_s * 1e3).to_json()),
             ("scale".into(), cfg.scale_new.to_json()),
@@ -208,85 +298,73 @@ impl GateOutcome {
             ("regressions".into(), self.regressions().to_json()),
             ("metrics".into(), Value::Arr(metrics)),
             ("unmatched".into(), self.unmatched.to_json()),
-        ]
+        ]);
+        fields.extend(extra);
+        Value::Obj(fields).render()
     }
 }
 
-/// Compare `new` against the `old` baseline under `cfg`.
-pub fn compare(old: &BenchReport, new: &BenchReport, cfg: &GateConfig) -> GateOutcome {
-    let mut diffs = Vec::new();
-    let mut unmatched = Vec::new();
-
-    let mut timing = |metric: &str, old_v: f64, new_v: f64| {
-        diffs.push(diff_metric(
-            metric,
-            old_v,
-            new_v * cfg.scale_new,
-            cfg,
-            cfg.abs_floor_s,
-        ));
-    };
-    timing("wall_time_s", old.wall_time_s, new.wall_time_s);
-    timing(
-        "top_span_total_s",
-        old.top_span_total_s,
-        new.top_span_total_s,
+/// Gate `new` against the per-metric median of `window` under `cfg`;
+/// `acc_scale` is the [`Hook::Accuracy`] multiplier. Metrics are
+/// compared in the order the window first lists them. An empty window
+/// compares nothing.
+pub fn gate(
+    window: &[Vec<Measurement>],
+    new: &[Measurement],
+    cfg: &GateConfig,
+    acc_scale: f64,
+) -> GateOutcome {
+    let mut outcome = GateOutcome::default();
+    if window.is_empty() {
+        return outcome;
+    }
+    let mut names: Vec<&str> = Vec::new();
+    for m in window.iter().flatten() {
+        if !names.contains(&m.name.as_str()) {
+            names.push(&m.name);
+        }
+    }
+    for &name in &names {
+        let Some(m) = new.iter().find(|m| m.name == name) else {
+            outcome.unmatched.push(name.to_string());
+            continue;
+        };
+        let mut xs: Vec<f64> = window
+            .iter()
+            .flatten()
+            .filter(|w| w.name == name)
+            .map(|w| w.value)
+            .collect();
+        xs.sort_by(f64::total_cmp);
+        let old = percentile(&xs, 0.5);
+        let new = m.value
+            * match m.hook {
+                Hook::None => 1.0,
+                Hook::Timing => cfg.scale_new,
+                Hook::Accuracy => acc_scale,
+            };
+        // Zero baseline: no relative change is defined, so only the
+        // absolute floor applies.
+        let delta_pct = (old > 0.0).then(|| (new - old) / old * 100.0);
+        let (worse, sign) = match m.better {
+            Better::Lower => (new - old, 1.0),
+            Better::Higher => (old - new, -1.0),
+        };
+        outcome.diffs.push(MetricDiff {
+            metric: name.to_string(),
+            old,
+            new,
+            delta_pct,
+            regressed: worse > m.floor
+                && delta_pct.is_none_or(|pct| sign * pct > cfg.tolerance_pct),
+        });
+    }
+    outcome.unmatched.extend(
+        new.iter()
+            .filter(|m| !names.contains(&m.name.as_str()))
+            .map(|m| m.name.clone()),
     );
-    for s in &old.spans {
-        match new.spans.iter().find(|n| n.name == s.name) {
-            Some(n) => timing(&format!("span:{}", s.name), s.total_s, n.total_s),
-            None => unmatched.push(format!("span:{}", s.name)),
-        }
-    }
-    for n in &new.spans {
-        if !old.spans.iter().any(|s| s.name == n.name) {
-            unmatched.push(format!("span:{}", n.name));
-        }
-    }
-
-    // Allocation totals are compared unscaled: --scale injects a timing
-    // slowdown, not a memory one. The floor becomes 1 MiB of growth.
-    if let (Some(a), Some(b)) = (&old.alloc, &new.alloc) {
-        diffs.push(diff_metric(
-            "alloc.bytes",
-            a.bytes as f64,
-            b.bytes as f64,
-            cfg,
-            (1u64 << 20) as f64,
-        ));
-        diffs.push(diff_metric(
-            "alloc.peak_bytes",
-            a.peak_bytes as f64,
-            b.peak_bytes as f64,
-            cfg,
-            (1u64 << 20) as f64,
-        ));
-    }
-
-    GateOutcome { diffs, unmatched }
-}
-
-/// Relative delta and verdict for one metric; `abs_floor` is in the
-/// metric's own unit.
-fn diff_metric(metric: &str, old: f64, new: f64, cfg: &GateConfig, abs_floor: f64) -> MetricDiff {
-    let (delta_pct, regressed) = if old <= 0.0 {
-        // Zero baseline: no relative change is defined. Regress only if
-        // the new value is itself above the absolute floor.
-        (None, new > abs_floor)
-    } else {
-        let pct = (new - old) / old * 100.0;
-        (
-            Some(pct),
-            pct > cfg.tolerance_pct && (new - old) > abs_floor,
-        )
-    };
-    MetricDiff {
-        metric: metric.to_string(),
-        old,
-        new,
-        delta_pct,
-        regressed,
-    }
+    outcome
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice: the smallest
@@ -312,167 +390,15 @@ pub fn parse_history(text: &str) -> Vec<HistoryRecord> {
         .collect()
 }
 
-/// The rolling-median baseline distilled from the trailing window of
-/// one workload's history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistoryBaseline {
-    /// Records actually in the window (≤ the N requested).
-    pub n_used: usize,
-    /// Median wall time, seconds.
-    pub wall_time_s: f64,
-    /// Median top-span total, seconds.
-    pub top_span_total_s: f64,
-    /// Median peak RSS, bytes.
-    pub peak_rss_bytes: f64,
-    /// Median peak live heap, bytes.
-    pub alloc_peak_bytes: f64,
-    /// Median final-round accuracy over window records that carry one;
-    /// `None` when no record in the window does.
-    pub final_acc: Option<f64>,
-    /// Median Expected Calibration Error over window records that carry
-    /// one; `None` when no record in the window does.
-    pub ece: Option<f64>,
-}
-
-/// Distill the last `n` records for `workload` into per-metric medians
-/// (file order = append order = chronological). `None` when the history
-/// has no records for the workload or `n == 0` — the caller decides how
-/// a missing baseline is judged (perfgate: pass with a warning).
-pub fn history_baseline(
-    records: &[HistoryRecord],
+/// The last `n` records for `workload`, oldest first (file order =
+/// append order = chronological). Empty when the store has none.
+pub fn history_window<'a>(
+    records: &'a [HistoryRecord],
     workload: &str,
     n: usize,
-) -> Option<HistoryBaseline> {
+) -> Vec<&'a HistoryRecord> {
     let matching: Vec<&HistoryRecord> = records.iter().filter(|r| r.workload == workload).collect();
-    if matching.is_empty() || n == 0 {
-        return None;
-    }
-    let tail = &matching[matching.len().saturating_sub(n)..];
-    let median = |field: &dyn Fn(&HistoryRecord) -> f64| {
-        let mut xs: Vec<f64> = tail.iter().map(|r| field(r)).collect();
-        xs.sort_by(f64::total_cmp);
-        percentile(&xs, 0.5)
-    };
-    // Quality medians span only the window records that measured them
-    // (runs without feedback rounds, or written before the quality
-    // plane, contribute nothing rather than dragging the median to 0).
-    let opt_median = |field: &dyn Fn(&HistoryRecord) -> Option<f64>| {
-        let mut xs: Vec<f64> = tail.iter().filter_map(|r| field(r)).collect();
-        if xs.is_empty() {
-            return None;
-        }
-        xs.sort_by(f64::total_cmp);
-        Some(percentile(&xs, 0.5))
-    };
-    Some(HistoryBaseline {
-        n_used: tail.len(),
-        wall_time_s: median(&|r| r.wall_time_s),
-        top_span_total_s: median(&|r| r.top_span_total_s),
-        peak_rss_bytes: median(&|r| r.peak_rss_bytes as f64),
-        alloc_peak_bytes: median(&|r| r.alloc_peak_bytes as f64),
-        final_acc: opt_median(&|r| r.final_acc),
-        ece: opt_median(&|r| r.ece),
-    })
-}
-
-/// Gate a fresh run against a rolling-median baseline: timing metrics
-/// use the usual tolerance + absolute floor (and honor
-/// [`GateConfig::scale_new`]); memory metrics compare unscaled with a
-/// 1 MiB floor and are skipped when neither side ever observed them
-/// (RSS off Linux, heap without `alloc-track`).
-pub fn gate_against_history(
-    baseline: &HistoryBaseline,
-    new: &HistoryRecord,
-    cfg: &GateConfig,
-) -> GateOutcome {
-    let mut diffs = vec![
-        diff_metric(
-            "wall_time_s",
-            baseline.wall_time_s,
-            new.wall_time_s * cfg.scale_new,
-            cfg,
-            cfg.abs_floor_s,
-        ),
-        diff_metric(
-            "top_span_total_s",
-            baseline.top_span_total_s,
-            new.top_span_total_s * cfg.scale_new,
-            cfg,
-            cfg.abs_floor_s,
-        ),
-    ];
-    let mem_floor = (1u64 << 20) as f64;
-    if baseline.peak_rss_bytes > 0.0 || new.peak_rss_bytes > 0 {
-        diffs.push(diff_metric(
-            "peak_rss_bytes",
-            baseline.peak_rss_bytes,
-            new.peak_rss_bytes as f64,
-            cfg,
-            mem_floor,
-        ));
-    }
-    if baseline.alloc_peak_bytes > 0.0 || new.alloc_peak_bytes > 0 {
-        diffs.push(diff_metric(
-            "alloc.peak_bytes",
-            baseline.alloc_peak_bytes,
-            new.alloc_peak_bytes as f64,
-            cfg,
-            mem_floor,
-        ));
-    }
-    GateOutcome {
-        diffs,
-        unmatched: Vec::new(),
-    }
-}
-
-/// Accuracy and calibration move on a 0–1 scale; a swing below half a
-/// point of accuracy (or ECE) is noise, not signal.
-pub const QUALITY_ABS_FLOOR: f64 = 0.005;
-
-/// Gate a fresh run's **model quality** against the rolling-median
-/// baseline (`perfgate --gate-quality`): `final_acc` regresses when the
-/// new run scores *lower* than the history median (direction inverted
-/// vs the timing gate — bigger is better), `ece` when it scores
-/// *higher* (calibration error — smaller is better). Both use
-/// [`GateConfig::tolerance_pct`] plus the [`QUALITY_ABS_FLOOR`];
-/// `scale_new` does not apply (it injects a *timing* slowdown). Metrics
-/// the history or the new run never measured are skipped, so the gate
-/// passes vacuously on an empty or quality-free history.
-pub fn gate_quality_against_history(
-    baseline: &HistoryBaseline,
-    new: &HistoryRecord,
-    cfg: &GateConfig,
-) -> GateOutcome {
-    let mut diffs = Vec::new();
-    if let (Some(old), Some(new_acc)) = (baseline.final_acc, new.final_acc) {
-        // Inverted: regression = the new accuracy DROPPING past both
-        // the relative tolerance and the absolute floor.
-        let (delta_pct, regressed) = if old <= 0.0 {
-            (None, false)
-        } else {
-            let pct = (new_acc - old) / old * 100.0;
-            (
-                Some(pct),
-                -pct > cfg.tolerance_pct && (old - new_acc) > QUALITY_ABS_FLOOR,
-            )
-        };
-        diffs.push(MetricDiff {
-            metric: "final_acc".to_string(),
-            old,
-            new: new_acc,
-            delta_pct,
-            regressed,
-        });
-    }
-    if let (Some(old), Some(new_ece)) = (baseline.ece, new.ece) {
-        // Same direction as timing: more calibration error is worse.
-        diffs.push(diff_metric("ece", old, new_ece, cfg, QUALITY_ABS_FLOOR));
-    }
-    GateOutcome {
-        diffs,
-        unmatched: Vec::new(),
-    }
+    matching[matching.len().saturating_sub(n)..].to_vec()
 }
 
 #[cfg(test)]
@@ -508,6 +434,39 @@ mod tests {
             histograms: vec![],
             alloc: None,
         }
+    }
+
+    /// `perfgate --compare`: a window of one report.
+    fn compare(old: &BenchReport, new: &BenchReport, cfg: &GateConfig) -> GateOutcome {
+        gate(
+            &[flatten_report(old, cfg)],
+            &flatten_report(new, cfg),
+            cfg,
+            1.0,
+        )
+    }
+
+    /// `perfgate --against-history n`, with the accuracy hook at 1.
+    fn against(
+        records: &[HistoryRecord],
+        n: usize,
+        new: &HistoryRecord,
+        quality: bool,
+    ) -> GateOutcome {
+        let cfg = GateConfig::default();
+        let window: Vec<Vec<Measurement>> = history_window(records, &new.workload, n)
+            .into_iter()
+            .map(|r| flatten_history(r, &cfg, quality))
+            .collect();
+        gate(&window, &flatten_history(new, &cfg, quality), &cfg, 1.0)
+    }
+
+    fn diff<'a>(outcome: &'a GateOutcome, metric: &str) -> &'a MetricDiff {
+        outcome
+            .diffs
+            .iter()
+            .find(|d| d.metric == metric)
+            .unwrap_or_else(|| panic!("no {metric} in {:?}", outcome.diffs))
     }
 
     #[test]
@@ -576,8 +535,7 @@ mod tests {
         let new = report(10.0, &[("bench.datagen", 7.0), ("bench.added", 1.0)]);
         let outcome = compare(&old, &new, &GateConfig::default());
         assert!(outcome.passed());
-        assert!(outcome.unmatched.contains(&"span:bench.gone".to_string()));
-        assert!(outcome.unmatched.contains(&"span:bench.added".to_string()));
+        assert_eq!(outcome.unmatched, ["span:bench.gone", "span:bench.added"]);
     }
 
     #[test]
@@ -595,25 +553,31 @@ mod tests {
             peak_bytes: 50 << 20,
         });
         let cfg = GateConfig {
-            scale_new: 1.0,
+            scale_new: 3.0,
             ..GateConfig::default()
         };
         let outcome = compare(&old, &new, &cfg);
-        let alloc = outcome
-            .diffs
-            .iter()
-            .find(|d| d.metric == "alloc.bytes")
-            .unwrap();
+        let alloc = diff(&outcome, "alloc.bytes");
         assert!(alloc.regressed);
-        // peak unchanged → fine.
-        assert!(
-            !outcome
-                .diffs
-                .iter()
-                .find(|d| d.metric == "alloc.peak_bytes")
-                .unwrap()
-                .regressed
-        );
+        assert_eq!(alloc.delta_pct, Some(100.0));
+        // peak unchanged (and unscaled by --scale) → fine.
+        let peak = diff(&outcome, "alloc.peak_bytes");
+        assert_eq!(peak.new, (50u64 << 20) as f64);
+        assert!(!peak.regressed);
+    }
+
+    #[test]
+    fn alloc_measured_on_one_side_only_is_unmatched() {
+        let old = report(10.0, &[]);
+        let mut new = report(10.0, &[]);
+        new.alloc = Some(BenchAlloc {
+            bytes: 50_000_000,
+            count: 10,
+            peak_bytes: 12_000_000,
+        });
+        let outcome = compare(&old, &new, &GateConfig::default());
+        assert!(outcome.passed());
+        assert_eq!(outcome.unmatched, ["alloc.bytes", "alloc.peak_bytes"]);
     }
 
     #[test]
@@ -622,9 +586,10 @@ mod tests {
         let new = report(21.0, &[("bench.datagen", 7.0)]);
         let cfg = GateConfig::default();
         let outcome = compare(&old, &new, &cfg);
-        let json = outcome.render_json("table1_scream", &cfg);
+        let json = outcome.render_json("table1_scream", &cfg, None, Vec::new());
         let v = aml_telemetry::json::parse(&json).expect("render_json emits valid JSON");
         assert_eq!(v.get("workload").unwrap().as_str(), Some("table1_scream"));
+        assert_eq!(v.get("history_n"), None);
         assert_eq!(v.get("tolerance_pct").unwrap().as_f64(), Some(10.0));
         assert_eq!(v.get("abs_floor_ms").unwrap().as_f64(), Some(5.0));
         assert_eq!(v.get("pass").unwrap(), &Value::Bool(false));
@@ -643,7 +608,7 @@ mod tests {
 
         // A zero baseline renders delta_pct as JSON null.
         let zero = compare(&report(0.0, &[]), &report(0.0, &[]), &cfg);
-        let v = aml_telemetry::json::parse(&zero.render_json("w", &cfg)).unwrap();
+        let v = aml_telemetry::json::parse(&zero.render_json("w", &cfg, None, Vec::new())).unwrap();
         assert_eq!(
             v.get("metrics").unwrap().as_arr().unwrap()[0]
                 .get("delta_pct")
@@ -707,23 +672,30 @@ mod tests {
             history_record("w", 2, 20.0, 60 << 20),
             history_record("w", 3, 30.0, 70 << 20),
         ];
+        let new = history_record("w", 4, 20.0, 60 << 20);
         // Window larger than history: uses all three, median = middle.
-        let b = history_baseline(&records, "w", 10).unwrap();
-        assert_eq!(b.n_used, 3);
-        assert_eq!(b.wall_time_s, 20.0);
-        assert_eq!(b.peak_rss_bytes, (60u64 << 20) as f64);
+        assert_eq!(history_window(&records, "w", 10).len(), 3);
+        let outcome = against(&records, 10, &new, false);
+        assert_eq!(diff(&outcome, "wall_time_s").old, 20.0);
+        assert_eq!(diff(&outcome, "peak_rss_bytes").old, (60u64 << 20) as f64);
         // Window of 2 takes the *last* two (most recent runs).
-        let b = history_baseline(&records, "w", 2).unwrap();
-        assert_eq!(b.n_used, 2);
-        assert_eq!(b.wall_time_s, 20.0); // nearest-rank median of [20, 30]
-                                         // N=1 degenerates to "compare against the previous run".
-        let b = history_baseline(&records, "w", 1).unwrap();
-        assert_eq!(b.n_used, 1);
-        assert_eq!(b.wall_time_s, 30.0);
-        // Missing history / zero window → no baseline.
-        assert_eq!(history_baseline(&records, "nope", 3), None);
-        assert_eq!(history_baseline(&records, "w", 0), None);
-        assert_eq!(history_baseline(&[], "w", 3), None);
+        assert_eq!(history_window(&records, "w", 2)[0].seed, 2);
+        // nearest-rank median of [20, 30]
+        assert_eq!(
+            diff(&against(&records, 2, &new, false), "wall_time_s").old,
+            20.0
+        );
+        // N=1 degenerates to "compare against the previous run".
+        assert_eq!(
+            diff(&against(&records, 1, &new, false), "wall_time_s").old,
+            30.0
+        );
+        // Missing history / zero window → no baseline, nothing compared.
+        assert!(history_window(&records, "nope", 3).is_empty());
+        assert!(history_window(&records, "w", 0).is_empty());
+        let empty = against(&[], 3, &new, true);
+        assert!(empty.passed());
+        assert!(empty.diffs.is_empty() && empty.unmatched.is_empty());
     }
 
     #[test]
@@ -733,63 +705,82 @@ mod tests {
             history_record("w", 2, 10.2, 50 << 20),
             history_record("w", 3, 9.9, 50 << 20),
         ];
-        let baseline = history_baseline(&records, "w", 3).unwrap();
-        let cfg = GateConfig::default();
         // Within tolerance of the median (10.0): passes.
         let ok = history_record("w", 4, 10.5, 50 << 20);
-        assert!(gate_against_history(&baseline, &ok, &cfg).passed());
+        assert!(against(&records, 3, &ok, false).passed());
         // 50% slower than the median: regression on both timing metrics.
         let slow = history_record("w", 5, 15.0, 50 << 20);
-        let outcome = gate_against_history(&baseline, &slow, &cfg);
+        let outcome = against(&records, 3, &slow, false);
         assert!(!outcome.passed());
         assert_eq!(outcome.regressions(), 2);
         assert_eq!(outcome.diffs[0].metric, "wall_time_s");
         assert_eq!(outcome.diffs[0].old, 10.0);
         // RSS growth beyond tolerance + 1 MiB floor also trips.
         let hog = history_record("w", 6, 10.0, 200 << 20);
-        let outcome = gate_against_history(&baseline, &hog, &cfg);
-        let rss = outcome
-            .diffs
-            .iter()
-            .find(|d| d.metric == "peak_rss_bytes")
-            .unwrap();
-        assert!(rss.regressed);
+        assert!(diff(&against(&records, 3, &hog, false), "peak_rss_bytes").regressed);
     }
 
     #[test]
     fn history_gate_skips_memory_metrics_nobody_measured() {
         let records = vec![history_record("w", 1, 10.0, 0)];
-        let baseline = history_baseline(&records, "w", 1).unwrap();
-        let outcome = gate_against_history(
-            &baseline,
-            &history_record("w", 2, 10.0, 0),
-            &GateConfig::default(),
-        );
+        let outcome = against(&records, 1, &history_record("w", 2, 10.0, 0), false);
         assert!(outcome.passed());
         assert_eq!(outcome.diffs.len(), 2, "{:?}", outcome.diffs);
         assert!(outcome.diffs.iter().all(|d| !d.metric.contains("bytes")));
+        assert!(outcome.unmatched.is_empty());
+    }
+
+    #[test]
+    fn memory_measured_on_one_side_only_is_unmatched_not_a_regression() {
+        // A store that never measured memory (0 = not measured) against
+        // an alloc-tracked run with a real RSS: nothing to compare.
+        let records = vec![history_record("w", 1, 10.0, 0)];
+        let mut new = history_record("w", 2, 10.0, 64 << 20);
+        new.alloc_peak_bytes = 12_000_000;
+        let outcome = against(&records, 5, &new, false);
+        assert!(outcome.passed(), "{:?}", outcome.diffs);
+        assert_eq!(outcome.unmatched, ["peak_rss_bytes", "alloc.peak_bytes"]);
+        // And the other way round: a measured store, an unmeasured run.
+        let records = vec![history_record("w", 1, 10.0, 64 << 20)];
+        let outcome = against(&records, 5, &history_record("w", 2, 10.0, 0), false);
+        assert!(outcome.passed());
+        assert_eq!(outcome.unmatched, ["peak_rss_bytes"]);
     }
 
     #[test]
     fn history_json_verdict_carries_the_window_size() {
         let records = vec![history_record("w", 1, 10.0, 0)];
-        let baseline = history_baseline(&records, "w", 5).unwrap();
         let cfg = GateConfig::default();
-        let outcome = gate_against_history(&baseline, &history_record("w", 2, 10.1, 0), &cfg);
-        let v =
-            aml_telemetry::json::parse(&outcome.render_history_json("w", &cfg, 5, baseline.n_used))
-                .unwrap();
+        let outcome = against(&records, 5, &history_record("w", 2, 10.1, 0), false);
+        let v = aml_telemetry::json::parse(&outcome.render_json(
+            "w",
+            &cfg,
+            Some((5, history_window(&records, "w", 5).len())),
+            Vec::new(),
+        ))
+        .unwrap();
+        let Value::Obj(fields) = &v else {
+            panic!("not an object: {v:?}")
+        };
+        let keys: Vec<&str> = fields.iter().take(4).map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "workload",
+                "history_requested",
+                "history_n",
+                "tolerance_pct"
+            ]
+        );
         assert_eq!(v.get("workload").unwrap().as_str(), Some("w"));
         assert_eq!(v.get("history_requested").unwrap().as_u64(), Some(5));
         assert_eq!(v.get("history_n").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("pass").unwrap(), &Value::Bool(true));
 
         // Missing history: an empty outcome renders pass=true, history_n=0.
-        let empty = GateOutcome {
-            diffs: vec![],
-            unmatched: vec![],
-        };
-        let v = aml_telemetry::json::parse(&empty.render_history_json("w", &cfg, 5, 0)).unwrap();
+        let empty = against(&[], 5, &history_record("w", 2, 10.1, 0), false);
+        let v = aml_telemetry::json::parse(&empty.render_json("w", &cfg, Some((5, 0)), Vec::new()))
+            .unwrap();
         assert_eq!(v.get("history_n").unwrap().as_u64(), Some(0));
         assert_eq!(v.get("pass").unwrap(), &Value::Bool(true));
         assert_eq!(v.get("regressions").unwrap().as_u64(), Some(0));
@@ -802,42 +793,80 @@ mod tests {
             history_record("w", 2, 10.0, 0),
             history_record("w", 3, 10.0, 0),
         ];
-        let baseline = history_baseline(&records, "w", 3).unwrap();
-        assert_eq!(baseline.final_acc, Some(0.9));
-        assert_eq!(baseline.ece, Some(0.05));
-        let cfg = GateConfig::default();
-
         // Same quality as the median: passes.
         let same = history_record("w", 4, 10.0, 0);
-        assert!(gate_quality_against_history(&baseline, &same, &cfg).passed());
+        let outcome = against(&records, 3, &same, true);
+        assert!(outcome.passed());
+        assert_eq!(diff(&outcome, "final_acc").old, 0.9);
+        assert_eq!(diff(&outcome, "ece").old, 0.05);
+        // Quality metrics are only flattened when asked for.
+        assert!(against(&records, 3, &same, false)
+            .diffs
+            .iter()
+            .all(|d| d.metric != "final_acc" && d.metric != "ece"));
 
         // Accuracy IMPROVING by a lot must not trip the inverted gate.
         let mut better = history_record("w", 5, 10.0, 0);
         better.final_acc = Some(0.99);
-        assert!(gate_quality_against_history(&baseline, &better, &cfg).passed());
+        assert!(against(&records, 3, &better, true).passed());
 
         // Accuracy dropping 20% regresses; the delta renders negative.
         let mut worse = history_record("w", 6, 10.0, 0);
         worse.final_acc = Some(0.72);
-        let outcome = gate_quality_against_history(&baseline, &worse, &cfg);
+        let outcome = against(&records, 3, &worse, true);
         assert!(!outcome.passed());
-        let acc = &outcome.diffs[0];
-        assert_eq!(acc.metric, "final_acc");
+        let acc = diff(&outcome, "final_acc");
         assert!(acc.regressed);
         assert!(acc.delta_pct.unwrap() < -19.0, "{:?}", acc.delta_pct);
 
         // ECE doubling regresses in the normal direction...
         let mut blurry = history_record("w", 7, 10.0, 0);
         blurry.ece = Some(0.12);
-        let outcome = gate_quality_against_history(&baseline, &blurry, &cfg);
+        let outcome = against(&records, 3, &blurry, true);
         assert!(!outcome.passed());
-        assert_eq!(outcome.diffs[1].metric, "ece");
-        assert!(outcome.diffs[1].regressed);
+        assert!(diff(&outcome, "ece").regressed);
         // ...but a sub-floor absolute wobble never does, even when the
         // relative change is large.
         let mut wobble = history_record("w", 8, 10.0, 0);
         wobble.ece = Some(0.0545);
-        assert!(gate_quality_against_history(&baseline, &wobble, &cfg).passed());
+        assert!(against(&records, 3, &wobble, true).passed());
+    }
+
+    #[test]
+    fn accuracy_hook_scales_only_final_acc() {
+        let cfg = GateConfig::default();
+        let rec = history_record("w", 1, 10.0, 0);
+        let window = [flatten_history(&rec, &cfg, true)];
+        let outcome = gate(&window, &flatten_history(&rec, &cfg, true), &cfg, 0.5);
+        assert!(!outcome.passed());
+        let acc = diff(&outcome, "final_acc");
+        assert!(acc.regressed);
+        assert_eq!(acc.new, 0.45);
+        assert_eq!(outcome.regressions(), 1, "{:?}", outcome.diffs);
+    }
+
+    #[test]
+    fn higher_is_better_metrics_regress_when_they_drop() {
+        // A layer throughput (rows/s): the same rule, mirrored.
+        let cfg = GateConfig::default();
+        let rows_per_s = |value: f64| Measurement {
+            name: "models.predict_rows_per_s".into(),
+            value,
+            better: Better::Higher,
+            floor: 100.0,
+            hook: Hook::None,
+        };
+        let window = [
+            vec![rows_per_s(9e4)],
+            vec![rows_per_s(1e5)],
+            vec![rows_per_s(1.1e5)],
+        ];
+        assert!(gate(&window, &[rows_per_s(2e5)], &cfg, 1.0).passed());
+        assert!(gate(&window, &[rows_per_s(9.5e4)], &cfg, 1.0).passed());
+        let slow = gate(&window, &[rows_per_s(5e4)], &cfg, 1.0);
+        assert!(!slow.passed());
+        assert_eq!(slow.diffs[0].old, 1e5);
+        assert_eq!(slow.diffs[0].delta_pct, Some(-50.0));
     }
 
     #[test]
@@ -846,16 +875,17 @@ mod tests {
         let mut old = history_record("w", 1, 10.0, 0);
         old.final_acc = None;
         old.ece = None;
-        let baseline = history_baseline(&[old], "w", 1).unwrap();
-        assert_eq!(baseline.final_acc, None);
-        assert_eq!(baseline.ece, None);
-        let outcome = gate_quality_against_history(
-            &baseline,
-            &history_record("w", 2, 10.0, 0),
-            &GateConfig::default(),
-        );
+        let mut new = history_record("w", 2, 10.0, 0);
+        new.final_acc = None;
+        new.ece = None;
+        let outcome = against(&[old.clone()], 1, &new, true);
         assert!(outcome.passed());
-        assert!(outcome.diffs.is_empty(), "{:?}", outcome.diffs);
+        assert_eq!(outcome.diffs.len(), 2, "{:?}", outcome.diffs);
+        assert!(outcome.unmatched.is_empty());
+        // Measured on the new side only: listed, not gated.
+        let outcome = against(&[old], 1, &history_record("w", 2, 10.0, 0), true);
+        assert!(outcome.passed());
+        assert_eq!(outcome.unmatched, ["final_acc", "ece"]);
     }
 
     #[test]
@@ -869,10 +899,10 @@ mod tests {
         let mut c = history_record("w", 3, 10.0, 0);
         c.final_acc = None;
         c.ece = Some(0.07);
-        let baseline = history_baseline(&[a, b, c], "w", 3).unwrap();
+        let outcome = against(&[a, b, c], 3, &history_record("w", 4, 10.0, 0), true);
         // Median of [0.8, 0.9] (nearest-rank) and [0.03, 0.07].
-        assert_eq!(baseline.final_acc, Some(0.8));
-        assert_eq!(baseline.ece, Some(0.03));
+        assert_eq!(diff(&outcome, "final_acc").old, 0.8);
+        assert_eq!(diff(&outcome, "ece").old, 0.03);
     }
 
     #[test]

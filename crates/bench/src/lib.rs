@@ -609,7 +609,7 @@ impl RunOpts {
         aml_telemetry::resource::stop_sampler();
         if self.record.is_some() {
             // Without --serve no sampler ran; take one reading so the
-            // history record still gets an RSS figure.
+            // manifest and the crit report still get the proc.* gauges.
             aml_telemetry::resource::publish_once();
         }
         aml_telemetry::alloc::publish_counters();
@@ -638,16 +638,6 @@ impl RunOpts {
             match bench.as_ref().unwrap().write(&self.out_dir) {
                 Ok(path) => aml_telemetry::note(&format!("wrote {}", path.display())),
                 Err(e) => aml_telemetry::warn(&format!("could not write BENCH report: {e}")),
-            }
-        }
-        if let Some(path) = &self.record {
-            let record = self.history_record(bench.as_ref().unwrap(), &manifest.snapshot);
-            match record.append(path) {
-                Ok(()) => aml_telemetry::note(&format!("recorded history -> {}", path.display())),
-                Err(e) => aml_telemetry::warn(&format!(
-                    "could not append --record {}: {e}",
-                    path.display()
-                )),
             }
         }
         if let Some(path) = &self.profile_out {
@@ -704,6 +694,20 @@ impl RunOpts {
                 }
                 Err(e) => aml_telemetry::warn(&format!(
                     "could not write --quality-out {}: {e}",
+                    path.display()
+                )),
+            }
+        }
+        if let Some(path) = &self.record {
+            // Last, so the reading of the kernel's RSS high-water mark
+            // covers every output written above.
+            aml_telemetry::resource::publish_once();
+            let snapshot = aml_telemetry::global().snapshot();
+            let record = self.history_record(bench.as_ref().unwrap(), &snapshot);
+            match record.append(path) {
+                Ok(()) => aml_telemetry::note(&format!("recorded history -> {}", path.display())),
+                Err(e) => aml_telemetry::warn(&format!(
+                    "could not append --record {}: {e}",
                     path.display()
                 )),
             }

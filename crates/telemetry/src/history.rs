@@ -51,7 +51,7 @@ pub const HISTORY_SCHEMA_VERSION: u64 = 1;
 pub const DEFAULT_HISTORY_PATH: &str = "results/history/history.jsonl";
 
 /// One completed run, as remembered across runs.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistoryRecord {
     /// Workload name (joins records of the same benchmark).
     pub workload: String,

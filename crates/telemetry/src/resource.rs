@@ -2,11 +2,13 @@
 //!
 //! A background thread periodically reads `/proc/self/statm` (resident
 //! pages), `/proc/self/stat` (user/system CPU ticks), and
-//! `/proc/self/status` (thread count) and publishes them as gauges:
+//! `/proc/self/status` (thread count, RSS high-water mark) and publishes
+//! them as gauges:
 //!
 //! * `proc.rss_bytes` — resident set size in bytes
-//! * `proc.rss_peak_bytes` — highest RSS any sample observed (feeds the
-//!   cross-run history's `peak_rss_bytes`)
+//! * `proc.rss_peak_bytes` — the kernel's RSS high-water mark (`VmHWM`),
+//!   so one reading at the end of a run sees the whole run's peak (feeds
+//!   the cross-run history's `peak_rss_bytes`)
 //! * `proc.cpu_user_ms` — cumulative user-mode CPU time, milliseconds
 //! * `proc.cpu_sys_ms` — cumulative kernel-mode CPU time, milliseconds
 //! * `proc.threads` — current thread count
@@ -17,9 +19,10 @@
 //! no-op; no `cfg` gymnastics, just a runtime probe.
 //!
 //! The sampler only exists when `--serve` is given; without it no thread
-//! is spawned (off-is-free).
+//! is spawned (off-is-free). `--record` takes a single [`publish_once`]
+//! reading at the end of the run instead.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -39,6 +42,9 @@ const MS_PER_TICK: u64 = 10;
 pub struct Sample {
     /// Resident set size in bytes.
     pub rss_bytes: u64,
+    /// Peak resident set size so far (`VmHWM`), in bytes; the current
+    /// RSS where the kernel does not report it.
+    pub rss_peak_bytes: u64,
     /// Cumulative user-mode CPU time in milliseconds.
     pub cpu_user_ms: u64,
     /// Cumulative kernel-mode CPU time in milliseconds.
@@ -64,33 +70,29 @@ pub fn sample() -> Option<Sample> {
     let stime_ticks: u64 = fields.next()?.parse().ok()?;
 
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let threads: u64 = status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())?;
+    let field = |key: &str| -> Option<u64> {
+        let value = status.lines().find_map(|l| l.strip_prefix(key))?;
+        // "Threads:\t7" or "VmHWM:\t  15508 kB".
+        value.trim().trim_end_matches("kB").trim_end().parse().ok()
+    };
+    let threads = field("Threads:")?;
+    let rss_bytes = resident_pages * PAGE_BYTES;
 
     Some(Sample {
-        rss_bytes: resident_pages * PAGE_BYTES,
+        rss_bytes,
+        rss_peak_bytes: field("VmHWM:").map_or(rss_bytes, |kb| kb * 1024),
         cpu_user_ms: utime_ticks * MS_PER_TICK,
         cpu_sys_ms: stime_ticks * MS_PER_TICK,
         threads,
     })
 }
 
-/// Highest RSS any [`publish_once`] call has observed this process.
-/// Monotonic by construction (`fetch_max`), so sparse sampling can only
-/// under-report the peak, never invent one.
-static RSS_PEAK: AtomicU64 = AtomicU64::new(0);
-
 /// Take one sample and publish it into the `proc.*` gauges. No-op when
 /// `/proc` is unavailable or telemetry is off.
 pub fn publish_once() {
     if let Some(s) = sample() {
-        let peak = RSS_PEAK
-            .fetch_max(s.rss_bytes, Ordering::Relaxed)
-            .max(s.rss_bytes);
         crate::gauge_set("proc.rss_bytes", s.rss_bytes);
-        crate::gauge_set("proc.rss_peak_bytes", peak);
+        crate::gauge_set("proc.rss_peak_bytes", s.rss_peak_bytes);
         crate::gauge_set("proc.cpu_user_ms", s.cpu_user_ms);
         crate::gauge_set("proc.cpu_sys_ms", s.cpu_sys_ms);
         crate::gauge_set("proc.threads", s.threads);
@@ -198,6 +200,31 @@ mod tests {
             assert!(gauge("proc.rss_peak_bytes") >= gauge("proc.rss_bytes"));
         } else {
             assert!(snap.gauges.is_empty());
+        }
+        set_level(TelemetryLevel::Off);
+        crate::global().reset();
+    }
+
+    #[test]
+    fn rss_peak_is_the_kernels_high_water_mark() {
+        let _guard = test_lock::hold();
+        set_level(TelemetryLevel::Summary);
+        crate::global().reset();
+        // Touch every page of 64 MiB, then give it back: only the
+        // high-water mark still remembers it.
+        const SIZE: usize = 64 << 20;
+        let buf = std::hint::black_box(vec![1u8; SIZE]);
+        assert_eq!(buf[SIZE - 1], 1);
+        drop(buf);
+        publish_once();
+        if sample().is_some() {
+            let peak = crate::global()
+                .snapshot()
+                .gauges
+                .into_iter()
+                .find(|(n, _)| n == "proc.rss_peak_bytes")
+                .map(|(_, v)| v);
+            assert!(peak >= Some(SIZE as u64), "{peak:?}");
         }
         set_level(TelemetryLevel::Off);
         crate::global().reset();

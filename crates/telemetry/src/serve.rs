@@ -316,14 +316,14 @@ fn history_json(query: Option<&str>) -> String {
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone();
-    render_history_json(&path, query)
+    render_history_array(&path, query)
 }
 
 /// The history store at `path` as a JSON array (the `/history` route's
 /// body, factored out so other servers — `amlserve` — can serve a
 /// history file of their own choosing). Same filter semantics as
 /// `/history`: `?workload=NAME` and `?tail=N`.
-pub fn render_history_json(path: &Path, query: Option<&str>) -> String {
+pub fn render_history_array(path: &Path, query: Option<&str>) -> String {
     let Ok(text) = std::fs::read_to_string(path) else {
         return "[]\n".to_string();
     };
