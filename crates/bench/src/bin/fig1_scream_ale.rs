@@ -14,7 +14,7 @@ use aml_automl::{AutoMl, AutoMlConfig};
 use aml_bench::{ale_bands_json, write_artifact, write_json, RunOpts};
 use aml_core::{AleFeedback, AleMode};
 use aml_interpret::plot::{band_to_ascii, band_to_csv, band_to_svg};
-use aml_netsim::datagen::generate_dataset;
+use aml_netsim::datagen::SamplingMode;
 use aml_netsim::ConditionDomain;
 use aml_telemetry::{note, report};
 
@@ -31,11 +31,13 @@ fn main() {
     note(&format!(
         "generating {n_train} training samples from the simulator..."
     ));
-    let train = aml_bench::cached_dataset(
-        &opts.out_dir,
-        &format!("scream_train_n{n_train}_s{}", opts.seed),
-        || generate_dataset(&domain, n_train, opts.seed, opts.threads).expect("datagen"),
-    );
+    let spec = aml_bench::NetsimSpec {
+        domain,
+        mode: SamplingMode::Uniform,
+        n: n_train,
+        seed: opts.seed,
+    };
+    let train = aml_bench::cached_netsim(&opts.out_dir, &spec, opts.threads);
     note(&format!(
         "class balance (rest, scream): {:?}",
         train.class_counts()

@@ -12,11 +12,11 @@
 //! per-test-set scores for the Wilcoxon tests.
 
 use aml_automl::AutoMlConfig;
-use aml_bench::{cached_dataset, mean, write_artifact, write_json, RunOpts};
+use aml_bench::{cached_netsim, mean, write_artifact, write_json, NetsimSpec, RunOpts};
 use aml_core::{run_strategy, AleFeedback, ExperimentConfig, Strategy, ThresholdRule};
 use aml_dataset::split::split_into_k;
 use aml_dataset::Dataset;
-use aml_netsim::datagen::{generate_dataset, generate_dataset_mode, label_rows, SamplingMode};
+use aml_netsim::datagen::{label_rows, SamplingMode};
 use aml_netsim::ConditionDomain;
 use aml_telemetry::{note, report};
 use std::collections::BTreeMap;
@@ -51,29 +51,26 @@ fn main() {
     note(&format!(
         "generating datasets (train {n_train}, pool {n_pool}, test {n_test})..."
     ));
-    let train = cached_dataset(
+    let spec = |mode, n, seed| NetsimSpec {
+        domain,
+        mode,
+        n,
+        seed,
+    };
+    let train = cached_netsim(
         &opts.out_dir,
-        &format!("scream_train_prod_n{n_train}_s{}", opts.seed),
-        || {
-            generate_dataset_mode(
-                &domain,
-                n_train,
-                opts.seed,
-                threads,
-                SamplingMode::Production,
-            )
-            .expect("datagen")
-        },
+        &spec(SamplingMode::Production, n_train, opts.seed),
+        threads,
     );
-    let pool = cached_dataset(
+    let pool = cached_netsim(
         &opts.out_dir,
-        &format!("scream_pool_n{n_pool}_s{}", opts.seed),
-        || generate_dataset(&domain, n_pool, opts.seed ^ 0xB00B, threads).expect("datagen"),
+        &spec(SamplingMode::Uniform, n_pool, opts.seed ^ 0xB00B),
+        threads,
     );
-    let test = cached_dataset(
+    let test = cached_netsim(
         &opts.out_dir,
-        &format!("scream_test_n{n_test}_s{}", opts.seed),
-        || generate_dataset(&domain, n_test, opts.seed ^ 0x7E57, threads).expect("datagen"),
+        &spec(SamplingMode::Uniform, n_test, opts.seed ^ 0x7E57),
+        threads,
     );
     note(&format!(
         "train balance {:?} | pool {:?} | test {:?}",

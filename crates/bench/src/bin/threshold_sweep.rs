@@ -8,11 +8,11 @@
 //! ```
 
 use aml_automl::{AutoMl, AutoMlConfig};
-use aml_bench::{cached_dataset, mean, write_json, RunOpts};
+use aml_bench::{cached_netsim, mean, write_json, NetsimSpec, RunOpts};
 use aml_core::{run_strategy, AleFeedback, ExperimentConfig, Strategy, ThresholdRule};
 use aml_dataset::split::split_into_k;
 use aml_dataset::Dataset;
-use aml_netsim::datagen::{generate_dataset, label_rows};
+use aml_netsim::datagen::{label_rows, SamplingMode};
 use aml_netsim::ConditionDomain;
 use aml_telemetry::json::{ToJson, Value};
 use aml_telemetry::report;
@@ -50,16 +50,14 @@ fn main() {
 
     let datagen_span = aml_telemetry::span!("bench.datagen");
     aml_telemetry::serve::set_phase("datagen");
-    let train = cached_dataset(
-        &opts.out_dir,
-        &format!("scream_train_n{n_train}_s{}", opts.seed),
-        || generate_dataset(&domain, n_train, opts.seed, threads).expect("datagen"),
-    );
-    let test = cached_dataset(
-        &opts.out_dir,
-        &format!("sweep_test_n{n_test}_s{}", opts.seed),
-        || generate_dataset(&domain, n_test, opts.seed ^ 0x7E57, threads).expect("datagen"),
-    );
+    let spec = |n, seed| NetsimSpec {
+        domain,
+        mode: SamplingMode::Uniform,
+        n,
+        seed,
+    };
+    let train = cached_netsim(&opts.out_dir, &spec(n_train, opts.seed), threads);
+    let test = cached_netsim(&opts.out_dir, &spec(n_test, opts.seed ^ 0x7E57), threads);
     let test_sets = split_into_k(&test, 6, opts.seed).expect("split");
     drop(datagen_span);
     let sweep_span = aml_telemetry::span!("bench.strategies");

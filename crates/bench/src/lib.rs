@@ -849,9 +849,50 @@ pub fn ale_bands_json(bands: &[aml_interpret::AleBand]) -> json::Value {
     )
 }
 
-/// Load a cached dataset or generate-and-cache it. The cache key must
-/// uniquely identify the generation parameters (include n and seed!).
-pub fn cached_dataset(out_dir: &Path, key: &str, generate: impl FnOnce() -> Dataset) -> Dataset {
+/// The generation parameters of one simulator-labelled dataset: together
+/// with [`aml_netsim::datagen::GENERATOR_VERSION`], everything that
+/// determines its rows and labels.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NetsimSpec {
+    /// Condition domain the rows are sampled from.
+    pub domain: aml_netsim::ConditionDomain,
+    /// Uniform or production-like sampling.
+    pub mode: aml_netsim::datagen::SamplingMode,
+    /// Number of rows.
+    pub n: usize,
+    /// Generation seed.
+    pub seed: u64,
+}
+
+impl NetsimSpec {
+    /// Cache key: an FNV-1a hash of the generator version and every field,
+    /// so changing the generator or any parameter misses the cache.
+    pub fn cache_key(&self) -> String {
+        self.key_at(aml_netsim::datagen::GENERATOR_VERSION)
+    }
+
+    fn key_at(&self, version: u32) -> String {
+        // `Debug` prints every field, floats in shortest round-trip form.
+        let canonical = format!("v{version}|{self:?}");
+        let hash = canonical.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("netsim_n{}_{hash:016x}", self.n)
+    }
+}
+
+/// Load the dataset `spec` describes from `out_dir`'s cache, or simulate,
+/// label and cache it with `parallelism` worker threads.
+pub fn cached_netsim(out_dir: &Path, spec: &NetsimSpec, parallelism: usize) -> Dataset {
+    let NetsimSpec { n, seed, mode, .. } = *spec;
+    cached_dataset(out_dir, &spec.cache_key(), || {
+        aml_netsim::datagen::generate_dataset_mode(&spec.domain, n, seed, parallelism, mode)
+            .expect("datagen")
+    })
+}
+
+/// Load `<out_dir>/<key>.csv`, or generate the dataset and cache it there.
+fn cached_dataset(out_dir: &Path, key: &str, generate: impl FnOnce() -> Dataset) -> Dataset {
     let path = out_dir.join(format!("{key}.csv"));
     if path.exists() {
         if let Ok(ds) = aml_dataset::csv::read_csv(&path) {
@@ -1274,6 +1315,62 @@ mod tests {
         assert_eq!(first.n_rows(), second.n_rows());
         assert_eq!(first.labels(), second.labels());
         std::fs::remove_file(dir.join(format!("{key}.csv"))).ok();
+    }
+
+    #[test]
+    fn netsim_cache_key_covers_every_generation_parameter() {
+        use aml_netsim::datagen::{SamplingMode, GENERATOR_VERSION};
+        let dir = std::env::temp_dir().join(format!("aml_bench_netsim_key_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let tiny = || synth::two_moons(30, 0.1, 1).unwrap();
+        let base = NetsimSpec {
+            domain: aml_netsim::ConditionDomain::default(),
+            mode: SamplingMode::Uniform,
+            n: 30,
+            seed: 1,
+        };
+        assert_eq!(base.cache_key(), base.key_at(GENERATOR_VERSION));
+        cached_dataset(&dir, &base.cache_key(), tiny);
+        cached_dataset(&dir, &base.cache_key(), || panic!("must hit the cache"));
+        let d = base.domain;
+        let variants = [
+            base.key_at(GENERATOR_VERSION + 1),
+            NetsimSpec {
+                mode: SamplingMode::Production,
+                ..base
+            }
+            .cache_key(),
+            NetsimSpec { n: 31, ..base }.cache_key(),
+            NetsimSpec { seed: 2, ..base }.cache_key(),
+            NetsimSpec {
+                domain: aml_netsim::ConditionDomain {
+                    link_rate: (d.link_rate.0, d.link_rate.1 + 1.0),
+                    ..d
+                },
+                ..base
+            }
+            .cache_key(),
+            NetsimSpec {
+                domain: aml_netsim::ConditionDomain {
+                    flows: (d.flows.0, d.flows.1 + 1),
+                    ..d
+                },
+                ..base
+            }
+            .cache_key(),
+        ];
+        for key in variants {
+            let mut generated = false;
+            cached_dataset(&dir, &key, || {
+                generated = true;
+                tiny()
+            });
+            assert!(
+                generated,
+                "{key} was served from another spec's cache entry"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

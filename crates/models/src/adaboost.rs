@@ -8,7 +8,7 @@
 //! different places, which is exactly the diversity QBC and the ALE
 //! feedback feed on.
 
-use crate::model::{check_row, check_training, normalize, Classifier};
+use crate::model::{argmax, check_row, check_training, normalize, Classifier};
 use crate::tree::{DecisionTree, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
@@ -76,8 +76,7 @@ impl AdaBoost {
             let mut err = 0.0;
             let mut wrong = vec![false; n];
             for i in 0..n {
-                let pred = tree.predict_row(ds.row(i))?;
-                if pred != ds.label(i) {
+                if argmax(tree.leaf_proba(ds.row(i))) != ds.label(i) {
                     err += weights[i];
                     wrong[i] = true;
                 }
@@ -146,7 +145,7 @@ impl Classifier for AdaBoost {
         // soft voting).
         let mut votes = vec![0.0; self.n_classes];
         for (alpha, tree) in &self.learners {
-            votes[tree.predict_row(row)?] += alpha;
+            votes[argmax(tree.leaf_proba(row))] += alpha;
         }
         Ok(normalize(votes))
     }

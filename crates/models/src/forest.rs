@@ -74,56 +74,28 @@ pub(crate) fn derive_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Bagged forest of best-split trees.
+/// A probability-averaging ensemble of [`DecisionTree`]s: a
+/// [`RandomForest`] when `EXTRA` is false, [`ExtraTrees`] when it is true.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RandomForest {
+pub struct Forest<const EXTRA: bool> {
     trees: Vec<DecisionTree>,
     n_classes: usize,
     n_features: usize,
 }
 
-impl RandomForest {
-    /// Fit `params.n_trees` trees on bootstrap resamples of `ds`.
-    pub fn fit(ds: &Dataset, params: ForestParams) -> Result<Self> {
-        check_training(ds)?;
-        params.validate()?;
-        let mut trees = Vec::with_capacity(params.n_trees);
-        for t in 0..params.n_trees {
-            let seed = derive_seed(params.seed, t as u64);
-            let mut rng = StdRng::seed_from_u64(seed);
-            // Bootstrap sample; retry a few times if the resample lost all
-            // but one class (possible on small or imbalanced data).
-            let mut tree = None;
-            for attempt in 0..8 {
-                let idx: Vec<usize> = (0..ds.n_rows())
-                    .map(|_| rng.gen_range(0..ds.n_rows()))
-                    .collect();
-                let sample = ds.subset(&idx)?;
-                match DecisionTree::fit(
-                    &sample,
-                    params.tree_params(ds, Splitter::Best, derive_seed(seed, attempt)),
-                ) {
-                    Ok(t) => {
-                        tree = Some(t);
-                        break;
-                    }
-                    Err(ModelError::SingleClass) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-            // Fall back to fitting on the full data if bootstrapping kept
-            // collapsing to one class.
-            let tree = match tree {
-                Some(t) => t,
-                None => DecisionTree::fit(ds, params.tree_params(ds, Splitter::Best, seed))?,
-            };
-            trees.push(tree);
-        }
-        Ok(RandomForest {
+/// Bagged forest of best-split trees.
+pub type RandomForest = Forest<false>;
+
+/// Extremely randomized trees: no bootstrap, random thresholds.
+pub type ExtraTrees = Forest<true>;
+
+impl<const EXTRA: bool> Forest<EXTRA> {
+    fn new(ds: &Dataset, trees: Vec<DecisionTree>) -> Self {
+        Forest {
             trees,
             n_classes: ds.n_classes(),
             n_features: ds.n_features(),
-        })
+        }
     }
 
     /// Number of trees in the forest.
@@ -132,42 +104,36 @@ impl RandomForest {
     }
 }
 
-impl Classifier for RandomForest {
-    fn n_classes(&self) -> usize {
-        self.n_classes
+impl RandomForest {
+    /// Fit `params.n_trees` trees on bootstrap resamples of `ds`.
+    pub fn fit(ds: &Dataset, params: ForestParams) -> Result<Self> {
+        check_training(ds)?;
+        params.validate()?;
+        let n = ds.n_rows();
+        let trees = (0..params.n_trees)
+            .map(|t| {
+                let seed = derive_seed(params.seed, t as u64);
+                let mut rng = StdRng::seed_from_u64(seed);
+                // Bootstrap sample; retry a few times if the resample lost
+                // all but one class (possible on small or imbalanced data).
+                for attempt in 0..8 {
+                    let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+                    let tree_seed = derive_seed(seed, attempt);
+                    match DecisionTree::fit(
+                        &ds.subset(&idx)?,
+                        params.tree_params(ds, Splitter::Best, tree_seed),
+                    ) {
+                        Err(ModelError::SingleClass) => continue,
+                        fitted => return fitted,
+                    }
+                }
+                // Fall back to fitting on the full data if bootstrapping
+                // kept collapsing to one class.
+                DecisionTree::fit(ds, params.tree_params(ds, Splitter::Best, seed))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Forest::new(ds, trees))
     }
-
-    fn n_features(&self) -> usize {
-        self.n_features
-    }
-
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        let mut acc = vec![0.0; self.n_classes];
-        for tree in &self.trees {
-            let p = tree.predict_proba_row(row)?;
-            for (a, v) in acc.iter_mut().zip(p) {
-                *a += v;
-            }
-        }
-        let n = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        Ok(acc)
-    }
-
-    fn name(&self) -> &'static str {
-        "random_forest"
-    }
-}
-
-/// Extremely randomized trees: no bootstrap, random thresholds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExtraTrees {
-    trees: Vec<DecisionTree>,
-    n_classes: usize,
-    n_features: usize,
 }
 
 impl ExtraTrees {
@@ -175,28 +141,17 @@ impl ExtraTrees {
     pub fn fit(ds: &Dataset, params: ForestParams) -> Result<Self> {
         check_training(ds)?;
         params.validate()?;
-        let mut trees = Vec::with_capacity(params.n_trees);
-        for t in 0..params.n_trees {
-            let seed = derive_seed(params.seed ^ 0xE57A, t as u64);
-            trees.push(DecisionTree::fit(
-                ds,
-                params.tree_params(ds, Splitter::Random, seed),
-            )?);
-        }
-        Ok(ExtraTrees {
-            trees,
-            n_classes: ds.n_classes(),
-            n_features: ds.n_features(),
-        })
-    }
-
-    /// Number of trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
+        let trees = (0..params.n_trees)
+            .map(|t| {
+                let seed = derive_seed(params.seed ^ 0xE57A, t as u64);
+                DecisionTree::fit(ds, params.tree_params(ds, Splitter::Random, seed))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Forest::new(ds, trees))
     }
 }
 
-impl Classifier for ExtraTrees {
+impl<const EXTRA: bool> Classifier for Forest<EXTRA> {
     fn n_classes(&self) -> usize {
         self.n_classes
     }
@@ -209,8 +164,7 @@ impl Classifier for ExtraTrees {
         check_row(row, self.n_features)?;
         let mut acc = vec![0.0; self.n_classes];
         for tree in &self.trees {
-            let p = tree.predict_proba_row(row)?;
-            for (a, v) in acc.iter_mut().zip(p) {
+            for (a, v) in acc.iter_mut().zip(tree.leaf_proba(row)) {
                 *a += v;
             }
         }
@@ -222,7 +176,11 @@ impl Classifier for ExtraTrees {
     }
 
     fn name(&self) -> &'static str {
-        "extra_trees"
+        if EXTRA {
+            "extra_trees"
+        } else {
+            "random_forest"
+        }
     }
 }
 

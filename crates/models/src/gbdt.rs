@@ -1,13 +1,14 @@
 //! Gradient-boosted decision trees for classification.
 //!
 //! One-vs-rest logistic boosting: for each class `c` we maintain an additive
-//! score `F_c(x)` and at every round fit a [`RegressionTree`] to the negative
+//! score `F_c(x)` and at every round fit a regression tree to the negative
 //! gradient of the logistic loss (`y − p`), then install Newton-step leaf
 //! values `Σ(y−p) / Σ p(1−p)` (standard LogitBoost/L2-TreeBoost leaf update).
 //! Class probabilities come from a softmax over the K scores.
 
 use crate::model::{check_row, check_training, Classifier};
-use crate::regression::{RegTreeParams, RegressionTree};
+use crate::regression;
+use crate::tree::Tree;
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -39,7 +40,7 @@ impl Default for GbdtParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientBoosting {
     /// `stages[round][class]` regression trees.
-    stages: Vec<Vec<RegressionTree>>,
+    stages: Vec<Vec<Tree<f64>>>,
     /// Initial per-class score (log prior odds).
     base_score: Vec<f64>,
     learning_rate: f64,
@@ -76,10 +77,6 @@ impl GradientBoosting {
             .collect();
 
         let mut scores: Vec<Vec<f64>> = (0..k).map(|c| vec![base_score[c]; n]).collect();
-        let tree_params = RegTreeParams {
-            max_depth: params.max_depth,
-            min_samples_leaf: params.min_samples_leaf,
-        };
         let mut stages = Vec::with_capacity(params.n_rounds);
 
         for _round in 0..params.n_rounds {
@@ -95,11 +92,12 @@ impl GradientBoosting {
                         y - proba[i][c]
                     })
                     .collect();
-                let mut tree = RegressionTree::fit(ds, &grad, &tree_params)?;
+                let mut tree =
+                    regression::fit(ds, &grad, params.max_depth, params.min_samples_leaf)?;
                 // Newton leaf values: Σg / Σ|h| with h = p(1−p), damped by
                 // the usual (k−1)/k multiclass factor.
                 let factor = (k as f64 - 1.0) / k as f64;
-                tree.relabel_leaves(|members| {
+                tree.relabel_leaves(ds, |members| {
                     let g: f64 = members.iter().map(|&i| grad[i]).sum();
                     let h: f64 = members
                         .iter()
@@ -112,7 +110,7 @@ impl GradientBoosting {
                     }
                 });
                 for (i, s) in scores[c].iter_mut().enumerate().take(n) {
-                    *s += params.learning_rate * tree.predict_row(ds.row(i))?;
+                    *s += params.learning_rate * tree.leaf(ds.row(i));
                 }
                 round_trees.push(tree);
             }
@@ -133,14 +131,14 @@ impl GradientBoosting {
         self.stages.len()
     }
 
-    fn raw_scores(&self, row: &[f64]) -> Result<Vec<f64>> {
+    fn raw_scores(&self, row: &[f64]) -> Vec<f64> {
         let mut scores = self.base_score.clone();
         for round in &self.stages {
             for (c, tree) in round.iter().enumerate() {
-                scores[c] += self.learning_rate * tree.predict_row(row)?;
+                scores[c] += self.learning_rate * tree.leaf(row);
             }
         }
-        Ok(scores)
+        scores
     }
 }
 
@@ -173,7 +171,7 @@ impl Classifier for GradientBoosting {
 
     fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
         check_row(row, self.n_features)?;
-        Ok(softmax(&self.raw_scores(row)?))
+        Ok(softmax(&self.raw_scores(row)))
     }
 
     fn name(&self) -> &'static str {

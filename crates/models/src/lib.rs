@@ -23,6 +23,11 @@
 //! ensembles ([`ensemble`]) and the evaluation metrics the paper reports
 //! ([`metrics::balanced_accuracy`] et al.).
 //!
+//! All five tree families are built on one tree learner in [`tree`]: one
+//! node arena, one depth-first grower, one split scan and one leaf walk,
+//! parameterised by the node statistic (class-weight counts for the
+//! classifiers, squared error for GBDT's regression trees).
+//!
 //! Every classifier implements the object-safe [`Classifier`] trait
 //! (`predict_proba_row` is the only required prediction method), takes an
 //! explicit seed where stochastic, and returns `Result` rather than
@@ -40,7 +45,7 @@ pub mod model;
 pub mod naive_bayes;
 pub mod pipeline;
 pub mod preprocess;
-pub mod regression;
+mod regression;
 pub mod tree;
 
 pub use adaboost::AdaBoost;

@@ -2,218 +2,49 @@
 //! [`crate::gbdt::GradientBoosting`].
 //!
 //! Fits real-valued targets by greedily minimizing within-node sum of
-//! squared errors. Only what boosting needs is implemented: depth/leaf-size
-//! controls and a leaf-value override hook (boosting replaces leaf means
-//! with Newton-step values).
+//! squared errors: the shared learner in [`crate::tree`] grown with the
+//! [`SquaredError`] statistic. Boosting then replaces the leaf means with
+//! Newton-step values through [`Tree::relabel_leaves`].
 
+use crate::tree::{SquaredError, Tree, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
-/// Hyperparameters for [`RegressionTree`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegTreeParams {
-    /// Maximum depth (0 = single leaf).
-    pub max_depth: usize,
-    /// Minimum samples per leaf.
-    pub min_samples_leaf: usize,
-}
-
-impl Default for RegTreeParams {
-    fn default() -> Self {
-        RegTreeParams {
-            max_depth: 3,
-            min_samples_leaf: 5,
-        }
-    }
-}
-
-#[derive(Debug, Clone, PartialEq)]
-enum RNode {
-    Leaf {
-        value: f64,
-        /// Row indices that landed in this leaf at fit time; kept so
-        /// boosting can recompute leaf values from gradients/hessians.
-        members: Vec<usize>,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-/// A fitted regression tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegressionTree {
-    nodes: Vec<RNode>,
-    n_features: usize,
-}
-
-impl RegressionTree {
-    /// Fit on the features of `ds` against real targets `y`.
-    ///
-    /// # Errors
-    /// Empty data, length mismatch, or non-finite targets.
-    pub fn fit(ds: &Dataset, y: &[f64], params: &RegTreeParams) -> Result<Self> {
-        if ds.is_empty() {
-            return Err(ModelError::EmptyTrainingSet);
-        }
-        if y.len() != ds.n_rows() {
-            return Err(ModelError::DimensionMismatch {
-                expected: ds.n_rows(),
-                got: y.len(),
-            });
-        }
-        if y.iter().any(|v| !v.is_finite()) {
-            return Err(ModelError::NumericalFailure(
-                "non-finite regression target".into(),
-            ));
-        }
-        if params.min_samples_leaf == 0 {
-            return Err(ModelError::InvalidHyperparameter(
-                "min_samples_leaf must be >= 1".into(),
-            ));
-        }
-        let mut nodes = Vec::new();
-        let indices: Vec<usize> = (0..ds.n_rows()).collect();
-        grow(ds, y, params, &mut nodes, indices, 0);
-        Ok(RegressionTree {
-            nodes,
-            n_features: ds.n_features(),
-        })
-    }
-
-    /// Predicted value for one row.
-    pub fn predict_row(&self, row: &[f64]) -> Result<f64> {
-        if row.len() != self.n_features {
-            return Err(ModelError::DimensionMismatch {
-                expected: self.n_features,
-                got: row.len(),
-            });
-        }
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                RNode::Leaf { value, .. } => return Ok(*value),
-                RNode::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    }
-                }
-            }
-        }
-    }
-
-    /// Replace each leaf's value with `f(member_rows)`. Boosting uses this to
-    /// install Newton-step leaf values `Σg / (Σh + λ)` computed from the
-    /// per-sample gradients/hessians of the rows in each leaf.
-    pub fn relabel_leaves(&mut self, f: impl Fn(&[usize]) -> f64) {
-        for node in &mut self.nodes {
-            if let RNode::Leaf { value, members } = node {
-                *value = f(members);
-            }
-        }
-    }
-
-    /// Number of leaves.
-    pub fn n_leaves(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, RNode::Leaf { .. }))
-            .count()
-    }
-}
-
-fn grow(
+/// Fit a regression tree on the features of `ds` against real targets `y`.
+/// A node with fewer than `2 * min_samples_leaf` rows is not split.
+///
+/// # Errors
+/// Empty data, length mismatch, non-finite targets, or
+/// `min_samples_leaf == 0`.
+pub(crate) fn fit(
     ds: &Dataset,
     y: &[f64],
-    params: &RegTreeParams,
-    nodes: &mut Vec<RNode>,
-    indices: Vec<usize>,
-    depth: usize,
-) -> usize {
-    let n = indices.len() as f64;
-    let mean = indices.iter().map(|&i| y[i]).sum::<f64>() / n;
-    let sse: f64 = indices.iter().map(|&i| (y[i] - mean) * (y[i] - mean)).sum();
-
-    if depth >= params.max_depth || indices.len() < 2 * params.min_samples_leaf || sse <= 1e-12 {
-        nodes.push(RNode::Leaf {
-            value: mean,
-            members: indices,
+    max_depth: usize,
+    min_samples_leaf: usize,
+) -> Result<Tree<f64>> {
+    if ds.is_empty() {
+        return Err(ModelError::EmptyTrainingSet);
+    }
+    if y.len() != ds.n_rows() {
+        return Err(ModelError::DimensionMismatch {
+            expected: ds.n_rows(),
+            got: y.len(),
         });
-        return nodes.len() - 1;
     }
-
-    // Best split by SSE reduction using running sums.
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-    for f in 0..ds.n_features() {
-        let mut sorted = indices.clone();
-        sorted.sort_by(|&a, &b| {
-            ds.row(a)[f]
-                .partial_cmp(&ds.row(b)[f])
-                .expect("dataset rejects non-finite values")
-        });
-        let total_sum: f64 = sorted.iter().map(|&i| y[i]).sum();
-        let mut left_sum = 0.0;
-        for pos in 0..sorted.len() - 1 {
-            left_sum += y[sorted[pos]];
-            let v_here = ds.row(sorted[pos])[f];
-            let v_next = ds.row(sorted[pos + 1])[f];
-            if v_here == v_next {
-                continue;
-            }
-            let n_left = pos + 1;
-            let n_right = sorted.len() - n_left;
-            if n_left < params.min_samples_leaf || n_right < params.min_samples_leaf {
-                continue;
-            }
-            // SSE reduction = sum²_L/n_L + sum²_R/n_R − sum²/n (constant
-            // term dropped; maximizing the first two maximizes the gain).
-            let right_sum = total_sum - left_sum;
-            let score =
-                left_sum * left_sum / n_left as f64 + right_sum * right_sum / n_right as f64;
-            if score > best.map_or(f64::NEG_INFINITY, |(s, _, _)| s) {
-                best = Some((score, f, 0.5 * (v_here + v_next)));
-            }
-        }
+    if y.iter().any(|v| !v.is_finite()) {
+        return Err(ModelError::NumericalFailure(
+            "non-finite regression target".into(),
+        ));
     }
-
-    match best {
-        Some((_, feature, threshold)) => {
-            let (l, r): (Vec<usize>, Vec<usize>) = indices
-                .iter()
-                .partition(|&&i| ds.row(i)[feature] <= threshold);
-            let id = nodes.len();
-            nodes.push(RNode::Leaf {
-                value: 0.0,
-                members: Vec::new(),
-            }); // placeholder
-            let left = grow(ds, y, params, nodes, l, depth + 1);
-            let right = grow(ds, y, params, nodes, r, depth + 1);
-            nodes[id] = RNode::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            };
-            id
-        }
-        None => {
-            nodes.push(RNode::Leaf {
-                value: mean,
-                members: indices,
-            });
-            nodes.len() - 1
-        }
-    }
+    // All features and best splits, so the grower draws nothing from its RNG.
+    let params = TreeParams {
+        max_depth,
+        min_samples_split: (2 * min_samples_leaf).max(2),
+        min_samples_leaf,
+        ..Default::default()
+    };
+    params.validate(ds.n_features())?;
+    Ok(Tree::fit(ds, &SquaredError { y }, &params))
 }
 
 #[cfg(test)]
@@ -235,70 +66,53 @@ mod tests {
     #[test]
     fn learns_step_function() {
         let (ds, y) = step_data();
-        let t = RegressionTree::fit(
-            &ds,
-            &y,
-            &RegTreeParams {
-                max_depth: 2,
-                min_samples_leaf: 1,
-            },
-        )
-        .unwrap();
-        assert!((t.predict_row(&[0.2]).unwrap() - 0.0).abs() < 1e-9);
-        assert!((t.predict_row(&[0.8]).unwrap() - 10.0).abs() < 1e-9);
+        let t = fit(&ds, &y, 2, 1).unwrap();
+        assert!((*t.leaf(&[0.2]) - 0.0).abs() < 1e-9);
+        assert!((*t.leaf(&[0.8]) - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn depth_zero_predicts_mean() {
         let (ds, y) = step_data();
-        let t = RegressionTree::fit(
-            &ds,
-            &y,
-            &RegTreeParams {
-                max_depth: 0,
-                min_samples_leaf: 1,
-            },
-        )
-        .unwrap();
+        let t = fit(&ds, &y, 0, 1).unwrap();
         let mean = y.iter().sum::<f64>() / y.len() as f64;
-        assert!((t.predict_row(&[0.3]).unwrap() - mean).abs() < 1e-9);
+        assert!((*t.leaf(&[0.3]) - mean).abs() < 1e-9);
         assert_eq!(t.n_leaves(), 1);
     }
 
     #[test]
     fn relabel_leaves_overrides_values() {
         let (ds, y) = step_data();
-        let mut t = RegressionTree::fit(&ds, &y, &RegTreeParams::default()).unwrap();
-        t.relabel_leaves(|_| 42.0);
-        assert_eq!(t.predict_row(&[0.1]).unwrap(), 42.0);
-        assert_eq!(t.predict_row(&[0.9]).unwrap(), 42.0);
+        let mut t = fit(&ds, &y, 3, 5).unwrap();
+        // Routing the training rows again reproduces the fit-time leaf
+        // membership, so relabelling with the member mean changes nothing.
+        let before = t.clone();
+        t.relabel_leaves(&ds, |rows| {
+            rows.iter().map(|&i| y[i]).sum::<f64>() / rows.len() as f64
+        });
+        assert_eq!(t, before);
+        t.relabel_leaves(&ds, |_| 42.0);
+        assert_eq!(*t.leaf(&[0.1]), 42.0);
+        assert_eq!(*t.leaf(&[0.9]), 42.0);
     }
 
     #[test]
     fn rejects_mismatched_targets() {
         let (ds, _) = step_data();
-        assert!(RegressionTree::fit(&ds, &[1.0], &RegTreeParams::default()).is_err());
+        assert!(fit(&ds, &[1.0], 3, 5).is_err());
     }
 
     #[test]
     fn rejects_nan_target() {
         let (ds, mut y) = step_data();
         y[0] = f64::NAN;
-        assert!(RegressionTree::fit(&ds, &y, &RegTreeParams::default()).is_err());
+        assert!(fit(&ds, &y, 3, 5).is_err());
     }
 
     #[test]
     fn min_samples_leaf_respected() {
         let (ds, y) = step_data();
-        let t = RegressionTree::fit(
-            &ds,
-            &y,
-            &RegTreeParams {
-                max_depth: 10,
-                min_samples_leaf: 10,
-            },
-        )
-        .unwrap();
+        let t = fit(&ds, &y, 10, 10).unwrap();
         assert!(t.n_leaves() <= 4);
     }
 }

@@ -1,11 +1,20 @@
-//! CART decision-tree classifier with best-split and random-split
-//! ("extra tree") modes.
+//! CART trees: the one tree learner behind every tree family in this crate.
 //!
-//! The tree is grown depth-first; at each node the best (feature, threshold)
-//! pair is chosen by impurity decrease (gini or entropy) over an optionally
-//! subsampled feature set. Leaves store the class distribution of their
-//! training samples so `predict_proba_row` is naturally calibrated to the
-//! training frequencies.
+//! A tree is an arena of `Node`s grown depth-first by one grower. At each
+//! node the best (feature, threshold) pair over an optionally subsampled
+//! feature set is found either by sorting the node's rows on the feature and
+//! sweeping every boundary between distinct values (classic CART), or by
+//! scoring one uniform-random threshold per feature (extra-trees). What the
+//! rows at a node are summarised by, and how a partition is scored, is a
+//! `Stat`:
+//!
+//! * `ClassCounts` — per-class sample weights scored by gini/entropy
+//!   impurity decrease. [`DecisionTree`] uses it, and through it the forests
+//!   and AdaBoost. Leaves store the class distribution of their training
+//!   samples, so `predict_proba_row` is calibrated to training frequencies.
+//! * `SquaredError` — (sum, count) of real targets scored by squared-error
+//!   reduction: the regression trees inside
+//!   [`GradientBoosting`](crate::gbdt::GradientBoosting).
 
 use crate::model::{check_row, check_training, normalize, Classifier};
 use crate::{ModelError, Result};
@@ -90,7 +99,7 @@ impl Default for TreeParams {
 }
 
 impl TreeParams {
-    fn validate(&self, n_features: usize) -> Result<()> {
+    pub(crate) fn validate(&self, n_features: usize) -> Result<()> {
         if self.min_samples_split < 2 {
             return Err(ModelError::InvalidHyperparameter(
                 "min_samples_split must be >= 2".into(),
@@ -113,10 +122,8 @@ impl TreeParams {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf {
-        proba: Vec<f64>,
-    },
+enum Node<L> {
+    Leaf(L),
     Split {
         feature: usize,
         threshold: f64,
@@ -125,23 +132,398 @@ enum Node {
     },
 }
 
+/// A fitted tree: a node arena whose root is node 0, with leaf payload `L`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Tree<L> {
+    nodes: Vec<Node<L>>,
+}
+
+impl<L> Tree<L> {
+    /// Grow a tree over every row of `ds`, summarising nodes with `stat`.
+    pub(crate) fn fit<S: Stat<Leaf = L>>(ds: &Dataset, stat: &S, params: &TreeParams) -> Self {
+        let mut grower = Grower {
+            ds,
+            stat,
+            params,
+            rng: StdRng::seed_from_u64(params.seed),
+            nodes: Vec::new(),
+        };
+        let root = grower.grow((0..ds.n_rows()).collect(), 0);
+        debug_assert_eq!(root, 0, "root is always the first node");
+        Tree {
+            nodes: grower.nodes,
+        }
+    }
+
+    /// Id of the leaf that `row` falls into.
+    pub(crate) fn leaf_id(&self, row: &[f64]) -> usize {
+        let mut node = 0usize;
+        while let Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        } = &self.nodes[node]
+        {
+            node = if row[*feature] <= *threshold {
+                *left
+            } else {
+                *right
+            };
+        }
+        node
+    }
+
+    /// Payload of the leaf that `row` falls into.
+    pub(crate) fn leaf(&self, row: &[f64]) -> &L {
+        match &self.nodes[self.leaf_id(row)] {
+            Node::Leaf(payload) => payload,
+            Node::Split { .. } => unreachable!("leaf_id stops at a leaf"),
+        }
+    }
+
+    /// Replace each leaf's payload with `f(rows)`, where `rows` are the rows
+    /// of `ds` that fall into it, in ascending order. Routing the training
+    /// rows again reproduces the fit-time membership exactly, because the
+    /// grower partitions with the same `row[feature] <= threshold` test.
+    pub(crate) fn relabel_leaves(&mut self, ds: &Dataset, f: impl Fn(&[usize]) -> L) {
+        let mut members = vec![Vec::new(); self.nodes.len()];
+        for i in 0..ds.n_rows() {
+            members[self.leaf_id(ds.row(i))].push(i);
+        }
+        for (node, rows) in self.nodes.iter_mut().zip(&members) {
+            if let Node::Leaf(payload) = node {
+                *payload = f(rows);
+            }
+        }
+    }
+
+    fn depth(&self, node: usize) -> usize {
+        match &self.nodes[node] {
+            Node::Leaf(_) => 0,
+            Node::Split { left, right, .. } => 1 + self.depth(*left).max(self.depth(*right)),
+        }
+    }
+
+    #[cfg(test)]
+    pub(crate) fn n_leaves(&self) -> usize {
+        let leaves = self.nodes.iter().filter(|n| matches!(n, Node::Leaf(_)));
+        leaves.count()
+    }
+}
+
+/// Impurity, weight and leaf payload of the rows reaching one node.
+pub(crate) struct NodeSummary<L> {
+    impurity: f64,
+    weight: f64,
+    leaf: L,
+}
+
+/// What a tree fits: how the rows reaching a node are summarised, and how a
+/// candidate partition of them into left and right is scored.
+pub(crate) trait Stat {
+    /// Payload stored in a leaf.
+    type Leaf;
+    /// Running statistic of a left/right partition of a node's rows.
+    type Partition;
+    /// A split is taken only if it scores strictly above this floor.
+    const FLOOR: f64;
+    /// Summary of the rows reaching a node.
+    fn node(&self, rows: &[usize]) -> NodeSummary<Self::Leaf>;
+    /// Partition of `rows` by `goes_left`, accumulated side by side, and
+    /// the number of rows that go left.
+    fn partition(
+        &self,
+        rows: &[usize],
+        goes_left: impl Fn(usize) -> bool,
+    ) -> (Self::Partition, usize);
+    /// Partition with every row of `sorted` on the right.
+    fn all_right(&self, sorted: &[usize]) -> Self::Partition {
+        self.partition(sorted, |_| false).0
+    }
+    /// Move row `i` from the right side to the left.
+    fn move_left(&self, part: &mut Self::Partition, i: usize);
+    /// Score of a partition with `n_left`/`n_right` rows; higher is better.
+    fn score(
+        &self,
+        node: &NodeSummary<Self::Leaf>,
+        part: &Self::Partition,
+        n_left: usize,
+        n_right: usize,
+    ) -> f64;
+}
+
+/// Per-class sample weights, scored by impurity decrease.
+pub(crate) struct ClassCounts<'a> {
+    ds: &'a Dataset,
+    weights: &'a [f64],
+    criterion: Criterion,
+}
+
+pub(crate) struct ClassPartition {
+    left: Vec<f64>,
+    right: Vec<f64>,
+    left_weight: f64,
+}
+
+impl Stat for ClassCounts<'_> {
+    type Leaf = Vec<f64>;
+    type Partition = ClassPartition;
+    const FLOOR: f64 = 1e-12;
+
+    fn node(&self, rows: &[usize]) -> NodeSummary<Vec<f64>> {
+        let mut counts = vec![0.0; self.ds.n_classes()];
+        for &i in rows {
+            counts[self.ds.label(i)] += self.weights[i];
+        }
+        let proba = normalize(counts);
+        let weight: f64 = rows.iter().map(|&i| self.weights[i]).sum();
+        let counts: Vec<f64> = proba.iter().map(|p| p * weight).collect();
+        NodeSummary {
+            impurity: self.criterion.impurity(&counts, weight),
+            weight,
+            leaf: proba,
+        }
+    }
+
+    fn move_left(&self, part: &mut ClassPartition, i: usize) {
+        let (c, w) = (self.ds.label(i), self.weights[i]);
+        part.left[c] += w;
+        part.right[c] -= w;
+        part.left_weight += w;
+    }
+
+    fn partition(
+        &self,
+        rows: &[usize],
+        goes_left: impl Fn(usize) -> bool,
+    ) -> (ClassPartition, usize) {
+        let mut part = ClassPartition {
+            left: vec![0.0; self.ds.n_classes()],
+            right: vec![0.0; self.ds.n_classes()],
+            left_weight: 0.0,
+        };
+        let mut n_left = 0;
+        for &i in rows {
+            let (c, w) = (self.ds.label(i), self.weights[i]);
+            if goes_left(i) {
+                part.left[c] += w;
+                part.left_weight += w;
+                n_left += 1;
+            } else {
+                part.right[c] += w;
+            }
+        }
+        (part, n_left)
+    }
+
+    fn score(
+        &self,
+        node: &NodeSummary<Vec<f64>>,
+        part: &ClassPartition,
+        _: usize,
+        _: usize,
+    ) -> f64 {
+        let (total, left_weight) = (node.weight, part.left_weight);
+        let right_weight = total - left_weight;
+        let imp_l = self.criterion.impurity(&part.left, left_weight);
+        let imp_r = self.criterion.impurity(&part.right, right_weight);
+        node.impurity - (left_weight * imp_l + right_weight * imp_r) / total
+    }
+}
+
+/// Sum and count of real targets, scored by squared-error reduction.
+pub(crate) struct SquaredError<'a> {
+    pub(crate) y: &'a [f64],
+}
+
+/// Sum of the node's targets and of its left side.
+pub(crate) struct SumPartition {
+    total: f64,
+    left: f64,
+}
+
+impl Stat for SquaredError<'_> {
+    type Leaf = f64;
+    type Partition = SumPartition;
+    const FLOOR: f64 = f64::NEG_INFINITY;
+
+    fn node(&self, rows: &[usize]) -> NodeSummary<f64> {
+        let n = rows.len() as f64;
+        let mean = rows.iter().map(|&i| self.y[i]).sum::<f64>() / n;
+        let sse = rows
+            .iter()
+            .map(|&i| (self.y[i] - mean) * (self.y[i] - mean));
+        NodeSummary {
+            impurity: sse.sum(),
+            weight: n,
+            leaf: mean,
+        }
+    }
+
+    fn partition(
+        &self,
+        rows: &[usize],
+        goes_left: impl Fn(usize) -> bool,
+    ) -> (SumPartition, usize) {
+        let (mut left, mut n_left) = (0.0, 0);
+        for &i in rows.iter().filter(|&&i| goes_left(i)) {
+            left += self.y[i];
+            n_left += 1;
+        }
+        let total = rows.iter().map(|&i| self.y[i]).sum();
+        (SumPartition { total, left }, n_left)
+    }
+
+    fn move_left(&self, part: &mut SumPartition, i: usize) {
+        part.left += self.y[i];
+    }
+
+    /// SSE reduction is `sum²_L/n_L + sum²_R/n_R − sum²/n`; the last term is
+    /// the same for every candidate, so it is dropped.
+    fn score(
+        &self,
+        _: &NodeSummary<f64>,
+        part: &SumPartition,
+        n_left: usize,
+        n_right: usize,
+    ) -> f64 {
+        let right = part.total - part.left;
+        part.left * part.left / n_left as f64 + right * right / n_right as f64
+    }
+}
+
+/// Depth-first grower state for one tree.
+struct Grower<'a, S: Stat> {
+    ds: &'a Dataset,
+    stat: &'a S,
+    params: &'a TreeParams,
+    rng: StdRng,
+    nodes: Vec<Node<S::Leaf>>,
+}
+
+impl<S: Stat> Grower<'_, S> {
+    /// Grow a subtree over `rows`, returning its node id.
+    fn grow(&mut self, rows: Vec<usize>, depth: usize) -> usize {
+        let node = self.stat.node(&rows);
+        let p = self.params;
+        let stop = depth >= p.max_depth
+            || rows.len() < p.min_samples_split
+            || node.impurity <= 1e-12
+            || node.weight <= 0.0;
+        let split = if stop {
+            None
+        } else {
+            self.best_split(&rows, &node)
+        };
+        let Some((feature, threshold)) = split else {
+            return self.push(Node::Leaf(node.leaf));
+        };
+        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
+            .iter()
+            .partition(|&&i| self.ds.row(i)[feature] <= threshold);
+        if left_rows.len() < p.min_samples_leaf || right_rows.len() < p.min_samples_leaf {
+            return self.push(Node::Leaf(node.leaf));
+        }
+        // Reserve our slot before the children so the root is node 0.
+        let id = self.push(Node::Leaf(node.leaf));
+        let left = self.grow(left_rows, depth + 1);
+        let right = self.grow(right_rows, depth + 1);
+        self.nodes[id] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        id
+    }
+
+    fn push(&mut self, node: Node<S::Leaf>) -> usize {
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Candidate feature subset for a split.
+    fn candidate_features(&mut self) -> Vec<usize> {
+        let all: Vec<usize> = (0..self.ds.n_features()).collect();
+        match self.params.max_features {
+            Some(k) if k < all.len() => {
+                let mut pool = all;
+                pool.shuffle(&mut self.rng);
+                pool.truncate(k);
+                pool
+            }
+            _ => all,
+        }
+    }
+
+    /// Highest-scoring (feature, threshold) over the candidate features.
+    ///
+    /// `Best` sorts the node's rows by the feature and sweeps every boundary
+    /// between distinct values, thresholding at the midpoint. `Random` draws
+    /// one uniform threshold in the node's range of the feature.
+    fn best_split(&mut self, rows: &[usize], node: &NodeSummary<S::Leaf>) -> Option<(usize, f64)> {
+        let (ds, stat) = (self.ds, self.stat);
+        let min_leaf = self.params.min_samples_leaf;
+        let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
+        let mut offer = |score: f64, feature: usize, threshold: f64| {
+            if score > best.map_or(S::FLOOR, |(s, _, _)| s) {
+                best = Some((score, feature, threshold));
+            }
+        };
+        let mut sorted = Vec::with_capacity(rows.len());
+        for f in self.candidate_features() {
+            let x = |i: usize| ds.row(i)[f];
+            match self.params.splitter {
+                Splitter::Best => {
+                    sorted.clear();
+                    sorted.extend_from_slice(rows);
+                    sorted.sort_by(|&a, &b| {
+                        x(a).partial_cmp(&x(b))
+                            .expect("dataset rejects non-finite values")
+                    });
+                    let mut part = stat.all_right(&sorted);
+                    for pos in 0..sorted.len() - 1 {
+                        stat.move_left(&mut part, sorted[pos]);
+                        let (v_here, v_next) = (x(sorted[pos]), x(sorted[pos + 1]));
+                        let (n_left, n_right) = (pos + 1, sorted.len() - pos - 1);
+                        if v_here == v_next || n_left < min_leaf || n_right < min_leaf {
+                            continue;
+                        }
+                        let score = stat.score(node, &part, n_left, n_right);
+                        offer(score, f, 0.5 * (v_here + v_next));
+                    }
+                }
+                Splitter::Random => {
+                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                    for &i in rows {
+                        lo = lo.min(x(i));
+                        hi = hi.max(x(i));
+                    }
+                    if hi <= lo {
+                        continue; // constant feature at this node
+                    }
+                    let threshold = self.rng.gen_range(lo..hi);
+                    let (part, n_left) = stat.partition(rows, |i| x(i) <= threshold);
+                    let n_right = rows.len() - n_left;
+                    if n_left < min_leaf || n_right < min_leaf {
+                        continue;
+                    }
+                    offer(stat.score(node, &part, n_left, n_right), f, threshold);
+                }
+            }
+        }
+        best.map(|(_, f, t)| (f, t))
+    }
+}
+
 /// A fitted CART decision tree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionTree {
-    nodes: Vec<Node>,
+    tree: Tree<Vec<f64>>,
     n_classes: usize,
     n_features: usize,
     params: TreeParams,
-}
-
-struct FitCtx<'a> {
-    ds: &'a Dataset,
-    params: &'a TreeParams,
-    rng: StdRng,
-    nodes: Vec<Node>,
-    /// Per-row sample weights (uniform for plain trees; boosting and
-    /// class-balancing reuse this tree through the weighted entry point).
-    weights: &'a [f64],
 }
 
 impl DecisionTree {
@@ -168,18 +550,13 @@ impl DecisionTree {
                 "sample weights must be finite and non-negative".into(),
             ));
         }
-        let mut ctx = FitCtx {
+        let stat = ClassCounts {
             ds,
-            params: &params,
-            rng: StdRng::seed_from_u64(params.seed),
-            nodes: Vec::new(),
             weights,
+            criterion: params.criterion,
         };
-        let indices: Vec<usize> = (0..ds.n_rows()).collect();
-        let root = grow(&mut ctx, indices, 0);
-        debug_assert_eq!(root, 0, "root is always the first node");
         Ok(DecisionTree {
-            nodes: ctx.nodes,
+            tree: Tree::fit(ds, &stat, &params),
             n_classes: ds.n_classes(),
             n_features: ds.n_features(),
             params,
@@ -188,209 +565,24 @@ impl DecisionTree {
 
     /// Depth of the tree (a single leaf has depth 0).
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + walk(nodes, *left).max(walk(nodes, *right)),
-            }
-        }
-        walk(&self.nodes, 0)
+        self.tree.depth(0)
     }
 
     /// Number of nodes (splits + leaves).
     pub fn n_nodes(&self) -> usize {
-        self.nodes.len()
+        self.tree.nodes.len()
     }
 
     /// Parameters used at fit time.
     pub fn params(&self) -> &TreeParams {
         &self.params
     }
-}
 
-/// Grow a subtree over `indices`, returning the node id.
-fn grow(ctx: &mut FitCtx<'_>, indices: Vec<usize>, depth: usize) -> usize {
-    let proba = class_distribution(ctx, &indices);
-    let total_weight: f64 = indices.iter().map(|&i| ctx.weights[i]).sum();
-    let counts: Vec<f64> = proba.iter().map(|p| p * total_weight).collect();
-    let impurity = ctx.params.criterion.impurity(&counts, total_weight);
-
-    let stop = depth >= ctx.params.max_depth
-        || indices.len() < ctx.params.min_samples_split
-        || impurity <= 1e-12
-        || total_weight <= 0.0;
-    if stop {
-        return push_leaf(ctx, proba);
+    /// Class distribution of the leaf `row` falls into, without the
+    /// dimension check or the copy of [`Classifier::predict_proba_row`].
+    pub(crate) fn leaf_proba(&self, row: &[f64]) -> &[f64] {
+        self.tree.leaf(row)
     }
-
-    let split = match ctx.params.splitter {
-        Splitter::Best => best_split(ctx, &indices, impurity, total_weight),
-        Splitter::Random => random_split(ctx, &indices, impurity, total_weight),
-    };
-
-    match split {
-        Some((feature, threshold)) => {
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices
-                .iter()
-                .partition(|&&i| ctx.ds.row(i)[feature] <= threshold);
-            if left_idx.len() < ctx.params.min_samples_leaf
-                || right_idx.len() < ctx.params.min_samples_leaf
-            {
-                return push_leaf(ctx, proba);
-            }
-            // Reserve our slot before children so the root is node 0.
-            let id = ctx.nodes.len();
-            ctx.nodes.push(Node::Leaf { proba: Vec::new() }); // placeholder
-            let left = grow(ctx, left_idx, depth + 1);
-            let right = grow(ctx, right_idx, depth + 1);
-            ctx.nodes[id] = Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            };
-            id
-        }
-        None => push_leaf(ctx, proba),
-    }
-}
-
-fn push_leaf(ctx: &mut FitCtx<'_>, proba: Vec<f64>) -> usize {
-    ctx.nodes.push(Node::Leaf { proba });
-    ctx.nodes.len() - 1
-}
-
-fn class_distribution(ctx: &FitCtx<'_>, indices: &[usize]) -> Vec<f64> {
-    let mut counts = vec![0.0; ctx.ds.n_classes()];
-    for &i in indices {
-        counts[ctx.ds.label(i)] += ctx.weights[i];
-    }
-    normalize(counts)
-}
-
-/// Candidate feature subset for a split.
-fn candidate_features(ctx: &mut FitCtx<'_>) -> Vec<usize> {
-    let all: Vec<usize> = (0..ctx.ds.n_features()).collect();
-    match ctx.params.max_features {
-        Some(k) if k < all.len() => {
-            let mut pool = all;
-            pool.shuffle(&mut ctx.rng);
-            pool.truncate(k);
-            pool
-        }
-        _ => all,
-    }
-}
-
-/// Exhaustive best split: for each candidate feature sort node samples by
-/// value and sweep boundaries between distinct values.
-fn best_split(
-    ctx: &mut FitCtx<'_>,
-    indices: &[usize],
-    parent_impurity: f64,
-    total_weight: f64,
-) -> Option<(usize, f64)> {
-    let features = candidate_features(ctx);
-    let n_classes = ctx.ds.n_classes();
-    let mut best: Option<(f64, usize, f64)> = None; // (gain, feature, threshold)
-
-    for &f in &features {
-        let mut sorted: Vec<usize> = indices.to_vec();
-        sorted.sort_by(|&a, &b| {
-            ctx.ds.row(a)[f]
-                .partial_cmp(&ctx.ds.row(b)[f])
-                .expect("dataset rejects non-finite values")
-        });
-        let mut left_counts = vec![0.0; n_classes];
-        let mut left_weight = 0.0;
-        let mut right_counts = vec![0.0; n_classes];
-        for &i in &sorted {
-            right_counts[ctx.ds.label(i)] += ctx.weights[i];
-        }
-        let min_leaf = ctx.params.min_samples_leaf;
-
-        for pos in 0..sorted.len() - 1 {
-            let i = sorted[pos];
-            let w = ctx.weights[i];
-            left_counts[ctx.ds.label(i)] += w;
-            right_counts[ctx.ds.label(i)] -= w;
-            left_weight += w;
-
-            let v_here = ctx.ds.row(i)[f];
-            let v_next = ctx.ds.row(sorted[pos + 1])[f];
-            if v_here == v_next {
-                continue; // no boundary between equal values
-            }
-            let n_left = pos + 1;
-            let n_right = sorted.len() - n_left;
-            if n_left < min_leaf || n_right < min_leaf {
-                continue;
-            }
-            let right_weight = total_weight - left_weight;
-            let imp_l = ctx.params.criterion.impurity(&left_counts, left_weight);
-            let imp_r = ctx.params.criterion.impurity(&right_counts, right_weight);
-            let gain =
-                parent_impurity - (left_weight * imp_l + right_weight * imp_r) / total_weight;
-            if gain > best.map_or(1e-12, |(g, _, _)| g) {
-                // Midpoint threshold is standard and keeps prediction stable
-                // under small perturbations of the boundary samples.
-                best = Some((gain, f, 0.5 * (v_here + v_next)));
-            }
-        }
-    }
-    best.map(|(_, f, t)| (f, t))
-}
-
-/// Extra-trees split: one uniform threshold per candidate feature, keep the
-/// best-gain candidate.
-fn random_split(
-    ctx: &mut FitCtx<'_>,
-    indices: &[usize],
-    parent_impurity: f64,
-    total_weight: f64,
-) -> Option<(usize, f64)> {
-    let features = candidate_features(ctx);
-    let n_classes = ctx.ds.n_classes();
-    let mut best: Option<(f64, usize, f64)> = None;
-
-    for &f in &features {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-        for &i in indices {
-            let v = ctx.ds.row(i)[f];
-            lo = lo.min(v);
-            hi = hi.max(v);
-        }
-        if hi <= lo {
-            continue; // constant feature at this node
-        }
-        let threshold = ctx.rng.gen_range(lo..hi);
-        let mut left_counts = vec![0.0; n_classes];
-        let mut right_counts = vec![0.0; n_classes];
-        let mut left_weight = 0.0;
-        let mut n_left = 0usize;
-        for &i in indices {
-            let w = ctx.weights[i];
-            if ctx.ds.row(i)[f] <= threshold {
-                left_counts[ctx.ds.label(i)] += w;
-                left_weight += w;
-                n_left += 1;
-            } else {
-                right_counts[ctx.ds.label(i)] += w;
-            }
-        }
-        let n_right = indices.len() - n_left;
-        if n_left < ctx.params.min_samples_leaf || n_right < ctx.params.min_samples_leaf {
-            continue;
-        }
-        let right_weight = total_weight - left_weight;
-        let imp_l = ctx.params.criterion.impurity(&left_counts, left_weight);
-        let imp_r = ctx.params.criterion.impurity(&right_counts, right_weight);
-        let gain = parent_impurity - (left_weight * imp_l + right_weight * imp_r) / total_weight;
-        if gain > best.map_or(1e-12, |(g, _, _)| g) {
-            best = Some((gain, f, threshold));
-        }
-    }
-    best.map(|(_, f, t)| (f, t))
 }
 
 impl Classifier for DecisionTree {
@@ -404,24 +596,7 @@ impl Classifier for DecisionTree {
 
     fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
         check_row(row, self.n_features)?;
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { proba } => return Ok(proba.clone()),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
+        Ok(self.leaf_proba(row).to_vec())
     }
 
     fn name(&self) -> &'static str {

@@ -223,3 +223,93 @@ fn adaboost() {
     assert_eq!(fit(&moons()), (15089515072345507311, 20));
     assert_eq!(fit(&blobs()), (8588799682845419323, 20));
 }
+
+/// One feature whose values (multiples of 0.1) are not exactly
+/// representable, with labels in runs so that trees split between them.
+fn line() -> Dataset {
+    let rows: Vec<Vec<f64>> = (0..60).map(|i| vec![0.1 * (i % 30) as f64]).collect();
+    let labels: Vec<usize> = (0..60).map(|i| ((i % 30) / 4 + i / 45) % 3).collect();
+    Dataset::from_rows(&rows, &labels, 3).unwrap()
+}
+
+/// Digest over each midpoint between consecutive distinct training values
+/// and the floats just below and above it: a threshold moved by one ulp
+/// flips at least one of these probes.
+fn threshold_digest(model: &dyn Classifier, ds: &Dataset) -> u64 {
+    let mut xs: Vec<f64> = (0..ds.n_rows()).map(|i| ds.row(i)[0]).collect();
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    xs.dedup();
+    let mut h = FNV_OFFSET;
+    for w in xs.windows(2) {
+        let mid = 0.5 * (w[0] + w[1]);
+        for x in [
+            f64::from_bits(mid.to_bits() - 1),
+            mid,
+            f64::from_bits(mid.to_bits() + 1),
+        ] {
+            for p in model.predict_proba_row(&[x]).unwrap() {
+                h = fnv1a(h, &p.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn thresholds_are_exact_midpoints() {
+    let ds = line();
+    let dt = DecisionTree::fit(&ds, TreeParams::default()).unwrap();
+    assert_eq!(
+        (threshold_digest(&dt, &ds), dt.n_nodes()),
+        (6966076894832868901, 17)
+    );
+    let gb = GradientBoosting::fit(
+        &ds,
+        GbdtParams {
+            n_rounds: 4,
+            min_samples_leaf: 2,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(threshold_digest(&gb, &ds), 8036518679231774550);
+}
+
+#[test]
+fn weighted_edge_cases_of_the_stop_rule_and_gain_floor() {
+    let two_points = |w: [f64; 4]| {
+        let ds = Dataset::from_rows(
+            &[vec![0.0], vec![0.0], vec![1.0], vec![1.0]],
+            &[0, 1, 0, 1],
+            2,
+        )
+        .unwrap();
+        DecisionTree::fit_weighted(&ds, TreeParams::default(), &w)
+            .unwrap()
+            .n_nodes()
+    };
+    // Splitting gains about 5e-13, under the 1e-12 floor: no split.
+    assert_eq!(two_points([1.0, 1.0, 1.0 + 2e-6, 1.0]), 1);
+    // Impurity about 2e-11, just above the 1e-12 stop: the split is taken.
+    assert_eq!(two_points([1.0, 0.0, 0.0, 1e-11]), 3);
+    // Zero total weight stops at the root.
+    let ds = synth::two_moons(40, 0.2, 1).unwrap();
+    let zero = DecisionTree::fit_weighted(&ds, TreeParams::default(), &[0.0; 40]).unwrap();
+    assert_eq!(zero.n_nodes(), 1);
+}
+
+#[test]
+fn midpoint_rounding_onto_the_upper_value_makes_a_leaf() {
+    // Between adjacent doubles 1+u and 1+2u the midpoint rounds up to 1+2u,
+    // so partitioning by `<= threshold` sends both rows left. The
+    // post-partition `min_samples_leaf` check turns the node into a leaf.
+    let a = f64::from_bits(1.0f64.to_bits() + 1);
+    let b = f64::from_bits(a.to_bits() + 1);
+    assert_eq!(0.5 * (a + b), b);
+    let ds = Dataset::from_rows(&[vec![a], vec![b]], &[0, 1], 2).unwrap();
+    let t = DecisionTree::fit(&ds, TreeParams::default()).unwrap();
+    assert_eq!(
+        (t.n_nodes(), t.predict_proba_row(&[b]).unwrap()),
+        (1, vec![0.5, 0.5])
+    );
+}

@@ -15,6 +15,12 @@ use aml_dataset::Dataset;
 use aml_rng::rngs::StdRng;
 use aml_rng::SeedableRng;
 
+/// Version of the generated data. Bump it in any change that alters the rows
+/// or labels a given (domain, sampling mode, n, seed) produces — simulator
+/// semantics, protocols, condition sampling or seed derivation — so that
+/// dataset caches keyed on it miss instead of serving stale data.
+pub const GENERATOR_VERSION: u32 = 1;
+
 /// SplitMix64 per-sample seed derivation.
 fn derive_seed(master: u64, index: u64) -> u64 {
     let mut z = master ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
