@@ -28,7 +28,6 @@
 //! `<out>/manifest.json` with every span/counter/histogram of the run.
 
 pub mod amlreport;
-pub mod amlserve;
 pub mod critview;
 pub mod gate;
 pub mod qualityview;

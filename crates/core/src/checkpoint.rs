@@ -394,11 +394,11 @@ pub fn prepare_resume(
 }
 
 /// Driver state for a checkpointed (and possibly resumed) sequence of
-/// feedback rounds. Every driver (the bench bins, the `amlserve`
-/// worker) runs each round through [`ExperimentLoop::run_round`]: a
-/// round the checkpoint already holds is skipped and its record reused;
-/// a fresh one runs and is recorded, which flushes the telemetry sinks
-/// and commits a new checkpoint referencing the flushed ledger length.
+/// feedback rounds. Every bench bin runs each round through
+/// [`ExperimentLoop::run_round`]: a round the checkpoint already holds
+/// is skipped and its record reused; a fresh one runs and is recorded,
+/// which flushes the telemetry sinks and commits a new checkpoint
+/// referencing the flushed ledger length.
 pub struct ExperimentLoop {
     checkpoint_path: Option<PathBuf>,
     ledger_path: Option<PathBuf>,

@@ -494,6 +494,16 @@ mod tests {
         (train, pool, test_sets)
     }
 
+    /// Checkpoint resume matches rounds to strategies by name, and the
+    /// per-strategy score files key on it: no two strategies may share one.
+    #[test]
+    fn strategy_names_are_distinct() {
+        let mut names: Vec<&str> = Strategy::ALL.iter().map(Strategy::name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Strategy::ALL.len(), "{names:?}");
+    }
+
     #[test]
     fn every_strategy_runs_and_scores() {
         let (train, pool, tests) = setup();

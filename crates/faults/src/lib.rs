@@ -21,15 +21,6 @@
 //! * `nan_labels@N` — the `N`-th labeling call (0-based) has its
 //!   suggested rows poisoned with NaN feature values, exercising the
 //!   experiment loop's non-finite-row filter.
-//! * `worker_crash@N` — the `N`-th worker process launched by the run
-//!   server (0-based) aborts after checkpointing its first fresh round,
-//!   exercising the server's retry-with-backoff and resume paths. Pure
-//!   lookup ([`FaultPlan::worker_crash_at`]); the server keeps its own
-//!   launch counter.
-//! * `submit_burst@N` — the `N`-th job submission (0-based) is rejected
-//!   with `429 Retry-After` as if the queue were full, exercising
-//!   client-visible backpressure deterministically. Pure lookup
-//!   ([`FaultPlan::submit_burst_at`]).
 //!
 //! Because every site is keyed by a deterministic index (trial ids are
 //! assigned before any parallel work; labeling calls are sequential),
@@ -72,12 +63,6 @@ pub struct FaultPlan {
     pub sink_fail: Vec<u64>,
     /// 0-based labeling-call indices whose rows are NaN-poisoned.
     pub nan_labels: Vec<u64>,
-    /// 0-based run-server worker-launch indices that abort after their
-    /// first fresh round is checkpointed.
-    pub worker_crash: Vec<u64>,
-    /// 0-based run-server submission indices rejected with an injected
-    /// 429 backpressure response.
-    pub submit_burst: Vec<u64>,
 }
 
 /// A malformed `--fault-plan` entry: the offending token plus what was
@@ -129,8 +114,6 @@ impl FaultPlan {
                 "trial_nan" => plan.trial_nan.push(parse_index(item, arg)?),
                 "sink_fail" => plan.sink_fail.push(parse_index(item, arg)?),
                 "nan_labels" => plan.nan_labels.push(parse_index(item, arg)?),
-                "worker_crash" => plan.worker_crash.push(parse_index(item, arg)?),
-                "submit_burst" => plan.submit_burst.push(parse_index(item, arg)?),
                 "trial_slow" => {
                     let (idx, dur) = arg.split_once(':').ok_or_else(|| {
                         FaultParseError::new(item, "trial_slow expects trial_slow@N:DURms")
@@ -143,7 +126,7 @@ impl FaultPlan {
                         item,
                         format!(
                             "unknown fault site '{other}' (expected trial_panic, trial_slow, \
-                             trial_nan, sink_fail, nan_labels, worker_crash, or submit_burst)"
+                             trial_nan, sink_fail, or nan_labels)"
                         ),
                     ))
                 }
@@ -155,19 +138,6 @@ impl FaultPlan {
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self == &FaultPlan::default()
-    }
-
-    /// Pure lookup: does the plan crash the `launch`-th worker process
-    /// (0-based)? The run server keeps its own launch counter, so this
-    /// takes the index instead of ticking a global.
-    pub fn worker_crash_at(&self, launch: u64) -> bool {
-        self.worker_crash.contains(&launch)
-    }
-
-    /// Pure lookup: does the plan reject the `submission`-th job
-    /// submission (0-based) with injected backpressure?
-    pub fn submit_burst_at(&self, submission: u64) -> bool {
-        self.submit_burst.contains(&submission)
     }
 }
 
@@ -283,8 +253,7 @@ mod tests {
     #[test]
     fn parses_the_full_grammar() {
         let plan = FaultPlan::parse(
-            "trial_panic@3,trial_slow@7:500ms,trial_nan@2,sink_fail@2,nan_labels@1,\
-             worker_crash@0,submit_burst@4",
+            "trial_panic@3,trial_slow@7:500ms,trial_nan@2,sink_fail@2,nan_labels@1",
         )
         .unwrap();
         assert_eq!(plan.trial_panic, vec![3]);
@@ -292,13 +261,7 @@ mod tests {
         assert_eq!(plan.trial_nan, vec![2]);
         assert_eq!(plan.sink_fail, vec![2]);
         assert_eq!(plan.nan_labels, vec![1]);
-        assert_eq!(plan.worker_crash, vec![0]);
-        assert_eq!(plan.submit_burst, vec![4]);
         assert!(!plan.is_empty());
-        assert!(plan.worker_crash_at(0));
-        assert!(!plan.worker_crash_at(1));
-        assert!(plan.submit_burst_at(4));
-        assert!(!plan.submit_burst_at(0));
     }
 
     #[test]
@@ -312,6 +275,8 @@ mod tests {
             "trial_slow@3:fast",
             "trial_slow@3:500s",
             "bogus@1",
+            "worker_crash@0",
+            "submit_burst@4",
             "trial_panic@1,,sink_fail@0",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "accepted {bad:?}");

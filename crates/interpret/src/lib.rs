@@ -16,10 +16,7 @@
 //! * [`plot`] — CSV / ASCII / SVG rendering of mean±std ALE bands (the
 //!   "average ALE plots (along with error-bars)" returned to the user);
 //! * [`importance`] — permutation feature importance, the triage companion
-//!   to the ALE bands (rely-on-it vs confused-about-it);
-//! * [`ale2`] — second-order ALE surfaces for interaction detection (the
-//!   firewall's `dst_port × pkts_sent` rate-limit rule is exactly such an
-//!   interaction).
+//!   to the ALE bands (rely-on-it vs confused-about-it).
 //!
 //! ## Example
 //!
@@ -36,7 +33,6 @@
 //! ```
 
 pub mod ale;
-pub mod ale2;
 pub mod grid;
 pub mod importance;
 pub mod pdp;
@@ -45,7 +41,6 @@ pub mod region;
 pub mod variance;
 
 pub use ale::{ale_curve, AleConfig, AleCurve};
-pub use ale2::{ale_surface, rank_interactions, AleSurface};
 pub use grid::Grid;
 pub use importance::{permutation_importance, FeatureImportance};
 pub use region::{FeatureRegions, HalfspaceSystem, Interval};

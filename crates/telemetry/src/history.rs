@@ -25,10 +25,9 @@
 //!
 //! Perf fields come from the BENCH record; `final_acc`, `ece` and the
 //! trial/failure/round counts come from [`LedgerSummary`], the one fold
-//! that turns ledger events into them — live under `--record`, over the
-//! rep-0 ledger in `perfgate --record`, and over the job's ledger in
-//! `amlserve`. `final_acc` is `null` when the run completed no feedback
-//! rounds (the figure bins, for instance).
+//! that turns ledger events into them — live under `--record` and over
+//! the rep-0 ledger in `perfgate --record`. `final_acc` is `null` when
+//! the run completed no feedback rounds (the figure bins, for instance).
 //!
 //! ## Versioning and off-is-free
 //!

@@ -319,11 +319,9 @@ fn history_json(query: Option<&str>) -> String {
     render_history_array(&path, query)
 }
 
-/// The history store at `path` as a JSON array (the `/history` route's
-/// body, factored out so other servers — `amlserve` — can serve a
-/// history file of their own choosing). Same filter semantics as
-/// `/history`: `?workload=NAME` and `?tail=N`.
-pub fn render_history_array(path: &Path, query: Option<&str>) -> String {
+/// The history store at `path` as a JSON array, with the `/history`
+/// filters `?workload=NAME` and `?tail=N` applied.
+fn render_history_array(path: &Path, query: Option<&str>) -> String {
     let Ok(text) = std::fs::read_to_string(path) else {
         return "[]\n".to_string();
     };
@@ -345,52 +343,30 @@ pub fn render_history_array(path: &Path, query: Option<&str>) -> String {
 }
 
 // ---------------------------------------------------------------------
-// Reusable HTTP plumbing (shared with `amlserve`, which layers a
-// read/write job plane on the same std-only socket discipline).
+// HTTP plumbing: GET request heads in, one complete response out.
 // ---------------------------------------------------------------------
 
-/// One parsed HTTP/1.1 request: request line, headers, and (when
-/// `Content-Length` says so) the full body.
-#[derive(Debug, Clone, Default)]
-pub struct HttpRequest {
-    /// Request method (`GET`, `POST`, `DELETE`, …), as sent.
-    pub method: String,
+/// The request line of one HTTP/1.1 request. The live plane is
+/// read-only, so headers are skipped and bodies are never read.
+#[derive(Debug)]
+struct HttpRequest {
+    /// Request method (`GET`, `POST`, …), as sent.
+    method: String,
     /// Path component of the request target (before any `?`).
-    pub path: String,
+    path: String,
     /// Query string (after `?`), when present.
-    pub query: Option<String>,
-    /// Header name/value pairs in arrival order; names lowercased.
-    pub headers: Vec<(String, String)>,
-    /// Request body (empty when there is none).
-    pub body: Vec<u8>,
-}
-
-impl HttpRequest {
-    /// The value of header `name` (case-insensitive), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(k, _)| *k == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// The value of `key=...` in this request's query string.
-    pub fn query_param(&self, key: &str) -> Option<&str> {
-        query_param(self.query.as_deref(), key)
-    }
+    query: Option<String>,
 }
 
 /// Cap on request head bytes (request line + headers).
 const MAX_HEAD: usize = 16 * 1024;
 
-/// Read one HTTP/1.1 request from `stream`, including a
-/// `Content-Length` body of at most `max_body` bytes. Oversized heads
-/// and bodies, malformed request lines, and connections that close
-/// mid-request all yield `InvalidData` errors — callers answer with a
-/// 4xx and drop the connection. The stream's read timeout bounds how
-/// long a silent client can hold the serving thread.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> std::io::Result<HttpRequest> {
+/// Read one HTTP/1.1 request head from `stream`. Oversized heads,
+/// malformed request lines, and connections that close mid-head all
+/// yield `InvalidData` errors — the connection is then dropped. The
+/// stream's read timeout bounds how long a silent client can hold the
+/// serving thread.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<HttpRequest> {
     use std::io::{Error, ErrorKind};
     let bad = |msg: &str| Error::new(ErrorKind::InvalidData, msg.to_string());
 
@@ -409,9 +385,8 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> std::io::Result<
         }
         buf.extend_from_slice(&chunk[..n]);
     };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
+    let head = String::from_utf8_lossy(&buf[..head_end]);
+    let request_line = head.split("\r\n").next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let target = parts.next().ok_or_else(|| bad("missing request target"))?;
@@ -419,35 +394,10 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> std::io::Result<
         Some((p, q)) => (p, Some(q.to_string())),
         None => (target, None),
     };
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    if content_length > max_body {
-        return Err(bad("request body too large"));
-    }
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
     Ok(HttpRequest {
         method: method.to_string(),
         path: path.to_string(),
         query,
-        headers,
-        body,
     })
 }
 
@@ -458,30 +408,19 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
 }
 
 /// Write one complete HTTP/1.1 response with `Connection: close`.
-/// `extra_headers` lets callers add e.g. `Retry-After`.
-pub fn write_response(
+fn write_response(
     stream: &mut TcpStream,
     status: &str,
     content_type: &str,
-    extra_headers: &[(&str, String)],
     body: &[u8],
 ) -> std::io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
+    let head = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len(),
     );
-    for (name, value) in extra_headers {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
     stream.write_all(body)?;
     stream.flush()
-}
-
-/// The self-contained `/dashboard` page, for servers that reuse it.
-pub fn dashboard_html() -> &'static str {
-    DASHBOARD_HTML
 }
 
 // ---------------------------------------------------------------------
@@ -583,8 +522,7 @@ fn serve_loop(listener: TcpListener, stop: Arc<AtomicBool>, state: Arc<ServerSta
 fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // The live plane is read-only: GET requests carry no body.
-    let req = read_request(&mut stream, 0)?;
+    let req = read_request(&mut stream)?;
     let (method, path) = (req.method.as_str(), req.path.as_str());
     let query = req.query.as_deref();
     if method == "GET" {
@@ -599,7 +537,7 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Res
     } else {
         route(path, query, state)
     };
-    write_response(&mut stream, status, content_type, &[], body.as_bytes())
+    write_response(&mut stream, status, content_type, body.as_bytes())
 }
 
 /// Bump the per-route request counter for a known route. Unknown paths
@@ -1093,6 +1031,18 @@ mod tests {
         let missing = http_get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
+        // The plane is read-only: any other method gets 405, its body
+        // unread, and is not counted.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "POST /healthz HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello"
+        )
+        .unwrap();
+        let mut post = String::new();
+        stream.read_to_string(&mut post).unwrap();
+        assert!(post.starts_with("HTTP/1.1 405"), "{post}");
+
         // Per-route request counters land on /metrics; this third
         // /metrics scrape counts itself, unknown paths are not counted.
         let metrics = http_get(addr, "/metrics");
@@ -1173,18 +1123,14 @@ mod tests {
         crate::global().reset();
     }
 
-    #[test]
-    fn read_request_parses_method_headers_and_body() {
+    /// Send `request` from a client thread and parse it server-side.
+    fn read_sent(request: Vec<u8>) -> std::io::Result<HttpRequest> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let writer = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
-            write!(
-                stream,
-                "POST /submit?dry=1 HTTP/1.1\r\nHost: x\r\nX-Tenant: alice\r\nContent-Length: 11\r\n\r\nhello world"
-            )
-            .unwrap();
-            stream.flush().unwrap();
+            // The server may hang up mid-write on an oversized head.
+            let _ = stream.write_all(&request).and_then(|()| stream.flush());
             // Keep the socket open until the server side finished reading.
             let mut sink = [0u8; 16];
             let _ = stream.read(&mut sink);
@@ -1193,41 +1139,41 @@ mod tests {
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        let req = read_request(&mut stream, 1024).unwrap();
-        assert_eq!(req.method, "POST");
-        assert_eq!(req.path, "/submit");
-        assert_eq!(req.query.as_deref(), Some("dry=1"));
-        assert_eq!(req.query_param("dry"), Some("1"));
-        assert_eq!(req.header("x-tenant"), Some("alice"));
-        assert_eq!(req.header("X-Tenant"), Some("alice"));
-        assert_eq!(req.body, b"hello world");
+        let req = read_request(&mut stream);
         drop(stream);
         writer.join().unwrap();
+        req
     }
 
     #[test]
-    fn read_request_rejects_oversized_bodies() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let writer = std::thread::spawn(move || {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            write!(
-                stream,
-                "POST /submit HTTP/1.1\r\nContent-Length: 64\r\n\r\n"
-            )
-            .unwrap();
-            let mut sink = [0u8; 16];
-            let _ = stream.read(&mut sink);
-        });
-        let (mut stream, _) = listener.accept().unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let err = read_request(&mut stream, 16).unwrap_err();
+    fn read_request_parses_method_path_and_query() {
+        let req =
+            read_sent(b"GET /runs?tail=4 HTTP/1.1\r\nHost: x\r\nAccept: */*\r\n\r\n".to_vec())
+                .unwrap();
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/runs");
+        assert_eq!(req.query.as_deref(), Some("tail=4"));
+        assert_eq!(tail_param(req.query.as_deref()), 4);
+
+        let req = read_sent(b"POST /healthz HTTP/1.1\r\n\r\n".to_vec()).unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/healthz")
+        );
+        assert_eq!(req.query, None);
+    }
+
+    #[test]
+    fn read_request_rejects_oversized_and_malformed_heads() {
+        let mut huge = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+        huge.resize(MAX_HEAD + 4096, b'a');
+        let err = read_sent(huge).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("too large"), "{err}");
-        drop(stream);
-        writer.join().unwrap();
+
+        let err = read_sent(b"GET\r\n\r\n".to_vec()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("missing request target"), "{err}");
     }
 
     #[test]
