@@ -14,6 +14,7 @@ use crate::Result;
 use aml_dataset::Dataset;
 use aml_rng::rngs::StdRng;
 use aml_rng::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Version of the generated data. Bump it in any change that alters the rows
 /// or labels a given (domain, sampling mode, n, seed) produces — simulator
@@ -63,68 +64,54 @@ pub fn label_conditions(
     let _span = aml_telemetry::span!("netsim.labeling");
     aml_telemetry::counter_add("netsim.labels", conditions.len() as u64);
     let ctx = aml_telemetry::TraceContext::current();
-    let jobs: Vec<(usize, NetworkCondition)> = conditions.iter().copied().enumerate().collect();
-    if parallelism <= 1 || jobs.len() <= 1 {
-        return jobs
-            .into_iter()
-            .map(|(i, c)| label_scenario(ctx, i, c, master_seed))
+    if parallelism <= 1 || conditions.len() <= 1 {
+        return conditions
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| label_scenario(ctx, i, c, master_seed))
             .collect();
     }
-    let chunk = jobs.len().div_ceil(parallelism);
-    let mut out: Vec<Option<bool>> = vec![None; conditions.len()];
-    let mut first_err: Option<crate::SimError> = None;
-    scoped_label_chunks(ctx, &jobs, chunk, master_seed, &mut out, &mut first_err);
-    if let Some(e) = first_err {
-        return Err(e);
+    let mut out: Vec<Option<Result<bool>>> = (0..conditions.len()).map(|_| None).collect();
+    for (i, label) in scoped_label_claims(ctx, conditions, parallelism, master_seed) {
+        out[i] = Some(label);
     }
-    Ok(out
-        .into_iter()
-        .map(|o| o.expect("all slots filled"))
-        .collect())
+    // The first error in index order, as a sequential run would report.
+    out.into_iter()
+        .map(|o| o.expect("every scenario is claimed once"))
+        .collect()
 }
 
-/// Tiny scoped-thread fan-out on `std::thread::scope`, like the AutoML
-/// search's `train_all`: index-slotted output, so the result is identical
-/// to a sequential run.
-fn scoped_label_chunks(
+/// Tiny scoped-thread fan-out on `std::thread::scope`: up to `parallelism`
+/// workers claim scenario indices one at a time from a shared counter, so
+/// a heavy-tailed scenario holds up one worker rather than a whole static
+/// chunk. Every result carries its index, so the caller's slotted output
+/// is identical to a sequential run.
+fn scoped_label_claims(
     ctx: aml_telemetry::TraceContext,
-    jobs: &[(usize, NetworkCondition)],
-    chunk: usize,
+    conditions: &[NetworkCondition],
+    parallelism: usize,
     master_seed: u64,
-    out: &mut [Option<bool>],
-    first_err: &mut Option<crate::SimError>,
-) {
-    let results: Vec<Vec<(usize, Result<bool>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .chunks(chunk)
-            .map(|piece| {
-                let piece = piece.to_vec();
-                scope.spawn(move || {
-                    piece
-                        .into_iter()
-                        .map(|(i, c)| (i, label_scenario(ctx, i, c, master_seed)))
-                        .collect::<Vec<_>>()
-                })
-            })
+) -> Vec<(usize, Result<bool>)> {
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&c) = conditions.get(i) else {
+                return done;
+            };
+            done.push((i, label_scenario(ctx, i, c, master_seed)));
+        }
+    };
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..parallelism.min(conditions.len()))
+            .map(|_| scope.spawn(worker))
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("labeling threads don't panic"))
+            .flat_map(|h| h.join().expect("labeling threads don't panic"))
             .collect()
-    });
-    for piece in results {
-        for (i, r) in piece {
-            match r {
-                Ok(label) => out[i] = Some(label),
-                Err(e) => {
-                    if first_err.is_none() {
-                        *first_err = Some(e);
-                    }
-                    out[i] = Some(false);
-                }
-            }
-        }
-    }
+    })
 }
 
 /// How conditions are drawn from the domain.

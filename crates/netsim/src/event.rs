@@ -1,9 +1,20 @@
 //! The discrete-event queue.
 //!
-//! A binary min-heap of `(time, sequence, event)` where the monotonically
-//! increasing sequence number breaks time ties — two events scheduled for
-//! the same instant always pop in scheduling order, which makes the whole
-//! simulation deterministic regardless of heap internals.
+//! A binary min-heap of small `(time, sequence, slot)` keys; the events
+//! themselves live in a slab (`Vec<Option<Event>>` with a free list) that
+//! the slot indexes, so the heap sifts 24-byte keys instead of whole
+//! events. The monotonically increasing sequence number breaks time ties —
+//! two events scheduled for the same instant always pop in sequence order,
+//! which makes the whole simulation deterministic regardless of heap
+//! internals. Sequence numbers are unique, so the slot never decides the
+//! order and reusing a slot cannot change it.
+//!
+//! A caller may [`reserve`](EventQueue::reserve) a sequence number now and
+//! queue an event under it later with
+//! [`schedule_reserved`](EventQueue::schedule_reserved): the event then
+//! pops as if it had been scheduled at reservation time. The simulator's
+//! RTO timers use this to keep one queued event per flow while firing in
+//! exactly the order a fresh event per re-arm would.
 
 use crate::packet::Packet;
 use crate::time::SimTime;
@@ -42,40 +53,25 @@ pub enum Event {
         /// Flow index.
         flow: usize,
     },
-    /// Retransmission timeout check for a flow. `generation` guards against
-    /// stale timers: each (re)scheduling bumps the flow's generation and
-    /// old events are ignored on pop.
+    /// Retransmission timeout check for a flow. A flow keeps at most one
+    /// queued `Timeout`; `seq` is the sequence number it was queued under,
+    /// reserved when the timer was armed. The flow's timer state tells
+    /// whether this is its live queued timer, whether the logical timer is
+    /// due, or whether it must re-queue itself under the later reservation.
     Timeout {
         /// Flow index.
         flow: usize,
-        /// Timer generation this event belongs to.
-        generation: u64,
+        /// The (reserved) sequence number this event was queued under.
+        seq: u64,
     },
-}
-
-#[derive(PartialEq, Eq)]
-struct Entry {
-    at: SimTime,
-    seq: u64,
-    event: Event,
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Deterministic event queue.
 #[derive(Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slab: Vec<Option<Event>>,
+    free: Vec<u32>,
     next_seq: u64,
 }
 
@@ -85,16 +81,46 @@ impl EventQueue {
         Self::default()
     }
 
-    /// Schedule `event` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, event: Event) {
+    /// Take the next sequence number without queueing anything. An event
+    /// later queued under it with [`schedule_reserved`](Self::schedule_reserved)
+    /// pops before every same-instant event scheduled after this call.
+    pub fn reserve(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, event }));
+        seq
     }
 
-    /// Pop the earliest event (ties in scheduling order).
+    /// Schedule `event` at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, event: Event) {
+        let seq = self.reserve();
+        self.schedule_reserved(at, seq, event);
+    }
+
+    /// Schedule `event` at `at` under `seq`, a number taken from
+    /// [`reserve`](Self::reserve) and not yet queued under.
+    pub fn schedule_reserved(&mut self, at: SimTime, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                self.slab.push(Some(event));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse((at, seq, slot)));
+    }
+
+    /// Pop the earliest event (ties in sequence order).
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.event))
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("a queued key names a filled slot");
+        self.free.push(slot);
+        Some((at, event))
     }
 
     /// Number of pending events.
@@ -139,6 +165,59 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn reserved_seq_pops_before_later_same_instant_events() {
+        let mut q = EventQueue::new();
+        let t = SimTime::ZERO + Duration::from_millis(4);
+        q.schedule(t, Event::SenderWake { flow: 0 });
+        let seq = q.reserve();
+        q.schedule(t, Event::SenderWake { flow: 1 });
+        q.schedule(t, Event::SenderWake { flow: 2 });
+        q.schedule_reserved(t, seq, Event::Timeout { flow: 9, seq });
+        let order: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            order,
+            vec![
+                Event::SenderWake { flow: 0 },
+                Event::Timeout { flow: 9, seq },
+                Event::SenderWake { flow: 1 },
+                Event::SenderWake { flow: 2 },
+            ]
+        );
+    }
+
+    #[test]
+    fn slot_reuse_never_changes_pop_order() {
+        // Interleave pops and pushes so later events land in recycled
+        // slots with low indices; the order must still be (time, seq).
+        let t = |ms| SimTime::ZERO + Duration::from_millis(ms);
+        let mut q = EventQueue::new();
+        let mut expected = Vec::new();
+        for flow in 0..8 {
+            q.schedule(t(10), Event::SenderWake { flow });
+        }
+        for flow in 0..4 {
+            assert_eq!(q.pop().unwrap().1, Event::SenderWake { flow });
+        }
+        expected.extend((4..8).map(|flow| (t(10), flow)));
+        // Eight new events reuse the four freed slots first.
+        for flow in 8..16 {
+            let at = if flow % 2 == 0 { t(10) } else { t(5) };
+            q.schedule(at, Event::SenderWake { flow });
+        }
+        expected.extend((8..16).map(|flow| (if flow % 2 == 0 { t(10) } else { t(5) }, flow)));
+        // Stable sort by time keeps sequence (scheduling) order on ties.
+        expected.sort_by_key(|&(at, _)| at);
+        let got: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|(at, e)| match e {
+                Event::SenderWake { flow } => (at, flow),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(got, expected);
+        assert!(q.slab.len() <= 12, "freed slots are reused");
     }
 
     #[test]

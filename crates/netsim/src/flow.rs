@@ -7,7 +7,7 @@
 
 use crate::cc::{AckEvent, CongestionControl};
 use crate::time::{Duration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Minimum retransmission timeout (sim-scale; real stacks use 200 ms–1 s).
 const MIN_RTO: Duration = Duration::from_millis(100);
@@ -22,16 +22,22 @@ pub struct Flow {
     pub cc: Box<dyn CongestionControl>,
     /// Next sequence number to send.
     pub next_seq: u64,
-    /// Outstanding packets: seq → (sent_at, size).
-    pub inflight: BTreeMap<u64, (SimTime, u32)>,
+    /// Outstanding packets `(seq, sent_at, size)` in send order. Sends
+    /// are strictly increasing in seq and the path is FIFO, so the window
+    /// stays sorted and every removal comes off the front.
+    pub inflight: VecDeque<(u64, SimTime, u32)>,
     /// Sum of outstanding sizes.
     pub inflight_bytes: u64,
     /// Earliest instant pacing allows the next send.
     pub next_send_time: SimTime,
     /// Whether a SenderWake event is already scheduled (avoids duplicates).
     pub wake_scheduled: bool,
-    /// Timeout-timer generation (stale-event guard).
-    pub timeout_generation: u64,
+    /// The logical RTO timer `(due, seq)`: when it fires, and the event
+    /// sequence number reserved for it when it was armed.
+    pub timer: (SimTime, u64),
+    /// `(at, seq)` of this flow's one live queued `Timeout` event, never
+    /// later than [`timer`](Self::timer).
+    pub queued_timer: Option<(SimTime, u64)>,
     /// When the last ACK arrived (or the flow started).
     pub last_ack_time: SimTime,
     /// Whether the flow has started sending.
@@ -65,11 +71,12 @@ impl Flow {
             id,
             cc,
             next_seq: 0,
-            inflight: BTreeMap::new(),
+            inflight: VecDeque::new(),
             inflight_bytes: 0,
             next_send_time: SimTime::ZERO,
             wake_scheduled: false,
-            timeout_generation: 0,
+            timer: (SimTime::ZERO, 0),
+            queued_timer: None,
             last_ack_time: SimTime::ZERO,
             started: false,
             srtt: None,
@@ -83,9 +90,13 @@ impl Flow {
         }
     }
 
-    /// Register a sent packet.
+    /// Register a sent packet. `seq` must exceed every earlier send's.
     pub fn on_send(&mut self, seq: u64, size: u32, now: SimTime) {
-        self.inflight.insert(seq, (now, size));
+        debug_assert!(
+            self.inflight.back().is_none_or(|&(last, _, _)| last < seq),
+            "send seq {seq} is not above the window's last"
+        );
+        self.inflight.push_back((seq, now, size));
         self.inflight_bytes += size as u64;
     }
 
@@ -100,16 +111,21 @@ impl Flow {
         now: SimTime,
     ) -> Option<AckEvent> {
         // In-order path ⇒ anything older than `seq` still outstanding was
-        // dropped. Collect and mark lost before accounting this ACK.
-        let lost: Vec<u64> = self.inflight.range(..seq).map(|(&s, _)| s).collect();
-        let had_loss = !lost.is_empty();
-        for s in lost {
-            let (_, sz) = self.inflight.remove(&s).expect("key from range");
+        // dropped. Mark it lost before accounting this ACK.
+        let mut had_loss = false;
+        while let Some(&(s, _, sz)) = self.inflight.front() {
+            if s >= seq {
+                break;
+            }
+            self.inflight.pop_front();
             self.inflight_bytes -= sz as u64;
             self.lost_packets += 1;
+            had_loss = true;
         }
 
-        self.inflight.remove(&seq)?;
+        let &(front, sent, _) = self.inflight.front().filter(|p| p.0 == seq)?;
+        debug_assert_eq!((front, sent), (seq, sent_at), "ACK echoes its packet");
+        self.inflight.pop_front();
         self.inflight_bytes -= bytes as u64;
         self.last_ack_time = now;
 
@@ -252,6 +268,31 @@ mod tests {
         f.on_send(0, 1500, t(0));
         f.on_ack(0, t(0), 1500, t(40)).unwrap();
         assert!(f.on_ack(0, t(0), 1500, t(50)).is_none());
+    }
+
+    #[test]
+    fn ack_older_than_the_window_is_stale_and_counts_no_loss() {
+        let mut f = flow();
+        f.on_send(0, 1500, t(0));
+        f.on_send(1, 1500, t(1));
+        f.on_timeout(t(300));
+        assert_eq!(f.lost_packets, 2);
+        f.on_send(2, 1500, t(300));
+        f.on_send(3, 1500, t(301));
+        // The ACK of seq 1 arrives after the timeout resent the window.
+        assert!(f.on_ack(1, t(1), 1500, t(320)).is_none());
+        assert_eq!(f.lost_packets, 2, "an old ACK declares nothing lost");
+        assert_eq!(f.inflight.len(), 2);
+        assert_eq!(f.inflight_bytes, 3000);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not above the window's last")]
+    fn on_send_rejects_a_non_increasing_seq() {
+        let mut f = flow();
+        f.on_send(5, 1500, t(0));
+        f.on_send(5, 1500, t(1));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! * conservation — every sent packet is delivered, dropped at the queue,
 //!   lost on the link, or still in flight at the end;
 //! * determinism — identical `(config, seed)` ⇒ identical statistics;
-//! * liveness — a per-flow RTO timer (generation-guarded) guarantees the
-//!   event loop never stalls while a flow has outstanding data.
+//! * liveness — a per-flow RTO timer (one queued timer per flow) guarantees
+//!   the event loop never stalls while a flow has outstanding data.
 
 use crate::cc::CcKind;
 use crate::event::{Event, EventQueue};
@@ -169,6 +169,9 @@ pub struct Simulation {
     link_losses: u64,
     delivered: u64,
     sent: u64,
+    /// `Timeout` events popped, live or not.
+    #[cfg(test)]
+    timeout_pops: u64,
 }
 
 impl Simulation {
@@ -197,12 +200,28 @@ impl Simulation {
             link_losses: 0,
             delivered: 0,
             sent: 0,
+            #[cfg(test)]
+            timeout_pops: 0,
             cfg,
         })
     }
 
     /// Run to completion and return the statistics.
     pub fn run(mut self) -> Result<SimOutcome> {
+        let processed = self.run_events()?;
+        // Telemetry is flushed once per run from the loop's local tallies —
+        // the event loop itself stays free of atomics.
+        if aml_telemetry::enabled() {
+            aml_telemetry::counter_add("netsim.sim.runs", 1);
+            aml_telemetry::counter_add("netsim.sim.events", processed);
+            aml_telemetry::counter_add("netsim.sim.packets_sent", self.sent);
+            aml_telemetry::counter_add("netsim.sim.packets_delivered", self.delivered);
+        }
+        Ok(self.finish())
+    }
+
+    /// The event loop; returns the number of events processed.
+    fn run_events(&mut self) -> Result<u64> {
         // Stagger flow starts by 10 ms to avoid artificial phase locking.
         for f in 0..self.flows.len() {
             self.events.schedule(
@@ -232,15 +251,7 @@ impl Simulation {
             }
             self.dispatch(event);
         }
-        // Telemetry is flushed once per run from the loop's local tallies —
-        // the event loop itself stays free of atomics.
-        if aml_telemetry::enabled() {
-            aml_telemetry::counter_add("netsim.sim.runs", 1);
-            aml_telemetry::counter_add("netsim.sim.events", processed);
-            aml_telemetry::counter_add("netsim.sim.packets_sent", self.sent);
-            aml_telemetry::counter_add("netsim.sim.packets_delivered", self.delivered);
-        }
-        Ok(self.finish())
+        Ok(processed)
     }
 
     fn dispatch(&mut self, event: Event) {
@@ -296,11 +307,22 @@ impl Simulation {
                 }
                 self.try_send(flow);
             }
-            Event::Timeout { flow, generation } => {
-                if generation != self.flows[flow].timeout_generation {
-                    return; // stale timer
+            Event::Timeout { flow, seq } => {
+                #[cfg(test)]
+                {
+                    self.timeout_pops += 1;
                 }
-                let f = &self.flows[flow];
+                let f = &mut self.flows[flow];
+                if f.queued_timer != Some((self.now, seq)) {
+                    return; // superseded by a sooner re-arm
+                }
+                f.queued_timer = None;
+                if f.timer.1 != seq {
+                    // Re-armed since it was queued: wait for the logical
+                    // timer under the seq reserved for it.
+                    queue_timer(&mut self.events, f);
+                    return;
+                }
                 let deadline = f.last_ack_time + f.rto();
                 if !f.inflight.is_empty() && self.now >= deadline {
                     self.flows[flow].on_timeout(self.now);
@@ -373,33 +395,41 @@ impl Simulation {
             .schedule(self.now + ser + self.prop_half, Event::Delivery { packet });
     }
 
-    /// (Re)arm the flow's RTO timer with a fresh generation. The timer is
-    /// always strictly in the future (≥ now + RTO/4) — scheduling at `now`
-    /// would let an idle flow re-fire the same instant forever.
+    /// (Re)arm the flow's RTO timer. The timer is always strictly in the
+    /// future (≥ now + RTO/4) — scheduling at `now` would let an idle flow
+    /// re-fire the same instant forever.
+    ///
+    /// Arming reserves the next event seq, so the logical timer `(due,
+    /// seq)` fires exactly where a fresh event per arm would. A new event
+    /// is queued only when the flow's queued one would pop later than
+    /// that; otherwise the queued one re-queues itself at `(due, seq)`
+    /// when it pops (see `dispatch`).
     fn arm_timeout(&mut self, flow: usize) {
         let f = &mut self.flows[flow];
-        f.timeout_generation += 1;
-        let generation = f.timeout_generation;
-        let at = (f.last_ack_time + f.rto()).max(self.now + f.rto().mul_f64(0.25));
-        self.events
-            .schedule(at, Event::Timeout { flow, generation });
+        let due = (f.last_ack_time + f.rto()).max(self.now + f.rto().mul_f64(0.25));
+        f.timer = (due, self.events.reserve());
+        if f.queued_timer.is_none_or(|live| live > f.timer) {
+            queue_timer(&mut self.events, f);
+        }
     }
 
-    fn finish(self) -> SimOutcome {
+    fn finish(mut self) -> SimOutcome {
         let measure_secs = (self.cfg.duration - self.cfg.warmup).as_secs_f64();
         let mut flows = Vec::with_capacity(self.flows.len());
         let mut all_delays: Vec<f64> = Vec::new();
         let mut total_tp = 0.0;
-        for f in &self.flows {
+        for f in &mut self.flows {
             let tp = f.measured_bytes as f64 * 8.0 / measure_secs / 1e6;
             total_tp += tp;
-            let (mean_d, p95_d) = delay_stats(&f.delay_samples);
+            // Pool the samples in arrival order before `delay_stats`
+            // reorders them: the pooled mean sums in this order.
+            all_delays.extend_from_slice(&f.delay_samples);
+            let (mean_d, p95_d) = delay_stats(&mut f.delay_samples);
             let mean_rtt = if f.rtt_samples.is_empty() {
                 f64::INFINITY
             } else {
                 f.rtt_samples.iter().sum::<f64>() / f.rtt_samples.len() as f64 * 1e3
             };
-            all_delays.extend_from_slice(&f.delay_samples);
             flows.push(FlowStats {
                 throughput_mbps: tp,
                 mean_delay_ms: mean_d,
@@ -409,7 +439,7 @@ impl Simulation {
                 delivered_packets: f.delay_samples.len(),
             });
         }
-        let (mean_delay_ms, p95_delay_ms) = delay_stats(&all_delays);
+        let (mean_delay_ms, p95_delay_ms) = delay_stats(&mut all_delays);
         SimOutcome {
             flows,
             total_throughput_mbps: total_tp,
@@ -420,16 +450,32 @@ impl Simulation {
     }
 }
 
+/// Queue `f`'s logical timer under its reserved seq as the flow's live
+/// queued timer. There is at most one: a new one only ever supersedes a
+/// live one that would pop later.
+fn queue_timer(events: &mut EventQueue, f: &mut Flow) {
+    debug_assert!(
+        f.queued_timer.is_none_or(|live| live > f.timer),
+        "flow {} already has a live queued timer",
+        f.id
+    );
+    let (due, seq) = f.timer;
+    events.schedule_reserved(due, seq, Event::Timeout { flow: f.id, seq });
+    f.queued_timer = Some(f.timer);
+}
+
 /// `(mean, p95)` of delay samples in milliseconds; infinities when empty.
-fn delay_stats(samples: &[f64]) -> (f64, f64) {
+/// The p95 is the element at index `round((n - 1) · 0.95)` of the sorted
+/// samples, found by selection; `samples` is left reordered.
+fn delay_stats(samples: &mut [f64]) -> (f64, f64) {
     if samples.is_empty() {
         return (f64::INFINITY, f64::INFINITY);
     }
     let mean = samples.iter().sum::<f64>() / samples.len() as f64 * 1e3;
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("delays are finite"));
-    let idx = ((sorted.len() as f64 - 1.0) * 0.95).round() as usize;
-    (mean, sorted[idx] * 1e3)
+    let idx = ((samples.len() as f64 - 1.0) * 0.95).round() as usize;
+    let (_, p95, _) =
+        samples.select_nth_unstable_by(idx, |a, b| a.partial_cmp(b).expect("delays are finite"));
+    (mean, *p95 * 1e3)
 }
 
 #[cfg(test)]
@@ -593,6 +639,41 @@ mod tests {
             "{}",
             rd.total_throughput_mbps
         );
+    }
+
+    #[test]
+    fn one_queued_timer_keeps_timeout_pops_rare() {
+        // Re-arming on every new ACK must not cost a queued event per ACK.
+        let cfg = SimConfig::for_condition(cond(10.0, 40.0, 0.0, 1), CcKind::Cubic, 1);
+        let mut sim = Simulation::new(cfg).unwrap();
+        let events = sim.run_events().unwrap();
+        assert!(events > 1_000, "{events} events");
+        assert!(
+            sim.timeout_pops * 100 < events,
+            "{} timeout pops of {events} events",
+            sim.timeout_pops
+        );
+    }
+
+    #[test]
+    fn delay_stats_p95_is_the_sorted_index_value() {
+        // Duplicates around the p95 rank, in scrambled order.
+        let samples: Vec<f64> = (0..101u64)
+            .map(|i| ((i * 37) % 101 / 4) as f64 * 1e-3 + 0.02)
+            .collect();
+        let mut sorted = samples.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = ((sorted.len() as f64 - 1.0) * 0.95).round() as usize;
+        assert_eq!(
+            sorted[idx],
+            sorted[idx - 1],
+            "the p95 rank holds a duplicate"
+        );
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64 * 1e3;
+        let (m, p95) = delay_stats(&mut samples.clone());
+        assert_eq!(m.to_bits(), mean.to_bits());
+        assert_eq!(p95.to_bits(), (sorted[idx] * 1e3).to_bits());
+        assert_eq!(delay_stats(&mut []), (f64::INFINITY, f64::INFINITY));
     }
 
     #[test]
