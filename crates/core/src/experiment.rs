@@ -262,19 +262,21 @@ pub fn run_strategy(
                 let runs: Vec<FittedAutoMl> = {
                     let _committee =
                         aml_telemetry::span!("core.strategy.committee", strategy.name());
-                    // Committee members are independent AutoML runs; the
-                    // handoff marks each one a parallelizable fan-out unit
-                    // in the trace tree, so the critical-path analyzer
-                    // reports the committee's Amdahl speedup ceiling even
-                    // though this loop currently runs them sequentially.
+                    // Committee members are independent AutoML runs. They
+                    // run one after another (one thread: each member's
+                    // search already fans out over `--threads`), but the
+                    // fan-out attaches each as a parallelizable unit in
+                    // the trace tree, so the critical-path analyzer
+                    // reports the committee's Amdahl speedup ceiling.
                     let ctx = aml_telemetry::TraceContext::current();
-                    (0..n_runs)
-                        .map(|r| {
-                            let _handoff = ctx.attach(r as u64);
-                            let _member = aml_telemetry::span!("core.strategy.member");
-                            fit_automl(cfg, train, 100 + r as u64)
-                        })
-                        .collect::<Result<_>>()?
+                    let members: Vec<(u64, ())> = (0..n_runs as u64).map(|r| (r, ())).collect();
+                    aml_telemetry::tracetree::par_map(ctx, 1, members, |r, ()| {
+                        let _member = aml_telemetry::span!("core.strategy.member");
+                        fit_automl(cfg, train, 100 + r)
+                    })
+                    .unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message)))
+                    .into_iter()
+                    .collect::<Result<_>>()?
                 };
                 let ale = AleFeedback {
                     mode,

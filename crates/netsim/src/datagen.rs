@@ -14,7 +14,6 @@ use crate::Result;
 use aml_dataset::Dataset;
 use aml_rng::rngs::StdRng;
 use aml_rng::SeedableRng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Version of the generated data. Bump it in any change that alters the rows
 /// or labels a given (domain, sampling mode, n, seed) produces — simulator
@@ -32,20 +31,14 @@ fn derive_seed(master: u64, index: u64) -> u64 {
 
 /// Label one scenario under its own traced span, recording the
 /// per-scenario cost histogram (`datagen.scenario_ns`) and the
-/// `datagen.scenarios_total` counter. The [`aml_telemetry::TraceContext`]
-/// handoff makes the span a child of `netsim.labeling` whichever worker
-/// thread runs it, with the *scenario index* as the deterministic slot —
-/// so sequential and parallel runs build byte-identical trace trees.
-fn label_scenario(
-    ctx: aml_telemetry::TraceContext,
-    index: usize,
-    condition: NetworkCondition,
-    master_seed: u64,
-) -> Result<bool> {
-    let _handoff = ctx.attach(index as u64);
+/// `datagen.scenarios_total` counter. [`label_conditions`] attaches the
+/// span under `netsim.labeling` with the *scenario index* as the slot,
+/// whichever worker thread runs it, so sequential and parallel runs build
+/// byte-identical trace trees.
+fn label_scenario(index: u64, condition: NetworkCondition, master_seed: u64) -> Result<bool> {
     let _span = aml_telemetry::span!("netsim.scenario");
     let started = aml_telemetry::maybe_now();
-    let label = label_condition(condition, derive_seed(master_seed, index as u64));
+    let label = label_condition(condition, derive_seed(master_seed, index));
     if let Some(t) = started {
         aml_telemetry::histogram_record("datagen.scenario_ns", t.elapsed().as_nanos() as u64);
         aml_telemetry::counter_add("datagen.scenarios_total", 1);
@@ -53,9 +46,11 @@ fn label_scenario(
     label
 }
 
-/// Label one batch of conditions with up to `parallelism` threads.
-/// Output order matches input order; each condition gets an independent
-/// derived seed so results don't depend on batch composition.
+/// Label one batch of conditions with up to `parallelism` threads, which
+/// claim scenarios one at a time so a heavy-tailed scenario holds up one
+/// worker, not a static chunk. Output order matches input order; each
+/// condition gets an independent derived seed so results don't depend on
+/// batch composition. A worker's panic is re-raised here with its message.
 pub fn label_conditions(
     conditions: &[NetworkCondition],
     master_seed: u64,
@@ -63,55 +58,18 @@ pub fn label_conditions(
 ) -> Result<Vec<bool>> {
     let _span = aml_telemetry::span!("netsim.labeling");
     aml_telemetry::counter_add("netsim.labels", conditions.len() as u64);
+    let jobs: Vec<(u64, NetworkCondition)> = conditions
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (i as u64, c))
+        .collect();
     let ctx = aml_telemetry::TraceContext::current();
-    if parallelism <= 1 || conditions.len() <= 1 {
-        return conditions
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| label_scenario(ctx, i, c, master_seed))
-            .collect();
-    }
-    let mut out: Vec<Option<Result<bool>>> = (0..conditions.len()).map(|_| None).collect();
-    for (i, label) in scoped_label_claims(ctx, conditions, parallelism, master_seed) {
-        out[i] = Some(label);
-    }
-    // The first error in index order, as a sequential run would report.
-    out.into_iter()
-        .map(|o| o.expect("every scenario is claimed once"))
-        .collect()
-}
-
-/// Tiny scoped-thread fan-out on `std::thread::scope`: up to `parallelism`
-/// workers claim scenario indices one at a time from a shared counter, so
-/// a heavy-tailed scenario holds up one worker rather than a whole static
-/// chunk. Every result carries its index, so the caller's slotted output
-/// is identical to a sequential run.
-fn scoped_label_claims(
-    ctx: aml_telemetry::TraceContext,
-    conditions: &[NetworkCondition],
-    parallelism: usize,
-    master_seed: u64,
-) -> Vec<(usize, Result<bool>)> {
-    let next = AtomicUsize::new(0);
-    let worker = || {
-        let mut done = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&c) = conditions.get(i) else {
-                return done;
-            };
-            done.push((i, label_scenario(ctx, i, c, master_seed)));
-        }
-    };
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..parallelism.min(conditions.len()))
-            .map(|_| scope.spawn(worker))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("labeling threads don't panic"))
-            .collect()
+    let labels = aml_telemetry::tracetree::par_map(ctx, parallelism, jobs, |i, c| {
+        label_scenario(i, c, master_seed)
     })
+    .unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message)));
+    // The first error in index order, as a sequential run would report.
+    labels.into_iter().collect()
 }
 
 /// How conditions are drawn from the domain.

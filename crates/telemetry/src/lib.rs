@@ -48,7 +48,7 @@
 //!   folded output, directly loadable by flamegraph tooling;
 //! * **causal trace trees** ([`tracetree`], behind `--crit-out`): every
 //!   span gets a deterministic structural id and parent link — across
-//!   `std::thread::scope` workers via the explicit [`TraceContext`]
+//!   [`tracetree::par_map`] workers via the explicit [`TraceContext`]
 //!   handoff — feeding the **critical-path analyzer** ([`crit`]):
 //!   longest dependency chain, per-phase serial-fraction / Amdahl
 //!   speedup ceiling, and wall-vs-CPU attribution, written as

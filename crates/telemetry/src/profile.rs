@@ -21,7 +21,10 @@
 //! with `--profile-out` unset the span hot path pays exactly one extra
 //! relaxed atomic load and nothing else (the crate's off-is-free rule).
 //! Stacks are tracked per thread; worker-thread spans form their own
-//! roots, exactly like per-thread lanes in the Chrome trace.
+//! roots, exactly like per-thread lanes in the Chrome trace. A
+//! [`crate::tracetree::par_map`] fan-out charges the caller's time blocked
+//! on its workers to a profile-only `caller;(wait)` stack, so waiting
+//! never shows up as the caller's self time.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -267,6 +270,40 @@ mod tests {
         );
         // The root slept ~2ms outside its children.
         assert!(get("test.profile.root").self_ns >= 1_000_000);
+
+        reset();
+        set_level(TelemetryLevel::Off);
+        crate::global().reset();
+    }
+
+    #[test]
+    fn par_map_charges_worker_time_to_a_wait_frame() {
+        let _guard = test_lock::hold();
+        set_level(TelemetryLevel::Summary);
+        crate::global().reset();
+        reset();
+        set_active(true);
+        {
+            let _parent = span("test.profile.fanout");
+            let jobs: Vec<(u64, ())> = (0..4).map(|slot| (slot, ())).collect();
+            let ctx = crate::TraceContext::current();
+            crate::tracetree::par_map(ctx, 2, jobs, |_, ()| {
+                let _job = span("test.profile.job");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            })
+            .unwrap();
+        }
+        set_active(false);
+
+        let entries = entries();
+        let get = |k: &str| entries.iter().find(|(n, _)| n == k).map(|e| e.1);
+        let parent = get("test.profile.fanout").unwrap();
+        assert!(parent.self_ns < 1_000_000, "parent self {}", parent.self_ns);
+        let wait = get("test.profile.fanout;(wait)").unwrap();
+        assert_eq!(wait.calls, 1);
+        assert!(wait.self_ns >= 10_000_000, "wait self {}", wait.self_ns);
+        // Worker spans still root their own per-thread stacks.
+        assert_eq!(get("test.profile.job").unwrap().calls, 4);
 
         reset();
         set_level(TelemetryLevel::Off);

@@ -1,8 +1,8 @@
 //! Thread-safe aggregation of spans, counters, and histograms.
 //!
 //! The registry is the single sink for all instrumentation in the process.
-//! Worker threads (`std::thread::scope` threads in the AutoML search
-//! and the netsim labeler) all record into the same maps; entries
+//! Worker threads (the [`crate::tracetree::par_map`] workers of the AutoML
+//! search and the netsim labeler) all record into the same maps; entries
 //! are `Arc`-shared atomics so the map lock is only taken to *find or
 //! create* an entry, never to update one.
 

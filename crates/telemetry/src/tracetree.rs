@@ -14,9 +14,9 @@
 //!   whether it ran on 1 worker or 8 and golden tests stay byte-pinned;
 //! * a parent link, where cross-thread edges are established explicitly
 //!   with [`TraceContext`]: capture the context next to the work
-//!   enumeration, hand it into the worker closure, and
-//!   [`TraceContext::attach`] it under a deterministic `slot` (the work
-//!   item's index) before opening spans;
+//!   enumeration and [`TraceContext::attach`] it inside the worker under a
+//!   deterministic `slot` (a stable per-job key) before opening spans.
+//!   [`par_map`] is the one fan-out that does this for every job;
 //! * interval offsets (`start_ns`/`total_ns` against a process-local
 //!   origin) so well-formedness — children nested within parents — is
 //!   checkable, plus a `parallel` flag marking handoff roots, which is
@@ -35,14 +35,12 @@
 //! {
 //!     let _phase = aml_telemetry::span!("doc.phase");
 //!     let ctx = aml_telemetry::tracetree::TraceContext::current();
-//!     std::thread::scope(|scope| {
-//!         for slot in 0..4u64 {
-//!             scope.spawn(move || {
-//!                 let _h = ctx.attach(slot);
-//!                 let _s = aml_telemetry::span!("doc.work");
-//!             });
-//!         }
+//!     let jobs: Vec<(u64, u64)> = (0..4u64).map(|slot| (slot, slot * 10)).collect();
+//!     let out = aml_telemetry::tracetree::par_map(ctx, 2, jobs, |_slot, x| {
+//!         let _s = aml_telemetry::span!("doc.work");
+//!         x + 1
 //!     });
+//!     assert_eq!(out, Ok(vec![1, 11, 21, 31]));
 //! }
 //! aml_telemetry::tracetree::set_active(false);
 //! let nodes = aml_telemetry::tracetree::entries();
@@ -52,7 +50,8 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
@@ -280,29 +279,24 @@ pub(crate) fn on_span_close() {
 }
 
 /// A capturable point in the trace tree: the innermost open span at the
-/// capture site. `Copy + Send`, so it crosses into `std::thread::scope`
-/// closures by value.
+/// capture site. `Copy + Send`, so it crosses into worker threads by
+/// value.
 ///
-/// Capture next to the work enumeration, attach inside the worker:
+/// Capture next to the work enumeration and hand it to [`par_map`],
+/// which attaches it under each job's slot inside the worker:
 ///
 /// ```ignore
 /// let ctx = TraceContext::current();
-/// std::thread::scope(|scope| {
-///     for chunk in jobs.chunks(n) {
-///         scope.spawn(move || {
-///             for (i, job) in chunk {
-///                 let _h = ctx.attach(*i as u64); // slot = item index
-///                 let _s = aml_telemetry::span!("worker.item");
-///                 run(job);
-///             }
-///         });
-///     }
-/// });
+/// let jobs: Vec<(u64, Job)> = trials.map(|t| (t.id, t.job)).collect();
+/// let out = par_map(ctx, threads, jobs, |trial, job| {
+///     let _s = aml_telemetry::span!("worker.item");
+///     run(trial, job)
+/// })?;
 /// ```
 ///
-/// Because the slot is the *item* index (not the chunk or thread index),
-/// the resulting tree is identical however the items were distributed
-/// over workers.
+/// Because the slot is a key of the *job* (its index, or a stable id
+/// such as a trial number), not of the thread that ran it, the resulting
+/// tree is identical however the jobs were distributed over workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceContext {
     parent: SpanId,
@@ -329,8 +323,9 @@ impl TraceContext {
     }
 
     /// Re-parent spans subsequently opened on the *calling* thread to
-    /// this context, under deterministic `slot` (use the logical work
-    /// item's index). Spans opened directly under the guard become
+    /// this context, under deterministic `slot`: a stable per-job key,
+    /// such as a trial id or a scenario index, unique among the jobs
+    /// attached to this context. Spans opened directly under the guard become
     /// `parallel` handoff roots; open exactly one per attach so the
     /// tree's fan-out mirrors the fan-out of the work. The guard restores
     /// the previous parentage on drop and must be dropped after any span
@@ -365,6 +360,103 @@ impl Drop for AttachGuard {
                 stack.pop();
             }
         });
+    }
+}
+
+/// Run `f(slot, item)` over every `(slot, item)` job on up to `threads`
+/// scoped workers and return the results in job order.
+///
+/// Workers claim jobs one at a time from a shared index, so one costly
+/// job holds up one worker rather than a static chunk. Each job runs
+/// under `ctx.attach(slot)`, which makes the trace tree, like the
+/// output, identical at any worker count. With `threads <= 1` or at
+/// most one job, the jobs run inline on the calling thread.
+///
+/// A panicking job does not take the process down here: `par_map` waits
+/// for every worker to finish, then returns the first panic's message as
+/// `Err` (the inline path stops at that job). With the profiler active,
+/// the caller's time blocked on its workers is charged to a
+/// `…;(wait)` stack, not to the caller's own self time.
+pub fn par_map<T, R, F>(
+    ctx: TraceContext,
+    threads: usize,
+    jobs: Vec<(u64, T)>,
+    f: F,
+) -> Result<Vec<R>, String>
+where
+    T: Send,
+    R: Send,
+    F: Fn(u64, T) -> R + Sync,
+{
+    let run = |slot: u64, item: T| {
+        let _handoff = ctx.attach(slot);
+        f(slot, item)
+    };
+    if threads <= 1 || jobs.len() <= 1 {
+        return std::panic::catch_unwind(AssertUnwindSafe(|| {
+            jobs.into_iter()
+                .map(|(slot, item)| run(slot, item))
+                .collect()
+        }))
+        .map_err(|payload| panic_message(&*payload));
+    }
+    let n = jobs.len();
+    let jobs: Vec<Mutex<Option<(u64, T)>>> =
+        jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(job) = jobs.get(i) else {
+                return done;
+            };
+            let (slot, item) = job
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take()
+                .expect("each job is claimed once");
+            done.push((i, run(slot, item)));
+        }
+    };
+    let wait_started = (crate::enabled() && crate::profile::active()).then(|| {
+        crate::profile::on_span_open("(wait)");
+        Instant::now()
+    });
+    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let mut first_panic = None;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n)).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        out[i] = Some(r);
+                    }
+                }
+                Err(payload) => {
+                    first_panic.get_or_insert_with(|| panic_message(&*payload));
+                }
+            }
+        }
+    });
+    if let Some(started) = wait_started {
+        crate::profile::on_span_close(started.elapsed().as_nanos() as u64);
+    }
+    match first_panic {
+        Some(message) => Err(message),
+        None => Ok(out.into_iter().map(|r| r.expect("every job ran")).collect()),
+    }
+}
+
+/// Best-effort human-readable message from a panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -481,19 +573,11 @@ mod tests {
         let run = |workers: usize| {
             collect(|| {
                 let _phase = span("test.handoff.phase");
-                let ctx = TraceContext::current();
-                let slots: Vec<u64> = (0..8).collect();
-                std::thread::scope(|scope| {
-                    for chunk in slots.chunks(slots.len().div_ceil(workers)) {
-                        let chunk = chunk.to_vec();
-                        scope.spawn(move || {
-                            for slot in chunk {
-                                let _h = ctx.attach(slot);
-                                let _s = span("test.handoff.item");
-                            }
-                        });
-                    }
-                });
+                let jobs: Vec<(u64, ())> = (0..8).map(|slot| (slot, ())).collect();
+                par_map(TraceContext::current(), workers, jobs, |_, ()| {
+                    let _s = span("test.handoff.item");
+                })
+                .unwrap();
             })
         };
         let one = run(1);
@@ -515,6 +599,54 @@ mod tests {
         reset();
         set_level(TelemetryLevel::Off);
         crate::global().reset();
+    }
+
+    /// Jobs whose cost varies by orders of magnitude, so dynamic claiming
+    /// hands them to workers in an order that differs from run to run.
+    fn uneven_job(slot: u64, x: u64) -> u64 {
+        let spins = if slot.is_multiple_of(5) { 200_000 } else { 10 };
+        (0..spins).fold(x, |acc, i| acc.wrapping_mul(31).wrapping_add(i))
+    }
+
+    #[test]
+    fn par_map_matches_sequential_at_any_thread_count() {
+        let jobs = || {
+            (0..40u64)
+                .map(|slot| (slot, slot * 7 + 1))
+                .collect::<Vec<_>>()
+        };
+        let sequential: Vec<u64> = jobs().into_iter().map(|(s, x)| uneven_job(s, x)).collect();
+        for threads in [1, 2, 3, 8] {
+            let out = par_map(TraceContext::current(), threads, jobs(), uneven_job);
+            assert_eq!(out.as_ref(), Ok(&sequential), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn par_map_handles_more_threads_than_jobs_and_no_jobs() {
+        let ctx = TraceContext::current();
+        let out = par_map(ctx, 16, vec![(4, 'a'), (9, 'b'), (2, 'c')], |slot, c| {
+            (slot, c)
+        });
+        assert_eq!(out, Ok(vec![(4, 'a'), (9, 'b'), (2, 'c')]));
+        for threads in [1, 4] {
+            let none: Vec<(u64, u8)> = Vec::new();
+            assert_eq!(par_map(ctx, threads, none, |_, x| x), Ok(Vec::new()));
+        }
+    }
+
+    #[test]
+    fn par_map_returns_a_job_panic_as_err() {
+        for threads in [1, 2, 4] {
+            let jobs: Vec<(u64, u64)> = (0..12).map(|slot| (slot, slot)).collect();
+            let out = par_map(TraceContext::current(), threads, jobs, |slot, x| {
+                if slot == 5 {
+                    panic!("job {slot} failed");
+                }
+                x
+            });
+            assert_eq!(out, Err("job 5 failed".to_string()), "threads = {threads}");
+        }
     }
 
     #[test]
@@ -584,19 +716,11 @@ mod tests {
                         nest(levels - 1, slots, workers);
                         return;
                     }
-                    let ctx = TraceContext::current();
-                    let idx: Vec<u64> = (0..slots as u64).collect();
-                    std::thread::scope(|scope| {
-                        for chunk in idx.chunks(idx.len().div_ceil(workers)) {
-                            let chunk = chunk.to_vec();
-                            scope.spawn(move || {
-                                for slot in chunk {
-                                    let _h = ctx.attach(slot);
-                                    let _leaf = span("test.prop.leaf");
-                                }
-                            });
-                        }
-                    });
+                    let jobs: Vec<(u64, ())> = (0..slots as u64).map(|slot| (slot, ())).collect();
+                    par_map(TraceContext::current(), workers, jobs, |_, ()| {
+                        let _leaf = span("test.prop.leaf");
+                    })
+                    .unwrap();
                 }
                 nest(depth, slots, workers);
             });
