@@ -10,7 +10,7 @@
 
 use aml_automl::ModelFamily;
 use aml_dataset::{split::train_test_split, synth, Dataset};
-use aml_telemetry::sink::{self, Sink, SpanEvent};
+use aml_telemetry::sink::{self, Sink};
 use aml_telemetry::{LedgerEvent, Snapshot};
 use std::sync::Mutex;
 
@@ -20,7 +20,6 @@ struct CollectingLedger {
 }
 
 impl Sink for CollectingLedger {
-    fn on_span_close(&self, _event: &SpanEvent) {}
     fn on_ledger_event(&self, event: &LedgerEvent) {
         self.lines.lock().unwrap().push(event.to_json_line());
     }
@@ -38,9 +37,6 @@ impl Sink for CollectingLedger {
 struct Fwd(&'static CollectingLedger);
 
 impl Sink for Fwd {
-    fn on_span_close(&self, e: &SpanEvent) {
-        self.0.on_span_close(e)
-    }
     fn on_ledger_event(&self, e: &LedgerEvent) {
         self.0.on_ledger_event(e)
     }

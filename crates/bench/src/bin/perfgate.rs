@@ -584,10 +584,10 @@ fn run_workloads(opts: RunPlanOpts) -> i32 {
 
 /// Run one workload `opts.repeats` times, median-aggregate the reports,
 /// and write `BENCH_<workload>.json` into the output directory. The
-/// first repeat also exports `trace.json` / `events.jsonl` /
-/// `ledger.jsonl` / `crit.json` for the workload so every gate run
-/// doubles as a profiling artifact (and feeds `amlreport` / `amlinspect crit`),
-/// and under `--record` appends its own history line to `REP0_HISTORY`.
+/// first repeat also exports `trace.json` / `ledger.jsonl` / `crit.json`
+/// for the workload so every gate run doubles as a profiling artifact
+/// (and feeds `amlreport` / `amlinspect crit`), and under `--record`
+/// appends its own history line to `REP0_HISTORY`.
 fn run_one_workload(
     bin_dir: &Path,
     workload: &str,
@@ -620,10 +620,6 @@ fn run_one_workload(
             cmd.args([
                 "--trace-out".as_ref(),
                 work_dir.join("trace.json").as_os_str(),
-            ])
-            .args([
-                "--events-out".as_ref(),
-                work_dir.join("events.jsonl").as_os_str(),
             ])
             .args([
                 "--ledger-out".as_ref(),

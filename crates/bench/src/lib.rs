@@ -84,10 +84,9 @@ pub struct RunOpts {
     /// `results/history/history.jsonl`). Feeds
     /// `perfgate --against-history` and the `/dashboard` trend section.
     pub record: Option<PathBuf>,
-    /// Write a Chrome trace-event file (Perfetto-loadable) here.
+    /// Write a Chrome trace-event file (Perfetto-loadable) here, rendered
+    /// from the trace tree at the end of the run.
     pub trace_out: Option<PathBuf>,
-    /// Stream telemetry as JSON lines here.
-    pub events_out: Option<PathBuf>,
     /// Stream the experiment ledger (trials, ensembles, rounds, regions)
     /// as JSON lines here.
     pub ledger_out: Option<PathBuf>,
@@ -95,8 +94,8 @@ pub struct RunOpts {
     /// `/runs`) on this address (e.g. `127.0.0.1:9100`; port 0 picks a
     /// free port, written to `<out>/serve.addr`).
     pub serve: Option<String>,
-    /// Write the span self-time profile here in collapsed-stack folded
-    /// format (flamegraph-ready) at the end of the run.
+    /// Write the span self-time profile, folded from the trace tree, here
+    /// in collapsed-stack format (flamegraph-ready) at the end of the run.
     pub profile_out: Option<PathBuf>,
     /// Collect the causal trace tree during the run and write the
     /// critical-path report (longest chain, per-phase Amdahl estimate,
@@ -159,16 +158,18 @@ options:
                           peak RSS, final accuracy, trial counts) to PATH
                           (default results/history/history.jsonl) at the
                           end of the run; see `perfgate --against-history`
-  --trace-out PATH        write a Chrome trace (Perfetto) file
-  --events-out PATH       stream telemetry as JSON lines
+  --trace-out PATH        write a Chrome trace (Perfetto) file rendered from
+                          the causal trace tree, one lane per job
   --ledger-out PATH       stream the experiment ledger (trials, ensembles,
                           feedback rounds) as JSON lines; see `amlreport`
   --serve ADDR            serve /metrics, /healthz and /runs over HTTP while
                           the run is live (port 0 picks a free port, written
                           to <out>/serve.addr); also starts the /proc
                           resource sampler
-  --profile-out PATH      write the span self-time profile as collapsed
-                          stacks (flamegraph-ready) and print a top table
+  --profile-out PATH      write the span self-time profile, folded from the
+                          causal trace tree over logical parents, as
+                          collapsed stacks (flamegraph-ready) and print a
+                          top table
                           (export/serve/profile flags imply --telemetry summary)
   --crit-out PATH         collect the causal trace tree and write the
                           critical-path report (longest dependency chain,
@@ -215,7 +216,6 @@ impl RunOpts {
             emit_bench: false,
             record: None,
             trace_out: None,
-            events_out: None,
             ledger_out: None,
             serve: None,
             profile_out: None,
@@ -270,7 +270,6 @@ impl RunOpts {
         let wants_export = self.emit_bench
             || self.record.is_some()
             || self.trace_out.is_some()
-            || self.events_out.is_some()
             || self.ledger_out.is_some()
             || self.serve.is_some()
             || self.profile_out.is_some()
@@ -316,14 +315,8 @@ impl RunOpts {
             aml_telemetry::ledger::mark_search_space_emitted();
         }
 
-        if self.trace_out.is_some() || self.events_out.is_some() || self.ledger_out.is_some() {
+        if self.trace_out.is_some() || self.ledger_out.is_some() {
             let header = aml_telemetry::RunHeader::new(&self.workload, self.seed);
-            if let Some(path) = &self.events_out {
-                ensure_parent(path, "--events-out")?;
-                let sink = aml_telemetry::JsonlSink::create(path, &header)
-                    .map_err(|e| format!("cannot write --events-out {}: {e}", path.display()))?;
-                aml_telemetry::sink::install(Box::new(sink));
-            }
             if let Some(path) = &self.trace_out {
                 ensure_parent(path, "--trace-out")?;
                 let sink = aml_telemetry::ChromeTraceSink::create(path, &header)
@@ -366,11 +359,12 @@ impl RunOpts {
 
         if let Some(path) = &self.profile_out {
             ensure_parent(path, "--profile-out")?;
-            aml_telemetry::profile::reset();
-            aml_telemetry::profile::set_active(true);
         }
         if let Some(path) = &self.crit_out {
             ensure_parent(path, "--crit-out")?;
+        }
+        // The trace tree is the one span record every span view renders.
+        if self.wants_trace_tree() {
             aml_telemetry::tracetree::reset();
             aml_telemetry::tracetree::set_active(true);
         }
@@ -470,10 +464,6 @@ impl RunOpts {
                 "--trace-out" => {
                     let v = value_of(args, &mut i, "--trace-out")?;
                     opts.trace_out = Some(PathBuf::from(v));
-                }
-                "--events-out" => {
-                    let v = value_of(args, &mut i, "--events-out")?;
-                    opts.events_out = Some(PathBuf::from(v));
                 }
                 "--ledger-out" => {
                     let v = value_of(args, &mut i, "--ledger-out")?;
@@ -595,7 +585,8 @@ impl RunOpts {
     /// Finish the run: when telemetry is enabled, publish allocation
     /// counters, write `<out>/manifest.json` from the global registry,
     /// print the timing summary to stderr, flush every export sink
-    /// (`--trace-out`, `--events-out`), and — with `--emit-bench` —
+    /// (`--trace-out`, `--ledger-out`), write the span views
+    /// (`--profile-out`, `--crit-out`), and — with `--emit-bench` —
     /// write `BENCH_<workload>.json`. A no-op with `--telemetry off`,
     /// keeping output and artifacts identical to an uninstrumented run.
     pub fn finish(&self) {
@@ -603,14 +594,30 @@ impl RunOpts {
             return;
         }
         aml_telemetry::serve::set_phase("finishing");
-        // Stop the sampler (taking one last reading) before the snapshot
-        // so the final proc.* gauges land in the manifest.
-        aml_telemetry::resource::stop_sampler();
-        if self.record.is_some() {
-            // Without --serve no sampler ran; take one reading so the
-            // manifest and the crit report still get the proc.* gauges.
-            aml_telemetry::resource::publish_once();
+        if self.wants_trace_tree() {
+            // Disarm once, before any view renders, so every view reads
+            // the same final tree.
+            aml_telemetry::tracetree::set_active(false);
+            let dropped = aml_telemetry::tracetree::dropped();
+            if dropped > 0 {
+                let outputs: Vec<String> = [&self.profile_out, &self.trace_out, &self.crit_out]
+                    .into_iter()
+                    .flatten()
+                    .map(|p| p.display().to_string())
+                    .collect();
+                aml_telemetry::warn(&format!(
+                    "trace tree capped at {} spans: {dropped} spans dropped, so {} miss them",
+                    aml_telemetry::tracetree::MAX_NODES,
+                    outputs.join(", ")
+                ));
+            }
         }
+        // Stop the sampler (taking one last reading) before the snapshot
+        // so the final proc.* gauges land in the manifest. Without --serve
+        // no sampler ran; one reading still gives the manifest and the
+        // crit report the proc.* gauges.
+        aml_telemetry::resource::stop_sampler();
+        aml_telemetry::resource::publish_once();
         aml_telemetry::alloc::publish_counters();
         let manifest = aml_telemetry::Manifest::new(
             &self.workload,
@@ -640,22 +647,19 @@ impl RunOpts {
             }
         }
         if let Some(path) = &self.profile_out {
-            aml_telemetry::profile::set_active(false);
-            match aml_telemetry::profile::write_folded(path) {
+            let entries = aml_telemetry::profile::fold(&aml_telemetry::tracetree::entries());
+            match std::fs::write(path, aml_telemetry::profile::render_folded(&entries)) {
                 Ok(()) => aml_telemetry::note(&format!("wrote {}", path.display())),
                 Err(e) => aml_telemetry::warn(&format!(
                     "could not write --profile-out {}: {e}",
                     path.display()
                 )),
             }
-            let entries = aml_telemetry::profile::entries();
             eprint!("{}", aml_telemetry::profile::render_top_table(&entries, 10));
         }
         if let Some(path) = &self.crit_out {
-            // Deactivate first so the report's tree is final; the resource
-            // gauges were already published above, so wall-vs-CPU
+            // The resource gauges were published above, so wall-vs-CPU
             // attribution lands in the report.
-            aml_telemetry::tracetree::set_active(false);
             match aml_telemetry::crit::write_json(path) {
                 Ok(report) => {
                     aml_telemetry::note(&format!("wrote {}", path.display()));
@@ -714,6 +718,12 @@ impl RunOpts {
         aml_telemetry::serve::stop();
     }
 
+    /// Whether a span view (`--crit-out`, `--profile-out`, `--trace-out`)
+    /// needs the trace-tree collector armed.
+    fn wants_trace_tree(&self) -> bool {
+        self.crit_out.is_some() || self.profile_out.is_some() || self.trace_out.is_some()
+    }
+
     /// Distill this run into one cross-run history record: perf numbers
     /// from the BENCH report, peak RSS from the `proc.*` gauges, ML
     /// totals from the ledger summary armed by `--record` (zeros for a
@@ -768,9 +778,6 @@ struct FaultInjectedLedger {
 }
 
 impl aml_telemetry::sink::Sink for FaultInjectedLedger {
-    fn on_span_close(&self, event: &aml_telemetry::sink::SpanEvent) {
-        self.inner.on_span_close(event)
-    }
     fn on_ledger_event(&self, event: &aml_telemetry::LedgerEvent) {
         if aml_faults::sink_write_fails() {
             aml_telemetry::counter_add("telemetry.events_dropped", 1);
@@ -971,8 +978,6 @@ mod tests {
             "--emit-bench",
             "--trace-out",
             "/tmp/x/trace.json",
-            "--events-out",
-            "/tmp/x/events.jsonl",
             "--ledger-out",
             "/tmp/x/ledger.jsonl",
         ])
@@ -980,7 +985,6 @@ mod tests {
         .unwrap();
         assert!(opts.emit_bench);
         assert_eq!(opts.trace_out, Some(PathBuf::from("/tmp/x/trace.json")));
-        assert_eq!(opts.events_out, Some(PathBuf::from("/tmp/x/events.jsonl")));
         assert_eq!(opts.ledger_out, Some(PathBuf::from("/tmp/x/ledger.jsonl")));
         // Parsing alone never touches the level; prepare() does.
         assert_eq!(opts.telemetry, TelemetryLevel::Off);
@@ -1218,7 +1222,6 @@ mod tests {
         let mut opts = parse(&["--emit-bench"]).unwrap().unwrap();
         opts.out_dir = dir.join("out");
         opts.trace_out = Some(dir.join("nested/deeply/trace.json"));
-        opts.events_out = Some(dir.join("nested/events.jsonl"));
         opts.ledger_out = Some(dir.join("nested/ledger.jsonl"));
         opts.prepare().expect("prepare succeeds");
         // Export flags imply summary.
@@ -1227,7 +1230,6 @@ mod tests {
         // Parent dirs were created and the files exist (truncated now,
         // written at finish).
         assert!(dir.join("nested/deeply/trace.json").exists());
-        assert!(dir.join("nested/events.jsonl").exists());
         assert!(dir.join("nested/ledger.jsonl").exists());
         assert!(aml_telemetry::sink::active());
         assert!(aml_telemetry::ledger::active());

@@ -13,7 +13,7 @@
 use aml_automl::{ModelFamily, SearchLimits};
 use aml_core::{run_strategy, ExperimentConfig, Strategy};
 use aml_dataset::{split::train_test_split, synth, Dataset};
-use aml_telemetry::sink::{self, Sink, SpanEvent};
+use aml_telemetry::sink::{self, Sink};
 use aml_telemetry::{LedgerEvent, Snapshot};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -32,7 +32,6 @@ struct CollectingLedger {
 }
 
 impl Sink for CollectingLedger {
-    fn on_span_close(&self, _event: &SpanEvent) {}
     fn on_ledger_event(&self, event: &LedgerEvent) {
         self.lines.lock().unwrap().push(event.to_json_line());
     }
@@ -50,9 +49,6 @@ impl Sink for CollectingLedger {
 struct Fwd(&'static CollectingLedger);
 
 impl Sink for Fwd {
-    fn on_span_close(&self, e: &SpanEvent) {
-        self.0.on_span_close(e)
-    }
     fn on_ledger_event(&self, e: &LedgerEvent) {
         self.0.on_ledger_event(e)
     }

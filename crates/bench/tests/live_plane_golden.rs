@@ -17,7 +17,7 @@ use aml_bench::RunOpts;
 use aml_telemetry::ledger::{self, LedgerEvent};
 use aml_telemetry::registry::{HistSnapshot, Snapshot, SpanSnapshot, HIST_BUCKETS};
 use aml_telemetry::sink::RunHeader;
-use aml_telemetry::{profile, serve, set_level, TelemetryLevel};
+use aml_telemetry::{profile, serve, set_level, tracetree, TelemetryLevel};
 use std::io::{Read as _, Write as _};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -90,8 +90,8 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
     let _guard = hold();
     set_level(TelemetryLevel::Summary);
     aml_telemetry::global().reset();
-    profile::reset();
-    profile::set_active(true);
+    tracetree::reset();
+    tracetree::set_active(true);
     {
         let _root = aml_telemetry::span!("golden.root");
         for _ in 0..3 {
@@ -100,10 +100,10 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
         }
         let _solo = aml_telemetry::span!("golden.solo");
     }
-    profile::set_active(false);
+    tracetree::set_active(false);
 
     // The set of stacks (and their call counts) is fully deterministic.
-    let entries = profile::entries();
+    let entries = profile::fold(&tracetree::entries());
     let keyed: Vec<(&str, u64)> = entries.iter().map(|(k, s)| (k.as_str(), s.calls)).collect();
     assert_eq!(
         keyed,
@@ -151,7 +151,7 @@ fn folded_profile_of_a_deterministic_program_is_pinned() {
         "golden.root 1999\ngolden.root;golden.mid 3000\n"
     );
 
-    profile::reset();
+    tracetree::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
 }
@@ -235,8 +235,8 @@ fn serve_and_profile_flags_round_trip_through_runopts() {
     let folded = std::fs::read_to_string(dir.join("profile.folded")).expect("profile.folded");
     assert!(folded.contains("bench.datagen;bench.inner"), "{folded}");
 
-    profile::set_active(false);
-    profile::reset();
+    assert!(!tracetree::active(), "finish must disarm the collector");
+    tracetree::reset();
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();

@@ -40,6 +40,7 @@ fn table1_style_run_writes_expected_manifest() {
 
     let out_dir = std::env::temp_dir().join(format!("aml_manifest_golden_{}", std::process::id()));
     std::fs::create_dir_all(&out_dir).unwrap();
+    let crit_path = out_dir.join("crit.json");
 
     let args: Vec<String> = [
         "--quick",
@@ -51,6 +52,8 @@ fn table1_style_run_writes_expected_manifest() {
         "summary",
         "--out",
         out_dir.to_str().unwrap(),
+        "--crit-out",
+        crit_path.to_str().unwrap(),
     ]
     .iter()
     .map(|s| s.to_string())
@@ -59,6 +62,7 @@ fn table1_style_run_writes_expected_manifest() {
         .expect("flags parse")
         .expect("not --help");
     opts.workload = "manifest_golden".into();
+    opts.prepare().expect("prepare arms the trace collector");
 
     // Tiny but non-degenerate: enough rows for a stratified split and a
     // committee, fast enough for `cargo test`.
@@ -155,6 +159,17 @@ fn table1_style_run_writes_expected_manifest() {
     // Spans serialize with per-phase timing fields.
     assert!(manifest.contains("\"total_s\""), "{manifest}");
     assert!(manifest.contains("\"mean_ms\""), "{manifest}");
+
+    // Without --serve or --record, finish still takes one resource
+    // reading, so crit.json attributes CPU time.
+    let crit = aml_bench::critview::parse_crit(
+        &std::fs::read_to_string(&crit_path).expect("crit.json written"),
+    )
+    .expect("crit.json parses");
+    assert!(crit.nodes > 0, "{crit:?}");
+    if aml_telemetry::resource::sample().is_some() {
+        assert!(crit.cpu_ns.is_some(), "{crit:?}");
+    }
 
     std::fs::remove_dir_all(&out_dir).ok();
 }

@@ -1,18 +1,18 @@
-//! Golden test for the export sinks, end to end: install the Chrome
-//! trace and JSONL sinks exactly as `--trace-out` / `--events-out` do,
-//! run a small multi-threaded span tree, finish, and validate the files
+//! Golden test for the Chrome trace export, end to end: arm the trace
+//! tree and install the trace sink exactly as `--trace-out` does, run a
+//! small multi-threaded span tree, finish, and validate the file
 //! structurally with [`aml_telemetry::json`] — valid JSON, the stable
-//! field order Perfetto relies on, balanced B/E pairs, thread lanes,
-//! and counter events. Integration tests get their own process, so the
+//! field order Perfetto relies on, balanced B/E pairs, lanes, and
+//! counter events. Integration tests get their own process, so the
 //! global sink registry cannot race with the unit-test suites.
 
-use aml_telemetry::json::{self, Value};
+use aml_telemetry::json;
 use aml_telemetry::{
-    counter_add, global, set_level, sink, ChromeTraceSink, JsonlSink, RunHeader, TelemetryLevel,
+    counter_add, global, set_level, sink, tracetree, ChromeTraceSink, RunHeader, TelemetryLevel,
 };
 
 /// Run a deterministic little workload: nested spans on the main thread
-/// and one span on a worker thread, plus a counter.
+/// and one detached root span on a worker thread, plus a counter.
 fn exercise() {
     {
         let _outer = aml_telemetry::span!("bench.datagen");
@@ -42,22 +42,22 @@ fn trace_and_events_files_are_well_formed() {
     let dir = std::env::temp_dir().join(format!("aml_trace_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let trace_path = dir.join("trace.json");
-    let events_path = dir.join("events.jsonl");
 
     let header = RunHeader::new("trace_golden", 7);
-    sink::install(Box::new(JsonlSink::create(&events_path, &header).unwrap()));
+    tracetree::reset();
+    tracetree::set_active(true);
     sink::install(Box::new(
         ChromeTraceSink::create(&trace_path, &header).unwrap(),
     ));
 
     exercise();
 
+    tracetree::set_active(false);
     for (_, result) in sink::finish(&global().snapshot()) {
         result.unwrap();
     }
 
     check_trace(&std::fs::read_to_string(&trace_path).unwrap());
-    check_events(&std::fs::read_to_string(&events_path).unwrap());
 
     set_level(TelemetryLevel::Off);
     std::fs::remove_dir_all(&dir).ok();
@@ -145,42 +145,10 @@ fn check_trace(text: &str) {
     for name in ["bench.datagen", "netsim.step", "bench.strategies"] {
         assert!(names.contains(&name.to_string()), "missing span {name}");
     }
-    // Main thread and the worker each get a lane with a metadata name.
+    // Each root span (the main thread's phase and the worker's span)
+    // gets a lane with a metadata name; the nested span shares its
+    // root's lane.
     assert_eq!(tids.len(), 2, "expected two thread lanes: {tids:?}");
     assert_eq!(thread_names, 2);
     assert!(counters >= 1, "counter events missing");
-}
-
-fn check_events(text: &str) {
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 5, "expected run + spans + counter lines");
-
-    // Every line is a standalone JSON object; the first is the header.
-    let first = json::parse(lines[0]).expect("line 0 parses");
-    assert_eq!(first.get("type").unwrap().as_str(), Some("run"));
-    assert_eq!(
-        first.get("workload").unwrap().as_str(),
-        Some("trace_golden")
-    );
-    assert_eq!(first.get("seed").unwrap().as_u64(), Some(7));
-
-    let mut span_lines = 0;
-    let mut counter_lines = 0;
-    for (i, line) in lines.iter().enumerate() {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("line {i} invalid: {e}"));
-        match v.get("type").and_then(Value::as_str) {
-            Some("span") => {
-                span_lines += 1;
-                for key in ["name", "tid", "depth", "ts_us", "dur_us"] {
-                    assert!(v.get(key).is_some(), "span line {i} lacks {key}");
-                }
-                assert!(v.get("dur_us").unwrap().as_f64().unwrap() >= 0.0);
-            }
-            Some("counter") => counter_lines += 1,
-            Some(_) => {}
-            None => panic!("line {i} has no type"),
-        }
-    }
-    assert_eq!(span_lines, 3, "one line per closed span");
-    assert!(counter_lines >= 1, "counter flush lines missing");
 }

@@ -30,6 +30,7 @@
 //! (the human summary `amlinspect crit` and the run footer print).
 
 use crate::json;
+use crate::profile::fmt_ns;
 use crate::registry::Snapshot;
 use crate::tracetree::{Node, SpanId};
 use std::collections::HashMap;
@@ -487,19 +488,6 @@ pub fn write_json(path: &std::path::Path) -> std::io::Result<CritReport> {
     );
     std::fs::write(path, report.render_json())?;
     Ok(report)
-}
-
-/// `1.23s` / `56.7ms` / `89µs` — compact duration (shared shape with the
-/// profiler's table).
-fn fmt_ns(ns: u64) -> String {
-    let s = ns as f64 / 1e9;
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else if s >= 1e-3 {
-        format!("{:.1}ms", s * 1e3)
-    } else {
-        format!("{}µs", ns / 1_000)
-    }
 }
 
 #[cfg(test)]

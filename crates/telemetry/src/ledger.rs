@@ -36,7 +36,7 @@
 
 use crate::json::{self, Value};
 use crate::registry::Snapshot;
-use crate::sink::{RunHeader, Sink, SpanEvent};
+use crate::sink::{RunHeader, Sink};
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -842,8 +842,6 @@ impl LedgerJsonlSink {
 }
 
 impl Sink for LedgerJsonlSink {
-    fn on_span_close(&self, _event: &SpanEvent) {}
-
     fn on_ledger_event(&self, event: &LedgerEvent) {
         let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if writeln!(w, "{}", event.to_json_line()).is_err() {
@@ -955,8 +953,6 @@ impl<F: Fold> FoldStore<F> {
 struct FoldSink<F: 'static>(&'static FoldStore<F>);
 
 impl<F: Fold> Sink for FoldSink<F> {
-    fn on_span_close(&self, _event: &SpanEvent) {}
-
     fn on_ledger_event(&self, event: &LedgerEvent) {
         self.0.lock().fold.observe(event);
     }

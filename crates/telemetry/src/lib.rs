@@ -16,10 +16,9 @@
 //! * a **progress reporter** ([`progress::Progress`], [`progress::note`])
 //!   replacing scattered `println!` status output, plus the one sanctioned
 //!   stdout sink for user-facing result tables ([`progress::report`]);
-//! * pluggable **export sinks** ([`sink`]): a JSONL event stream
-//!   ([`sink::JsonlSink`]) and a Chrome trace-event file
-//!   ([`trace::ChromeTraceSink`]) loadable in Perfetto, both fed one
-//!   event per span close plus a final counter flush;
+//! * pluggable **export sinks** ([`sink`]): the ledger file, the ledger
+//!   folds, and a Chrome trace-event file ([`trace::ChromeTraceSink`])
+//!   loadable in Perfetto, each flushed once with the final counters;
 //! * an **experiment ledger** ([`ledger`]): typed, versioned ML-level
 //!   events — trials with halving rungs, ensemble composition, feedback
 //!   rounds, suggested regions, curve provenance — streamed to a
@@ -43,16 +42,18 @@
 //!   `/quality`;
 //! * a **resource sampler** ([`resource`]): `/proc/self` readings
 //!   published as `proc.*` gauges ([`gauge_set`]), no-op off Linux;
-//! * a **self-time profiler** ([`profile`], behind `--profile-out`):
-//!   exclusive per-span-stack wall time written as collapsed-stack
-//!   folded output, directly loadable by flamegraph tooling;
-//! * **causal trace trees** ([`tracetree`], behind `--crit-out`): every
-//!   span gets a deterministic structural id and parent link — across
+//! * **causal trace trees** ([`tracetree`], behind `--crit-out`,
+//!   `--profile-out` or `--trace-out`): every span gets one node with a
+//!   deterministic structural id and parent link — across
 //!   [`tracetree::par_map`] workers via the explicit [`TraceContext`]
-//!   handoff — feeding the **critical-path analyzer** ([`crit`]):
-//!   longest dependency chain, per-phase serial-fraction / Amdahl
-//!   speedup ceiling, and wall-vs-CPU attribution, written as
-//!   `crit.json` and served live at `/crit`;
+//!   handoff. The node is the one per-span record; three views render
+//!   from it: the **critical-path analyzer** ([`crit`]: longest
+//!   dependency chain, per-phase serial-fraction / Amdahl speedup
+//!   ceiling, wall-vs-CPU attribution, written as `crit.json` and served
+//!   live at `/crit`), the **self-time profile** ([`profile`]: exclusive
+//!   time per stack of logical parents, written as flamegraph-ready
+//!   `profile.folded`), and the **Chrome trace** ([`trace`]: one lane
+//!   per job, written as `trace.json`);
 //! * optional **allocation tracking** ([`alloc`], behind the
 //!   `alloc-track` feature): a counting global allocator whose totals
 //!   land in `alloc.*` counters and per-span byte deltas.
@@ -109,7 +110,7 @@ pub use progress::{note, report, warn, Progress};
 pub use quality::{FeatureProfile, QualityReference, QualityReport, QUALITY_SCHEMA_VERSION};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, SpanSnapshot};
 pub use searchview::{SearchReport, SEARCH_SCHEMA_VERSION};
-pub use sink::{JsonlSink, RunHeader, Sink, SpanEvent};
+pub use sink::{RunHeader, Sink};
 pub use span::{current_depth, span, span_labeled, Span};
 pub use trace::ChromeTraceSink;
 pub use tracetree::{SpanId, TraceContext};

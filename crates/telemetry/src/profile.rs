@@ -4,7 +4,7 @@
 //! take in total?" — but a span's total includes every child span nested
 //! inside it, so the totals cannot be compared to find the hot code. This
 //! module computes **exclusive** (self) time per span stack: the span's
-//! wall time minus the wall time of its direct children, attributed to the
+//! wall time minus the time covered by its children, attributed to the
 //! full `root;child;leaf` stack string. The result is written in the
 //! collapsed-stack "folded" format that flamegraph tooling
 //! (`flamegraph.pl`, inferno, speedscope) loads directly:
@@ -16,49 +16,17 @@
 //!
 //! (one line per distinct stack, value = self time in microseconds).
 //!
-//! Profiling rides on the existing span guards: [`crate::Span`] calls
-//! [`on_span_open`]/[`on_span_close`] only when the profiler is active, so
-//! with `--profile-out` unset the span hot path pays exactly one extra
-//! relaxed atomic load and nothing else (the crate's off-is-free rule).
-//! Stacks are tracked per thread; worker-thread spans form their own
-//! roots, exactly like per-thread lanes in the Chrome trace. A
-//! [`crate::tracetree::par_map`] fan-out charges the caller's time blocked
-//! on its workers to a profile-only `caller;(wait)` stack, so waiting
-//! never shows up as the caller's self time.
+//! The profile is a view of the trace tree: [`fold`] reads the
+//! [`crate::tracetree`] nodes, so it needs no hooks of its own. A stack
+//! is the path of *logical* parents, so a [`crate::tracetree::par_map`]
+//! job sits under the span that fanned it out, whichever thread ran it.
+//! A span's self time is its total minus the union of its children's
+//! intervals: a caller blocked on parallel workers is covered by their
+//! spans, so waiting is never counted as work, and the stacks are the
+//! same at any worker count.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::io::Write;
-use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Whether self-time profiling is collecting. One relaxed load on the
-/// span hot path.
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// Turn the profiler on or off (typically once, from CLI parsing, before
-/// any spans open).
-pub fn set_active(on: bool) {
-    ACTIVE.store(on, Ordering::Release);
-}
-
-/// Whether the profiler is collecting (one relaxed atomic load).
-#[inline]
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// One open span on this thread's profile stack.
-struct Frame {
-    name: String,
-    /// Total wall time of already-closed direct children, in ns.
-    child_ns: u64,
-}
-
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-}
+use crate::tracetree::{Node, SpanId};
+use std::collections::{BTreeMap, HashMap};
 
 /// Aggregated profile entry for one distinct span stack.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,65 +37,64 @@ pub struct StackStat {
     pub calls: u64,
 }
 
-fn stacks() -> &'static Mutex<HashMap<String, StackStat>> {
-    static STACKS: OnceLock<Mutex<HashMap<String, StackStat>>> = OnceLock::new();
-    STACKS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Push `name` onto the calling thread's profile stack. Called from span
-/// open, only when [`active`].
-pub(crate) fn on_span_open(name: &str) {
-    STACK.with(|s| {
-        s.borrow_mut().push(Frame {
-            name: name.to_string(),
-            child_ns: 0,
-        })
-    });
-}
-
-/// Pop the top frame, attribute `total_ns` minus its children's time to
-/// the full stack string, and charge `total_ns` to the parent frame.
-/// Called from span drop, only for spans that pushed a frame.
-pub(crate) fn on_span_close(total_ns: u64) {
-    let entry = STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let frame = stack.pop()?;
-        let self_ns = total_ns.saturating_sub(frame.child_ns);
-        let mut key = String::new();
-        for f in stack.iter() {
-            key.push_str(&f.name);
-            key.push(';');
+/// Fold trace-tree `nodes` into `(stack, stat)` pairs sorted by stack
+/// string. A node whose parent is not among `nodes` starts its own stack.
+pub fn fold(nodes: &[Node]) -> Vec<(String, StackStat)> {
+    let index: HashMap<SpanId, usize> = nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect();
+    let mut children: Vec<Vec<(u64, u64)>> = vec![Vec::new(); nodes.len()];
+    for n in nodes {
+        if let Some(&p) = index.get(&n.parent) {
+            children[p].push((n.start_ns, n.end_ns()));
         }
-        key.push_str(&frame.name);
-        if let Some(parent) = stack.last_mut() {
-            parent.child_ns = parent.child_ns.saturating_add(total_ns);
+    }
+    let mut stacks: Vec<Option<String>> = vec![None; nodes.len()];
+    let mut out: BTreeMap<String, StackStat> = BTreeMap::new();
+    for (i, n) in nodes.iter().enumerate() {
+        let covered = covered_ns(&mut children[i], n.start_ns, n.end_ns());
+        let stat = out
+            .entry(stack_of(i, nodes, &index, &mut stacks))
+            .or_default();
+        stat.self_ns = stat
+            .self_ns
+            .saturating_add(n.total_ns.saturating_sub(covered));
+        stat.calls += 1;
+    }
+    out.into_iter().collect()
+}
+
+/// `root;…;name` for `nodes[i]`, memoized per node.
+fn stack_of(
+    i: usize,
+    nodes: &[Node],
+    index: &HashMap<SpanId, usize>,
+    stacks: &mut [Option<String>],
+) -> String {
+    if let Some(stack) = &stacks[i] {
+        return stack.clone();
+    }
+    let n = &nodes[i];
+    let stack = match index.get(&n.parent) {
+        Some(&p) => format!("{};{}", stack_of(p, nodes, index, stacks), n.name),
+        None => n.name.clone(),
+    };
+    stacks[i] = Some(stack.clone());
+    stack
+}
+
+/// Length of the union of `intervals` (`[start, end)` in ns), clipped to
+/// `[lo, hi)`. Sorts `intervals` in place.
+fn covered_ns(intervals: &mut [(u64, u64)], lo: u64, hi: u64) -> u64 {
+    intervals.sort_unstable();
+    let mut covered = 0;
+    let mut reach = lo;
+    for &(start, end) in intervals.iter() {
+        let (start, end) = (start.max(reach), end.min(hi));
+        if end > start {
+            covered += end - start;
+            reach = end;
         }
-        Some((key, self_ns))
-    });
-    let Some((key, self_ns)) = entry else { return };
-    let mut map = stacks().lock().unwrap_or_else(PoisonError::into_inner);
-    let stat = map.entry(key).or_default();
-    stat.self_ns = stat.self_ns.saturating_add(self_ns);
-    stat.calls += 1;
-}
-
-/// Every aggregated `(stack, stat)` pair, sorted by stack string for
-/// deterministic output.
-pub fn entries() -> Vec<(String, StackStat)> {
-    let map = stacks().lock().unwrap_or_else(PoisonError::into_inner);
-    let mut out: Vec<(String, StackStat)> = map.iter().map(|(k, v)| (k.clone(), *v)).collect();
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// Drop all aggregated stacks and this thread's open-frame stack (used
-/// between test cases and when a bin runs several independent phases).
-pub fn reset() {
-    stacks()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clear();
-    STACK.with(|s| s.borrow_mut().clear());
+    }
+    covered
 }
 
 /// Render `entries` in collapsed-stack folded format: one
@@ -142,13 +109,6 @@ pub fn render_folded(entries: &[(String, StackStat)]) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Write the current profile to `path` in folded format.
-pub fn write_folded(path: &Path) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(render_folded(&entries()).as_bytes())?;
-    file.flush()
 }
 
 /// Self time aggregated per span *name* (summed over every stack whose
@@ -199,8 +159,9 @@ pub fn render_top_table(entries: &[(String, StackStat)], n: usize) -> String {
     out
 }
 
-/// `1.234s` / `56.7ms` / `89µs` — compact duration for the table.
-fn fmt_ns(ns: u64) -> String {
+/// `1.234s` / `56.7ms` / `89µs` — compact duration for the profile and
+/// critical-path tables.
+pub(crate) fn fmt_ns(ns: u64) -> String {
     let s = ns as f64 / 1e9;
     if s >= 1.0 {
         format!("{s:.2}s")
@@ -214,7 +175,19 @@ fn fmt_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{set_level, span, test_lock, TelemetryLevel};
+    use crate::{set_level, span, test_lock, tracetree, TelemetryLevel};
+
+    /// Run `program` with the trace-tree collector armed and fold the
+    /// nodes it left.
+    fn profile_of(program: impl FnOnce()) -> Vec<(String, StackStat)> {
+        tracetree::reset();
+        tracetree::set_active(true);
+        program();
+        tracetree::set_active(false);
+        let entries = fold(&tracetree::entries());
+        tracetree::reset();
+        entries
+    }
 
     fn run_nested_program() {
         let _root = span("test.profile.root");
@@ -231,12 +204,8 @@ mod tests {
         let _guard = test_lock::hold();
         set_level(TelemetryLevel::Summary);
         crate::global().reset();
-        reset();
-        set_active(true);
-        run_nested_program();
-        set_active(false);
+        let entries = profile_of(run_nested_program);
 
-        let entries = entries();
         let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,
@@ -271,56 +240,60 @@ mod tests {
         // The root slept ~2ms outside its children.
         assert!(get("test.profile.root").self_ns >= 1_000_000);
 
-        reset();
         set_level(TelemetryLevel::Off);
         crate::global().reset();
     }
 
     #[test]
-    fn par_map_charges_worker_time_to_a_wait_frame() {
+    fn par_map_jobs_fold_under_their_parent_at_any_thread_count() {
         let _guard = test_lock::hold();
         set_level(TelemetryLevel::Summary);
-        crate::global().reset();
-        reset();
-        set_active(true);
-        {
-            let _parent = span("test.profile.fanout");
-            let jobs: Vec<(u64, ())> = (0..4).map(|slot| (slot, ())).collect();
-            let ctx = crate::TraceContext::current();
-            crate::tracetree::par_map(ctx, 2, jobs, |_, ()| {
-                let _job = span("test.profile.job");
-                std::thread::sleep(std::time::Duration::from_millis(5));
+        let run = |threads: usize| {
+            profile_of(|| {
+                let _parent = span("test.profile.fanout");
+                let jobs: Vec<(u64, ())> = (0..4).map(|slot| (slot, ())).collect();
+                let ctx = crate::TraceContext::current();
+                crate::tracetree::par_map(ctx, threads, jobs, |_, ()| {
+                    let _job = span("test.profile.job");
+                    std::thread::sleep(std::time::Duration::from_millis(5));
+                })
+                .unwrap();
             })
-            .unwrap();
+        };
+        let shape = |entries: &[(String, StackStat)]| -> Vec<(String, u64)> {
+            entries.iter().map(|(k, s)| (k.clone(), s.calls)).collect()
+        };
+        let one = run(1);
+        assert_eq!(
+            shape(&one),
+            vec![
+                ("test.profile.fanout".to_string(), 1),
+                ("test.profile.fanout;test.profile.job".to_string(), 4),
+            ]
+        );
+        for threads in [1, 2, 4] {
+            let entries = run(threads);
+            assert_eq!(shape(&entries), shape(&one), "threads = {threads}");
+            // Time blocked on the workers is covered by their spans.
+            let parent = entries[0].1;
+            assert!(parent.self_ns < 1_000_000, "parent self {}", parent.self_ns);
         }
-        set_active(false);
-
-        let entries = entries();
-        let get = |k: &str| entries.iter().find(|(n, _)| n == k).map(|e| e.1);
-        let parent = get("test.profile.fanout").unwrap();
-        assert!(parent.self_ns < 1_000_000, "parent self {}", parent.self_ns);
-        let wait = get("test.profile.fanout;(wait)").unwrap();
-        assert_eq!(wait.calls, 1);
-        assert!(wait.self_ns >= 10_000_000, "wait self {}", wait.self_ns);
-        // Worker spans still root their own per-thread stacks.
-        assert_eq!(get("test.profile.job").unwrap().calls, 4);
-
-        reset();
         set_level(TelemetryLevel::Off);
         crate::global().reset();
     }
 
     #[test]
-    fn inactive_profiler_collects_nothing() {
-        let _guard = test_lock::hold();
-        set_level(TelemetryLevel::Summary);
-        crate::global().reset();
-        reset();
-        assert!(!active());
-        run_nested_program();
-        assert!(entries().is_empty());
-        set_level(TelemetryLevel::Off);
-        crate::global().reset();
+    fn covered_ns_unions_overlapping_nested_and_empty_intervals() {
+        // Overlapping: [0,10) ∪ [5,15) = 15, in any input order.
+        assert_eq!(covered_ns(&mut [(5, 15), (0, 10)], 0, 100), 15);
+        // Nested: the inner interval adds nothing.
+        assert_eq!(covered_ns(&mut [(0, 20), (5, 10)], 0, 100), 20);
+        // Zero-length intervals cover nothing, alone or among others.
+        assert_eq!(covered_ns(&mut [(7, 7)], 0, 100), 0);
+        assert_eq!(covered_ns(&mut [(0, 4), (4, 4), (6, 9)], 0, 100), 7);
+        // Disjoint intervals add up; the union is clipped to [lo, hi).
+        assert_eq!(covered_ns(&mut [(0, 10), (20, 30)], 5, 25), 10);
+        assert_eq!(covered_ns(&mut [], 0, 100), 0);
     }
 
     #[test]

@@ -50,7 +50,7 @@
 
 use crate::ledger::LedgerEvent;
 use crate::registry::{bucket_upper_edge, Snapshot};
-use crate::sink::{RunHeader, Sink, SpanEvent};
+use crate::sink::{RunHeader, Sink};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -154,7 +154,6 @@ fn event_ring() -> &'static Mutex<VecDeque<String>> {
 struct RingSink;
 
 impl Sink for RingSink {
-    fn on_span_close(&self, _event: &SpanEvent) {}
     fn wants_ledger(&self) -> bool {
         true
     }

@@ -3,7 +3,9 @@
 //! A [`Span`] measures the wall time between its creation and drop and
 //! folds it into the global registry under its name. Spans nest: each
 //! thread tracks its depth so `Verbose` log lines indent to show structure,
-//! and tests can assert nesting behaves.
+//! and tests can assert nesting behaves. While the trace-tree collector
+//! is armed, each close also records one [`crate::tracetree::Node`], with
+//! the same duration as the registry.
 
 use crate::registry::{global, SpanStat};
 use std::cell::Cell;
@@ -25,11 +27,9 @@ struct SpanInner {
     name: String,
     /// `alloc.bytes` at open, for the per-span allocation delta.
     alloc_open: u64,
-    /// Whether this span pushed a frame on the profiler stack (the
-    /// profiler was active at open); guards the matching pop so toggling
-    /// mid-span can never unbalance the stack.
-    profiled: bool,
-    /// Same guard for the trace-tree collector's frame stack.
+    /// Whether this span pushed a trace-tree frame (the collector was
+    /// active at open); guards the matching pop so toggling mid-span can
+    /// never unbalance the collector's stack.
     traced: bool,
 }
 
@@ -54,17 +54,13 @@ impl Drop for Span {
         let Some(inner) = self.inner.take() else {
             return;
         };
+        // The one clock read at close: the registry and the trace node
+        // record the same duration.
         let ns = inner.start.elapsed().as_nanos() as u64;
         inner.stat.record(ns);
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        if inner.profiled {
-            crate::profile::on_span_close(ns);
-        }
         if inner.traced {
-            crate::tracetree::on_span_close();
-        }
-        if crate::sink::active() {
-            crate::sink::emit_span_close(&inner.name, inner.start, ns, current_depth());
+            crate::tracetree::on_span_close(ns);
         }
         if crate::alloc::stats().is_some() {
             let delta = crate::alloc::bytes_now().saturating_sub(inner.alloc_open);
@@ -86,25 +82,7 @@ pub fn span(name: &str) -> Span {
     if !crate::enabled() {
         return Span { inner: None };
     }
-    DEPTH.with(|d| d.set(d.get() + 1));
-    let profiled = crate::profile::active();
-    if profiled {
-        crate::profile::on_span_open(name);
-    }
-    let traced = crate::tracetree::active();
-    if traced {
-        crate::tracetree::on_span_open(name);
-    }
-    Span {
-        inner: Some(SpanInner {
-            stat: global().span_stat(name),
-            start: Instant::now(),
-            name: name.to_string(),
-            alloc_open: crate::alloc::bytes_now(),
-            profiled,
-            traced,
-        }),
-    }
+    open(name.to_string())
 }
 
 /// Open a span keyed `base[label]` — e.g.
@@ -114,23 +92,26 @@ pub fn span_labeled(base: &str, label: &str) -> Span {
     if !crate::enabled() {
         return Span { inner: None };
     }
-    let name = format!("{base}[{label}]");
+    open(format!("{base}[{label}]"))
+}
+
+/// Open an enabled span: the one clock read at open is shared with the
+/// trace-tree collector.
+fn open(name: String) -> Span {
     DEPTH.with(|d| d.set(d.get() + 1));
-    let profiled = crate::profile::active();
-    if profiled {
-        crate::profile::on_span_open(&name);
-    }
+    let stat = global().span_stat(&name);
+    let alloc_open = crate::alloc::bytes_now();
+    let start = Instant::now();
     let traced = crate::tracetree::active();
     if traced {
-        crate::tracetree::on_span_open(&name);
+        crate::tracetree::on_span_open(&name, start);
     }
     Span {
         inner: Some(SpanInner {
-            stat: global().span_stat(&name),
-            start: Instant::now(),
+            stat,
+            start,
             name,
-            alloc_open: crate::alloc::bytes_now(),
-            profiled,
+            alloc_open,
             traced,
         }),
     }

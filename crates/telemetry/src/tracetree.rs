@@ -1,9 +1,9 @@
 //! Causal trace trees: parent-linked spans with **deterministic** ids.
 //!
-//! The registry answers "how long did `netsim.labeling` take in total?"
-//! and the profiler answers "where was the exclusive time?", but neither
-//! can say what the *critical path* of a run is — for that every span
-//! needs a stable identity and a causal parent, including spans opened
+//! The registry answers "how long did `netsim.labeling` take in total?",
+//! but not where the exclusive time went or what the *critical path* of a
+//! run is — for that every span needs a stable identity and a causal
+//! parent, including spans opened
 //! inside `std::thread::scope` workers whose OS-thread ancestry says
 //! nothing about their logical parent. This module collects exactly that:
 //! one [`Node`] per span close, carrying
@@ -23,10 +23,15 @@
 //!   what lets the critical-path analyzer ([`crate::crit`]) distinguish
 //!   "serial chain" from "parallelizable fan-out".
 //!
-//! Collection rides the existing span guards exactly like the profiler:
-//! with the collector inactive the span hot path pays one extra relaxed
-//! atomic load and nothing else (the crate's off-is-free rule). Enabled
-//! by `--crit-out` through `RunOpts::prepare`.
+//! The node is the only per-span record besides the registry's
+//! aggregate. `crit.json` ([`crate::crit`]), `profile.folded`
+//! ([`crate::profile::fold`]) and `trace.json`
+//! ([`crate::trace::chrome_trace_json`]) are all views rendered from
+//! [`entries`]. A node's `total_ns` is the duration the span measured
+//! for the registry, so every view agrees with the run summary. With the
+//! collector inactive the span hot path pays one extra relaxed atomic
+//! load and nothing else (the crate's off-is-free rule). `RunOpts::prepare`
+//! arms it for `--crit-out`, `--profile-out` or `--trace-out`.
 //!
 //! ```
 //! aml_telemetry::set_level(aml_telemetry::TelemetryLevel::Summary);
@@ -145,10 +150,6 @@ fn origin() -> Instant {
     *ORIGIN.get_or_init(Instant::now)
 }
 
-fn now_ns() -> u64 {
-    origin().elapsed().as_nanos() as u64
-}
-
 /// FNV-1a over the span name — the only string-dependent id input.
 fn fnv1a(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -206,10 +207,10 @@ fn next_root_ordinal() -> u64 {
     })
 }
 
-/// Push a frame for a span named `name`. Called from span open, only
-/// when [`active`].
-pub(crate) fn on_span_open(name: &str) {
-    let start_ns = now_ns();
+/// Push a frame for a span named `name` that opened at `start`. Called
+/// from span open, only when [`active`].
+pub(crate) fn on_span_open(name: &str, start: Instant) {
+    let start_ns = start.saturating_duration_since(origin()).as_nanos() as u64;
     STACK.with(|s| {
         let mut stack = s.borrow_mut();
         let (parent, ordinal, parallel) = match stack.last_mut() {
@@ -234,9 +235,9 @@ pub(crate) fn on_span_open(name: &str) {
     });
 }
 
-/// Pop the top span frame and record its [`Node`]. Called from span
-/// drop, only for spans that pushed a frame.
-pub(crate) fn on_span_close() {
+/// Pop the top span frame and record its [`Node`], `total_ns` long.
+/// Called from span drop, only for spans that pushed a frame.
+pub(crate) fn on_span_close(total_ns: u64) {
     let node = STACK.with(|s| {
         let mut stack = s.borrow_mut();
         // The top frame is this span's unless guards were dropped out of
@@ -265,7 +266,7 @@ pub(crate) fn on_span_close() {
             parent,
             name,
             start_ns,
-            total_ns: now_ns().saturating_sub(start_ns),
+            total_ns,
             parallel,
         })
     });
@@ -374,9 +375,7 @@ impl Drop for AttachGuard {
 ///
 /// A panicking job does not take the process down here: `par_map` waits
 /// for every worker to finish, then returns the first panic's message as
-/// `Err` (the inline path stops at that job). With the profiler active,
-/// the caller's time blocked on its workers is charged to a
-/// `…;(wait)` stack, not to the caller's own self time.
+/// `Err` (the inline path stops at that job).
 pub fn par_map<T, R, F>(
     ctx: TraceContext,
     threads: usize,
@@ -419,10 +418,6 @@ where
             done.push((i, run(slot, item)));
         }
     };
-    let wait_started = (crate::enabled() && crate::profile::active()).then(|| {
-        crate::profile::on_span_open("(wait)");
-        Instant::now()
-    });
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let mut first_panic = None;
     std::thread::scope(|scope| {
@@ -440,9 +435,6 @@ where
             }
         }
     });
-    if let Some(started) = wait_started {
-        crate::profile::on_span_close(started.elapsed().as_nanos() as u64);
-    }
     match first_panic {
         Some(message) => Err(message),
         None => Ok(out.into_iter().map(|r| r.expect("every job ran")).collect()),
