@@ -7,11 +7,10 @@
 //!   serial fraction / Amdahl speedup ceiling, per-scenario datagen costs;
 //! - `search`: hyperparameter-search reports (declared-space coverage,
 //!   successive-halving rung funnels, fANOVA-lite importance),
-//!   recomputed from any `ledger.jsonl` or read back from `--search-out`'s
-//!   `search.json`;
+//!   recomputed from any `ledger.jsonl`;
 //! - `quality`: model/data-quality reports (dataset profiles, PSI drift,
 //!   confusion matrix, reliability/ECE calibration), recomputed from any
-//!   `ledger.jsonl` or read back from `--quality-out`'s `quality.json`.
+//!   `ledger.jsonl`.
 //!
 //! Each input prints as the human-readable table, as the pinned JSON
 //! (`--json`, byte-identical to the run's own artifact), or — with
@@ -34,13 +33,11 @@ usage:
   PLANE                   crit     critical-path reports: crit.json files
                                    written by --crit-out (also served live
                                    at /crit)
-                          search   hyperparameter-search reports: ledger.jsonl
-                                   files written by --ledger-out, or
-                                   search.json artifacts written by
-                                   --search-out (told apart by shape)
-                          quality  model/data-quality reports: ledger.jsonl
-                                   files, or quality.json artifacts written
-                                   by --quality-out (told apart by shape)
+                          search   hyperparameter-search reports, recomputed
+                                   from ledger.jsonl files written by
+                                   --ledger-out
+                          quality  model/data-quality reports, recomputed
+                                   from ledger.jsonl files
   --compare               diff two inputs (crit: wall / chain / cpu and
                           per-phase deltas; search: fit counts, per-family
                           best score, coverage, top-importance dimension;
@@ -66,7 +63,7 @@ const PLANES: [Plane; 3] = [
     ("crit", "crit.json", |opts| {
         run(
             opts,
-            critview::parse_crit,
+            CritReport::from_json,
             CritReport::render_table,
             CritReport::render_json,
             critview::render_compare,
@@ -75,7 +72,7 @@ const PLANES: [Plane; 3] = [
     ("search", "ledger.jsonl", |opts| {
         run(
             opts,
-            searchview::parse_search_artifact,
+            searchview::parse_search_ledger,
             SearchReport::render_table,
             SearchReport::render_json,
             searchview::render_compare,
@@ -84,7 +81,7 @@ const PLANES: [Plane; 3] = [
     ("quality", "ledger.jsonl", |opts| {
         run(
             opts,
-            qualityview::parse_quality_artifact,
+            qualityview::parse_quality_ledger,
             QualityReport::render_table,
             QualityReport::render_json,
             qualityview::render_compare,

@@ -14,8 +14,8 @@
 //! Exit codes: 0 ok, 1 input failed to parse, 2 usage error.
 
 use aml_bench::amlreport::{parse_ledger, render_compare_html, render_html, LedgerData};
-use aml_bench::critview::parse_crit;
 use aml_bench::report::BenchReport;
+use aml_bench::value_of;
 use aml_telemetry::quality::QualityCollector;
 use aml_telemetry::searchview::SearchCollector;
 use aml_telemetry::{CritReport, Fold, QualityReport, SearchReport};
@@ -56,8 +56,8 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--out" => opts.out = PathBuf::from(value(args, &mut i, "--out")?),
-            "--title" => opts.title = value(args, &mut i, "--title")?.to_string(),
+            "--out" => opts.out = PathBuf::from(value_of(args, &mut i, "--out")?),
+            "--title" => opts.title = value_of(args, &mut i, "--title")?.to_string(),
             "--compare" => opts.compare = true,
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             path => opts.inputs.push(PathBuf::from(path)),
@@ -84,14 +84,6 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
     Ok(opts)
 }
 
-fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| format!("{flag} expects a value"))
-}
-
 fn is_bench_record(path: &Path) -> bool {
     path.file_name()
         .and_then(|n| n.to_str())
@@ -115,7 +107,9 @@ fn load_ledger(path: &Path) -> Result<LedgerData, String> {
 fn load_crit(path: &Path) -> Result<CritReport, String> {
     std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))
-        .and_then(|text| parse_crit(&text).map_err(|e| format!("{}: {e}", path.display())))
+        .and_then(|text| {
+            CritReport::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+        })
 }
 
 fn run_compare(opts: &Opts) -> i32 {

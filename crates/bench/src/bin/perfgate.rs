@@ -20,16 +20,15 @@
 //! Exit codes: 0 pass, 1 regression (or a workload failed to run),
 //! 2 usage error.
 
-use aml_bench::critview::parse_crit;
 use aml_bench::gate::{
     flatten_history, flatten_report, gate, history_window, parse_history, GateConfig, GateOutcome,
     Measurement,
 };
-use aml_bench::qualityview::parse_quality_artifact;
 use aml_bench::report::{median_report, BenchReport};
+use aml_bench::value_of;
 use aml_telemetry::history::DEFAULT_HISTORY_PATH;
 use aml_telemetry::json::Value;
-use aml_telemetry::{CritReport, HistoryRecord};
+use aml_telemetry::{ledger, CritReport, Fold, HistoryRecord, LedgerSummary};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -93,11 +92,10 @@ against-history only:
                           (default results/history/history.jsonl)
   --gate-quality          also gate final balanced accuracy (a drop
                           regresses) and ECE against the history medians
-  --quality PATH          quality artifact supplying the new run's
-                          final-accuracy/ECE measurements for
-                          --gate-quality: a ledger.jsonl (run mode writes
-                          one to <out>/<workload>/ledger.jsonl) or a
-                          --quality-out quality.json
+  --quality PATH          the new run's ledger.jsonl (run mode writes one
+                          to <out>/<workload>/ledger.jsonl), folded the
+                          way --record folds it into final_acc/ECE for
+                          --gate-quality
   --acc-scale F           multiply the new run's final accuracy by F
                           before gating (test hook: --acc-scale 0.5 must
                           trip --gate-quality)
@@ -179,13 +177,13 @@ fn parse_gate(args: &[String]) -> Result<GateOpts, String> {
                 opts.against = Some(n);
             }
             "--json" => opts.json = true,
-            "--crit" => opts.crit = Some(PathBuf::from(str_value(args, &mut i, flag)?)),
+            "--crit" => opts.crit = Some(PathBuf::from(value_of(args, &mut i, flag)?)),
             "--tolerance" => opts.cfg.tolerance_pct = float_value(args, &mut i, flag)?,
             "--abs-floor-ms" => opts.cfg.abs_floor_s = float_value(args, &mut i, flag)? / 1e3,
             "--scale" => opts.cfg.scale_new = float_value(args, &mut i, flag)?,
-            "--history" => opts.history = PathBuf::from(str_value(args, &mut i, flag)?),
+            "--history" => opts.history = PathBuf::from(value_of(args, &mut i, flag)?),
             "--gate-quality" => opts.gate_quality = true,
-            "--quality" => opts.quality = Some(PathBuf::from(str_value(args, &mut i, flag)?)),
+            "--quality" => opts.quality = Some(PathBuf::from(value_of(args, &mut i, flag)?)),
             "--acc-scale" => opts.acc_scale = float_value(args, &mut i, flag)?,
             flag if flag.starts_with("--") => return Err(format!("unknown flag '{flag}'")),
             path => opts.reports.push(PathBuf::from(path)),
@@ -223,30 +221,26 @@ fn parse_gate(args: &[String]) -> Result<GateOpts, String> {
     }
 }
 
-/// The new run's quality measurements for `--gate-quality`, from a
-/// `--quality` artifact (ledger.jsonl or quality.json). Problems warn
-/// and return nothing — the quality metrics are then unmatched rather
-/// than failing on a missing artifact. Balanced accuracy is the
-/// measurement because the history's `final_acc` is the experiment
-/// loop's balanced-accuracy mean — the gate must compare like to like.
+/// The new run's quality measurements for `--gate-quality`: the
+/// `--quality` ledger folded through [`LedgerSummary`], the fold that
+/// writes the history record's `final_acc`/`ece`, so the gate compares
+/// like with like. Problems warn and return nothing — the quality
+/// metrics are then unmatched rather than failing on a missing ledger.
 fn quality_measurements(path: &Path) -> (Option<f64>, Option<f64>) {
     let attempt = std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
-        .and_then(|text| parse_quality_artifact(&text));
+        .and_then(|text| ledger::read(&text));
     match attempt {
-        Ok(report) => match report.rounds.last() {
-            Some(last) => (
-                Some(last.balanced_accuracy).filter(|a| a.is_finite()),
-                Some(last.ece).filter(|e| e.is_finite()),
-            ),
-            None => {
+        Ok((_, events)) => {
+            let summary = LedgerSummary::from_events(&events);
+            if summary.final_acc.is_none() && summary.ece.is_none() {
                 eprintln!(
                     "perfgate: warning: --quality {}: no quality rounds recorded",
                     path.display()
                 );
-                (None, None)
             }
-        },
+            (summary.final_acc, summary.ece)
+        }
         Err(e) => {
             eprintln!("perfgate: warning: --quality {}: {e}", path.display());
             (None, None)
@@ -385,7 +379,7 @@ fn print_verdict(
 fn load_crit(path: &Path) -> Option<CritReport> {
     let attempt = std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
-        .and_then(|text| parse_crit(&text));
+        .and_then(|text| CritReport::from_json(&text));
     match attempt {
         Ok(report) => Some(report),
         Err(e) => {
@@ -477,7 +471,7 @@ fn parse_run(args: &[String]) -> Result<RunPlanOpts, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--workloads" => {
-                opts.workloads = str_value(args, &mut i, "--workloads")?
+                opts.workloads = value_of(args, &mut i, "--workloads")?
                     .split(',')
                     .filter(|w| !w.is_empty())
                     .map(String::from)
@@ -499,7 +493,7 @@ fn parse_run(args: &[String]) -> Result<RunPlanOpts, String> {
                     return Err("--threads must be >= 1".into());
                 }
             }
-            "--out" => opts.out = PathBuf::from(str_value(args, &mut i, "--out")?),
+            "--out" => opts.out = PathBuf::from(value_of(args, &mut i, "--out")?),
             "--full" => opts.full = true,
             "--record" => {
                 // The path is optional: a following flag (or nothing)
@@ -520,7 +514,7 @@ fn parse_run(args: &[String]) -> Result<RunPlanOpts, String> {
                 opts.timeout = Some(Duration::from_millis(ms));
             }
             "--fault-plan" => {
-                let spec = str_value(args, &mut i, "--fault-plan")?;
+                let spec = value_of(args, &mut i, "--fault-plan")?;
                 // Validate here so typos are usage errors, not per-child
                 // failures; the spec is forwarded verbatim.
                 aml_faults::FaultPlan::parse(spec).map_err(|e| format!("--fault-plan: {e}"))?;
@@ -765,22 +759,14 @@ fn timeout_verdict(workload: &str, rep: usize, opts: &RunPlanOpts, elapsed: Dura
 
 // ---------------------------------------------------------------- values
 
-fn str_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .filter(|v| !v.starts_with("--"))
-        .ok_or_else(|| format!("{flag} expects a value"))
-}
-
 fn int_value(args: &[String], i: &mut usize, flag: &str) -> Result<u64, String> {
-    let v = str_value(args, i, flag)?;
+    let v = value_of(args, i, flag)?;
     v.parse()
         .map_err(|_| format!("{flag} expects an integer, got '{v}'"))
 }
 
 fn float_value(args: &[String], i: &mut usize, flag: &str) -> Result<f64, String> {
-    let v = str_value(args, i, flag)?;
+    let v = value_of(args, i, flag)?;
     v.parse::<f64>()
         .ok()
         .filter(|f| f.is_finite())

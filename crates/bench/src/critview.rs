@@ -1,115 +1,10 @@
-//! Read-side of `crit.json`: parse the critical-path report written by
-//! `--crit-out` (or served at `/crit`) back into an
-//! [`aml_telemetry::CritReport`], render the chain as an inline SVG for
-//! `amlreport`, and diff two reports for `amlinspect crit --compare`.
-//!
-//! The parser is strict about the pinned shape (see the byte-pinned
-//! golden in `aml-telemetry`'s `crit` module): `active` must be `true`
-//! and `schema_version` must match [`aml_telemetry::CRIT_SCHEMA_VERSION`],
-//! so a stale artifact from a future schema fails loudly instead of
-//! rendering nonsense.
+//! Views of a critical-path report: render the chain as an inline SVG
+//! for `amlreport`, and diff two reports for `amlinspect crit
+//! --compare`. `crit.json` is written and read back in one place,
+//! [`aml_telemetry::crit`] (`CritReport::render_json`/`from_json`).
 
-use aml_telemetry::crit::{PhaseStat, ScenarioStats, Segment};
-use aml_telemetry::json::{self, Value};
-use aml_telemetry::{CritReport, CRIT_SCHEMA_VERSION};
+use aml_telemetry::CritReport;
 use std::fmt::Write;
-
-/// Parse a `crit.json` document (one object, as written by `--crit-out`).
-pub fn parse_crit(text: &str) -> Result<CritReport, String> {
-    let v = json::parse(text)?;
-    match v.get("active") {
-        Some(Value::Bool(true)) => {}
-        Some(Value::Bool(false)) => {
-            return Err("collector was not active (run with --crit-out)".into())
-        }
-        _ => return Err("missing 'active' field — not a crit.json document".into()),
-    }
-    let schema = v.u64_at("schema_version")?;
-    if schema != CRIT_SCHEMA_VERSION as u64 {
-        return Err(format!(
-            "unsupported crit schema v{schema} (this build reads v{CRIT_SCHEMA_VERSION})"
-        ));
-    }
-    let path = v
-        .get("critical_path")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'critical_path' array")?
-        .iter()
-        .map(parse_segment)
-        .collect::<Result<Vec<Segment>, String>>()?;
-    let phases = v
-        .get("phases")
-        .and_then(Value::as_arr)
-        .ok_or("missing 'phases' array")?
-        .iter()
-        .map(parse_phase)
-        .collect::<Result<Vec<PhaseStat>, String>>()?;
-    let amdahl = parse_phase(v.get("amdahl").ok_or("missing 'amdahl'")?)?;
-    let scenarios = match v.get("scenarios") {
-        None | Some(Value::Null) => None,
-        Some(s) => Some(parse_scenarios(s)?),
-    };
-    Ok(CritReport {
-        wall_ns: v.u64_at("wall_ns")?,
-        cpu_ns: v.get("cpu_ns").and_then(Value::as_u64),
-        dominant_phase: v.str_at("dominant_phase")?.to_string(),
-        critical_path_ns: v.u64_at("critical_path_ns")?,
-        path,
-        phases,
-        amdahl,
-        scenarios,
-        nodes: v.u64_at("nodes")? as usize,
-        nodes_dropped: v.u64_at("nodes_dropped")?,
-    })
-}
-
-fn parse_segment(v: &Value) -> Result<Segment, String> {
-    Ok(Segment {
-        name: v.str_at("name")?.to_string(),
-        // Ids are rendered as decimal strings: as JSON numbers the
-        // 64-bit hashes would round through f64 and lose low bits.
-        id: v
-            .get("id")
-            .and_then(Value::as_str)
-            .and_then(|s| s.parse().ok())
-            .ok_or("segment missing string 'id'")?,
-        depth: v.u64_at("depth")? as usize,
-        total_ns: v.u64_at("total_ns")?,
-        contribution_ns: v.u64_at("contribution_ns")?,
-        parallel: matches!(v.get("parallel"), Some(Value::Bool(true))),
-    })
-}
-
-fn parse_phase(v: &Value) -> Result<PhaseStat, String> {
-    Ok(PhaseStat {
-        name: v.str_at("name")?.to_string(),
-        total_ns: v.u64_at("total_ns")?,
-        work_ns: v.u64_at("work_ns")?,
-        ideal_ns: v.u64_at("ideal_ns")?,
-        serial_fraction: v
-            .get("serial_fraction")
-            .and_then(Value::as_f64)
-            .unwrap_or(f64::NAN),
-        max_speedup: v
-            .get("max_speedup")
-            .and_then(Value::as_f64)
-            .unwrap_or(f64::NAN),
-        subtree_spans: v.u64_at("subtree_spans")?,
-    })
-}
-
-fn parse_scenarios(v: &Value) -> Result<ScenarioStats, String> {
-    let hist = v.get("histogram").ok_or("scenarios missing 'histogram'")?;
-    Ok(ScenarioStats {
-        total: v.u64_at("total")?,
-        count: hist.u64_at("count")?,
-        sum_ns: hist.u64_at("sum_ns")?,
-        mean_ns: hist.u64_at("mean_ns")?,
-        p50_ns: hist.u64_at("p50_ns")?,
-        p95_ns: hist.u64_at("p95_ns")?,
-        max_ns: hist.u64_at("max_ns")?,
-    })
-}
 
 /// The critical-path chain as a self-contained inline SVG: one bar per
 /// chain segment, full-width = the dominant phase's total, the solid
@@ -253,31 +148,6 @@ mod tests {
             node(30, 0, "bench.strategies", 2_100_000, 1_000_000, false),
         ];
         analyze(&nodes, &aml_telemetry::Registry::new().snapshot())
-    }
-
-    #[test]
-    fn crit_json_round_trips_through_the_parser() {
-        let report = sample_report();
-        let parsed = parse_crit(&report.render_json()).expect("parses");
-        // Floats lose precision to the {:.6} rendering, so compare via a
-        // second render: parse -> render is a fixpoint.
-        assert_eq!(parsed.render_json(), report.render_json());
-        assert_eq!(parsed.path, report.path);
-        assert_eq!(parsed.dominant_phase, report.dominant_phase);
-        assert_eq!(parsed.nodes, report.nodes);
-    }
-
-    #[test]
-    fn parser_rejects_inactive_and_foreign_documents() {
-        let err = parse_crit("{\"active\":false}\n").unwrap_err();
-        assert!(err.contains("--crit-out"), "{err}");
-        assert!(parse_crit("{\"workload\":\"x\"}").is_err());
-        assert!(parse_crit("not json at all").is_err());
-        let future = sample_report()
-            .render_json()
-            .replace("\"schema_version\":1", "\"schema_version\":99");
-        let err = parse_crit(&future).unwrap_err();
-        assert!(err.contains("v99"), "{err}");
     }
 
     #[test]

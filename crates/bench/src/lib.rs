@@ -104,18 +104,18 @@ pub struct RunOpts {
     pub crit_out: Option<PathBuf>,
     /// Collect search observability (declared-space coverage, rung
     /// funnels, hyperparameter importance) during the run and write
-    /// `search.json` here at the end; also printed as a table on stderr,
-    /// served live at `/search` with `--serve`, and read by the
-    /// `amlinspect search` bin (which recomputes the same report from a ledger).
+    /// `search.json` here at the end; also printed as a table on stderr
+    /// and served live at `/search` with `--serve`. Write-only: `amlinspect
+    /// search` recomputes the same bytes from the run's ledger.
     pub search_out: Option<PathBuf>,
     /// Collect the model/data-quality plane (dataset profiles, PSI drift,
     /// confusion/calibration diagnostics) during the run and write
-    /// `quality.json` here at the end; also printed as a table on stderr,
-    /// served live at `/quality` with `--serve`, and read by the
-    /// `amlinspect quality` bin (which recomputes the same report from a ledger).
+    /// `quality.json` here at the end; also printed as a table on stderr
+    /// and served live at `/quality` with `--serve`. Write-only: `amlinspect
+    /// quality` recomputes the same report from the run's ledger.
     pub quality_out: Option<PathBuf>,
     /// Drift baseline for the quality plane (`--quality-ref`): a previous
-    /// run's `quality.json` whose latest train profile anchors the PSI
+    /// run's `ledger.jsonl` whose latest train profile anchors the PSI
     /// drift scores. Without it each round drifts against the previous
     /// round.
     pub quality_ref: Option<PathBuf>,
@@ -180,14 +180,16 @@ options:
   --search-out PATH       collect search observability (declared-space
                           coverage, successive-halving rung funnels,
                           fANOVA-lite hyperparameter importance) and write
-                          search.json; printed as a table on stderr, served
-                          live at /search, and read by `amlinspect search`
+                          search.json; printed as a table on stderr and
+                          served live at /search (`amlinspect search`
+                          recomputes it from the ledger)
   --quality-out PATH      collect the model/data-quality plane (per-feature
                           dataset profiles, PSI drift, confusion matrix,
                           reliability/ECE calibration) and write quality.json;
-                          printed as a table on stderr, served live at
-                          /quality, and read by `amlinspect quality`
-  --quality-ref PATH      drift baseline: a previous run's quality.json whose
+                          printed as a table on stderr and served live at
+                          /quality (`amlinspect quality` recomputes it from
+                          the ledger)
+  --quality-ref PATH      drift baseline: a previous run's ledger.jsonl whose
                           latest train profile anchors the PSI scores (the
                           default drifts each round against the previous one)
   --fault-plan SPEC       inject deterministic faults, e.g.
@@ -384,7 +386,7 @@ impl RunOpts {
                 })?;
                 reference = Some(
                     qualityview::load_reference(&text)
-                        .map_err(|e| format!("--quality-ref {}: {e}", ref_path.display()))?,
+                        .map_err(|e| format!("{e} (in {})", ref_path.display()))?,
                 );
             }
         } else if self.quality_ref.is_some() {
@@ -810,8 +812,9 @@ fn ensure_parent(path: &Path, flag: &str) -> Result<(), String> {
     }
 }
 
-/// The value following flag `args[*i]`, advancing `i` past it.
-fn value_of<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
+/// The value following flag `args[*i]`, advancing `i` past it. The
+/// bins with their own flag parsers use it too.
+pub fn value_of<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
     *i += 1;
     args.get(*i)
         .map(String::as_str)

@@ -1,6 +1,6 @@
 //! Read-side of the quality plane: recompute the model/data-quality
-//! report from a `ledger.jsonl`, read back a rendered `quality.json`,
-//! load a drift baseline for `--quality-ref`, render the SVG panels for
+//! report from a `ledger.jsonl`, load a drift baseline for
+//! `--quality-ref` from another run's ledger, render the SVG panels for
 //! `amlreport`, and diff two reports for `amlinspect quality --compare`.
 //!
 //! A ledger is read with `aml_telemetry::ledger::read` and folded
@@ -9,12 +9,10 @@
 //! byte for byte (when the run used no `--quality-ref`; a baseline
 //! changes the drift section by design).
 
-use aml_telemetry::json::{self, Value};
 use aml_telemetry::quality::{
-    ClassQuality, DriftReport, FeatureDrift, FinalDiagnostics, QualityCollector, QualityReport,
-    Reliability, RoundQuality, SplitProfile,
+    DriftReport, FinalDiagnostics, QualityCollector, QualityReport, Reliability,
 };
-use aml_telemetry::{ledger, FeatureProfile, Fold, QualityReference, QUALITY_SCHEMA_VERSION};
+use aml_telemetry::{ledger, Fold, QualityReference};
 use std::fmt::Write;
 
 /// Parse the text of one `ledger.jsonl` and recompute its quality
@@ -25,150 +23,23 @@ pub fn parse_quality_ledger(text: &str) -> Result<QualityReport, String> {
     Ok(QualityCollector::from_events(&events).report())
 }
 
-/// Parse a rendered `quality.json` artifact back into a
-/// [`QualityReport`]. Strict, like `searchview`: refuses inactive
-/// documents (a `/quality` probe of a disarmed collector) and
-/// foreign/newer schema versions loudly instead of guessing.
-/// Round-trips byte-for-byte:
-/// `parse_quality_json(r.render_json()).render_json() == r.render_json()`.
-pub fn parse_quality_json(text: &str) -> Result<QualityReport, String> {
-    let v = json::parse(text.trim_end())?;
-    match v.get("active") {
-        Some(Value::Bool(true)) => {}
-        Some(Value::Bool(false)) => {
-            return Err("inactive document: the collector was disarmed (run with --quality-out, or point amlinspect quality at a ledger.jsonl)".into())
-        }
-        _ => return Err("not a quality.json document (missing 'active')".into()),
-    }
-    let version = v.u64_at("schema_version")?;
-    if version > u64::from(QUALITY_SCHEMA_VERSION) {
-        return Err(format!(
-            "schema_version {version} is newer than this amlinspect ({QUALITY_SCHEMA_VERSION})"
-        ));
-    }
-    let rounds = v
-        .arr_at("rounds")?
-        .iter()
-        .map(|r| {
-            Ok(RoundQuality {
-                round: r.u64_at("round")?,
-                strategy: r.str_at("strategy")?.to_string(),
-                rows: r.u64_at("rows")?,
-                accuracy: r.f64_at("accuracy")?,
-                balanced_accuracy: r.f64_at("balanced_accuracy")?,
-                macro_f1: r.f64_at("macro_f1")?,
-                brier: r.f64_at("brier")?,
-                ece: r.f64_at("ece")?,
-                ale_band_width: r.f64_at("ale_band_width")?,
-                psi_mean: r.opt_f64_at("psi_mean")?,
-                psi_max: r.opt_f64_at("psi_max")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let final_diag = match v.req("final")? {
-        Value::Null => None,
-        d => Some(FinalDiagnostics {
-            round: d.u64_at("round")?,
-            classes: d.strs_at("classes")?,
-            confusion: d
-                .arr_at("confusion")?
-                .iter()
-                .map(|row| row.u64s().ok_or("confusion row is not an integer array"))
-                .collect::<Result<Vec<_>, _>>()?,
-            per_class: d
-                .arr_at("per_class")?
-                .iter()
-                .map(|c| {
-                    Ok(ClassQuality {
-                        class: c.str_at("class")?.to_string(),
-                        support: c.u64_at("support")?,
-                        precision: c.f64_at("precision")?,
-                        recall: c.f64_at("recall")?,
-                        f1: c.f64_at("f1")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?,
-            reliability: {
-                let rel = d.req("reliability")?;
-                Reliability {
-                    count: rel.u64s_at("count")?,
-                    confidence: rel.f64s_at("confidence")?,
-                    accuracy: rel.f64s_at("accuracy")?,
-                }
-            },
-        }),
-    };
-    let drift_v = v.req("drift")?;
-    let drift = DriftReport {
-        reference: drift_v.str_at("reference")?.to_string(),
-        features: drift_v
-            .arr_at("features")?
-            .iter()
-            .map(|f| {
-                Ok(FeatureDrift {
-                    name: f.str_at("name")?.to_string(),
-                    psi: f.opt_f64_at("psi")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    };
-    let profiles = v
-        .arr_at("profiles")?
-        .iter()
-        .map(|p| {
-            Ok(SplitProfile {
-                round: p.u64_at("round")?,
-                split: p.str_at("split")?.to_string(),
-                rows: p.u64_at("rows")?,
-                class_counts: p.u64s_at("class_counts")?,
-                features: p
-                    .arr_at("features")?
-                    .iter()
-                    .map(FeatureProfile::from_json)
-                    .collect::<Result<_, _>>()?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(QualityReport {
-        schema_version: version as u32,
-        rounds,
-        final_diag,
-        drift,
-        profiles,
-        dropped: v.u64_at("dropped")?,
-    })
-}
-
-/// Parse either artifact the quality pipeline produces: a
-/// `ledger.jsonl` (the report is recomputed) or a rendered
-/// `quality.json` (the report is read back verbatim), told apart by the
-/// first line's JSON shape.
-pub fn parse_quality_artifact(text: &str) -> Result<QualityReport, String> {
-    let first = text.lines().next().unwrap_or("");
-    let looks_rendered = json::parse(first)
-        .ok()
-        .is_some_and(|v| v.get("active").is_some());
-    if looks_rendered {
-        parse_quality_json(text)
-    } else {
-        parse_quality_ledger(text)
-    }
-}
-
-/// Load a drift baseline for `--quality-ref`: the latest train-split
-/// feature profiles embedded in a previous run's `quality.json`. Errors
-/// when the document has no train profile to anchor drift against.
+/// Load a drift baseline for `--quality-ref`: fold the reference run's
+/// `ledger.jsonl` through [`QualityCollector`] and keep its latest
+/// train-split feature profiles. Errors when the text is not a ledger or
+/// the ledger has no train profile to anchor drift against.
 pub fn load_reference(text: &str) -> Result<QualityReference, String> {
-    let report = parse_quality_json(text)?;
+    let (_, events) = ledger::read(text)
+        .map_err(|e| format!("--quality-ref expects a run's ledger.jsonl: {e}"))?;
+    let report = QualityCollector::from_events(&events).report();
     let train = report
         .profiles
-        .iter()
+        .into_iter()
         .filter(|p| p.split == "train")
         .max_by_key(|p| p.round)
-        .ok_or("quality.json has no train profile to use as a drift baseline")?;
+        .ok_or("--quality-ref ledger has no train profile to use as a drift baseline")?;
     Ok(QualityReference {
         label: "baseline".to_string(),
-        features: train.features.clone(),
+        features: train.features,
     })
 }
 
@@ -478,65 +349,47 @@ mod tests {
     }
 
     #[test]
-    fn rendered_artifact_round_trips_byte_for_byte() {
-        let report = report_from_events(sample_events().iter(), None, 0);
-        let json = report.render_json();
-        let back = parse_quality_json(&json).unwrap();
-        assert_eq!(back.render_json(), json);
-        assert_eq!(back.rounds.len(), report.rounds.len());
-        // NaN-bearing reliability bins defeat direct struct equality;
-        // spot-check the parsed structure instead.
-        let diag = back.final_diag.as_ref().unwrap();
-        assert_eq!(diag.confusion, vec![vec![1, 0], vec![0, 1]]);
-        assert_eq!(diag.reliability.count[8], 2);
-    }
-
-    #[test]
-    fn artifact_dispatch_tells_ledgers_and_rendered_reports_apart() {
-        let from_ledger = parse_quality_artifact(&sample_ledger()).unwrap();
-        let json = from_ledger.render_json();
-        let from_json = parse_quality_artifact(&json).unwrap();
-        assert_eq!(from_json.render_json(), json);
-    }
-
-    #[test]
     fn inactive_and_future_artifacts_are_rejected() {
-        let err = parse_quality_json("{\"active\":false}\n").unwrap_err();
-        assert!(err.contains("inactive"), "{err}");
+        // Only ledgers are read: a rendered quality.json, active or not,
+        // is not one, and neither is a newer ledger schema.
         let report = report_from_events(sample_events().iter(), None, 0);
-        let future = report
-            .render_json()
-            .replace("\"schema_version\":1", "\"schema_version\":999");
-        let err = parse_quality_json(&future).unwrap_err();
-        assert!(err.contains("newer"), "{err}");
+        assert!(parse_quality_ledger(&report.render_json()).is_err());
+        assert!(parse_quality_ledger("{\"active\":false}\n").is_err());
+        let future = sample_ledger().replace("\"schema_version\":1", "\"schema_version\":999");
+        let err = parse_quality_ledger(&future).unwrap_err();
+        assert!(err.contains("schema_version 999"), "{err}");
         assert!(parse_quality_ledger("").is_err());
         assert!(parse_quality_ledger("{\"type\":\"events\"}").is_err());
     }
 
     #[test]
     fn reference_loads_the_latest_train_profile() {
-        let report = report_from_events(sample_events().iter(), None, 0);
-        let reference = load_reference(&report.render_json()).unwrap();
+        let reference = load_reference(&sample_ledger()).unwrap();
         assert_eq!(reference.label, "baseline");
         assert_eq!(reference.features.len(), 1);
         // The latest round's train profile (round 1, 6 rows).
         assert_eq!(reference.features[0].count, 6);
-        // A document with no train profile refuses to anchor drift.
-        let eval_only = report_from_events(
-            sample_events().iter().filter(
-                |e| !matches!(e, LedgerEvent::DatasetProfile { split, .. } if split == "train"),
-            ),
-            None,
-            0,
-        );
-        let err = load_reference(&eval_only.render_json()).unwrap_err();
+    }
+
+    #[test]
+    fn reference_refuses_ledgers_without_a_train_profile_and_rendered_reports() {
+        let header = sample_ledger().lines().next().unwrap().to_string();
+        let eval_only: String = sample_events()
+            .iter()
+            .filter(|e| !matches!(e, LedgerEvent::DatasetProfile { split, .. } if split == "train"))
+            .fold(header + "\n", |acc, e| acc + &e.to_json_line() + "\n");
+        let err = load_reference(&eval_only).unwrap_err();
+        assert!(err.contains("--quality-ref"), "{err}");
         assert!(err.contains("no train profile"), "{err}");
+        // A rendered quality.json is not a ledger.
+        let rendered = report_from_events(sample_events().iter(), None, 0).render_json();
+        let err = load_reference(&rendered).unwrap_err();
+        assert!(err.contains("--quality-ref"), "{err}");
     }
 
     #[test]
     fn reference_changes_the_drift_section_label() {
-        let report = report_from_events(sample_events().iter(), None, 0);
-        let reference = load_reference(&report.render_json()).unwrap();
+        let reference = load_reference(&sample_ledger()).unwrap();
         let against = report_from_events(sample_events().iter(), Some(&reference), 0);
         assert_eq!(against.drift.reference, "baseline");
         // The latest train profile IS the baseline → zero drift.

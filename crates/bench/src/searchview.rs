@@ -8,8 +8,7 @@
 //! uses, so `amlinspect search ledger.jsonl` reproduces `search.json`
 //! byte for byte — collection cap included.
 
-use aml_telemetry::json::{self, Value};
-use aml_telemetry::searchview::{DimReport, FamilyReport, RungReport, SearchCollector};
+use aml_telemetry::searchview::{DimReport, SearchCollector};
 use aml_telemetry::{ledger, Fold, SearchReport};
 use std::fmt::Write;
 
@@ -17,111 +16,6 @@ use std::fmt::Write;
 pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
     let (_, events) = ledger::read(text)?;
     Ok(SearchCollector::from_events(&events).report())
-}
-
-/// Parse a rendered `search.json` artifact back into a [`SearchReport`].
-/// Strict, like `critview`: refuses inactive documents (a `/search`
-/// probe of a disarmed collector) and foreign/newer schema versions
-/// loudly instead of guessing. Round-trips byte-for-byte:
-/// `parse_search_json(r.render_json()).render_json() == r.render_json()`.
-pub fn parse_search_json(text: &str) -> Result<SearchReport, String> {
-    let v = json::parse(text.trim_end())?;
-    match v.get("active") {
-        Some(Value::Bool(true)) => {}
-        Some(Value::Bool(false)) => {
-            return Err("inactive document: the collector was disarmed (run with --search-out, or point amlinspect search at a ledger.jsonl)".into())
-        }
-        _ => return Err("not a search.json document (missing 'active')".into()),
-    }
-    let version = v.u64_at("schema_version")?;
-    if version > u64::from(aml_telemetry::SEARCH_SCHEMA_VERSION) {
-        return Err(format!(
-            "schema_version {version} is newer than this amlinspect ({})",
-            aml_telemetry::SEARCH_SCHEMA_VERSION
-        ));
-    }
-    let trials = v.req("trials")?;
-    let rungs = v
-        .arr_at("rungs")?
-        .iter()
-        .map(|r| {
-            Ok(RungReport {
-                rung: r.u64_at("rung")?,
-                started: r.u64_at("started")?,
-                finished: r.u64_at("finished")?,
-                failed: r.u64_at("failed")?,
-                promoted: r.u64_at("promoted")?,
-                eliminated: r.u64_at("eliminated")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let families = v
-        .arr_at("families")?
-        .iter()
-        .map(|f| {
-            Ok(FamilyReport {
-                family: f.str_at("family")?.to_string(),
-                configs: f.u64_at("configs")?,
-                fits: f.u64_at("fits")?,
-                failed: f.u64_at("failed")?,
-                best_score: f.opt_f64_at("best_score")?,
-                mean_score: f.opt_f64_at("mean_score")?,
-                dims: f
-                    .arr_at("dims")?
-                    .iter()
-                    .map(parse_dim_report)
-                    .collect::<Result<Vec<_>, String>>()?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(SearchReport {
-        started: trials.u64_at("started")?,
-        finished: trials.u64_at("finished")?,
-        failed: trials.u64_at("failed")?,
-        rungs,
-        families,
-        dropped: v.u64_at("dropped")?,
-    })
-}
-
-fn parse_dim_report(d: &Value) -> Result<DimReport, String> {
-    Ok(DimReport {
-        name: d.str_at("name")?.to_string(),
-        kind: d.str_at("kind")?.to_string(),
-        scale: d.str_at("scale")?.to_string(),
-        lo: d.f64_at("lo")?,
-        hi: d.f64_at("hi")?,
-        choices: d.strs_at("choices")?,
-        bins: d.u64_at("bins")? as usize,
-        hist: d.u64s_at("hist")?,
-        visited: d.u64_at("visited")? as usize,
-        coverage: d.f64_at("coverage")?,
-        importance: d.f64_at("importance")?,
-        points: d
-            .arr_at("points")?
-            .iter()
-            .map(|p| match p.f64s().as_deref() {
-                Some(&[t, s]) => Ok((t, s)),
-                _ => Err("point is not a [position, score] pair".to_string()),
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-    })
-}
-
-/// Parse either artifact the search pipeline produces: a `ledger.jsonl`
-/// (the report is recomputed through [`SearchCollector`]) or a rendered
-/// `search.json` (the report is read back verbatim), told apart by the
-/// first line's JSON shape.
-pub fn parse_search_artifact(text: &str) -> Result<SearchReport, String> {
-    let first = text.lines().next().unwrap_or("");
-    let looks_rendered = json::parse(first)
-        .ok()
-        .is_some_and(|v| v.get("active").is_some());
-    if looks_rendered {
-        parse_search_json(text)
-    } else {
-        parse_search_ledger(text)
-    }
 }
 
 /// Hyperparameter importance as a self-contained inline SVG: one
@@ -437,33 +331,12 @@ mod tests {
     }
 
     #[test]
-    fn rendered_artifact_round_trips_byte_for_byte() {
-        let report = analyze(&knn_space(), &fixture(), 0);
-        let json = report.render_json();
-        let back = parse_search_json(&json).unwrap();
-        assert_eq!(back.render_json(), json);
-        assert_eq!(back.started, report.started);
-        assert_eq!(back.families.len(), report.families.len());
-    }
-
-    #[test]
-    fn artifact_dispatch_tells_ledgers_and_rendered_reports_apart() {
-        let from_ledger = parse_search_artifact(&sample_ledger()).unwrap();
-        let json = from_ledger.render_json();
-        let from_json = parse_search_artifact(&json).unwrap();
-        assert_eq!(from_json.render_json(), json);
-    }
-
-    #[test]
     fn inactive_and_future_artifacts_are_rejected() {
-        let err = parse_search_json("{\"active\":false}\n").unwrap_err();
-        assert!(err.contains("inactive"), "{err}");
+        // Only ledgers are read: a rendered search.json, active or not,
+        // is not one.
         let report = analyze(&knn_space(), &fixture(), 0);
-        let future = report
-            .render_json()
-            .replace("\"schema_version\":1", "\"schema_version\":999");
-        let err = parse_search_json(&future).unwrap_err();
-        assert!(err.contains("newer"), "{err}");
+        assert!(parse_search_ledger(&report.render_json()).is_err());
+        assert!(parse_search_ledger("{\"active\":false}\n").is_err());
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! * a full `RunOpts` round trip with `--crit-out` and `--serve` answers
 //!   `/crit` mid-run (active, versioned schema) and leaves a `crit.json`
 //!   behind whose bytes are exactly what the pinned renderer produces —
-//!   `parse_crit` followed by `render_json` must reproduce the file;
+//!   `CritReport::from_json` followed by `render_json` must reproduce
+//!   the file;
 //! * the causal tree (span ids, parent links, parallel marks) and the
 //!   critical path derived from it are identical whether a fan-out runs
 //!   on one worker or four — the determinism contract that makes two
 //!   crit reports diffable across machines and thread counts.
 
-use aml_bench::critview::parse_crit;
 use aml_bench::RunOpts;
-use aml_telemetry::{crit, set_level, tracetree, TelemetryLevel, TraceContext};
+use aml_telemetry::{crit, set_level, tracetree, CritReport, TelemetryLevel, TraceContext};
 use std::io::{Read as _, Write as _};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -114,7 +114,7 @@ fn crit_out_round_trips_and_crit_route_answers_mid_run() {
     // The artifact parses, and re-rendering reproduces it byte for byte:
     // the on-disk format is exactly the pinned renderer's output.
     let text = std::fs::read_to_string(&crit_path).expect("crit.json written");
-    let report = parse_crit(&text).expect("crit.json parses");
+    let report = CritReport::from_json(&text).expect("crit.json parses");
     assert_eq!(report.render_json(), text, "crit.json bytes drifted");
 
     // Shape invariants of a real run: the chain is bounded by the wall,

@@ -162,7 +162,7 @@ fn table1_style_run_writes_expected_manifest() {
 
     // Without --serve or --record, finish still takes one resource
     // reading, so crit.json attributes CPU time.
-    let crit = aml_bench::critview::parse_crit(
+    let crit = aml_telemetry::CritReport::from_json(
         &std::fs::read_to_string(&crit_path).expect("crit.json written"),
     )
     .expect("crit.json parses");

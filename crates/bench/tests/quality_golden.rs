@@ -8,10 +8,12 @@
 //!   held to the same pinned renderer;
 //! * `quality.json` is byte-identical whether the underlying AutoML
 //!   search trains candidates on 1 worker or 4 — the same determinism
-//!   contract as the ledger itself, extended through the analytics.
+//!   contract as the ledger itself, extended through the analytics;
+//! * `--quality-ref` reads a previous run's `ledger.jsonl`, and drift in
+//!   the new `quality.json` is scored against that baseline.
 
 use aml_automl::AutoMlConfig;
-use aml_bench::qualityview::parse_quality_artifact;
+use aml_bench::qualityview::parse_quality_ledger;
 use aml_bench::RunOpts;
 use aml_core::{run_strategy, ExperimentConfig, Strategy};
 use aml_dataset::{split::train_test_split, synth, Dataset};
@@ -144,7 +146,7 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
     // from the ledger: write path and read path share one renderer.
     let json = std::fs::read_to_string(&quality_path).expect("quality.json written");
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
-    let report = parse_quality_artifact(&ledger_text).expect("ledger parses");
+    let report = parse_quality_ledger(&ledger_text).expect("ledger parses");
     assert_eq!(report.render_json(), json, "quality.json bytes drifted");
 
     // Non-degenerate analytics over a real run: both rounds recorded,
@@ -218,6 +220,59 @@ fn quality_json_is_identical_across_worker_counts() {
         one, four,
         "quality.json must not depend on the worker count"
     );
+
+    set_level(TelemetryLevel::Off);
+    aml_telemetry::global().reset();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn quality_ref_takes_a_reference_ledger() {
+    let _guard = hold();
+    let dir = std::env::temp_dir().join(format!("aml_quality_ref_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ref_ledger = dir.join("ref/ledger.jsonl");
+    let quality_path = dir.join("quality.json");
+    let (train, test) = splits();
+
+    // One feedback round under the given flags, through the real RunOpts.
+    let run = |args: &[&str]| {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
+        opts.workload = "quality_ref".into();
+        opts.out_dir = dir.clone();
+        opts.prepare().expect("prepare");
+        run_strategy(
+            Strategy::NoFeedback,
+            &small_cfg(2),
+            &train,
+            None,
+            None,
+            std::slice::from_ref(&test),
+        )
+        .expect("round runs");
+        opts.finish();
+    };
+    // The reference run leaves only its ledger behind.
+    run(&["--ledger-out", &ref_ledger.to_string_lossy()]);
+    run(&[
+        "--quality-out",
+        &quality_path.to_string_lossy(),
+        "--quality-ref",
+        &ref_ledger.to_string_lossy(),
+    ]);
+
+    let json = std::fs::read_to_string(&quality_path).expect("quality.json written");
+    let doc = aml_telemetry::json::parse(json.trim_end()).expect("quality.json is JSON");
+    let drift = doc.req("drift").unwrap();
+    assert_eq!(drift.str_at("reference").unwrap(), "baseline", "{json}");
+    // Same training data as the reference run: every feature scores zero.
+    let features = drift.arr_at("features").unwrap();
+    assert!(!features.is_empty(), "{json}");
+    for f in features {
+        let psi = f.get("psi").and_then(aml_telemetry::json::Value::as_f64);
+        assert_eq!(psi, Some(0.0), "{json}");
+    }
 
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();

@@ -28,6 +28,8 @@
 //! (hand-rolled, field order pinned by a golden test; written by
 //! `--crit-out` and served at `/crit`) and [`CritReport::render_table`]
 //! (the human summary `amlinspect crit` and the run footer print).
+//! [`CritReport::from_json`] reads `crit.json` back — it is the one
+//! rendered report the read side loads, since it is not ledger-derived.
 
 use crate::json;
 use crate::profile::fmt_ns;
@@ -372,6 +374,89 @@ impl CritReport {
         out
     }
 
+    /// Parse a `crit.json` document back, the inverse of
+    /// [`CritReport::render_json`]: `from_json(r.render_json())` renders
+    /// the same bytes again. Strict about the pinned shape: `active`
+    /// must be `true` and `schema_version` must be
+    /// [`CRIT_SCHEMA_VERSION`], so a stale or future artifact fails
+    /// loudly instead of rendering nonsense.
+    pub fn from_json(text: &str) -> Result<CritReport, String> {
+        let v = json::parse(text)?;
+        match v.get("active") {
+            Some(json::Value::Bool(true)) => {}
+            Some(json::Value::Bool(false)) => {
+                return Err("collector was not active (run with --crit-out)".into())
+            }
+            _ => return Err("missing 'active' field — not a crit.json document".into()),
+        }
+        let schema = v.u64_at("schema_version")?;
+        if schema != u64::from(CRIT_SCHEMA_VERSION) {
+            return Err(format!(
+                "unsupported crit schema v{schema} (this build reads v{CRIT_SCHEMA_VERSION})"
+            ));
+        }
+        let segment = |s: &json::Value| {
+            Ok(Segment {
+                name: s.str_at("name")?.to_string(),
+                // Ids travel as decimal strings (see `render_json`).
+                id: s
+                    .str_at("id")?
+                    .parse()
+                    .map_err(|_| "segment 'id' is not a decimal string")?,
+                depth: s.u64_at("depth")? as usize,
+                total_ns: s.u64_at("total_ns")?,
+                contribution_ns: s.u64_at("contribution_ns")?,
+                parallel: s.bool_at("parallel")?,
+            })
+        };
+        let phase = |p: &json::Value| {
+            Ok(PhaseStat {
+                name: p.str_at("name")?.to_string(),
+                total_ns: p.u64_at("total_ns")?,
+                work_ns: p.u64_at("work_ns")?,
+                ideal_ns: p.u64_at("ideal_ns")?,
+                serial_fraction: p.f64_at("serial_fraction")?,
+                max_speedup: p.f64_at("max_speedup")?,
+                subtree_spans: p.u64_at("subtree_spans")?,
+            })
+        };
+        let scenarios = match v.get("scenarios") {
+            None | Some(json::Value::Null) => None,
+            Some(s) => {
+                let hist = s.req("histogram")?;
+                Some(ScenarioStats {
+                    total: s.u64_at("total")?,
+                    count: hist.u64_at("count")?,
+                    sum_ns: hist.u64_at("sum_ns")?,
+                    mean_ns: hist.u64_at("mean_ns")?,
+                    p50_ns: hist.u64_at("p50_ns")?,
+                    p95_ns: hist.u64_at("p95_ns")?,
+                    max_ns: hist.u64_at("max_ns")?,
+                })
+            }
+        };
+        Ok(CritReport {
+            wall_ns: v.u64_at("wall_ns")?,
+            cpu_ns: v.get("cpu_ns").and_then(json::Value::as_u64),
+            dominant_phase: v.str_at("dominant_phase")?.to_string(),
+            critical_path_ns: v.u64_at("critical_path_ns")?,
+            path: v
+                .arr_at("critical_path")?
+                .iter()
+                .map(segment)
+                .collect::<Result<_, String>>()?,
+            phases: v
+                .arr_at("phases")?
+                .iter()
+                .map(phase)
+                .collect::<Result<_, String>>()?,
+            amdahl: phase(v.req("amdahl")?)?,
+            scenarios,
+            nodes: v.u64_at("nodes")? as usize,
+            nodes_dropped: v.u64_at("nodes_dropped")?,
+        })
+    }
+
     fn phase_json(p: &PhaseStat) -> String {
         format!(
             "{{\"name\":{},\"total_ns\":{},\"work_ns\":{},\"ideal_ns\":{},\"serial_fraction\":{},\"max_speedup\":{},\"subtree_spans\":{}}}",
@@ -645,5 +730,30 @@ mod tests {
         assert!(table.contains("dominant phase: bench.datagen"), "{table}");
         assert!(table.contains("netsim.scenario [par]"), "{table}");
         assert!(table.contains("phase (Amdahl)"), "{table}");
+    }
+
+    #[test]
+    fn crit_json_round_trips_through_the_parser() {
+        let report = analyze(&fixture(), &empty_snapshot());
+        let parsed = CritReport::from_json(&report.render_json()).expect("parses");
+        // Floats lose precision to the {:.6} rendering, so compare via a
+        // second render: parse -> render is a fixpoint.
+        assert_eq!(parsed.render_json(), report.render_json());
+        assert_eq!(parsed.path, report.path);
+        assert_eq!(parsed.dominant_phase, report.dominant_phase);
+        assert_eq!(parsed.nodes, report.nodes);
+    }
+
+    #[test]
+    fn parser_rejects_inactive_and_foreign_documents() {
+        let err = CritReport::from_json("{\"active\":false}\n").unwrap_err();
+        assert!(err.contains("--crit-out"), "{err}");
+        assert!(CritReport::from_json("{\"workload\":\"x\"}").is_err());
+        assert!(CritReport::from_json("not json at all").is_err());
+        let future = analyze(&fixture(), &empty_snapshot())
+            .render_json()
+            .replace("\"schema_version\":1", "\"schema_version\":99");
+        let err = CritReport::from_json(&future).unwrap_err();
+        assert!(err.contains("v99"), "{err}");
     }
 }

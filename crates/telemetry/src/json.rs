@@ -208,17 +208,6 @@ impl Value {
         self.typed(key, "a number", Value::as_f64_or_nan)
     }
 
-    /// Required numeric member where `null` means "absent".
-    pub fn opt_f64_at(&self, key: &str) -> Result<Option<f64>, String> {
-        match self.req(key)? {
-            Value::Null => Ok(None),
-            v => v
-                .as_f64()
-                .map(Some)
-                .ok_or_else(|| format!("field '{key}' is not a number")),
-        }
-    }
-
     /// Required boolean member.
     pub fn bool_at(&self, key: &str) -> Result<bool, String> {
         self.typed(key, "a boolean", |v| match v {
@@ -743,8 +732,6 @@ mod tests {
         let v = parse(r#"{"s":"x","n":null,"f":1.5,"xs":[1,null],"b":true,"ss":["a"]}"#).unwrap();
         assert_eq!(v.str_at("s"), Ok("x"));
         assert!(v.f64_at("n").unwrap().is_nan());
-        assert_eq!(v.opt_f64_at("n"), Ok(None));
-        assert_eq!(v.opt_f64_at("f"), Ok(Some(1.5)));
         assert_eq!(v.bool_at("b"), Ok(true));
         assert_eq!(v.strs_at("ss"), Ok(vec!["a".to_string()]));
         let xs = v.f64s_at("xs").unwrap();

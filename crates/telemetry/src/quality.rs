@@ -24,7 +24,7 @@
 //!   pinned-field-order `quality.json` behind `--quality-out`.
 //! * **drift** — [`psi`] scores each feature's histogram against a
 //!   reference: the previous round's profile by default, or a baseline
-//!   loaded from a prior run's `quality.json` (`--quality-ref`, handed
+//!   loaded from a prior run's ledger (`--quality-ref`, handed
 //!   to [`arm`]). Bins are epsilon-smoothed so an
 //!   empty bin can never produce an infinite score.
 //!
@@ -243,7 +243,7 @@ pub fn ece_from_bins(count: &[u64], conf_sum: &[f64], hit: &[u64]) -> f64 {
     ece
 }
 
-/// A baseline profile set loaded from a previous run's `quality.json`
+/// A baseline profile set folded from a previous run's ledger
 /// (`--quality-ref`); drift is scored against it instead of the
 /// previous round.
 #[derive(Debug, Clone, PartialEq)]
@@ -967,7 +967,7 @@ static STORE: FoldStore<QualityCollector> =
     FoldStore::new("quality collector (in memory)", QualityCollector::new(None));
 
 /// Arm the live collector for a new run: it starts empty, drifts against
-/// `reference` (a previous run's `quality.json`, `--quality-ref`) or the
+/// `reference` (from a previous run's ledger, `--quality-ref`) or the
 /// previous round, and every ledger event from here on is folded into it.
 pub fn arm(reference: Option<QualityReference>) {
     STORE.arm(QualityCollector::new(reference));
