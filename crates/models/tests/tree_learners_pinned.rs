@@ -313,3 +313,116 @@ fn midpoint_rounding_onto_the_upper_value_makes_a_leaf() {
         (1, vec![0.5, 0.5])
     );
 }
+
+/// A firewall sample: twelve integer-valued, tie-heavy features (ports,
+/// byte and packet counts) and four imbalanced classes. Sweeping ties in a
+/// different row order changes float sums here, where moons and blobs,
+/// whose values are all distinct, cannot show it.
+fn firewall(n: usize, seed: u64) -> Dataset {
+    aml_fwgen::generate(&aml_fwgen::FwGenConfig {
+        n,
+        seed,
+        priors: None,
+    })
+    .unwrap()
+}
+
+/// Digest of `predict_proba` over the training rows, then over a second,
+/// held-out firewall sample whose values fall anywhere between the splits.
+fn firewall_digest(model: &dyn Classifier, ds: &Dataset) -> u64 {
+    let held_out = firewall(300, 99);
+    let mut h = FNV_OFFSET;
+    for data in [ds, &held_out] {
+        for i in 0..data.n_rows() {
+            for p in model.predict_proba_row(data.row(i)).unwrap() {
+                h = fnv1a(h, &p.to_bits().to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+fn firewall_tree(params: TreeParams, weights: Option<&[f64]>) -> (u64, usize, usize) {
+    let ds = firewall(1200, 4);
+    let t = match weights {
+        Some(w) => DecisionTree::fit_weighted(&ds, params, w).unwrap(),
+        None => DecisionTree::fit(&ds, params).unwrap(),
+    };
+    (firewall_digest(&t, &ds), t.n_nodes(), t.depth())
+}
+
+#[test]
+fn firewall_decision_tree_gini_and_entropy_best() {
+    assert_eq!(
+        firewall_tree(tree_params(Criterion::Gini, Splitter::Best), None),
+        (17862475069292912418, 207, 12)
+    );
+    assert_eq!(
+        firewall_tree(tree_params(Criterion::Entropy, Splitter::Best), None),
+        (7645516800236150812, 163, 12)
+    );
+}
+
+#[test]
+fn firewall_decision_tree_non_dyadic_weights() {
+    // Weights like 1/3 and 1/7 are inexact, so class sums depend on the
+    // order in which tied rows are added; some zeros ride along.
+    let w: Vec<f64> = (0..1200)
+        .map(|i| {
+            if i % 11 == 0 {
+                0.0
+            } else {
+                1.0 / (1 + i % 7) as f64
+            }
+        })
+        .collect();
+    assert_eq!(
+        firewall_tree(TreeParams::default(), Some(&w)),
+        (13515854194198046927, 209, 12)
+    );
+}
+
+#[test]
+fn firewall_random_forest() {
+    let ds = firewall(1200, 4);
+    let f = RandomForest::fit(&ds, forest_params()).unwrap();
+    assert_eq!(
+        (firewall_digest(&f, &ds), f.n_trees()),
+        (3989443014870644987, 12)
+    );
+}
+
+#[test]
+fn firewall_gradient_boosting_four_class() {
+    let ds = firewall(1200, 4);
+    assert_eq!(ds.n_classes(), 4);
+    let m = GradientBoosting::fit(
+        &ds,
+        GbdtParams {
+            n_rounds: 8,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        (firewall_digest(&m, &ds), m.n_rounds()),
+        (2703146791258942385, 8)
+    );
+}
+
+#[test]
+fn firewall_adaboost() {
+    let ds = firewall(1200, 4);
+    let m = AdaBoost::fit(
+        &ds,
+        AdaBoostParams {
+            n_rounds: 12,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(
+        (firewall_digest(&m, &ds), m.n_learners()),
+        (9200085717884291861, 12)
+    );
+}
