@@ -9,7 +9,7 @@
 //! feedback feed on.
 
 use crate::model::{argmax, check_row, check_training, normalize, Classifier};
-use crate::tree::{DecisionTree, TreeParams};
+use crate::tree::{DecisionTree, Presort, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -61,10 +61,13 @@ impl AdaBoost {
         let k = ds.n_classes() as f64;
         let mut weights = vec![1.0 / n as f64; n];
         let mut learners = Vec::with_capacity(params.n_rounds);
+        // Only the weights change between rounds: sort each feature once.
+        let presort = Presort::new(ds);
 
         for round in 0..params.n_rounds {
-            let tree = DecisionTree::fit_weighted(
+            let tree = DecisionTree::fit_weighted_presorted(
                 ds,
+                Some(&presort),
                 TreeParams {
                     max_depth: params.max_depth,
                     seed: round as u64,

@@ -8,7 +8,7 @@
 
 use crate::model::{check_row, check_training, Classifier};
 use crate::regression;
-use crate::tree::Tree;
+use crate::tree::{Presort, Tree};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -77,6 +77,8 @@ impl GradientBoosting {
             .collect();
 
         let mut scores: Vec<Vec<f64>> = (0..k).map(|c| vec![base_score[c]; n]).collect();
+        // Every round regrows on the same rows: sort each feature once.
+        let presort = Presort::new(ds);
         let mut stages = Vec::with_capacity(params.n_rounds);
 
         for _round in 0..params.n_rounds {
@@ -92,8 +94,13 @@ impl GradientBoosting {
                         y - proba[i][c]
                     })
                     .collect();
-                let mut tree =
-                    regression::fit(ds, &grad, params.max_depth, params.min_samples_leaf)?;
+                let mut tree = regression::fit(
+                    ds,
+                    &presort,
+                    &grad,
+                    params.max_depth,
+                    params.min_samples_leaf,
+                )?;
                 // Newton leaf values: Σg / Σ|h| with h = p(1−p), damped by
                 // the usual (k−1)/k multiclass factor.
                 let factor = (k as f64 - 1.0) / k as f64;

@@ -6,18 +6,20 @@
 //! [`SquaredError`] statistic. Boosting then replaces the leaf means with
 //! Newton-step values through [`Tree::relabel_leaves`].
 
-use crate::tree::{SquaredError, Tree, TreeParams};
+use crate::tree::{Presort, SquaredError, Tree, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
-/// Fit a regression tree on the features of `ds` against real targets `y`.
-/// A node with fewer than `2 * min_samples_leaf` rows is not split.
+/// Fit a regression tree on the features of `ds` against real targets `y`,
+/// sweeping `presort` ([`Presort::new`] of `ds`, shared by every boosting
+/// round). A node with fewer than `2 * min_samples_leaf` rows is not split.
 ///
 /// # Errors
 /// Empty data, length mismatch, non-finite targets, or
 /// `min_samples_leaf == 0`.
 pub(crate) fn fit(
     ds: &Dataset,
+    presort: &Presort,
     y: &[f64],
     max_depth: usize,
     min_samples_leaf: usize,
@@ -44,13 +46,17 @@ pub(crate) fn fit(
         ..Default::default()
     };
     params.validate(ds.n_features())?;
-    Ok(Tree::fit(ds, &SquaredError { y }, &params))
+    Ok(Tree::fit(ds, Some(presort), &SquaredError { y }, &params))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aml_dataset::Dataset;
+
+    fn fit(ds: &Dataset, y: &[f64], max_depth: usize, min_leaf: usize) -> Result<Tree<f64>> {
+        super::fit(ds, &Presort::new(ds), y, max_depth, min_leaf)
+    }
 
     fn step_data() -> (Dataset, Vec<f64>) {
         // y = 0 for x < 0.5, y = 10 for x >= 0.5

@@ -2,11 +2,15 @@
 //!
 //! A tree is an arena of `Node`s grown depth-first by one grower. At each
 //! node the best (feature, threshold) pair over an optionally subsampled
-//! feature set is found either by sorting the node's rows on the feature and
-//! sweeping every boundary between distinct values (classic CART), or by
-//! scoring one uniform-random threshold per feature (extra-trees). What the
-//! rows at a node are summarised by, and how a partition is scored, is a
-//! `Stat`:
+//! feature set is found either by one sweep over every boundary between
+//! distinct values of the node's rows in feature order (classic CART), or by
+//! scoring one uniform-random threshold per feature (extra-trees). The
+//! feature order comes from a [`Presort`]: each feature is sorted once per
+//! fit, with ties in ascending row order, and every split stably partitions
+//! that order between the children, so no node sorts. Boosting builds one
+//! presort and shares it across all the trees it grows on the same rows.
+//! What the rows at a node are summarised by, and how a partition is scored,
+//! is a `Stat`:
 //!
 //! * `ClassCounts` — per-class sample weights scored by gini/entropy
 //!   impurity decrease. [`DecisionTree`] uses it, and through it the forests
@@ -140,15 +144,35 @@ pub(crate) struct Tree<L> {
 
 impl<L> Tree<L> {
     /// Grow a tree over every row of `ds`, summarising nodes with `stat`.
-    pub(crate) fn fit<S: Stat<Leaf = L>>(ds: &Dataset, stat: &S, params: &TreeParams) -> Self {
+    /// `Best` splits sweep `presort`, which must be [`Presort::new`] of `ds`;
+    /// `Random` splits read no presort and may be given none.
+    pub(crate) fn fit<S: Stat<Leaf = L>>(
+        ds: &Dataset,
+        presort: Option<&Presort>,
+        stat: &S,
+        params: &TreeParams,
+    ) -> Self {
+        let n = ds.n_rows();
+        let order = match params.splitter {
+            Splitter::Best => {
+                let presort = presort.expect("best splits sweep a presort");
+                debug_assert_eq!(presort.order.len(), n * ds.n_features());
+                presort.order.clone()
+            }
+            Splitter::Random => Vec::new(),
+        };
         let mut grower = Grower {
             ds,
             stat,
             params,
             rng: StdRng::seed_from_u64(params.seed),
             nodes: Vec::new(),
+            rows: (0..n).collect(),
+            order,
+            goes_left: vec![false; n],
+            scratch: Vec::with_capacity(n),
         };
-        let root = grower.grow((0..ds.n_rows()).collect(), 0);
+        let root = grower.grow(0, n, 0);
         debug_assert_eq!(root, 0, "root is always the first node");
         Tree {
             nodes: grower.nodes,
@@ -393,42 +417,116 @@ impl Stat for SquaredError<'_> {
     }
 }
 
+/// Row ids sorted by each feature's value, ties in ascending row order:
+/// `order[f * n_rows..(f + 1) * n_rows]` is a stable sort of `0..n_rows` by
+/// feature `f`. Built once per fit and shared by every tree grown on the
+/// same rows.
+pub(crate) struct Presort {
+    order: Vec<usize>,
+}
+
+impl Presort {
+    pub(crate) fn new(ds: &Dataset) -> Self {
+        let n = ds.n_rows();
+        let mut order = Vec::with_capacity(n * ds.n_features());
+        let mut keys: Vec<(u64, usize)> = Vec::with_capacity(n);
+        for f in 0..ds.n_features() {
+            keys.clear();
+            keys.extend((0..n).map(|i| (order_key(ds.row(i)[f]), i)));
+            // Row ids are distinct, so this order is total and equals that
+            // of a stable sort of `0..n` by value.
+            keys.sort_unstable();
+            order.extend(keys.iter().map(|&(_, i)| i));
+        }
+        Presort { order }
+    }
+}
+
+/// An integer that orders finite floats as `partial_cmp` does, with `-0.0`
+/// equal to `0.0`: flip every bit of a negative number, and only the sign
+/// bit of a positive one.
+fn order_key(x: f64) -> u64 {
+    let bits = (x + 0.0).to_bits(); // -0.0 + 0.0 is 0.0
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Move the ids of `ids` whose `goes_left` flag is set to the front, keeping
+/// the relative order on both sides. `scratch` holds the right side
+/// meanwhile; its capacity is reused from call to call.
+fn stable_partition(ids: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usize>) {
+    scratch.clear();
+    let mut n_left = 0;
+    for j in 0..ids.len() {
+        let i = ids[j];
+        if goes_left[i] {
+            ids[n_left] = i;
+            n_left += 1;
+        } else {
+            scratch.push(i);
+        }
+    }
+    ids[n_left..].copy_from_slice(scratch);
+}
+
 /// Depth-first grower state for one tree.
+///
+/// The node being grown owns the range `start..end` of `rows` and of each
+/// feature's slice of `order`. Splitting a node stably partitions those
+/// ranges, so each child owns a subrange in the same two orders.
 struct Grower<'a, S: Stat> {
     ds: &'a Dataset,
     stat: &'a S,
     params: &'a TreeParams,
     rng: StdRng,
     nodes: Vec<Node<S::Leaf>>,
+    /// Row ids, in ascending order within each node's range.
+    rows: Vec<usize>,
+    /// Working copy of the [`Presort`] (empty for `Random`): within each
+    /// node's range, feature `f`'s slice is sorted by value, ties in
+    /// ascending row order.
+    order: Vec<usize>,
+    /// Whether each row goes left under the split being applied.
+    goes_left: Vec<bool>,
+    /// Right side of a stable partition in progress.
+    scratch: Vec<usize>,
 }
 
 impl<S: Stat> Grower<'_, S> {
-    /// Grow a subtree over `rows`, returning its node id.
-    fn grow(&mut self, rows: Vec<usize>, depth: usize) -> usize {
-        let node = self.stat.node(&rows);
+    /// Grow a subtree over the rows in `start..end`, returning its node id.
+    fn grow(&mut self, start: usize, end: usize, depth: usize) -> usize {
+        let node = self.stat.node(&self.rows[start..end]);
         let p = self.params;
+        let n_rows = end - start;
         let stop = depth >= p.max_depth
-            || rows.len() < p.min_samples_split
+            || n_rows < p.min_samples_split
             || node.impurity <= 1e-12
             || node.weight <= 0.0;
         let split = if stop {
             None
         } else {
-            self.best_split(&rows, &node)
+            self.best_split(start, end, &node)
         };
         let Some((feature, threshold)) = split else {
             return self.push(Node::Leaf(node.leaf));
         };
-        let (left_rows, right_rows): (Vec<usize>, Vec<usize>) = rows
-            .iter()
-            .partition(|&&i| self.ds.row(i)[feature] <= threshold);
-        if left_rows.len() < p.min_samples_leaf || right_rows.len() < p.min_samples_leaf {
+        let mut n_left = 0;
+        for &i in &self.rows[start..end] {
+            let left = self.ds.row(i)[feature] <= threshold;
+            self.goes_left[i] = left;
+            n_left += left as usize;
+        }
+        if n_left < p.min_samples_leaf || n_rows - n_left < p.min_samples_leaf {
             return self.push(Node::Leaf(node.leaf));
         }
+        self.partition(start, end);
         // Reserve our slot before the children so the root is node 0.
         let id = self.push(Node::Leaf(node.leaf));
-        let left = self.grow(left_rows, depth + 1);
-        let right = self.grow(right_rows, depth + 1);
+        let left = self.grow(start, start + n_left, depth + 1);
+        let right = self.grow(start + n_left, end, depth + 1);
         self.nodes[id] = Node::Split {
             feature,
             threshold,
@@ -441,6 +539,16 @@ impl<S: Stat> Grower<'_, S> {
     fn push(&mut self, node: Node<S::Leaf>) -> usize {
         self.nodes.push(node);
         self.nodes.len() - 1
+    }
+
+    /// Split the range `start..end` of `rows` and of every feature's order
+    /// by `goes_left`, left side first.
+    fn partition(&mut self, start: usize, end: usize) {
+        let (goes_left, scratch) = (&self.goes_left, &mut self.scratch);
+        stable_partition(&mut self.rows[start..end], goes_left, scratch);
+        for column in self.order.chunks_exact_mut(self.ds.n_rows()) {
+            stable_partition(&mut column[start..end], goes_left, scratch);
+        }
     }
 
     /// Candidate feature subset for a split.
@@ -457,13 +565,20 @@ impl<S: Stat> Grower<'_, S> {
         }
     }
 
-    /// Highest-scoring (feature, threshold) over the candidate features.
+    /// Highest-scoring (feature, threshold) over the candidate features for
+    /// the rows in `start..end`.
     ///
-    /// `Best` sorts the node's rows by the feature and sweeps every boundary
-    /// between distinct values, thresholding at the midpoint. `Random` draws
-    /// one uniform threshold in the node's range of the feature.
-    fn best_split(&mut self, rows: &[usize], node: &NodeSummary<S::Leaf>) -> Option<(usize, f64)> {
-        let (ds, stat) = (self.ds, self.stat);
+    /// `Best` reads the node's rows in the feature's presorted order and
+    /// sweeps every boundary between distinct values, thresholding at the
+    /// midpoint. `Random` draws one uniform threshold in the node's range of
+    /// the feature.
+    fn best_split(
+        &mut self,
+        start: usize,
+        end: usize,
+        node: &NodeSummary<S::Leaf>,
+    ) -> Option<(usize, f64)> {
+        let (ds, stat, n) = (self.ds, self.stat, self.ds.n_rows());
         let min_leaf = self.params.min_samples_leaf;
         let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
         let mut offer = |score: f64, feature: usize, threshold: f64| {
@@ -471,18 +586,14 @@ impl<S: Stat> Grower<'_, S> {
                 best = Some((score, feature, threshold));
             }
         };
-        let mut sorted = Vec::with_capacity(rows.len());
-        for f in self.candidate_features() {
+        let features = self.candidate_features();
+        let rows = &self.rows[start..end];
+        for f in features {
             let x = |i: usize| ds.row(i)[f];
             match self.params.splitter {
                 Splitter::Best => {
-                    sorted.clear();
-                    sorted.extend_from_slice(rows);
-                    sorted.sort_by(|&a, &b| {
-                        x(a).partial_cmp(&x(b))
-                            .expect("dataset rejects non-finite values")
-                    });
-                    let mut part = stat.all_right(&sorted);
+                    let sorted = &self.order[f * n + start..f * n + end];
+                    let mut part = stat.all_right(sorted);
                     for pos in 0..sorted.len() - 1 {
                         stat.move_left(&mut part, sorted[pos]);
                         let (v_here, v_next) = (x(sorted[pos]), x(sorted[pos + 1]));
@@ -537,6 +648,18 @@ impl DecisionTree {
     /// zero; zero-weight samples are ignored for split scoring but still
     /// routed, matching standard implementations).
     pub fn fit_weighted(ds: &Dataset, params: TreeParams, weights: &[f64]) -> Result<Self> {
+        let presort = (params.splitter == Splitter::Best).then(|| Presort::new(ds));
+        Self::fit_weighted_presorted(ds, presort.as_ref(), params, weights)
+    }
+
+    /// [`fit_weighted`](Self::fit_weighted) sweeping a presort of `ds` that
+    /// the caller built once, so boosting rounds share it.
+    pub(crate) fn fit_weighted_presorted(
+        ds: &Dataset,
+        presort: Option<&Presort>,
+        params: TreeParams,
+        weights: &[f64],
+    ) -> Result<Self> {
         check_training(ds)?;
         params.validate(ds.n_features())?;
         if weights.len() != ds.n_rows() {
@@ -556,7 +679,7 @@ impl DecisionTree {
             criterion: params.criterion,
         };
         Ok(DecisionTree {
-            tree: Tree::fit(ds, &stat, &params),
+            tree: Tree::fit(ds, presort, &stat, &params),
             n_classes: ds.n_classes(),
             n_features: ds.n_features(),
             params,
@@ -775,6 +898,92 @@ mod tests {
         let pw = weighted.predict_proba_row(&[0.0]).unwrap()[1];
         assert!(pw > pu, "weighted {pw} should exceed uniform {pu}");
         assert!((pw - 0.75).abs() < 1e-9);
+    }
+
+    /// Rows whose feature values repeat, so most of the order is ties.
+    fn tied_rows() -> Dataset {
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|i| {
+                vec![
+                    (i % 3) as f64,
+                    ((7 * i) % 5) as f64 * 0.5,
+                    -((i % 2) as f64),
+                ]
+            })
+            .collect();
+        let labels: Vec<usize> = (0..40).map(|i| (i / 3 + i % 4) % 3).collect();
+        Dataset::from_rows(&rows, &labels, 3).unwrap()
+    }
+
+    #[test]
+    fn stable_partition_keeps_relative_order_on_both_sides() {
+        let mut ids = vec![9, 2, 7, 0, 5, 3, 8, 1, 6, 4];
+        let goes_left: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
+        let mut scratch = Vec::new();
+        stable_partition(&mut ids, &goes_left, &mut scratch);
+        assert_eq!(ids, vec![9, 0, 3, 6, 2, 7, 5, 8, 1, 4]);
+        // All left or all right leaves the order as it was.
+        stable_partition(&mut ids, &[true; 10], &mut scratch);
+        assert_eq!(ids, vec![9, 0, 3, 6, 2, 7, 5, 8, 1, 4]);
+        stable_partition(&mut ids, &[false; 10], &mut scratch);
+        assert_eq!(ids, vec![9, 0, 3, 6, 2, 7, 5, 8, 1, 4]);
+    }
+
+    #[test]
+    fn order_key_orders_like_partial_cmp() {
+        let xs = [
+            -1e300, -2.5, -1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 3.0, 1e300,
+        ];
+        for a in xs {
+            for b in xs {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.partial_cmp(&b).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn presort_orders_by_value_then_row_id() {
+        let ds = tied_rows();
+        let n = ds.n_rows();
+        let presort = Presort::new(&ds);
+        assert_eq!(presort.order.len(), n * ds.n_features());
+        for (f, column) in presort.order.chunks_exact(n).enumerate() {
+            let mut ids = column.to_vec();
+            ids.sort_unstable();
+            assert_eq!(
+                ids,
+                (0..n).collect::<Vec<_>>(),
+                "feature {f} is a permutation"
+            );
+            for pair in column.windows(2) {
+                let (a, b) = (ds.row(pair[0])[f], ds.row(pair[1])[f]);
+                assert!(
+                    a < b || (a == b && pair[0] < pair[1]),
+                    "feature {f}: {pair:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_shared_presort_grows_the_trees_of_fresh_fits() {
+        let ds = tied_rows();
+        let presort = Presort::new(&ds);
+        let params = TreeParams {
+            max_depth: 5,
+            ..Default::default()
+        };
+        for weights in [
+            vec![1.0; 40],
+            (0..40).map(|i| 1.0 / (1 + i % 6) as f64).collect(),
+        ] {
+            let shared =
+                DecisionTree::fit_weighted_presorted(&ds, Some(&presort), params.clone(), &weights)
+                    .unwrap();
+            let fresh = DecisionTree::fit_weighted(&ds, params.clone(), &weights).unwrap();
+            assert!(shared.n_nodes() > 1);
+            assert_eq!(shared, fresh);
+        }
     }
 
     #[test]
