@@ -110,6 +110,7 @@ pub struct FittedAutoMl {
     leaderboard: Vec<TrainedCandidate>,
     val_score: f64,
     seed: u64,
+    parallelism: usize,
 }
 
 impl AutoMl {
@@ -197,6 +198,7 @@ impl AutoMl {
             leaderboard,
             val_score: outcome.val_score,
             seed: self.config.seed,
+            parallelism: self.config.parallelism,
         })
     }
 }
@@ -222,6 +224,12 @@ impl FittedAutoMl {
         self.seed
     }
 
+    /// The worker-thread count this run was fit with; analyses of the
+    /// fitted run fan out over as many.
+    pub fn parallelism(&self) -> usize {
+        self.parallelism
+    }
+
     /// Names of the distinct ensemble members (diagnostics / reports).
     pub fn member_names(&self) -> Vec<&'static str> {
         self.ensemble.members().iter().map(|m| m.name()).collect()
@@ -237,8 +245,8 @@ impl Classifier for FittedAutoMl {
         self.ensemble.n_features()
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> aml_models::Result<Vec<f64>> {
-        self.ensemble.predict_proba_row(row)
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+        self.ensemble.predict_proba_into(rows, out)
     }
 
     fn name(&self) -> &'static str {

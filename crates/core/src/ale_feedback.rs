@@ -134,6 +134,10 @@ impl AleFeedback {
     /// Run the analysis over the fitted runs. `Within` uses `runs[0]`'s
     /// ensemble members; `Cross` uses each run's full ensemble as one
     /// committee member (and therefore needs ≥ 2 runs).
+    ///
+    /// The per-feature bands are computed on as many worker threads as
+    /// `runs[0]` was fit with; they come back in feature order, and the
+    /// result is the same bits at any thread count.
     pub fn analyze(&self, runs: &[FittedAutoMl], data: &Dataset) -> Result<AleAnalysis> {
         if runs.is_empty() {
             return Err(CoreError::InvalidParameter(
@@ -171,36 +175,14 @@ impl AleFeedback {
             )));
         }
 
-        let cfg = AleConfig {
-            target_class: self.target_class,
-        };
-        let mut bands = Vec::with_capacity(data.n_features());
-        for feature in 0..data.n_features() {
-            let column = data.column(feature)?;
-            // Quantile grids follow the data; constant features get a
-            // degenerate band with zero variance rather than an error.
-            match Grid::quantile(&column, self.n_intervals) {
-                Ok(grid) => bands.push(match self.method {
-                    InterpretationMethod::Ale => {
-                        ale_band_on_grid(&models, data, feature, &grid, &cfg)?
-                    }
-                    InterpretationMethod::Pdp => {
-                        pdp_band_on_grid(&models, data, feature, &grid, &cfg)?
-                    }
-                }),
-                Err(aml_interpret::InterpretError::DegenerateGrid) => {
-                    bands.push(AleBand {
-                        feature,
-                        feature_name: data.features()[feature].name.clone(),
-                        grid: vec![column[0], column[0] + 1e-9],
-                        mean: vec![0.0, 0.0],
-                        std: vec![0.0, 0.0],
-                        n_models: models.len(),
-                    });
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let jobs = (0..data.n_features()).map(|f| (f as u64, f)).collect();
+        let ctx = aml_telemetry::TraceContext::current();
+        let bands = aml_telemetry::tracetree::par_map(ctx, runs[0].parallelism(), jobs, |_, f| {
+            self.band(&models, data, f)
+        })
+        .unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message)))
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
 
         // Per-feature thresholds (identical for the scalar rules).
         let per_feature: Vec<f64> = match self.threshold {
@@ -254,6 +236,31 @@ impl AleFeedback {
             threshold,
             regions,
         })
+    }
+
+    /// One feature's band across the committee `models`.
+    fn band(&self, models: &[&dyn Classifier], data: &Dataset, feature: usize) -> Result<AleBand> {
+        let cfg = AleConfig {
+            target_class: self.target_class,
+        };
+        let column = data.column(feature)?;
+        // Quantile grids follow the data; constant features get a
+        // degenerate band with zero variance rather than an error.
+        match Grid::quantile(&column, self.n_intervals) {
+            Ok(grid) => Ok(match self.method {
+                InterpretationMethod::Ale => ale_band_on_grid(models, data, feature, &grid, &cfg)?,
+                InterpretationMethod::Pdp => pdp_band_on_grid(models, data, feature, &grid, &cfg)?,
+            }),
+            Err(aml_interpret::InterpretError::DegenerateGrid) => Ok(AleBand {
+                feature,
+                feature_name: data.features()[feature].name.clone(),
+                grid: vec![column[0], column[0] + 1e-9],
+                mean: vec![0.0, 0.0],
+                std: vec![0.0, 0.0],
+                n_models: models.len(),
+            }),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Free-sampling suggestion: draw `n_points` rows from the **union**

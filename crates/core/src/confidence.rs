@@ -49,9 +49,12 @@ mod tests {
         fn n_features(&self) -> usize {
             1
         }
-        fn predict_proba_row(&self, row: &[f64]) -> aml_models::Result<Vec<f64>> {
-            let p = row[0].clamp(0.0, 1.0);
-            Ok(vec![1.0 - p, p])
+        fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+            for (row, p) in rows.chunks(1).zip(out.chunks_mut(2)) {
+                let x = row[0].clamp(0.0, 1.0);
+                p.copy_from_slice(&[1.0 - x, x]);
+            }
+            Ok(())
         }
         fn name(&self) -> &'static str {
             "linear_prob"

@@ -75,12 +75,12 @@ mod tests {
         fn n_features(&self) -> usize {
             1
         }
-        fn predict_proba_row(&self, row: &[f64]) -> aml_models::Result<Vec<f64>> {
-            if row[0] > self.0 {
-                Ok(vec![0.1, 0.9])
-            } else {
-                Ok(vec![0.9, 0.1])
+        fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+            for (&x, p) in rows.iter().zip(out.chunks_mut(2)) {
+                let p1 = if x > self.0 { 0.9 } else { 0.1 };
+                p.copy_from_slice(&[1.0 - p1, p1]);
             }
+            Ok(())
         }
         fn name(&self) -> &'static str {
             "thresh"

@@ -164,8 +164,15 @@ mod tests {
             1
         }
 
-        fn predict_proba_row(&self, _row: &[f64]) -> std::result::Result<Vec<f64>, ModelError> {
-            Ok(self.proba.clone())
+        fn predict_proba_into(
+            &self,
+            _rows: &[f64],
+            out: &mut [f64],
+        ) -> std::result::Result<(), ModelError> {
+            for p in out.chunks_mut(self.proba.len()) {
+                p.copy_from_slice(&self.proba);
+            }
+            Ok(())
         }
 
         fn name(&self) -> &'static str {

@@ -166,6 +166,11 @@ impl Dataset {
         Ok(self.row(i))
     }
 
+    /// Every row's features, row-major (`n_rows() * n_features()` values).
+    pub fn values(&self) -> &[f64] {
+        &self.data
+    }
+
     /// Label of row `i`.
     ///
     /// # Panics

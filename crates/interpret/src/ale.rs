@@ -20,6 +20,11 @@ use crate::{InterpretError, Result};
 use aml_dataset::Dataset;
 use aml_models::Classifier;
 
+/// Rows per batch prediction call in [`ale_curve`] and
+/// [`crate::pdp::pdp_curve`]: enough to amortize a call, few enough that
+/// the shifted-row buffers stay a few tens of KiB at any data size.
+pub(crate) const BATCH_ROWS: usize = 256;
+
 /// Configuration for an ALE computation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AleConfig {
@@ -111,26 +116,44 @@ pub fn ale_curve(
     let mut sums = vec![0.0; k];
     let mut counts = vec![0usize; k];
 
-    let mut row_buf = vec![0.0; data.n_features()];
-    for i in 0..data.n_rows() {
-        let row = data.row(i);
-        // Defensive: a non-finite feature value cannot be binned; skip the
-        // row (counted) rather than accumulate garbage into an interval.
-        if !row[feature].is_finite() {
-            aml_telemetry::counter_add("ale.nonfinite_dropped", 1);
-            continue;
+    // Each chunk of rows is shifted to its intervals' upper and lower grid
+    // points and predicted in two batch calls; effects are then added in
+    // row order, as one row at a time would add them.
+    let (n_features, n_classes) = (data.n_features(), model.n_classes());
+    let mut hi = Vec::with_capacity(BATCH_ROWS * n_features);
+    let mut lo = Vec::with_capacity(BATCH_ROWS * n_features);
+    let mut intervals = Vec::with_capacity(BATCH_ROWS);
+    let mut p_hi = vec![0.0; BATCH_ROWS * n_classes];
+    let mut p_lo = vec![0.0; BATCH_ROWS * n_classes];
+    for start in (0..data.n_rows()).step_by(BATCH_ROWS) {
+        hi.clear();
+        lo.clear();
+        intervals.clear();
+        for i in start..data.n_rows().min(start + BATCH_ROWS) {
+            let row = data.row(i);
+            // Defensive: a non-finite feature value cannot be binned; skip
+            // the row (counted) rather than accumulate garbage into an
+            // interval.
+            if !row[feature].is_finite() {
+                aml_telemetry::counter_add("ale.nonfinite_dropped", 1);
+                continue;
+            }
+            let interval = grid.interval_of(row[feature]);
+            hi.extend_from_slice(row);
+            lo.extend_from_slice(row);
+            let at = intervals.len() * n_features + feature;
+            hi[at] = grid.points()[interval + 1];
+            lo[at] = grid.points()[interval];
+            intervals.push(interval);
         }
-        let interval = grid.interval_of(row[feature]);
-        let (z_lo, z_hi) = (grid.points()[interval], grid.points()[interval + 1]);
-
-        row_buf.copy_from_slice(row);
-        row_buf[feature] = z_hi;
-        let p_hi = model.predict_proba_row(&row_buf)?[config.target_class];
-        row_buf[feature] = z_lo;
-        let p_lo = model.predict_proba_row(&row_buf)?[config.target_class];
-
-        sums[interval] += p_hi - p_lo;
-        counts[interval] += 1;
+        let n = intervals.len() * n_classes;
+        model.predict_proba_into(&hi, &mut p_hi[..n])?;
+        model.predict_proba_into(&lo, &mut p_lo[..n])?;
+        for (t, &interval) in intervals.iter().enumerate() {
+            let at = t * n_classes + config.target_class;
+            sums[interval] += p_hi[at] - p_lo[at];
+            counts[interval] += 1;
+        }
     }
 
     // Accumulate mean local effects; empty intervals carry zero effect.
@@ -187,9 +210,12 @@ mod tests {
         fn n_features(&self) -> usize {
             2
         }
-        fn predict_proba_row(&self, row: &[f64]) -> aml_models::Result<Vec<f64>> {
-            let p = row[0].clamp(0.0, 1.0);
-            Ok(vec![1.0 - p, p])
+        fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+            for (row, p) in rows.chunks(2).zip(out.chunks_mut(2)) {
+                let x = row[0].clamp(0.0, 1.0);
+                p.copy_from_slice(&[1.0 - x, x]);
+            }
+            Ok(())
         }
         fn name(&self) -> &'static str {
             "linear_in_x0"

@@ -6,7 +6,7 @@
 //! obvious alternatives, and the ablation benches compare PDP-variance
 //! feedback against ALE-variance feedback.
 
-use crate::ale::AleConfig;
+use crate::ale::{AleConfig, BATCH_ROWS};
 use crate::grid::Grid;
 use crate::{InterpretError, Result};
 use aml_dataset::Dataset;
@@ -75,14 +75,26 @@ pub fn pdp_curve(
         grid_points: grid.points().len() as u64,
         rows: data.n_rows() as u64,
     });
+    // Rows are clamped and predicted a chunk per batch call; the response
+    // is summed in row order, as one row at a time would sum it.
+    let (n_features, n_classes) = (data.n_features(), model.n_classes());
     let mut values = Vec::with_capacity(grid.points().len());
-    let mut row_buf = vec![0.0; data.n_features()];
+    let mut rows = Vec::with_capacity(BATCH_ROWS * n_features);
+    let mut proba = vec![0.0; BATCH_ROWS * n_classes];
     for &z in grid.points() {
         let mut acc = 0.0;
-        for i in 0..data.n_rows() {
-            row_buf.copy_from_slice(data.row(i));
-            row_buf[feature] = z;
-            acc += model.predict_proba_row(&row_buf)?[config.target_class];
+        for start in (0..data.n_rows()).step_by(BATCH_ROWS) {
+            let end = data.n_rows().min(start + BATCH_ROWS);
+            rows.clear();
+            rows.extend_from_slice(&data.values()[start * n_features..end * n_features]);
+            for row in rows.chunks_exact_mut(n_features) {
+                row[feature] = z;
+            }
+            let p = &mut proba[..(end - start) * n_classes];
+            model.predict_proba_into(&rows, p)?;
+            for probs in p.chunks_exact(n_classes) {
+                acc += probs[config.target_class];
+            }
         }
         values.push(acc / data.n_rows() as f64);
     }
@@ -144,9 +156,12 @@ mod tests {
         fn n_features(&self) -> usize {
             2
         }
-        fn predict_proba_row(&self, row: &[f64]) -> aml_models::Result<Vec<f64>> {
-            let p = row[0].clamp(0.0, 1.0);
-            Ok(vec![1.0 - p, p])
+        fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+            for (row, p) in rows.chunks(2).zip(out.chunks_mut(2)) {
+                let x = row[0].clamp(0.0, 1.0);
+                p.copy_from_slice(&[1.0 - x, x]);
+            }
+            Ok(())
         }
         fn name(&self) -> &'static str {
             "linear_in_x0"

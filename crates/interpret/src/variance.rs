@@ -187,8 +187,11 @@ mod tests {
         fn n_features(&self) -> usize {
             2
         }
-        fn predict_proba_row(&self, _row: &[f64]) -> aml_models::Result<Vec<f64>> {
-            Ok(vec![1.0 - self.0, self.0])
+        fn predict_proba_into(&self, _rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+            for p in out.chunks_mut(2) {
+                p.copy_from_slice(&[1.0 - self.0, self.0]);
+            }
+            Ok(())
         }
         fn name(&self) -> &'static str {
             "constant"
@@ -204,9 +207,12 @@ mod tests {
         fn n_features(&self) -> usize {
             2
         }
-        fn predict_proba_row(&self, row: &[f64]) -> aml_models::Result<Vec<f64>> {
-            let p = (self.0 * row[0]).clamp(0.0, 1.0);
-            Ok(vec![1.0 - p, p])
+        fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> aml_models::Result<()> {
+            for (row, p) in rows.chunks(2).zip(out.chunks_mut(2)) {
+                let x = (self.0 * row[0]).clamp(0.0, 1.0);
+                p.copy_from_slice(&[1.0 - x, x]);
+            }
+            Ok(())
         }
         fn name(&self) -> &'static str {
             "slope"

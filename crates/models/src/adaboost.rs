@@ -8,7 +8,7 @@
 //! different places, which is exactly the diversity QBC and the ALE
 //! feedback feed on.
 
-use crate::model::{argmax, check_row, check_training, normalize, Classifier};
+use crate::model::{argmax, check_training, map_rows, normalize, Classifier};
 use crate::tree::{DecisionTree, Presort, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
@@ -141,16 +141,17 @@ impl Classifier for AdaBoost {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
         // Weighted vote mass per class, normalized — standard SAMME
         // aggregation (votes, not margins, keep this calibrated enough for
         // soft voting).
-        let mut votes = vec![0.0; self.n_classes];
-        for (alpha, tree) in &self.learners {
-            votes[argmax(tree.leaf_proba(row))] += alpha;
-        }
-        Ok(normalize(votes))
+        map_rows(rows, out, self.n_features, self.n_classes, |row, votes| {
+            votes.fill(0.0);
+            for (alpha, tree) in &self.learners {
+                votes[argmax(tree.leaf_proba(row))] += alpha;
+            }
+            normalize(votes);
+        })
     }
 
     fn name(&self) -> &'static str {

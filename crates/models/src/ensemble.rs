@@ -10,7 +10,7 @@
 //! * weights form a simplex (non-negative, positive sum), so the ensemble's
 //!   probability output is itself a distribution.
 
-use crate::model::{check_row, normalize, Classifier};
+use crate::model::{check_batch, normalize, Classifier};
 use crate::{ModelError, Result};
 use std::sync::Arc;
 
@@ -105,19 +105,25 @@ impl Classifier for SoftVotingEnsemble {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        let mut acc = vec![0.0; self.n_classes];
+    /// Each member predicts the whole batch, in member order; every row
+    /// then sums `weight × probability` in that order and is normalized.
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        check_batch(rows, out, self.n_features, self.n_classes)?;
+        out.fill(0.0);
+        let mut member = vec![0.0; out.len()];
         for (m, &w) in self.members.iter().zip(&self.weights) {
             if w == 0.0 {
                 continue;
             }
-            let p = m.predict_proba_row(row)?;
-            for (a, v) in acc.iter_mut().zip(p) {
+            m.predict_proba_into(rows, &mut member)?;
+            for (a, v) in out.iter_mut().zip(&member) {
                 *a += w * v;
             }
         }
-        Ok(normalize(acc))
+        for p in out.chunks_exact_mut(self.n_classes) {
+            normalize(p);
+        }
+        Ok(())
     }
 
     fn name(&self) -> &'static str {

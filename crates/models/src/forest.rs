@@ -5,7 +5,7 @@
 //! randomness comes from: forests bootstrap-resample rows and subsample
 //! features per split; extra-trees keep all rows but draw random thresholds.
 
-use crate::model::{check_row, check_training, Classifier};
+use crate::model::{check_training, map_rows, Classifier};
 use crate::tree::{Criterion, DecisionTree, Splitter, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
@@ -160,19 +160,19 @@ impl<const EXTRA: bool> Classifier for Forest<EXTRA> {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        let mut acc = vec![0.0; self.n_classes];
-        for tree in &self.trees {
-            for (a, v) in acc.iter_mut().zip(tree.leaf_proba(row)) {
-                *a += v;
-            }
-        }
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
         let n = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= n;
-        }
-        Ok(acc)
+        map_rows(rows, out, self.n_features, self.n_classes, |row, acc| {
+            acc.fill(0.0);
+            for tree in &self.trees {
+                for (a, v) in acc.iter_mut().zip(tree.leaf_proba(row)) {
+                    *a += v;
+                }
+            }
+            for a in acc.iter_mut() {
+                *a /= n;
+            }
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -6,7 +6,7 @@
 //! values `Σ(y−p) / Σ p(1−p)` (standard LogitBoost/L2-TreeBoost leaf update).
 //! Class probabilities come from a softmax over the K scores.
 
-use crate::model::{check_row, check_training, Classifier};
+use crate::model::{check_training, map_rows, Classifier};
 use crate::regression;
 use crate::tree::{Presort, Tree};
 use crate::{ModelError, Result};
@@ -138,14 +138,13 @@ impl GradientBoosting {
         self.stages.len()
     }
 
-    fn raw_scores(&self, row: &[f64]) -> Vec<f64> {
-        let mut scores = self.base_score.clone();
+    fn raw_scores(&self, row: &[f64], scores: &mut [f64]) {
+        scores.copy_from_slice(&self.base_score);
         for round in &self.stages {
             for (c, tree) in round.iter().enumerate() {
                 scores[c] += self.learning_rate * tree.leaf(row);
             }
         }
-        scores
     }
 }
 
@@ -153,18 +152,23 @@ impl GradientBoosting {
 fn softmax_columns(scores: &[Vec<f64>], n: usize, k: usize) -> Vec<Vec<f64>> {
     (0..n)
         .map(|i| {
-            let row: Vec<f64> = (0..k).map(|c| scores[c][i]).collect();
-            softmax(&row)
+            let mut row: Vec<f64> = (0..k).map(|c| scores[c][i]).collect();
+            softmax(&mut row);
+            row
         })
         .collect()
 }
 
-/// Numerically stable softmax.
-pub(crate) fn softmax(xs: &[f64]) -> Vec<f64> {
+/// Numerically stable softmax, in place.
+pub(crate) fn softmax(xs: &mut [f64]) {
     let m = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = xs.iter().map(|x| (x - m).exp()).collect();
-    let s: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / s).collect()
+    for x in xs.iter_mut() {
+        *x = (*x - m).exp();
+    }
+    let s: f64 = xs.iter().sum();
+    for x in xs.iter_mut() {
+        *x /= s;
+    }
 }
 
 impl Classifier for GradientBoosting {
@@ -176,9 +180,11 @@ impl Classifier for GradientBoosting {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        Ok(softmax(&self.raw_scores(row)))
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        map_rows(rows, out, self.n_features, self.n_classes, |row, p| {
+            self.raw_scores(row, p);
+            softmax(p);
+        })
     }
 
     fn name(&self) -> &'static str {

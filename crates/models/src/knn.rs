@@ -5,8 +5,13 @@
 //! `k` nearest rows in Euclidean distance. Brute force is fine at the
 //! dataset sizes of the paper's experiments (~thousands of rows) and keeps
 //! the implementation obviously correct.
+//!
+//! The training rows are kept column-major, so a query's squared distances
+//! to every row accumulate one feature at a time in a loop over contiguous
+//! columns that the compiler vectorizes. Each distance still sums its
+//! features in feature order, as a row-by-row sum would.
 
-use crate::model::{check_row, check_training, normalize, Classifier};
+use crate::model::{check_training, map_rows, normalize, Classifier};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -40,7 +45,12 @@ impl Default for KnnParams {
 /// A fitted (memorized) kNN classifier.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KNearestNeighbors {
-    train: Dataset,
+    /// Training features, column-major: feature `j` of row `i` is
+    /// `columns[j * n_rows + i]`.
+    columns: Vec<f64>,
+    labels: Vec<usize>,
+    n_features: usize,
+    n_classes: usize,
     params: KnnParams,
 }
 
@@ -52,50 +62,61 @@ impl KNearestNeighbors {
         if params.k == 0 {
             return Err(ModelError::InvalidHyperparameter("k must be >= 1".into()));
         }
+        let columns = (0..ds.n_features())
+            .flat_map(|j| (0..ds.n_rows()).map(move |i| ds.row(i)[j]))
+            .collect();
         Ok(KNearestNeighbors {
-            train: ds.clone(),
+            columns,
+            labels: ds.labels().to_vec(),
+            n_features: ds.n_features(),
+            n_classes: ds.n_classes(),
             params,
         })
     }
 
     /// The effective `k` used for votes.
     pub fn effective_k(&self) -> usize {
-        self.params.k.min(self.train.n_rows())
+        self.params.k.min(self.labels.len())
     }
-}
-
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 impl Classifier for KNearestNeighbors {
     fn n_classes(&self) -> usize {
-        self.train.n_classes()
+        self.n_classes
     }
 
     fn n_features(&self) -> usize {
-        self.train.n_features()
+        self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.train.n_features())?;
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        let n = self.labels.len();
         let k = self.effective_k();
-        // Partial selection of the k smallest distances.
-        let mut dists: Vec<(f64, usize)> = (0..self.train.n_rows())
-            .map(|i| (sq_dist(row, self.train.row(i)), self.train.label(i)))
-            .collect();
-        dists.select_nth_unstable_by(k - 1, |a, b| {
-            a.0.partial_cmp(&b.0).expect("squared distances are finite")
-        });
-        let mut votes = vec![0.0; self.train.n_classes()];
-        for &(d, label) in &dists[..k] {
-            let w = match self.params.weights {
-                KnnWeights::Uniform => 1.0,
-                KnnWeights::Distance => 1.0 / (d.sqrt() + 1e-9),
-            };
-            votes[label] += w;
-        }
-        Ok(normalize(votes))
+        let mut sq_dists = vec![0.0; n];
+        let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n);
+        map_rows(rows, out, self.n_features, self.n_classes, |row, votes| {
+            sq_dists.fill(0.0);
+            for (&q, column) in row.iter().zip(self.columns.chunks_exact(n)) {
+                for (d, &x) in sq_dists.iter_mut().zip(column) {
+                    *d += (q - x) * (q - x);
+                }
+            }
+            dists.clear();
+            dists.extend(sq_dists.iter().copied().zip(self.labels.iter().copied()));
+            // Partial selection of the k smallest distances.
+            dists.select_nth_unstable_by(k - 1, |a, b| {
+                a.0.partial_cmp(&b.0).expect("squared distances are finite")
+            });
+            votes.fill(0.0);
+            for &(d, label) in &dists[..k] {
+                let w = match self.params.weights {
+                    KnnWeights::Uniform => 1.0,
+                    KnnWeights::Distance => 1.0 / (d.sqrt() + 1e-9),
+                };
+                votes[label] += w;
+            }
+            normalize(votes);
+        })
     }
 
     fn name(&self) -> &'static str {

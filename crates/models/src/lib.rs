@@ -29,9 +29,9 @@
 //! classifiers, squared error for GBDT's regression trees).
 //!
 //! Every classifier implements the object-safe [`Classifier`] trait
-//! (`predict_proba_row` is the only required prediction method), takes an
-//! explicit seed where stochastic, and returns `Result` rather than
-//! panicking on malformed input.
+//! (the batch `predict_proba_into` is the only required prediction
+//! method), takes an explicit seed where stochastic, and returns `Result`
+//! rather than panicking on malformed input.
 
 pub mod adaboost;
 pub mod ensemble;
@@ -69,9 +69,9 @@ pub enum ModelError {
     InvalidHyperparameter(String),
     /// Prediction input had the wrong number of features.
     DimensionMismatch {
-        /// Expected number of features.
+        /// Expected number of features (for a batch, of values).
         expected: usize,
-        /// Provided number of features.
+        /// Provided number of features (for a batch, of values).
         got: usize,
     },
     /// The model has not been fitted (internal misuse).

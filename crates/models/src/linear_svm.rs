@@ -8,7 +8,7 @@
 //! the ensemble's soft voting and QBC's vote entropy require.
 
 use crate::gbdt::softmax;
-use crate::model::{check_row, check_training, Classifier};
+use crate::model::{check_training, map_rows, Classifier};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 use aml_rng::rngs::StdRng;
@@ -138,15 +138,13 @@ impl Classifier for LinearSvm {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        let scores: Vec<f64> = self
-            .weights
-            .iter()
-            .zip(&self.biases)
-            .map(|(w, b)| self.temperature * (b + dot(w, row)))
-            .collect();
-        Ok(softmax(&scores))
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        map_rows(rows, out, self.n_features, self.weights.len(), |row, p| {
+            for ((s, w), b) in p.iter_mut().zip(&self.weights).zip(&self.biases) {
+                *s = self.temperature * (b + dot(w, row));
+            }
+            softmax(p);
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -6,7 +6,7 @@
 //! z-scored features a fixed learning rate converges reliably.
 
 use crate::gbdt::softmax;
-use crate::model::{check_row, check_training, Classifier};
+use crate::model::{check_training, map_rows, Classifier};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -75,8 +75,8 @@ impl LogisticRegression {
             let mut gb = vec![0.0; k];
             for i in 0..n {
                 let row = ds.row(i);
-                let scores: Vec<f64> = (0..k).map(|c| b[c] + dot(&w[c], row)).collect();
-                let p = softmax(&scores);
+                let mut p: Vec<f64> = (0..k).map(|c| b[c] + dot(&w[c], row)).collect();
+                softmax(&mut p);
                 let y = ds.label(i);
                 for c in 0..k {
                     let err = p[c] - if c == y { 1.0 } else { 0.0 };
@@ -132,15 +132,13 @@ impl Classifier for LogisticRegression {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        let scores: Vec<f64> = self
-            .weights
-            .iter()
-            .zip(&self.intercepts)
-            .map(|(w, b)| b + dot(w, row))
-            .collect();
-        Ok(softmax(&scores))
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        map_rows(rows, out, self.n_features, self.weights.len(), |row, p| {
+            for ((s, w), b) in p.iter_mut().zip(&self.weights).zip(&self.intercepts) {
+                *s = b + dot(w, row);
+            }
+            softmax(p);
+        })
     }
 
     fn name(&self) -> &'static str {

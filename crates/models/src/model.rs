@@ -13,7 +13,10 @@ use aml_dataset::Dataset;
 ///
 /// Implementations must be deterministic at prediction time: the feedback
 /// algorithms difference ALE values across models, which would be meaningless
-/// if `predict_proba_row` were stochastic.
+/// if predictions were stochastic.
+///
+/// [`Classifier::predict_proba_into`] is the one prediction method a model
+/// implements; the per-row and per-dataset methods are built on it.
 pub trait Classifier: Send + Sync {
     /// Number of classes the model predicts probabilities for.
     fn n_classes(&self) -> usize;
@@ -21,15 +24,31 @@ pub trait Classifier: Send + Sync {
     /// Number of input features expected.
     fn n_features(&self) -> usize;
 
-    /// Class-probability vector for one feature row (`n_classes` entries,
-    /// non-negative, summing to 1 up to rounding).
+    /// Class probabilities for a batch of rows.
+    ///
+    /// `rows` is row-major, `n_features()` values per row. `out` receives
+    /// `n_classes()` values per row (non-negative, summing to 1 up to
+    /// rounding), in row order; its length sets the number of rows. Each
+    /// row's probabilities are the same bits whatever batch it comes in.
     ///
     /// # Errors
-    /// [`ModelError::DimensionMismatch`] when `row.len() != n_features()`.
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>>;
+    /// [`ModelError::DimensionMismatch`] when `out.len()` is not a multiple
+    /// of `n_classes()`, or `rows.len()` is not `n_features()` values for
+    /// each row of `out`.
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()>;
 
     /// A short human-readable identifier, e.g. `"random_forest"`.
     fn name(&self) -> &'static str;
+
+    /// Class-probability vector for one feature row (`n_classes` entries).
+    ///
+    /// # Errors
+    /// [`ModelError::DimensionMismatch`] when `row.len() != n_features()`.
+    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
+        let mut p = vec![0.0; self.n_classes()];
+        self.predict_proba_into(row, &mut p)?;
+        Ok(p)
+    }
 
     /// Predicted class for one row (argmax of probabilities; ties broken
     /// toward the lower class index for determinism).
@@ -40,16 +59,18 @@ pub trait Classifier: Send + Sync {
 
     /// Probability matrix for every row of `ds`.
     fn predict_proba(&self, ds: &Dataset) -> Result<Vec<Vec<f64>>> {
-        (0..ds.n_rows())
-            .map(|i| self.predict_proba_row(ds.row(i)))
-            .collect()
+        let k = self.n_classes();
+        let mut out = vec![0.0; ds.n_rows() * k];
+        self.predict_proba_into(ds.values(), &mut out)?;
+        Ok(out.chunks_exact(k).map(<[f64]>::to_vec).collect())
     }
 
     /// Predicted class per row of `ds`.
     fn predict(&self, ds: &Dataset) -> Result<Vec<usize>> {
-        (0..ds.n_rows())
-            .map(|i| self.predict_row(ds.row(i)))
-            .collect()
+        let k = self.n_classes();
+        let mut out = vec![0.0; ds.n_rows() * k];
+        self.predict_proba_into(ds.values(), &mut out)?;
+        Ok(out.chunks_exact(k).map(argmax).collect())
     }
 }
 
@@ -64,30 +85,59 @@ pub fn argmax(xs: &[f64]) -> usize {
     best
 }
 
-/// Validate that a prediction row matches the expected feature count.
-pub(crate) fn check_row(row: &[f64], expected: usize) -> Result<()> {
-    if row.len() != expected {
+/// Number of rows in a [`Classifier::predict_proba_into`] batch: `out`
+/// holds `n_classes` values per row and `rows` must hold `n_features` per
+/// row of `out`.
+pub(crate) fn check_batch(
+    rows: &[f64],
+    out: &[f64],
+    n_features: usize,
+    n_classes: usize,
+) -> Result<usize> {
+    let n_rows = out.len() / n_classes;
+    if n_rows * n_classes != out.len() {
         return Err(ModelError::DimensionMismatch {
-            expected,
-            got: row.len(),
+            expected: n_rows * n_classes,
+            got: out.len(),
         });
+    }
+    if rows.len() != n_rows * n_features {
+        return Err(ModelError::DimensionMismatch {
+            expected: n_rows * n_features,
+            got: rows.len(),
+        });
+    }
+    Ok(n_rows)
+}
+
+/// Check a batch, then call `f(row, probabilities)` on each row in order.
+pub(crate) fn map_rows(
+    rows: &[f64],
+    out: &mut [f64],
+    n_features: usize,
+    n_classes: usize,
+    mut f: impl FnMut(&[f64], &mut [f64]),
+) -> Result<()> {
+    check_batch(rows, out, n_features, n_classes)?;
+    for (i, p) in out.chunks_exact_mut(n_classes).enumerate() {
+        f(&rows[i * n_features..(i + 1) * n_features], p);
     }
     Ok(())
 }
 
-/// Normalize a non-negative vector to sum to one; uniform fallback when the
-/// sum is zero (e.g. a probability mass that underflowed).
-pub(crate) fn normalize(mut p: Vec<f64>) -> Vec<f64> {
+/// Normalize a non-negative vector to sum to one in place; uniform
+/// fallback when the sum is zero (e.g. a probability mass that
+/// underflowed).
+pub(crate) fn normalize(p: &mut [f64]) {
     let s: f64 = p.iter().sum();
     if s > 0.0 && s.is_finite() {
-        for v in &mut p {
+        for v in p.iter_mut() {
             *v /= s;
         }
     } else {
         let u = 1.0 / p.len() as f64;
         p.fill(u);
     }
-    p
 }
 
 /// Validate common training preconditions: non-empty data and at least two
@@ -115,14 +165,16 @@ mod tests {
 
     #[test]
     fn normalize_sums_to_one() {
-        let p = normalize(vec![2.0, 6.0]);
+        let mut p = vec![2.0, 6.0];
+        normalize(&mut p);
         assert!((p[0] - 0.25).abs() < 1e-12);
         assert!((p[1] - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn normalize_zero_mass_goes_uniform() {
-        let p = normalize(vec![0.0, 0.0, 0.0, 0.0]);
+        let mut p = vec![0.0; 4];
+        normalize(&mut p);
         assert!(p.iter().all(|&v| (v - 0.25).abs() < 1e-12));
     }
 

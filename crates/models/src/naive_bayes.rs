@@ -5,7 +5,8 @@
 //! assumptions across features), and a cheap, very differently-biased
 //! committee member for the AutoML ensemble.
 
-use crate::model::{check_row, check_training, Classifier};
+use crate::gbdt::softmax;
+use crate::model::{check_training, map_rows, Classifier};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -34,6 +35,9 @@ pub struct GaussianNaiveBayes {
     means: Vec<Vec<f64>>,
     /// `vars[class][feature]` (smoothed, strictly positive).
     vars: Vec<Vec<f64>>,
+    /// `log_norms[class][feature]` = `(2π·var).ln()`, the Gaussian's
+    /// normalizer, computed once at fit rather than per prediction.
+    log_norms: Vec<Vec<f64>>,
     /// Classes with zero training samples get `-inf` posterior via prior.
     n_features: usize,
 }
@@ -109,10 +113,20 @@ impl GaussianNaiveBayes {
             })
             .collect();
 
+        let log_norms = vars
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&var| (2.0 * std::f64::consts::PI * var).ln())
+                    .collect()
+            })
+            .collect();
+
         Ok(GaussianNaiveBayes {
             log_prior,
             means,
             vars,
+            log_norms,
             n_features: d,
         })
     }
@@ -127,22 +141,27 @@ impl Classifier for GaussianNaiveBayes {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        let k = self.log_prior.len();
-        let mut log_post = vec![0.0; k];
-        for (c, post) in log_post.iter_mut().enumerate() {
-            let mut lp = self.log_prior[c];
-            if lp.is_finite() {
-                for (j, &x) in row.iter().enumerate() {
-                    let var = self.vars[c][j];
-                    let diff = x - self.means[c][j];
-                    lp += -0.5 * ((2.0 * std::f64::consts::PI * var).ln() + diff * diff / var);
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        map_rows(
+            rows,
+            out,
+            self.n_features,
+            self.log_prior.len(),
+            |row, log_post| {
+                for (c, post) in log_post.iter_mut().enumerate() {
+                    let mut lp = self.log_prior[c];
+                    if lp.is_finite() {
+                        for (j, &x) in row.iter().enumerate() {
+                            let var = self.vars[c][j];
+                            let diff = x - self.means[c][j];
+                            lp += -0.5 * (self.log_norms[c][j] + diff * diff / var);
+                        }
+                    }
+                    *post = lp;
                 }
-            }
-            *post = lp;
-        }
-        Ok(crate::gbdt::softmax(&log_post))
+                softmax(log_post);
+            },
+        )
     }
 
     fn name(&self) -> &'static str {

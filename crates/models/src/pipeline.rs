@@ -5,7 +5,7 @@
 //! kNN" as a single [`Classifier`] and never worry about leaking unscaled
 //! rows into a scale-sensitive model.
 
-use crate::model::Classifier;
+use crate::model::{check_batch, Classifier};
 use crate::preprocess::{FittedScaler, ScalerKind, Transformer};
 use crate::Result;
 use aml_dataset::Dataset;
@@ -51,10 +51,20 @@ impl Classifier for Pipeline {
         self.model.n_features()
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        let mut scaled = row.to_vec();
-        self.scaler.transform_row(&mut scaled)?;
-        self.model.predict_proba_row(&scaled)
+    /// Scales a copy of the batch row by row, then makes one call to the
+    /// inner model; without a scaler the batch passes through uncopied.
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        if let FittedScaler::None = self.scaler {
+            return self.model.predict_proba_into(rows, out);
+        }
+        let n_features = self.n_features();
+        let n_rows = check_batch(rows, out, n_features, self.n_classes())?;
+        let mut scaled = rows.to_vec();
+        for i in 0..n_rows {
+            self.scaler
+                .transform_row(&mut scaled[i * n_features..(i + 1) * n_features])?;
+        }
+        self.model.predict_proba_into(&scaled, out)
     }
 
     fn name(&self) -> &'static str {

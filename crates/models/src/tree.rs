@@ -20,7 +20,7 @@
 //!   reduction: the regression trees inside
 //!   [`GradientBoosting`](crate::gbdt::GradientBoosting).
 
-use crate::model::{check_row, check_training, normalize, Classifier};
+use crate::model::{check_training, map_rows, normalize, Classifier};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 use aml_rng::rngs::StdRng;
@@ -296,11 +296,11 @@ impl Stat for ClassCounts<'_> {
     const FLOOR: f64 = 1e-12;
 
     fn node(&self, rows: &[usize]) -> NodeSummary<Vec<f64>> {
-        let mut counts = vec![0.0; self.ds.n_classes()];
+        let mut proba = vec![0.0; self.ds.n_classes()];
         for &i in rows {
-            counts[self.ds.label(i)] += self.weights[i];
+            proba[self.ds.label(i)] += self.weights[i];
         }
-        let proba = normalize(counts);
+        normalize(&mut proba);
         let weight: f64 = rows.iter().map(|&i| self.weights[i]).sum();
         let counts: Vec<f64> = proba.iter().map(|p| p * weight).collect();
         NodeSummary {
@@ -702,7 +702,7 @@ impl DecisionTree {
     }
 
     /// Class distribution of the leaf `row` falls into, without the
-    /// dimension check or the copy of [`Classifier::predict_proba_row`].
+    /// dimension check or the copy of [`Classifier::predict_proba_into`].
     pub(crate) fn leaf_proba(&self, row: &[f64]) -> &[f64] {
         self.tree.leaf(row)
     }
@@ -717,9 +717,10 @@ impl Classifier for DecisionTree {
         self.n_features
     }
 
-    fn predict_proba_row(&self, row: &[f64]) -> Result<Vec<f64>> {
-        check_row(row, self.n_features)?;
-        Ok(self.leaf_proba(row).to_vec())
+    fn predict_proba_into(&self, rows: &[f64], out: &mut [f64]) -> Result<()> {
+        map_rows(rows, out, self.n_features, self.n_classes, |row, p| {
+            p.copy_from_slice(self.leaf_proba(row));
+        })
     }
 
     fn name(&self) -> &'static str {

@@ -8,8 +8,16 @@
 //! kNN often meets equal distances at the k-th neighbour: a change to the
 //! distance sum or to the selection order moves these digests. Tree
 //! families are pinned in `tree_learners_pinned.rs`.
+//!
+//! Every digest also checks that one `predict_proba_into` call over all
+//! the rows returns the per-row bits; the tree families get that check
+//! here too, and every family is checked to refuse a batch of the wrong
+//! shape.
 
 use aml_dataset::Dataset;
+use aml_models::adaboost::AdaBoostParams;
+use aml_models::forest::ForestParams;
+use aml_models::gbdt::GbdtParams;
 use aml_models::knn::{KnnParams, KnnWeights};
 use aml_models::linear_svm::SvmParams;
 use aml_models::logistic::LogRegParams;
@@ -17,8 +25,9 @@ use aml_models::naive_bayes::NbParams;
 use aml_models::preprocess::{ScalerKind, Standardizer, Transformer};
 use aml_models::tree::TreeParams;
 use aml_models::{
-    Classifier, DecisionTree, GaussianNaiveBayes, KNearestNeighbors, LinearSvm, LogisticRegression,
-    Pipeline, SoftVotingEnsemble,
+    AdaBoost, Classifier, DecisionTree, ExtraTrees, GaussianNaiveBayes, GradientBoosting,
+    KNearestNeighbors, LinearSvm, LogisticRegression, ModelError, Pipeline, RandomForest,
+    SoftVotingEnsemble,
 };
 use std::sync::Arc;
 
@@ -57,15 +66,33 @@ fn standardized() -> (Dataset, Dataset) {
     )
 }
 
+/// `predict_proba_row` over every row of `data`, after checking that one
+/// `predict_proba_into` call over all of them returns the same bits.
+fn per_row_bits(model: &dyn Classifier, data: &Dataset) -> Vec<u64> {
+    let per_row: Vec<u64> = (0..data.n_rows())
+        .flat_map(|i| model.predict_proba_row(data.row(i)).unwrap())
+        .map(f64::to_bits)
+        .collect();
+    let mut batch = vec![f64::NAN; data.n_rows() * model.n_classes()];
+    model.predict_proba_into(data.values(), &mut batch).unwrap();
+    assert!(
+        batch
+            .iter()
+            .map(|p| p.to_bits())
+            .eq(per_row.iter().copied()),
+        "{}: batch and per-row predictions differ",
+        model.name()
+    );
+    per_row
+}
+
 /// Digest of `predict_proba_row` over every row of `train`, then of
 /// `held_out`.
 fn digest(model: &dyn Classifier, train: &Dataset, held_out: &Dataset) -> u64 {
     let mut h = FNV_OFFSET;
     for data in [train, held_out] {
-        for i in 0..data.n_rows() {
-            for p in model.predict_proba_row(data.row(i)).unwrap() {
-                h = fnv1a(h, &p.to_bits().to_le_bytes());
-            }
+        for p in per_row_bits(model, data) {
+            h = fnv1a(h, &p.to_le_bytes());
         }
     }
     h
@@ -187,4 +214,83 @@ fn soft_voting_ensemble_with_a_zero_weight_member() {
         digest(&ensemble(&train), &train, &held_out),
         15926138154816130094
     );
+}
+
+fn tree_families(ds: &Dataset) -> Vec<Box<dyn Classifier>> {
+    let forest = ForestParams {
+        n_trees: 8,
+        max_depth: 8,
+        seed: 5,
+        ..Default::default()
+    };
+    vec![
+        Box::new(DecisionTree::fit(ds, TreeParams::default()).unwrap()),
+        Box::new(RandomForest::fit(ds, forest.clone()).unwrap()),
+        Box::new(ExtraTrees::fit(ds, forest).unwrap()),
+        Box::new(
+            GradientBoosting::fit(
+                ds,
+                GbdtParams {
+                    n_rounds: 6,
+                    ..Default::default()
+                },
+            )
+            .unwrap(),
+        ),
+        Box::new(
+            AdaBoost::fit(
+                ds,
+                AdaBoostParams {
+                    n_rounds: 10,
+                    ..Default::default()
+                },
+            )
+            .unwrap(),
+        ),
+    ]
+}
+
+#[test]
+fn tree_family_batches_match_per_row_predictions() {
+    let (train, held_out) = data();
+    for model in tree_families(&train) {
+        per_row_bits(model.as_ref(), &train);
+        per_row_bits(model.as_ref(), &held_out);
+    }
+}
+
+#[test]
+fn batches_of_the_wrong_shape_are_refused() {
+    let (train, held_out) = data();
+    let mut models = tree_families(&train);
+    models.push(Box::new(
+        LogisticRegression::fit(&standardized().0, LogRegParams::default()).unwrap(),
+    ));
+    models.push(Box::new(
+        GaussianNaiveBayes::fit(&train, NbParams::default()).unwrap(),
+    ));
+    models.push(Box::new(knn(&train, 5, KnnWeights::Uniform)));
+    for kind in [ScalerKind::None, ScalerKind::Standard, ScalerKind::MinMax] {
+        models.push(Box::new(pipeline(&train, kind)));
+    }
+    models.push(Box::new(ensemble(&train)));
+    let rows = &held_out.values()[..3 * held_out.n_features()];
+    for model in &models {
+        let k = model.n_classes();
+        let refused = |rows: &[f64], out_len: usize| {
+            let mut out = vec![0.0; out_len];
+            matches!(
+                model.predict_proba_into(rows, &mut out),
+                Err(ModelError::DimensionMismatch { .. })
+            )
+        };
+        let name = model.name();
+        assert!(refused(&rows[1..], 3 * k), "{name}: short rows");
+        assert!(refused(rows, 2 * k), "{name}: too few outputs");
+        assert!(refused(rows, 4 * k), "{name}: too many outputs");
+        assert!(refused(rows, 3 * k - 1), "{name}: partial output row");
+        assert!(refused(&rows[..1], 0), "{name}: rows without outputs");
+        assert!(!refused(rows, 3 * k), "{name}: well-shaped batch");
+        assert!(!refused(&[], 0), "{name}: empty batch");
+    }
 }
