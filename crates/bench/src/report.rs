@@ -2,8 +2,8 @@
 //! behind, and the unit `perfgate` compares across commits.
 //!
 //! The report is distilled from the run manifest (DESIGN.md §6): wall
-//! time, per-span totals, counter totals and their per-second throughput,
-//! histogram quantiles, and — when the `alloc-track` feature is on —
+//! time, per-span totals, counter totals and their rates (see
+//! [`OWNED_COUNTERS`]), histogram quantiles, and — when the `alloc-track` feature is on —
 //! allocation totals. Keys follow the telemetry naming scheme
 //! (`crate.component.action`); the compare layer flattens them to metric
 //! ids like `span:bench.datagen` (see [`crate::gate`]).
@@ -18,6 +18,16 @@ use std::path::{Path, PathBuf};
 
 /// Schema version stamped into every report.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
+
+/// Layer counters paired with the span that does their work. Their
+/// `throughput` is the counter over that span's total time, which sums
+/// every call on every thread: a rate per core, which does not fall when
+/// the rest of the run grows. Other counters are taken per second of wall
+/// time.
+pub const OWNED_COUNTERS: [(&str, &str); 2] = [
+    ("interpret.ale.predictions", "interpret.ale.curve"),
+    ("netsim.sim.events", "netsim.runner.run_all"),
+];
 
 /// One span's aggregate in the report.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,8 +94,9 @@ pub struct BenchReport {
     pub spans: Vec<BenchSpan>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Counter totals divided by wall time (`<counter>` per second),
-    /// excluding `alloc.*`.
+    /// Counter rates, excluding `alloc.*`: each [`OWNED_COUNTERS`] entry
+    /// per second of its span's total (omitted when that span took no
+    /// time), every other counter per second of wall time.
     pub throughput: Vec<(String, f64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<BenchHist>,
@@ -119,15 +130,20 @@ impl BenchReport {
             .map(|s| s.total_s)
             .sum();
         let counters = manifest.snapshot.counters.clone();
-        let throughput = if manifest.wall_time_s > 0.0 {
-            counters
-                .iter()
-                .filter(|(name, _)| !name.starts_with("alloc."))
-                .map(|(name, v)| (name.clone(), *v as f64 / manifest.wall_time_s))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let throughput = counters
+            .iter()
+            .filter(|(name, _)| !name.starts_with("alloc."))
+            .filter_map(|(name, v)| {
+                let secs = match OWNED_COUNTERS.iter().find(|(counter, _)| counter == name) {
+                    Some((_, span)) => spans
+                        .iter()
+                        .find(|s| s.name == *span)
+                        .map_or(0.0, |s| s.total_s),
+                    None => manifest.wall_time_s,
+                };
+                (secs > 0.0).then(|| (name.clone(), *v as f64 / secs))
+            })
+            .collect();
         let find = |name: &str| counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
         let alloc = match (
             find("alloc.bytes"),
@@ -472,8 +488,8 @@ mod tests {
     use super::*;
     use aml_telemetry::{HistSnapshot, Snapshot, SpanSnapshot};
 
-    pub(crate) fn sample_report() -> BenchReport {
-        let manifest = Manifest {
+    fn sample_manifest() -> Manifest {
+        Manifest {
             binary: "table1_scream".into(),
             seed: 1,
             scale: 0.05,
@@ -504,6 +520,13 @@ mod tests {
                         max_ns: 2_500_000_000,
                         min_ns: 2_500_000_000,
                     },
+                    SpanSnapshot {
+                        name: "netsim.runner.run_all".into(),
+                        calls: 64,
+                        total_ns: 4_000_000_000,
+                        max_ns: 100_000_000,
+                        min_ns: 50_000_000,
+                    },
                 ],
                 counters: vec![
                     ("alloc.bytes".into(), 4096),
@@ -523,30 +546,63 @@ mod tests {
                     buckets: vec![],
                 }],
             },
-        };
-        BenchReport::from_manifest(&manifest)
+        }
+    }
+
+    pub(crate) fn sample_report() -> BenchReport {
+        BenchReport::from_manifest(&sample_manifest())
     }
 
     #[test]
     fn from_manifest_distills_all_sections() {
         let r = sample_report();
         assert_eq!(r.workload, "table1_scream");
-        assert_eq!(r.spans.len(), 3);
+        assert_eq!(r.spans.len(), 4);
         // top spans = bench.datagen (7s) + bench.strategies (2.5s).
         assert!(
             (r.top_span_total_s - 9.5).abs() < 1e-9,
             "{}",
             r.top_span_total_s
         );
-        // Throughput excludes alloc.* counters.
+        // Throughput excludes alloc.* counters; simulated events are rated
+        // over the 4 s of `netsim.runner.run_all`, not the 10 s wall.
         assert_eq!(r.throughput.len(), 1);
         assert_eq!(r.throughput[0].0, "netsim.sim.events");
-        assert!((r.throughput[0].1 - 5000.0).abs() < 1e-9);
+        assert!((r.throughput[0].1 - 12_500.0).abs() < 1e-9);
         // Alloc counters surface as the alloc block.
         let alloc = r.alloc.unwrap();
         assert_eq!(alloc.bytes, 4096);
         assert_eq!(alloc.count, 17);
         assert_eq!(alloc.peak_bytes, 2048);
+    }
+
+    #[test]
+    fn layer_counters_are_rated_per_core_over_their_span() {
+        let mut m = sample_manifest();
+        // Two threads each spend 0.25 s in ALE curves during a 10 s run.
+        m.snapshot.spans.push(SpanSnapshot {
+            name: "interpret.ale.curve".into(),
+            calls: 8,
+            total_ns: 500_000_000,
+            max_ns: 70_000_000,
+            min_ns: 60_000_000,
+        });
+        m.snapshot
+            .spans
+            .retain(|s| s.name != "netsim.runner.run_all");
+        m.snapshot.counters.extend([
+            ("automl.trials".into(), 20),
+            ("interpret.ale.predictions".into(), 100_000),
+        ]);
+        let r = BenchReport::from_manifest(&m);
+        let rate = |name: &str| r.throughput.iter().find(|(n, _)| n == name).map(|t| t.1);
+        // Per second of the span's summed total: 100k / 0.5 s.
+        assert_eq!(rate("interpret.ale.predictions"), Some(200_000.0));
+        // A plain counter keeps the wall-time rate.
+        assert_eq!(rate("automl.trials"), Some(2.0));
+        // Without its span's time there is no per-core rate to report.
+        assert_eq!(rate("netsim.sim.events"), None);
+        assert_eq!(r.throughput.len(), 2);
     }
 
     #[test]
