@@ -2,9 +2,10 @@
 //! behind, and the unit `perfgate` compares across commits.
 //!
 //! The report is distilled from the run manifest (DESIGN.md §6): wall
-//! time, per-span totals, counter totals and their rates (see
-//! [`OWNED_COUNTERS`]), histogram quantiles, and — when the `alloc-track` feature is on —
-//! allocation totals. Keys follow the telemetry naming scheme
+//! time, per-span totals, counter totals and their rates (per wall second,
+//! or per core for the layer counters in `OWNED_COUNTERS`), histogram
+//! quantiles, and — when the `alloc-track` feature is on — allocation
+//! totals. Keys follow the telemetry naming scheme
 //! (`crate.component.action`); the compare layer flattens them to metric
 //! ids like `span:bench.datagen` (see [`crate::gate`]).
 //!
@@ -24,7 +25,7 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 /// every call on every thread: a rate per core, which does not fall when
 /// the rest of the run grows. Other counters are taken per second of wall
 /// time.
-pub const OWNED_COUNTERS: [(&str, &str); 2] = [
+pub(crate) const OWNED_COUNTERS: [(&str, &str); 2] = [
     ("interpret.ale.predictions", "interpret.ale.curve"),
     ("netsim.sim.events", "netsim.runner.run_all"),
 ];
@@ -94,8 +95,8 @@ pub struct BenchReport {
     pub spans: Vec<BenchSpan>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Counter rates, excluding `alloc.*`: each [`OWNED_COUNTERS`] entry
-    /// per second of its span's total (omitted when that span took no
+    /// Counter rates, excluding `alloc.*`: `interpret.ale.predictions` and
+    /// `netsim.sim.events` per second of their owning span's total (omitted when that span took no
     /// time), every other counter per second of wall time.
     pub throughput: Vec<(String, f64)>,
     /// Histogram summaries, sorted by name.
