@@ -580,7 +580,7 @@ fn run_workloads(opts: RunPlanOpts) -> i32 {
 /// and write `BENCH_<workload>.json` into the output directory. The
 /// first repeat also exports `trace.json` / `ledger.jsonl` / `crit.json`
 /// for the workload so every gate run doubles as a profiling artifact
-/// (and feeds `amlreport` / `amlinspect crit`), and under `--record`
+/// (and feeds `amlinspect`), and under `--record`
 /// appends its own history line to `REP0_HISTORY`.
 fn run_one_workload(
     bin_dir: &Path,

@@ -1,62 +1,9 @@
-//! Views of a critical-path report: render the chain as an inline SVG
-//! for `amlreport`, and diff two reports for `amlinspect crit
-//! --compare`. `crit.json` is written and read back in one place,
+//! View of a critical-path report: diff two reports for `amlinspect
+//! crit --compare`. `crit.json` is written and read back in one place,
 //! [`aml_telemetry::crit`] (`CritReport::render_json`/`from_json`).
 
 use aml_telemetry::CritReport;
 use std::fmt::Write;
-
-/// The critical-path chain as a self-contained inline SVG: one bar per
-/// chain segment, full-width = the dominant phase's total, the solid
-/// part = the segment's own contribution. Same self-containment contract
-/// as the rest of `amlreport` (no scripts, no external assets).
-pub fn render_crit_svg(report: &CritReport) -> String {
-    const W: f64 = 640.0;
-    const BAR: f64 = 22.0;
-    const GAP: f64 = 6.0;
-    const LEFT: f64 = 10.0;
-    let rows = report.path.len().max(1);
-    let height = rows as f64 * (BAR + GAP) + GAP;
-    let mut out = String::with_capacity(2048);
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {height}\" width=\"{W}\" height=\"{height}\" \
-         xmlns=\"http://www.w3.org/2000/svg\" role=\"img\">"
-    );
-    if report.path.is_empty() {
-        let _ = write!(
-            out,
-            "<text x=\"{LEFT}\" y=\"{}\" font-size=\"12\">no critical path recorded</text>",
-            GAP + BAR * 0.7
-        );
-        out.push_str("</svg>");
-        return out;
-    }
-    let scale = (W - 2.0 * LEFT) / report.path[0].total_ns.max(1) as f64;
-    for (i, s) in report.path.iter().enumerate() {
-        let y = GAP + i as f64 * (BAR + GAP);
-        let total_w = s.total_ns as f64 * scale;
-        let contrib_w = s.contribution_ns as f64 * scale;
-        let fill = if s.parallel { "#7aa2d4" } else { "#d49a6a" };
-        let _ = write!(
-            out,
-            "<rect x=\"{LEFT}\" y=\"{y:.1}\" width=\"{total_w:.1}\" height=\"{BAR}\" \
-             fill=\"{fill}\" opacity=\"0.35\"/>\
-             <rect x=\"{LEFT}\" y=\"{y:.1}\" width=\"{contrib_w:.1}\" height=\"{BAR}\" \
-             fill=\"{fill}\"/>\
-             <text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" font-family=\"monospace\">\
-             {}{} — {:.2}ms (contrib {:.2}ms)</text>",
-            LEFT + 4.0,
-            y + BAR * 0.7,
-            crate::amlreport::esc(&s.name),
-            if s.parallel { " [par]" } else { "" },
-            s.total_ns as f64 / 1e6,
-            s.contribution_ns as f64 / 1e6,
-        );
-    }
-    out.push_str("</svg>");
-    out
-}
 
 /// Text diff of two reports for `amlinspect crit --compare`: the figures someone
 /// checks before and after a performance PR.
@@ -148,19 +95,6 @@ mod tests {
             node(30, 0, "bench.strategies", 2_100_000, 1_000_000, false),
         ];
         analyze(&nodes, &aml_telemetry::Registry::new().snapshot())
-    }
-
-    #[test]
-    fn svg_draws_one_bar_per_segment() {
-        let report = sample_report();
-        let svg = render_crit_svg(&report);
-        assert!(svg.starts_with("<svg"), "{svg}");
-        // Two rects per segment: total (faded) + contribution (solid).
-        assert_eq!(svg.matches("<rect").count(), 2 * report.path.len());
-        assert!(svg.contains("bench.datagen"), "{svg}");
-        assert!(svg.contains("[par]"), "{svg}");
-        let empty = render_crit_svg(&analyze(&[], &aml_telemetry::Registry::new().snapshot()));
-        assert!(empty.contains("no critical path"), "{empty}");
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! `--telemetry summary|verbose`, which also writes
 //! `<out>/manifest.json` with every span/counter/histogram of the run.
 
-pub mod amlreport;
 pub mod critview;
 pub mod gate;
 pub mod qualityview;
@@ -102,23 +101,6 @@ pub struct RunOpts {
     /// per-scenario costs) here as JSON at the end; also printed as a
     /// table on stderr and served live at `/crit` with `--serve`.
     pub crit_out: Option<PathBuf>,
-    /// Collect search observability (declared-space coverage, rung
-    /// funnels, hyperparameter importance) during the run and write
-    /// `search.json` here at the end; also printed as a table on stderr
-    /// and served live at `/search` with `--serve`. Write-only: `amlinspect
-    /// search` recomputes the same bytes from the run's ledger.
-    pub search_out: Option<PathBuf>,
-    /// Collect the model/data-quality plane (dataset profiles, PSI drift,
-    /// confusion/calibration diagnostics) during the run and write
-    /// `quality.json` here at the end; also printed as a table on stderr
-    /// and served live at `/quality` with `--serve`. Write-only: `amlinspect
-    /// quality` recomputes the same report from the run's ledger.
-    pub quality_out: Option<PathBuf>,
-    /// Drift baseline for the quality plane (`--quality-ref`): a previous
-    /// run's `ledger.jsonl` whose latest train profile anchors the PSI
-    /// drift scores. Without it each round drifts against the previous
-    /// round.
-    pub quality_ref: Option<PathBuf>,
     /// Deterministic fault plan (`--fault-plan`), installed process-wide
     /// by [`RunOpts::prepare`]. `None` keeps every fault hook inert.
     pub fault_plan: Option<aml_faults::FaultPlan>,
@@ -161,7 +143,7 @@ options:
   --trace-out PATH        write a Chrome trace (Perfetto) file rendered from
                           the causal trace tree, one lane per job
   --ledger-out PATH       stream the experiment ledger (trials, ensembles,
-                          feedback rounds) as JSON lines; see `amlreport`
+                          feedback rounds) as JSON lines; see `amlinspect`
   --serve ADDR            serve /metrics, /healthz and /runs over HTTP while
                           the run is live (port 0 picks a free port, written
                           to <out>/serve.addr); also starts the /proc
@@ -177,21 +159,6 @@ options:
                           per-scenario datagen costs) as JSON; printed as a
                           table on stderr, served live at /crit, and read by
                           `amlinspect crit`
-  --search-out PATH       collect search observability (declared-space
-                          coverage, successive-halving rung funnels,
-                          fANOVA-lite hyperparameter importance) and write
-                          search.json; printed as a table on stderr and
-                          served live at /search (`amlinspect search`
-                          recomputes it from the ledger)
-  --quality-out PATH      collect the model/data-quality plane (per-feature
-                          dataset profiles, PSI drift, confusion matrix,
-                          reliability/ECE calibration) and write quality.json;
-                          printed as a table on stderr and served live at
-                          /quality (`amlinspect quality` recomputes it from
-                          the ledger)
-  --quality-ref PATH      drift baseline: a previous run's ledger.jsonl whose
-                          latest train profile anchors the PSI scores (the
-                          default drifts each round against the previous one)
   --fault-plan SPEC       inject deterministic faults, e.g.
                           trial_panic@3,trial_slow@7:500ms,sink_fail@2,nan_labels@1
   --max-trial-time MS     wall-clock budget per AutoML trial; over-budget
@@ -222,9 +189,6 @@ impl RunOpts {
             serve: None,
             profile_out: None,
             crit_out: None,
-            search_out: None,
-            quality_out: None,
-            quality_ref: None,
             fault_plan: None,
             max_trial_time: None,
             min_trials: 1,
@@ -275,9 +239,7 @@ impl RunOpts {
             || self.ledger_out.is_some()
             || self.serve.is_some()
             || self.profile_out.is_some()
-            || self.crit_out.is_some()
-            || self.search_out.is_some()
-            || self.quality_out.is_some();
+            || self.crit_out.is_some();
         if wants_export && self.telemetry == TelemetryLevel::Off {
             self.telemetry = TelemetryLevel::Summary;
         }
@@ -293,8 +255,8 @@ impl RunOpts {
         // back to its recorded byte length BEFORE any sink reopens it —
         // the sink below then appends, continuing the original run's
         // ledger byte-identically. The kept prefix is read once here and
-        // replayed into the folds armed below, so search.json,
-        // quality.json and the history record cover the whole run.
+        // replayed into the folds armed below, so /search, /quality and
+        // the history record cover the whole run.
         let mut kept_prefix = Vec::new();
         if let Some(resume) = &self.resume {
             let ckpt = aml_core::checkpoint::prepare_resume(
@@ -370,32 +332,10 @@ impl RunOpts {
             aml_telemetry::tracetree::reset();
             aml_telemetry::tracetree::set_active(true);
         }
-        if let Some(path) = &self.search_out {
-            ensure_parent(path, "--search-out")?;
-        }
-        // The live plane answers /search and /quality from the same folds.
-        if self.search_out.is_some() || self.serve.is_some() {
-            aml_telemetry::searchview::arm();
-        }
-        let mut reference = None;
-        if let Some(path) = &self.quality_out {
-            ensure_parent(path, "--quality-out")?;
-            if let Some(ref_path) = &self.quality_ref {
-                let text = std::fs::read_to_string(ref_path).map_err(|e| {
-                    format!("cannot read --quality-ref {}: {e}", ref_path.display())
-                })?;
-                reference = Some(
-                    qualityview::load_reference(&text)
-                        .map_err(|e| format!("{e} (in {})", ref_path.display()))?,
-                );
-            }
-        } else if self.quality_ref.is_some() {
-            return Err("--quality-ref requires --quality-out".into());
-        }
-        if self.quality_out.is_some() || self.serve.is_some() {
-            aml_telemetry::quality::arm(reference);
-        }
         if let Some(addr) = &self.serve {
+            // The live plane answers /search and /quality from these folds.
+            aml_telemetry::searchview::arm();
+            aml_telemetry::quality::arm();
             let header = aml_telemetry::RunHeader::new(&self.workload, self.seed);
             let bound = aml_telemetry::serve::start(addr, &header)
                 .map_err(|e| format!("cannot bind --serve {addr}: {e}"))?;
@@ -482,18 +422,6 @@ impl RunOpts {
                 "--crit-out" => {
                     let v = value_of(args, &mut i, "--crit-out")?;
                     opts.crit_out = Some(PathBuf::from(v));
-                }
-                "--search-out" => {
-                    let v = value_of(args, &mut i, "--search-out")?;
-                    opts.search_out = Some(PathBuf::from(v));
-                }
-                "--quality-out" => {
-                    let v = value_of(args, &mut i, "--quality-out")?;
-                    opts.quality_out = Some(PathBuf::from(v));
-                }
-                "--quality-ref" => {
-                    let v = value_of(args, &mut i, "--quality-ref")?;
-                    opts.quality_ref = Some(PathBuf::from(v));
                 }
                 "--fault-plan" => {
                     let v = value_of(args, &mut i, "--fault-plan")?;
@@ -673,36 +601,6 @@ impl RunOpts {
                 )),
             }
         }
-        if let Some(path) = &self.search_out {
-            // The sinks are finished, so the report is computed over a
-            // frozen trial set; render_table gives the operator the same
-            // view amlinspect search prints from the ledger.
-            match aml_telemetry::searchview::write_json(path) {
-                Ok(report) => {
-                    aml_telemetry::note(&format!("wrote {}", path.display()));
-                    eprint!("{}", report.render_table());
-                }
-                Err(e) => aml_telemetry::warn(&format!(
-                    "could not write --search-out {}: {e}",
-                    path.display()
-                )),
-            }
-        }
-        if let Some(path) = &self.quality_out {
-            // The sinks are finished, so the report reduces a frozen event
-            // store; render_table mirrors what amlinspect quality prints
-            // from the ledger.
-            match aml_telemetry::quality::write_json(path) {
-                Ok(report) => {
-                    aml_telemetry::note(&format!("wrote {}", path.display()));
-                    eprint!("{}", report.render_table());
-                }
-                Err(e) => aml_telemetry::warn(&format!(
-                    "could not write --quality-out {}: {e}",
-                    path.display()
-                )),
-            }
-        }
         if let Some(path) = &self.record {
             // Last, so the reading of the kernel's RSS high-water mark
             // covers every output written above.
@@ -774,7 +672,7 @@ static SUMMARY: aml_telemetry::FoldStore<aml_telemetry::LedgerSummary> =
 /// Ledger sink wrapper driving the `sink_fail@N` fault: scheduled writes
 /// are dropped — counted under `telemetry.events_dropped` — instead of
 /// reaching the file, so downstream consumers' resilience to lost events
-/// (amlreport, checkpoint/resume) can be tested deterministically.
+/// (amlinspect, checkpoint/resume) can be tested deterministically.
 struct FaultInjectedLedger {
     inner: aml_telemetry::LedgerJsonlSink,
 }
@@ -1084,54 +982,6 @@ mod tests {
         assert!(parse(&["--profile-out", "--quick"])
             .unwrap_err()
             .contains("--profile-out"));
-    }
-
-    #[test]
-    fn search_out_flag_parses() {
-        let opts = parse(&["--search-out", "/tmp/x/search.json"])
-            .unwrap()
-            .unwrap();
-        assert_eq!(opts.search_out, Some(PathBuf::from("/tmp/x/search.json")));
-        assert!(parse(&["--search-out"])
-            .unwrap_err()
-            .contains("--search-out"));
-    }
-
-    #[test]
-    fn quality_flags_parse() {
-        let opts = parse(&[
-            "--quality-out",
-            "/tmp/x/quality.json",
-            "--quality-ref",
-            "/tmp/x/baseline.json",
-        ])
-        .unwrap()
-        .unwrap();
-        assert_eq!(opts.quality_out, Some(PathBuf::from("/tmp/x/quality.json")));
-        assert_eq!(
-            opts.quality_ref,
-            Some(PathBuf::from("/tmp/x/baseline.json"))
-        );
-        // Parsing alone never touches the level; prepare() bumps it.
-        assert_eq!(opts.telemetry, TelemetryLevel::Off);
-        assert!(parse(&["--quality-out"])
-            .unwrap_err()
-            .contains("--quality-out"));
-        assert!(parse(&["--quality-ref", "--quick"])
-            .unwrap_err()
-            .contains("--quality-ref"));
-    }
-
-    #[test]
-    fn quality_ref_without_quality_out_is_a_usage_error() {
-        let mut opts = parse(&["--quality-ref", "/tmp/x/baseline.json"])
-            .unwrap()
-            .unwrap();
-        opts.out_dir = std::env::temp_dir().join("aml_quality_ref_alone_test");
-        let err = opts.prepare().unwrap_err();
-        assert!(err.contains("--quality-ref requires"), "{err}");
-        aml_telemetry::set_level(TelemetryLevel::Off);
-        std::fs::remove_dir_all(&opts.out_dir).ok();
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Read-side of search telemetry: re-derive the search-observability
 //! report (coverage, rung funnels, fANOVA-lite importance) from a
-//! `ledger.jsonl`, render SVG panels for `amlreport`, and diff two
-//! reports for `amlinspect search --compare`.
+//! `ledger.jsonl`, and diff two reports for `amlinspect search
+//! --compare`.
 //!
 //! A ledger is read with `aml_telemetry::ledger::read` and folded
-//! through the same `SearchCollector` the live `--search-out` path
-//! uses, so `amlinspect search ledger.jsonl` reproduces `search.json`
-//! byte for byte — collection cap included.
+//! through the same `SearchCollector` the live `/search` route uses, so
+//! `amlinspect search --json ledger.jsonl` reproduces the run's live
+//! report byte for byte — collection cap included.
 
 use aml_telemetry::searchview::{DimReport, SearchCollector};
 use aml_telemetry::{ledger, Fold, SearchReport};
@@ -16,122 +16,6 @@ use std::fmt::Write;
 pub fn parse_search_ledger(text: &str) -> Result<SearchReport, String> {
     let (_, events) = ledger::read(text)?;
     Ok(SearchCollector::from_events(&events).report())
-}
-
-/// Hyperparameter importance as a self-contained inline SVG: one
-/// horizontal bar per `family.dimension`, sorted by importance, the
-/// faded background showing the dimension's coverage. Same
-/// self-containment contract as the rest of `amlreport` (no scripts,
-/// no external assets).
-pub fn render_importance_svg(report: &SearchReport, max_rows: usize) -> String {
-    const W: f64 = 640.0;
-    const BAR: f64 = 18.0;
-    const GAP: f64 = 5.0;
-    const LEFT: f64 = 10.0;
-    let mut rows: Vec<(String, f64, f64)> = report
-        .families
-        .iter()
-        .flat_map(|f| {
-            f.dims
-                .iter()
-                .map(move |d| (format!("{}.{}", f.family, d.name), d.importance, d.coverage))
-        })
-        .collect();
-    rows.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.0.cmp(&b.0))
-    });
-    rows.truncate(max_rows.max(1));
-    let n = rows.len().max(1);
-    let height = n as f64 * (BAR + GAP) + GAP;
-    let mut out = String::with_capacity(2048);
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {height}\" width=\"{W}\" height=\"{height}\" \
-         xmlns=\"http://www.w3.org/2000/svg\" role=\"img\">"
-    );
-    if rows.is_empty() {
-        let _ = write!(
-            out,
-            "<text x=\"{LEFT}\" y=\"{}\" font-size=\"12\">no search telemetry recorded</text>",
-            GAP + BAR * 0.7
-        );
-        out.push_str("</svg>");
-        return out;
-    }
-    let scale = W - 2.0 * LEFT;
-    for (i, (name, importance, coverage)) in rows.iter().enumerate() {
-        let y = GAP + i as f64 * (BAR + GAP);
-        let cov_w = (coverage * scale).max(1.0);
-        let imp_w = (importance * scale).max(1.0);
-        let _ = write!(
-            out,
-            "<rect x=\"{LEFT}\" y=\"{y:.1}\" width=\"{cov_w:.1}\" height=\"{BAR}\" \
-             fill=\"#7aa2d4\" opacity=\"0.25\"/>\
-             <rect x=\"{LEFT}\" y=\"{y:.1}\" width=\"{imp_w:.1}\" height=\"{BAR}\" \
-             fill=\"#d49a6a\"/>\
-             <text x=\"{:.1}\" y=\"{:.1}\" font-size=\"11\" font-family=\"monospace\">\
-             {} — importance {:.3}, coverage {:.0}%</text>",
-            LEFT + 4.0,
-            y + BAR * 0.7,
-            crate::amlreport::esc(name),
-            importance,
-            coverage * 100.0,
-        );
-    }
-    out.push_str("</svg>");
-    out
-}
-
-/// One dimension's `(position, rung-top score)` scatter as a small
-/// self-contained SVG panel: x is the normalized position in the
-/// declared range, y the score. The panels flow inline in `amlreport`.
-pub fn render_dim_scatter_svg(family: &str, dim: &DimReport) -> String {
-    const W: f64 = 220.0;
-    const H: f64 = 140.0;
-    const PAD: f64 = 10.0;
-    const TOP: f64 = 24.0;
-    let mut out = String::with_capacity(1024);
-    let _ = write!(
-        out,
-        "<svg viewBox=\"0 0 {W} {H}\" width=\"{W}\" height=\"{H}\" \
-         xmlns=\"http://www.w3.org/2000/svg\" role=\"img\">\
-         <rect x=\"0\" y=\"0\" width=\"{W}\" height=\"{H}\" fill=\"#fbfbfb\" stroke=\"#d5dbe0\"/>\
-         <text x=\"{PAD}\" y=\"16\" font-size=\"11\" font-family=\"monospace\">{} ({}, {})</text>",
-        crate::amlreport::esc(&format!("{family}.{}", dim.name)),
-        crate::amlreport::esc(&dim.kind),
-        crate::amlreport::esc(&dim.scale),
-    );
-    if dim.points.is_empty() {
-        let _ = write!(
-            out,
-            "<text x=\"{PAD}\" y=\"{:.1}\" font-size=\"11\">no scored configurations</text>",
-            H / 2.0
-        );
-        out.push_str("</svg>");
-        return out;
-    }
-    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-    for (_, s) in &dim.points {
-        lo = lo.min(*s);
-        hi = hi.max(*s);
-    }
-    if !(hi - lo).is_finite() || hi - lo < 1e-9 {
-        // A flat (or single-point) score range: center the points.
-        lo -= 0.5;
-        hi += 0.5;
-    }
-    for (t, s) in &dim.points {
-        let x = PAD + t * (W - 2.0 * PAD);
-        let y = H - PAD - (s - lo) / (hi - lo) * (H - PAD - TOP);
-        let _ = write!(
-            out,
-            "<circle cx=\"{x:.1}\" cy=\"{y:.1}\" r=\"2.5\" fill=\"#2f6fb4\" opacity=\"0.6\"/>"
-        );
-    }
-    out.push_str("</svg>");
-    out
 }
 
 /// Text diff of two reports for `amlinspect search --compare`: the figures
@@ -363,37 +247,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-    }
-
-    #[test]
-    fn importance_svg_draws_sorted_bars() {
-        let report = analyze(&knn_space(), &fixture(), 0);
-        let svg = render_importance_svg(&report, 16);
-        assert!(svg.starts_with("<svg"), "{svg}");
-        // Two rects per dimension row: coverage (faded) + importance.
-        assert_eq!(svg.matches("<rect").count(), 4);
-        // k has higher importance than weights, so it renders first.
-        let k_at = svg.find("knn.k").unwrap();
-        let w_at = svg.find("knn.weights").unwrap();
-        assert!(k_at < w_at, "{svg}");
-        let empty = render_importance_svg(&analyze(&[], &[], 0), 16);
-        assert!(empty.contains("no search telemetry"), "{empty}");
-    }
-
-    #[test]
-    fn scatter_svg_plots_every_point() {
-        let report = analyze(&knn_space(), &fixture(), 0);
-        let dim = &report.families[0].dims[0];
-        let svg = render_dim_scatter_svg("knn", dim);
-        assert!(svg.starts_with("<svg"), "{svg}");
-        assert_eq!(svg.matches("<circle").count(), dim.points.len());
-        assert!(svg.contains("knn.k"), "{svg}");
-        let empty_dim = DimReport {
-            points: vec![],
-            ..dim.clone()
-        };
-        let empty = render_dim_scatter_svg("knn", &empty_dim);
-        assert!(empty.contains("no scored configurations"), "{empty}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Every [`LedgerEvent`] variant's JSON line is pinned byte-for-byte,
 //! along with the schema version and the file header. If any assertion
 //! here changes, `LEDGER_SCHEMA_VERSION` must be bumped and downstream
-//! consumers (`amlreport`, external tooling reading `ledger.jsonl`)
+//! consumers (`amlinspect`, external tooling reading `ledger.jsonl`)
 //! revisited — adding a *new* event type or a trailing field is the only
 //! change that may land without a bump.
 
@@ -18,7 +18,7 @@ fn schema_version_is_pinned() {
     assert_eq!(
         LEDGER_SCHEMA_VERSION, 1,
         "bumping the ledger schema version requires updating this golden test \
-         and the amlreport parser together"
+         and the ledger reader (`ledger::read`) together"
     );
 }
 
@@ -170,9 +170,9 @@ fn every_event_line_shape_is_pinned() {
 }
 
 /// The full file round trip: header + every variant through the sink,
-/// back through the `amlreport` parser.
+/// back through the ledger reader.
 #[test]
-fn ledger_file_round_trips_through_amlreport_parser() {
+fn ledger_file_round_trips_through_the_ledger_reader() {
     let dir = std::env::temp_dir().join(format!("aml_ledger_golden_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("ledger.jsonl");

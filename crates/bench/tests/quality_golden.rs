@@ -1,16 +1,14 @@
 //! End-to-end golden tests for the model/data-quality plane.
 //!
-//! * a full `RunOpts` round trip with `--quality-out`, `--ledger-out`,
-//!   and `--serve` answers `/quality` mid-run (active, versioned
-//!   schema), exports the quality gauges on `/metrics`, and leaves a
-//!   `quality.json` behind whose bytes are exactly what `amlinspect quality`
-//!   recomputes from the ledger — the write path and the read path are
-//!   held to the same pinned renderer;
-//! * `quality.json` is byte-identical whether the underlying AutoML
-//!   search trains candidates on 1 worker or 4 — the same determinism
-//!   contract as the ledger itself, extended through the analytics;
-//! * `--quality-ref` reads a previous run's `ledger.jsonl`, and drift in
-//!   the new `quality.json` is scored against that baseline.
+//! * a full `RunOpts` round trip with `--ledger-out` and `--serve`
+//!   answers `/quality` mid-run (active, versioned schema), exports the
+//!   quality gauges on `/metrics`, and after `finish` the live report's
+//!   bytes are exactly what `amlinspect quality --json` recomputes from
+//!   the ledger — the live fold and the read path are held to the same
+//!   pinned renderer;
+//! * the report is byte-identical whether the underlying AutoML search
+//!   trains candidates on 1 worker or 4 — the same determinism contract
+//!   as the ledger itself, extended through the analytics.
 
 use aml_automl::AutoMlConfig;
 use aml_bench::qualityview::parse_quality_ledger;
@@ -63,16 +61,13 @@ fn small_cfg(parallelism: usize) -> ExperimentConfig {
 }
 
 #[test]
-fn quality_out_round_trips_and_quality_route_answers_mid_run() {
+fn quality_route_answers_mid_run_and_matches_the_ledger_recompute() {
     let _guard = hold();
     let dir = std::env::temp_dir().join(format!("aml_quality_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let quality_path = dir.join("quality.json");
     let ledger_path = dir.join("ledger.jsonl");
 
     let args: Vec<String> = [
-        "--quality-out",
-        &quality_path.to_string_lossy(),
         "--ledger-out",
         &ledger_path.to_string_lossy(),
         "--serve",
@@ -88,7 +83,7 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
         .expect("prepare activates the quality collector");
     assert!(
         quality::live_json().starts_with("{\"active\":true,"),
-        "--quality-out must arm the collector"
+        "--serve must arm the collector"
     );
 
     let addr = std::fs::read_to_string(dir.join("serve.addr"))
@@ -142,12 +137,16 @@ fn quality_out_round_trips_and_quality_route_answers_mid_run() {
     opts.finish();
     assert!(!ledger::active(), "finish must drain the collector's sink");
 
-    // The artifact's bytes are exactly what `amlinspect quality --json` recomputes
-    // from the ledger: write path and read path share one renderer.
-    let json = std::fs::read_to_string(&quality_path).expect("quality.json written");
+    // The live report's bytes are exactly what `amlinspect quality --json`
+    // recomputes from the ledger: live fold and read path share one
+    // renderer.
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
     let report = parse_quality_ledger(&ledger_text).expect("ledger parses");
-    assert_eq!(report.render_json(), json, "quality.json bytes drifted");
+    assert_eq!(
+        report.render_json(),
+        quality::live_json(),
+        "live quality report drifted from the ledger recompute"
+    );
 
     // Non-degenerate analytics over a real run: both rounds recorded,
     // final diagnostics present, and round 2 drifted against round 1.
@@ -184,13 +183,11 @@ fn quality_json_is_identical_across_worker_counts() {
     let _guard = hold();
     set_level(TelemetryLevel::Summary);
     let (train, test) = splits();
-    let dir = std::env::temp_dir().join(format!("aml_quality_det_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
 
     let run = |workers: usize| {
         // Arming installs the collector's fold sink, so quality events
         // reach it without any file sink.
-        quality::arm(None);
+        quality::arm();
         // Pin round numbering so both runs produce the same sequence.
         ledger::set_next_round(0);
         let cfg = small_cfg(workers);
@@ -205,12 +202,11 @@ fn quality_json_is_identical_across_worker_counts() {
             )
             .unwrap_or_else(|e| panic!("round {round} with {workers} workers: {e}"));
         }
-        let path = dir.join(format!("quality_{workers}.json"));
-        quality::write_json(&path).expect("write quality.json");
+        let json = quality::live_json();
         for (target, result) in sink::finish(&Snapshot::default()) {
             assert!(result.is_ok(), "finish({target}) failed");
         }
-        std::fs::read_to_string(&path).unwrap()
+        json
     };
 
     let one = run(1);
@@ -218,63 +214,9 @@ fn quality_json_is_identical_across_worker_counts() {
     assert!(one.contains("\"active\":true"), "{one}");
     assert_eq!(
         one, four,
-        "quality.json must not depend on the worker count"
+        "the quality report must not depend on the worker count"
     );
 
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn quality_ref_takes_a_reference_ledger() {
-    let _guard = hold();
-    let dir = std::env::temp_dir().join(format!("aml_quality_ref_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let ref_ledger = dir.join("ref/ledger.jsonl");
-    let quality_path = dir.join("quality.json");
-    let (train, test) = splits();
-
-    // One feedback round under the given flags, through the real RunOpts.
-    let run = |args: &[&str]| {
-        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-        let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
-        opts.workload = "quality_ref".into();
-        opts.out_dir = dir.clone();
-        opts.prepare().expect("prepare");
-        run_strategy(
-            Strategy::NoFeedback,
-            &small_cfg(2),
-            &train,
-            None,
-            None,
-            std::slice::from_ref(&test),
-        )
-        .expect("round runs");
-        opts.finish();
-    };
-    // The reference run leaves only its ledger behind.
-    run(&["--ledger-out", &ref_ledger.to_string_lossy()]);
-    run(&[
-        "--quality-out",
-        &quality_path.to_string_lossy(),
-        "--quality-ref",
-        &ref_ledger.to_string_lossy(),
-    ]);
-
-    let json = std::fs::read_to_string(&quality_path).expect("quality.json written");
-    let doc = aml_telemetry::json::parse(json.trim_end()).expect("quality.json is JSON");
-    let drift = doc.req("drift").unwrap();
-    assert_eq!(drift.str_at("reference").unwrap(), "baseline", "{json}");
-    // Same training data as the reference run: every feature scores zero.
-    let features = drift.arr_at("features").unwrap();
-    assert!(!features.is_empty(), "{json}");
-    for f in features {
-        let psi = f.get("psi").and_then(aml_telemetry::json::Value::as_f64);
-        assert_eq!(psi, Some(0.0), "{json}");
-    }
-
-    set_level(TelemetryLevel::Off);
-    aml_telemetry::global().reset();
-    std::fs::remove_dir_all(&dir).ok();
 }

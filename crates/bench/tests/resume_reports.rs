@@ -1,11 +1,11 @@
 //! Resume reproduces every ledger-derived artifact (DESIGN.md §7): a run
 //! checkpointed after every round, SIGKILLed mid-round and resumed with
-//! `--resume`, must write the same ledger lines, the same `search.json`
-//! and `quality.json` bytes and the same history-record ML fields as the
-//! run left uninterrupted.
+//! `--resume`, must write the same ledger lines, end with the same live
+//! search and quality reports and write the same history-record ML
+//! fields as the run left uninterrupted.
 //!
 //! The test drives [`RunOpts`] the way the bench bins do, with
-//! `--ledger-out --search-out --quality-out --record --checkpoint`. The
+//! `--ledger-out --serve --record --checkpoint`. The
 //! interrupted life of run B is a real process: the test re-executes its
 //! own binary with [`CHILD_ENV`] naming the run directory, and the child
 //! pauses in round index 2 after the round's trials reached the ledger
@@ -16,10 +16,12 @@
 //! armed fold. One `#[test]` per file: the sink list and the ledger
 //! round counter are process-global.
 
+use aml_bench::qualityview::parse_quality_ledger;
+use aml_bench::searchview::parse_search_ledger;
 use aml_bench::RunOpts;
 use aml_core::{run_strategy, Checkpoint, ExperimentConfig, Strategy};
 use aml_dataset::{split::split_into_k, split::train_test_split, synth, Dataset};
-use aml_telemetry::{ledger, sink, HistoryRecord};
+use aml_telemetry::{ledger, quality, searchview, sink, HistoryRecord};
 use std::fs;
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -56,10 +58,8 @@ fn prepare(dir: &Path, extra: &[&str]) -> RunOpts {
         SEED.to_string(),
         "--ledger-out".into(),
         path("ledger.jsonl"),
-        "--search-out".into(),
-        path("search.json"),
-        "--quality-out".into(),
-        path("quality.json"),
+        "--serve".into(),
+        "127.0.0.1:0".into(),
         "--record".into(),
         path("history.jsonl"),
         "--checkpoint".into(),
@@ -133,6 +133,24 @@ fn sorted_ledger(dir: &Path) -> Vec<String> {
     lines
 }
 
+/// The live search and quality reports of a finished run, each checked
+/// against its recompute from the run's ledger.
+fn live_reports(dir: &Path) -> [String; 2] {
+    let text = fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+    let reports = [searchview::live_json(), quality::live_json()];
+    assert_eq!(
+        reports[0],
+        parse_search_ledger(&text).unwrap().render_json(),
+        "live search report differs from the ledger recompute"
+    );
+    assert_eq!(
+        reports[1],
+        parse_quality_ledger(&text).unwrap().render_json(),
+        "live quality report differs from the ledger recompute"
+    );
+    reports
+}
+
 /// Run B's first life, in a child process: every round up to
 /// [`KILL_ROUND`], where it pauses to be killed.
 fn child_life(dir: &Path) {
@@ -184,10 +202,11 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
     let opts = prepare(&dir_a, &[]);
     drive(&opts, &train, &test_sets, None);
     opts.finish();
+    let reports_a = live_reports(&dir_a);
 
     // Run B: a real process SIGKILLed inside round 2. Rounds 0 and 1 are
     // checkpointed; round 2's trial events lie past the checkpoint's
-    // ledger length, and no report was written.
+    // ledger length.
     run_and_kill_child(&dir_b);
     let ckpt = Checkpoint::load(&dir_b.join("run.ckpt")).expect("checkpoint survives");
     assert_eq!(ckpt.rounds.len(), KILL_ROUND as usize, "{ckpt:?}");
@@ -197,7 +216,6 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
         "no torn tail: ledger {ledger_len} bytes, checkpoint {}",
         ckpt.ledger_bytes
     );
-    assert!(!dir_b.join("search.json").exists());
 
     // ...resumed to completion in this process.
     let ckpt = dir_b.join("run.ckpt").to_string_lossy().into_owned();
@@ -206,13 +224,16 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
     opts.finish();
 
     assert_eq!(sorted_ledger(&dir_b), sorted_ledger(&dir_a));
-    for artifact in ["search.json", "quality.json"] {
-        assert_eq!(
-            fs::read_to_string(dir_b.join(artifact)).unwrap(),
-            fs::read_to_string(dir_a.join(artifact)).unwrap(),
-            "resumed {artifact} differs from the uninterrupted run's"
-        );
-    }
+    let [search_b, quality_b] = live_reports(&dir_b);
+    assert!(search_b.contains("\"active\":true"), "{search_b}");
+    assert_eq!(
+        search_b, reports_a[0],
+        "resumed search report differs from the uninterrupted run's"
+    );
+    assert_eq!(
+        quality_b, reports_a[1],
+        "resumed quality report differs from the uninterrupted run's"
+    );
     let (a, b) = (history(&dir_a), history(&dir_b));
     assert_eq!(a.rounds, ROUNDS.len() as u64, "{a:?}");
     assert!(a.trials_finished > 0 && a.ece.is_some(), "{a:?}");

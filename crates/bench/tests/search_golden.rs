@@ -1,13 +1,13 @@
 //! End-to-end golden tests for search observability (PR 8).
 //!
-//! * a full `RunOpts` round trip with `--search-out`, `--ledger-out`,
-//!   and `--serve` answers `/search` mid-run (active, versioned schema)
-//!   and leaves a `search.json` behind whose bytes are exactly what
-//!   `amlinspect search` recomputes from the ledger — the write path and the
+//! * a full `RunOpts` round trip with `--ledger-out` and `--serve`
+//!   answers `/search` mid-run (active, versioned schema), and after
+//!   `finish` the live report's bytes are exactly what `amlinspect
+//!   search --json` recomputes from the ledger — the live fold and the
 //!   read path are held to the same pinned renderer;
-//! * `search.json` is byte-identical whether the search trains
-//!   candidates on 1 worker or 4 — the same determinism contract as the
-//!   ledger itself, extended through the analytics.
+//! * the report is byte-identical whether the search trains candidates
+//!   on 1 worker or 4 — the same determinism contract as the ledger
+//!   itself, extended through the analytics.
 
 use aml_automl::ModelFamily;
 use aml_bench::searchview::parse_search_ledger;
@@ -57,17 +57,14 @@ fn run_search(train: &Dataset, val: &Dataset, parallelism: usize) {
 }
 
 #[test]
-fn search_out_round_trips_and_search_route_answers_mid_run() {
+fn search_route_answers_mid_run_and_matches_the_ledger_recompute() {
     let _guard = hold();
     ledger::reset_search_space_gate();
     let dir = std::env::temp_dir().join(format!("aml_search_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let search_path = dir.join("search.json");
     let ledger_path = dir.join("ledger.jsonl");
 
     let args: Vec<String> = [
-        "--search-out",
-        &search_path.to_string_lossy(),
         "--ledger-out",
         &ledger_path.to_string_lossy(),
         "--serve",
@@ -84,7 +81,7 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
     assert_eq!(
         searchview::live_json(),
         SearchCollector::new().report().render_json(),
-        "--search-out must arm an empty collector"
+        "--serve must arm an empty collector"
     );
 
     let addr = std::fs::read_to_string(dir.join("serve.addr"))
@@ -118,12 +115,16 @@ fn search_out_round_trips_and_search_route_answers_mid_run() {
     opts.finish();
     assert!(!ledger::active(), "finish must drain the collector's sink");
 
-    // The artifact's bytes are exactly what `amlinspect search --json` recomputes
-    // from the ledger: write path and read path share one renderer.
-    let json = std::fs::read_to_string(&search_path).expect("search.json written");
+    // The live report's bytes are exactly what `amlinspect search --json`
+    // recomputes from the ledger: live fold and read path share one
+    // renderer.
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
     let report = parse_search_ledger(&ledger_text).expect("ledger parses");
-    assert_eq!(report.render_json(), json, "search.json bytes drifted");
+    assert_eq!(
+        report.render_json(),
+        searchview::live_json(),
+        "live search report drifted from the ledger recompute"
+    );
 
     // Non-degenerate analytics over a real run: every declared family
     // sampled, every dimension visited somewhere, and the scores varied
@@ -158,53 +159,51 @@ fn search_json_is_identical_across_worker_counts() {
     let _guard = hold();
     set_level(TelemetryLevel::Summary);
     let (train, val) = splits();
-    let dir = std::env::temp_dir().join(format!("aml_search_det_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
 
     let run = |workers: usize| {
         // Arming installs the collector's fold sink, so trial events
         // reach it without any file sink.
         searchview::arm();
         run_search(&train, &val, workers);
-        let path = dir.join(format!("search_{workers}.json"));
-        searchview::write_json(&path).expect("write search.json");
+        let json = searchview::live_json();
         // finish() resets the search_space gate so the next run emits
         // its own declaration.
         for (target, result) in sink::finish(&Snapshot::default()) {
             assert!(result.is_ok(), "finish({target}) failed");
         }
-        std::fs::read_to_string(&path).unwrap()
+        json
     };
 
     let one = run(1);
     let four = run(4);
     assert!(one.contains("\"active\":true"), "{one}");
-    assert_eq!(one, four, "search.json must not depend on the worker count");
+    assert_eq!(
+        one, four,
+        "the search report must not depend on the worker count"
+    );
 
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Past the collector cap, the live `--search-out` report and the
+/// Past the collector cap, the live `/search` report and the
 /// offline recompute from the same ledger still agree byte for byte:
 /// both fold the events through one collector, cap and drop count
 /// included. Events are emitted directly — no model fitting.
 #[test]
-fn search_out_matches_the_ledger_recompute_past_the_trial_cap() {
+fn live_search_matches_the_ledger_recompute_past_the_trial_cap() {
     use aml_telemetry::searchview::TRIAL_CAP;
     use aml_telemetry::{LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
 
     let _guard = hold();
     let dir = std::env::temp_dir().join(format!("aml_search_cap_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let search_path = dir.join("search.json");
     let ledger_path = dir.join("ledger.jsonl");
     let args: Vec<String> = [
-        "--search-out",
-        &search_path.to_string_lossy(),
         "--ledger-out",
         &ledger_path.to_string_lossy(),
+        "--serve",
+        "127.0.0.1:0",
     ]
     .iter()
     .map(|s| s.to_string())
@@ -245,14 +244,13 @@ fn search_out_matches_the_ledger_recompute_past_the_trial_cap() {
     }
     opts.finish();
 
-    let json = std::fs::read_to_string(&search_path).expect("search.json written");
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
     let report = parse_search_ledger(&ledger_text).expect("ledger parses");
     assert_eq!(report.started, TRIAL_CAP as u64);
     assert_eq!(report.dropped, OVER_CAP as u64);
     assert!(
-        report.render_json() == json,
-        "search.json differs from the ledger recompute past the cap"
+        report.render_json() == searchview::live_json(),
+        "the live search report differs from the ledger recompute past the cap"
     );
 
     set_level(TelemetryLevel::Off);

@@ -24,6 +24,7 @@ use crate::{CoreError, Result};
 use aml_automl::{AutoMl, AutoMlConfig, FittedAutoMl};
 use aml_dataset::Dataset;
 use aml_models::metrics::balanced_accuracy;
+use aml_models::model::argmax;
 use aml_models::Classifier;
 
 /// The nine Table-1 strategies (plus SMOTE as a distinct upsampler).
@@ -371,15 +372,21 @@ pub fn run_strategy(
         fit_automl(cfg, &augmented, 0xF17)?
     };
 
-    let scores = {
+    // One prediction pass per test set: the flat probability buffers
+    // score balanced accuracy here and feed the model diagnostics below.
+    let n_classes = model.n_classes();
+    let (probas, scores) = {
         let _score = aml_telemetry::span!("core.strategy.score", strategy.name());
-        test_sets
-            .iter()
-            .map(|ts| {
-                let preds = model.predict(ts)?;
-                Ok(balanced_accuracy(ts.labels(), &preds, ts.n_classes())?)
-            })
-            .collect::<Result<Vec<f64>>>()?
+        let mut probas = Vec::with_capacity(test_sets.len());
+        let mut scores = Vec::with_capacity(test_sets.len());
+        for ts in test_sets {
+            let mut proba = vec![0.0; ts.n_rows() * n_classes];
+            model.predict_proba_into(ts.values(), &mut proba)?;
+            let preds: Vec<usize> = proba.chunks_exact(n_classes).map(argmax).collect();
+            scores.push(balanced_accuracy(ts.labels(), &preds, ts.n_classes())?);
+            probas.push(proba);
+        }
+        (probas, scores)
     };
 
     // Ledger: the quality plane's per-round probes (train/eval dataset
@@ -429,10 +436,11 @@ pub fn run_strategy(
         if let Some(event) = crate::quality::model_diagnostics_event(
             round,
             strategy.name(),
-            &model,
             test_sets,
+            &probas,
+            n_classes,
             2.0 * ale_std_mean,
-        )? {
+        ) {
             aml_telemetry::ledger::emit(&event);
         }
         aml_telemetry::ledger::emit(&aml_telemetry::LedgerEvent::RoundCompleted {

@@ -13,7 +13,6 @@
 
 use crate::Result;
 use aml_dataset::{Dataset, FeatureDomain};
-use aml_models::Classifier;
 use aml_telemetry::ledger::LedgerEvent;
 use aml_telemetry::quality::{profile_feature, RELIABILITY_BINS};
 
@@ -71,23 +70,24 @@ pub fn dataset_profile_event(
     }))
 }
 
-/// Build one `model_diagnostics` event from `model`'s predictions over
+/// Build one `model_diagnostics` event from the model's predictions over
 /// every row of `test_sets`: confusion matrix, Brier score, and
 /// reliability-bin tallies (confidence = the predicted class's
 /// probability, argmax ties to the lower index — matching
-/// [`Classifier::predict`]). Returns `None` when the eval sets are
+/// [`aml_models::Classifier::predict`]). `probas` holds one flat
+/// [`aml_models::Classifier::predict_proba_into`] buffer per test set,
+/// `model_classes` values per row. Returns `None` when the eval sets are
 /// empty. `ale_band_width` is the round's mean ALE ±σ band width (2σ),
 /// 0 without ALE feedback.
-pub fn model_diagnostics_event<M: Classifier + ?Sized>(
+pub fn model_diagnostics_event(
     round: u64,
     strategy: &str,
-    model: &M,
     test_sets: &[Dataset],
+    probas: &[Vec<f64>],
+    model_classes: usize,
     ale_band_width: f64,
-) -> Result<Option<LedgerEvent>> {
-    let Some(first) = test_sets.first() else {
-        return Ok(None);
-    };
+) -> Option<LedgerEvent> {
+    let first = test_sets.first()?;
     let n_classes = first.n_classes();
     let mut confusion = vec![vec![0u64; n_classes]; n_classes];
     let mut bin_count = vec![0u64; RELIABILITY_BINS];
@@ -95,9 +95,8 @@ pub fn model_diagnostics_event<M: Classifier + ?Sized>(
     let mut bin_hit = vec![0u64; RELIABILITY_BINS];
     let mut brier_sum = 0.0;
     let mut rows = 0u64;
-    for ts in test_sets {
-        for i in 0..ts.n_rows() {
-            let probs = model.predict_proba_row(ts.row(i))?;
+    for (ts, proba) in test_sets.iter().zip(probas) {
+        for (i, probs) in proba.chunks_exact(model_classes).enumerate() {
             let label = ts.label(i);
             let mut pred = 0usize;
             let mut conf = f64::NEG_INFINITY;
@@ -126,7 +125,7 @@ pub fn model_diagnostics_event<M: Classifier + ?Sized>(
             rows += 1;
         }
     }
-    Ok(Some(LedgerEvent::ModelDiagnostics {
+    Some(LedgerEvent::ModelDiagnostics {
         round,
         strategy: strategy.to_string(),
         rows,
@@ -141,44 +140,13 @@ pub fn model_diagnostics_event<M: Classifier + ?Sized>(
         bin_conf_sum,
         bin_hit,
         ale_band_width,
-    }))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aml_dataset::FeatureMeta;
-    use aml_models::ModelError;
-
-    /// Predicts class 0 with fixed confidence for every row.
-    struct Constant {
-        proba: Vec<f64>,
-    }
-
-    impl Classifier for Constant {
-        fn n_classes(&self) -> usize {
-            self.proba.len()
-        }
-
-        fn n_features(&self) -> usize {
-            1
-        }
-
-        fn predict_proba_into(
-            &self,
-            _rows: &[f64],
-            out: &mut [f64],
-        ) -> std::result::Result<(), ModelError> {
-            for p in out.chunks_mut(self.proba.len()) {
-                p.copy_from_slice(&self.proba);
-            }
-            Ok(())
-        }
-
-        fn name(&self) -> &'static str {
-            "constant"
-        }
-    }
 
     fn two_class_set(rows: &[(f64, usize)]) -> Dataset {
         let mut ds = Dataset::new(
@@ -246,12 +214,9 @@ mod tests {
     #[test]
     fn diagnostics_tally_confusion_brier_and_reliability() {
         let ds = two_class_set(&[(0.1, 0), (0.2, 0), (0.3, 1)]);
-        let model = Constant {
-            proba: vec![0.8, 0.2],
-        };
-        let event = model_diagnostics_event(2, "Random", &model, &[ds], 0.5)
-            .unwrap()
-            .unwrap();
+        // Every row predicted as class 0 with confidence 0.8.
+        let probas = vec![[0.8, 0.2].repeat(ds.n_rows())];
+        let event = model_diagnostics_event(2, "Random", &[ds], &probas, 2, 0.5).unwrap();
         let LedgerEvent::ModelDiagnostics {
             round,
             strategy,
@@ -280,8 +245,6 @@ mod tests {
         let expected = (0.08 + 0.08 + 1.28) / 3.0;
         assert!((brier - expected).abs() < 1e-12, "{brier}");
         assert_eq!(ale_band_width, 0.5);
-        assert!(model_diagnostics_event(0, "x", &model, &[], 0.0)
-            .unwrap()
-            .is_none());
+        assert!(model_diagnostics_event(0, "x", &[], &[], 2, 0.0).is_none());
     }
 }

@@ -22,7 +22,7 @@
 //! * an **experiment ledger** ([`ledger`]): typed, versioned ML-level
 //!   events — trials with halving rungs, ensemble composition, feedback
 //!   rounds, suggested regions, curve provenance — streamed to a
-//!   deterministic `ledger.jsonl` (consumed by the `amlreport` bin);
+//!   deterministic `ledger.jsonl` (read back by the `amlinspect` bin);
 //! * a **live observability plane** ([`serve`], behind `--serve ADDR`):
 //!   a std-only HTTP server exposing `/metrics` (Prometheus text
 //!   exposition), `/healthz` (liveness + run phase), `/runs` (run
@@ -34,12 +34,11 @@
 //!   one append-only JSONL record per completed run (wall time, peak
 //!   RSS, final accuracy, trial/failure counts) feeding
 //!   `perfgate --against-history` and the dashboard's trend section;
-//! * a **model/data quality plane** ([`quality`], behind
-//!   `--quality-out`): per-feature dataset profiles with fixed-edge
-//!   histograms, PSI drift scores against the previous round or a
-//!   `--quality-ref` baseline, and per-round confusion/calibration
-//!   diagnostics, written as `quality.json` and served live at
-//!   `/quality`;
+//! * a **model/data quality plane** ([`quality`], armed by `--serve`):
+//!   per-feature dataset profiles with fixed-edge histograms, PSI drift
+//!   scores against the previous round, and per-round
+//!   confusion/calibration diagnostics, served live at `/quality` and
+//!   recomputed from the ledger by `amlinspect quality`;
 //! * a **resource sampler** ([`resource`]): `/proc/self` readings
 //!   published as `proc.*` gauges ([`gauge_set`]), no-op off Linux;
 //! * **causal trace trees** ([`tracetree`], behind `--crit-out`,
@@ -107,7 +106,7 @@ pub use ledger::{
 };
 pub use manifest::Manifest;
 pub use progress::{note, report, warn, Progress};
-pub use quality::{FeatureProfile, QualityReference, QualityReport, QUALITY_SCHEMA_VERSION};
+pub use quality::{FeatureProfile, QualityReport, QUALITY_SCHEMA_VERSION};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, SpanSnapshot};
 pub use searchview::{SearchReport, SEARCH_SCHEMA_VERSION};
 pub use sink::{RunHeader, Sink};

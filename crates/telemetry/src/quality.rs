@@ -13,20 +13,18 @@
 //!   10-bin reliability counts, and emits them as two additive ledger
 //!   events (`dataset_profile`, `model_diagnostics`). The events carry
 //!   only *raw counts and sums*; every derived metric (accuracy,
-//!   precision/recall/F1, ECE, PSI) is recomputed on the read side so a
-//!   `quality.json` and an `amlinspect quality` recompute from the ledger are
-//!   byte-identical.
+//!   precision/recall/F1, ECE, PSI) is recomputed on the read side so the
+//!   live `/quality` report and an `amlinspect quality` recompute from the
+//!   ledger are byte-identical.
 //! * **collector** — a [`QualityCollector`] [`Fold`] keeps a copy of each
 //!   quality event. [`arm`] puts a fresh one in the live store and
 //!   installs the sink that feeds it; the offline recompute from a
-//!   `ledger.jsonl` folds the parsed events through the same type. [`live_json`] serves the current
-//!   report at `/quality` mid-run, and [`write_json`] renders the final
-//!   pinned-field-order `quality.json` behind `--quality-out`.
-//! * **drift** — [`psi`] scores each feature's histogram against a
-//!   reference: the previous round's profile by default, or a baseline
-//!   loaded from a prior run's ledger (`--quality-ref`, handed
-//!   to [`arm`]). Bins are epsilon-smoothed so an
-//!   empty bin can never produce an infinite score.
+//!   `ledger.jsonl` folds the parsed events through the same type.
+//!   [`live_json`] serves the current pinned-field-order report at
+//!   `/quality`.
+//! * **drift** — [`psi`] scores each feature's histogram against the
+//!   previous round's profile. Bins are epsilon-smoothed so an empty bin
+//!   can never produce an infinite score.
 //!
 //! Unarmed, everything is free: no sink is installed, ledger emission
 //! is one relaxed atomic load, and `/quality` answers with the
@@ -35,7 +33,6 @@
 use crate::json;
 use crate::ledger::{Fold, FoldStore, LedgerEvent};
 use std::fmt::Write as _;
-use std::path::Path;
 
 /// Version stamped into `quality.json` and the `/quality` route. Bump
 /// only on breaking shape changes; the read side rejects newer versions.
@@ -243,18 +240,6 @@ pub fn ece_from_bins(count: &[u64], conf_sum: &[f64], hit: &[u64]) -> f64 {
     ece
 }
 
-/// A baseline profile set folded from a previous run's ledger
-/// (`--quality-ref`); drift is scored against it instead of the
-/// previous round.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QualityReference {
-    /// Label rendered in the report's `drift.reference` field
-    /// (`"baseline"` for `--quality-ref`).
-    pub label: String,
-    /// The reference train-split feature profiles, matched by name.
-    pub features: Vec<FeatureProfile>,
-}
-
 /// One feedback round's quality summary, derived from its
 /// `model_diagnostics` (and `dataset_profile`) events.
 #[derive(Debug, Clone, PartialEq)]
@@ -278,10 +263,9 @@ pub struct RoundQuality {
     /// Mean ALE ±σ band width (2σ) over all grid cells; 0 without ALE.
     pub ale_band_width: f64,
     /// Mean per-feature PSI of this round's train profile against the
-    /// drift reference; `None` when no reference exists (first round
-    /// without a baseline).
+    /// previous round's; `None` for the first round.
     pub psi_mean: Option<f64>,
-    /// Max per-feature PSI against the drift reference.
+    /// Max per-feature PSI against the previous round's profile.
     pub psi_max: Option<f64>,
 }
 
@@ -342,8 +326,7 @@ pub struct FeatureDrift {
 /// latest train profile's per-feature PSI.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftReport {
-    /// `"baseline"` (a `--quality-ref` profile), `"previous_round"`, or
-    /// `"none"` (fewer than two rounds and no baseline).
+    /// `"previous_round"`, or `"none"` (fewer than two rounds).
     pub reference: String,
     /// Per-feature drift of the latest train profile.
     pub features: Vec<FeatureDrift>,
@@ -385,8 +368,7 @@ impl SplitProfile {
 }
 
 /// The full quality report: per-round series, final-round diagnostics,
-/// drift scores, and the latest profiles (which double as the baseline
-/// a later run can reference with `--quality-ref`).
+/// drift scores, and the latest profiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityReport {
     /// Report shape version ([`QUALITY_SCHEMA_VERSION`]).
@@ -405,8 +387,8 @@ pub struct QualityReport {
 
 impl QualityReport {
     /// Render the pinned-field-order JSON document (trailing newline
-    /// included), byte-identical between `--quality-out`, `/quality`,
-    /// and an `amlinspect quality` recompute from the same ledger.
+    /// included), byte-identical between `/quality` and an `amlinspect
+    /// quality` recompute from the same ledger.
     pub fn render_json(&self) -> String {
         let mut out = format!(
             "{{\"active\":true,\"schema_version\":{},\"rounds\":[",
@@ -690,14 +672,10 @@ fn split_rank(split: &str) -> u8 {
 
 /// Pure reduction: build the [`QualityReport`] from quality ledger
 /// events (`DatasetProfile` / `ModelDiagnostics`; other variants are
-/// ignored) and an optional drift baseline. Events are canonically
-/// sorted first, so the result is independent of arrival order — the
-/// same 1-vs-N-worker identity contract the ledger itself keeps.
-pub fn report_from_events<'a, I>(
-    events: I,
-    reference: Option<&QualityReference>,
-    dropped: u64,
-) -> QualityReport
+/// ignored). Events are canonically sorted first, so the result is
+/// independent of arrival order — the same 1-vs-N-worker identity
+/// contract the ledger itself keeps.
+pub fn report_from_events<'a, I>(events: I, dropped: u64) -> QualityReport
 where
     I: IntoIterator<Item = &'a LedgerEvent>,
 {
@@ -788,11 +766,10 @@ where
     let psi_against = |round: u64| -> Option<Vec<FeatureDrift>> {
         let pos = train_profiles.iter().position(|p| p.round == round)?;
         let current = train_profiles[pos];
-        let reference_features: &[FeatureProfile] = match reference {
-            Some(r) => &r.features,
-            None if pos > 0 => &train_profiles[pos - 1].features,
-            None => return None,
-        };
+        if pos == 0 {
+            return None;
+        }
+        let reference_features = &train_profiles[pos - 1].features;
         Some(
             current
                 .features
@@ -885,9 +862,7 @@ where
     };
     let drift = match last_round.and_then(psi_against) {
         Some(features) => DriftReport {
-            reference: reference
-                .map(|r| r.label.clone())
-                .unwrap_or_else(|| "previous_round".to_string()),
+            reference: "previous_round".to_string(),
             features,
         },
         None => DriftReport {
@@ -911,24 +886,21 @@ where
 // ---------------------------------------------------------------------
 
 /// The quality collector: a copy of each quality event (capped at
-/// `EVENT_CAP`, later events count as dropped) plus the optional drift
-/// baseline. The live store behind `--quality-out`/`/quality` and the
-/// offline recompute from a `ledger.jsonl` both fold events through this
-/// one type, so the two reports agree by construction.
+/// `EVENT_CAP`, later events count as dropped). The live store behind
+/// `/quality` and the offline recompute from a `ledger.jsonl` both fold
+/// events through this one type, so the two reports agree by
+/// construction.
 #[derive(Debug, Clone, Default)]
 pub struct QualityCollector {
     events: Vec<LedgerEvent>,
-    reference: Option<QualityReference>,
     dropped: u64,
 }
 
 impl QualityCollector {
-    /// An empty collector drifting against `reference` (the previous
-    /// round when `None`).
-    pub const fn new(reference: Option<QualityReference>) -> QualityCollector {
+    /// An empty collector.
+    pub const fn new() -> QualityCollector {
         QualityCollector {
             events: Vec::new(),
-            reference,
             dropped: 0,
         }
     }
@@ -940,7 +912,7 @@ impl QualityCollector {
 
     /// Reduce the recorded events into a [`QualityReport`].
     pub fn report(&self) -> QualityReport {
-        report_from_events(&self.events, self.reference.as_ref(), self.dropped)
+        report_from_events(&self.events, self.dropped)
     }
 }
 
@@ -962,15 +934,14 @@ impl Fold for QualityCollector {
     }
 }
 
-/// The live collector behind `--quality-out` and `/quality`.
+/// The live collector behind `/quality`.
 static STORE: FoldStore<QualityCollector> =
-    FoldStore::new("quality collector (in memory)", QualityCollector::new(None));
+    FoldStore::new("quality collector (in memory)", QualityCollector::new());
 
-/// Arm the live collector for a new run: it starts empty, drifts against
-/// `reference` (from a previous run's ledger, `--quality-ref`) or the
-/// previous round, and every ledger event from here on is folded into it.
-pub fn arm(reference: Option<QualityReference>) {
-    STORE.arm(QualityCollector::new(reference));
+/// Arm the live collector for a new run: it starts empty and every
+/// ledger event from here on is folded into it.
+pub fn arm() {
+    STORE.arm(QualityCollector::new());
 }
 
 /// The `/quality` route body: the live report as JSON, or the
@@ -996,19 +967,6 @@ pub fn prometheus_gauges() -> String {
             c.report().render_prometheus()
         }
     })
-}
-
-/// Render the live collector's report and write it to `path` (creating
-/// parent directories), returning the report for further rendering.
-pub fn write_json(path: &Path) -> std::io::Result<QualityReport> {
-    let report = STORE.read(|c, _| c.report());
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, report.render_json())?;
-    Ok(report)
 }
 
 #[cfg(test)]
@@ -1146,7 +1104,7 @@ mod tests {
             profile_event(0, "train", &[0.1, 0.2, 0.3, 0.4]),
             profile_event(1, "eval", &[0.2, 0.6]),
         ];
-        let report = report_from_events(&events, None, 0);
+        let report = report_from_events(&events, 0);
         assert_eq!(report.rounds.len(), 2);
         assert_eq!(report.rounds[0].round, 0);
         assert_eq!(
@@ -1166,29 +1124,8 @@ mod tests {
         reversed.reverse();
         assert_eq!(
             report.render_json(),
-            report_from_events(&reversed, None, 0).render_json()
+            report_from_events(&reversed, 0).render_json()
         );
-    }
-
-    #[test]
-    fn baseline_reference_overrides_previous_round() {
-        let events = vec![profile_event(0, "train", &[0.1, 0.2]), diag_event(0, 20)];
-        let reference = QualityReference {
-            label: "baseline".to_string(),
-            features: vec![profile_feature("loss", 0.0, 1.0, 4, &[0.9, 0.9])],
-        };
-        let report = report_from_events(&events, Some(&reference), 0);
-        assert_eq!(report.drift.reference, "baseline");
-        let psi0 = report.rounds[0].psi_mean.expect("baseline anchors round 0");
-        assert!(psi0 > 0.0);
-        // A feature missing from the reference scores null, not a panic.
-        let other = QualityReference {
-            label: "baseline".to_string(),
-            features: vec![profile_feature("other", 0.0, 1.0, 4, &[0.5])],
-        };
-        let report = report_from_events(&events, Some(&other), 0);
-        assert_eq!(report.drift.features[0].psi, None);
-        assert_eq!(report.rounds[0].psi_mean, None);
     }
 
     #[test]
@@ -1293,7 +1230,7 @@ mod tests {
         // Unarmed, emitted events reach no collector.
         crate::ledger::emit(&diag_event(0, 20));
         assert_eq!(live_json(), "{\"active\":false}\n");
-        arm(None);
+        arm();
         // Armed but empty: an active, empty report.
         assert!(live_json().starts_with("{\"active\":true,"));
         crate::ledger::emit(&profile_event(0, "train", &[0.1, 0.9]));
@@ -1313,14 +1250,6 @@ mod tests {
         // Disarmed with data still serves the last report (finish() path).
         crate::sink::finish(&crate::Snapshot::default());
         assert_eq!(live_json(), report.render_json());
-        let dir = std::env::temp_dir().join(format!("aml_quality_{}", std::process::id()));
-        let path = dir.join("nested/quality.json");
-        let written = write_json(&path).unwrap();
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            written.render_json()
-        );
-        std::fs::remove_dir_all(&dir).ok();
         STORE.clear();
         assert_eq!(live_json(), "{\"active\":false}\n");
     }

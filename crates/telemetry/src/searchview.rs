@@ -13,7 +13,7 @@
 //! (from the once-per-run `search_space` event) plus one [`TrialRec`]
 //! per `trial_started`, settled by the matching `trial_finished` /
 //! `trial_failed` line. It is a [`Fold`]: [`arm`] puts a fresh one in
-//! the live store behind `--search-out`/`/search` and installs the sink
+//! the live store behind `/search` and installs the sink
 //! that feeds it, and the offline recompute from a `ledger.jsonl` folds
 //! the parsed events through the same type, so the two reports agree by
 //! construction. Unarmed, nothing is installed and ledger emission stays
@@ -39,7 +39,7 @@
 //!   its own. Deterministic, no external deps.
 //!
 //! Rendered three ways: [`SearchReport::render_json`] (pinned field
-//! order, written by `--search-out`, served at `/search`),
+//! order, served at `/search`, printed by `amlinspect search --json`),
 //! [`SearchReport::render_table`] (the `amlinspect search` summary), and the
 //! dashboard's search-explorer panel (which consumes the JSON).
 
@@ -84,9 +84,9 @@ pub struct TrialRec {
 
 /// The search collector: the declared space plus one [`TrialRec`] per
 /// `trial_started` event, settled by the matching outcome event. The
-/// live store behind `--search-out`/`/search` and the offline recompute
-/// from a `ledger.jsonl` both fold events through this one type, so the
-/// two reports agree by construction — cap included.
+/// live store behind `/search` and the offline recompute from a
+/// `ledger.jsonl` both fold events through this one type, so the two
+/// reports agree by construction — cap included.
 #[derive(Debug, Clone, Default)]
 pub struct SearchCollector {
     space: Vec<SpaceFamily>,
@@ -184,7 +184,7 @@ impl Fold for SearchCollector {
     }
 }
 
-/// The live collector behind `--search-out` and `/search`.
+/// The live collector behind `/search`.
 static STORE: FoldStore<SearchCollector> =
     FoldStore::new("search collector", SearchCollector::new());
 
@@ -554,7 +554,7 @@ fn dim_report(
 impl SearchReport {
     /// Render as one JSON line (plus trailing newline). Field order and
     /// formatting are pinned by a golden test; `/search` serves exactly
-    /// this for an active collector, `--search-out` writes it.
+    /// this for an active collector.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         let _ = write!(
@@ -637,8 +637,7 @@ impl SearchReport {
         out
     }
 
-    /// The human-readable summary `amlinspect search` prints and `--search-out`
-    /// appends to the run footer on stderr.
+    /// The human-readable summary `amlinspect search` prints.
     pub fn render_table(&self) -> String {
         let mut out = String::from("hyperparameter search:\n");
         let _ = writeln!(
@@ -702,14 +701,6 @@ pub fn live_json() -> String {
         return "{\"active\":false}\n".to_string();
     }
     c.report().render_json()
-}
-
-/// Write the report for the current collector state to `path` and return
-/// the rendered report for further display.
-pub fn write_json(path: &std::path::Path) -> std::io::Result<SearchReport> {
-    let report = STORE.read(|c, _| c.clone()).report();
-    std::fs::write(path, report.render_json())?;
-    Ok(report)
 }
 
 #[cfg(test)]

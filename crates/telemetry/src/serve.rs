@@ -946,7 +946,7 @@ mod tests {
         // The bins arm the search and quality collectors alongside
         // --serve; /search and /quality answer from them.
         crate::searchview::arm();
-        crate::quality::arm(None);
+        crate::quality::arm();
         let addr = start("127.0.0.1:0", &header).unwrap();
         assert!(active());
         assert_eq!(bound_addr(), Some(addr));
