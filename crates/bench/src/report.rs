@@ -24,10 +24,13 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 /// `throughput` is the counter over that span's total time, which sums
 /// every call on every thread: a rate per core, which does not fall when
 /// the rest of the run grows. Other counters are taken per second of wall
-/// time.
-pub(crate) const OWNED_COUNTERS: [(&str, &str); 2] = [
+/// time. Simulations per core-second is the netsim layer's number: it
+/// rises when a simulation gets cheaper, whatever that does to the events
+/// each one pops.
+pub(crate) const OWNED_COUNTERS: [(&str, &str); 3] = [
     ("interpret.ale.predictions", "interpret.ale.curve"),
     ("netsim.sim.events", "netsim.runner.run_all"),
+    ("netsim.sim.runs", "netsim.runner.run_all"),
 ];
 
 /// One span's aggregate in the report.
@@ -95,9 +98,10 @@ pub struct BenchReport {
     pub spans: Vec<BenchSpan>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Counter rates, excluding `alloc.*`: `interpret.ale.predictions` and
-    /// `netsim.sim.events` per second of their owning span's total (omitted when that span took no
-    /// time), every other counter per second of wall time.
+    /// Counter rates, excluding `alloc.*`: `interpret.ale.predictions`,
+    /// `netsim.sim.events` and `netsim.sim.runs` per second of their owning
+    /// span's total (omitted when that span took no time), every other
+    /// counter per second of wall time.
     pub throughput: Vec<(String, f64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<BenchHist>,
@@ -604,6 +608,15 @@ mod tests {
         // Without its span's time there is no per-core rate to report.
         assert_eq!(rate("netsim.sim.events"), None);
         assert_eq!(r.throughput.len(), 2);
+
+        // Simulations are rated over the same 4 s of `run_all` as their
+        // events: 384 runs, 96 per core-second.
+        let mut m = sample_manifest();
+        m.snapshot.counters.push(("netsim.sim.runs".into(), 384));
+        let r = BenchReport::from_manifest(&m);
+        let rate = |name: &str| r.throughput.iter().find(|(n, _)| n == name).map(|t| t.1);
+        assert_eq!(rate("netsim.sim.runs"), Some(96.0));
+        assert_eq!(rate("netsim.sim.events"), Some(12_500.0));
     }
 
     #[test]

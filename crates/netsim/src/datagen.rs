@@ -19,7 +19,11 @@ use aml_rng::SeedableRng;
 /// or labels a given (domain, sampling mode, n, seed) produces — simulator
 /// semantics, protocols, condition sampling or seed derivation — so that
 /// dataset caches keyed on it miss instead of serving stale data.
-pub const GENERATOR_VERSION: u32 = 1;
+///
+/// Version 2 is the analytic bottleneck link of [`crate::sim`]: a packet
+/// that starts service exactly when another arrives counts as in service,
+/// which decides drops differently where the queue is full.
+pub const GENERATOR_VERSION: u32 = 2;
 
 /// SplitMix64 per-sample seed derivation.
 fn derive_seed(master: u64, index: u64) -> u64 {

@@ -15,8 +15,16 @@
 //! pops as if it had been scheduled at reservation time. The simulator's
 //! RTO timers use this to keep one queued event per flow while firing in
 //! exactly the order a fresh event per re-arm would.
+//!
+//! There are four kinds of [`Event`]: a flow starting, a pacing wake, an
+//! RTO check, and an ACK arriving back at its sender. The bottleneck link
+//! has no events of its own. It is a FIFO server with a fixed
+//! serialization time, so [`crate::sim`] computes each packet's departure
+//! when the packet is admitted and schedules its ACK directly. The ACK
+//! path is lossless with a fixed delay, so the packet's delivery at the
+//! receiver is taken when that ACK pops: half a round trip earlier. A
+//! simulated packet therefore costs at most one event.
 
-use crate::packet::Packet;
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,15 +37,8 @@ pub enum Event {
         /// Flow index.
         flow: usize,
     },
-    /// The bottleneck link finished serializing its head packet and can
-    /// start on the next one.
-    LinkFree,
-    /// A data packet arrives at the receiver.
-    Delivery {
-        /// The delivered packet.
-        packet: Packet,
-    },
-    /// An ACK arrives back at a sender.
+    /// An ACK arrives back at a sender. The data packet it acknowledges
+    /// reached the receiver `prop_half` earlier.
     AckArrival {
         /// Flow index the ACK belongs to.
         flow: usize,
@@ -123,6 +124,16 @@ impl EventQueue {
         Some((at, event))
     }
 
+    /// Pop the earliest event if it is due no later than `end`; a later
+    /// one stays queued.
+    pub fn pop_until(&mut self, end: SimTime) -> Option<(SimTime, Event)> {
+        let &Reverse((at, _, _)) = self.heap.peek()?;
+        if at > end {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -143,7 +154,7 @@ mod tests {
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         let t = |ms| SimTime::ZERO + Duration::from_millis(ms);
-        q.schedule(t(5), Event::LinkFree);
+        q.schedule(t(5), Event::Timeout { flow: 0, seq: 9 });
         q.schedule(t(1), Event::SenderWake { flow: 0 });
         q.schedule(t(3), Event::FlowStart { flow: 1 });
         assert_eq!(q.pop().unwrap().0, t(1));
@@ -221,10 +232,23 @@ mod tests {
     }
 
     #[test]
+    fn pop_until_leaves_later_events_queued() {
+        let t = |ms| SimTime::ZERO + Duration::from_millis(ms);
+        let mut q = EventQueue::new();
+        q.schedule(t(2), Event::SenderWake { flow: 0 });
+        q.schedule(t(3), Event::SenderWake { flow: 1 });
+        assert_eq!(q.pop_until(t(2)).unwrap().0, t(2), "due at the end");
+        assert!(q.pop_until(t(2)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_until(t(3)).unwrap().1, Event::SenderWake { flow: 1 });
+        assert!(q.pop_until(t(9)).is_none());
+    }
+
+    #[test]
     fn len_tracks_content() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        q.schedule(SimTime::ZERO, Event::LinkFree);
+        q.schedule(SimTime::ZERO, Event::SenderWake { flow: 0 });
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());

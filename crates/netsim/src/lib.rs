@@ -15,9 +15,9 @@
 //! The classic single-bottleneck dumbbell:
 //!
 //! ```text
-//! sender(s) ──▶ [DropTail queue] ──▶ (rate R, delay D/2, loss p) ──▶ receiver
-//!     ▲                                                                │
-//!     └───────────────── ACK path (delay D/2, clean) ◀─────────────────┘
+//! sender(s) ──▶ [DropTail/RED queue] ──▶ (rate R, delay D/2, loss p) ──▶ receiver
+//!     ▲                                                                    │
+//!     └─────────────────── ACK path (delay D/2, clean) ◀───────────────────┘
 //! ```
 //!
 //! All `n_flows` flows run the same protocol and share the bottleneck
@@ -25,6 +25,15 @@
 //! FIFO through the queue; the in-order delivery property makes loss
 //! detection exact: an ACK for sequence `n` proves every older outstanding
 //! sequence was lost.
+//!
+//! The link is analytic, not event-driven. The bottleneck serves one
+//! packet at a time at rate `R`, so an admitted packet's service start is
+//! `max(arrival, previous departure)` and its departure is that plus its
+//! serialization time. The queue ([`queue`], [`red`]) only keeps the
+//! service starts still in the future, to decide drops. Delivery is
+//! inferred at ACK time: the ACK is scheduled at `departure + D` when the
+//! packet is admitted, and when it pops the packet reached the receiver
+//! `D/2` earlier. Each sent packet costs at most one event.
 //!
 //! ## Protocols ([`cc`])
 //!
@@ -50,7 +59,6 @@ pub mod cc;
 pub mod datagen;
 pub mod event;
 pub mod flow;
-pub mod packet;
 pub mod queue;
 pub mod red;
 pub mod runner;

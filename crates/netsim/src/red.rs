@@ -12,11 +12,10 @@
 //! hidden): no idle-time decay of the average, and no inter-drop count
 //! spacing — drops are i.i.d. Bernoulli at the computed probability.
 
-use crate::packet::Packet;
+use crate::queue::Backlog;
 use crate::time::SimTime;
 use aml_rng::rngs::StdRng;
 use aml_rng::{Rng, SeedableRng};
-use std::collections::VecDeque;
 
 /// EWMA weight for the average queue size.
 const W_Q: f64 = 0.05;
@@ -29,16 +28,14 @@ pub struct RedQueue {
     capacity_bytes: u64,
     min_th: f64,
     max_th: f64,
-    queue: VecDeque<Packet>,
-    bytes: u64,
+    /// Packets waiting for the link.
+    pub backlog: Backlog,
     avg: f64,
     rng: StdRng,
     /// Packets dropped (early + overflow).
     pub drops: u64,
     /// Of which: early (probabilistic) drops.
     pub early_drops: u64,
-    /// High-water mark of queued bytes.
-    pub max_bytes: u64,
 }
 
 impl RedQueue {
@@ -50,23 +47,23 @@ impl RedQueue {
             capacity_bytes: cap,
             min_th: cap as f64 * 0.25,
             max_th: cap as f64 * 0.75,
-            queue: VecDeque::new(),
-            bytes: 0,
+            backlog: Backlog::default(),
             avg: 0.0,
             rng: StdRng::seed_from_u64(seed),
             drops: 0,
             early_drops: 0,
-            max_bytes: 0,
         }
     }
 
-    /// Try to enqueue; returns `true` if accepted. `_now` is accepted for
-    /// interface parity with time-aware AQMs (CoDel would need it).
-    pub fn enqueue(&mut self, packet: Packet, _now: SimTime) -> bool {
-        self.avg = (1.0 - W_Q) * self.avg + W_Q * self.bytes as f64;
+    /// Offer a `size`-byte packet arriving at `now` that would start
+    /// service at `start`; returns `true` if accepted. The average is
+    /// updated from the bytes still waiting at `now`, on every arrival.
+    pub fn enqueue(&mut self, now: SimTime, start: SimTime, size: u32) -> bool {
+        self.backlog.release(now);
+        self.avg = (1.0 - W_Q) * self.avg + W_Q * self.backlog.bytes() as f64;
 
         // Physical overflow always drops.
-        if self.bytes + packet.size as u64 > self.capacity_bytes {
+        if self.backlog.bytes() + size as u64 > self.capacity_bytes {
             self.drops += 1;
             return false;
         }
@@ -84,27 +81,8 @@ impl RedQueue {
                 return false;
             }
         }
-        self.bytes += packet.size as u64;
-        self.max_bytes = self.max_bytes.max(self.bytes);
-        self.queue.push_back(packet);
+        self.backlog.admit(now, start, size);
         true
-    }
-
-    /// Dequeue the head packet.
-    pub fn dequeue(&mut self) -> Option<Packet> {
-        let p = self.queue.pop_front()?;
-        self.bytes -= p.size as u64;
-        Some(p)
-    }
-
-    /// Currently queued bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Current EWMA of the queue size (bytes).
@@ -116,21 +94,23 @@ impl RedQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::TestLink;
+    use crate::time::Duration;
 
-    fn pkt(seq: u64) -> Packet {
-        Packet {
-            flow: 0,
-            seq,
-            size: 1500,
-            sent_at: SimTime::ZERO,
-        }
+    /// Offer one MTU packet at `now` to `q` over `link`.
+    fn offer(q: &mut RedQueue, link: &mut TestLink, now: SimTime) -> bool {
+        link.offer(now, |start| q.enqueue(now, start, 1500))
     }
 
     #[test]
     fn empty_queue_accepts_everything_early() {
         let mut q = RedQueue::new(150_000, 1);
-        for i in 0..10 {
-            assert!(q.enqueue(pkt(i), SimTime::ZERO), "avg still below min_th");
+        let mut link = TestLink::new(1_000);
+        for _ in 0..10 {
+            assert!(
+                offer(&mut q, &mut link, SimTime::ZERO),
+                "avg still below min_th"
+            );
         }
         assert_eq!(q.drops, 0);
     }
@@ -138,13 +118,14 @@ mod tests {
     #[test]
     fn sustained_occupancy_triggers_early_drops() {
         let mut q = RedQueue::new(30_000, 2);
-        // Offered load of 2 packets per service slot: the link (one
-        // dequeue per loop) can't keep up, the EWMA climbs into the
-        // early-drop band, and RED sheds load *before* the buffer is full.
+        let mut link = TestLink::new(1_000);
+        // Offered load of 2 packets per service slot: the link can't keep
+        // up, the EWMA climbs into the early-drop band, and RED sheds load
+        // *before* the buffer is full.
         for i in 0..500u64 {
-            q.enqueue(pkt(2 * i), SimTime::ZERO);
-            q.enqueue(pkt(2 * i + 1), SimTime::ZERO);
-            q.dequeue();
+            let now = SimTime::ZERO + Duration::from_millis(i);
+            offer(&mut q, &mut link, now);
+            offer(&mut q, &mut link, now);
         }
         assert!(
             q.early_drops > 0,
@@ -161,25 +142,27 @@ mod tests {
     #[test]
     fn overflow_still_guards_capacity() {
         let mut q = RedQueue::new(3_000, 3);
-        let mut in_queue = 0;
-        for i in 0..10 {
-            if q.enqueue(pkt(i), SimTime::ZERO) {
-                in_queue += 1;
+        let mut link = TestLink::new(1_000);
+        let mut accepted = 0;
+        for _ in 0..10 {
+            if offer(&mut q, &mut link, SimTime::ZERO) {
+                accepted += 1;
             }
         }
-        assert!(in_queue <= 2, "3000B capacity holds at most 2 MTU packets");
-        assert!(q.bytes() <= 3_000);
+        assert!(
+            accepted <= 3,
+            "one in service plus 3000B of waiting MTU packets"
+        );
+        assert!(q.backlog.bytes() <= 3_000);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let run = |seed: u64| -> (u64, u64) {
             let mut q = RedQueue::new(15_000, seed);
+            let mut link = TestLink::new(3_000);
             for i in 0..300 {
-                q.enqueue(pkt(i), SimTime::ZERO);
-                if i % 3 == 0 {
-                    q.dequeue();
-                }
+                offer(&mut q, &mut link, SimTime::ZERO + Duration::from_millis(i));
             }
             (q.drops, q.early_drops)
         };
@@ -188,11 +171,17 @@ mod tests {
 
     #[test]
     fn fifo_order_preserved() {
+        // Two waiting packets start service in arrival order, one slot
+        // apart, behind the one in service.
         let mut q = RedQueue::new(150_000, 5);
-        q.enqueue(pkt(1), SimTime::ZERO);
-        q.enqueue(pkt(2), SimTime::ZERO);
-        assert_eq!(q.dequeue().unwrap().seq, 1);
-        assert_eq!(q.dequeue().unwrap().seq, 2);
-        assert!(q.dequeue().is_none());
+        let mut link = TestLink::new(1_000);
+        for _ in 0..3 {
+            offer(&mut q, &mut link, SimTime::ZERO);
+        }
+        assert_eq!(q.backlog.len(), 2);
+        q.backlog.release(SimTime::ZERO + Duration::from_millis(1));
+        assert_eq!(q.backlog.len(), 1);
+        q.backlog.release(SimTime::ZERO + Duration::from_millis(2));
+        assert!(q.backlog.is_empty());
     }
 }

@@ -1,10 +1,18 @@
 //! The simulation core: one bottleneck, `n_flows` senders of one protocol,
 //! an event loop, and statistics.
 //!
-//! See the crate docs for the topology. Invariants the tests pin down:
+//! See the crate docs for the topology. The link is computed, not
+//! simulated: `link_free_at` is when the bottleneck finishes its last
+//! admitted packet, so a packet admitted at `now` starts service at
+//! `max(now, link_free_at)` and its ACK is scheduled right then, at its
+//! departure plus a full round trip of propagation. The packet's delivery
+//! (delay sample, goodput bytes) is taken when that ACK pops, at `now −
+//! prop_half`. Invariants the tests pin down:
 //!
-//! * conservation — every sent packet is delivered, dropped at the queue,
-//!   lost on the link, or still in flight at the end;
+//! * conservation — every sent packet is acknowledged, dropped at the
+//!   queue, lost on the link, or has its ACK still queued at the end;
+//! * one event per packet — the loop processes at most one event per sent
+//!   packet, plus flow starts, pacing wakes and timeout pops;
 //! * determinism — identical `(config, seed)` ⇒ identical statistics;
 //! * liveness — a per-flow RTO timer (one queued timer per flow) guarantees
 //!   the event loop never stalls while a flow has outstanding data.
@@ -12,7 +20,6 @@
 use crate::cc::CcKind;
 use crate::event::{Event, EventQueue};
 use crate::flow::Flow;
-use crate::packet::Packet;
 use crate::queue::DropTailQueue;
 use crate::red::RedQueue;
 use crate::scenario::NetworkCondition;
@@ -37,17 +44,12 @@ enum Queue {
 }
 
 impl Queue {
-    fn enqueue(&mut self, packet: Packet, now: SimTime) -> bool {
+    /// Offer a packet arriving at `now` that would start service at
+    /// `start`; `true` if admitted.
+    fn enqueue(&mut self, now: SimTime, start: SimTime, size: u32) -> bool {
         match self {
-            Queue::DropTail(q) => q.enqueue(packet),
-            Queue::Red(q) => q.enqueue(packet, now),
-        }
-    }
-
-    fn dequeue(&mut self) -> Option<Packet> {
-        match self {
-            Queue::DropTail(q) => q.dequeue(),
-            Queue::Red(q) => q.dequeue(),
+            Queue::DropTail(q) => q.enqueue(now, start, size),
+            Queue::Red(q) => q.enqueue(now, start, size),
         }
     }
 
@@ -160,18 +162,43 @@ pub struct Simulation {
     flows: Vec<Flow>,
     events: EventQueue,
     queue: Queue,
-    link_busy: bool,
+    /// When the bottleneck finishes serializing its last admitted packet.
+    link_free_at: SimTime,
     rng: StdRng,
     now: SimTime,
     link_rate_bps: f64,
+    /// Serialization time of one `mss` packet at the link rate.
+    ser: Duration,
     prop_half: Duration,
     /// Packets killed by random loss (for conservation accounting).
     link_losses: u64,
+    /// ACKs popped: packets that reached the receiver.
     delivered: u64,
     sent: u64,
-    /// `Timeout` events popped, live or not.
+    /// Events popped per kind, live or not.
     #[cfg(test)]
-    timeout_pops: u64,
+    pops: Pops,
+}
+
+/// Per-kind event pop counts (tests only; ACK pops are `delivered`).
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct Pops {
+    flow_starts: u64,
+    wakes: u64,
+    timeouts: u64,
+}
+
+#[cfg(test)]
+impl Pops {
+    fn count(&mut self, event: &Event) {
+        match event {
+            Event::FlowStart { .. } => self.flow_starts += 1,
+            Event::SenderWake { .. } => self.wakes += 1,
+            Event::Timeout { .. } => self.timeouts += 1,
+            Event::AckArrival { .. } => {}
+        }
+    }
 }
 
 impl Simulation {
@@ -179,6 +206,7 @@ impl Simulation {
     pub fn new(cfg: SimConfig) -> Result<Self> {
         cfg.validate()?;
         let cond = cfg.condition;
+        let link_rate_bps = cond.link_rate_mbps * 1e6;
         let flows = (0..cond.n_flows)
             .map(|id| Flow::new(id, cfg.protocol.build()))
             .collect();
@@ -193,15 +221,16 @@ impl Simulation {
             flows,
             events: EventQueue::new(),
             queue,
-            link_busy: false,
+            link_free_at: SimTime::ZERO,
             now: SimTime::ZERO,
-            link_rate_bps: cond.link_rate_mbps * 1e6,
+            link_rate_bps,
+            ser: serialization_time(cfg.mss, link_rate_bps),
             prop_half: Duration::from_secs_f64(cond.rtt_ms / 2e3),
             link_losses: 0,
             delivered: 0,
             sent: 0,
             #[cfg(test)]
-            timeout_pops: 0,
+            pops: Pops::default(),
             cfg,
         })
     }
@@ -238,12 +267,12 @@ impl Simulation {
             + 1_000_000;
         let mut processed = 0u64;
 
-        while let Some((at, event)) = self.events.pop() {
-            if at > SimTime::ZERO + self.cfg.duration + self.prop_half + self.prop_half {
-                break;
-            }
+        let end = SimTime::ZERO + self.cfg.duration + self.prop_half + self.prop_half;
+        while let Some((at, event)) = self.events.pop_until(end) {
             self.now = at;
             processed += 1;
+            #[cfg(test)]
+            self.pops.count(&event);
             if processed > max_events {
                 return Err(SimError::InvalidConfig(format!(
                     "event budget exceeded ({max_events}); simulation is livelocked"
@@ -266,39 +295,23 @@ impl Simulation {
                 self.flows[flow].wake_scheduled = false;
                 self.try_send(flow);
             }
-            Event::LinkFree => {
-                self.link_busy = false;
-                self.serve_queue();
-            }
-            Event::Delivery { packet } => {
-                self.delivered += 1;
-                if self.now >= SimTime::ZERO + self.cfg.warmup
-                    && self.now <= SimTime::ZERO + self.cfg.duration
-                {
-                    let delay = self.now.since(packet.sent_at).as_secs_f64();
-                    let f = &mut self.flows[packet.flow];
-                    f.delay_samples.push(delay);
-                    f.measured_bytes += packet.size as u64;
-                }
-                // Receiver acks immediately; the ACK path is clean.
-                self.events.schedule(
-                    self.now + self.prop_half,
-                    Event::AckArrival {
-                        flow: packet.flow,
-                        seq: packet.seq,
-                        sent_at: packet.sent_at,
-                        bytes: packet.size,
-                    },
-                );
-            }
             Event::AckArrival {
                 flow,
                 seq,
                 sent_at,
                 bytes,
             } => {
-                let in_window = self.now >= SimTime::ZERO + self.cfg.warmup
-                    && self.now <= SimTime::ZERO + self.cfg.duration;
+                // The receiver got the packet half a round trip ago and
+                // acked at once; the ACK path is clean.
+                self.delivered += 1;
+                let delivered_at = self.now - self.prop_half;
+                if self.in_window(delivered_at) {
+                    let f = &mut self.flows[flow];
+                    f.delay_samples
+                        .push(delivered_at.since(sent_at).as_secs_f64());
+                    f.measured_bytes += bytes as u64;
+                }
+                let in_window = self.in_window(self.now);
                 if let Some(ev) = self.flows[flow].on_ack(seq, sent_at, bytes, self.now) {
                     if in_window {
                         self.flows[flow].rtt_samples.push(ev.rtt.as_secs_f64());
@@ -308,10 +321,6 @@ impl Simulation {
                 self.try_send(flow);
             }
             Event::Timeout { flow, seq } => {
-                #[cfg(test)]
-                {
-                    self.timeout_pops += 1;
-                }
                 let f = &mut self.flows[flow];
                 if f.queued_timer != Some((self.now, seq)) {
                     return; // superseded by a sooner re-arm
@@ -363,36 +372,30 @@ impl Simulation {
                 f.next_send_time = f.next_send_time.max(self.now) + gap;
             }
 
-            let packet = Packet {
-                flow,
-                seq,
-                size: mss,
-                sent_at: self.now,
-            };
             // Random (non-congestive) path loss.
             if self.rng.gen::<f64>() < self.cfg.condition.loss_rate {
                 self.link_losses += 1;
                 continue; // vanishes; the gap/RTO machinery will notice
             }
-            if self.queue.enqueue(packet, self.now) {
-                self.serve_queue();
+            let start = self.link_free_at.max(self.now);
+            if self.queue.enqueue(self.now, start, mss) {
+                self.link_free_at = start + self.ser;
+                self.events.schedule(
+                    self.link_free_at + self.prop_half + self.prop_half,
+                    Event::AckArrival {
+                        flow,
+                        seq,
+                        sent_at: self.now,
+                        bytes: mss,
+                    },
+                );
             }
         }
     }
 
-    /// Start transmitting the queue head if the link is idle.
-    fn serve_queue(&mut self) {
-        if self.link_busy {
-            return;
-        }
-        let Some(packet) = self.queue.dequeue() else {
-            return;
-        };
-        self.link_busy = true;
-        let ser = serialization_time(packet.size, self.link_rate_bps);
-        self.events.schedule(self.now + ser, Event::LinkFree);
-        self.events
-            .schedule(self.now + ser + self.prop_half, Event::Delivery { packet });
+    /// Whether `at` falls in the measurement window `[warmup, duration]`.
+    fn in_window(&self, at: SimTime) -> bool {
+        at >= SimTime::ZERO + self.cfg.warmup && at <= SimTime::ZERO + self.cfg.duration
     }
 
     /// (Re)arm the flow's RTO timer. The timer is always strictly in the
@@ -643,16 +646,56 @@ mod tests {
 
     #[test]
     fn one_queued_timer_keeps_timeout_pops_rare() {
-        // Re-arming on every new ACK must not cost a queued event per ACK.
+        // Re-arming on every new ACK must not cost a queued event per ACK:
+        // fewer than 3 timeout pops per 100 ACK pops.
         let cfg = SimConfig::for_condition(cond(10.0, 40.0, 0.0, 1), CcKind::Cubic, 1);
         let mut sim = Simulation::new(cfg).unwrap();
         let events = sim.run_events().unwrap();
-        assert!(events > 1_000, "{events} events");
+        let ack_pops = sim.delivered;
+        assert!(ack_pops > 1_000, "{ack_pops} ACK pops of {events} events");
         assert!(
-            sim.timeout_pops * 100 < events,
-            "{} timeout pops of {events} events",
-            sim.timeout_pops
+            sim.pops.timeouts * 100 < 3 * ack_pops,
+            "{} timeout pops per {ack_pops} ACK pops",
+            sim.pops.timeouts
         );
+    }
+
+    #[test]
+    fn every_sent_packet_is_accounted_for_with_one_event_at_most() {
+        // A shallow buffer so both queues drop, with and without random
+        // loss, for every protocol.
+        let (mut queue_drops, mut link_losses) = (0, 0);
+        for kind in CcKind::ALL {
+            for queue_kind in [QueueKind::DropTail, QueueKind::Red] {
+                for loss in [0.0, 0.02] {
+                    let mut cfg = SimConfig::for_condition(cond(10.0, 40.0, loss, 2), kind, 21);
+                    cfg.queue_bdp_mult = 0.5;
+                    cfg.queue_kind = queue_kind;
+                    let mut sim = Simulation::new(cfg).unwrap();
+                    let processed = sim.run_events().unwrap();
+                    let mut acks_queued = 0;
+                    while let Some((_, event)) = sim.events.pop() {
+                        acks_queued += matches!(event, Event::AckArrival { .. }) as u64;
+                    }
+                    let case = format!("{} {queue_kind:?} loss {loss}", kind.name());
+                    assert_eq!(
+                        sim.sent,
+                        sim.delivered + sim.queue.drops() + sim.link_losses + acks_queued,
+                        "{case}: sent = acked + queue drops + link losses + ACKs queued"
+                    );
+                    let p = &sim.pops;
+                    assert!(
+                        processed <= sim.sent + p.flow_starts + p.timeouts + p.wakes,
+                        "{case}: {processed} events for {} packets and {p:?}",
+                        sim.sent
+                    );
+                    assert_eq!(sim.link_losses > 0, loss > 0.0, "{case}");
+                    queue_drops += sim.queue.drops();
+                    link_losses += sim.link_losses;
+                }
+            }
+        }
+        assert!(queue_drops > 0 && link_losses > 0);
     }
 
     #[test]

@@ -116,6 +116,14 @@ impl AddAssign<Duration> for SimTime {
     }
 }
 
+impl Sub<Duration> for SimTime {
+    type Output = SimTime;
+    fn sub(self, d: Duration) -> SimTime {
+        debug_assert!(self.0 >= d.0, "instant before simulation start");
+        SimTime(self.0.saturating_sub(d.0))
+    }
+}
+
 impl Add for Duration {
     type Output = Duration;
     fn add(self, other: Duration) -> Duration {
@@ -147,6 +155,10 @@ mod tests {
         assert_eq!(t.as_nanos(), 5_000_000);
         assert_eq!(t.since(SimTime::ZERO), Duration::from_millis(5));
         assert_eq!(t.as_secs_f64(), 0.005);
+        assert_eq!(
+            t - Duration::from_millis(2),
+            SimTime::ZERO + Duration::from_millis(3)
+        );
     }
 
     #[test]

@@ -156,19 +156,19 @@ fn interior_last_third() {
 
 const CORNER_PINS: [Pin; 16] = [
     (18150740406635801827, [11, 29, 33, 36, 3, 78], false),
-    (3440672402649723099, [167, 166, 183, 227, 265, 247], false),
+    (5233698921915657838, [175, 166, 183, 227, 292, 247], false),
     (8724131229626493339, [10, 23, 24, 25, 2, 75], false),
-    (12945229649029357805, [160, 151, 173, 196, 247, 236], false),
+    (14207556916523242350, [156, 151, 173, 196, 253, 236], false),
     (7914991373478761332, [0, 54, 80, 27, 0, 0], true),
     (13710977323462316326, [1, 83, 115, 39, 221, 42], true),
     (13949154429473351439, [0, 0, 0, 0, 0, 0], false),
     (5178576705442311035, [31, 46, 62, 38, 371, 61], true),
-    (3689775502895388758, [0, 298, 417, 149, 0, 0], false),
-    (1333085232501314062, [0, 298, 410, 130, 0, 0], true),
+    (5982417147102551647, [0, 299, 419, 150, 0, 0], false),
+    (8779706962172395148, [0, 296, 402, 131, 0, 0], true),
     (17583899946485566044, [0, 0, 0, 0, 0, 0], false),
     (14957595239981072991, [0, 0, 0, 0, 0, 0], false),
-    (4699342048284414891, [0, 5204, 7714, 2601, 0, 0], true),
-    (14842855317066473370, [0, 3822, 3822, 3210, 0, 0], true),
+    (2497404512179085739, [0, 5205, 7715, 2602, 0, 0], true),
+    (3331853416755168048, [0, 3821, 3821, 3210, 0, 0], true),
     (8256301168256959280, [0, 0, 0, 0, 0, 0], false),
     (9314537967655041077, [0, 0, 0, 0, 0, 0], false),
 ];
@@ -200,12 +200,12 @@ const INTERIOR_PINS: [Pin; 48] = [
     (15267639455980963717, [0, 0, 0, 0, 0, 0], false),
     (1914785687068116300, [0, 2408, 3114, 995, 0, 0], false),
     (11398370395400819107, [0, 0, 0, 0, 0, 0], false),
-    (9603235026145916174, [53, 58, 57, 0, 120, 5], true),
+    (10749283918844710349, [53, 58, 57, 0, 120, 4], true),
     (11317956133732928248, [0, 0, 0, 0, 0, 0], false),
     (10510169473849533082, [0, 0, 0, 0, 0, 0], false),
     (1315531613605178446, [0, 523, 519, 0, 0, 0], true),
     (4426793133760091378, [0, 0, 0, 0, 0, 0], false),
-    (17387704797806235496, [0, 50, 38, 0, 140, 1], true),
+    (14984960467830524239, [0, 50, 39, 0, 140, 1], true),
     (16880311999785621911, [0, 0, 0, 0, 0, 0], false),
     (17859190833360655140, [0, 0, 0, 0, 0, 0], false),
     (5602855969610715840, [0, 0, 0, 0, 0, 0], false),
