@@ -13,9 +13,8 @@
 //!   `ledger.jsonl`.
 //!
 //! Each input prints as the human-readable table, as the pinned JSON
-//! (`--json`, byte-identical to the run's `crit.json` or to its live
-//! `/search` and `/quality` reports), or — with `--compare A B` — as the
-//! before/after delta.
+//! (`--json`; for `crit`, byte-identical to the run's `crit.json`), or —
+//! with `--compare A B` — as the before/after delta.
 //!
 //! Exit codes: 0 ok, 1 input failed to parse, 2 usage error.
 
@@ -44,9 +43,9 @@ usage:
                           best score, coverage, top-importance dimension;
                           quality: final accuracy, F1, Brier, ECE, PSI)
   --json                  emit the pinned JSON instead of the table
-                          (byte-identical to the run's --crit-out artifact,
-                          or to what /search or /quality served at the
-                          end of the run)
+                          (for crit, byte-identical to the run's
+                          --crit-out artifact; for search and quality,
+                          identical across worker counts and resume)
 
 exit codes: 0 ok, 1 an input failed to parse, 2 usage error";
 

@@ -81,7 +81,7 @@ pub struct RunOpts {
     /// Append one cross-run [`aml_telemetry::HistoryRecord`] here at the
     /// end of the run (`--record`, default
     /// `results/history/history.jsonl`). Feeds
-    /// `perfgate --against-history` and the `/dashboard` trend section.
+    /// `perfgate --against-history`.
     pub record: Option<PathBuf>,
     /// Write a Chrome trace-event file (Perfetto-loadable) here, rendered
     /// from the trace tree at the end of the run.
@@ -90,8 +90,8 @@ pub struct RunOpts {
     /// as JSON lines here.
     pub ledger_out: Option<PathBuf>,
     /// Serve the live observability plane (`/metrics`, `/healthz`,
-    /// `/runs`) on this address (e.g. `127.0.0.1:9100`; port 0 picks a
-    /// free port, written to `<out>/serve.addr`).
+    /// `/runs`, `/crit`) on this address (e.g. `127.0.0.1:9100`; port 0
+    /// picks a free port, written to `<out>/serve.addr`).
     pub serve: Option<String>,
     /// Write the span self-time profile, folded from the trace tree, here
     /// in collapsed-stack format (flamegraph-ready) at the end of the run.
@@ -144,9 +144,9 @@ options:
                           the causal trace tree, one lane per job
   --ledger-out PATH       stream the experiment ledger (trials, ensembles,
                           feedback rounds) as JSON lines; see `amlinspect`
-  --serve ADDR            serve /metrics, /healthz and /runs over HTTP while
-                          the run is live (port 0 picks a free port, written
-                          to <out>/serve.addr); also starts the /proc
+  --serve ADDR            serve /metrics, /healthz, /runs and /crit over HTTP
+                          while the run is live (port 0 picks a free port,
+                          written to <out>/serve.addr); also starts the /proc
                           resource sampler
   --profile-out PATH      write the span self-time profile, folded from the
                           causal trace tree over logical parents, as
@@ -255,8 +255,8 @@ impl RunOpts {
         // back to its recorded byte length BEFORE any sink reopens it —
         // the sink below then appends, continuing the original run's
         // ledger byte-identically. The kept prefix is read once here and
-        // replayed into the folds armed below, so /search, /quality and
-        // the history record cover the whole run.
+        // replayed into the fold armed below, so the history record
+        // covers the whole run.
         let mut kept_prefix = Vec::new();
         if let Some(resume) = &self.resume {
             let ckpt = aml_core::checkpoint::prepare_resume(
@@ -311,14 +311,11 @@ impl RunOpts {
             }
         }
 
-        // Every in-process ledger reader is a fold armed here: its sink
-        // raises the ledger gate, so events flow without --ledger-out.
+        // The one live ledger fold is armed here: its sink raises the
+        // ledger gate, so events flow without --ledger-out.
         if let Some(path) = &self.record {
             ensure_parent(path, "--record")?;
             SUMMARY.arm(aml_telemetry::LedgerSummary::new());
-            // Point the live plane's /history route at the same store the
-            // run appends to.
-            aml_telemetry::serve::set_history_path(path);
         }
 
         if let Some(path) = &self.profile_out {
@@ -333,9 +330,6 @@ impl RunOpts {
             aml_telemetry::tracetree::set_active(true);
         }
         if let Some(addr) = &self.serve {
-            // The live plane answers /search and /quality from these folds.
-            aml_telemetry::searchview::arm();
-            aml_telemetry::quality::arm();
             let header = aml_telemetry::RunHeader::new(&self.workload, self.seed);
             let bound = aml_telemetry::serve::start(addr, &header)
                 .map_err(|e| format!("cannot bind --serve {addr}: {e}"))?;
@@ -345,7 +339,8 @@ impl RunOpts {
             std::fs::write(&addr_file, format!("{bound}\n"))
                 .map_err(|e| format!("cannot write {}: {e}", addr_file.display()))?;
             aml_telemetry::note(&format!(
-                "serving /metrics /healthz /runs /events /history /dashboard on http://{bound}"
+                "serving {} on http://{bound}",
+                aml_telemetry::serve::ROUTES.join(" ")
             ));
             aml_telemetry::resource::start_sampler(std::time::Duration::from_millis(500));
         }

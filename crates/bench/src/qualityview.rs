@@ -3,9 +3,7 @@
 //! quality --compare`.
 //!
 //! A ledger is read with `aml_telemetry::ledger::read` and folded
-//! through the same `QualityCollector` the live `/quality` route uses,
-//! so `amlinspect quality --json ledger.jsonl` reproduces the run's live
-//! report byte for byte.
+//! through `aml_telemetry::quality::QualityCollector`.
 
 use aml_telemetry::quality::{QualityCollector, QualityReport};
 use aml_telemetry::{ledger, Fold};

@@ -4,9 +4,8 @@
 //! --compare`.
 //!
 //! A ledger is read with `aml_telemetry::ledger::read` and folded
-//! through the same `SearchCollector` the live `/search` route uses, so
-//! `amlinspect search --json ledger.jsonl` reproduces the run's live
-//! report byte for byte — collection cap included.
+//! through `aml_telemetry::searchview::SearchCollector`, collection cap
+//! included.
 
 use aml_telemetry::searchview::{DimReport, SearchCollector};
 use aml_telemetry::{ledger, Fold, SearchReport};

@@ -1,5 +1,4 @@
-//! Golden tests for the live observability plane (ISSUE: PR 4, extended
-//! for cross-run observability in PR 6).
+//! Golden tests for the live observability plane.
 //!
 //! * the Prometheus text exposition for a fixed registry snapshot is
 //!   pinned byte-for-byte — scrape-side dashboards can rely on the shape;
@@ -8,10 +7,8 @@
 //! * a full `RunOpts` round trip with `--serve 127.0.0.1:0` and
 //!   `--profile-out` answers `/metrics` mid-run and leaves a
 //!   `profile.folded` behind;
-//! * the `/events` SSE stream's chunked framing is pinned byte-for-byte,
-//!   a stalled client loses frames (counted) instead of growing server
-//!   memory, `/runs?tail=N` clamps, `/dashboard` and `/history` serve,
-//!   and `--record` appends a parsable history line end to end.
+//! * `/runs?tail=N` clamps, and `--record` appends a parsable history
+//!   line end to end.
 
 use aml_bench::RunOpts;
 use aml_telemetry::ledger::{self, LedgerEvent};
@@ -243,8 +240,7 @@ fn serve_and_profile_flags_round_trip_through_runopts() {
 }
 
 // ---------------------------------------------------------------------
-// Cross-run observability (PR 6): /events, ?tail, /dashboard, /history,
-// and the --record history store.
+// /runs?tail and the --record history store.
 // ---------------------------------------------------------------------
 
 fn test_header(workload: &str) -> RunHeader {
@@ -254,149 +250,6 @@ fn test_header(workload: &str) -> RunHeader {
         seed: 1,
         git: "abc".into(),
     }
-}
-
-/// Open `/events` on `addr`, consume the HTTP response head, and return
-/// the still-streaming socket positioned at the first chunk.
-fn open_events(addr: &str) -> std::net::TcpStream {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect /events");
-    write!(stream, "GET /events HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_millis(100)))
-        .unwrap();
-    let mut head = Vec::new();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "response head never completed: {}",
-            String::from_utf8_lossy(&head)
-        );
-        match stream.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
-            Ok(_) => break,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => panic!("reading response head: {e}"),
-        }
-    }
-    let head = String::from_utf8_lossy(&head).to_string();
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
-    assert!(head.contains("text/event-stream"), "{head}");
-    assert!(head.contains("Transfer-Encoding: chunked"), "{head}");
-    stream
-}
-
-/// Read exactly `n` bytes from a non-blocking-ish stream, bounded by a
-/// deadline (the serve thread flushes on a 20ms cycle).
-fn read_n(stream: &mut std::net::TcpStream, n: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(n);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let mut chunk = [0u8; 4096];
-    while buf.len() < n && std::time::Instant::now() < deadline {
-        let want = (n - buf.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => break,
-            Ok(m) => buf.extend_from_slice(&chunk[..m]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(e) => panic!("reading stream: {e}"),
-        }
-    }
-    buf
-}
-
-#[test]
-fn sse_frames_are_chunk_encoded_byte_for_byte() {
-    let _guard = hold();
-    set_level(TelemetryLevel::Summary);
-    aml_telemetry::global().reset();
-    let addr = serve::start("127.0.0.1:0", &test_header("sse_golden"))
-        .unwrap()
-        .to_string();
-    let mut stream = open_events(&addr);
-
-    // The prologue comment chunk is pinned: 0x19 = 25 payload bytes.
-    let prologue = b"19\r\n: aml-telemetry /events\n\n\r\n";
-    assert_eq!(
-        read_n(&mut stream, prologue.len()),
-        prologue,
-        "prologue chunk drifted"
-    );
-
-    // A phase transition then a ledger event arrive as two SSE frames,
-    // in order, each wrapped as one HTTP chunk — pinned byte-for-byte.
-    serve::set_phase("search");
-    ledger::emit_with(|| LedgerEvent::TrialFailed {
-        trial: 3,
-        rung: 1,
-        family: "mlp".into(),
-        reason: "error".into(),
-    });
-    let expected = "27\r\nevent: phase\ndata: {\"phase\":\"search\"}\n\n\r\n\
-                    60\r\nevent: ledger\ndata: {\"type\":\"trial_failed\",\"trial\":3,\"rung\":1,\"family\":\"mlp\",\"reason\":\"error\"}\n\n\r\n";
-    let got = read_n(&mut stream, expected.len());
-    assert_eq!(String::from_utf8_lossy(&got), expected);
-
-    serve::stop();
-    aml_telemetry::sink::finish(&Snapshot::default());
-    set_level(TelemetryLevel::Off);
-    aml_telemetry::global().reset();
-}
-
-#[test]
-fn a_stalled_events_client_loses_frames_not_server_memory() {
-    let _guard = hold();
-    set_level(TelemetryLevel::Summary);
-    aml_telemetry::global().reset();
-    let addr = serve::start("127.0.0.1:0", &test_header("sse_stall"))
-        .unwrap()
-        .to_string();
-    // Connect, read the head + nothing more: a stalled client.
-    let _stalled = open_events(&addr);
-
-    let dropped = || {
-        aml_telemetry::global()
-            .snapshot()
-            .counters
-            .iter()
-            .find(|(n, _)| n == "serve.events_dropped")
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
-    // Emit 8 KiB events until the client's bounded buffer overflows.
-    // The pending cap is 64 KiB, kernel socket buffers a few hundred KiB
-    // more; 4096 * 8 KiB = 32 MiB bounds the test far past either.
-    let reason = "x".repeat(8 * 1024);
-    let mut emitted = 0u32;
-    for _ in 0..4096 {
-        ledger::emit_with(|| LedgerEvent::TrialFailed {
-            trial: 0,
-            rung: 0,
-            family: "f".into(),
-            reason: reason.clone(),
-        });
-        emitted += 1;
-        if dropped() > 0 {
-            break;
-        }
-    }
-    assert!(
-        dropped() > 0,
-        "no frames dropped after {emitted} 8 KiB events"
-    );
-
-    serve::stop();
-    aml_telemetry::sink::finish(&Snapshot::default());
-    set_level(TelemetryLevel::Off);
-    aml_telemetry::global().reset();
 }
 
 #[test]
@@ -433,54 +286,6 @@ fn runs_tail_param_limits_and_clamps() {
     aml_telemetry::sink::finish(&Snapshot::default());
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
-}
-
-#[test]
-fn dashboard_and_history_routes_serve_self_contained_content() {
-    let _guard = hold();
-    set_level(TelemetryLevel::Summary);
-    aml_telemetry::global().reset();
-    let dir = std::env::temp_dir().join(format!("aml_dash_routes_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let history = dir.join("history.jsonl");
-    std::fs::write(
-        &history,
-        "{\"type\":\"history\",\"schema_version\":1,\"workload\":\"w\",\"seed\":1,\"git\":\"g\",\
-         \"source\":\"run\",\"wall_time_s\":10.5,\"top_span_total_s\":9.0,\"peak_rss_bytes\":4096,\
-         \"alloc_peak_bytes\":0,\"final_acc\":0.9,\"trials_finished\":3,\"trials_failed\":1,\"rounds\":2}\n\
-         not json, a torn line\n",
-    )
-    .unwrap();
-    serve::set_history_path(&history);
-    let addr = serve::start("127.0.0.1:0", &test_header("dash_test"))
-        .unwrap()
-        .to_string();
-
-    let page = http_get(&addr, "/dashboard");
-    assert!(page.starts_with("HTTP/1.1 200 OK"), "{page}");
-    assert!(page.contains("text/html"), "{page}");
-    assert!(page.contains("<!doctype html"), "{page}");
-    // Live via SSE + polling, trends via the history store.
-    assert!(page.contains("EventSource"), "{page}");
-    assert!(page.contains("/metrics"), "{page}");
-    assert!(page.contains("/history"), "{page}");
-    // Self-contained: no external assets.
-    assert!(!page.contains("https://"), "external asset: {page}");
-    assert!(!page.contains("src=\"http"), "external asset: {page}");
-
-    let hist = http_get(&addr, "/history");
-    assert!(hist.contains("application/json"), "{hist}");
-    assert!(hist.contains("\"wall_time_s\":10.5"), "{hist}");
-    assert!(!hist.contains("torn"), "torn line leaked: {hist}");
-
-    serve::stop();
-    serve::set_history_path(std::path::Path::new(
-        aml_telemetry::history::DEFAULT_HISTORY_PATH,
-    ));
-    aml_telemetry::sink::finish(&Snapshot::default());
-    set_level(TelemetryLevel::Off);
-    aml_telemetry::global().reset();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -541,9 +346,6 @@ fn record_flag_appends_a_parsable_history_line_end_to_end() {
         assert!(r.peak_rss_bytes > 0, "{r:?}");
     }
 
-    serve::set_history_path(std::path::Path::new(
-        aml_telemetry::history::DEFAULT_HISTORY_PATH,
-    ));
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
     std::fs::remove_dir_all(&dir).ok();

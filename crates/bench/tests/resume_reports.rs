@@ -1,27 +1,29 @@
 //! Resume reproduces every ledger-derived artifact (DESIGN.md §7): a run
 //! checkpointed after every round, SIGKILLed mid-round and resumed with
-//! `--resume`, must write the same ledger lines, end with the same live
+//! `--resume`, must write the same ledger lines, recompute to the same
 //! search and quality reports and write the same history-record ML
 //! fields as the run left uninterrupted.
 //!
 //! The test drives [`RunOpts`] the way the bench bins do, with
-//! `--ledger-out --serve --record --checkpoint`. The
+//! `--ledger-out --record --checkpoint`. The
 //! interrupted life of run B is a real process: the test re-executes its
 //! own binary with [`CHILD_ENV`] naming the run directory, and the child
 //! pauses in round index 2 after the round's trials reached the ledger
 //! but before the round's checkpoint. The parent SIGKILLs it there, so
 //! the ledger on disk ends in a tail that no checkpoint covers, then
-//! resumes in-process. The reports of the resumed run cover the whole
-//! run because `prepare` replays the kept ledger prefix into every
-//! armed fold. One `#[test]` per file: the sink list and the ledger
-//! round counter are process-global.
+//! resumes in-process. The search and quality reports are recomputed
+//! from each run's `ledger.jsonl` the way `amlinspect` does; the history
+//! record of the resumed run covers the whole run because `prepare`
+//! replays the kept ledger prefix into the `--record` fold. One
+//! `#[test]` per file: the sink list and the ledger round counter are
+//! process-global.
 
 use aml_bench::qualityview::parse_quality_ledger;
 use aml_bench::searchview::parse_search_ledger;
 use aml_bench::RunOpts;
 use aml_core::{run_strategy, Checkpoint, ExperimentConfig, Strategy};
 use aml_dataset::{split::split_into_k, split::train_test_split, synth, Dataset};
-use aml_telemetry::{ledger, quality, searchview, sink, HistoryRecord};
+use aml_telemetry::{ledger, sink, HistoryRecord};
 use std::fs;
 use std::path::Path;
 use std::process::{Command, Stdio};
@@ -58,8 +60,6 @@ fn prepare(dir: &Path, extra: &[&str]) -> RunOpts {
         SEED.to_string(),
         "--ledger-out".into(),
         path("ledger.jsonl"),
-        "--serve".into(),
-        "127.0.0.1:0".into(),
         "--record".into(),
         path("history.jsonl"),
         "--checkpoint".into(),
@@ -133,22 +133,14 @@ fn sorted_ledger(dir: &Path) -> Vec<String> {
     lines
 }
 
-/// The live search and quality reports of a finished run, each checked
-/// against its recompute from the run's ledger.
-fn live_reports(dir: &Path) -> [String; 2] {
+/// The search and quality reports of a finished run, recomputed from
+/// its ledger the way `amlinspect search|quality --json` does.
+fn ledger_reports(dir: &Path) -> [String; 2] {
     let text = fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
-    let reports = [searchview::live_json(), quality::live_json()];
-    assert_eq!(
-        reports[0],
+    [
         parse_search_ledger(&text).unwrap().render_json(),
-        "live search report differs from the ledger recompute"
-    );
-    assert_eq!(
-        reports[1],
         parse_quality_ledger(&text).unwrap().render_json(),
-        "live quality report differs from the ledger recompute"
-    );
-    reports
+    ]
 }
 
 /// Run B's first life, in a child process: every round up to
@@ -202,7 +194,7 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
     let opts = prepare(&dir_a, &[]);
     drive(&opts, &train, &test_sets, None);
     opts.finish();
-    let reports_a = live_reports(&dir_a);
+    let reports_a = ledger_reports(&dir_a);
 
     // Run B: a real process SIGKILLed inside round 2. Rounds 0 and 1 are
     // checkpointed; round 2's trial events lie past the checkpoint's
@@ -224,8 +216,11 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
     opts.finish();
 
     assert_eq!(sorted_ledger(&dir_b), sorted_ledger(&dir_a));
-    let [search_b, quality_b] = live_reports(&dir_b);
-    assert!(search_b.contains("\"active\":true"), "{search_b}");
+    let [search_b, quality_b] = ledger_reports(&dir_b);
+    assert!(
+        !search_b.contains("\"trials\":{\"started\":0,"),
+        "{search_b}"
+    );
     assert_eq!(
         search_b, reports_a[0],
         "resumed search report differs from the uninterrupted run's"
@@ -244,7 +239,6 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
     assert_eq!(b.final_acc, a.final_acc);
     assert_eq!(b.ece, a.ece);
 
-    aml_telemetry::serve::set_history_path(Path::new(aml_telemetry::history::DEFAULT_HISTORY_PATH));
     aml_telemetry::set_level(aml_telemetry::TelemetryLevel::Off);
     fs::remove_dir_all(&root).ok();
 }

@@ -1,21 +1,23 @@
-//! End-to-end golden tests for search observability (PR 8).
+//! End-to-end golden tests for search observability.
 //!
-//! * a full `RunOpts` round trip with `--ledger-out` and `--serve`
-//!   answers `/search` mid-run (active, versioned schema), and after
-//!   `finish` the live report's bytes are exactly what `amlinspect
-//!   search --json` recomputes from the ledger — the live fold and the
-//!   read path are held to the same pinned renderer;
+//! * a full `RunOpts` round trip with `--ledger-out` writes a ledger
+//!   whose `amlinspect search` recompute is a non-degenerate, versioned
+//!   analysis of a real search;
 //! * the report is byte-identical whether the search trains candidates
 //!   on 1 worker or 4 — the same determinism contract as the ledger
-//!   itself, extended through the analytics.
+//!   itself, extended through the analytics;
+//! * past the collector cap, the recompute from the ledger file equals
+//!   the in-memory fold of the emitted events, drop count included.
 
 use aml_automl::ModelFamily;
 use aml_bench::searchview::parse_search_ledger;
 use aml_bench::RunOpts;
 use aml_dataset::{split::train_test_split, synth, Dataset};
 use aml_telemetry::searchview::SearchCollector;
-use aml_telemetry::{ledger, searchview, set_level, sink, Snapshot, TelemetryLevel};
-use std::io::{Read as _, Write as _};
+use aml_telemetry::{
+    ledger, set_level, sink, Fold, LedgerJsonlSink, RunHeader, Snapshot, TelemetryLevel,
+};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// All tests mutate process-global telemetry state; serialize them.
@@ -25,16 +27,23 @@ fn hold() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn http_get(addr: &str, path: &str) -> String {
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect to live plane");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    response
+/// Run `body` with a ledger file sink at `path`, finish the sinks, and
+/// return the ledger text.
+fn ledger_of(path: &Path, body: impl FnOnce()) -> String {
+    let header = RunHeader {
+        run_id: "search-golden".into(),
+        workload: "search_golden".into(),
+        seed: 7,
+        git: "test".into(),
+    };
+    sink::install(Box::new(LedgerJsonlSink::create(path, &header).unwrap()));
+    body();
+    // finish() also resets the search_space gate, so the next run emits
+    // its own declaration.
+    for (target, result) in sink::finish(&Snapshot::default()) {
+        assert!(result.is_ok(), "finish({target}) failed");
+    }
+    std::fs::read_to_string(path).expect("ledger written")
 }
 
 fn splits() -> (Dataset, Dataset) {
@@ -57,74 +66,54 @@ fn run_search(train: &Dataset, val: &Dataset, parallelism: usize) {
 }
 
 #[test]
-fn search_route_answers_mid_run_and_matches_the_ledger_recompute() {
+fn search_ledger_recompute_analyzes_a_real_run() {
     let _guard = hold();
     ledger::reset_search_space_gate();
     let dir = std::env::temp_dir().join(format!("aml_search_e2e_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ledger_path = dir.join("ledger.jsonl");
 
-    let args: Vec<String> = [
-        "--ledger-out",
-        &ledger_path.to_string_lossy(),
-        "--serve",
-        "127.0.0.1:0",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let args: Vec<String> = ["--ledger-out", &ledger_path.to_string_lossy()]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
     opts.workload = "search_e2e".into();
     opts.out_dir = dir.clone();
-    opts.prepare()
-        .expect("prepare activates the search collector");
-    assert_eq!(
-        searchview::live_json(),
-        SearchCollector::new().report().render_json(),
-        "--serve must arm an empty collector"
-    );
-
-    let addr = std::fs::read_to_string(dir.join("serve.addr"))
-        .expect("serve.addr written")
-        .trim()
-        .to_string();
+    opts.prepare().expect("prepare installs the ledger sink");
 
     let (train, val) = splits();
     run_search(&train, &val, 2);
 
-    // /search mid-run: a live, versioned analysis of the trials so far.
-    let live = http_get(&addr, "/search");
-    assert!(live.starts_with("HTTP/1.1 200 OK"), "{live}");
-    assert!(live.contains("application/json"), "{live}");
-    assert!(live.contains("\"active\":true"), "{live}");
-    assert!(
-        live.contains(&format!(
-            "\"schema_version\":{}",
-            aml_telemetry::SEARCH_SCHEMA_VERSION
-        )),
-        "{live}"
-    );
-    assert!(live.contains("\"families\":["), "{live}");
-
-    // The search gauges/counters surface on /metrics.
-    let metrics = http_get(&addr, "/metrics");
-    assert!(metrics.contains("search_trials_inflight"), "{metrics}");
-    assert!(metrics.contains("search_rung_promotions"), "{metrics}");
-    assert!(metrics.contains("search_rung_eliminations"), "{metrics}");
+    // The search gauges/counters land in the registry `/metrics` renders.
+    let snap = aml_telemetry::global().snapshot();
+    assert!(snap
+        .gauges
+        .iter()
+        .any(|(n, _)| n == "search.trials_inflight"));
+    for counter in ["search.rung_promotions", "search.rung_eliminations"] {
+        assert!(
+            snap.counters.iter().any(|(n, _)| n.starts_with(counter)),
+            "{counter} missing: {:?}",
+            snap.counters
+        );
+    }
 
     opts.finish();
-    assert!(!ledger::active(), "finish must drain the collector's sink");
+    assert!(!ledger::active(), "finish must drain the ledger sink");
 
-    // The live report's bytes are exactly what `amlinspect search --json`
-    // recomputes from the ledger: live fold and read path share one
-    // renderer.
+    // What `amlinspect search --json` prints: a versioned report.
     let ledger_text = std::fs::read_to_string(&ledger_path).expect("ledger.jsonl written");
     let report = parse_search_ledger(&ledger_text).expect("ledger parses");
-    assert_eq!(
-        report.render_json(),
-        searchview::live_json(),
-        "live search report drifted from the ledger recompute"
+    let json = report.render_json();
+    assert!(
+        json.starts_with(&format!(
+            "{{\"active\":true,\"schema_version\":{},",
+            aml_telemetry::SEARCH_SCHEMA_VERSION
+        )),
+        "{json}"
     );
+    assert!(json.contains("\"families\":["), "{json}");
 
     // Non-degenerate analytics over a real run: every declared family
     // sampled, every dimension visited somewhere, and the scores varied
@@ -160,18 +149,12 @@ fn search_json_is_identical_across_worker_counts() {
     set_level(TelemetryLevel::Summary);
     let (train, val) = splits();
 
+    let dir = std::env::temp_dir().join(format!("aml_search_workers_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let run = |workers: usize| {
-        // Arming installs the collector's fold sink, so trial events
-        // reach it without any file sink.
-        searchview::arm();
-        run_search(&train, &val, workers);
-        let json = searchview::live_json();
-        // finish() resets the search_space gate so the next run emits
-        // its own declaration.
-        for (target, result) in sink::finish(&Snapshot::default()) {
-            assert!(result.is_ok(), "finish({target}) failed");
-        }
-        json
+        let path = dir.join(format!("ledger_{workers}.jsonl"));
+        let text = ledger_of(&path, || run_search(&train, &val, workers));
+        parse_search_ledger(&text).unwrap().render_json()
     };
 
     let one = run(1);
@@ -184,12 +167,13 @@ fn search_json_is_identical_across_worker_counts() {
 
     set_level(TelemetryLevel::Off);
     aml_telemetry::global().reset();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Past the collector cap, the live `/search` report and the
-/// offline recompute from the same ledger still agree byte for byte:
-/// both fold the events through one collector, cap and drop count
-/// included. Events are emitted directly — no model fitting.
+/// Past the collector cap, the in-memory fold of the emitted events and
+/// the recompute from the ledger file still agree byte for byte: both
+/// fold the events through one collector, cap and drop count included.
+/// Events are emitted directly — no model fitting.
 #[test]
 fn live_search_matches_the_ledger_recompute_past_the_trial_cap() {
     use aml_telemetry::searchview::TRIAL_CAP;
@@ -199,22 +183,17 @@ fn live_search_matches_the_ledger_recompute_past_the_trial_cap() {
     let dir = std::env::temp_dir().join(format!("aml_search_cap_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let ledger_path = dir.join("ledger.jsonl");
-    let args: Vec<String> = [
-        "--ledger-out",
-        &ledger_path.to_string_lossy(),
-        "--serve",
-        "127.0.0.1:0",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    let args: Vec<String> = ["--ledger-out", &ledger_path.to_string_lossy()]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
     opts.workload = "search_cap".into();
     opts.out_dir = dir.clone();
-    opts.prepare().expect("prepare arms the search collector");
+    opts.prepare().expect("prepare installs the ledger sink");
 
     const OVER_CAP: usize = 100;
-    ledger::emit(&LedgerEvent::SearchSpace {
+    let mut events = vec![LedgerEvent::SearchSpace {
         families: vec![SpaceFamily {
             family: "knn".into(),
             dims: vec![SpaceDim {
@@ -226,21 +205,24 @@ fn live_search_matches_the_ledger_recompute_past_the_trial_cap() {
                 choices: vec![],
             }],
         }],
-    });
+    }];
     for i in 0..(TRIAL_CAP + OVER_CAP) as u64 {
-        ledger::emit(&LedgerEvent::TrialStarted {
+        events.push(LedgerEvent::TrialStarted {
             trial: i,
             rung: 0,
             family: "knn".into(),
             config: String::new(),
             params: vec![("k".into(), ParamValue::Int(1 + (i % 25) as i64))],
         });
-        ledger::emit(&LedgerEvent::TrialFinished {
+        events.push(LedgerEvent::TrialFinished {
             trial: i,
             rung: 0,
             family: "knn".into(),
             score: 0.5 + (i % 25) as f64 / 100.0,
         });
+    }
+    for event in &events {
+        ledger::emit(event);
     }
     opts.finish();
 
@@ -249,8 +231,8 @@ fn live_search_matches_the_ledger_recompute_past_the_trial_cap() {
     assert_eq!(report.started, TRIAL_CAP as u64);
     assert_eq!(report.dropped, OVER_CAP as u64);
     assert!(
-        report.render_json() == searchview::live_json(),
-        "the live search report differs from the ledger recompute past the cap"
+        report.render_json() == SearchCollector::from_events(&events).report().render_json(),
+        "the in-memory search report differs from the ledger recompute past the cap"
     );
 
     set_level(TelemetryLevel::Off);

@@ -17,9 +17,8 @@ use crate::ale_feedback::{AleFeedback, AleMode};
 use crate::confidence::confidence_select;
 use crate::feedback::{Feedback, Labeler, Suggestion};
 use crate::qbc::qbc_select;
-use crate::uncertainty::{entropy_select, margin_select};
 use crate::uniform::uniform_sample;
-use crate::upsampling::{random_oversample, smote};
+use crate::upsampling::random_oversample;
 use crate::{CoreError, Result};
 use aml_automl::{AutoMl, AutoMlConfig, FittedAutoMl};
 use aml_dataset::Dataset;
@@ -27,7 +26,7 @@ use aml_models::metrics::balanced_accuracy;
 use aml_models::model::argmax;
 use aml_models::Classifier;
 
-/// The nine Table-1 strategies (plus SMOTE as a distinct upsampler).
+/// The nine Table-1 strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Strategy {
     /// Train on the raw data only.
@@ -48,17 +47,11 @@ pub enum Strategy {
     Qbc,
     /// Random oversampling to balance labels.
     Upsampling,
-    /// SMOTE synthetic oversampling.
-    Smote,
-    /// Smallest-margin uncertainty sampling from the pool.
-    Margin,
-    /// Predictive-entropy uncertainty sampling from the pool.
-    Entropy,
 }
 
 impl Strategy {
-    /// All strategies in Table-1 order (extensions appended).
-    pub const ALL: [Strategy; 12] = [
+    /// All strategies in Table-1 order.
+    pub const ALL: [Strategy; 9] = [
         Strategy::NoFeedback,
         Strategy::WithinAle,
         Strategy::CrossAle,
@@ -68,9 +61,6 @@ impl Strategy {
         Strategy::Qbc,
         Strategy::WithinAlePool,
         Strategy::CrossAlePool,
-        Strategy::Smote,
-        Strategy::Margin,
-        Strategy::Entropy,
     ];
 
     /// Display name matching the paper's Table 1 rows.
@@ -85,9 +75,6 @@ impl Strategy {
             Strategy::Confidence => "Confidence based",
             Strategy::Qbc => "QBC",
             Strategy::Upsampling => "Upsampling",
-            Strategy::Smote => "SMOTE",
-            Strategy::Margin => "Margin based",
-            Strategy::Entropy => "Entropy based",
         }
     }
 
@@ -95,12 +82,7 @@ impl Strategy {
     pub fn needs_pool(&self) -> bool {
         matches!(
             self,
-            Strategy::WithinAlePool
-                | Strategy::CrossAlePool
-                | Strategy::Confidence
-                | Strategy::Qbc
-                | Strategy::Margin
-                | Strategy::Entropy
+            Strategy::WithinAlePool | Strategy::CrossAlePool | Strategy::Confidence | Strategy::Qbc
         )
     }
 
@@ -344,21 +326,6 @@ pub fn run_strategy(
             }
             Strategy::Upsampling => {
                 augmented = random_oversample(train, derive_seed(cfg.seed, 9))?;
-            }
-            Strategy::Smote => {
-                augmented = smote(train, 5, derive_seed(cfg.seed, 10))?;
-            }
-            Strategy::Margin => {
-                let run = fit_automl(cfg, train, 400)?;
-                let pool = require_pool(pool, strategy)?;
-                let picked = margin_select(run.ensemble(), pool, cfg.n_feedback_points)?;
-                augmented.extend(&pool.subset(&picked)?)?;
-            }
-            Strategy::Entropy => {
-                let run = fit_automl(cfg, train, 500)?;
-                let pool = require_pool(pool, strategy)?;
-                let picked = entropy_select(run.ensemble(), pool, cfg.n_feedback_points)?;
-                augmented.extend(&pool.subset(&picked)?)?;
             }
         }
     }

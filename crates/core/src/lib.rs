@@ -28,8 +28,7 @@
 //!
 //! [`uniform`] random sampling, [`confidence`]-based active learning,
 //! [`qbc`] (vote-entropy query-by-committee over the AutoML ensemble),
-//! [`upsampling`] (random oversampling + SMOTE), plus the margin and
-//! entropy uncertainty-sampling variants ([`uncertainty`]).
+//! [`upsampling`] (random oversampling).
 //!
 //! ## The experiment loop
 //!
@@ -46,7 +45,6 @@ pub mod feedback;
 pub mod qbc;
 pub mod quality;
 pub mod report;
-pub mod uncertainty;
 pub mod uniform;
 pub mod upsampling;
 

@@ -1,14 +1,9 @@
-//! Label-imbalance correction: random oversampling and SMOTE.
+//! Label-imbalance correction by random oversampling.
 //!
 //! The paper's strongest Table-1 baseline: "we compare our solution to a
-//! standard data-science solution to label imbalance, upsampling \[13\]"
-//! (reference 13 is SMOTE). Both variants are provided:
-//!
-//! * [`random_oversample`] — duplicate minority-class rows until every
-//!   class matches the majority count;
-//! * [`smote`] — Synthetic Minority Over-sampling TEchnique: synthesize
-//!   minority points by interpolating between a minority sample and one of
-//!   its k nearest minority neighbours.
+//! standard data-science solution to label imbalance, upsampling \[13\]".
+//! [`random_oversample`] duplicates minority-class rows until every class
+//! matches the majority count.
 
 use crate::{CoreError, Result};
 use aml_dataset::Dataset;
@@ -39,67 +34,6 @@ pub fn random_oversample(data: &Dataset, seed: u64) -> Result<Dataset> {
         }
     }
     Ok(out)
-}
-
-/// SMOTE: for every synthetic point, pick a random minority sample `x`,
-/// one of its `k` nearest same-class neighbours `x'`, and emit
-/// `x + u · (x' − x)` with `u ~ U(0,1)`. Balances all classes up to the
-/// majority count. Classes with a single sample fall back to duplication.
-pub fn smote(data: &Dataset, k: usize, seed: u64) -> Result<Dataset> {
-    if data.is_empty() {
-        return Err(CoreError::InvalidParameter("empty dataset".into()));
-    }
-    if k == 0 {
-        return Err(CoreError::InvalidParameter("k must be >= 1".into()));
-    }
-    let counts = data.class_counts();
-    let max = *counts.iter().max().expect("non-empty");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = data.clone();
-
-    for (class, &count) in counts.iter().enumerate() {
-        if count == 0 || count == max {
-            continue;
-        }
-        let members: Vec<usize> = (0..data.n_rows())
-            .filter(|&i| data.label(i) == class)
-            .collect();
-        // Precompute each member's k nearest same-class neighbours.
-        let neighbours: Vec<Vec<usize>> = members
-            .iter()
-            .map(|&i| {
-                let mut dists: Vec<(f64, usize)> = members
-                    .iter()
-                    .filter(|&&j| j != i)
-                    .map(|&j| (sq_dist(data.row(i), data.row(j)), j))
-                    .collect();
-                dists.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are finite"));
-                dists.into_iter().take(k).map(|(_, j)| j).collect()
-            })
-            .collect();
-
-        for _ in count..max {
-            let mi = rng.gen_range(0..members.len());
-            let base = data.row(members[mi]);
-            let row: Vec<f64> = if neighbours[mi].is_empty() {
-                base.to_vec() // singleton class: duplicate
-            } else {
-                let nb = neighbours[mi][rng.gen_range(0..neighbours[mi].len())];
-                let other = data.row(nb);
-                let u: f64 = rng.gen();
-                base.iter()
-                    .zip(other)
-                    .map(|(a, b)| a + u * (b - a))
-                    .collect()
-            };
-            out.push_row(&row, class)?;
-        }
-    }
-    Ok(out)
-}
-
-fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
 #[cfg(test)]
@@ -140,101 +74,16 @@ mod tests {
     }
 
     #[test]
-    fn smote_balances_counts() {
-        let ds = imbalanced();
-        let out = smote(&ds, 3, 3).unwrap();
-        assert_eq!(out.class_counts(), vec![20, 20]);
-    }
-
-    #[test]
-    fn smote_synthesizes_convex_combinations() {
-        let ds = imbalanced();
-        let out = smote(&ds, 3, 4).unwrap();
-        // Minority rows live on the segment x ∈ [100, 104], y = 1; synthetic
-        // points must stay within the class's convex hull on each axis.
-        for i in ds.n_rows()..out.n_rows() {
-            let row = out.row(i);
-            assert!(
-                (100.0..=104.0).contains(&row[0]),
-                "synthetic x {} outside hull",
-                row[0]
-            );
-            assert_eq!(row[1], 1.0);
-            assert_eq!(out.label(i), 1);
-        }
-    }
-
-    #[test]
-    fn singleton_class_falls_back_to_duplication() {
-        let rows = vec![vec![0.0], vec![1.0], vec![2.0], vec![50.0]];
-        let labels = vec![0, 0, 0, 1];
-        let ds = Dataset::from_rows(&rows, &labels, 2).unwrap();
-        let out = smote(&ds, 5, 5).unwrap();
-        assert_eq!(out.class_counts(), vec![3, 3]);
-        for i in ds.n_rows()..out.n_rows() {
-            assert_eq!(out.row(i), &[50.0]);
-        }
-    }
-
-    #[test]
     fn balanced_input_is_unchanged() {
         let rows = vec![vec![0.0], vec![1.0], vec![10.0], vec![11.0]];
         let labels = vec![0, 0, 1, 1];
         let ds = Dataset::from_rows(&rows, &labels, 2).unwrap();
         assert_eq!(random_oversample(&ds, 1).unwrap().n_rows(), 4);
-        assert_eq!(smote(&ds, 1, 1).unwrap().n_rows(), 4);
     }
 
     #[test]
     fn invalid_inputs_rejected() {
-        let ds = imbalanced();
-        assert!(smote(&ds, 0, 0).is_err());
-        let empty = ds.empty_like();
+        let empty = imbalanced().empty_like();
         assert!(random_oversample(&empty, 0).is_err());
-        assert!(smote(&empty, 1, 0).is_err());
-    }
-}
-
-#[cfg(test)]
-mod prop_tests {
-    use super::*;
-    use aml_propcheck::prelude::*;
-    // Explicit imports beat the two ambiguous glob re-exports of `Rng`.
-    use aml_rng::{Rng, SeedableRng};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// SMOTE always balances classes and every synthetic coordinate is
-        /// within the per-class bounding box (convexity).
-        #[test]
-        fn prop_smote_convex_and_balanced(
-            n0 in 3usize..15,
-            n1 in 3usize..15,
-            seed in 0u64..100,
-        ) {
-            let mut rows = Vec::new();
-            let mut labels = Vec::new();
-            let mut rng = aml_rng::rngs::StdRng::seed_from_u64(seed);
-            for _ in 0..n0 {
-                rows.push(vec![rng.gen_range(-5.0..0.0), rng.gen_range(0.0..1.0)]);
-                labels.push(0usize);
-            }
-            for _ in 0..n1 {
-                rows.push(vec![rng.gen_range(5.0..10.0), rng.gen_range(2.0..3.0)]);
-                labels.push(1usize);
-            }
-            let ds = Dataset::from_rows(&rows, &labels, 2).unwrap();
-            let out = smote(&ds, 3, seed).unwrap();
-            let counts = out.class_counts();
-            prop_assert_eq!(counts[0], counts[1]);
-            for i in ds.n_rows()..out.n_rows() {
-                let r = out.row(i);
-                let c = out.label(i);
-                let (xr, yr) = if c == 0 { (-5.0..=0.0, 0.0..=1.0) } else { (5.0..=10.0, 2.0..=3.0) };
-                prop_assert!(xr.contains(&r[0]), "x {} outside class hull", r[0]);
-                prop_assert!(yr.contains(&r[1]), "y {} outside class hull", r[1]);
-            }
-        }
     }
 }

@@ -7,8 +7,7 @@
 //! appended to `results/history/history.jsonl` (committed alongside the
 //! frozen baselines), so `perfgate --against-history N` can gate against
 //! the rolling median of the last N runs instead of a single frozen
-//! file, and the `/dashboard` trend section can plot wall time and final
-//! accuracy across commits.
+//! file.
 //!
 //! ## Record shape
 //!
@@ -46,7 +45,7 @@ use std::path::Path;
 pub const HISTORY_SCHEMA_VERSION: u64 = 1;
 
 /// Where history records land unless a path is given explicitly — both
-/// for `--record` (the writer) and the `/history` route (the reader).
+/// for `--record` (the writer) and `perfgate --history` (the reader).
 pub const DEFAULT_HISTORY_PATH: &str = "results/history/history.jsonl";
 
 /// One completed run, as remembered across runs.
@@ -140,7 +139,7 @@ impl HistoryRecord {
 
     /// Append this record to `path` as one line, creating the parent
     /// directory if needed. The store is append-only: existing lines are
-    /// never rewritten, so concurrent readers (the `/history` route) only
+    /// never rewritten, so concurrent readers (`perfgate`) only
     /// ever see whole records plus possibly a torn trailing line, which
     /// they skip.
     ///

@@ -874,10 +874,10 @@ impl Sink for LedgerJsonlSink {
 
 /// An in-process reader of the ledger: a value that folds events one at
 /// a time. The search and quality collectors and the run summary are
-/// folds. Each runs live, fed by the sink a [`FoldStore`] installs, and
-/// offline over a parsed `ledger.jsonl` through [`Fold::from_events`] —
-/// one piece of code both ways, so a live report equals its offline
-/// recompute by construction.
+/// folds. Each runs offline over a parsed `ledger.jsonl` through
+/// [`Fold::from_events`]; the run summary also runs live, fed by the
+/// sink a [`FoldStore`] installs — one piece of code both ways, so a
+/// live summary equals its offline recompute by construction.
 pub trait Fold: Default + Send + 'static {
     /// Ingest one event; events this fold does not read are ignored.
     fn observe(&mut self, event: &LedgerEvent);
@@ -892,8 +892,8 @@ pub trait Fold: Default + Send + 'static {
     }
 }
 
-/// Process-global home of one live [`Fold`] (the state behind `/search`,
-/// `/quality` or a `--record` line). [`FoldStore::arm`] installs a sink
+/// Process-global home of one live [`Fold`] (the state behind a
+/// `--record` line). [`FoldStore::arm`] installs a sink
 /// that feeds it every ledger event, and a resumed run's kept prefix
 /// through [`crate::sink::replay_ledger`]. The sink's `finish` disarms
 /// the store; the folded state stays readable after the run.
@@ -936,15 +936,6 @@ impl<F: Fold> FoldStore<F> {
     pub fn read<R>(&self, f: impl FnOnce(&F, bool) -> R) -> R {
         let slot = self.lock();
         f(&slot.fold, slot.armed)
-    }
-
-    /// Disarmed and back to `F::default()` — the never-armed state.
-    #[cfg(test)]
-    pub(crate) fn clear(&self) {
-        *self.lock() = FoldSlot {
-            fold: F::default(),
-            armed: false,
-        };
     }
 }
 

@@ -26,19 +26,17 @@
 //! * a **live observability plane** ([`serve`], behind `--serve ADDR`):
 //!   a std-only HTTP server exposing `/metrics` (Prometheus text
 //!   exposition), `/healthz` (liveness + run phase), `/runs` (run
-//!   header, live progress, recent ledger events), `/events` (a live
-//!   SSE stream of ledger events and phase transitions), `/history`
-//!   (the cross-run history as a JSON array), and `/dashboard` (a
-//!   self-contained live HTML dashboard);
+//!   header, live progress, recent ledger events) and `/crit` — the
+//!   state no file holds until the run ends;
 //! * a **cross-run history store** ([`history`], behind `--record`):
 //!   one append-only JSONL record per completed run (wall time, peak
 //!   RSS, final accuracy, trial/failure counts) feeding
-//!   `perfgate --against-history` and the dashboard's trend section;
-//! * a **model/data quality plane** ([`quality`], armed by `--serve`):
-//!   per-feature dataset profiles with fixed-edge histograms, PSI drift
-//!   scores against the previous round, and per-round
-//!   confusion/calibration diagnostics, served live at `/quality` and
-//!   recomputed from the ledger by `amlinspect quality`;
+//!   `perfgate --against-history`;
+//! * a **model/data quality plane** ([`quality`]): per-feature dataset
+//!   profiles with fixed-edge histograms, PSI drift scores against the
+//!   previous round, and per-round confusion/calibration diagnostics,
+//!   emitted as ledger events and recomputed from the ledger by
+//!   `amlinspect quality`;
 //! * a **resource sampler** ([`resource`]): `/proc/self` readings
 //!   published as `proc.*` gauges ([`gauge_set`]), no-op off Linux;
 //! * **causal trace trees** ([`tracetree`], behind `--crit-out`,

@@ -4,8 +4,8 @@
 //! The performance planes (BENCH record, ledger, searchview) watch *how
 //! fast* the pipeline runs and *where the search goes*; nobody watches
 //! what the model actually learned or whether the data it sees is
-//! shifting. This module closes that gap with the same
-//! live-fold/off-is-free design as [`crate::searchview`]:
+//! shifting. This module closes that gap with the same ledger-fold
+//! design as [`crate::searchview`]:
 //!
 //! * **write side** — `aml-core::experiment` computes, once per feedback
 //!   round, a [`FeatureProfile`] per feature for the train and eval
@@ -13,28 +13,21 @@
 //!   10-bin reliability counts, and emits them as two additive ledger
 //!   events (`dataset_profile`, `model_diagnostics`). The events carry
 //!   only *raw counts and sums*; every derived metric (accuracy,
-//!   precision/recall/F1, ECE, PSI) is recomputed on the read side so the
-//!   live `/quality` report and an `amlinspect quality` recompute from the
-//!   ledger are byte-identical.
+//!   precision/recall/F1, ECE, PSI) is recomputed on the read side, so
+//!   an `amlinspect quality` recompute from the ledger is byte-identical
+//!   across worker counts and across resume.
 //! * **collector** — a [`QualityCollector`] [`Fold`] keeps a copy of each
-//!   quality event. [`arm`] puts a fresh one in the live store and
-//!   installs the sink that feeds it; the offline recompute from a
-//!   `ledger.jsonl` folds the parsed events through the same type.
-//!   [`live_json`] serves the current pinned-field-order report at
-//!   `/quality`.
+//!   quality event; `amlinspect quality` folds the events parsed from a
+//!   `ledger.jsonl` through it and renders the pinned-field-order report.
 //! * **drift** — [`psi`] scores each feature's histogram against the
 //!   previous round's profile. Bins are epsilon-smoothed so an empty bin
 //!   can never produce an infinite score.
-//!
-//! Unarmed, everything is free: no sink is installed, ledger emission
-//! is one relaxed atomic load, and `/quality` answers with the
-//! `{"active":false}` sentinel.
 
 use crate::json;
-use crate::ledger::{Fold, FoldStore, LedgerEvent};
+use crate::ledger::{Fold, LedgerEvent};
 use std::fmt::Write as _;
 
-/// Version stamped into `quality.json` and the `/quality` route. Bump
+/// Version stamped into the rendered quality report. Bump
 /// only on breaking shape changes; the read side rejects newer versions.
 pub const QUALITY_SCHEMA_VERSION: u32 = 1;
 
@@ -381,14 +374,13 @@ pub struct QualityReport {
     pub drift: DriftReport,
     /// The latest round's split profiles (train first, then eval).
     pub profiles: Vec<SplitProfile>,
-    /// Quality events discarded after the store cap was hit.
+    /// Quality events discarded after the collector cap was hit.
     pub dropped: u64,
 }
 
 impl QualityReport {
     /// Render the pinned-field-order JSON document (trailing newline
-    /// included), byte-identical between `/quality` and an `amlinspect
-    /// quality` recompute from the same ledger.
+    /// included), as `amlinspect quality --json` prints it.
     pub fn render_json(&self) -> String {
         let mut out = format!(
             "{{\"active\":true,\"schema_version\":{},\"rounds\":[",
@@ -553,38 +545,6 @@ impl QualityReport {
                 "({} quality event(s) dropped at the store cap)",
                 self.dropped
             );
-        }
-        out
-    }
-
-    /// Prometheus text-exposition gauges for external scrapers:
-    /// `quality_final_acc`, `quality_ece`, and per-feature
-    /// `quality_psi{key="..."}`. Empty when the report has no rounds.
-    pub fn render_prometheus(&self) -> String {
-        let Some(last) = self.rounds.last() else {
-            return String::new();
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "# TYPE quality_final_acc gauge");
-        let _ = writeln!(out, "quality_final_acc {}", json::num(last.accuracy));
-        let _ = writeln!(out, "# TYPE quality_ece gauge");
-        let _ = writeln!(out, "quality_ece {}", json::num(last.ece));
-        let drifted: Vec<&FeatureDrift> = self
-            .drift
-            .features
-            .iter()
-            .filter(|f| f.psi.is_some())
-            .collect();
-        if !drifted.is_empty() {
-            let _ = writeln!(out, "# TYPE quality_psi gauge");
-            for f in drifted {
-                let _ = writeln!(
-                    out,
-                    "quality_psi{{key=\"{}\"}} {}",
-                    f.name.replace('"', "'"),
-                    json::num(f.psi.unwrap_or(0.0)),
-                );
-            }
         }
         out
     }
@@ -882,14 +842,11 @@ where
 }
 
 // ---------------------------------------------------------------------
-// Live collector (off-is-free, searchview pattern)
+// Collector (the ledger fold behind `amlinspect quality`)
 // ---------------------------------------------------------------------
 
 /// The quality collector: a copy of each quality event (capped at
-/// `EVENT_CAP`, later events count as dropped). The live store behind
-/// `/quality` and the offline recompute from a `ledger.jsonl` both fold
-/// events through this one type, so the two reports agree by
-/// construction.
+/// `EVENT_CAP`, later events count as dropped).
 #[derive(Debug, Clone, Default)]
 pub struct QualityCollector {
     events: Vec<LedgerEvent>,
@@ -897,19 +854,6 @@ pub struct QualityCollector {
 }
 
 impl QualityCollector {
-    /// An empty collector.
-    pub const fn new() -> QualityCollector {
-        QualityCollector {
-            events: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Whether no quality event has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Reduce the recorded events into a [`QualityReport`].
     pub fn report(&self) -> QualityReport {
         report_from_events(&self.events, self.dropped)
@@ -932,41 +876,6 @@ impl Fold for QualityCollector {
             self.events.push(event.clone());
         }
     }
-}
-
-/// The live collector behind `/quality`.
-static STORE: FoldStore<QualityCollector> =
-    FoldStore::new("quality collector (in memory)", QualityCollector::new());
-
-/// Arm the live collector for a new run: it starts empty and every
-/// ledger event from here on is folded into it.
-pub fn arm() {
-    STORE.arm(QualityCollector::new());
-}
-
-/// The `/quality` route body: the live report as JSON, or the
-/// `{"active":false}` sentinel when the collector is disarmed and has
-/// recorded nothing.
-pub fn live_json() -> String {
-    STORE.read(|c, armed| {
-        if c.is_empty() && !armed {
-            "{\"active\":false}\n".to_string()
-        } else {
-            c.report().render_json()
-        }
-    })
-}
-
-/// Prometheus gauges for the `/metrics` route; empty when the collector
-/// has recorded nothing.
-pub fn prometheus_gauges() -> String {
-    STORE.read(|c, _| {
-        if c.is_empty() {
-            String::new()
-        } else {
-            c.report().render_prometheus()
-        }
-    })
 }
 
 #[cfg(test)]
@@ -1214,44 +1123,27 @@ mod tests {
         );
         // The table renders without panicking and mentions the strategy.
         assert!(report.render_table().contains("Random"));
-        // Prometheus gauges carry final accuracy, ECE, and drift.
-        let prom = report.render_prometheus();
-        assert!(prom.contains("quality_final_acc 0.75"), "{prom}");
-        assert!(prom.contains("quality_ece 0.25"), "{prom}");
-        assert!(prom.contains("quality_psi{key=\"loss\"} 0.125"), "{prom}");
     }
 
     #[test]
-    fn collector_round_trips_and_serves_the_inactive_sentinel() {
-        let _guard = crate::test_lock::hold();
-        STORE.clear();
-        assert_eq!(live_json(), "{\"active\":false}\n");
-        assert_eq!(prometheus_gauges(), "");
-        // Unarmed, emitted events reach no collector.
-        crate::ledger::emit(&diag_event(0, 20));
-        assert_eq!(live_json(), "{\"active\":false}\n");
-        arm();
-        // Armed but empty: an active, empty report.
-        assert!(live_json().starts_with("{\"active\":true,"));
-        crate::ledger::emit(&profile_event(0, "train", &[0.1, 0.9]));
-        crate::ledger::emit(&diag_event(0, 20));
-        // Non-quality events are ignored.
-        crate::ledger::emit(&LedgerEvent::TrialFinished {
-            trial: 0,
-            rung: 0,
-            family: "forest".to_string(),
-            score: 0.5,
-        });
-        let report = STORE.read(|c, _| c.report());
+    fn collector_keeps_only_quality_events() {
+        let events = [
+            profile_event(0, "train", &[0.1, 0.9]),
+            diag_event(0, 20),
+            // Non-quality events are ignored.
+            LedgerEvent::TrialFinished {
+                trial: 0,
+                rung: 0,
+                family: "forest".to_string(),
+                score: 0.5,
+            },
+        ];
+        let c = QualityCollector::from_events(&events);
+        assert_eq!(c.events.len(), 2);
+        let report = c.report();
         assert_eq!(report.rounds.len(), 1);
         assert_eq!(report.profiles.len(), 1);
-        assert_eq!(live_json(), report.render_json());
-        assert!(!prometheus_gauges().is_empty());
-        // Disarmed with data still serves the last report (finish() path).
-        crate::sink::finish(&crate::Snapshot::default());
-        assert_eq!(live_json(), report.render_json());
-        STORE.clear();
-        assert_eq!(live_json(), "{\"active\":false}\n");
+        assert_eq!(report.dropped, 0);
     }
 
     #[test]

@@ -12,15 +12,11 @@
 //! A [`SearchCollector`] keeps the declared [`SpaceFamily`] descriptors
 //! (from the once-per-run `search_space` event) plus one [`TrialRec`]
 //! per `trial_started`, settled by the matching `trial_finished` /
-//! `trial_failed` line. It is a [`Fold`]: [`arm`] puts a fresh one in
-//! the live store behind `/search` and installs the sink
-//! that feeds it, and the offline recompute from a `ledger.jsonl` folds
-//! the parsed events through the same type, so the two reports agree by
-//! construction. Unarmed, nothing is installed and ledger emission stays
-//! one relaxed atomic load. [`analyze`] is pure and order-independent: it
-//! sorts the records by content first, so the report is byte-identical
-//! whether the search ran on 1 or N workers — the same determinism
-//! contract as `crit.json`.
+//! `trial_failed` line. It is a [`Fold`]: `amlinspect search` folds the
+//! events parsed from a `ledger.jsonl` through it. [`analyze`] is pure
+//! and order-independent: it sorts the records by content first, so the
+//! report is byte-identical whether the search ran on 1 or N workers —
+//! the same determinism contract as `crit.json`.
 //!
 //! ## Analytics
 //!
@@ -38,13 +34,12 @@
 //!   `Vb / V` — the share of score variance the dimension explains on
 //!   its own. Deterministic, no external deps.
 //!
-//! Rendered three ways: [`SearchReport::render_json`] (pinned field
-//! order, served at `/search`, printed by `amlinspect search --json`),
-//! [`SearchReport::render_table`] (the `amlinspect search` summary), and the
-//! dashboard's search-explorer panel (which consumes the JSON).
+//! Rendered two ways: [`SearchReport::render_json`] (pinned field
+//! order, printed by `amlinspect search --json`) and
+//! [`SearchReport::render_table`] (the `amlinspect search` summary).
 
 use crate::json;
-use crate::ledger::{Fold, FoldStore, LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
+use crate::ledger::{Fold, LedgerEvent, ParamValue, SpaceDim, SpaceFamily};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -83,10 +78,8 @@ pub struct TrialRec {
 }
 
 /// The search collector: the declared space plus one [`TrialRec`] per
-/// `trial_started` event, settled by the matching outcome event. The
-/// live store behind `/search` and the offline recompute from a
-/// `ledger.jsonl` both fold events through this one type, so the two
-/// reports agree by construction — cap included.
+/// `trial_started` event, settled by the matching outcome event. Past
+/// [`TRIAL_CAP`] starts it counts drops instead of growing.
 #[derive(Debug, Clone, Default)]
 pub struct SearchCollector {
     space: Vec<SpaceFamily>,
@@ -95,15 +88,6 @@ pub struct SearchCollector {
 }
 
 impl SearchCollector {
-    /// An empty collector.
-    pub const fn new() -> SearchCollector {
-        SearchCollector {
-            space: Vec::new(),
-            trials: Vec::new(),
-            dropped: 0,
-        }
-    }
-
     /// Settle the most recent unsettled record for `(trial, rung,
     /// family)`. Trial ids repeat across the many searches of one run,
     /// so matching from the back pairs each outcome with its own start.
@@ -125,11 +109,6 @@ impl SearchCollector {
             rec.score = score;
             rec.failed = failed;
         }
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.space.is_empty() && self.trials.is_empty()
     }
 
     /// Analyze the collected records.
@@ -182,16 +161,6 @@ impl Fold for SearchCollector {
             _ => {}
         }
     }
-}
-
-/// The live collector behind `/search`.
-static STORE: FoldStore<SearchCollector> =
-    FoldStore::new("search collector", SearchCollector::new());
-
-/// Arm the live collector for a new run: it starts empty and every
-/// ledger event from here on is folded into it.
-pub fn arm() {
-    STORE.arm(SearchCollector::new());
 }
 
 /// One rung of the successive-halving funnel, aggregated over every
@@ -553,8 +522,8 @@ fn dim_report(
 
 impl SearchReport {
     /// Render as one JSON line (plus trailing newline). Field order and
-    /// formatting are pinned by a golden test; `/search` serves exactly
-    /// this for an active collector.
+    /// formatting are pinned by a golden test; `amlinspect search
+    /// --json` prints exactly this.
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         let _ = write!(
@@ -689,18 +658,6 @@ impl SearchReport {
         }
         out
     }
-}
-
-/// Analyze the live collector and render the `/search` payload: the full
-/// report when the collector is (or was) recording, else
-/// `{"active":false}`.
-pub fn live_json() -> String {
-    // Analyze a copy, so emitters never wait on the analysis.
-    let (c, armed) = STORE.read(|c, armed| (c.clone(), armed));
-    if c.is_empty() && !armed {
-        return "{\"active\":false}\n".to_string();
-    }
-    c.report().render_json()
 }
 
 #[cfg(test)]
@@ -891,66 +848,43 @@ mod tests {
 
     #[test]
     fn observe_collects_and_settles_trials() {
-        let _guard = crate::test_lock::hold();
-        arm();
-        let emit = crate::ledger::emit;
-        emit(&LedgerEvent::SearchSpace {
-            families: knn_space(),
-        });
-        emit(&LedgerEvent::TrialStarted {
-            trial: 0,
-            rung: 0,
-            family: "knn".into(),
-            config: "KnnConfig".into(),
-            params: vec![("k".into(), ParamValue::Int(3))],
-        });
-        emit(&LedgerEvent::TrialFinished {
-            trial: 0,
-            rung: 0,
-            family: "knn".into(),
-            score: 0.8,
-        });
-        emit(&LedgerEvent::TrialStarted {
-            trial: 1,
-            rung: 0,
-            family: "knn".into(),
-            config: "KnnConfig".into(),
-            params: vec![("k".into(), ParamValue::Int(5))],
-        });
-        emit(&LedgerEvent::TrialFailed {
-            trial: 1,
-            rung: 0,
-            family: "knn".into(),
-            reason: "panic".into(),
-        });
-        let c = STORE.read(|c, _| c.clone());
+        let events = [
+            LedgerEvent::SearchSpace {
+                families: knn_space(),
+            },
+            LedgerEvent::TrialStarted {
+                trial: 0,
+                rung: 0,
+                family: "knn".into(),
+                config: "KnnConfig".into(),
+                params: vec![("k".into(), ParamValue::Int(3))],
+            },
+            LedgerEvent::TrialFinished {
+                trial: 0,
+                rung: 0,
+                family: "knn".into(),
+                score: 0.8,
+            },
+            LedgerEvent::TrialStarted {
+                trial: 1,
+                rung: 0,
+                family: "knn".into(),
+                config: "KnnConfig".into(),
+                params: vec![("k".into(), ParamValue::Int(5))],
+            },
+            LedgerEvent::TrialFailed {
+                trial: 1,
+                rung: 0,
+                family: "knn".into(),
+                reason: "panic".into(),
+            },
+        ];
+        let c = SearchCollector::from_events(&events);
         assert_eq!(c.space.len(), 1);
         assert_eq!(c.trials.len(), 2);
         assert_eq!(c.trials[0].score, Some(0.8));
         assert_eq!(c.trials[1].failed.as_deref(), Some("panic"));
         assert_eq!(c.dropped, 0);
-        let live = live_json();
-        assert!(live.starts_with("{\"active\":true,"), "{live}");
-        // Finishing the sinks disarms the store; the data stays served.
-        crate::sink::finish(&crate::Snapshot::default());
-        assert_eq!(live_json(), live);
-        STORE.clear();
-        // Disarmed and empty: the sentinel payload.
-        assert_eq!(live_json(), "{\"active\":false}\n");
-    }
-
-    #[test]
-    fn observe_is_a_no_op_when_disarmed() {
-        let _guard = crate::test_lock::hold();
-        STORE.clear();
-        crate::ledger::emit(&LedgerEvent::TrialStarted {
-            trial: 0,
-            rung: 0,
-            family: "knn".into(),
-            config: String::new(),
-            params: vec![],
-        });
-        assert!(STORE.read(|c, armed| c.trials.is_empty() && !armed));
-        assert_eq!(live_json(), "{\"active\":false}\n");
+        assert!(c.report().render_json().starts_with("{\"active\":true,"));
     }
 }

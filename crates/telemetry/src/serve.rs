@@ -1,7 +1,7 @@
 //! Live observability plane: a std-only background HTTP server.
 //!
 //! Enabled by `--serve ADDR` on every workload bin. While the run
-//! executes, seven endpoints answer `GET` (each request bumps a
+//! executes, the [`ROUTES`] answer `GET` (each request bumps a
 //! per-route `serve.requests[<route>]` counter, rendered on `/metrics`
 //! as `serve_requests{key="<route>"}`):
 //!
@@ -14,34 +14,20 @@
 //!   rounds completed, search trials done/planned), and the last
 //!   `tail` experiment-ledger events (`?tail=N`, clamped to
 //!   `1..=`[`EVENT_RING_CAP`], default [`EVENT_RING_CAP`]);
-//! * `/events` — a Server-Sent-Events stream (chunked transfer
-//!   encoding) of ledger events (`event: ledger`) and phase
-//!   transitions (`event: phase`) as they happen, from connect time
-//!   on. Each connected client gets a bounded in-memory frame buffer
-//!   ([`SSE_CLIENT_BUF_CAP`] bytes); frames that would overflow a
-//!   stalled client's buffer are dropped for that client and counted
-//!   in the `serve.events_dropped` counter;
-//! * `/history` — the cross-run history store (see [`crate::history`])
-//!   as a JSON array, read per request from the configured path
-//!   ([`set_history_path`]); `?workload=NAME` keeps only that
-//!   workload's records and `?tail=N` the last N of them (clamped to
-//!   `1..=`[`EVENT_RING_CAP`] like `/runs?tail=N`);
 //! * `/crit` — the live critical-path report (see [`crate::crit`]):
 //!   the causal-trace-tree analysis as JSON when `--crit-out` armed the
-//!   collector, `{"active":false}` otherwise;
-//! * `/dashboard` — a single self-contained HTML page (no external
-//!   assets) that subscribes to `/events` and polls `/metrics`,
-//!   `/runs`, and `/history` to render the live run and its cross-run
-//!   trends.
+//!   collector, `{"active":false}` otherwise.
+//!
+//! Each shows state that no file holds until the run ends. What the
+//! ledger already holds is read from `ledger.jsonl` itself: `amlinspect
+//! search|quality` recomputes the search and quality reports from it.
 //!
 //! The server is a single thread on a non-blocking [`TcpListener`] —
 //! `std::net` only, honoring the workspace's zero-external-dependency
 //! rule. Requests are served from a point-in-time [`Snapshot`], so a
 //! scrape never blocks the instrumented hot path; without `--serve` no
 //! thread exists and the status setters are one relaxed atomic load
-//! (off-is-free). SSE delivery follows the same discipline: emitters
-//! only append to in-memory buffers (one relaxed load when no client is
-//! connected); all socket writes happen on the serve thread.
+//! (off-is-free).
 //!
 //! Phase/progress reporting: bins call [`set_phase`] at phase
 //! boundaries, the AutoML search calls [`add_planned_trials`] /
@@ -54,23 +40,17 @@ use crate::sink::{RunHeader, Sink};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// The routes the live plane answers, in the order the 404 body and the
+/// startup note list them. Only these are counted in `serve.requests`.
+pub const ROUTES: [&str; 4] = ["/metrics", "/healthz", "/runs", "/crit"];
+
 /// How many trailing ledger events `/runs` retains.
 pub const EVENT_RING_CAP: usize = 64;
-
-/// Bound on the pending (not yet written) SSE frame bytes buffered per
-/// `/events` client. A client that stops reading fills its buffer and
-/// then loses frames (counted in `serve.events_dropped`) instead of
-/// growing the server's memory without bound.
-pub const SSE_CLIENT_BUF_CAP: usize = 64 * 1024;
-
-/// The self-contained live dashboard page served at `/dashboard`.
-const DASHBOARD_HTML: &str = include_str!("dashboard.html");
 
 // ---------------------------------------------------------------------
 // Live run status (phase + progress), updated from the pipeline.
@@ -100,10 +80,6 @@ pub fn active() -> bool {
 pub fn set_phase(phase: &str) {
     if active() {
         *phase_slot().lock().unwrap_or_else(PoisonError::into_inner) = phase.to_string();
-        sse_broadcast(
-            "phase",
-            &format!("{{\"phase\":{}}}", crate::json::string(phase)),
-        );
     }
 }
 
@@ -159,7 +135,6 @@ impl Sink for RingSink {
     }
     fn on_ledger_event(&self, event: &LedgerEvent) {
         let line = event.to_json_line();
-        sse_broadcast("ledger", &line);
         let mut ring = event_ring().lock().unwrap_or_else(PoisonError::into_inner);
         if ring.len() == EVENT_RING_CAP {
             ring.pop_front();
@@ -172,173 +147,6 @@ impl Sink for RingSink {
     fn target(&self) -> String {
         "live /runs event buffer".into()
     }
-}
-
-// ---------------------------------------------------------------------
-// Server-Sent-Events clients (feeds /events).
-// ---------------------------------------------------------------------
-
-/// One connected `/events` client: its socket (non-blocking) and the
-/// chunk-encoded frames queued but not yet accepted by the kernel.
-struct SseClient {
-    stream: TcpStream,
-    pending: Vec<u8>,
-}
-
-fn sse_clients() -> &'static Mutex<Vec<SseClient>> {
-    static CLIENTS: OnceLock<Mutex<Vec<SseClient>>> = OnceLock::new();
-    CLIENTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Connected `/events` client count — the one-relaxed-load gate that
-/// keeps [`sse_broadcast`] free when nobody is listening.
-static SSE_CLIENT_COUNT: AtomicUsize = AtomicUsize::new(0);
-
-/// Wrap `payload` as one HTTP/1.1 chunk (hex length, CRLF, data, CRLF).
-fn chunk(payload: &str) -> Vec<u8> {
-    format!("{:x}\r\n{payload}\r\n", payload.len()).into_bytes()
-}
-
-/// Queue one SSE frame (`event: <event>\ndata: <data>\n\n`, chunk-
-/// encoded) for every connected `/events` client. Emitter threads only
-/// append to in-memory buffers here — socket writes happen on the serve
-/// thread ([`flush_sse_clients`]). A frame that would push a client's
-/// buffer past [`SSE_CLIENT_BUF_CAP`] is dropped for that client and
-/// counted in `serve.events_dropped`.
-fn sse_broadcast(event: &str, data: &str) {
-    if SSE_CLIENT_COUNT.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    let frame = chunk(&format!("event: {event}\ndata: {data}\n\n"));
-    let mut clients = sse_clients().lock().unwrap_or_else(PoisonError::into_inner);
-    for client in clients.iter_mut() {
-        if client.pending.len() + frame.len() > SSE_CLIENT_BUF_CAP {
-            crate::counter_add("serve.events_dropped", 1);
-        } else {
-            client.pending.extend_from_slice(&frame);
-        }
-    }
-}
-
-/// Write each client's pending bytes as far as the kernel accepts,
-/// dropping clients whose connection errored out. Runs on the serve
-/// thread every poll cycle.
-fn flush_sse_clients() {
-    if SSE_CLIENT_COUNT.load(Ordering::Relaxed) == 0 {
-        return;
-    }
-    let mut clients = sse_clients().lock().unwrap_or_else(PoisonError::into_inner);
-    clients.retain_mut(|client| {
-        while !client.pending.is_empty() {
-            match client.stream.write(&client.pending) {
-                Ok(0) => return false,
-                Ok(n) => {
-                    client.pending.drain(..n);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => return false,
-            }
-        }
-        true
-    });
-    SSE_CLIENT_COUNT.store(clients.len(), Ordering::Relaxed);
-}
-
-/// Close every `/events` stream: flush what the kernel will take, send
-/// the terminating zero-length chunk (best effort), and shut the
-/// sockets down both ways before dropping them, so a blocked reader
-/// observes EOF immediately instead of waiting out a TCP timeout.
-fn close_sse_clients() {
-    let mut clients = sse_clients().lock().unwrap_or_else(PoisonError::into_inner);
-    for client in clients.drain(..) {
-        let mut stream = client.stream;
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-        if !client.pending.is_empty() {
-            let _ = stream.write_all(&client.pending);
-        }
-        let _ = stream.write_all(b"0\r\n\r\n");
-        let _ = stream.flush();
-        let _ = stream.shutdown(std::net::Shutdown::Both);
-    }
-    SSE_CLIENT_COUNT.store(0, Ordering::Relaxed);
-}
-
-/// Answer a `GET /events` request: send the SSE response head plus a
-/// comment prologue, then hand the (now non-blocking) socket to the
-/// client registry. Later frames are queued by [`sse_broadcast`] and
-/// written by the serve thread.
-fn open_event_stream(mut stream: TcpStream) -> std::io::Result<()> {
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n"
-    )?;
-    stream.write_all(&chunk(": aml-telemetry /events\n\n"))?;
-    stream.flush()?;
-    stream.set_nonblocking(true)?;
-    let mut clients = sse_clients().lock().unwrap_or_else(PoisonError::into_inner);
-    clients.push(SseClient {
-        stream,
-        pending: Vec::new(),
-    });
-    SSE_CLIENT_COUNT.store(clients.len(), Ordering::Relaxed);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Cross-run history (feeds /history and the dashboard trend section).
-// ---------------------------------------------------------------------
-
-fn history_path_slot() -> &'static Mutex<PathBuf> {
-    static HISTORY: OnceLock<Mutex<PathBuf>> = OnceLock::new();
-    HISTORY.get_or_init(|| Mutex::new(PathBuf::from(crate::history::DEFAULT_HISTORY_PATH)))
-}
-
-/// Point the `/history` route at `path` (default
-/// [`crate::history::DEFAULT_HISTORY_PATH`]). Set by the harness when
-/// `--record` names an explicit history file.
-pub fn set_history_path(path: &Path) {
-    *history_path_slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner) = path.to_path_buf();
-}
-
-/// The history store as a JSON array: one element per record line. The
-/// file is read per request (it only grows by whole appended lines);
-/// a missing file is an empty history, and a torn trailing line is
-/// skipped rather than corrupting the array. `?workload=NAME` keeps
-/// only records whose `workload` field matches, and `?tail=N` the last
-/// N surviving records (clamped like `/runs?tail=N`; no tail keeps
-/// everything).
-fn history_json(query: Option<&str>) -> String {
-    let path = history_path_slot()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone();
-    render_history_array(&path, query)
-}
-
-/// The history store at `path` as a JSON array, with the `/history`
-/// filters `?workload=NAME` and `?tail=N` applied.
-fn render_history_array(path: &Path, query: Option<&str>) -> String {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return "[]\n".to_string();
-    };
-    // Records are single-line objects with a pinned field order, so a
-    // workload filter is a substring match on the rendered field.
-    let workload_field =
-        query_param(query, "workload").map(|w| format!("\"workload\":{}", crate::json::string(w)));
-    let mut records: Vec<&str> = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{') && l.ends_with('}'))
-        .filter(|l| workload_field.as_deref().is_none_or(|f| l.contains(f)))
-        .collect();
-    if let Some(tail) = query_param(query, "tail").and_then(|v| v.parse::<usize>().ok()) {
-        let keep = tail.clamp(1, EVENT_RING_CAP);
-        records.drain(..records.len().saturating_sub(keep));
-    }
-    format!("[{}]\n", records.join(","))
 }
 
 // ---------------------------------------------------------------------
@@ -479,10 +287,8 @@ pub fn bound_addr() -> Option<SocketAddr> {
         .map(|s| s.addr)
 }
 
-/// Stop the server (if running) and join its thread. Idempotent; in-
-/// flight responses complete first, and `/events` clients observe EOF
-/// before this returns (the serve thread closes them on its way out;
-/// the extra call here covers a thread that died without cleaning up).
+/// Stop the server (if running) and join its thread. Idempotent;
+/// in-flight responses complete first.
 pub fn stop() {
     let taken = server_slot()
         .lock()
@@ -494,7 +300,6 @@ pub fn stop() {
         if let Some(thread) = server.thread.take() {
             let _ = thread.join();
         }
-        close_sse_clients();
     }
 }
 
@@ -504,56 +309,28 @@ fn serve_loop(listener: TcpListener, stop: Arc<AtomicBool>, state: Arc<ServerSta
             Ok((stream, _)) => {
                 let _ = handle_connection(stream, &state);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                flush_sse_clients();
-                std::thread::sleep(Duration::from_millis(20));
-            }
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
-        flush_sse_clients();
     }
-    // Shutdown path: close streaming clients from the serve thread, so
-    // by the time `stop()`'s join returns every `/events` reader has
-    // seen the terminating chunk and EOF.
-    close_sse_clients();
 }
 
 fn handle_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let req = read_request(&mut stream)?;
-    let (method, path) = (req.method.as_str(), req.path.as_str());
-    let query = req.query.as_deref();
-    if method == "GET" {
-        count_request(path);
-    }
-    if method == "GET" && path == "/events" {
-        // Streaming response: the socket outlives this request.
-        return open_event_stream(stream);
-    }
-    let (status, content_type, body) = if method != "GET" {
+    let (status, content_type, body) = if req.method != "GET" {
         ("405 Method Not Allowed", "text/plain", "GET only\n".into())
     } else {
-        route(path, query, state)
+        count_request(&req.path);
+        route(&req.path, req.query.as_deref(), state)
     };
     write_response(&mut stream, status, content_type, body.as_bytes())
 }
 
-/// Bump the per-route request counter for a known route. Unknown paths
-/// are not counted, so probes can't grow the registry unboundedly.
+/// Bump the per-route request counter for one of the [`ROUTES`]. Unknown
+/// paths are not counted, so probes can't grow the registry unboundedly.
 fn count_request(path: &str) {
-    if matches!(
-        path,
-        "/metrics"
-            | "/healthz"
-            | "/runs"
-            | "/events"
-            | "/history"
-            | "/dashboard"
-            | "/crit"
-            | "/search"
-            | "/quality"
-    ) {
+    if ROUTES.contains(&path) {
         crate::counter_add_labeled("serve.requests", path, 1);
     }
 }
@@ -583,13 +360,7 @@ fn route(
         "/metrics" => (
             "200 OK",
             "text/plain; version=0.0.4; charset=utf-8",
-            // Registry metrics plus the quality plane's float gauges
-            // (`quality_final_acc`, `quality_ece`, `quality_psi`).
-            format!(
-                "{}{}",
-                render_prometheus(&crate::global().snapshot()),
-                crate::quality::prometheus_gauges(),
-            ),
+            render_prometheus(&crate::global().snapshot()),
         ),
         "/healthz" => ("200 OK", "application/json", healthz_json(state)),
         "/runs" => (
@@ -597,28 +368,11 @@ fn route(
             "application/json",
             runs_json(state, tail_param(query)),
         ),
-        "/history" => ("200 OK", "application/json", history_json(query)),
         "/crit" => ("200 OK", "application/json", crate::crit::live_json()),
-        "/search" => (
-            "200 OK",
-            "application/json",
-            crate::searchview::live_json(),
-        ),
-        "/quality" => (
-            "200 OK",
-            "application/json",
-            crate::quality::live_json(),
-        ),
-        "/dashboard" => (
-            "200 OK",
-            "text/html; charset=utf-8",
-            DASHBOARD_HTML.to_string(),
-        ),
         _ => (
             "404 Not Found",
             "text/plain",
-            "not found (try /metrics, /healthz, /runs, /events, /history, /crit, /search, /quality, /dashboard)\n"
-                .into(),
+            format!("not found (try {})\n", ROUTES.join(", ")),
         ),
     }
 }
@@ -943,10 +697,6 @@ mod tests {
             seed: 1,
             git: "abc".into(),
         };
-        // The bins arm the search and quality collectors alongside
-        // --serve; /search and /quality answer from them.
-        crate::searchview::arm();
-        crate::quality::arm();
         let addr = start("127.0.0.1:0", &header).unwrap();
         assert!(active());
         assert_eq!(bound_addr(), Some(addr));
@@ -991,44 +741,22 @@ mod tests {
         assert!(crit.contains("application/json"), "{crit}");
         assert!(crit.contains("{\"active\":false}"), "{crit}");
 
-        // The search collector is armed, so /search answers live — the
-        // emitted ledger event above flowed into it.
-        let search = http_get(addr, "/search");
-        assert!(search.contains("application/json"), "{search}");
-        assert!(search.contains("\"active\":true"), "{search}");
-        assert!(search.contains("\"schema_version\":1"), "{search}");
-        assert!(search.contains("\"families\":["), "{search}");
-
-        // The quality collector is armed too; before any quality event
-        // it serves an active-but-empty report, and a diagnostics event
-        // fills it in live.
-        let quality = http_get(addr, "/quality");
-        assert!(quality.contains("application/json"), "{quality}");
-        assert!(quality.contains("\"active\":true"), "{quality}");
-        assert!(quality.contains("\"rounds\":[]"), "{quality}");
-        crate::ledger::emit_with(|| LedgerEvent::ModelDiagnostics {
-            round: 0,
-            strategy: "Random".into(),
-            rows: 4,
-            classes: vec!["a".into(), "b".into()],
-            confusion: vec![vec![2, 0], vec![0, 2]],
-            brier: 0.1,
-            bin_count: vec![4],
-            bin_conf_sum: vec![3.6],
-            bin_hit: vec![4],
-            ale_band_width: 0.0,
-        });
-        let quality = http_get(addr, "/quality");
-        assert!(quality.contains("\"active\":true"), "{quality}");
-        assert!(quality.contains("\"confusion\":[[2,0],[0,2]]"), "{quality}");
-        let metrics_with_quality = http_get(addr, "/metrics");
-        assert!(
-            metrics_with_quality.contains("quality_final_acc 1"),
-            "{metrics_with_quality}"
-        );
-
-        let missing = http_get(addr, "/nope");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+        // Unknown paths, and the retired routes whose data the ledger and
+        // the history store hold, answer 404 with a body that names
+        // exactly the served routes.
+        for path in [
+            "/nope",
+            "/events",
+            "/history",
+            "/search",
+            "/quality",
+            "/dashboard",
+        ] {
+            let missing = http_get(addr, path);
+            assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+            let body = missing.split("\r\n\r\n").nth(1).unwrap_or("");
+            assert_eq!(body, format!("not found (try {})\n", ROUTES.join(", ")));
+        }
 
         // The plane is read-only: any other method gets 405, its body
         // unread, and is not counted.
@@ -1042,81 +770,27 @@ mod tests {
         stream.read_to_string(&mut post).unwrap();
         assert!(post.starts_with("HTTP/1.1 405"), "{post}");
 
-        // Per-route request counters land on /metrics; this third
-        // /metrics scrape counts itself, unknown paths are not counted.
+        // Per-route request counters land on /metrics; this second
+        // /metrics scrape counts itself, and only the ROUTES are counted.
         let metrics = http_get(addr, "/metrics");
-        assert!(
-            metrics.contains("serve_requests{key=\"/metrics\"} 3"),
+        for route in ROUTES {
+            let calls = if route == "/metrics" { 2 } else { 1 };
+            assert!(
+                metrics.contains(&format!("serve_requests{{key=\"{route}\"}} {calls}")),
+                "{metrics}"
+            );
+        }
+        assert_eq!(
+            metrics.matches("serve_requests{").count(),
+            ROUTES.len(),
             "{metrics}"
         );
-        assert!(
-            metrics.contains("serve_requests{key=\"/quality\"} 2"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("serve_requests{key=\"/healthz\"} 1"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("serve_requests{key=\"/crit\"} 1"),
-            "{metrics}"
-        );
-        assert!(
-            metrics.contains("serve_requests{key=\"/search\"} 1"),
-            "{metrics}"
-        );
-        assert!(!metrics.contains("\"/nope\""), "{metrics}");
-
         stop();
         assert!(!active());
         assert!(bound_addr().is_none());
         assert!(TcpStream::connect(addr).is_err() || http_get_err(addr));
 
-        // Drain the RingSink installed by start() and the collectors'
-        // fold sinks.
-        crate::sink::finish(&Snapshot::default());
-        set_level(TelemetryLevel::Off);
-        crate::global().reset();
-    }
-
-    #[test]
-    fn stop_closes_event_stream_clients_promptly() {
-        let _guard = test_lock::hold();
-        set_level(TelemetryLevel::Summary);
-        let header = RunHeader {
-            run_id: "t-sse".into(),
-            workload: "sse_eof".into(),
-            seed: 1,
-            git: "abc".into(),
-        };
-        let addr = start("127.0.0.1:0", &header).unwrap();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "GET /events HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        // Reading the prologue proves the serve thread registered us.
-        let mut buf = [0u8; 4096];
-        let n = stream.read(&mut buf).unwrap();
-        assert!(n > 0, "no SSE prologue");
-
-        let started = Instant::now();
-        stop();
-        // The client must observe EOF well within the shutdown deadline,
-        // not hang until a TCP timeout.
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => continue,
-                Err(e) => panic!("expected EOF, got error: {e}"),
-            }
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(3),
-            "EOF took {:?}",
-            started.elapsed()
-        );
-
+        // Drain the RingSink installed by start().
         crate::sink::finish(&Snapshot::default());
         set_level(TelemetryLevel::Off);
         crate::global().reset();
@@ -1184,41 +858,6 @@ mod tests {
         assert_eq!(query_param(Some("a=1&b=2"), "b"), Some("2"));
         assert_eq!(query_param(Some("detail=9"), "tail"), None);
         assert_eq!(query_param(None, "tail"), None);
-    }
-
-    #[test]
-    fn history_route_filters_by_workload_and_tail() {
-        let _guard = test_lock::hold();
-        let dir = std::env::temp_dir().join(format!("aml_serve_hist_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("history.jsonl");
-        let mut text = String::new();
-        for i in 0..5 {
-            text += &format!("{{\"schema_version\":1,\"workload\":\"alpha\",\"seed\":{i}}}\n");
-        }
-        text += "{\"schema_version\":1,\"workload\":\"beta\",\"seed\":9}\n";
-        text += "{\"torn"; // torn trailing line is skipped
-        std::fs::write(&path, text).unwrap();
-        set_history_path(&path);
-
-        let all = history_json(None);
-        assert_eq!(all.matches("\"workload\"").count(), 6, "{all}");
-        let alpha = history_json(Some("workload=alpha"));
-        assert_eq!(alpha.matches("\"workload\"").count(), 5, "{alpha}");
-        assert!(!alpha.contains("beta"), "{alpha}");
-        let tail = history_json(Some("workload=alpha&tail=2"));
-        assert_eq!(tail.matches("\"workload\"").count(), 2, "{tail}");
-        assert!(
-            tail.contains("\"seed\":3") && tail.contains("\"seed\":4"),
-            "{tail}"
-        );
-        // tail=0 clamps up to 1, like /runs.
-        let clamped = history_json(Some("tail=0"));
-        assert_eq!(clamped.matches("\"workload\"").count(), 1, "{clamped}");
-        assert!(clamped.contains("beta"), "{clamped}");
-
-        set_history_path(Path::new(crate::history::DEFAULT_HISTORY_PATH));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// After stop, a lingering listener backlog connection must at least

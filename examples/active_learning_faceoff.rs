@@ -1,4 +1,4 @@
-//! All feedback strategies head to head on one dataset — a miniature
+//! The nine Table-1 strategies head to head on one dataset — a miniature
 //! Table 1.
 //!
 //! ```sh
