@@ -99,9 +99,9 @@ fn main() {
 
     let strategies_span = aml_telemetry::span!("bench.strategies");
     aml_telemetry::serve::set_phase("strategies");
-    // Checkpoint/resume: each (repeat, strategy) application is one
-    // feedback round; rounds recorded in a `--checkpoint` file are
-    // skipped on `--resume` and their scores reused.
+    // Resume: each (repeat, strategy) application is one feedback round;
+    // rounds the `--resume`d ledger committed are skipped and their
+    // scores reused.
     let mut exp_loop = opts.experiment_loop();
     let mut round: u64 = 0;
     for rep in 0..repeats {

@@ -56,8 +56,8 @@ fn main() {
     aml_telemetry::serve::set_phase("strategies");
     let mut all_scores: BTreeMap<Strategy, Vec<f64>> = BTreeMap::new();
 
-    // Checkpoint/resume: each (resplit, strategy) application is one
-    // feedback round (see table1_scream for the protocol).
+    // Resume: each (resplit, strategy) application is one feedback round
+    // (see table1_scream for the protocol).
     let mut exp_loop = opts.experiment_loop();
     let mut round: u64 = 0;
     for split_i in 0..n_resplits {

@@ -110,21 +110,20 @@ pub struct RunOpts {
     /// Minimum trials that must survive each AutoML search
     /// (`--min-trials`); below this the run errors instead of degrading.
     pub min_trials: usize,
-    /// Write an atomic experiment checkpoint here after every feedback
-    /// round (`--checkpoint`).
-    pub checkpoint: Option<PathBuf>,
-    /// Resume from this checkpoint (`--resume`); workload and seed must
-    /// match the checkpointed run.
-    pub resume: Option<PathBuf>,
-    /// The validated checkpoint loaded by [`RunOpts::prepare`] when
-    /// `--resume` was given.
-    pub resumed: Option<aml_core::Checkpoint>,
+    /// Continue the `--ledger-out` file of an interrupted run
+    /// (`--resume`); its header's workload and seed must match this run.
+    pub resume: bool,
+    /// The rounds the resumed ledger committed, read by
+    /// [`RunOpts::prepare`]; empty for a fresh run.
+    resumed_rounds: Vec<aml_core::RoundRecord>,
     /// Workload name (set by [`RunOpts::parse_for`]); names the manifest,
     /// the BENCH report, and the export sinks' run id.
     pub workload: String,
     /// When option parsing finished — the manifest's wall-clock origin.
     pub started: Instant,
 }
+
+const RESUME_NEEDS_LEDGER: &str = "--resume continues the --ledger-out file; give --ledger-out";
 
 /// Usage text shared by every benchmark binary.
 pub const USAGE: &str = "\
@@ -165,11 +164,10 @@ options:
                           trials are abandoned as trial_failed (reason timeout)
   --min-trials N          error if fewer than N trials survive an AutoML
                           search (default 1)
-  --checkpoint PATH       write an atomic experiment checkpoint after every
-                          feedback round
-  --resume PATH           resume from a checkpoint (workload and seed must
-                          match; completed rounds are skipped and the ledger
-                          continues byte-identically)
+  --resume                continue the --ledger-out file of an interrupted
+                          run (workload and seed must match; the rounds it
+                          committed are skipped and the ledger continues
+                          byte-identically)
   --help                  show this help";
 
 impl RunOpts {
@@ -192,9 +190,8 @@ impl RunOpts {
             fault_plan: None,
             max_trial_time: None,
             min_trials: 1,
-            checkpoint: None,
-            resume: None,
-            resumed: None,
+            resume: false,
+            resumed_rounds: Vec::new(),
             workload: "bench".to_string(),
             started: Instant::now(),
         }
@@ -251,32 +248,25 @@ impl RunOpts {
             aml_faults::install(plan.clone());
         }
 
-        // Resume: validate the checkpoint and truncate the ledger file
-        // back to its recorded byte length BEFORE any sink reopens it —
-        // the sink below then appends, continuing the original run's
-        // ledger byte-identically. The kept prefix is read once here and
-        // replayed into the fold armed below, so the history record
-        // covers the whole run.
-        let mut kept_prefix = Vec::new();
-        if let Some(resume) = &self.resume {
-            let ckpt = aml_core::checkpoint::prepare_resume(
-                &self.workload,
-                self.seed,
-                resume,
-                self.ledger_out.as_deref(),
-            )
-            .map_err(|e| format!("--resume {}: {e}", resume.display()))?;
-            self.resumed = Some(ckpt);
-            if let Some(path) = &self.ledger_out {
-                let (_, events) = std::fs::read_to_string(path)
-                    .map_err(|e| e.to_string())
-                    .and_then(|text| aml_telemetry::ledger::read(&text))
-                    .map_err(|e| format!("--resume: cannot read {}: {e}", path.display()))?;
-                kept_prefix = events;
+        // Resume: read the ledger once and truncate it to its committed
+        // prefix BEFORE any sink reopens it — the sink below then
+        // appends, continuing the original run's ledger byte-identically.
+        // The kept events are replayed into the fold armed below, so the
+        // history record covers the whole run.
+        let mut kept = aml_core::resume::LedgerPrefix::default();
+        if self.resume {
+            let path = self.ledger_out.as_ref().ok_or(RESUME_NEEDS_LEDGER)?;
+            kept = aml_core::resume::prepare_resume(&self.workload, self.seed, path)
+                .map_err(|e| format!("--resume {}: {e}", path.display()))?;
+            self.resumed_rounds = std::mem::take(&mut kept.rounds);
+            // A kept search_space line must not get a second copy.
+            if kept
+                .events
+                .iter()
+                .any(|e| matches!(e, aml_telemetry::LedgerEvent::SearchSpace { .. }))
+            {
+                aml_telemetry::ledger::mark_search_space_emitted();
             }
-            // The original run already wrote its search_space line; a
-            // resumed continuation must not append a second one.
-            aml_telemetry::ledger::mark_search_space_emitted();
         }
 
         if self.trace_out.is_some() || self.ledger_out.is_some() {
@@ -289,7 +279,7 @@ impl RunOpts {
             }
             if let Some(path) = &self.ledger_out {
                 ensure_parent(path, "--ledger-out")?;
-                let sink = if self.resume.is_some() {
+                let sink = if kept.header.is_some() {
                     aml_telemetry::LedgerJsonlSink::append(path).map_err(|e| {
                         format!("cannot append --ledger-out {}: {e}", path.display())
                     })?
@@ -344,13 +334,13 @@ impl RunOpts {
             ));
             aml_telemetry::resource::start_sampler(std::time::Duration::from_millis(500));
         }
-        aml_telemetry::sink::replay_ledger(&kept_prefix);
+        aml_telemetry::sink::replay_ledger(&kept.events);
         Ok(())
     }
 
     /// Parse an argument list (no program name). `Ok(None)` means `--help`
     /// was requested. Pure: does not touch the process level, filesystem,
-    /// or exit — that's [`RunOpts::parse`]'s job, and what makes this
+    /// or exit — that's [`RunOpts::parse_for`]'s job, and what makes this
     /// testable.
     pub fn parse_from(args: &[String]) -> Result<Option<RunOpts>, String> {
         let mut opts = RunOpts::defaults();
@@ -444,17 +434,13 @@ impl RunOpts {
                         return Err("--min-trials must be >= 1".into());
                     }
                 }
-                "--checkpoint" => {
-                    let v = value_of(args, &mut i, "--checkpoint")?;
-                    opts.checkpoint = Some(PathBuf::from(v));
-                }
-                "--resume" => {
-                    let v = value_of(args, &mut i, "--resume")?;
-                    opts.resume = Some(PathBuf::from(v));
-                }
+                "--resume" => opts.resume = true,
                 unknown => return Err(format!("unknown flag '{unknown}'")),
             }
             i += 1;
+        }
+        if opts.resume && opts.ledger_out.is_none() {
+            return Err(RESUME_NEEDS_LEDGER.into());
         }
         Ok(Some(opts))
     }
@@ -467,24 +453,10 @@ impl RunOpts {
         cfg.min_trials = self.min_trials;
     }
 
-    /// The checkpointed experiment loop for this run — resumed from
-    /// `--resume` when given, fresh otherwise. Subsequent checkpoints go
-    /// to `--checkpoint` if set, else keep updating the resumed file.
+    /// The experiment loop for this run: it skips the rounds the
+    /// `--resume`d ledger committed, and runs every round on a fresh run.
     pub fn experiment_loop(&self) -> aml_core::ExperimentLoop {
-        let ckpt_path = self.checkpoint.clone().or_else(|| self.resume.clone());
-        match &self.resumed {
-            Some(ckpt) => aml_core::ExperimentLoop::from_checkpoint(
-                ckpt.clone(),
-                ckpt_path,
-                self.ledger_out.clone(),
-            ),
-            None => aml_core::ExperimentLoop::new(
-                &self.workload,
-                self.seed,
-                ckpt_path,
-                self.ledger_out.clone(),
-            ),
-        }
+        aml_core::ExperimentLoop::new(self.resumed_rounds.clone())
     }
 
     /// Pick a value by scale.
@@ -667,7 +639,7 @@ static SUMMARY: aml_telemetry::FoldStore<aml_telemetry::LedgerSummary> =
 /// Ledger sink wrapper driving the `sink_fail@N` fault: scheduled writes
 /// are dropped — counted under `telemetry.events_dropped` — instead of
 /// reaching the file, so downstream consumers' resilience to lost events
-/// (amlinspect, checkpoint/resume) can be tested deterministically.
+/// (amlinspect, resume) can be tested deterministically.
 struct FaultInjectedLedger {
     inner: aml_telemetry::LedgerJsonlSink,
 }
@@ -1000,10 +972,9 @@ mod tests {
             "250",
             "--min-trials",
             "4",
-            "--checkpoint",
-            "/tmp/x/run.ckpt",
             "--resume",
-            "/tmp/x/old.ckpt",
+            "--ledger-out",
+            "/tmp/x/ledger.jsonl",
         ])
         .unwrap()
         .unwrap();
@@ -1015,8 +986,7 @@ mod tests {
             Some(std::time::Duration::from_millis(250))
         );
         assert_eq!(opts.min_trials, 4);
-        assert_eq!(opts.checkpoint, Some(PathBuf::from("/tmp/x/run.ckpt")));
-        assert_eq!(opts.resume, Some(PathBuf::from("/tmp/x/old.ckpt")));
+        assert!(opts.resume);
         // The limits propagate into an AutoML config.
         let mut cfg = aml_automl::AutoMlConfig::default();
         opts.apply_automl_limits(&mut cfg);
@@ -1038,28 +1008,35 @@ mod tests {
         assert!(parse(&["--min-trials", "0"])
             .unwrap_err()
             .contains("--min-trials"));
-        for flag in ["--fault-plan", "--checkpoint", "--resume"] {
-            assert!(parse(&[flag]).unwrap_err().contains(flag), "{flag}");
-        }
+        assert!(parse(&["--fault-plan"])
+            .unwrap_err()
+            .contains("--fault-plan"));
+        // --resume continues the ledger, so it needs one.
+        let err = parse(&["--resume"]).unwrap_err();
+        assert!(
+            err.contains("--resume") && err.contains("--ledger-out"),
+            "{err}"
+        );
+        // There is no checkpoint flag: the ledger is the resume state.
+        let err = parse(&["--checkpoint", "/tmp/x/run.ckpt"]).unwrap_err();
+        assert_eq!(err, "unknown flag '--checkpoint'");
     }
 
     #[test]
-    fn resume_with_missing_checkpoint_is_a_usage_error() {
-        let mut opts = parse(&["--resume", "/nonexistent/run.ckpt"])
+    fn resume_with_missing_ledger_is_a_usage_error() {
+        let mut opts = parse(&["--resume", "--ledger-out", "/nonexistent/ledger.jsonl"])
             .unwrap()
             .unwrap();
         opts.out_dir = std::env::temp_dir().join("aml_resume_missing_test");
         let err = opts.prepare().unwrap_err();
         assert!(err.contains("--resume"), "{err}");
+        aml_telemetry::set_level(TelemetryLevel::Off);
         std::fs::remove_dir_all(&opts.out_dir).ok();
     }
 
     #[test]
     fn experiment_loop_is_fresh_without_resume() {
-        let opts = parse(&["--checkpoint", "/tmp/x/run.ckpt"])
-            .unwrap()
-            .unwrap();
-        let lp = opts.experiment_loop();
+        let lp = parse(&[]).unwrap().unwrap().experiment_loop();
         assert!(lp.completed(0).is_none());
     }
 

@@ -126,8 +126,9 @@ fn every_event_line_shape_is_pinned() {
                 regions: 3,
                 ale_std_mean: 0.0625,
                 ale_std_max: 0.125,
+                scores: vec![0.75, 0.8125, 0.875],
             },
-            r#"{"type":"round_completed","round":2,"strategy":"Within-ALE","acc_mean":0.8125,"acc_min":0.75,"acc_max":0.875,"points_added":40,"regions":3,"ale_std_mean":0.0625,"ale_std_max":0.125}"#,
+            r#"{"type":"round_completed","round":2,"strategy":"Within-ALE","acc_mean":0.8125,"acc_min":0.75,"acc_max":0.875,"points_added":40,"regions":3,"ale_std_mean":0.0625,"ale_std_max":0.125,"scores":[0.75,0.8125,0.875]}"#,
         ),
         (
             LedgerEvent::RegionSuggested {
@@ -234,6 +235,7 @@ fn ledger_file_round_trips_through_the_ledger_reader() {
         regions: 0,
         ale_std_mean: 0.0,
         ale_std_max: 0.0,
+        scores: vec![0.5, 1.0, 0.75],
     });
     sink.on_ledger_event(&LedgerEvent::RegionSuggested {
         feature: 2,

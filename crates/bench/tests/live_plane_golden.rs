@@ -328,6 +328,7 @@ fn record_flag_appends_a_parsable_history_line_end_to_end() {
         regions: 1,
         ale_std_mean: 0.01,
         ale_std_max: 0.02,
+        scores: vec![0.7, 0.8, 0.9],
     });
     opts.finish();
 

@@ -1,17 +1,16 @@
 //! Resume reproduces every ledger-derived artifact (DESIGN.md §7): a run
-//! checkpointed after every round, SIGKILLed mid-round and resumed with
-//! `--resume`, must write the same ledger lines, recompute to the same
-//! search and quality reports and write the same history-record ML
-//! fields as the run left uninterrupted.
+//! SIGKILLed mid-round and resumed with `--resume`, which continues its
+//! ledger, must write the same ledger lines, recompute to the same search
+//! and quality reports and write the same history-record ML fields as
+//! the run left uninterrupted.
 //!
 //! The test drives [`RunOpts`] the way the bench bins do, with
-//! `--ledger-out --record --checkpoint`. The
-//! interrupted life of run B is a real process: the test re-executes its
-//! own binary with [`CHILD_ENV`] naming the run directory, and the child
-//! pauses in round index 2 after the round's trials reached the ledger
-//! but before the round's checkpoint. The parent SIGKILLs it there, so
-//! the ledger on disk ends in a tail that no checkpoint covers, then
-//! resumes in-process. The search and quality reports are recomputed
+//! `--ledger-out --record`. The interrupted life of run B is a real
+//! process: the test re-executes its own binary with [`CHILD_ENV`] naming
+//! the run directory, and the child pauses in round index 2 after the
+//! round's AutoML trials reached the ledger but before its
+//! `round_completed` line. The parent SIGKILLs it there, so the ledger on
+//! disk ends in a tail of an uncommitted round, then resumes in-process. The search and quality reports are recomputed
 //! from each run's `ledger.jsonl` the way `amlinspect` does; the history
 //! record of the resumed run covers the whole run because `prepare`
 //! replays the kept ledger prefix into the `--record` fold. One
@@ -21,7 +20,8 @@
 use aml_bench::qualityview::parse_quality_ledger;
 use aml_bench::searchview::parse_search_ledger;
 use aml_bench::RunOpts;
-use aml_core::{run_strategy, Checkpoint, ExperimentConfig, Strategy};
+use aml_core::resume::committed_prefix;
+use aml_core::{run_strategy, ExperimentConfig, Strategy};
 use aml_dataset::{split::split_into_k, split::train_test_split, synth, Dataset};
 use aml_telemetry::{ledger, sink, HistoryRecord};
 use std::fs;
@@ -62,8 +62,6 @@ fn prepare(dir: &Path, extra: &[&str]) -> RunOpts {
         path("ledger.jsonl"),
         "--record".into(),
         path("history.jsonl"),
-        "--checkpoint".into(),
-        path("run.ckpt"),
     ];
     args.extend(extra.iter().map(|s| s.to_string()));
     let mut opts = RunOpts::parse_from(&args).unwrap().unwrap();
@@ -74,10 +72,11 @@ fn prepare(dir: &Path, extra: &[&str]) -> RunOpts {
 }
 
 /// Run every round through the run's experiment loop, skipping the
-/// rounds its checkpoint already holds. With `pause_at`, round
-/// [`KILL_ROUND`] never commits: once its strategy has returned, the
+/// rounds its resumed ledger committed. With `pause_at`, round
+/// [`KILL_ROUND`] never commits: it runs the round's AutoML search, the
 /// sinks are flushed (so its trial events are on disk), the marker file
-/// `pause_at` is written, and the process sleeps until it is killed.
+/// `pause_at` is written, and the process sleeps until it is killed —
+/// before any `round_completed` line of the round.
 fn drive(opts: &RunOpts, train: &Dataset, test_sets: &[Dataset], pause_at: Option<&Path>) {
     let oracle = |rows: &[Vec<f64>]| -> aml_core::Result<Dataset> {
         let labels: Vec<usize> = rows.iter().map(|r| usize::from(r[0] > 0.5)).collect();
@@ -100,14 +99,16 @@ fn drive(opts: &RunOpts, train: &Dataset, test_sets: &[Dataset], pause_at: Optio
         };
         exp_loop
             .run_round(round, *strategy, || {
-                let out = run_strategy(*strategy, &cfg, train, None, Some(&oracle), test_sets);
                 if let (Some(marker), KILL_ROUND) = (pause_at, round) {
-                    sink::flush_installed().expect("flush the uncheckpointed tail");
+                    aml_automl::AutoMl::new(cfg.automl.clone())
+                        .fit(train)
+                        .expect("the round's AutoML search");
+                    sink::flush_installed().expect("flush the uncommitted tail");
                     fs::write(marker, "").expect("write marker");
                     std::thread::sleep(Duration::from_secs(300));
                     panic!("the parent never killed this process");
                 }
-                out
+                run_strategy(*strategy, &cfg, train, None, Some(&oracle), test_sets)
             })
             .expect("round");
     }
@@ -197,21 +198,20 @@ fn resumed_run_reports_what_the_uninterrupted_run_reports() {
     let reports_a = ledger_reports(&dir_a);
 
     // Run B: a real process SIGKILLed inside round 2. Rounds 0 and 1 are
-    // checkpointed; round 2's trial events lie past the checkpoint's
-    // ledger length.
+    // committed; round 2's trial events lie past the committed prefix.
     run_and_kill_child(&dir_b);
-    let ckpt = Checkpoint::load(&dir_b.join("run.ckpt")).expect("checkpoint survives");
-    assert_eq!(ckpt.rounds.len(), KILL_ROUND as usize, "{ckpt:?}");
-    let ledger_len = fs::metadata(dir_b.join("ledger.jsonl")).unwrap().len();
+    let on_disk = fs::read(dir_b.join("ledger.jsonl")).unwrap();
+    let kept = committed_prefix(&on_disk).expect("the ledger survives");
+    assert_eq!(kept.rounds.len(), KILL_ROUND as usize, "{:?}", kept.rounds);
     assert!(
-        ledger_len > ckpt.ledger_bytes,
-        "no torn tail: ledger {ledger_len} bytes, checkpoint {}",
-        ckpt.ledger_bytes
+        on_disk.len() as u64 > kept.len,
+        "no uncommitted tail: ledger {} bytes, committed prefix {}",
+        on_disk.len(),
+        kept.len
     );
 
     // ...resumed to completion in this process.
-    let ckpt = dir_b.join("run.ckpt").to_string_lossy().into_owned();
-    let opts = prepare(&dir_b, &["--resume", &ckpt]);
+    let opts = prepare(&dir_b, &["--resume"]);
     drive(&opts, &train, &test_sets, None);
     opts.finish();
 

@@ -420,6 +420,7 @@ pub fn run_strategy(
             regions,
             ale_std_mean,
             ale_std_max,
+            scores: scores.clone(),
         });
     }
     aml_telemetry::serve::note_round_done();
@@ -471,7 +472,7 @@ mod tests {
         (train, pool, test_sets)
     }
 
-    /// Checkpoint resume matches rounds to strategies by name, and the
+    /// Resume matches the ledger's rounds to strategies by name, and the
     /// per-strategy score files key on it: no two strategies may share one.
     #[test]
     fn strategy_names_are_distinct() {

@@ -35,24 +35,24 @@
 //! [`experiment`] packages the evaluate → feedback → augment → retrain →
 //! re-evaluate protocol behind Table 1 and §4.2, generic over a
 //! [`feedback::Labeler`] (the simulator, the firewall generator, or any
-//! oracle).
+//! oracle). [`resume`] continues an interrupted run from its ledger.
 
 pub mod ale_feedback;
-pub mod checkpoint;
 pub mod confidence;
 pub mod experiment;
 pub mod feedback;
 pub mod qbc;
 pub mod quality;
 pub mod report;
+pub mod resume;
 pub mod uniform;
 pub mod upsampling;
 
 pub use ale_feedback::{AleAnalysis, AleFeedback, AleMode, InterpretationMethod, ThresholdRule};
-pub use checkpoint::{Checkpoint, ExperimentError, ExperimentLoop, RoundRecord};
 pub use experiment::{run_strategy, ExperimentConfig, Strategy, StrategyOutcome};
 pub use feedback::{Feedback, Labeler, Suggestion};
 pub use report::Table;
+pub use resume::{ExperimentError, ExperimentLoop, RoundRecord};
 
 /// Errors from the feedback layer.
 #[derive(Debug)]
@@ -74,8 +74,8 @@ pub enum CoreError {
     Data(aml_dataset::DataError),
     /// Statistics failure.
     Stats(aml_stats::StatsError),
-    /// Experiment-loop persistence failure (checkpoint/resume).
-    Experiment(checkpoint::ExperimentError),
+    /// Resuming the experiment loop from its ledger failed.
+    Experiment(resume::ExperimentError),
 }
 
 impl std::fmt::Display for CoreError {
@@ -121,8 +121,8 @@ impl From<aml_stats::StatsError> for CoreError {
         CoreError::Stats(e)
     }
 }
-impl From<checkpoint::ExperimentError> for CoreError {
-    fn from(e: checkpoint::ExperimentError) -> Self {
+impl From<resume::ExperimentError> for CoreError {
+    fn from(e: resume::ExperimentError) -> Self {
         CoreError::Experiment(e)
     }
 }

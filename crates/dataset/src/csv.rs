@@ -276,7 +276,7 @@ mod tests {
     fn declared_class_order_beats_first_appearance() {
         // class 0 ("rest") never appears first in the data — a
         // first-appearance loader would flip the label indices, which is
-        // exactly the divergence that broke checkpoint resume.
+        // exactly the divergence that broke resume.
         let ds = from_csv_string("a,label{rest:scream}\n1.0,scream\n2.0,rest\n").unwrap();
         assert_eq!(
             ds.class_names(),

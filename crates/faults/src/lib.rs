@@ -1,7 +1,7 @@
 //! # aml-faults
 //!
 //! Deterministic fault injection for the AutoML loop — the test oracle
-//! behind trial sandboxing, checkpoint/resume, and sink-failure
+//! behind trial sandboxing, resume, and sink-failure
 //! accounting (DESIGN.md §7).
 //!
 //! A [`FaultPlan`] names *sites* and *indices*:

@@ -5,7 +5,7 @@
 //! feature set is found either by one sweep over every boundary between
 //! distinct values of the node's rows in feature order (classic CART), or by
 //! scoring one uniform-random threshold per feature (extra-trees). The
-//! feature order comes from a [`Presort`]: each feature is sorted once per
+//! feature order comes from a `Presort`: each feature is sorted once per
 //! fit, with ties in ascending row order, and every split stably partitions
 //! that order between the children, so no node sorts. Boosting builds one
 //! presort and shares it across all the trees it grows on the same rows.

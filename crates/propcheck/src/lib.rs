@@ -3,7 +3,7 @@
 //! The workspace's property tests generate many randomized cases per
 //! property (ranges, tuples, `collection::vec`, `bool::ANY`) and assert
 //! invariants over them. This crate supplies that machinery without an
-//! external dependency, in the same spirit as [`aml-rng`]: case `i` of
+//! external dependency, in the same spirit as `aml-rng`: case `i` of
 //! every property is generated from the fixed seed `i`, so a failure
 //! reproduces identically on every machine and every run — no shrinking,
 //! no persisted failure files, no environment variables.
@@ -58,7 +58,7 @@ impl Default for ProptestConfig {
 
 /// Per-case generator: SplitMix64 over a salted case index.
 ///
-/// Distinct from [`aml-rng`]'s `StdRng` only in seeding (salted so that
+/// Distinct from `aml-rng`'s `StdRng` only in seeding (salted so that
 /// property cases don't correlate with experiment seeds).
 pub struct TestRng {
     state: u64,
@@ -162,7 +162,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: core::ops::Range<usize>,

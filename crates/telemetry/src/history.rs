@@ -361,6 +361,7 @@ mod tests {
             regions: 1,
             ale_std_mean: 0.0,
             ale_std_max: 0.0,
+            scores: vec![acc_mean],
         };
         let mut events: Vec<LedgerEvent> = (0..3)
             .map(|trial| LedgerEvent::TrialFinished {
@@ -421,6 +422,7 @@ mod tests {
             regions: 0,
             ale_std_mean: 0.0,
             ale_std_max: 0.0,
+            scores: vec![f64::NAN],
         }]);
         assert_eq!(summary.rounds, 1);
         assert_eq!(summary.final_acc, None);

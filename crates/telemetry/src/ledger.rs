@@ -201,6 +201,11 @@ pub enum LedgerEvent {
         ale_std_mean: f64,
         /// Max ALE cross-model std over all grid cells (0 if no ALE).
         ale_std_max: f64,
+        /// Balanced accuracy per test set, in test-set order: the paired
+        /// scores the Wilcoxon tests pool, and what a `--resume` run
+        /// reuses for a round it skips. Trailing field added without a
+        /// schema bump (see the module docs' versioning policy).
+        scores: Vec<f64>,
     },
     /// The feedback loop suggested under-explored regions for a feature,
     /// with the ALE mean±std band they were derived from.
@@ -364,14 +369,16 @@ impl LedgerEvent {
                 regions,
                 ale_std_mean,
                 ale_std_max,
+                scores,
             } => format!(
-                "{{\"type\":\"round_completed\",\"round\":{round},\"strategy\":{},\"acc_mean\":{},\"acc_min\":{},\"acc_max\":{},\"points_added\":{points_added},\"regions\":{regions},\"ale_std_mean\":{},\"ale_std_max\":{}}}",
+                "{{\"type\":\"round_completed\",\"round\":{round},\"strategy\":{},\"acc_mean\":{},\"acc_min\":{},\"acc_max\":{},\"points_added\":{points_added},\"regions\":{regions},\"ale_std_mean\":{},\"ale_std_max\":{},\"scores\":{}}}",
                 json::string(strategy),
                 json::num(*acc_mean),
                 json::num(*acc_min),
                 json::num(*acc_max),
                 json::num(*ale_std_mean),
                 json::num(*ale_std_max),
+                json::f64_array(scores),
             ),
             LedgerEvent::RegionSuggested {
                 feature,
@@ -511,9 +518,10 @@ impl LedgerEvent {
 
 impl LedgerEvent {
     /// Parse one event line: the exact inverse of [`Self::to_json_line`]
-    /// (`to_json_line(from_json_line(l)) == l` byte for byte). Two
+    /// (`to_json_line(from_json_line(l)) == l` byte for byte). Three
     /// trailing fields added without a schema bump have defaults: a
-    /// missing `params` reads as empty, a missing `reason` as `"error"`.
+    /// missing `params` or `scores` reads as empty, a missing `reason` as
+    /// `"error"`.
     /// An event type this build does not know parses as `Ok(None)` —
     /// additive schema changes don't bump the version.
     pub fn from_json_line(line: &str) -> Result<Option<LedgerEvent>, String> {
@@ -574,6 +582,10 @@ impl LedgerEvent {
                 regions: v.u64_at("regions")?,
                 ale_std_mean: v.f64_at("ale_std_mean")?,
                 ale_std_max: v.f64_at("ale_std_max")?,
+                scores: match v.get("scores") {
+                    None => Vec::new(),
+                    Some(_) => v.f64s_at("scores")?,
+                },
             },
             "region_suggested" => LedgerEvent::RegionSuggested {
                 feature: v.u64_at("feature")?,
@@ -668,38 +680,35 @@ pub fn header_line(header: &RunHeader) -> String {
     )
 }
 
-/// Read a whole `ledger.jsonl`: the header line (which must be a
-/// `{"type":"ledger", ...}` line carrying this build's
-/// [`LEDGER_SCHEMA_VERSION`]) and every event after it. Blank lines and
-/// unknown event types are skipped; any other malformed line is an
-/// error naming its line number.
-pub fn read(text: &str) -> Result<(RunHeader, Vec<LedgerEvent>), String> {
-    let mut lines = text.lines().enumerate();
-    let (_, first) = lines.next().ok_or("empty ledger file")?;
-    let header = json::parse(first).map_err(|e| format!("line 1: {e}"))?;
+/// Parse a ledger file's first line: a `{"type":"ledger", ...}` header
+/// carrying this build's [`LEDGER_SCHEMA_VERSION`].
+pub fn parse_header(line: &str) -> Result<RunHeader, String> {
+    let header = json::parse(line)?;
     if header.str_at("type") != Ok("ledger") {
-        return Err("line 1: not a ledger header".into());
+        return Err("not a ledger header".into());
     }
-    let version = header
-        .u64_at("schema_version")
-        .map_err(|e| format!("line 1: {e}"))?;
+    let version = header.u64_at("schema_version")?;
     if version != LEDGER_SCHEMA_VERSION {
         return Err(format!(
             "unsupported ledger schema_version {version} (expected {LEDGER_SCHEMA_VERSION})"
         ));
     }
-    let field = |key: &str| {
-        header
-            .str_at(key)
-            .map(str::to_string)
-            .map_err(|e| format!("line 1: {e}"))
-    };
-    let run = RunHeader {
+    let field = |key: &str| header.str_at(key).map(str::to_string);
+    Ok(RunHeader {
         run_id: field("run_id")?,
         workload: field("workload")?,
-        seed: header.u64_at("seed").map_err(|e| format!("line 1: {e}"))?,
+        seed: header.u64_at("seed")?,
         git: field("git")?,
-    };
+    })
+}
+
+/// Read a whole `ledger.jsonl`: the header line (see [`parse_header`])
+/// and every event after it. Blank lines and unknown event types are
+/// skipped; any other malformed line is an error naming its line number.
+pub fn read(text: &str) -> Result<(RunHeader, Vec<LedgerEvent>), String> {
+    let mut lines = text.lines().enumerate();
+    let (_, first) = lines.next().ok_or("empty ledger file")?;
+    let run = parse_header(first).map_err(|e| format!("line 1: {e}"))?;
     let mut events = Vec::new();
     for (idx, line) in lines {
         if line.trim().is_empty() {
@@ -764,8 +773,8 @@ pub fn claim_search_space_emission() -> bool {
 }
 
 /// Mark the `search_space` event as already emitted without claiming it —
-/// the `--resume` path: the checkpointed run's ledger already carries the
-/// line, and appending a second copy would break resume byte-identity.
+/// the `--resume` path, when the kept ledger prefix already carries the
+/// line: appending a second copy would break resume byte-identity.
 pub fn mark_search_space_emitted() {
     SEARCH_SPACE_EMITTED.store(true, Ordering::Relaxed);
 }
@@ -787,8 +796,8 @@ pub fn next_round() -> u64 {
 }
 
 /// Fast-forward the round counter so a `--resume`d run continues the
-/// sequence where the checkpointed run left off — round numbers in the
-/// appended ledger lines must match the uninterrupted run's.
+/// sequence after the ledger's last committed round — round numbers in
+/// the appended ledger lines must match the uninterrupted run's.
 pub fn set_next_round(next: u64) {
     NEXT_ROUND.store(next, Ordering::Relaxed);
 }
@@ -802,26 +811,36 @@ pub fn set_next_round(next: u64) {
 ///
 /// Ignores span closes entirely; write failures are counted in the
 /// `telemetry.events_dropped` counter rather than crashing the run.
+/// A file-backed sink's [`Sink::flush_now`] also syncs the file's data
+/// to disk: the experiment loop flushes after every round, and the
+/// flushed ledger is what `--resume` continues.
 pub struct LedgerJsonlSink {
     target: String,
     writer: Mutex<BufWriter<Box<dyn Write + Send>>>,
+    /// A second handle on the ledger file, for `sync_data`.
+    file: Option<std::fs::File>,
 }
 
 impl LedgerJsonlSink {
     /// Create (truncate) `path` and write the ledger header line.
     pub fn create(path: &Path, header: &RunHeader) -> std::io::Result<LedgerJsonlSink> {
-        let file: Box<dyn Write + Send> = Box::new(std::fs::File::create(path)?);
-        LedgerJsonlSink::from_writer(file, &path.display().to_string(), header)
+        let file = std::fs::File::create(path)?;
+        let sync = file.try_clone()?;
+        let mut sink =
+            LedgerJsonlSink::from_writer(Box::new(file), &path.display().to_string(), header)?;
+        sink.file = Some(sync);
+        Ok(sink)
     }
 
     /// Reopen an existing ledger for append, without writing a header —
-    /// the resume path: the original run's header (and the rounds kept by
-    /// the checkpoint) are already in the file. The caller is responsible
-    /// for truncating the file to the checkpoint's recorded length first.
+    /// the resume path: the original run's header and committed rounds
+    /// are already in the file, which the caller has truncated to that
+    /// committed prefix first.
     pub fn append(path: &Path) -> std::io::Result<LedgerJsonlSink> {
         let file = std::fs::OpenOptions::new().append(true).open(path)?;
         Ok(LedgerJsonlSink {
             target: path.display().to_string(),
+            file: Some(file.try_clone()?),
             writer: Mutex::new(BufWriter::new(Box::new(file))),
         })
     }
@@ -837,6 +856,7 @@ impl LedgerJsonlSink {
         Ok(LedgerJsonlSink {
             target: target.to_string(),
             writer: Mutex::new(writer),
+            file: None,
         })
     }
 }
@@ -854,10 +874,12 @@ impl Sink for LedgerJsonlSink {
     }
 
     fn flush_now(&self) -> std::io::Result<()> {
-        self.writer
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .flush()
+        let mut writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        writer.flush()?;
+        match &self.file {
+            Some(file) => file.sync_data(),
+            None => Ok(()),
+        }
     }
 
     fn finish(&self, _snapshot: &Snapshot) -> std::io::Result<()> {
@@ -1093,9 +1115,9 @@ mod tests {
             r#"{"type":"trial_failed","trial":1,"rung":0,"family":"logreg","reason":"panic"}"#,
             r#"{"type":"trial_finished","trial":2,"rung":1,"family":"forest","score":null}"#,
             r#"{"type":"ensemble_selected","val_score":0.93,"members":[{"trial":0,"family":"forest","weight":3,"score":0.91}]}"#,
-            r#"{"type":"round_completed","round":0,"strategy":"Within-ALE","acc_mean":0.8,"acc_min":0.7,"acc_max":0.9,"points_added":40,"regions":2,"ale_std_mean":0.02,"ale_std_max":0.09}"#,
-            r#"{"type":"round_completed","round":1,"strategy":"Within-ALE","acc_mean":0.85,"acc_min":0.8,"acc_max":0.9,"points_added":40,"regions":1,"ale_std_mean":0.01,"ale_std_max":0.05}"#,
-            r#"{"type":"round_completed","round":2,"strategy":"Random","acc_mean":0.75,"acc_min":0.7,"acc_max":0.8,"points_added":40,"regions":0,"ale_std_mean":0,"ale_std_max":0}"#,
+            r#"{"type":"round_completed","round":0,"strategy":"Within-ALE","acc_mean":0.8,"acc_min":0.7,"acc_max":0.9,"points_added":40,"regions":2,"ale_std_mean":0.02,"ale_std_max":0.09,"scores":[0.7,0.8,0.9]}"#,
+            r#"{"type":"round_completed","round":1,"strategy":"Within-ALE","acc_mean":0.85,"acc_min":0.8,"acc_max":0.9,"points_added":40,"regions":1,"ale_std_mean":0.01,"ale_std_max":0.05,"scores":[0.8,0.85,0.9]}"#,
+            r#"{"type":"round_completed","round":2,"strategy":"Random","acc_mean":0.75,"acc_min":0.7,"acc_max":0.8,"points_added":40,"regions":0,"ale_std_mean":0,"ale_std_max":0,"scores":[0.7,0.75,0.8]}"#,
             r#"{"type":"region_suggested","feature":0,"name":"pkt_size","threshold":0.05,"intervals":[[0.2,0.4],[0.7,0.9]],"grid":[0,0.25,0.5,0.75,1],"mean":[0.1,0.3,0.2,0.4,0.1],"std":[0.01,0.08,0.02,0.09,0.01]}"#,
             r#"{"type":"ale_curve","feature":0,"model":"forest","method":"ale","grid_points":5,"rows":200}"#,
             r#"{"type":"dataset_profile","round":0,"split":"train","rows":4,"class_counts":[2,2],"features":[{"name":"pkt_size","count":4,"mean":0.4,"std":0.2,"min":0.1,"max":0.9,"log10":false,"lo":0,"hi":1,"bins":[2,1,0,1]}]}"#,
@@ -1177,6 +1199,13 @@ mod tests {
         .unwrap()
         .unwrap();
         assert!(matches!(failed, LedgerEvent::TrialFailed { reason, .. } if reason == "error"));
+        // A round written before `scores` existed still inspects.
+        let round = LedgerEvent::from_json_line(
+            r#"{"type":"round_completed","round":0,"strategy":"Uniform","acc_mean":0.5,"acc_min":0.5,"acc_max":0.5,"points_added":0,"regions":0,"ale_std_mean":0,"ale_std_max":0}"#,
+        )
+        .unwrap()
+        .unwrap();
+        assert!(matches!(round, LedgerEvent::RoundCompleted { scores, .. } if scores.is_empty()));
         // Any other missing field is an error naming it.
         let err = LedgerEvent::from_json_line(r#"{"type":"trial_finished","trial":1,"rung":0}"#)
             .unwrap_err();
@@ -1359,6 +1388,17 @@ mod prop_tests {
         }
     }
 
+    /// A balanced accuracy: always finite in `[0, 1]`, often a fraction
+    /// with no short decimal form, like 1/3.
+    fn any_score(rng: &mut TestRng) -> f64 {
+        let den = 1 + rng.next_u64() % 97;
+        match rng.next_u64() % 3 {
+            0 => 1.0 / 3.0,
+            1 => (rng.next_u64() % (den + 1)) as f64 / den as f64,
+            _ => (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64,
+        }
+    }
+
     /// Short strings over the escaper's interesting characters.
     fn any_string(rng: &mut TestRng) -> String {
         const CHARS: [char; 14] = [
@@ -1424,6 +1464,7 @@ mod prop_tests {
                 regions: any_u64(rng),
                 ale_std_mean: any_f64(rng),
                 ale_std_max: any_f64(rng),
+                scores: vec_of(rng, any_score),
             },
             5 => LedgerEvent::RegionSuggested {
                 feature: any_u64(rng),
@@ -1501,7 +1542,8 @@ mod prop_tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The codec is a fixpoint on the writer's output:
-        /// `to_json_line(from_json_line(l)) == l` byte for byte.
+        /// `to_json_line(from_json_line(l)) == l` byte for byte, and a
+        /// round's scores read back bit for bit (resume reuses them).
         #[test]
         fn prop_ledger_lines_are_a_codec_fixpoint(events in EveryVariant) {
             for event in &events {
@@ -1510,6 +1552,14 @@ mod prop_tests {
                     .unwrap_or_else(|e| panic!("{line}: {e}"))
                     .unwrap_or_else(|| panic!("{line}: type not recognized"));
                 prop_assert_eq!(back.to_json_line(), line);
+                if let (
+                    LedgerEvent::RoundCompleted { scores, .. },
+                    LedgerEvent::RoundCompleted { scores: read, .. },
+                ) = (event, &back)
+                {
+                    let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+                    prop_assert_eq!(bits(read), bits(scores), "{}", line);
+                }
             }
         }
     }

@@ -4,7 +4,7 @@
 //! applies the same standard to our own pipeline. It provides, with zero
 //! external dependencies:
 //!
-//! * **scoped spans** ([`span`], [`span!`]) with monotonic timing and a
+//! * **scoped spans** ([`span()`], [`span!`]) with monotonic timing and a
 //!   thread-safe registry that aggregates wall-time and call counts per
 //!   span name across worker threads;
 //! * **counters** ([`counter_add`]) and **histograms**
@@ -246,7 +246,7 @@ pub fn histogram_record_labeled(base: &str, label: &str, value: u64) {
     }
 }
 
-/// Open a scoped timing span. Prefer this macro over the [`span`] /
+/// Open a scoped timing span. Prefer this macro over the [`span()`] /
 /// [`span_labeled`] functions; it reads like a statement:
 ///
 /// ```

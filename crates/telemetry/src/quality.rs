@@ -186,7 +186,7 @@ pub fn profile_feature(
 
 /// Population Stability Index between an `expected` (reference) and
 /// `observed` histogram over shared bin edges. Bins are smoothed with
-/// [`PSI_EPSILON`] mass, so the score is always finite; it is `0`
+/// `PSI_EPSILON` (1e-6) mass, so the score is always finite; it is `0`
 /// exactly for identical histograms and non-negative otherwise (tiny
 /// negative float error is clamped). Histograms of unequal length are
 /// compared over the longer length with missing bins read as empty.

@@ -209,7 +209,7 @@ pub struct DimReport {
     /// scores are constant.
     pub importance: f64,
     /// `(normalized position, rung-top score)` scatter, thinned to
-    /// [`POINT_CAP`] points by a deterministic stride.
+    /// `POINT_CAP` (256) points by a deterministic stride.
     pub points: Vec<(f64, f64)>,
 }
 

@@ -73,8 +73,9 @@ pub trait Sink: Send + Sync {
         false
     }
     /// Flush any buffered output *now*, mid-run, without removing the
-    /// sink. Used by the checkpoint path, which must know the ledger's
-    /// on-disk length at each round boundary. Default: nothing to flush.
+    /// sink. The experiment loop calls it (through [`flush_installed`])
+    /// at every round boundary, so each completed round is on disk for
+    /// `--resume`. Default: nothing to flush.
     fn flush_now(&self) -> std::io::Result<()> {
         Ok(())
     }
@@ -185,9 +186,10 @@ pub fn replay_ledger(events: &[LedgerEvent]) {
 }
 
 /// Flush every installed sink in place (no removal, no snapshot). The
-/// checkpoint writer calls this at round boundaries so the bytes of all
-/// rounds up to and including the checkpointed one are durably in the
-/// export files before the checkpoint that references them is committed.
+/// experiment loop calls this after every round it runs: a round is
+/// committed once its `round_completed` line is durably in the ledger
+/// file (the ledger sink syncs its data on flush), and that committed
+/// prefix is what `--resume` continues.
 pub fn flush_installed() -> std::io::Result<()> {
     let mut first_err = None;
     for sink in sinks()
