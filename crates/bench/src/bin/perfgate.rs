@@ -64,17 +64,19 @@ run options:
 
 gate: every metric's baseline is the nearest-rank median over the window
 (OLD alone, or the last N records that measured it). A metric regresses
-when it got worse (up for timings, memory and ECE; down for final_acc)
-by more than its floor and by more than the tolerance (or from a zero
-baseline). A memory figure of 0 or a null quality field means \"not
-measured\"; a metric only one side measured is listed, not compared.
+when it got worse (up for timings, memory and ECE; down for final_acc
+and the layer rates, rate:<counter>) by more than its floor and by more
+than the tolerance (or from a zero baseline). A memory figure of 0 or a
+null quality field means \"not measured\"; a metric only one side
+measured is listed, not compared.
 
 gate options:
   --tolerance PCT         allowed relative change in percent (default 10)
   --abs-floor-ms MS       absolute floor for timings in milliseconds
                           (default 5); memory uses 1 MiB, quality 0.005
-  --scale F               multiply NEW's timings by F before comparing
-                          (test hook: --scale 2 must trip the gate)
+  --scale F               multiply NEW's timings by F and divide its layer
+                          rates by F before comparing (test hook:
+                          --scale 2 must trip the gate)
   --json                  print the verdict as JSON instead of the table
                           (same exit codes; schema in gate::render_json;
                           --against-history adds history_requested and

@@ -6,8 +6,10 @@
 //! unit, and the test-hook scale that applies to it ([`Hook`]):
 //!
 //! * a [`BenchReport`] ([`flatten_report`]) gives `wall_time_s`,
-//!   `top_span_total_s` and `span:<name>` (timings), then `alloc.bytes`
-//!   and `alloc.peak_bytes` (1 MiB floor, unscaled);
+//!   `top_span_total_s` and `span:<name>` (timings), then
+//!   `rate:<counter>` for each layer rate the report carries (per
+//!   core-second of its owning span, higher is better), then
+//!   `alloc.bytes` and `alloc.peak_bytes` (1 MiB floor, unscaled);
 //! * a [`HistoryRecord`] ([`flatten_history`]) gives `wall_time_s`,
 //!   `top_span_total_s`, `peak_rss_bytes` and `alloc.peak_bytes`, plus
 //!   `final_acc` (higher is better) and `ece` when quality is gated.
@@ -27,7 +29,7 @@
 //! An empty window cannot anchor any check, so the caller treats it as
 //! a pass with a warning.
 
-use crate::report::BenchReport;
+use crate::report::{BenchReport, OWNED_COUNTERS};
 use aml_telemetry::json::{ToJson, Value};
 use aml_telemetry::HistoryRecord;
 use std::fmt::Write as _;
@@ -40,9 +42,9 @@ pub struct GateConfig {
     /// Absolute growth below which a timing change never regresses,
     /// seconds.
     pub abs_floor_s: f64,
-    /// Multiplier applied to the new side's timing metrics before
-    /// comparing — a test hook to inject synthetic slowdowns
-    /// (`--scale 2` must trip the gate).
+    /// Multiplier applied to the new side's timing metrics (and divisor
+    /// of its layer rates) before comparing — a test hook to inject
+    /// synthetic slowdowns (`--scale 2` must trip the gate).
     pub scale_new: f64,
 }
 
@@ -72,6 +74,9 @@ pub enum Hook {
     None,
     /// Scaled by [`GateConfig::scale_new`] (`--scale`).
     Timing,
+    /// Divided by [`GateConfig::scale_new`]: a `--scale 2` slowdown
+    /// halves a rate.
+    Rate,
     /// Scaled by the accuracy hook (`--acc-scale`).
     Accuracy,
 }
@@ -103,6 +108,18 @@ impl Measurement {
         }
     }
 
+    /// A layer rate (work per core-second) has no absolute floor: only
+    /// the relative tolerance applies.
+    fn rate(counter: &str, value: f64) -> Measurement {
+        Measurement {
+            name: format!("rate:{counter}"),
+            value,
+            better: Better::Higher,
+            floor: 0.0,
+            hook: Hook::Rate,
+        }
+    }
+
     /// Memory grows by more than 1 MiB before it can regress; `--scale`
     /// injects a timing slowdown, not a memory one. 0 = not measured.
     fn memory(name: &str, bytes: u64) -> Option<Measurement> {
@@ -131,7 +148,9 @@ impl Measurement {
 pub const QUALITY_ABS_FLOOR: f64 = 0.005;
 
 /// Flatten a BENCH report: timings (`wall_time_s`, `top_span_total_s`,
-/// `span:<name>` per span) then the allocation totals when tracked.
+/// `span:<name>` per span), `rate:<counter>` for each layer counter
+/// (`report::OWNED_COUNTERS`) found in its `throughput`, then the
+/// allocation totals when tracked.
 pub fn flatten_report(r: &BenchReport, cfg: &GateConfig) -> Vec<Measurement> {
     let mut out = vec![
         Measurement::timing("wall_time_s", r.wall_time_s, cfg),
@@ -141,6 +160,12 @@ pub fn flatten_report(r: &BenchReport, cfg: &GateConfig) -> Vec<Measurement> {
         r.spans
             .iter()
             .map(|s| Measurement::timing(format!("span:{}", s.name), s.total_s, cfg)),
+    );
+    out.extend(
+        r.throughput
+            .iter()
+            .filter(|(name, _)| OWNED_COUNTERS.iter().any(|(counter, _)| counter == name))
+            .map(|(name, rate)| Measurement::rate(name, *rate)),
     );
     if let Some(a) = &r.alloc {
         out.extend(Measurement::memory("alloc.bytes", a.bytes));
@@ -341,6 +366,7 @@ pub fn gate(
             * match m.hook {
                 Hook::None => 1.0,
                 Hook::Timing => cfg.scale_new,
+                Hook::Rate => 1.0 / cfg.scale_new,
                 Hook::Accuracy => acc_scale,
             };
         // Zero baseline: no relative change is defined, so only the
@@ -536,6 +562,46 @@ mod tests {
         let outcome = compare(&old, &new, &GateConfig::default());
         assert!(outcome.passed());
         assert_eq!(outcome.unmatched, ["span:bench.gone", "span:bench.added"]);
+    }
+
+    #[test]
+    fn layer_rates_gate_higher_is_better() {
+        let mut r = report(10.0, &[("netsim.runner.run_all", 7.0)]);
+        r.throughput = vec![
+            ("netsim.sim.events".into(), 4.0e6),
+            ("netsim.sim.runs".into(), 800.0),
+            ("netsim.sim.packets_sent".into(), 1.0e6),
+        ];
+        let cfg = GateConfig::default();
+        let same = compare(&r, &r.clone(), &cfg);
+        assert!(same.passed(), "{:?}", same.diffs);
+        assert_eq!(diff(&same, "rate:netsim.sim.runs").new, 800.0);
+        assert!(
+            same.diffs
+                .iter()
+                .all(|d| d.metric != "rate:netsim.sim.packets_sent"),
+            "only layer counters are gated"
+        );
+
+        let mut halved = r.clone();
+        halved.throughput[0].1 = 2.0e6;
+        let outcome = compare(&r, &halved, &cfg);
+        assert_eq!(outcome.regressions(), 1, "{:?}", outcome.diffs);
+        let events = diff(&outcome, "rate:netsim.sim.events");
+        assert!(events.regressed);
+        assert_eq!(events.delta_pct, Some(-50.0));
+        // A faster layer is no regression.
+        assert!(compare(&halved, &r, &cfg).passed());
+
+        // --scale 2 halves every rate along with doubling the timings.
+        let slow = GateConfig {
+            scale_new: 2.0,
+            ..cfg
+        };
+        let outcome = compare(&r, &r.clone(), &slow);
+        let events = diff(&outcome, "rate:netsim.sim.events");
+        assert!(events.regressed);
+        assert_eq!(events.new, 2.0e6);
     }
 
     #[test]

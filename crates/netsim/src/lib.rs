@@ -7,8 +7,9 @@
 //! Design goals follow the smoltcp school: event-driven, simple, robust,
 //! allocation-light, and **fully deterministic** — a `(NetworkCondition,
 //! seed)` pair always produces the identical packet trace. There is no async
-//! runtime anywhere: simulated time is advanced by a binary-heap event
-//! queue, which is both faster and reproducible.
+//! runtime anywhere: simulated time is advanced by an event queue (a
+//! binary heap plus a FIFO lane for ACKs, which are scheduled in time
+//! order), which is both faster and reproducible.
 //!
 //! ## Topology
 //!

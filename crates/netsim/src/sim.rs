@@ -7,12 +7,18 @@
 //! `max(now, link_free_at)` and its ACK is scheduled right then, at its
 //! departure plus a full round trip of propagation. The packet's delivery
 //! (delay sample, goodput bytes) is taken when that ACK pops, at `now −
-//! prop_half`. Invariants the tests pin down:
+//! prop_half`. `link_free_at` never decreases and `prop_half` is fixed, so
+//! ACKs are scheduled in time order and go through the event queue's FIFO
+//! lane ([`EventQueue::schedule_in_order`]); only flow starts, pacing
+//! wakes and RTO checks go through its heap. Invariants the tests pin
+//! down:
 //!
 //! * conservation — every sent packet is acknowledged, dropped at the
 //!   queue, lost on the link, or has its ACK still queued at the end;
 //! * one event per packet — the loop processes at most one event per sent
 //!   packet, plus flow starts, pacing wakes and timeout pops;
+//! * ACKs skip the heap — the heap holds a few events per flow, however
+//!   many ACKs are in flight;
 //! * determinism — identical `(config, seed)` ⇒ identical statistics;
 //! * liveness — a per-flow RTO timer (one queued timer per flow) guarantees
 //!   the event loop never stalls while a flow has outstanding data.
@@ -180,13 +186,15 @@ pub struct Simulation {
     pops: Pops,
 }
 
-/// Per-kind event pop counts (tests only; ACK pops are `delivered`).
+/// Per-kind event pop counts (tests only; ACK pops are `delivered`),
+/// and the most events the heap lane ever held after a dispatch.
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct Pops {
     flow_starts: u64,
     wakes: u64,
     timeouts: u64,
+    heap_peak: usize,
 }
 
 #[cfg(test)]
@@ -279,6 +287,10 @@ impl Simulation {
                 )));
             }
             self.dispatch(event);
+            #[cfg(test)]
+            {
+                self.pops.heap_peak = self.pops.heap_peak.max(self.events.heap_len());
+            }
         }
         Ok(processed)
     }
@@ -380,7 +392,7 @@ impl Simulation {
             let start = self.link_free_at.max(self.now);
             if self.queue.enqueue(self.now, start, mss) {
                 self.link_free_at = start + self.ser;
-                self.events.schedule(
+                self.events.schedule_in_order(
                     self.link_free_at + self.prop_half + self.prop_half,
                     Event::AckArrival {
                         flow,
@@ -658,6 +670,31 @@ mod tests {
             "{} timeout pops per {ack_pops} ACK pops",
             sim.pops.timeouts
         );
+    }
+
+    #[test]
+    fn acks_skip_the_heap() {
+        // ACKs go through the FIFO lane, so the heap holds only flow
+        // starts, pacing wakes and RTO checks: a few per flow, however
+        // many ACKs are in flight (up to two BDPs, about 66, per flow here).
+        for kind in CcKind::ALL {
+            for flows in [1, 4, 16] {
+                let c = cond(10.0 * flows as f64, 40.0, 0.0, flows);
+                let mut sim = Simulation::new(SimConfig::for_condition(c, kind, 1)).unwrap();
+                let events = sim.run_events().unwrap();
+                let case = format!("{} x{flows}", kind.name());
+                assert!(
+                    sim.delivered > 900 * flows as u64,
+                    "{case}: {} ACK pops of {events} events",
+                    sim.delivered
+                );
+                assert!(
+                    sim.pops.heap_peak <= 8 * flows,
+                    "{case}: the heap held {} events",
+                    sim.pops.heap_peak
+                );
+            }
+        }
     }
 
     #[test]
