@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn layer_rates_gate_higher_is_better() {
-        let mut r = report(10.0, &[("netsim.runner.run_all", 7.0)]);
+        let mut r = report(10.0, &[("netsim.scenario", 7.0)]);
         r.throughput = vec![
             ("netsim.sim.events".into(), 4.0e6),
             ("netsim.sim.runs".into(), 800.0),
@@ -602,6 +602,30 @@ mod tests {
         let events = diff(&outcome, "rate:netsim.sim.events");
         assert!(events.regressed);
         assert_eq!(events.new, 2.0e6);
+    }
+
+    #[test]
+    fn label_rate_is_gated_higher_is_better() {
+        // Labels per core-second of `netsim.scenario`: it rises when a label
+        // runs fewer simulations even if each simulation costs the same.
+        let mut r = report(10.0, &[("netsim.scenario", 7.0)]);
+        r.throughput = vec![
+            ("netsim.labels".into(), 240.0),
+            ("netsim.sim.runs".into(), 800.0),
+        ];
+        let cfg = GateConfig::default();
+        let same = compare(&r, &r.clone(), &cfg);
+        assert!(same.passed(), "{:?}", same.diffs);
+        assert_eq!(diff(&same, "rate:netsim.labels").new, 240.0);
+
+        let mut fewer = r.clone();
+        fewer.throughput[0].1 = 120.0;
+        let outcome = compare(&r, &fewer, &cfg);
+        assert_eq!(outcome.regressions(), 1, "{:?}", outcome.diffs);
+        let labels = diff(&outcome, "rate:netsim.labels");
+        assert!(labels.regressed);
+        assert_eq!(labels.delta_pct, Some(-50.0));
+        assert!(compare(&fewer, &r, &cfg).passed());
     }
 
     #[test]

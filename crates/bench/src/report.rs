@@ -24,13 +24,16 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 /// `throughput` is the counter over that span's total time, which sums
 /// every call on every thread: a rate per core, which does not fall when
 /// the rest of the run grows. Other counters are taken per second of wall
-/// time. Simulations per core-second is the netsim layer's number: it
-/// rises when a simulation gets cheaper, whatever that does to the events
-/// each one pops.
-pub(crate) const OWNED_COUNTERS: [(&str, &str); 3] = [
+/// time. The netsim counters are owned by `netsim.scenario`, one span per
+/// labelled condition that holds all of its simulations. Labels per
+/// core-second is the netsim layer's number: it rises when a label needs
+/// fewer simulations or a simulation gets cheaper, whatever that does to
+/// the events each one pops.
+pub(crate) const OWNED_COUNTERS: [(&str, &str); 4] = [
     ("interpret.ale.predictions", "interpret.ale.curve"),
-    ("netsim.sim.events", "netsim.runner.run_all"),
-    ("netsim.sim.runs", "netsim.runner.run_all"),
+    ("netsim.labels", "netsim.scenario"),
+    ("netsim.sim.events", "netsim.scenario"),
+    ("netsim.sim.runs", "netsim.scenario"),
 ];
 
 /// One span's aggregate in the report.
@@ -98,10 +101,11 @@ pub struct BenchReport {
     pub spans: Vec<BenchSpan>,
     /// Counter totals, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Counter rates, excluding `alloc.*`: `interpret.ale.predictions`,
-    /// `netsim.sim.events` and `netsim.sim.runs` per second of their owning
-    /// span's total (omitted when that span took no time), every other
-    /// counter per second of wall time.
+    /// Counter rates, excluding `alloc.*`: the `OWNED_COUNTERS`
+    /// (`interpret.ale.predictions`, `netsim.labels`, `netsim.sim.events`,
+    /// `netsim.sim.runs`) per second of their owning span's total (omitted
+    /// when that span took no time), every other counter per second of
+    /// wall time.
     pub throughput: Vec<(String, f64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<BenchHist>,
@@ -526,7 +530,7 @@ mod tests {
                         min_ns: 2_500_000_000,
                     },
                     SpanSnapshot {
-                        name: "netsim.runner.run_all".into(),
+                        name: "netsim.scenario".into(),
                         calls: 64,
                         total_ns: 4_000_000_000,
                         max_ns: 100_000_000,
@@ -570,7 +574,7 @@ mod tests {
             r.top_span_total_s
         );
         // Throughput excludes alloc.* counters; simulated events are rated
-        // over the 4 s of `netsim.runner.run_all`, not the 10 s wall.
+        // over the 4 s of `netsim.scenario`, not the 10 s wall.
         assert_eq!(r.throughput.len(), 1);
         assert_eq!(r.throughput[0].0, "netsim.sim.events");
         assert!((r.throughput[0].1 - 12_500.0).abs() < 1e-9);
@@ -592,9 +596,7 @@ mod tests {
             max_ns: 70_000_000,
             min_ns: 60_000_000,
         });
-        m.snapshot
-            .spans
-            .retain(|s| s.name != "netsim.runner.run_all");
+        m.snapshot.spans.retain(|s| s.name != "netsim.scenario");
         m.snapshot.counters.extend([
             ("automl.trials".into(), 20),
             ("interpret.ale.predictions".into(), 100_000),
@@ -609,12 +611,17 @@ mod tests {
         assert_eq!(rate("netsim.sim.events"), None);
         assert_eq!(r.throughput.len(), 2);
 
-        // Simulations are rated over the same 4 s of `run_all` as their
-        // events: 384 runs, 96 per core-second.
+        // Labels and simulations are rated over the same 4 s of
+        // `netsim.scenario` as their events: 64 labels, 16 per
+        // core-second; 384 runs, 96 per core-second.
         let mut m = sample_manifest();
-        m.snapshot.counters.push(("netsim.sim.runs".into(), 384));
+        m.snapshot.counters.extend([
+            ("netsim.labels".into(), 64),
+            ("netsim.sim.runs".into(), 384),
+        ]);
         let r = BenchReport::from_manifest(&m);
         let rate = |name: &str| r.throughput.iter().find(|(n, _)| n == name).map(|t| t.1);
+        assert_eq!(rate("netsim.labels"), Some(16.0));
         assert_eq!(rate("netsim.sim.runs"), Some(96.0));
         assert_eq!(rate("netsim.sim.events"), Some(12_500.0));
     }

@@ -35,7 +35,10 @@ fn derive_seed(master: u64, index: u64) -> u64 {
 
 /// Label one scenario under its own traced span, recording the
 /// per-scenario cost histogram (`datagen.scenario_ns`) and the
-/// `datagen.scenarios_total` counter. [`label_conditions`] attaches the
+/// `datagen.scenarios_total` counter. The span holds every simulation the
+/// label runs (two to six), so the BENCH report rates `netsim.labels`,
+/// `netsim.sim.runs` and `netsim.sim.events` per core-second of it.
+/// [`label_conditions`] attaches the
 /// span under `netsim.labeling` with the *scenario index* as the slot,
 /// whichever worker thread runs it, so sequential and parallel runs build
 /// byte-identical trace trees.

@@ -51,10 +51,12 @@
 //!
 //! A condition is labelled **"use Scream"** when Scream achieves the lowest
 //! mean packet delay among protocols that also reach a minimum useful
-//! throughput (half their fair share). The disqualification clause is what
+//! throughput (40% of the link). The disqualification clause is what
 //! makes the problem non-trivial — a delay-targeting protocol that
 //! collapses under random loss should *not* be chosen, which is exactly the
-//! regime the paper's running example probes.
+//! regime the paper's running example probes. Labelling simulates Scream
+//! first and stops at the first rival that beats it, so a label costs two
+//! to six simulations.
 
 pub mod cc;
 pub mod datagen;

@@ -1,7 +1,8 @@
 //! Bit-level pins for the netsim labeler.
 //!
-//! Every Scream-vs-rest label comes from [`run_all`]: six protocol
-//! simulations of one network condition, then the winner rule. For 64
+//! [`run_all`] simulates all six protocols on one network condition and
+//! [`label_condition`] decides the winner rule on the same simulations,
+//! stopping at the first rival that beats Scream. For 64
 //! fixed conditions — the 16 corners of the default
 //! [`ConditionDomain`] and 48 interior points — these tests pin, per
 //! condition, an FNV-1a digest of each protocol's throughput, mean delay
