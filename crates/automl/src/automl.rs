@@ -1,6 +1,6 @@
 //! The top-level AutoML driver: split → search → ensemble-select → package.
 
-use crate::search::{run_search, SearchLimits, SearchStrategy, TrainedCandidate};
+use crate::search::{run_search, SearchLimits, TrainedCandidate};
 use crate::selection::greedy_ensemble_selection;
 use crate::space::ModelFamily;
 use crate::{AutoMlError, Result};
@@ -23,8 +23,6 @@ pub struct AutoMlConfig {
     pub validation_fraction: f64,
     /// Model families to search over.
     pub families: Vec<ModelFamily>,
-    /// Search strategy.
-    pub strategy: SearchStrategy,
     /// Master seed. Different seeds → different model bags, which is what
     /// the paper's Cross-ALE variant exploits.
     pub seed: u64,
@@ -46,7 +44,6 @@ impl Default for AutoMlConfig {
             ensemble_init_top_k: 5,
             validation_fraction: 0.2,
             families: ModelFamily::ALL.to_vec(),
-            strategy: SearchStrategy::Random,
             seed: 0,
             parallelism: 1,
             max_trial_time: None,
@@ -146,7 +143,6 @@ impl AutoMl {
         })?;
 
         let leaderboard = run_search(
-            self.config.strategy,
             self.config.n_candidates,
             &self.config.families,
             &inner_train,

@@ -6,7 +6,7 @@
 //! 1. **Search** ([`search`]): sample candidate configurations (model
 //!    family, hyperparameters, scaler) from the search space ([`space`]),
 //!    fit each on a training split, and score on a held-out validation
-//!    split — random search by default, successive halving optionally.
+//!    split. Every sampled candidate is trained once on the full split.
 //! 2. **Ensemble selection** ([`selection`]): Caruana-style greedy forward
 //!    selection *with replacement* over the validation predictions, the same
 //!    algorithm auto-sklearn uses to build its final ensemble.
@@ -41,7 +41,7 @@ pub mod selection;
 pub mod space;
 
 pub use automl::{AutoMl, AutoMlConfig, FittedAutoMl};
-pub use search::{SearchLimits, SearchStrategy, TrainedCandidate};
+pub use search::{SearchLimits, TrainedCandidate};
 pub use space::{CandidateConfig, ModelFamily};
 
 /// Typed failures of the candidate search itself (as opposed to

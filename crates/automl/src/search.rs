@@ -1,8 +1,9 @@
-//! Candidate search: random search and successive halving.
+//! Candidate search: random search over the declared space.
 //!
-//! Both strategies produce a leaderboard of [`TrainedCandidate`]s scored by
-//! balanced accuracy on a held-out validation split. Candidate training is
-//! embarrassingly parallel: each rung hands its trials to
+//! Each sampled candidate is trained once on the full training split and
+//! scored by balanced accuracy on a held-out validation split, giving a
+//! leaderboard of [`TrainedCandidate`]s. Candidate training is
+//! embarrassingly parallel: the trials go to
 //! [`aml_telemetry::tracetree::par_map`], whose workers claim trials one at
 //! a time when `parallelism > 1` and return results in sampling order, so
 //! the outcome is identical to a sequential run.
@@ -34,17 +35,6 @@ fn trial_fit_end() {
         .fetch_sub(1, Ordering::Relaxed)
         .saturating_sub(1);
     aml_telemetry::gauge_set("search.trials_inflight", now);
-}
-
-/// How the searcher allocates its candidate budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SearchStrategy {
-    /// Sample `n_candidates` configs, train each on the full training split.
-    Random,
-    /// Successive halving: train all candidates on a small data fraction,
-    /// keep the best half, double the fraction, repeat until one rung uses
-    /// the full data.
-    SuccessiveHalving,
 }
 
 /// Robustness limits on the search (DESIGN.md §7).
@@ -82,11 +72,11 @@ impl Default for SearchLimits {
 pub struct TrainedCandidate {
     /// Stable trial id: the sequential sampling index of the config,
     /// assigned before any parallel work — the experiment ledger's join
-    /// key across rungs and into the selected ensemble.
+    /// key into the selected ensemble.
     pub trial: u64,
     /// The sampled configuration.
     pub config: CandidateConfig,
-    /// Fitted pipeline (refit on the full training split at final rung).
+    /// Fitted pipeline (trained on the full training split).
     pub model: Arc<dyn Classifier>,
     /// Balanced accuracy on the validation split.
     pub val_score: f64,
@@ -144,7 +134,6 @@ fn run_sandboxed(
 /// the supervising side, never from an abandonable worker thread.
 fn settle_trial(
     trial: u64,
-    rung: u64,
     config: CandidateConfig,
     outcome: TrialResult,
 ) -> Option<TrainedCandidate> {
@@ -154,7 +143,6 @@ fn settle_trial(
         Ok((model, val_score, val_proba)) => {
             ledger::emit_with(|| LedgerEvent::TrialFinished {
                 trial,
-                rung,
                 family: config.family().name().to_string(),
                 score: val_score,
             });
@@ -169,7 +157,6 @@ fn settle_trial(
         Err(reason) => {
             ledger::emit_with(|| LedgerEvent::TrialFailed {
                 trial,
-                rung,
                 family: config.family().name().to_string(),
                 reason: reason.to_string(),
             });
@@ -186,21 +173,19 @@ fn settle_trial(
 /// events (no wall time — the ledger must be thread-count invariant).
 fn train_one(
     trial: u64,
-    rung: u64,
     config: CandidateConfig,
     train: &Dataset,
     val: &Dataset,
 ) -> Option<TrainedCandidate> {
     ledger::emit_with(|| LedgerEvent::TrialStarted {
         trial,
-        rung,
         family: config.family().name().to_string(),
         config: format!("{config:?}"),
         params: config.params(),
     });
     trial_fit_begin();
     let outcome = run_sandboxed(trial, &config, train, val);
-    settle_trial(trial, rung, config, outcome)
+    settle_trial(trial, config, outcome)
 }
 
 /// Train one candidate on a dedicated worker thread with a wall-clock
@@ -211,7 +196,6 @@ fn train_one(
 /// `trial_finished` line.
 fn train_one_budgeted(
     trial: u64,
-    rung: u64,
     config: CandidateConfig,
     train: &Arc<Dataset>,
     val: &Arc<Dataset>,
@@ -219,7 +203,6 @@ fn train_one_budgeted(
 ) -> Option<TrainedCandidate> {
     ledger::emit_with(|| LedgerEvent::TrialStarted {
         trial,
-        rung,
         family: config.family().name().to_string(),
         config: format!("{config:?}"),
         params: config.params(),
@@ -231,7 +214,7 @@ fn train_one_budgeted(
         let _ = tx.send(run_sandboxed(trial, &w_config, &w_train, &w_val));
     });
     let outcome = rx.recv_timeout(budget).unwrap_or(Err("timeout"));
-    settle_trial(trial, rung, config, outcome)
+    settle_trial(trial, config, outcome)
 }
 
 /// The actual fit, with the deterministic fault-injection sites in
@@ -278,11 +261,11 @@ fn fit_and_score(config: &CandidateConfig, train: &Dataset, val: &Dataset) -> Op
     Some((model, val_score, val_proba))
 }
 
-/// Train `(trial, config)` jobs with up to `parallelism` worker threads at
-/// halving rung `rung`, each under an `automl.trial` span attached by
-/// trial id, so the trace tree is the same at any worker count. Output
-/// preserves input order; failed candidates are dropped. A worker dying
-/// *outside* the per-trial sandbox is a harness bug and surfaces as
+/// Train `(trial, config)` jobs with up to `parallelism` worker threads,
+/// each under an `automl.trial` span attached by trial id, so the trace
+/// tree is the same at any worker count. Output preserves input order;
+/// failed candidates are dropped. A worker dying *outside* the per-trial
+/// sandbox is a harness bug and surfaces as
 /// [`SearchError::WorkerPanicked`] instead of aborting the process.
 ///
 /// With a `budget`, every trial runs on its own abandonable thread (see
@@ -291,26 +274,19 @@ fn fit_and_score(config: &CandidateConfig, train: &Dataset, val: &Dataset) -> Op
 /// borrow the datasets and spawn nothing beyond the pool.
 fn train_all(
     jobs: Vec<(u64, CandidateConfig)>,
-    rung: u64,
     train: &Dataset,
     val: &Dataset,
     parallelism: usize,
     budget: Option<Duration>,
 ) -> Result<Vec<TrainedCandidate>> {
     aml_telemetry::serve::add_planned_trials(jobs.len() as u64);
-    // One span per rung call: besides timing the rung, this gives each
-    // rung's `automl.trial` handoffs a distinct trace-tree parent (trial
-    // ids repeat across rungs, attach slots must not).
-    let _rung_span = aml_telemetry::span!("automl.rung");
     let budgeted = budget.map(|budget| (budget, Arc::new(train.clone()), Arc::new(val.clone())));
     let ctx = aml_telemetry::TraceContext::current();
     let trained = aml_telemetry::tracetree::par_map(ctx, parallelism, jobs, |trial, config| {
         let _span = aml_telemetry::span!("automl.trial");
         match &budgeted {
-            Some((budget, train, val)) => {
-                train_one_budgeted(trial, rung, config, train, val, *budget)
-            }
-            None => train_one(trial, rung, config, train, val),
+            Some((budget, train, val)) => train_one_budgeted(trial, config, train, val, *budget),
+            None => train_one(trial, config, train, val),
         }
     })
     .map_err(SearchError::WorkerPanicked)?;
@@ -321,9 +297,7 @@ fn train_all(
 /// score (ties broken by sampling order for determinism).
 ///
 /// `train`/`val` are the inner split of the user's training data.
-#[allow(clippy::too_many_arguments)]
 pub fn run_search(
-    strategy: SearchStrategy,
     n_candidates: usize,
     families: &[ModelFamily],
     train: &Dataset,
@@ -355,36 +329,19 @@ pub fn run_search(
             families: crate::space::search_space(families),
         });
     }
-    let assigned = assign_families(n_candidates, families);
     // The enumeration index is the trial id: assigned sequentially before
     // any parallel work, it is the ledger's stable join key.
-    let jobs: Vec<(u64, CandidateConfig)> = assigned
-        .iter()
+    let jobs: Vec<(u64, CandidateConfig)> = assign_families(n_candidates, families)
+        .into_iter()
         .enumerate()
-        .map(|(i, &f)| {
+        .map(|(i, f)| {
             (
                 i as u64,
                 CandidateConfig::sample(f, derive_seed(seed, i as u64)),
             )
         })
         .collect();
-
-    let (mut survivors, final_rung): (Vec<(u64, CandidateConfig)>, u64) = match strategy {
-        SearchStrategy::Random => (jobs, 0),
-        SearchStrategy::SuccessiveHalving => {
-            halving_survivors(jobs, train, val, seed, parallelism, limits)?
-        }
-    };
-
-    // Final rung: full training data.
-    let mut trained = train_all(
-        std::mem::take(&mut survivors),
-        final_rung,
-        train,
-        val,
-        parallelism,
-        limits.max_trial_time,
-    )?;
+    let mut trained = train_all(jobs, train, val, parallelism, limits.max_trial_time)?;
     if trained.is_empty() {
         return Err(AutoMlError::AllCandidatesFailed(
             "no candidate produced a valid model".into(),
@@ -403,79 +360,6 @@ pub fn run_search(
     Ok(trained)
 }
 
-/// Successive-halving rungs on growing data fractions; returns the surviving
-/// `(trial, config)` jobs to be refit on the full training split, plus the
-/// rung number that full-data refit runs at (for the ledger).
-#[allow(clippy::type_complexity)]
-fn halving_survivors(
-    mut jobs: Vec<(u64, CandidateConfig)>,
-    train: &Dataset,
-    val: &Dataset,
-    seed: u64,
-    parallelism: usize,
-    limits: &SearchLimits,
-) -> Result<(Vec<(u64, CandidateConfig)>, u64)> {
-    let mut fraction = 0.25f64;
-    let mut rung = 0u64;
-    while jobs.len() > 2 && fraction < 1.0 {
-        let n_sub = ((train.n_rows() as f64 * fraction) as usize)
-            .max(16)
-            .min(train.n_rows());
-        // Deterministic subsample for this rung.
-        let idx = subsample_indices(train.n_rows(), n_sub, derive_seed(seed, 1000 + rung));
-        let sub = train.subset(&idx)?;
-        let trained = train_all(
-            jobs.clone(),
-            rung,
-            &sub,
-            val,
-            parallelism,
-            limits.max_trial_time,
-        )?;
-        if trained.is_empty() {
-            // All failed at this rung (tiny subsample may be degenerate) —
-            // skip the rung rather than aborting the search.
-            fraction *= 2.0;
-            rung += 1;
-            continue;
-        }
-        let mut scored: Vec<(f64, u64, CandidateConfig)> = trained
-            .into_iter()
-            .map(|t| (t.val_score, t.trial, t.config))
-            .collect();
-        scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-        let entered = jobs.len();
-        let keep = (scored.len() / 2).max(2).min(entered);
-        jobs = scored
-            .into_iter()
-            .take(keep)
-            .map(|(_, t, c)| (t, c))
-            .collect();
-        // Per-rung funnel counters for /metrics (the ledger carries the
-        // same story per trial; these are the cheap live aggregates).
-        let label = rung.to_string();
-        aml_telemetry::counter_add_labeled("search.rung_promotions", &label, jobs.len() as u64);
-        aml_telemetry::counter_add_labeled(
-            "search.rung_eliminations",
-            &label,
-            (entered - jobs.len()) as u64,
-        );
-        fraction *= 2.0;
-        rung += 1;
-    }
-    Ok((jobs, rung))
-}
-
-fn subsample_indices(n: usize, k: usize, seed: u64) -> Vec<usize> {
-    use aml_rng::seq::SliceRandom;
-    use aml_rng::SeedableRng;
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut rng = aml_rng::rngs::StdRng::seed_from_u64(seed);
-    idx.shuffle(&mut rng);
-    idx.truncate(k);
-    idx
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -491,7 +375,6 @@ mod tests {
         let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
-            SearchStrategy::Random,
             8,
             &ModelFamily::ALL,
             &train,
@@ -517,7 +400,6 @@ mod tests {
         let _guard = hold_faults();
         let (train, val) = splits();
         let seq = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -528,7 +410,6 @@ mod tests {
         )
         .unwrap();
         let par = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -546,25 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn halving_prunes_candidates() {
-        let _guard = hold_faults();
-        let (train, val) = splits();
-        let out = run_search(
-            SearchStrategy::SuccessiveHalving,
-            12,
-            &ModelFamily::ALL,
-            &train,
-            &val,
-            7,
-            1,
-            &SearchLimits::default(),
-        )
-        .unwrap();
-        assert!(out.len() < 12, "halving should prune, kept {}", out.len());
-        assert!(out.len() >= 2);
-    }
-
-    #[test]
     fn round_robin_covers_families() {
         let fams = assign_families(10, &ModelFamily::ALL);
         for f in &ModelFamily::ALL {
@@ -576,7 +438,6 @@ mod tests {
     fn zero_candidates_rejected() {
         let (train, val) = splits();
         assert!(run_search(
-            SearchStrategy::Random,
             0,
             &ModelFamily::ALL,
             &train,
@@ -593,7 +454,6 @@ mod tests {
         let _guard = hold_faults();
         let (train, val) = splits();
         let out = run_search(
-            SearchStrategy::Random,
             4,
             &[ModelFamily::Knn],
             &train,
@@ -623,7 +483,6 @@ mod tests {
         aml_faults::install(aml_faults::FaultPlan::parse("trial_panic@0,trial_panic@2").unwrap());
         let (train, val) = splits();
         let out = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -644,7 +503,6 @@ mod tests {
         aml_faults::install(aml_faults::FaultPlan::parse("trial_panic@1").unwrap());
         let (train, val) = splits();
         let out = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -665,7 +523,6 @@ mod tests {
         aml_faults::install(aml_faults::FaultPlan::parse("trial_nan@3").unwrap());
         let (train, val) = splits();
         let out = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -690,16 +547,7 @@ mod tests {
             max_trial_time: Some(Duration::from_millis(300)),
             min_trials: 1,
         };
-        let out = run_search(
-            SearchStrategy::Random,
-            4,
-            &ModelFamily::ALL,
-            &train,
-            &val,
-            3,
-            1,
-            &limits,
-        );
+        let out = run_search(4, &ModelFamily::ALL, &train, &val, 3, 1, &limits);
         aml_faults::clear();
         let out = out.unwrap();
         assert_eq!(out.len(), 3, "the hung trial must be abandoned");
@@ -711,7 +559,6 @@ mod tests {
         let _guard = hold_faults();
         let (train, val) = splits();
         let plain = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -722,7 +569,6 @@ mod tests {
         )
         .unwrap();
         let budgeted = run_search(
-            SearchStrategy::Random,
             6,
             &ModelFamily::ALL,
             &train,
@@ -751,7 +597,6 @@ mod tests {
         );
         let (train, val) = splits();
         let out = run_search(
-            SearchStrategy::Random,
             4,
             &ModelFamily::ALL,
             &train,
@@ -777,7 +622,6 @@ mod tests {
         let (train, val) = splits();
         assert!(matches!(
             run_search(
-                SearchStrategy::Random,
                 4,
                 &ModelFamily::ALL,
                 &train,

@@ -56,7 +56,7 @@ fn splits() -> (Dataset, Dataset) {
     train_test_split(&ds, 0.25, true, 1).unwrap()
 }
 
-/// Run a successive-halving search with `parallelism` threads and return
+/// Run a search with `parallelism` threads and return
 /// the ledger lines it emitted.
 fn ledger_lines_of_run(train: &Dataset, val: &Dataset, parallelism: usize) -> Vec<String> {
     let collector = Box::leak(Box::new(CollectingLedger {
@@ -72,7 +72,6 @@ fn ledger_lines_of_run(train: &Dataset, val: &Dataset, parallelism: usize) -> Ve
 
 fn run_search_strategy(train: &Dataset, val: &Dataset, parallelism: usize) {
     aml_automl::search::run_search(
-        aml_automl::SearchStrategy::SuccessiveHalving,
         12,
         &ModelFamily::ALL,
         train,

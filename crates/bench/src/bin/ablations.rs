@@ -13,8 +13,8 @@ use aml_core::{run_strategy, AleFeedback, ExperimentConfig, InterpretationMethod
 use aml_dataset::split::split_into_k;
 use aml_dataset::Dataset;
 use aml_netsim::datagen::{label_rows, SamplingMode};
-use aml_netsim::runner::winner_index;
-use aml_netsim::sim::{QueueKind, SimConfig, Simulation};
+use aml_netsim::runner::{protocol_seed, run_config, winner_index};
+use aml_netsim::sim::{QueueKind, SimConfig};
 use aml_netsim::{CcKind, ConditionDomain, NetworkCondition};
 use aml_telemetry::json::{ToJson, Value};
 use aml_telemetry::report;
@@ -208,18 +208,9 @@ fn queue_discipline_ablation(opts: &aml_bench::RunOpts) {
             .iter()
             .enumerate()
             .map(|(i, &proto)| {
-                let mut cfg =
-                    SimConfig::for_condition(c, proto, opts.seed ^ ((i as u64 + 1) * 0x9E37));
+                let mut cfg = SimConfig::for_condition(c, proto, protocol_seed(opts.seed, i));
                 cfg.queue_kind = kind;
-                let out = Simulation::new(cfg).expect("config").run().expect("run");
-                aml_netsim::runner::ProtocolResult {
-                    protocol: proto,
-                    throughput_mbps: out.total_throughput_mbps,
-                    mean_delay_ms: out.mean_delay_ms,
-                    p95_delay_ms: out.p95_delay_ms,
-                    qualifies: out.total_throughput_mbps
-                        >= aml_netsim::runner::MIN_USEFUL_FRACTION * c.link_rate_mbps,
-                }
+                run_config(cfg).expect("run")
             })
             .collect();
         results[winner_index(&results)].protocol.name()

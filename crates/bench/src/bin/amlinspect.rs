@@ -6,8 +6,8 @@
 //!   served live at `/crit`) — longest dependency chain, per-phase
 //!   serial fraction / Amdahl speedup ceiling, per-scenario datagen costs;
 //! - `search`: hyperparameter-search reports (declared-space coverage,
-//!   successive-halving rung funnels, fANOVA-lite importance),
-//!   recomputed from any `ledger.jsonl`;
+//!   fit outcomes, fANOVA-lite importance), recomputed from any
+//!   `ledger.jsonl`;
 //! - `quality`: model/data-quality reports (dataset profiles, PSI drift,
 //!   confusion matrix, reliability/ECE calibration), recomputed from any
 //!   `ledger.jsonl`.

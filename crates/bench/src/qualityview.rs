@@ -132,7 +132,7 @@ mod tests {
 
     fn sample_ledger() -> String {
         let mut out = String::from(
-            "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n",
+            "{\"type\":\"ledger\",\"schema_version\":2,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n",
         );
         for e in sample_events() {
             out.push_str(&e.to_json_line());
@@ -158,7 +158,7 @@ mod tests {
         let report = report_from_events(sample_events().iter(), 0);
         assert!(parse_quality_ledger(&report.render_json()).is_err());
         assert!(parse_quality_ledger("{\"active\":false}\n").is_err());
-        let future = sample_ledger().replace("\"schema_version\":1", "\"schema_version\":999");
+        let future = sample_ledger().replace("\"schema_version\":2", "\"schema_version\":999");
         let err = parse_quality_ledger(&future).unwrap_err();
         assert!(err.contains("schema_version 999"), "{err}");
         assert!(parse_quality_ledger("").is_err());

@@ -1,5 +1,5 @@
 //! Read-side of search telemetry: re-derive the search-observability
-//! report (coverage, rung funnels, fANOVA-lite importance) from a
+//! report (coverage, fANOVA-lite importance) from a
 //! `ledger.jsonl`, and diff two reports for `amlinspect search
 //! --compare`.
 //!
@@ -52,13 +52,6 @@ pub fn render_compare(a: &SearchReport, b: &SearchReport) -> String {
         a.failed as f64,
         b.failed as f64,
         "",
-    );
-    let _ = writeln!(
-        out,
-        "  {:<24} {:>10} -> {:>10}",
-        "rungs",
-        a.rungs.len(),
-        b.rungs.len()
     );
     for fa in &a.families {
         let Some(fb) = b.families.iter().find(|f| f.family == fa.family) else {
@@ -136,7 +129,6 @@ mod tests {
 
     fn rec(
         trial: u64,
-        rung: u64,
         k: i64,
         weights: &str,
         score: Option<f64>,
@@ -144,7 +136,6 @@ mod tests {
     ) -> TrialRec {
         TrialRec {
             trial,
-            rung,
             family: "knn".into(),
             params: vec![
                 ("k".into(), ParamValue::Int(k)),
@@ -157,18 +148,18 @@ mod tests {
 
     fn fixture() -> Vec<TrialRec> {
         vec![
-            rec(0, 0, 1, "uniform", Some(0.9), None),
-            rec(1, 0, 2, "distance", Some(0.85), None),
-            rec(2, 0, 7, "uniform", Some(0.5), None),
-            rec(3, 0, 8, "distance", None, Some("error")),
-            rec(0, 1, 1, "uniform", Some(0.92), None),
-            rec(1, 1, 2, "distance", Some(0.87), None),
+            rec(0, 1, "uniform", Some(0.9), None),
+            rec(1, 2, "distance", Some(0.85), None),
+            rec(2, 7, "uniform", Some(0.5), None),
+            rec(3, 8, "distance", None, Some("error")),
+            rec(0, 1, "uniform", Some(0.94), None),
+            rec(1, 2, "distance", Some(0.89), None),
         ]
     }
 
     fn sample_ledger() -> String {
         let mut out = String::from(
-            "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n\
+            "{\"type\":\"ledger\",\"schema_version\":2,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n\
              {\"type\":\"search_space\",\"families\":[{\"family\":\"knn\",\"dims\":[\
              {\"name\":\"k\",\"kind\":\"int\",\"scale\":\"linear\",\"lo\":1,\"hi\":8,\"choices\":[]},\
              {\"name\":\"weights\",\"kind\":\"cat\",\"scale\":\"linear\",\"lo\":0,\"hi\":0,\
@@ -181,22 +172,22 @@ mod tests {
             };
             let _ = writeln!(
                 out,
-                "{{\"type\":\"trial_started\",\"trial\":{},\"rung\":{},\"family\":\"knn\",\
+                "{{\"type\":\"trial_started\",\"trial\":{},\"family\":\"knn\",\
                  \"config\":\"KnnConfig\",\"params\":{{\"k\":{k},\"weights\":\"{w}\"}}}}",
-                r.trial, r.rung
+                r.trial
             );
             if let Some(score) = r.score {
                 let _ = writeln!(
                     out,
-                    "{{\"type\":\"trial_finished\",\"trial\":{},\"rung\":{},\"family\":\"knn\",\"score\":{score}}}",
-                    r.trial, r.rung
+                    "{{\"type\":\"trial_finished\",\"trial\":{},\"family\":\"knn\",\"score\":{score}}}",
+                    r.trial
                 );
             }
             if let Some(reason) = &r.failed {
                 let _ = writeln!(
                     out,
-                    "{{\"type\":\"trial_failed\",\"trial\":{},\"rung\":{},\"family\":\"knn\",\"reason\":\"{reason}\"}}",
-                    r.trial, r.rung
+                    "{{\"type\":\"trial_failed\",\"trial\":{},\"family\":\"knn\",\"reason\":\"{reason}\"}}",
+                    r.trial
                 );
             }
         }
@@ -228,7 +219,7 @@ mod tests {
         text.push_str("{\"type\":\"mystery_event\",\"x\":1}\n");
         // A pre-params trial_started line still counts as a fit.
         text.push_str(
-            "{\"type\":\"trial_started\",\"trial\":9,\"rung\":0,\"family\":\"knn\",\"config\":\"c\"}\n",
+            "{\"type\":\"trial_started\",\"trial\":9,\"family\":\"knn\",\"config\":\"c\"}\n",
         );
         let report = parse_search_ledger(&text).unwrap();
         assert_eq!(report.started, 7);
@@ -238,11 +229,11 @@ mod tests {
     fn parser_rejects_foreign_and_future_documents() {
         assert!(parse_search_ledger("").is_err());
         assert!(parse_search_ledger("{\"type\":\"events\"}").is_err());
-        let bumped = sample_ledger().replace("\"schema_version\":1", "\"schema_version\":99");
+        let bumped = sample_ledger().replace("\"schema_version\":2", "\"schema_version\":99");
         let err = parse_search_ledger(&bumped).unwrap_err();
         assert!(err.contains("schema_version 99"), "{err}");
         let err = parse_search_ledger(
-            "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n{oops",
+            "{\"type\":\"ledger\",\"schema_version\":2,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n{oops",
         )
         .unwrap_err();
         assert!(err.contains("line 2"), "{err}");

@@ -32,7 +32,6 @@ fn ledger(shift: f64) -> String {
     for (trial, k, score) in [(0u64, 1i64, Some(0.9)), (1, 4, Some(0.7)), (2, 8, None)] {
         events.push(LedgerEvent::TrialStarted {
             trial,
-            rung: 0,
             family: "knn".into(),
             config: "KnnConfig".into(),
             params: vec![("k".into(), ParamValue::Int(k))],
@@ -40,13 +39,11 @@ fn ledger(shift: f64) -> String {
         events.push(match score {
             Some(score) => LedgerEvent::TrialFinished {
                 trial,
-                rung: 0,
                 family: "knn".into(),
                 score: score * shift,
             },
             None => LedgerEvent::TrialFailed {
                 trial,
-                rung: 0,
                 family: "knn".into(),
                 reason: "error".into(),
             },
@@ -75,7 +72,7 @@ fn ledger(shift: f64) -> String {
         });
     }
     let mut text = String::from(
-        "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n",
+        "{\"type\":\"ledger\",\"schema_version\":2,\"run_id\":\"r\",\"workload\":\"w\",\"seed\":1,\"git\":\"g\"}\n",
     );
     for event in &events {
         text.push_str(&event.to_json_line());

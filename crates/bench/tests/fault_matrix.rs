@@ -76,16 +76,7 @@ fn search_under_plan(plan: &str, limits: &SearchLimits) -> Vec<String> {
     }));
     sink::install(Box::new(Fwd(collector)));
     aml_faults::install(aml_faults::FaultPlan::parse(plan).unwrap());
-    let result = aml_automl::search::run_search(
-        aml_automl::SearchStrategy::SuccessiveHalving,
-        8,
-        &ModelFamily::ALL,
-        &train,
-        &val,
-        7,
-        2,
-        limits,
-    );
+    let result = aml_automl::search::run_search(8, &ModelFamily::ALL, &train, &val, 7, 2, limits);
     aml_faults::clear();
     sink::finish(&Snapshot::default());
     assert!(
@@ -152,7 +143,6 @@ fn min_trials_floor_is_a_typed_error_not_a_degraded_ensemble() {
     let (train, val) = splits();
     aml_faults::clear();
     let result = aml_automl::search::run_search(
-        aml_automl::SearchStrategy::SuccessiveHalving,
         4,
         &ModelFamily::ALL,
         &train,

@@ -16,7 +16,7 @@ use aml_telemetry::{
 #[test]
 fn schema_version_is_pinned() {
     assert_eq!(
-        LEDGER_SCHEMA_VERSION, 1,
+        LEDGER_SCHEMA_VERSION, 2,
         "bumping the ledger schema version requires updating this golden test \
          and the ledger reader (`ledger::read`) together"
     );
@@ -28,7 +28,6 @@ fn every_event_line_shape_is_pinned() {
         (
             LedgerEvent::TrialStarted {
                 trial: 4,
-                rung: 1,
                 family: "forest".into(),
                 config: "ForestConfig { trees: 8 }".into(),
                 params: vec![
@@ -37,19 +36,18 @@ fn every_event_line_shape_is_pinned() {
                     ("criterion".into(), ParamValue::Cat("gini".into())),
                 ],
             },
-            r#"{"type":"trial_started","trial":4,"rung":1,"family":"forest","config":"ForestConfig { trees: 8 }","params":{"trees":8,"lr":0.125,"criterion":"gini"}}"#,
+            r#"{"type":"trial_started","trial":4,"family":"forest","config":"ForestConfig { trees: 8 }","params":{"trees":8,"lr":0.125,"criterion":"gini"}}"#,
         ),
         (
             // An empty params map still renders the object, so schema-v1
             // consumers see a stable trailing field.
             LedgerEvent::TrialStarted {
                 trial: 5,
-                rung: 0,
                 family: "nb".into(),
                 config: "NbConfig".into(),
                 params: vec![],
             },
-            r#"{"type":"trial_started","trial":5,"rung":0,"family":"nb","config":"NbConfig","params":{}}"#,
+            r#"{"type":"trial_started","trial":5,"family":"nb","config":"NbConfig","params":{}}"#,
         ),
         (
             LedgerEvent::SearchSpace {
@@ -80,20 +78,18 @@ fn every_event_line_shape_is_pinned() {
         (
             LedgerEvent::TrialFinished {
                 trial: 4,
-                rung: 1,
                 family: "forest".into(),
                 score: 0.875,
             },
-            r#"{"type":"trial_finished","trial":4,"rung":1,"family":"forest","score":0.875}"#,
+            r#"{"type":"trial_finished","trial":4,"family":"forest","score":0.875}"#,
         ),
         (
             LedgerEvent::TrialFailed {
                 trial: 9,
-                rung: 0,
                 family: "mlp".into(),
                 reason: "timeout".into(),
             },
-            r#"{"type":"trial_failed","trial":9,"rung":0,"family":"mlp","reason":"timeout"}"#,
+            r#"{"type":"trial_failed","trial":9,"family":"mlp","reason":"timeout"}"#,
         ),
         (
             LedgerEvent::EnsembleSelected {
@@ -159,14 +155,13 @@ fn every_event_line_shape_is_pinned() {
     // Non-finite floats are encoded as null, never NaN/inf tokens.
     let line = LedgerEvent::TrialFinished {
         trial: 0,
-        rung: 0,
         family: "mlp".into(),
         score: f64::INFINITY,
     }
     .to_json_line();
     assert_eq!(
         line,
-        r#"{"type":"trial_finished","trial":0,"rung":0,"family":"mlp","score":null}"#
+        r#"{"type":"trial_finished","trial":0,"family":"mlp","score":null}"#
     );
 }
 
@@ -199,20 +194,17 @@ fn ledger_file_round_trips_through_the_ledger_reader() {
     });
     sink.on_ledger_event(&LedgerEvent::TrialStarted {
         trial: 0,
-        rung: 0,
         family: "forest".into(),
         config: "ForestConfig { trees: 8 }".into(),
         params: vec![("trees".into(), ParamValue::Int(8))],
     });
     sink.on_ledger_event(&LedgerEvent::TrialFinished {
         trial: 0,
-        rung: 0,
         family: "forest".into(),
         score: 0.875,
     });
     sink.on_ledger_event(&LedgerEvent::TrialFailed {
         trial: 1,
-        rung: 0,
         family: "mlp".into(),
         reason: "error".into(),
     });
@@ -259,7 +251,7 @@ fn ledger_file_round_trips_through_the_ledger_reader() {
     // Pin the header shape too.
     assert!(
         text.starts_with(
-            "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"table1_scream-s11-p2\",\
+            "{\"type\":\"ledger\",\"schema_version\":2,\"run_id\":\"table1_scream-s11-p2\",\
              \"workload\":\"table1_scream\",\"seed\":11,\"git\":\"abc1234\"}\n"
         ),
         "header drifted: {}",

@@ -263,7 +263,6 @@ fn runs_tail_param_limits_and_clamps() {
     for trial in 0..10 {
         ledger::emit_with(|| LedgerEvent::TrialFinished {
             trial,
-            rung: 0,
             family: "forest".into(),
             score: 0.5,
         });
@@ -308,13 +307,11 @@ fn record_flag_appends_a_parsable_history_line_end_to_end() {
     // A small run: one finished trial, one failure, one feedback round.
     ledger::emit_with(|| LedgerEvent::TrialFinished {
         trial: 0,
-        rung: 0,
         family: "forest".into(),
         score: 0.9,
     });
     ledger::emit_with(|| LedgerEvent::TrialFailed {
         trial: 1,
-        rung: 0,
         family: "mlp".into(),
         reason: "error".into(),
     });

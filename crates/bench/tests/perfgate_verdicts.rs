@@ -92,7 +92,7 @@ fn fixtures() -> PathBuf {
     write(
         "ledger.jsonl",
         [
-            r#"{"type":"ledger","schema_version":1,"run_id":"table1_scream-s11-p1","workload":"table1_scream","seed":11,"git":"abc1234"}"#,
+            r#"{"type":"ledger","schema_version":2,"run_id":"table1_scream-s11-p1","workload":"table1_scream","seed":11,"git":"abc1234"}"#,
             r#"{"type":"model_diagnostics","round":0,"strategy":"Within-ALE","rows":8,"classes":["a","b"],"confusion":[[3,0],[2,3]],"brier":0.2,"bin_count":[0,0,0,0,0,0,0,0,8,0],"bin_conf_sum":[0,0,0,0,0,0,0,0,6.8,0],"bin_hit":[0,0,0,0,0,0,0,0,6,0],"ale_band_width":0.1}"#,
             r#"{"type":"round_completed","round":0,"strategy":"Within-ALE","acc_mean":0.75,"acc_min":0.75,"acc_max":0.75,"points_added":8,"regions":1,"ale_std_mean":0.05,"ale_std_max":0.1}"#,
             "",

@@ -44,14 +44,12 @@ pub enum AleMode {
 /// How the variance threshold 𝒯 is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdRule {
-    /// The paper's default: "the median of the standard deviation across
-    /// features" — we take the median over all (feature, grid-point) std
-    /// values.
-    MedianStd,
     /// A fixed user-supplied 𝒯 (the paper's §4 quotes 0.02 and 0.01).
     Fixed(f64),
     /// 𝒯 = the q-th quantile of all (feature, grid-point) std values.
-    /// `QuantileStd(0.5)` equals [`ThresholdRule::MedianStd`]; higher
+    /// `QuantileStd(0.5)` is the paper's default, "the median of the
+    /// standard deviation across features", taken over all (feature,
+    /// grid-point) std values; higher
     /// quantiles focus the suggested subspace on the most confusing
     /// regions — useful when the committee is small and its std landscape
     /// flat (the paper's budget discussion: "when the sampling budget is
@@ -85,7 +83,7 @@ impl Default for AleFeedback {
         AleFeedback {
             mode: AleMode::Within,
             n_intervals: 24,
-            threshold: ThresholdRule::MedianStd,
+            threshold: ThresholdRule::QuantileStd(0.5),
             target_class: 1,
             method: InterpretationMethod::Ale,
         }
@@ -194,7 +192,6 @@ impl AleFeedback {
                 }
                 vec![t; bands.len()]
             }
-            ThresholdRule::MedianStd => vec![quantile_std(&bands, 0.5)?; bands.len()],
             ThresholdRule::QuantileStd(q) => {
                 if !(0.0..=1.0).contains(&q) {
                     return Err(CoreError::InvalidParameter(format!(
@@ -401,7 +398,6 @@ impl AleFeedback {
             analysis.bands.first().map_or(0, |b| b.n_models),
             analysis.threshold,
             match self.threshold {
-                ThresholdRule::MedianStd => "median of ALE std values",
                 ThresholdRule::Fixed(_) => "fixed",
                 ThresholdRule::QuantileStd(_) => "quantile of ALE std values",
                 ThresholdRule::PerFeatureQuantile(_) => "per-feature quantile of ALE std",
@@ -481,9 +477,9 @@ mod tests {
 
     #[test]
     fn median_threshold_flags_roughly_half_the_grid() {
-        // With MedianStd, by construction about half of all grid points are
-        // above 𝒯 (ties aside), so something is always flagged on noisy
-        // problems.
+        // With the median (`QuantileStd(0.5)`), by construction about half
+        // of all grid points are above 𝒯 (ties aside), so something is
+        // always flagged on noisy problems.
         let ds = synth::noisy_xor(300, 0.15, 5).unwrap();
         let run = quick_automl(4, &ds);
         let fb = AleFeedback::default();

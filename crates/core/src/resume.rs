@@ -298,7 +298,6 @@ mod tests {
     fn trial(trial: u64) -> LedgerEvent {
         LedgerEvent::TrialFailed {
             trial,
-            rung: 0,
             family: "mlp".into(),
             reason: "error".into(),
         }
@@ -387,9 +386,19 @@ mod tests {
         assert!(err.to_string().contains("`scores`"), "{err}");
         let err = committed_prefix(b"not a ledger\n").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
-        let bumped = ledger(&[]).replace("\"schema_version\":1", "\"schema_version\":99");
-        let err = committed_prefix(bumped.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("schema_version 99"), "{err}");
+        // A ledger of any other schema version, v1 included, is refused.
+        for version in [1, 99] {
+            let other = ledger(&[]).replace(
+                "\"schema_version\":2",
+                &format!("\"schema_version\":{version}"),
+            );
+            let err = committed_prefix(other.as_bytes()).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("schema_version {version}")),
+                "{err}"
+            );
+        }
     }
 
     fn scratch(name: &str) -> std::path::PathBuf {
@@ -500,7 +509,6 @@ mod prop_tests {
                 for t in 0..(seed as usize + r) % 3 {
                     let event = LedgerEvent::TrialFailed {
                         trial: (r * 3 + t) as u64,
-                        rung: 0,
                         family: "mlp".into(),
                         reason: "error".into(),
                     };

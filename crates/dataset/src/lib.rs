@@ -28,7 +28,7 @@ pub mod synth;
 
 pub use dataset::Dataset;
 pub use feature::{FeatureDomain, FeatureMeta};
-pub use split::{train_test_split, KFold};
+pub use split::train_test_split;
 
 /// Errors produced by dataset manipulation.
 #[derive(Debug, Clone, PartialEq)]

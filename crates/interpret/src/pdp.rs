@@ -1,9 +1,8 @@
-//! Partial dependence (PDP) and Individual Conditional Expectation (ICE)
-//! curves.
+//! Partial dependence (PDP) curves.
 //!
 //! The paper's algorithm uses ALE, but §3 notes that "other model-agnostic
-//! interpretation methods" slot into the same framework. PDP/ICE are the
-//! obvious alternatives, and the ablation benches compare PDP-variance
+//! interpretation methods" slot into the same framework. PDP is the
+//! obvious alternative, and the ablation benches compare PDP-variance
 //! feedback against ALE-variance feedback.
 
 use crate::ale::{AleConfig, BATCH_ROWS};
@@ -22,17 +21,6 @@ pub struct PdpCurve {
     pub grid: Vec<f64>,
     /// `mean_i f(z, x_{-j}(i))` at each grid point.
     pub values: Vec<f64>,
-}
-
-/// ICE curves: one response line per data row (PDP is their mean).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IceCurves {
-    /// Explained feature.
-    pub feature: usize,
-    /// Grid points.
-    pub grid: Vec<f64>,
-    /// `lines[row][grid_point]`.
-    pub lines: Vec<Vec<f64>>,
 }
 
 fn validate(
@@ -105,48 +93,10 @@ pub fn pdp_curve(
     })
 }
 
-/// Compute ICE curves of `model` for `feature` over (up to `max_lines` rows
-/// of) `data`. Rows beyond `max_lines` are skipped deterministically by
-/// stride so the sample spans the dataset.
-pub fn ice_curves(
-    model: &dyn Classifier,
-    data: &Dataset,
-    feature: usize,
-    grid: &Grid,
-    config: &AleConfig,
-    max_lines: usize,
-) -> Result<IceCurves> {
-    validate(model, data, feature, config)?;
-    if max_lines == 0 {
-        return Err(InterpretError::InvalidParameter(
-            "max_lines must be >= 1".into(),
-        ));
-    }
-    let stride = (data.n_rows() / max_lines).max(1);
-    let mut lines = Vec::new();
-    let mut row_buf = vec![0.0; data.n_features()];
-    for i in (0..data.n_rows()).step_by(stride).take(max_lines) {
-        let mut line = Vec::with_capacity(grid.points().len());
-        for &z in grid.points() {
-            row_buf.copy_from_slice(data.row(i));
-            row_buf[feature] = z;
-            line.push(model.predict_proba_row(&row_buf)?[config.target_class]);
-        }
-        lines.push(line);
-    }
-    Ok(IceCurves {
-        feature,
-        grid: grid.points().to_vec(),
-        lines,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aml_dataset::synth;
-    use aml_models::tree::TreeParams;
-    use aml_models::DecisionTree;
 
     struct LinearInX0;
     impl Classifier for LinearInX0 {
@@ -179,34 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn ice_mean_equals_pdp() {
-        let ds = synth::two_moons(100, 0.2, 2).unwrap();
-        let tree = DecisionTree::fit(&ds, TreeParams::default()).unwrap();
-        let grid = Grid::quantile(&ds.column(0).unwrap(), 6).unwrap();
-        let cfg = AleConfig::default();
-        let pdp = pdp_curve(&tree, &ds, 0, &grid, &cfg).unwrap();
-        let ice = ice_curves(&tree, &ds, 0, &grid, &cfg, usize::MAX).unwrap();
-        assert_eq!(ice.lines.len(), ds.n_rows());
-        for (g, &pv) in pdp.values.iter().enumerate() {
-            let mean: f64 = ice.lines.iter().map(|l| l[g]).sum::<f64>() / ice.lines.len() as f64;
-            assert!((mean - pv).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ice_respects_max_lines() {
-        let ds = synth::two_moons(100, 0.2, 3).unwrap();
-        let grid = Grid::quantile(&ds.column(0).unwrap(), 4).unwrap();
-        let ice = ice_curves(&LinearInX0, &ds, 0, &grid, &AleConfig::default(), 10).unwrap();
-        assert!(ice.lines.len() <= 10);
-        assert!(!ice.lines.is_empty());
-    }
-
-    #[test]
     fn bad_inputs_rejected() {
         let ds = synth::two_moons(50, 0.2, 4).unwrap();
         let grid = Grid::quantile(&ds.column(0).unwrap(), 4).unwrap();
         assert!(pdp_curve(&LinearInX0, &ds, 9, &grid, &AleConfig::default()).is_err());
-        assert!(ice_curves(&LinearInX0, &ds, 0, &grid, &AleConfig::default(), 0).is_err());
     }
 }

@@ -158,25 +158,10 @@ pub fn pdp_band_on_grid(
     Ok(band_from_curves(data, feature, grid, &curves))
 }
 
-/// Compute bands for **every** feature of `data` (the paper's algorithm
-/// iterates over the whole feature set X).
-pub fn ale_bands_all_features(
-    models: &[&dyn Classifier],
-    data: &Dataset,
-    n_intervals: usize,
-    config: &AleConfig,
-) -> Result<Vec<AleBand>> {
-    (0..data.n_features())
-        .map(|f| ale_band(models, data, f, n_intervals, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use aml_dataset::synth;
-    use aml_models::tree::TreeParams;
-    use aml_models::DecisionTree;
 
     /// Fixed-probability stub classifiers with controllable disagreement.
     struct Constant(f64);
@@ -249,36 +234,6 @@ mod tests {
         let b = Slope(-1.0); // clamped at 0 ⇒ flat; strongly disagrees
         let band = ale_band(&[&a, &b], &ds, 0, 8, &AleConfig::default()).unwrap();
         assert!(band.max_std() > 0.05, "max std {}", band.max_std());
-    }
-
-    #[test]
-    fn bands_for_all_features_cover_every_column() {
-        let ds = synth::gaussian_blobs(120, 3, 2, 1.0, 4).unwrap();
-        let t1 = DecisionTree::fit(
-            &ds,
-            TreeParams {
-                seed: 1,
-                max_features: Some(2),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let t2 = DecisionTree::fit(
-            &ds,
-            TreeParams {
-                seed: 2,
-                max_features: Some(2),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let bands = ale_bands_all_features(&[&t1, &t2], &ds, 8, &AleConfig::default()).unwrap();
-        assert_eq!(bands.len(), 3);
-        for (f, b) in bands.iter().enumerate() {
-            assert_eq!(b.feature, f);
-            assert_eq!(b.mean.len(), b.grid.len());
-            assert_eq!(b.std.len(), b.grid.len());
-        }
     }
 
     #[test]

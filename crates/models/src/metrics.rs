@@ -2,9 +2,8 @@
 //!
 //! The paper's headline metric is **balanced accuracy** — "we use this
 //! metric to avoid biases due to label imbalance" — i.e. the unweighted mean
-//! of per-class recalls. We also provide plain accuracy, confusion matrices,
-//! macro precision/recall/F1, log-loss and the Brier score (the latter two
-//! are used as AutoML validation objectives and in ablations).
+//! of per-class recalls. We also provide plain accuracy, confusion matrices
+//! and log-loss.
 
 use crate::{ModelError, Result};
 
@@ -58,76 +57,6 @@ pub fn confusion_matrix(
     Ok(cm)
 }
 
-/// Per-class precision, recall and F1 plus macro averages.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PrecisionRecall {
-    /// Precision per class (0 when the class was never predicted).
-    pub precision: Vec<f64>,
-    /// Recall per class (0 when the class has no support).
-    pub recall: Vec<f64>,
-    /// F1 per class.
-    pub f1: Vec<f64>,
-    /// Unweighted mean precision over classes with support.
-    pub macro_precision: f64,
-    /// Unweighted mean recall over classes with support.
-    pub macro_recall: f64,
-    /// Unweighted mean F1 over classes with support.
-    pub macro_f1: f64,
-}
-
-/// Compute precision/recall/F1 from predictions.
-pub fn precision_recall_f1(
-    y_true: &[usize],
-    y_pred: &[usize],
-    n_classes: usize,
-) -> Result<PrecisionRecall> {
-    let cm = confusion_matrix(y_true, y_pred, n_classes)?;
-    let mut precision = vec![0.0; n_classes];
-    let mut recall = vec![0.0; n_classes];
-    let mut f1 = vec![0.0; n_classes];
-    let mut macro_p = 0.0;
-    let mut macro_r = 0.0;
-    let mut macro_f = 0.0;
-    let mut present = 0usize;
-    for c in 0..n_classes {
-        let tp = cm[c][c] as f64;
-        let support: usize = cm[c].iter().sum();
-        let predicted: usize = (0..n_classes).map(|t| cm[t][c]).sum();
-        precision[c] = if predicted > 0 {
-            tp / predicted as f64
-        } else {
-            0.0
-        };
-        recall[c] = if support > 0 {
-            tp / support as f64
-        } else {
-            0.0
-        };
-        f1[c] = if precision[c] + recall[c] > 0.0 {
-            2.0 * precision[c] * recall[c] / (precision[c] + recall[c])
-        } else {
-            0.0
-        };
-        if support > 0 {
-            macro_p += precision[c];
-            macro_r += recall[c];
-            macro_f += f1[c];
-            present += 1;
-        }
-    }
-    if present == 0 {
-        return Err(ModelError::EmptyTrainingSet);
-    }
-    Ok(PrecisionRecall {
-        precision,
-        recall,
-        f1,
-        macro_precision: macro_p / present as f64,
-        macro_recall: macro_r / present as f64,
-        macro_f1: macro_f / present as f64,
-    })
-}
-
 /// Multiclass logarithmic loss, probabilities clipped to `[1e-15, 1-1e-15]`.
 pub fn log_loss(y_true: &[usize], proba: &[Vec<f64>]) -> Result<f64> {
     if y_true.len() != proba.len() {
@@ -148,28 +77,6 @@ pub fn log_loss(y_true: &[usize], proba: &[Vec<f64>]) -> Result<f64> {
             )));
         }
         total -= p[t].clamp(1e-15, 1.0 - 1e-15).ln();
-    }
-    Ok(total / y_true.len() as f64)
-}
-
-/// Multiclass Brier score: mean squared distance between the probability
-/// vector and the one-hot truth.
-pub fn brier_score(y_true: &[usize], proba: &[Vec<f64>]) -> Result<f64> {
-    if y_true.len() != proba.len() {
-        return Err(ModelError::DimensionMismatch {
-            expected: y_true.len(),
-            got: proba.len(),
-        });
-    }
-    if y_true.is_empty() {
-        return Err(ModelError::EmptyTrainingSet);
-    }
-    let mut total = 0.0;
-    for (&t, p) in y_true.iter().zip(proba) {
-        for (c, &pc) in p.iter().enumerate() {
-            let target = if c == t { 1.0 } else { 0.0 };
-            total += (pc - target) * (pc - target);
-        }
     }
     Ok(total / y_true.len() as f64)
 }
@@ -226,16 +133,6 @@ mod tests {
         let y = [0, 1, 2, 1, 0];
         assert_eq!(accuracy(&y, &y).unwrap(), 1.0);
         assert_eq!(balanced_accuracy(&y, &y, 3).unwrap(), 1.0);
-        let pr = precision_recall_f1(&y, &y, 3).unwrap();
-        assert_eq!(pr.macro_f1, 1.0);
-    }
-
-    #[test]
-    fn f1_handles_never_predicted_class() {
-        let pr = precision_recall_f1(&[0, 1], &[0, 0], 2).unwrap();
-        assert_eq!(pr.precision[1], 0.0);
-        assert_eq!(pr.recall[1], 0.0);
-        assert_eq!(pr.f1[1], 0.0);
     }
 
     #[test]
@@ -244,14 +141,6 @@ mod tests {
         assert!(l < 0.02);
         let bad = log_loss(&[0], &[vec![0.0, 1.0]]).unwrap();
         assert!(bad > 30.0, "clipped log loss is large but finite: {bad}");
-    }
-
-    #[test]
-    fn brier_score_bounds() {
-        let perfect = brier_score(&[0], &[vec![1.0, 0.0]]).unwrap();
-        assert_eq!(perfect, 0.0);
-        let worst = brier_score(&[0], &[vec![0.0, 1.0]]).unwrap();
-        assert_eq!(worst, 2.0);
     }
 
     #[test]
@@ -284,37 +173,8 @@ mod tests {
             Err(ModelError::EmptyTrainingSet)
         ));
         assert!(matches!(
-            precision_recall_f1(&[], &[], 2),
-            Err(ModelError::EmptyTrainingSet)
-        ));
-        assert!(matches!(
-            brier_score(&[], &[]),
-            Err(ModelError::EmptyTrainingSet)
-        ));
-        assert!(matches!(
             log_loss(&[], &[]),
             Err(ModelError::EmptyTrainingSet)
         ));
-    }
-
-    #[test]
-    fn absent_class_yields_finite_zeros_and_is_excluded_from_macros() {
-        // Class 2 is declared but absent from eval and never predicted:
-        // its per-class values are exactly 0 (not NaN from 0/0), and the
-        // macro averages only span the present classes.
-        let pr = precision_recall_f1(&[0, 0, 1, 1], &[0, 1, 1, 1], 3).unwrap();
-        assert_eq!(pr.precision[2], 0.0);
-        assert_eq!(pr.recall[2], 0.0);
-        assert_eq!(pr.f1[2], 0.0);
-        assert!(pr.precision.iter().all(|v| v.is_finite()));
-        assert!(pr.recall.iter().all(|v| v.is_finite()));
-        assert!(pr.f1.iter().all(|v| v.is_finite()));
-        assert!(pr.macro_precision.is_finite() && pr.macro_precision > 0.0);
-        assert!(pr.macro_f1.is_finite() && pr.macro_f1 > 0.0);
-        // All declared classes absent (only out-of-range impossible, so:
-        // predictions exist but every class row is empty) cannot happen
-        // with paired inputs; the present == 0 guard still errs rather
-        // than dividing by zero when n_classes is 0.
-        assert!(precision_recall_f1(&[0], &[0], 0).is_err());
     }
 }

@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn pipeline_reports_inner_name() {
         let ds = synth::two_moons(50, 0.2, 3).unwrap();
-        let piped = Pipeline::fit_with(&ds, ScalerKind::MinMax, |d| {
+        let piped = Pipeline::fit_with(&ds, ScalerKind::Standard, |d| {
             Ok(Arc::new(
                 KNearestNeighbors::fit(d, KnnParams::default()).unwrap(),
             ))

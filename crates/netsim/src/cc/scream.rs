@@ -5,7 +5,7 @@
 //! serialization times at the current delivery rate, i.e. barely more than
 //! one packet standing in the bottleneck queue. That makes it the
 //! lowest-latency protocol in the suite (tighter than Vegas's 2–4 packets
-//! or Copa's ~2), at the price of classic loss-halving: under random loss
+//! or Copa's ~2), at the price of classic loss backoff: under random loss
 //! its throughput collapses. "Great latency on clean paths, fragile under
 //! loss" is exactly the trade-off the paper's "Scream vs rest" problem
 //! asks the model to learn.
@@ -39,7 +39,7 @@ pub struct Scream {
     recovery_until: SimTime,
     /// Slow-start-like ramp flag: cleared permanently by the first
     /// congestion signal (overshoot, loss or timeout). Without this a
-    /// lossy path lets Scream re-double every RTT between halvings,
+    /// lossy path lets Scream re-double every RTT between backoffs,
     /// making it implausibly loss-resilient.
     in_ramp: bool,
     srtt: Duration,

@@ -70,7 +70,7 @@ pub mod sim;
 pub mod time;
 
 pub use cc::{CcKind, CongestionControl};
-pub use runner::{label_condition, run_protocol, ProtocolResult};
+pub use runner::{label_condition, ProtocolResult};
 pub use scenario::{ConditionDomain, NetworkCondition};
 pub use sim::{FlowStats, SimConfig, Simulation};
 pub use time::{Duration, SimTime};

@@ -87,6 +87,20 @@ pub struct ProtocolResult {
     pub qualifies: bool,
 }
 
+/// Run one simulation and judge its throughput against the label rule's
+/// [`MIN_USEFUL_FRACTION`] of the configured link.
+pub fn run_config(cfg: SimConfig) -> Result<ProtocolResult> {
+    let (protocol, link_rate_mbps) = (cfg.protocol, cfg.condition.link_rate_mbps);
+    let outcome: SimOutcome = Simulation::new(cfg)?.run()?;
+    Ok(ProtocolResult {
+        protocol,
+        throughput_mbps: outcome.total_throughput_mbps,
+        mean_delay_ms: outcome.mean_delay_ms,
+        p95_delay_ms: outcome.p95_delay_ms,
+        qualifies: outcome.total_throughput_mbps >= MIN_USEFUL_FRACTION * link_rate_mbps,
+    })
+}
+
 /// Run one protocol on one condition with an explicit buffer depth.
 pub fn run_protocol_with_queue(
     protocol: CcKind,
@@ -96,30 +110,13 @@ pub fn run_protocol_with_queue(
 ) -> Result<ProtocolResult> {
     let mut cfg = SimConfig::for_condition(condition, protocol, seed);
     cfg.queue_bdp_mult = queue_bdp_mult;
-    let outcome: SimOutcome = Simulation::new(cfg)?.run()?;
-    let qualifies = outcome.total_throughput_mbps >= MIN_USEFUL_FRACTION * condition.link_rate_mbps;
-    Ok(ProtocolResult {
-        protocol,
-        throughput_mbps: outcome.total_throughput_mbps,
-        mean_delay_ms: outcome.mean_delay_ms,
-        p95_delay_ms: outcome.p95_delay_ms,
-        qualifies,
-    })
-}
-
-/// Run one protocol on one condition (latent buffer drawn from `seed`).
-pub fn run_protocol(
-    protocol: CcKind,
-    condition: NetworkCondition,
-    seed: u64,
-) -> Result<ProtocolResult> {
-    run_protocol_with_queue(protocol, condition, latent_queue_mult(seed), seed)
+    run_config(cfg)
 }
 
 /// The seed of protocol `CcKind::ALL[index]` in measurement campaign
 /// `seed`: the loss pattern is the protocol's own, independent of which
 /// other protocols run.
-fn protocol_seed(seed: u64, index: usize) -> u64 {
+pub fn protocol_seed(seed: u64, index: usize) -> u64 {
     seed ^ ((index as u64 + 1) * 0x9E37)
 }
 
@@ -306,8 +303,8 @@ mod tests {
 
     #[test]
     fn scream_loses_heavy_loss_regime() {
-        // 5% random loss: Scream's loss-halving collapses its throughput
-        // below the qualification bar while BBR sails through.
+        // 5% random loss: Scream's halve-on-loss backoff collapses its
+        // throughput below the qualification bar while BBR sails through.
         let c = NetworkCondition {
             link_rate_mbps: 20.0,
             rtt_ms: 40.0,

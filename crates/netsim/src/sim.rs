@@ -584,7 +584,7 @@ mod tests {
 
     #[test]
     fn scream_collapses_under_heavy_random_loss() {
-        // At 5% random loss, loss-halving Scream should get much less
+        // At 5% random loss, halve-on-loss Scream should get much less
         // throughput than loss-blind BBR.
         let c = cond(20.0, 40.0, 0.05, 1);
         let scream = run(CcKind::Scream, c, 5);

@@ -3,8 +3,8 @@
 //! Statistical utilities used throughout the interpretable-AutoML
 //! reproduction: descriptive statistics, rank computations with midrank tie
 //! handling, the one-sided Wilcoxon signed-rank test used for every p-value
-//! the paper reports (Table 1 and §4.2), bootstrap confidence intervals, and
-//! helpers that format pairwise significance matrices.
+//! the paper reports (Table 1 and §4.2), and helpers that format pairwise
+//! significance matrices.
 //!
 //! Everything in this crate is implemented from scratch (the paper used
 //! `scipy.stats.wilcoxon`); the exact small-sample distribution is computed
@@ -24,16 +24,12 @@
 //! assert!(res.p_value < 0.05, "a is significantly worse than b");
 //! ```
 
-pub mod bootstrap;
 pub mod descriptive;
-pub mod effect;
 pub mod ranks;
 pub mod summary;
 pub mod wilcoxon;
 
-pub use bootstrap::{bootstrap_ci_mean, BootstrapCi};
 pub use descriptive::{mean, median, percentile, sample_std, sample_var, Summary};
-pub use effect::{cliffs_delta, CliffsDelta, EffectMagnitude};
 pub use ranks::{midranks, tie_correction};
 pub use summary::{PairwiseMatrix, SignificanceCell};
 pub use wilcoxon::{wilcoxon_signed_rank, Alternative, WilcoxonResult};

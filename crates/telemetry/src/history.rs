@@ -366,14 +366,12 @@ mod tests {
         let mut events: Vec<LedgerEvent> = (0..3)
             .map(|trial| LedgerEvent::TrialFinished {
                 trial,
-                rung: 0,
                 family: "forest".into(),
                 score: 0.8,
             })
             .collect();
         events.push(LedgerEvent::TrialFailed {
             trial: 3,
-            rung: 0,
             family: "mlp".into(),
             reason: "error".into(),
         });
@@ -437,7 +435,6 @@ mod tests {
         assert!(crate::ledger::active(), "arming raises the ledger gate");
         crate::ledger::emit(&LedgerEvent::TrialFailed {
             trial: 0,
-            rung: 0,
             family: "mlp".into(),
             reason: "error".into(),
         });

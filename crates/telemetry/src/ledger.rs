@@ -2,8 +2,8 @@
 //!
 //! Spans and counters (PRs 1–2) describe the *system* — where time and
 //! allocations go. The ledger describes the *experiment*: which candidate
-//! configurations the search tried and at which halving rung they were
-//! eliminated, what the final ensemble is composed of, how accuracy /
+//! configurations the search tried and how each scored, what the final
+//! ensemble is composed of, how accuracy /
 //! label budget / suggested regions evolved across feedback rounds, and
 //! the provenance of every ALE curve. One [`LedgerEvent`] per fact,
 //! serialized as one JSON line with a fixed field order
@@ -45,7 +45,7 @@ use std::sync::{Mutex, PoisonError};
 
 /// Version of the ledger line shapes; stamped into the file header and
 /// pinned by the `ledger_golden` test. Bump on breaking changes only.
-pub const LEDGER_SCHEMA_VERSION: u64 = 1;
+pub const LEDGER_SCHEMA_VERSION: u64 = 2;
 
 /// A typed hyperparameter value as sampled for one trial. Rendered into
 /// the `trial_started` line's trailing `params` object: `Int` as a bare
@@ -130,12 +130,10 @@ pub struct EnsembleMember {
 /// determinism contract (no wall time, no thread ids).
 #[derive(Debug, Clone, PartialEq)]
 pub enum LedgerEvent {
-    /// A candidate configuration enters training at a halving rung.
+    /// A candidate configuration enters training.
     TrialStarted {
         /// Stable trial id: the sequential sampling index of the config.
         trial: u64,
-        /// Successive-halving rung (0 = first, smallest data fraction).
-        rung: u64,
         /// Model family name.
         family: String,
         /// Human-readable hyperparameter dump of the configuration.
@@ -146,25 +144,21 @@ pub enum LedgerEvent {
         /// `search_space` event for range/scale context.
         params: Vec<(String, ParamValue)>,
     },
-    /// A candidate finished training and was scored on the rung's
-    /// validation data.
+    /// A candidate finished training and was scored on the validation
+    /// split.
     TrialFinished {
         /// Stable trial id (matches the `TrialStarted` line).
         trial: u64,
-        /// Successive-halving rung.
-        rung: u64,
         /// Model family name.
         family: String,
-        /// Validation accuracy at this rung.
+        /// Balanced accuracy on the validation split.
         score: f64,
     },
-    /// A candidate failed to train (degenerate subsample, solver error,
-    /// panic, budget timeout, or a non-finite score).
+    /// A candidate failed to train (solver error, panic, budget
+    /// timeout, or a non-finite score).
     TrialFailed {
         /// Stable trial id.
         trial: u64,
-        /// Successive-halving rung.
-        rung: u64,
         /// Model family name.
         family: String,
         /// Failure class: `error` (fit/scoring returned an error),
@@ -299,13 +293,12 @@ impl LedgerEvent {
         match self {
             LedgerEvent::TrialStarted {
                 trial,
-                rung,
                 family,
                 config,
                 params,
             } => {
                 let mut out = format!(
-                    "{{\"type\":\"trial_started\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"config\":{},\"params\":{{",
+                    "{{\"type\":\"trial_started\",\"trial\":{trial},\"family\":{},\"config\":{},\"params\":{{",
                     json::string(family),
                     json::string(config),
                 );
@@ -320,21 +313,19 @@ impl LedgerEvent {
             }
             LedgerEvent::TrialFinished {
                 trial,
-                rung,
                 family,
                 score,
             } => format!(
-                "{{\"type\":\"trial_finished\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"score\":{}}}",
+                "{{\"type\":\"trial_finished\",\"trial\":{trial},\"family\":{},\"score\":{}}}",
                 json::string(family),
                 json::num(*score),
             ),
             LedgerEvent::TrialFailed {
                 trial,
-                rung,
                 family,
                 reason,
             } => format!(
-                "{{\"type\":\"trial_failed\",\"trial\":{trial},\"rung\":{rung},\"family\":{},\"reason\":{}}}",
+                "{{\"type\":\"trial_failed\",\"trial\":{trial},\"family\":{},\"reason\":{}}}",
                 json::string(family),
                 json::string(reason),
             ),
@@ -530,7 +521,6 @@ impl LedgerEvent {
         let event = match v.str_at("type")? {
             "trial_started" => LedgerEvent::TrialStarted {
                 trial: v.u64_at("trial")?,
-                rung: v.u64_at("rung")?,
                 family: s("family")?,
                 config: s("config")?,
                 params: match v.get("params") {
@@ -544,13 +534,11 @@ impl LedgerEvent {
             },
             "trial_finished" => LedgerEvent::TrialFinished {
                 trial: v.u64_at("trial")?,
-                rung: v.u64_at("rung")?,
                 family: s("family")?,
                 score: v.f64_at("score")?,
             },
             "trial_failed" => LedgerEvent::TrialFailed {
                 trial: v.u64_at("trial")?,
-                rung: v.u64_at("rung")?,
                 family: s("family")?,
                 reason: match v.get("reason") {
                     None => "error".to_string(),
@@ -806,7 +794,7 @@ pub fn set_next_round(next: u64) {
 /// line identifying the run and the schema version:
 ///
 /// ```text
-/// {"type":"ledger","schema_version":1,"run_id":"…","workload":"…","seed":1,"git":"…"}
+/// {"type":"ledger","schema_version":2,"run_id":"…","workload":"…","seed":1,"git":"…"}
 /// ```
 ///
 /// Ignores span closes entirely; write failures are counted in the
@@ -996,7 +984,6 @@ mod tests {
     fn non_finite_floats_serialize_as_null() {
         let line = LedgerEvent::TrialFinished {
             trial: 1,
-            rung: 0,
             family: "mlp".into(),
             score: f64::NAN,
         }
@@ -1008,7 +995,6 @@ mod tests {
     fn trial_started_params_render_as_trailing_typed_map() {
         let line = LedgerEvent::TrialStarted {
             trial: 7,
-            rung: 0,
             family: "knn".into(),
             config: "KnnConfig { k: 5 }".into(),
             params: vec![
@@ -1020,7 +1006,7 @@ mod tests {
         .to_json_line();
         assert_eq!(
             line,
-            "{\"type\":\"trial_started\",\"trial\":7,\"rung\":0,\"family\":\"knn\",\"config\":\"KnnConfig { k: 5 }\",\"params\":{\"k\":5,\"weights\":\"distance\",\"smoothing\":0.0000001}}"
+            "{\"type\":\"trial_started\",\"trial\":7,\"family\":\"knn\",\"config\":\"KnnConfig { k: 5 }\",\"params\":{\"k\":5,\"weights\":\"distance\",\"smoothing\":0.0000001}}"
         );
     }
 
@@ -1082,7 +1068,6 @@ mod tests {
         let sink = LedgerJsonlSink::create(&path, &header).unwrap();
         sink.on_ledger_event(&LedgerEvent::TrialFailed {
             trial: 3,
-            rung: 1,
             family: "mlp".into(),
             reason: "error".into(),
         });
@@ -1093,11 +1078,11 @@ mod tests {
         assert_eq!(lines.len(), 2, "{text}");
         assert_eq!(
             lines[0],
-            "{\"type\":\"ledger\",\"schema_version\":1,\"run_id\":\"w-s1-p1\",\"workload\":\"w\",\"seed\":1,\"git\":\"abc\"}"
+            "{\"type\":\"ledger\",\"schema_version\":2,\"run_id\":\"w-s1-p1\",\"workload\":\"w\",\"seed\":1,\"git\":\"abc\"}"
         );
         assert_eq!(
             lines[1],
-            "{\"type\":\"trial_failed\",\"trial\":3,\"rung\":1,\"family\":\"mlp\",\"reason\":\"error\"}"
+            "{\"type\":\"trial_failed\",\"trial\":3,\"family\":\"mlp\",\"reason\":\"error\"}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1105,15 +1090,15 @@ mod tests {
     /// A ledger with one line of every event type plus a future one.
     fn sample_ledger_text() -> String {
         [
-            r#"{"type":"ledger","schema_version":1,"run_id":"w-s1-p2","workload":"w","seed":1,"git":"abc"}"#,
+            r#"{"type":"ledger","schema_version":2,"run_id":"w-s1-p2","workload":"w","seed":1,"git":"abc"}"#,
             r#"{"type":"search_space","families":[{"family":"forest","dims":[{"name":"trees","kind":"int","scale":"linear","lo":4,"hi":16,"choices":[]}]},{"family":"logreg","dims":[{"name":"l2","kind":"float","scale":"log10","lo":0.00001,"hi":1,"choices":[]}]}]}"#,
-            r#"{"type":"trial_started","trial":0,"rung":0,"family":"forest","config":"ForestConfig { trees: 8 }","params":{"trees":8}}"#,
-            r#"{"type":"trial_finished","trial":0,"rung":0,"family":"forest","score":0.91}"#,
-            r#"{"type":"trial_started","trial":3,"rung":0,"family":"forest","config":"ForestConfig { trees: 14 }","params":{"trees":14}}"#,
-            r#"{"type":"trial_finished","trial":3,"rung":0,"family":"forest","score":0.84}"#,
-            r#"{"type":"trial_started","trial":1,"rung":0,"family":"logreg","config":"LogRegConfig { l2: 0.1 }","params":{"l2":0.1}}"#,
-            r#"{"type":"trial_failed","trial":1,"rung":0,"family":"logreg","reason":"panic"}"#,
-            r#"{"type":"trial_finished","trial":2,"rung":1,"family":"forest","score":null}"#,
+            r#"{"type":"trial_started","trial":0,"family":"forest","config":"ForestConfig { trees: 8 }","params":{"trees":8}}"#,
+            r#"{"type":"trial_finished","trial":0,"family":"forest","score":0.91}"#,
+            r#"{"type":"trial_started","trial":3,"family":"forest","config":"ForestConfig { trees: 14 }","params":{"trees":14}}"#,
+            r#"{"type":"trial_finished","trial":3,"family":"forest","score":0.84}"#,
+            r#"{"type":"trial_started","trial":1,"family":"logreg","config":"LogRegConfig { l2: 0.1 }","params":{"l2":0.1}}"#,
+            r#"{"type":"trial_failed","trial":1,"family":"logreg","reason":"panic"}"#,
+            r#"{"type":"trial_finished","trial":2,"family":"forest","score":null}"#,
             r#"{"type":"ensemble_selected","val_score":0.93,"members":[{"trial":0,"family":"forest","weight":3,"score":0.91}]}"#,
             r#"{"type":"round_completed","round":0,"strategy":"Within-ALE","acc_mean":0.8,"acc_min":0.7,"acc_max":0.9,"points_added":40,"regions":2,"ale_std_mean":0.02,"ale_std_max":0.09,"scores":[0.7,0.8,0.9]}"#,
             r#"{"type":"round_completed","round":1,"strategy":"Within-ALE","acc_mean":0.85,"acc_min":0.8,"acc_max":0.9,"points_added":40,"regions":1,"ale_std_mean":0.01,"ale_std_max":0.05,"scores":[0.8,0.85,0.9]}"#,
@@ -1159,7 +1144,6 @@ mod tests {
         assert!(finished[2].1.is_nan(), "null score reads as NaN");
         assert!(events.contains(&LedgerEvent::TrialFailed {
             trial: 1,
-            rung: 0,
             family: "logreg".into(),
             reason: "panic".into(),
         }));
@@ -1188,16 +1172,15 @@ mod tests {
     #[test]
     fn trailing_fields_default_when_absent() {
         let started = LedgerEvent::from_json_line(
-            r#"{"type":"trial_started","trial":9,"rung":0,"family":"knn","config":"c"}"#,
+            r#"{"type":"trial_started","trial":9,"family":"knn","config":"c"}"#,
         )
         .unwrap()
         .unwrap();
         assert!(matches!(started, LedgerEvent::TrialStarted { params, .. } if params.is_empty()));
-        let failed = LedgerEvent::from_json_line(
-            r#"{"type":"trial_failed","trial":1,"rung":0,"family":"mlp"}"#,
-        )
-        .unwrap()
-        .unwrap();
+        let failed =
+            LedgerEvent::from_json_line(r#"{"type":"trial_failed","trial":1,"family":"mlp"}"#)
+                .unwrap()
+                .unwrap();
         assert!(matches!(failed, LedgerEvent::TrialFailed { reason, .. } if reason == "error"));
         // A round written before `scores` existed still inspects.
         let round = LedgerEvent::from_json_line(
@@ -1207,8 +1190,8 @@ mod tests {
         .unwrap();
         assert!(matches!(round, LedgerEvent::RoundCompleted { scores, .. } if scores.is_empty()));
         // Any other missing field is an error naming it.
-        let err = LedgerEvent::from_json_line(r#"{"type":"trial_finished","trial":1,"rung":0}"#)
-            .unwrap_err();
+        let err =
+            LedgerEvent::from_json_line(r#"{"type":"trial_finished","trial":1}"#).unwrap_err();
         assert!(err.contains("'family'"), "{err}");
     }
 
@@ -1221,7 +1204,7 @@ mod tests {
         let header = header_line(&RunHeader::default());
         let text = format!(
             "{header}\n\n   \n{{\"type\":\"mystery_event\",\"x\":1}}\n{}\n\n",
-            r#"{"type":"trial_failed","trial":3,"rung":1,"family":"mlp","reason":"error"}"#
+            r#"{"type":"trial_failed","trial":3,"family":"mlp","reason":"error"}"#
         );
         let (_, events) = read(&text).unwrap();
         assert_eq!(events.len(), 1);
@@ -1232,7 +1215,7 @@ mod tests {
         let header = header_line(&RunHeader::default());
         let text = format!(
             "{header}\n{}\n{{\"type\":\"trial_fin",
-            r#"{"type":"trial_failed","trial":3,"rung":1,"family":"mlp","reason":"error"}"#
+            r#"{"type":"trial_failed","trial":3,"family":"mlp","reason":"error"}"#
         );
         let err = read(&text).unwrap_err();
         assert!(err.starts_with("line 3:"), "{err}");
@@ -1247,9 +1230,14 @@ mod tests {
             .unwrap_err()
             .contains("not a ledger header"));
         assert!(read("not json").unwrap_err().starts_with("line 1:"));
-        let bumped = sample_ledger_text().replace("\"schema_version\":1", "\"schema_version\":99");
-        let err = read(&bumped).unwrap_err();
-        assert!(err.contains("schema_version 99"), "{err}");
+        for version in [1, 99] {
+            let other = sample_ledger_text().replace(
+                "\"schema_version\":2",
+                &format!("\"schema_version\":{version}"),
+            );
+            let err = read(&other).unwrap_err();
+            assert!(err.contains(&format!("schema_version {version}")), "{err}");
+        }
         let no_seed = header_line(&RunHeader::default()).replace(",\"seed\":0", "");
         assert!(read(&no_seed).unwrap_err().contains("'seed'"));
     }
@@ -1312,7 +1300,6 @@ mod tests {
         // fails and must be accounted, not silently lost.
         sink.on_ledger_event(&LedgerEvent::TrialFailed {
             trial: 1,
-            rung: 0,
             family: "x".repeat(16 * 1024),
             reason: "error".into(),
         });
@@ -1338,7 +1325,6 @@ mod tests {
             ran = true;
             LedgerEvent::TrialFailed {
                 trial: 0,
-                rung: 0,
                 family: "x".into(),
                 reason: "error".into(),
             }
@@ -1428,20 +1414,17 @@ mod prop_tests {
         match variant {
             0 => LedgerEvent::TrialStarted {
                 trial: any_u64(rng),
-                rung: any_u64(rng),
                 family: any_string(rng),
                 config: any_string(rng),
                 params: vec_of(rng, |r| (any_string(r), any_param(r))),
             },
             1 => LedgerEvent::TrialFinished {
                 trial: any_u64(rng),
-                rung: any_u64(rng),
                 family: any_string(rng),
                 score: any_f64(rng),
             },
             2 => LedgerEvent::TrialFailed {
                 trial: any_u64(rng),
-                rung: any_u64(rng),
                 family: any_string(rng),
                 reason: any_string(rng),
             },

@@ -13,14 +13,14 @@
 //! * a **run manifest** ([`manifest::Manifest`]): a machine-readable
 //!   `manifest.json` capturing seed, scale, threads, git revision, and
 //!   every span/counter/histogram of the run;
-//! * a **progress reporter** ([`progress::Progress`], [`progress::note`])
-//!   replacing scattered `println!` status output, plus the one sanctioned
-//!   stdout sink for user-facing result tables ([`progress::report`]);
+//! * **status lines** ([`progress::note`]) replacing scattered `println!`
+//!   status output, plus the one sanctioned stdout sink for user-facing
+//!   result tables ([`progress::report`]);
 //! * pluggable **export sinks** ([`sink`]): the ledger file, the ledger
 //!   folds, and a Chrome trace-event file ([`trace::ChromeTraceSink`])
 //!   loadable in Perfetto, each flushed once with the final counters;
 //! * an **experiment ledger** ([`ledger`]): typed, versioned ML-level
-//!   events — trials with halving rungs, ensemble composition, feedback
+//!   events — search trials, ensemble composition, feedback
 //!   rounds, suggested regions, curve provenance — streamed to a
 //!   deterministic `ledger.jsonl` (read back by the `amlinspect` bin);
 //! * a **live observability plane** ([`serve`], behind `--serve ADDR`):
@@ -103,7 +103,7 @@ pub use ledger::{
     SpaceFamily, LEDGER_SCHEMA_VERSION,
 };
 pub use manifest::Manifest;
-pub use progress::{note, report, warn, Progress};
+pub use progress::{note, report, warn};
 pub use quality::{FeatureProfile, QualityReport, QUALITY_SCHEMA_VERSION};
 pub use registry::{global, HistSnapshot, Registry, Snapshot, SpanSnapshot};
 pub use searchview::{SearchReport, SEARCH_SCHEMA_VERSION};

@@ -1,4 +1,4 @@
-//! Progress reporting and the pipeline's two output channels.
+//! The pipeline's two output channels.
 //!
 //! The repo's output discipline (DESIGN.md §6) is:
 //!
@@ -6,10 +6,7 @@
 //!   tables), always, via [`report`] — so `--telemetry off` output is
 //!   identical to an uninstrumented run and remains pipeable;
 //! * **stderr** carries status/progress/summary, only when telemetry is
-//!   enabled, via [`note`] and [`Progress`].
-
-use std::io::{IsTerminal, Write};
-use std::time::{Duration, Instant};
+//!   enabled, via [`note`] (plus [`warn`], which always prints).
 
 /// Print a user-facing result line to stdout. This is the one sanctioned
 /// stdout sink; it is *not* gated by the telemetry level.
@@ -29,127 +26,4 @@ pub fn note(line: &str) {
 /// problems must surface even in `--telemetry off` runs.
 pub fn warn(line: &str) {
     eprintln!("warning: {line}");
-}
-
-/// Rate-limited progress reporter for loops.
-///
-/// On a TTY it rewrites one line with `\r`; otherwise it prints a plain
-/// line per update so logs stay readable. Updates are throttled to one
-/// every ~200 ms (the final [`Progress::done`] always prints). With
-/// telemetry off every method is a no-op.
-pub struct Progress {
-    label: String,
-    total: u64,
-    last_emit: Option<Instant>,
-    started: Instant,
-    tty: bool,
-    enabled: bool,
-    dirty: bool,
-}
-
-const THROTTLE: Duration = Duration::from_millis(200);
-
-impl Progress {
-    /// Start a progress reporter for `total` units of work under `label`.
-    pub fn new(label: &str, total: u64) -> Self {
-        Progress {
-            label: label.to_string(),
-            total,
-            last_emit: None,
-            started: Instant::now(),
-            tty: std::io::stderr().is_terminal(),
-            enabled: crate::enabled(),
-            dirty: false,
-        }
-    }
-
-    /// Record that `done` units are complete; emits at most ~5 lines/sec.
-    pub fn update(&mut self, done: u64) {
-        if !self.enabled {
-            return;
-        }
-        let now = Instant::now();
-        if let Some(last) = self.last_emit {
-            if now.duration_since(last) < THROTTLE && done < self.total {
-                return;
-            }
-        }
-        self.last_emit = Some(now);
-        self.emit(done, false);
-    }
-
-    /// Finish: emit the final count and the elapsed time.
-    pub fn done(&mut self) {
-        if !self.enabled {
-            return;
-        }
-        self.emit(self.total, true);
-    }
-
-    fn emit(&mut self, done: u64, finished: bool) {
-        let mut err = std::io::stderr().lock();
-        let body = if self.total > 0 {
-            format!("[run] {}: {}/{}", self.label, done, self.total)
-        } else {
-            format!("[run] {}: {}", self.label, done)
-        };
-        let line = if finished {
-            format!("{body} ({:.1}s)", self.started.elapsed().as_secs_f64())
-        } else {
-            body
-        };
-        if self.tty {
-            let _ = write!(err, "\r\x1b[2K{line}");
-            if finished {
-                let _ = writeln!(err);
-            }
-            self.dirty = !finished;
-        } else {
-            let _ = writeln!(err, "{line}");
-        }
-        let _ = err.flush();
-    }
-}
-
-impl Drop for Progress {
-    fn drop(&mut self) {
-        // Never leave a half-drawn `\r` line on the terminal.
-        if self.dirty {
-            let mut err = std::io::stderr().lock();
-            let _ = writeln!(err);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{set_level, test_lock, TelemetryLevel};
-
-    #[test]
-    fn disabled_progress_is_inert() {
-        let _guard = test_lock::hold();
-        set_level(TelemetryLevel::Off);
-        let mut p = Progress::new("noop", 10);
-        assert!(!p.enabled);
-        p.update(5);
-        p.done();
-        assert!(p.last_emit.is_none());
-    }
-
-    #[test]
-    fn updates_are_throttled() {
-        let _guard = test_lock::hold();
-        set_level(TelemetryLevel::Summary);
-        let mut p = Progress::new("throttle", 1000);
-        p.update(1);
-        let first = p.last_emit;
-        assert!(first.is_some());
-        p.update(2); // within 200 ms — swallowed
-        assert_eq!(p.last_emit, first);
-        p.update(1000); // done == total always emits
-        assert_ne!(p.last_emit, first);
-        p.done();
-        set_level(TelemetryLevel::Off);
-    }
 }

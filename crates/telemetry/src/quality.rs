@@ -1133,7 +1133,6 @@ mod tests {
             // Non-quality events are ignored.
             LedgerEvent::TrialFinished {
                 trial: 0,
-                rung: 0,
                 family: "forest".to_string(),
                 score: 0.5,
             },

@@ -1,11 +1,11 @@
-//! Search-space observability: coverage, rung funnels, and
-//! hyperparameter importance over the structured trial telemetry.
+//! Search-space observability: coverage and hyperparameter importance
+//! over the structured trial telemetry.
 //!
-//! The ledger (PR 3) records *what* the search tried; this module
-//! answers the questions a non-ML expert asks of an AutoML system
-//! (ATMSeer's thesis): which part of the declared space was actually
-//! visited, how configurations survive the successive-halving funnel,
-//! and which hyperparameters the final scores actually depended on.
+//! The ledger records *what* the search tried; this module answers the
+//! questions a non-ML expert asks of an AutoML system (ATMSeer's
+//! thesis): which part of the declared space was actually visited, how
+//! many fits finished or failed, and which hyperparameters the scores
+//! actually depended on.
 //!
 //! ## Data flow
 //!
@@ -22,17 +22,14 @@
 //!
 //! - **Coverage**: per dimension, the declared range is split into
 //!   equal-width bins (equal-width in log10-space for `log10` dims; one
-//!   bin per category for `cat` dims) and each rung-0 start marks its
-//!   bin visited. Coverage is the visited-bin fraction.
-//! - **Rung funnel**: per-rung start/finish/fail counts; promotions are
-//!   positional (a rung's promoted = the next rung's starts) so the
-//!   funnel aggregates cleanly over the many searches of one run.
-//! - **Importance (fANOVA-lite)**: per configuration, the *rung-top
-//!   observation* is the mean finished score at the highest rung the
-//!   configuration reached. Per dimension, observations are binned as
-//!   for coverage, and importance is the between-bin variance fraction
-//!   `Vb / V` — the share of score variance the dimension explains on
-//!   its own. Deterministic, no external deps.
+//!   bin per category for `cat` dims) and each start marks its bin
+//!   visited. Coverage is the visited-bin fraction.
+//! - **Importance (fANOVA-lite)**: per configuration, the *observation*
+//!   is the mean of its finished scores (a configuration recurs when
+//!   several searches share a seed). Per dimension, observations are
+//!   binned as for coverage, and importance is the between-bin variance
+//!   fraction `Vb / V` — the share of score variance the dimension
+//!   explains on its own. Deterministic, no external deps.
 //!
 //! Rendered two ways: [`SearchReport::render_json`] (pinned field
 //! order, printed by `amlinspect search --json`) and
@@ -44,7 +41,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Schema version stamped into `search.json`.
-pub const SEARCH_SCHEMA_VERSION: u32 = 1;
+pub const SEARCH_SCHEMA_VERSION: u32 = 2;
 
 /// Retained trial records before the collector starts counting drops —
 /// ~64k records is two orders of magnitude above a full table-1 run.
@@ -60,13 +57,11 @@ const MAX_BINS: usize = 8;
 
 /// One trial fit as observed from the ledger: a `trial_started` line,
 /// settled by the matching `trial_finished` (score) or `trial_failed`
-/// (reason) line at the same rung.
+/// (reason) line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrialRec {
     /// Stable trial id (the sequential sampling index).
     pub trial: u64,
-    /// Successive-halving rung of this fit.
-    pub rung: u64,
     /// Model family name.
     pub family: String,
     /// Typed hyperparameters in declared dimension order.
@@ -88,23 +83,12 @@ pub struct SearchCollector {
 }
 
 impl SearchCollector {
-    /// Settle the most recent unsettled record for `(trial, rung,
-    /// family)`. Trial ids repeat across the many searches of one run,
-    /// so matching from the back pairs each outcome with its own start.
-    fn settle(
-        &mut self,
-        trial: u64,
-        rung: u64,
-        family: &str,
-        score: Option<f64>,
-        failed: Option<String>,
-    ) {
+    /// Settle the most recent unsettled record for `(trial, family)`.
+    /// Trial ids repeat across the many searches of one run, so matching
+    /// from the back pairs each outcome with its own start.
+    fn settle(&mut self, trial: u64, family: &str, score: Option<f64>, failed: Option<String>) {
         if let Some(rec) = self.trials.iter_mut().rev().find(|r| {
-            r.trial == trial
-                && r.rung == rung
-                && r.family == family
-                && r.score.is_none()
-                && r.failed.is_none()
+            r.trial == trial && r.family == family && r.score.is_none() && r.failed.is_none()
         }) {
             rec.score = score;
             rec.failed = failed;
@@ -128,7 +112,6 @@ impl Fold for SearchCollector {
             }
             LedgerEvent::TrialStarted {
                 trial,
-                rung,
                 family,
                 params,
                 ..
@@ -138,7 +121,6 @@ impl Fold for SearchCollector {
                 } else {
                     self.trials.push(TrialRec {
                         trial: *trial,
-                        rung: *rung,
                         family: family.clone(),
                         params: params.clone(),
                         score: None,
@@ -148,37 +130,17 @@ impl Fold for SearchCollector {
             }
             LedgerEvent::TrialFinished {
                 trial,
-                rung,
                 family,
                 score,
-            } => self.settle(*trial, *rung, family, Some(*score), None),
+            } => self.settle(*trial, family, Some(*score), None),
             LedgerEvent::TrialFailed {
                 trial,
-                rung,
                 family,
                 reason,
-            } => self.settle(*trial, *rung, family, None, Some(reason.clone())),
+            } => self.settle(*trial, family, None, Some(reason.clone())),
             _ => {}
         }
     }
-}
-
-/// One rung of the successive-halving funnel, aggregated over every
-/// search of the run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RungReport {
-    /// Rung index (0 = smallest data fraction).
-    pub rung: u64,
-    /// Fits started at this rung.
-    pub started: u64,
-    /// Fits that finished with a score.
-    pub finished: u64,
-    /// Fits that failed.
-    pub failed: u64,
-    /// Configurations promoted to the next rung (its start count).
-    pub promoted: u64,
-    /// Configurations eliminated at this rung (`started - promoted`).
-    pub eliminated: u64,
 }
 
 /// Coverage + importance for one declared hyperparameter dimension.
@@ -198,17 +160,17 @@ pub struct DimReport {
     pub choices: Vec<String>,
     /// Number of coverage bins.
     pub bins: usize,
-    /// Rung-0 start count per bin.
+    /// Start count per bin.
     pub hist: Vec<u64>,
     /// Bins with at least one visit.
     pub visited: usize,
     /// `visited / bins`.
     pub coverage: f64,
     /// fANOVA-lite importance: between-bin variance fraction of the
-    /// rung-top scores, in `[0, 1]`; 0 when under 2 observations or the
+    /// configuration scores, in `[0, 1]`; 0 when under 2 observations or the
     /// scores are constant.
     pub importance: f64,
-    /// `(normalized position, rung-top score)` scatter, thinned to
+    /// `(normalized position, configuration score)` scatter, thinned to
     /// `POINT_CAP` (256) points by a deterministic stride.
     pub points: Vec<(f64, f64)>,
 }
@@ -224,9 +186,9 @@ pub struct FamilyReport {
     pub fits: u64,
     /// Failed fits.
     pub failed: u64,
-    /// Best rung-top score, when any configuration finished.
+    /// Best configuration score, when any configuration finished.
     pub best_score: Option<f64>,
-    /// Mean rung-top score over finished configurations.
+    /// Mean configuration score over finished configurations.
     pub mean_score: Option<f64>,
     /// Per-dimension coverage and importance, in declared order.
     pub dims: Vec<DimReport>,
@@ -241,8 +203,6 @@ pub struct SearchReport {
     pub finished: u64,
     /// Total fits failed.
     pub failed: u64,
-    /// Rung funnel, ascending rung order.
-    pub rungs: Vec<RungReport>,
     /// Per-family breakdown: declared families in declaration order,
     /// then any undeclared family seen in the trials, by name.
     pub families: Vec<FamilyReport>,
@@ -317,43 +277,12 @@ pub fn analyze(space: &[SpaceFamily], trials: &[TrialRec], dropped: u64) -> Sear
     recs.sort_by_cached_key(|r| {
         (
             r.trial,
-            r.rung,
             r.family.clone(),
             params_sig(&r.params),
             r.score.map(f64::to_bits),
             r.failed.clone(),
         )
     });
-
-    // Rung funnel: (started, finished, failed) per rung, promotions
-    // positional from the next rung's start count.
-    let mut per_rung: BTreeMap<u64, (u64, u64, u64)> = BTreeMap::new();
-    for r in &recs {
-        let e = per_rung.entry(r.rung).or_default();
-        e.0 += 1;
-        if r.score.is_some() {
-            e.1 += 1;
-        }
-        if r.failed.is_some() {
-            e.2 += 1;
-        }
-    }
-    let rung_rows: Vec<(u64, (u64, u64, u64))> = per_rung.into_iter().collect();
-    let rungs: Vec<RungReport> = rung_rows
-        .iter()
-        .enumerate()
-        .map(|(i, (rung, (started, finished, failed)))| {
-            let promoted = rung_rows.get(i + 1).map_or(0, |(_, next)| next.0);
-            RungReport {
-                rung: *rung,
-                started: *started,
-                finished: *finished,
-                failed: *failed,
-                promoted: promoted.min(*started),
-                eliminated: started.saturating_sub(promoted),
-            }
-        })
-        .collect();
 
     // Family order: declaration order, then undeclared families by name.
     let mut family_names: Vec<String> = space.iter().map(|f| f.family.clone()).collect();
@@ -375,8 +304,8 @@ pub fn analyze(space: &[SpaceFamily], trials: &[TrialRec], dropped: u64) -> Sear
                 .find(|f| &f.family == name)
                 .map_or(&[][..], |f| &f.dims[..]);
 
-            // Group fits into configurations; the rung-top observation is
-            // the mean finished score at the group's highest scored rung.
+            // Group fits into configurations; the observation is the
+            // mean of the group's finished scores.
             let mut groups: BTreeMap<(u64, String), Vec<&&TrialRec>> = BTreeMap::new();
             for r in &fam_recs {
                 groups
@@ -386,21 +315,10 @@ pub fn analyze(space: &[SpaceFamily], trials: &[TrialRec], dropped: u64) -> Sear
             }
             let mut observations: Vec<(&[(String, ParamValue)], f64)> = Vec::new();
             for group in groups.values() {
-                let top = group
-                    .iter()
-                    .filter(|r| r.score.is_some())
-                    .map(|r| r.rung)
-                    .max();
-                if let Some(top) = top {
-                    let scores: Vec<f64> = group
-                        .iter()
-                        .filter(|r| r.rung == top)
-                        .filter_map(|r| r.score)
-                        .collect();
-                    if !scores.is_empty() {
-                        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
-                        observations.push((&group[0].params, mean));
-                    }
+                let scores: Vec<f64> = group.iter().filter_map(|r| r.score).collect();
+                if !scores.is_empty() {
+                    let mean = scores.iter().sum::<f64>() / scores.len() as f64;
+                    observations.push((&group[0].params, mean));
                 }
             }
             let best_score = observations
@@ -434,7 +352,6 @@ pub fn analyze(space: &[SpaceFamily], trials: &[TrialRec], dropped: u64) -> Sear
         started: recs.len() as u64,
         finished: recs.iter().filter(|r| r.score.is_some()).count() as u64,
         failed: recs.iter().filter(|r| r.failed.is_some()).count() as u64,
-        rungs,
         families,
         dropped,
     }
@@ -453,17 +370,17 @@ fn dim_report(
             .and_then(|(_, v)| param_num(dim, v))
     };
 
-    // Coverage over rung-0 starts: every sampled configuration enters
-    // the funnel at rung 0, so this is the sampler's footprint.
+    // Coverage over starts: the sampler's footprint.
     let mut hist = vec![0u64; bins];
-    for r in fam_recs.iter().filter(|r| r.rung == 0) {
+    for r in fam_recs {
         if let Some(v) = lookup(&r.params) {
             hist[bin_index(dim, v, bins)] += 1;
         }
     }
     let visited = hist.iter().filter(|&&c| c > 0).count();
 
-    // fANOVA-lite: between-bin variance fraction of the rung-top scores.
+    // fANOVA-lite: between-bin variance fraction of the configuration
+    // scores.
     let obs: Vec<(f64, f64)> = observations
         .iter()
         .filter_map(|(params, score)| lookup(params).map(|v| (v, *score)))
@@ -531,18 +448,7 @@ impl SearchReport {
             "{{\"active\":true,\"schema_version\":{SEARCH_SCHEMA_VERSION},\"trials\":{{\"started\":{},\"finished\":{},\"failed\":{}}}",
             self.started, self.finished, self.failed
         );
-        out.push_str(",\"rungs\":[");
-        for (i, r) in self.rungs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rung\":{},\"started\":{},\"finished\":{},\"failed\":{},\"promoted\":{},\"eliminated\":{}}}",
-                r.rung, r.started, r.finished, r.failed, r.promoted, r.eliminated
-            );
-        }
-        out.push_str("],\"families\":[");
+        out.push_str(",\"families\":[");
         for (i, f) in self.families.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -621,13 +527,6 @@ impl SearchReport {
             out.push_str("  (no trials recorded)\n");
             return out;
         }
-        for r in &self.rungs {
-            let _ = writeln!(
-                out,
-                "  rung {}: {:>5} started {:>5} finished {:>4} failed -> {:>4} promoted / {:>4} eliminated",
-                r.rung, r.started, r.finished, r.failed, r.promoted, r.eliminated
-            );
-        }
         let _ = writeln!(
             out,
             "  {:<22} {:>7} {:>6} {:>5} {:>8} {:>8}",
@@ -690,7 +589,6 @@ mod tests {
 
     fn rec(
         trial: u64,
-        rung: u64,
         k: i64,
         weights: &str,
         score: Option<f64>,
@@ -698,7 +596,6 @@ mod tests {
     ) -> TrialRec {
         TrialRec {
             trial,
-            rung,
             family: "knn".into(),
             params: vec![
                 ("k".into(), ParamValue::Int(k)),
@@ -709,67 +606,47 @@ mod tests {
         }
     }
 
-    /// 4 configs at rung 0, 2 promoted to rung 1; score depends on k
-    /// (low k good), not on weights.
+    /// 4 configs, of which trials 0 and 1 recur in a second search that
+    /// shares the seed; score depends on k (low k good), not on weights.
     fn fixture() -> Vec<TrialRec> {
         vec![
-            rec(0, 0, 1, "uniform", Some(0.9), None),
-            rec(1, 0, 2, "distance", Some(0.85), None),
-            rec(2, 0, 7, "uniform", Some(0.5), None),
-            rec(3, 0, 8, "distance", None, Some("error")),
-            rec(0, 1, 1, "uniform", Some(0.92), None),
-            rec(1, 1, 2, "distance", Some(0.87), None),
+            rec(0, 1, "uniform", Some(0.9), None),
+            rec(1, 2, "distance", Some(0.85), None),
+            rec(2, 7, "uniform", Some(0.5), None),
+            rec(3, 8, "distance", None, Some("error")),
+            rec(0, 1, "uniform", Some(0.94), None),
+            rec(1, 2, "distance", Some(0.89), None),
         ]
     }
 
     #[test]
-    fn funnel_is_positional_and_counts_outcomes() {
+    fn configuration_scores_drive_family_stats() {
         let report = analyze(&knn_space(), &fixture(), 0);
-        assert_eq!(report.started, 6);
-        assert_eq!(report.finished, 5);
-        assert_eq!(report.failed, 1);
-        assert_eq!(report.rungs.len(), 2);
-        let r0 = &report.rungs[0];
-        assert_eq!(
-            (
-                r0.started,
-                r0.finished,
-                r0.failed,
-                r0.promoted,
-                r0.eliminated
-            ),
-            (4, 3, 1, 2, 2)
-        );
-        let r1 = &report.rungs[1];
-        assert_eq!((r1.started, r1.promoted, r1.eliminated), (2, 0, 2));
-    }
-
-    #[test]
-    fn rung_top_scores_drive_family_stats() {
-        let report = analyze(&knn_space(), &fixture(), 0);
+        assert_eq!((report.started, report.finished, report.failed), (6, 5, 1));
         let fam = &report.families[0];
         assert_eq!(fam.family, "knn");
         assert_eq!(fam.configs, 4);
         assert_eq!(fam.fits, 6);
         assert_eq!(fam.failed, 1);
-        // Rung-top scores: 0.92 (trial 0), 0.87 (trial 1), 0.5 (trial 2).
-        assert_eq!(fam.best_score, Some(0.92));
+        // Configuration scores: 0.92 (trial 0), 0.87 (trial 1), 0.5 (trial 2).
+        let best = fam.best_score.unwrap();
+        assert!((best - 0.92).abs() < 1e-12, "{best}");
         let mean = fam.mean_score.unwrap();
         assert!((mean - (0.92 + 0.87 + 0.5) / 3.0).abs() < 1e-12, "{mean}");
     }
 
     #[test]
-    fn coverage_counts_rung0_bins_and_importance_ranks_k_over_weights() {
+    fn coverage_counts_bins_and_importance_ranks_k_over_weights() {
         let report = analyze(&knn_space(), &fixture(), 0);
         let k = &report.families[0].dims[0];
-        // 8-bin int dim, rung-0 values 1,2,7,8 -> bins 0,1,6,7.
+        // 8-bin int dim, started values 1,2,7,8,1,2 -> bins 0,1,6,7.
         assert_eq!(k.bins, 8);
-        assert_eq!(k.hist, vec![1, 1, 0, 0, 0, 0, 1, 1]);
+        assert_eq!(k.hist, vec![2, 2, 0, 0, 0, 0, 1, 1]);
         assert_eq!(k.visited, 4);
         assert!((k.coverage - 0.5).abs() < 1e-12);
         let w = &report.families[0].dims[1];
         assert_eq!(w.bins, 2);
-        assert_eq!(w.hist, vec![2, 2]);
+        assert_eq!(w.hist, vec![3, 3]);
         assert!((w.coverage - 1.0).abs() < 1e-12);
         // k separates the scores cleanly; weights mixes good and bad.
         assert!(
@@ -795,7 +672,6 @@ mod tests {
         let mut trials = fixture();
         trials.push(TrialRec {
             trial: 9,
-            rung: 0,
             family: "mystery".into(),
             params: vec![],
             score: Some(0.7),
@@ -814,19 +690,16 @@ mod tests {
         assert_eq!(
             report.render_json(),
             concat!(
-                "{\"active\":true,\"schema_version\":1,",
+                "{\"active\":true,\"schema_version\":2,",
                 "\"trials\":{\"started\":6,\"finished\":5,\"failed\":1},",
-                "\"rungs\":[",
-                "{\"rung\":0,\"started\":4,\"finished\":3,\"failed\":1,\"promoted\":2,\"eliminated\":2},",
-                "{\"rung\":1,\"started\":2,\"finished\":2,\"failed\":0,\"promoted\":0,\"eliminated\":2}",
-                "],\"families\":[",
+                "\"families\":[",
                 "{\"family\":\"knn\",\"configs\":4,\"fits\":6,\"failed\":1,",
                 "\"best_score\":0.920000,\"mean_score\":0.763333,\"dims\":[",
                 "{\"name\":\"k\",\"kind\":\"int\",\"scale\":\"linear\",\"lo\":1,\"hi\":8,\"choices\":[],",
-                "\"bins\":8,\"hist\":[1,1,0,0,0,0,1,1],\"visited\":4,\"coverage\":0.500000,\"importance\":1.000000,",
+                "\"bins\":8,\"hist\":[2,2,0,0,0,0,1,1],\"visited\":4,\"coverage\":0.500000,\"importance\":1.000000,",
                 "\"points\":[[0.0000,0.9200],[0.1429,0.8700],[0.8571,0.5000]]},",
                 "{\"name\":\"weights\",\"kind\":\"cat\",\"scale\":\"linear\",\"lo\":0,\"hi\":0,",
-                "\"choices\":[\"uniform\",\"distance\"],\"bins\":2,\"hist\":[2,2],\"visited\":2,",
+                "\"choices\":[\"uniform\",\"distance\"],\"bins\":2,\"hist\":[3,3],\"visited\":2,",
                 "\"coverage\":1.000000,\"importance\":0.162128,",
                 "\"points\":[[0.2500,0.9200],[0.7500,0.8700],[0.2500,0.5000]]}",
                 "]}],\"dropped\":0}\n",
@@ -838,7 +711,7 @@ mod tests {
     fn table_mentions_the_key_figures() {
         let report = analyze(&knn_space(), &fixture(), 0);
         let table = report.render_table();
-        assert!(table.contains("rung 0:"), "{table}");
+        assert!(table.contains("6 fits started"), "{table}");
         assert!(table.contains("knn"), "{table}");
         assert!(table.contains("coverage"), "{table}");
         assert!(table.contains("importance"), "{table}");
@@ -854,27 +727,23 @@ mod tests {
             },
             LedgerEvent::TrialStarted {
                 trial: 0,
-                rung: 0,
                 family: "knn".into(),
                 config: "KnnConfig".into(),
                 params: vec![("k".into(), ParamValue::Int(3))],
             },
             LedgerEvent::TrialFinished {
                 trial: 0,
-                rung: 0,
                 family: "knn".into(),
                 score: 0.8,
             },
             LedgerEvent::TrialStarted {
                 trial: 1,
-                rung: 0,
                 family: "knn".into(),
                 config: "KnnConfig".into(),
                 params: vec![("k".into(), ParamValue::Int(5))],
             },
             LedgerEvent::TrialFailed {
                 trial: 1,
-                rung: 0,
                 family: "knn".into(),
                 reason: "panic".into(),
             },

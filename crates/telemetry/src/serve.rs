@@ -709,7 +709,6 @@ mod tests {
         crate::gauge_set("proc.rss_bytes", 4096);
         crate::ledger::emit_with(|| LedgerEvent::TrialFailed {
             trial: 1,
-            rung: 0,
             family: "mlp".into(),
             reason: "error".into(),
         });

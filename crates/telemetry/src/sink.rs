@@ -265,7 +265,6 @@ mod tests {
             }
             crate::ledger::emit(&LedgerEvent::TrialFailed {
                 trial: 7,
-                rung: 0,
                 family: "mlp".into(),
                 reason: "error".into(),
             });
