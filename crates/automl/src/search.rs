@@ -251,6 +251,7 @@ fn fit_and_score(config: &CandidateConfig, train: &Dataset, val: &Dataset) -> Op
             start.elapsed().as_micros() as u64,
         );
         aml_telemetry::counter_add("automl.candidates_trained", 1);
+        aml_telemetry::counter_add("automl.fit.rows", train.n_rows() as u64);
     }
     let val_proba = model.predict_proba(val).ok()?;
     let preds: Vec<usize> = val_proba

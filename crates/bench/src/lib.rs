@@ -36,6 +36,7 @@ pub mod searchview;
 use aml_dataset::Dataset;
 use aml_telemetry::{json, TelemetryLevel};
 use report::BenchReport;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -123,6 +124,14 @@ pub struct RunOpts {
     pub started: Instant,
 }
 
+/// Write `msg` and a newline to `out`, then exit with `code`. A failed
+/// write (a reader that closed the pipe) is ignored, where `eprintln!`
+/// would panic and turn the exit code into 101.
+fn exit_with(code: i32, mut out: impl Write, msg: std::fmt::Arguments) -> ! {
+    let _ = writeln!(out, "{msg}");
+    std::process::exit(code);
+}
+
 const RESUME_NEEDS_LEDGER: &str = "--resume continues the --ledger-out file; give --ledger-out";
 
 /// Usage text shared by every benchmark binary.
@@ -198,29 +207,25 @@ impl RunOpts {
     }
 
     /// Parse from `std::env::args` for the named workload. Prints usage
-    /// and exits on `--help` or any parse error — unknown flags, missing
-    /// or invalid values, and unwritable output paths are usage errors
-    /// (exit 2), not panics. On success the telemetry level is set, the
-    /// output directory exists, and any export sinks are installed.
+    /// and exits 0 on `--help`. A parse error (an unknown flag, a missing
+    /// or invalid value) prints the error and the usage; a failure of
+    /// [`prepare`](Self::prepare) on well-formed flags (an unwritable
+    /// path, a ledger `--resume` cannot continue) prints only the error.
+    /// Both exit 2, also when stderr is a closed pipe. On success the
+    /// telemetry level is set, the output directory exists, and any export
+    /// sinks are installed.
     pub fn parse_for(workload: &str) -> RunOpts {
         let args: Vec<String> = std::env::args().skip(1).collect();
         match RunOpts::parse_from(&args) {
             Ok(Some(mut opts)) => {
                 opts.workload = workload.to_string();
                 if let Err(msg) = opts.prepare() {
-                    eprintln!("error: {msg}\n{USAGE}");
-                    std::process::exit(2);
+                    exit_with(2, std::io::stderr(), format_args!("error: {msg}"));
                 }
                 opts
             }
-            Ok(None) => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}\n{USAGE}");
-                std::process::exit(2);
-            }
+            Ok(None) => exit_with(0, std::io::stdout(), format_args!("{USAGE}")),
+            Err(msg) => exit_with(2, std::io::stderr(), format_args!("error: {msg}\n{USAGE}")),
         }
     }
 

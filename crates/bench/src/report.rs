@@ -28,8 +28,10 @@ pub const BENCH_SCHEMA_VERSION: u64 = 1;
 /// labelled condition that holds all of its simulations. Labels per
 /// core-second is the netsim layer's number: it rises when a label needs
 /// fewer simulations or a simulation gets cheaper, whatever that does to
-/// the events each one pops.
-pub(crate) const OWNED_COUNTERS: [(&str, &str); 4] = [
+/// the events each one pops. Training rows per core-second of
+/// `automl.trial` is the model-fit layer's number.
+pub(crate) const OWNED_COUNTERS: [(&str, &str); 5] = [
+    ("automl.fit.rows", "automl.trial"),
     ("interpret.ale.predictions", "interpret.ale.curve"),
     ("netsim.labels", "netsim.scenario"),
     ("netsim.sim.events", "netsim.scenario"),

@@ -214,15 +214,16 @@ mod tests {
     }
 
     #[test]
-    fn unknown_event_types_and_missing_params_are_tolerated() {
+    fn unknown_event_types_are_skipped_and_missing_params_refused() {
         let mut text = sample_ledger();
         text.push_str("{\"type\":\"mystery_event\",\"x\":1}\n");
-        // A pre-params trial_started line still counts as a fit.
-        text.push_str(
-            "{\"type\":\"trial_started\",\"trial\":9,\"family\":\"knn\",\"config\":\"c\"}\n",
-        );
-        let report = parse_search_ledger(&text).unwrap();
+        // A trial_started line with no parameters still counts as a fit.
+        let started = "{\"type\":\"trial_started\",\"trial\":9,\"family\":\"knn\",\"config\":\"c\"";
+        let report = parse_search_ledger(&format!("{text}{started},\"params\":{{}}}}\n")).unwrap();
         assert_eq!(report.started, 7);
+        // Without the field the line is malformed.
+        let err = parse_search_ledger(&format!("{text}{started}}}\n")).unwrap_err();
+        assert!(err.contains("'params'"), "{err}");
     }
 
     #[test]

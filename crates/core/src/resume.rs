@@ -102,8 +102,8 @@ pub struct LedgerPrefix {
 /// Find the committed prefix of a ledger file's bytes (see the module
 /// docs). Only newline-terminated lines count, and the first line that
 /// does not parse ends the scan. A first line that is complete but no
-/// ledger header, and a committed `round_completed` line without
-/// `scores` (written before the field existed), are
+/// ledger header, and a committed `round_completed` line whose `scores`
+/// are empty, are
 /// [`ExperimentError::ResumeMismatch`]; anything else is a prefix, never
 /// a panic.
 pub fn committed_prefix(bytes: &[u8]) -> Result<LedgerPrefix, ExperimentError> {
@@ -144,8 +144,8 @@ pub fn committed_prefix(bytes: &[u8]) -> Result<LedgerPrefix, ExperimentError> {
             }
             if scores.is_empty() {
                 return Err(mismatch(format!(
-                    "round {round}'s round_completed line has no `scores` field \
-                     (the ledger predates it), so the round's scores cannot be reused"
+                    "round {round}'s round_completed line has empty `scores`, \
+                     so the round's scores cannot be reused"
                 )));
             }
             prefix.rounds.push(RoundRecord {

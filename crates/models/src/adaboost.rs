@@ -9,7 +9,7 @@
 //! feedback feed on.
 
 use crate::model::{argmax, check_training, map_rows, normalize, Classifier};
-use crate::tree::{DecisionTree, Presort, TreeParams};
+use crate::tree::{DecisionTree, Presort, Splitter, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -62,12 +62,12 @@ impl AdaBoost {
         let mut weights = vec![1.0 / n as f64; n];
         let mut learners = Vec::with_capacity(params.n_rounds);
         // Only the weights change between rounds: sort each feature once.
-        let presort = Presort::new(ds);
+        let presort = Presort::new(ds, Splitter::Best);
 
         for round in 0..params.n_rounds {
             let tree = DecisionTree::fit_weighted_presorted(
                 ds,
-                Some(&presort),
+                &presort,
                 TreeParams {
                     max_depth: params.max_depth,
                     seed: round as u64,

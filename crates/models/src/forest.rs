@@ -6,7 +6,7 @@
 //! features per split; extra-trees keep all rows but draw random thresholds.
 
 use crate::model::{check_training, map_rows, Classifier};
-use crate::tree::{Criterion, DecisionTree, Splitter, TreeParams};
+use crate::tree::{Criterion, DecisionTree, Presort, Splitter, TreeParams};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 use aml_rng::rngs::StdRng;
@@ -106,10 +106,17 @@ impl<const EXTRA: bool> Forest<EXTRA> {
 
 impl RandomForest {
     /// Fit `params.n_trees` trees on bootstrap resamples of `ds`.
+    ///
+    /// `ds` is sorted once; each bootstrap's presort is derived from that
+    /// one, with ties in (original row, position) order rather than
+    /// position order, which unit weights make invisible (see
+    /// [`crate::tree`]).
     pub fn fit(ds: &Dataset, params: ForestParams) -> Result<Self> {
         check_training(ds)?;
         params.validate()?;
         let n = ds.n_rows();
+        let presort = Presort::new(ds, Splitter::Best);
+        let unit = vec![1.0; n];
         let trees = (0..params.n_trees)
             .map(|t| {
                 let seed = derive_seed(params.seed, t as u64);
@@ -119,9 +126,11 @@ impl RandomForest {
                 for attempt in 0..8 {
                     let idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
                     let tree_seed = derive_seed(seed, attempt);
-                    match DecisionTree::fit(
+                    match DecisionTree::fit_weighted_presorted(
                         &ds.subset(&idx)?,
+                        &presort.bootstrap(&idx),
                         params.tree_params(ds, Splitter::Best, tree_seed),
+                        &unit,
                     ) {
                         Err(ModelError::SingleClass) => continue,
                         fitted => return fitted,
@@ -129,7 +138,8 @@ impl RandomForest {
                 }
                 // Fall back to fitting on the full data if bootstrapping
                 // kept collapsing to one class.
-                DecisionTree::fit(ds, params.tree_params(ds, Splitter::Best, seed))
+                let tree_params = params.tree_params(ds, Splitter::Best, seed);
+                DecisionTree::fit_weighted_presorted(ds, &presort, tree_params, &unit)
             })
             .collect::<Result<_>>()?;
         Ok(Forest::new(ds, trees))
@@ -137,14 +147,18 @@ impl RandomForest {
 }
 
 impl ExtraTrees {
-    /// Fit `params.n_trees` random-split trees on the full data.
+    /// Fit `params.n_trees` random-split trees on the full data, all
+    /// reading one column copy of it.
     pub fn fit(ds: &Dataset, params: ForestParams) -> Result<Self> {
         check_training(ds)?;
         params.validate()?;
+        let columns = Presort::new(ds, Splitter::Random);
+        let unit = vec![1.0; ds.n_rows()];
         let trees = (0..params.n_trees)
             .map(|t| {
                 let seed = derive_seed(params.seed ^ 0xE57A, t as u64);
-                DecisionTree::fit(ds, params.tree_params(ds, Splitter::Random, seed))
+                let tree_params = params.tree_params(ds, Splitter::Random, seed);
+                DecisionTree::fit_weighted_presorted(ds, &columns, tree_params, &unit)
             })
             .collect::<Result<_>>()?;
         Ok(Forest::new(ds, trees))

@@ -8,7 +8,7 @@
 
 use crate::model::{check_training, map_rows, Classifier};
 use crate::regression;
-use crate::tree::{Presort, Tree};
+use crate::tree::{Presort, Splitter, Tree};
 use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
@@ -78,22 +78,23 @@ impl GradientBoosting {
 
         let mut scores: Vec<Vec<f64>> = (0..k).map(|c| vec![base_score[c]; n]).collect();
         // Every round regrows on the same rows: sort each feature once.
-        let presort = Presort::new(ds);
+        let presort = Presort::new(ds, Splitter::Best);
         let mut stages = Vec::with_capacity(params.n_rounds);
+        // `proba[i * k + c]`, and one class's gradient: reused every round.
+        let mut proba = vec![0.0; n * k];
+        let mut grad = vec![0.0; n];
 
         for _round in 0..params.n_rounds {
             // Softmax probabilities per sample (shared across the K trees of
             // this round, as in standard multiclass gradient boosting).
-            let proba = softmax_columns(&scores, n, k);
+            softmax_columns(&scores, k, &mut proba);
             let mut round_trees = Vec::with_capacity(k);
             for c in 0..k {
                 // Negative gradient of multiclass log-loss wrt F_c: y_c − p_c.
-                let grad: Vec<f64> = (0..n)
-                    .map(|i| {
-                        let y = if ds.label(i) == c { 1.0 } else { 0.0 };
-                        y - proba[i][c]
-                    })
-                    .collect();
+                for (i, g) in grad.iter_mut().enumerate() {
+                    let y = if ds.label(i) == c { 1.0 } else { 0.0 };
+                    *g = y - proba[i * k + c];
+                }
                 let mut tree = regression::fit(
                     ds,
                     &presort,
@@ -108,7 +109,7 @@ impl GradientBoosting {
                     let g: f64 = members.iter().map(|&i| grad[i]).sum();
                     let h: f64 = members
                         .iter()
-                        .map(|&i| proba[i][c] * (1.0 - proba[i][c]))
+                        .map(|&i| proba[i * k + c] * (1.0 - proba[i * k + c]))
                         .sum();
                     if h.abs() < 1e-12 {
                         0.0
@@ -148,15 +149,15 @@ impl GradientBoosting {
     }
 }
 
-/// Row-wise softmax of per-class score columns.
-fn softmax_columns(scores: &[Vec<f64>], n: usize, k: usize) -> Vec<Vec<f64>> {
-    (0..n)
-        .map(|i| {
-            let mut row: Vec<f64> = (0..k).map(|c| scores[c][i]).collect();
-            softmax(&mut row);
-            row
-        })
-        .collect()
+/// Row-wise softmax of `k` per-class score columns into `proba`, row
+/// `i` at `proba[i * k..(i + 1) * k]`.
+fn softmax_columns(scores: &[Vec<f64>], k: usize, proba: &mut [f64]) {
+    for (i, row) in proba.chunks_exact_mut(k).enumerate() {
+        for (c, p) in row.iter_mut().enumerate() {
+            *p = scores[c][i];
+        }
+        softmax(row);
+    }
 }
 
 /// Numerically stable softmax, in place.

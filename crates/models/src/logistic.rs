@@ -69,13 +69,19 @@ impl LogisticRegression {
 
         let mut w = vec![vec![0.0; d]; k];
         let mut b = vec![0.0; k];
+        // Gradients and one row's class probabilities, reused every step.
+        let mut gw = vec![vec![0.0; d]; k];
+        let mut gb = vec![0.0; k];
+        let mut p = vec![0.0; k];
 
         for _iter in 0..params.max_iter {
-            let mut gw = vec![vec![0.0; d]; k];
-            let mut gb = vec![0.0; k];
+            gw.iter_mut().for_each(|g| g.fill(0.0));
+            gb.fill(0.0);
             for i in 0..n {
                 let row = ds.row(i);
-                let mut p: Vec<f64> = (0..k).map(|c| b[c] + dot(&w[c], row)).collect();
+                for (c, pc) in p.iter_mut().enumerate() {
+                    *pc = b[c] + dot(&w[c], row);
+                }
                 softmax(&mut p);
                 let y = ds.label(i);
                 for c in 0..k {

@@ -11,8 +11,8 @@ use crate::{ModelError, Result};
 use aml_dataset::Dataset;
 
 /// Fit a regression tree on the features of `ds` against real targets `y`,
-/// sweeping `presort` ([`Presort::new`] of `ds`, shared by every boosting
-/// round). A node with fewer than `2 * min_samples_leaf` rows is not split.
+/// sweeping `presort` (the best-split [`Presort::new`] of `ds`, shared by
+/// every boosting round). A node with fewer than `2 * min_samples_leaf` rows is not split.
 ///
 /// # Errors
 /// Empty data, length mismatch, non-finite targets, or
@@ -46,7 +46,7 @@ pub(crate) fn fit(
         ..Default::default()
     };
     params.validate(ds.n_features())?;
-    Ok(Tree::fit(ds, Some(presort), &SquaredError { y }, &params))
+    Ok(Tree::fit(presort, &SquaredError { y }, &params))
 }
 
 #[cfg(test)]
@@ -55,7 +55,8 @@ mod tests {
     use aml_dataset::Dataset;
 
     fn fit(ds: &Dataset, y: &[f64], max_depth: usize, min_leaf: usize) -> Result<Tree<f64>> {
-        super::fit(ds, &Presort::new(ds), y, max_depth, min_leaf)
+        let presort = Presort::new(ds, crate::tree::Splitter::Best);
+        super::fit(ds, &presort, y, max_depth, min_leaf)
     }
 
     fn step_data() -> (Dataset, Vec<f64>) {

@@ -4,11 +4,25 @@
 //! node the best (feature, threshold) pair over an optionally subsampled
 //! feature set is found either by one sweep over every boundary between
 //! distinct values of the node's rows in feature order (classic CART), or by
-//! scoring one uniform-random threshold per feature (extra-trees). The
-//! feature order comes from a `Presort`: each feature is sorted once per
-//! fit, with ties in ascending row order, and every split stably partitions
-//! that order between the children, so no node sorts. Boosting builds one
-//! presort and shares it across all the trees it grows on the same rows.
+//! scoring one uniform-random threshold per feature (extra-trees).
+//!
+//! The grower reads features from a `Presort`: a column-major copy of the
+//! values, so a sweep walks one contiguous column, and for best splits each
+//! feature's row order. Every split stably partitions that order between the
+//! children, so no node sorts. The copy is built once and shared: boosting
+//! shares it across the trees it grows on the same rows, extra-trees across
+//! the whole forest, and a random forest sorts its full data once and
+//! derives each bootstrap's presort from it with a counting pass
+//! (`Presort::bootstrap`), without sorting again.
+//!
+//! Rows with equal values may sit in any order within a feature's order:
+//! the sweep scores a position only where the next value differs, so the
+//! left side there holds every row up to that value whatever their order.
+//! Only float sums (of class weights, or of regression targets) can tell
+//! tie orders apart, and a bootstrap's unit weights sum exactly in any
+//! order. Every other fit sweeps `Presort::new`, whose ties are in
+//! ascending row order.
+//!
 //! What the rows at a node are summarised by, and how a partition is scored,
 //! is a `Stat`:
 //!
@@ -143,26 +157,24 @@ pub(crate) struct Tree<L> {
 }
 
 impl<L> Tree<L> {
-    /// Grow a tree over every row of `ds`, summarising nodes with `stat`.
-    /// `Best` splits sweep `presort`, which must be [`Presort::new`] of `ds`;
-    /// `Random` splits read no presort and may be given none.
-    pub(crate) fn fit<S: Stat<Leaf = L>>(
-        ds: &Dataset,
-        presort: Option<&Presort>,
-        stat: &S,
-        params: &TreeParams,
-    ) -> Self {
-        let n = ds.n_rows();
+    /// Grow a tree over the rows of `presort`, summarising nodes with
+    /// `stat`. `Best` splits sweep its order, so it must be built for them.
+    pub(crate) fn fit<S: Stat<Leaf = L>>(presort: &Presort, stat: &S, params: &TreeParams) -> Self {
+        let n = presort.n_rows;
         let order = match params.splitter {
             Splitter::Best => {
-                let presort = presort.expect("best splits sweep a presort");
-                debug_assert_eq!(presort.order.len(), n * ds.n_features());
+                assert_eq!(
+                    presort.order.len(),
+                    presort.values.len(),
+                    "best splits sweep a presort"
+                );
                 presort.order.clone()
             }
             Splitter::Random => Vec::new(),
         };
         let mut grower = Grower {
-            ds,
+            values: &presort.values,
+            n_rows: n,
             stat,
             params,
             rng: StdRng::seed_from_u64(params.seed),
@@ -170,7 +182,7 @@ impl<L> Tree<L> {
             rows: (0..n).collect(),
             order,
             goes_left: vec![false; n],
-            scratch: Vec::with_capacity(n),
+            scratch: vec![0; n],
         };
         let root = grower.grow(0, n, 0);
         debug_assert_eq!(root, 0, "root is always the first node");
@@ -417,28 +429,87 @@ impl Stat for SquaredError<'_> {
     }
 }
 
-/// Row ids sorted by each feature's value, ties in ascending row order:
-/// `order[f * n_rows..(f + 1) * n_rows]` is a stable sort of `0..n_rows` by
-/// feature `f`. Built once per fit and shared by every tree grown on the
-/// same rows.
+/// The feature values a tree is grown from, and for best splits their
+/// order.
+///
+/// `values[f * n_rows + i]` is feature `f` of row `i`: a column-major copy,
+/// so a sweep reads one contiguous column. `order[f * n_rows..(f + 1) *
+/// n_rows]` holds `0..n_rows` sorted by feature `f`'s value; it is empty
+/// when the presort was built for random splits, which never read it.
+/// Within equal values the ids are in ascending row order for
+/// [`Presort::new`], and in ascending (original row, position) order for
+/// [`Presort::bootstrap`]; the module doc says why the sweep cannot tell.
+/// Built once per fit and shared by every tree grown on the same rows.
 pub(crate) struct Presort {
+    n_rows: usize,
+    values: Vec<f64>,
     order: Vec<usize>,
 }
 
 impl Presort {
-    pub(crate) fn new(ds: &Dataset) -> Self {
-        let n = ds.n_rows();
-        let mut order = Vec::with_capacity(n * ds.n_features());
-        let mut keys: Vec<(u64, usize)> = Vec::with_capacity(n);
-        for f in 0..ds.n_features() {
-            keys.clear();
-            keys.extend((0..n).map(|i| (order_key(ds.row(i)[f]), i)));
-            // Row ids are distinct, so this order is total and equals that
-            // of a stable sort of `0..n` by value.
-            keys.sort_unstable();
-            order.extend(keys.iter().map(|&(_, i)| i));
+    /// Column copy of `ds`, with the order that `splitter` reads.
+    pub(crate) fn new(ds: &Dataset, splitter: Splitter) -> Self {
+        let (n, d) = (ds.n_rows(), ds.n_features());
+        let mut values = vec![0.0; n * d];
+        for i in 0..n {
+            for (f, &v) in ds.row(i).iter().enumerate() {
+                values[f * n + i] = v;
+            }
         }
-        Presort { order }
+        let mut order = Vec::new();
+        if splitter == Splitter::Best {
+            order.reserve_exact(n * d);
+            let mut keys: Vec<(u64, usize)> = Vec::with_capacity(n);
+            for column in values.chunks_exact(n) {
+                keys.clear();
+                keys.extend(column.iter().enumerate().map(|(i, &v)| (order_key(v), i)));
+                // Row ids are distinct, so this order is total and equals
+                // that of a stable sort of `0..n` by value.
+                keys.sort_unstable();
+                order.extend(keys.iter().map(|&(_, i)| i));
+            }
+        }
+        Presort {
+            n_rows: n,
+            values,
+            order,
+        }
+    }
+
+    /// The presort of `ds.subset(idx)`, where `self` is the best-split
+    /// presort of `ds`, derived without sorting. Position `j` of the subset
+    /// copies row `idx[j]`; walking each feature's full order, every row
+    /// expands to the positions that copy it, in ascending order.
+    pub(crate) fn bootstrap(&self, idx: &[usize]) -> Presort {
+        let (n, m) = (self.n_rows, idx.len());
+        debug_assert_eq!(self.order.len(), self.values.len(), "a best-split presort");
+        // Row `r`'s copies are `positions[first[r]..first[r + 1]]`.
+        let mut first = vec![0; n + 1];
+        for &r in idx {
+            first[r + 1] += 1;
+        }
+        for r in 0..n {
+            first[r + 1] += first[r];
+        }
+        let mut next = first.clone();
+        let mut positions = vec![0; m];
+        for (j, &r) in idx.iter().enumerate() {
+            positions[next[r]] = j;
+            next[r] += 1;
+        }
+        let mut values = Vec::with_capacity(self.values.len() / n * m);
+        let mut order = Vec::with_capacity(values.capacity());
+        for (column, sorted) in self.values.chunks_exact(n).zip(self.order.chunks_exact(n)) {
+            values.extend(idx.iter().map(|&r| column[r]));
+            for &r in sorted {
+                order.extend_from_slice(&positions[first[r]..first[r + 1]]);
+            }
+        }
+        Presort {
+            n_rows: m,
+            values,
+            order,
+        }
     }
 }
 
@@ -455,21 +526,23 @@ fn order_key(x: f64) -> u64 {
 }
 
 /// Move the ids of `ids` whose `goes_left` flag is set to the front, keeping
-/// the relative order on both sides. `scratch` holds the right side
-/// meanwhile; its capacity is reused from call to call.
-fn stable_partition(ids: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usize>) {
-    scratch.clear();
-    let mut n_left = 0;
+/// the relative order on both sides. `scratch`, at least as long as `ids`,
+/// holds the right side meanwhile. Each id is written to both sides and
+/// only the cursor its flag picks advances, so the loop does not branch on
+/// the flag.
+fn stable_partition(ids: &mut [usize], goes_left: &[bool], scratch: &mut [usize]) {
+    let scratch = &mut scratch[..ids.len()];
+    let (mut n_left, mut n_right) = (0, 0);
     for j in 0..ids.len() {
         let i = ids[j];
-        if goes_left[i] {
-            ids[n_left] = i;
-            n_left += 1;
-        } else {
-            scratch.push(i);
-        }
+        let left = goes_left[i] as usize;
+        // `n_left <= j`: the slot was read already.
+        ids[n_left] = i;
+        scratch[n_right] = i;
+        n_left += left;
+        n_right += 1 - left;
     }
-    ids[n_left..].copy_from_slice(scratch);
+    ids[n_left..].copy_from_slice(&scratch[..n_right]);
 }
 
 /// Depth-first grower state for one tree.
@@ -478,16 +551,17 @@ fn stable_partition(ids: &mut [usize], goes_left: &[bool], scratch: &mut Vec<usi
 /// feature's slice of `order`. Splitting a node stably partitions those
 /// ranges, so each child owns a subrange in the same two orders.
 struct Grower<'a, S: Stat> {
-    ds: &'a Dataset,
+    /// The [`Presort`]'s column-major values.
+    values: &'a [f64],
+    n_rows: usize,
     stat: &'a S,
     params: &'a TreeParams,
     rng: StdRng,
     nodes: Vec<Node<S::Leaf>>,
     /// Row ids, in ascending order within each node's range.
     rows: Vec<usize>,
-    /// Working copy of the [`Presort`] (empty for `Random`): within each
-    /// node's range, feature `f`'s slice is sorted by value, ties in
-    /// ascending row order.
+    /// Working copy of the [`Presort`]'s order (empty for `Random`):
+    /// within each node's range, feature `f`'s slice is sorted by value.
     order: Vec<usize>,
     /// Whether each row goes left under the split being applied.
     goes_left: Vec<bool>,
@@ -495,7 +569,7 @@ struct Grower<'a, S: Stat> {
     scratch: Vec<usize>,
 }
 
-impl<S: Stat> Grower<'_, S> {
+impl<'a, S: Stat> Grower<'a, S> {
     /// Grow a subtree over the rows in `start..end`, returning its node id.
     fn grow(&mut self, start: usize, end: usize, depth: usize) -> usize {
         let node = self.stat.node(&self.rows[start..end]);
@@ -514,8 +588,9 @@ impl<S: Stat> Grower<'_, S> {
             return self.push(Node::Leaf(node.leaf));
         };
         let mut n_left = 0;
+        let column = self.column(feature);
         for &i in &self.rows[start..end] {
-            let left = self.ds.row(i)[feature] <= threshold;
+            let left = column[i] <= threshold;
             self.goes_left[i] = left;
             n_left += left as usize;
         }
@@ -541,19 +616,24 @@ impl<S: Stat> Grower<'_, S> {
         self.nodes.len() - 1
     }
 
+    /// Feature `f` of every row, indexed by row id.
+    fn column(&self, f: usize) -> &'a [f64] {
+        &self.values[f * self.n_rows..(f + 1) * self.n_rows]
+    }
+
     /// Split the range `start..end` of `rows` and of every feature's order
     /// by `goes_left`, left side first.
     fn partition(&mut self, start: usize, end: usize) {
         let (goes_left, scratch) = (&self.goes_left, &mut self.scratch);
         stable_partition(&mut self.rows[start..end], goes_left, scratch);
-        for column in self.order.chunks_exact_mut(self.ds.n_rows()) {
+        for column in self.order.chunks_exact_mut(self.n_rows) {
             stable_partition(&mut column[start..end], goes_left, scratch);
         }
     }
 
     /// Candidate feature subset for a split.
     fn candidate_features(&mut self) -> Vec<usize> {
-        let all: Vec<usize> = (0..self.ds.n_features()).collect();
+        let all: Vec<usize> = (0..self.values.len() / self.n_rows).collect();
         match self.params.max_features {
             Some(k) if k < all.len() => {
                 let mut pool = all;
@@ -578,7 +658,7 @@ impl<S: Stat> Grower<'_, S> {
         end: usize,
         node: &NodeSummary<S::Leaf>,
     ) -> Option<(usize, f64)> {
-        let (ds, stat, n) = (self.ds, self.stat, self.ds.n_rows());
+        let (stat, n) = (self.stat, self.n_rows);
         let min_leaf = self.params.min_samples_leaf;
         let mut best: Option<(f64, usize, f64)> = None; // (score, feature, threshold)
         let mut offer = |score: f64, feature: usize, threshold: f64| {
@@ -589,33 +669,34 @@ impl<S: Stat> Grower<'_, S> {
         let features = self.candidate_features();
         let rows = &self.rows[start..end];
         for f in features {
-            let x = |i: usize| ds.row(i)[f];
+            let column = self.column(f);
             match self.params.splitter {
                 Splitter::Best => {
                     let sorted = &self.order[f * n + start..f * n + end];
                     let mut part = stat.all_right(sorted);
+                    let mut v_here = column[sorted[0]];
                     for pos in 0..sorted.len() - 1 {
                         stat.move_left(&mut part, sorted[pos]);
-                        let (v_here, v_next) = (x(sorted[pos]), x(sorted[pos + 1]));
+                        let v_next = column[sorted[pos + 1]];
                         let (n_left, n_right) = (pos + 1, sorted.len() - pos - 1);
-                        if v_here == v_next || n_left < min_leaf || n_right < min_leaf {
-                            continue;
+                        if v_here != v_next && n_left >= min_leaf && n_right >= min_leaf {
+                            let score = stat.score(node, &part, n_left, n_right);
+                            offer(score, f, 0.5 * (v_here + v_next));
                         }
-                        let score = stat.score(node, &part, n_left, n_right);
-                        offer(score, f, 0.5 * (v_here + v_next));
+                        v_here = v_next;
                     }
                 }
                 Splitter::Random => {
                     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
                     for &i in rows {
-                        lo = lo.min(x(i));
-                        hi = hi.max(x(i));
+                        lo = lo.min(column[i]);
+                        hi = hi.max(column[i]);
                     }
                     if hi <= lo {
                         continue; // constant feature at this node
                     }
                     let threshold = self.rng.gen_range(lo..hi);
-                    let (part, n_left) = stat.partition(rows, |i| x(i) <= threshold);
+                    let (part, n_left) = stat.partition(rows, |i| column[i] <= threshold);
                     let n_right = rows.len() - n_left;
                     if n_left < min_leaf || n_right < min_leaf {
                         continue;
@@ -648,15 +729,15 @@ impl DecisionTree {
     /// zero; zero-weight samples are ignored for split scoring but still
     /// routed, matching standard implementations).
     pub fn fit_weighted(ds: &Dataset, params: TreeParams, weights: &[f64]) -> Result<Self> {
-        let presort = (params.splitter == Splitter::Best).then(|| Presort::new(ds));
-        Self::fit_weighted_presorted(ds, presort.as_ref(), params, weights)
+        let presort = Presort::new(ds, params.splitter);
+        Self::fit_weighted_presorted(ds, &presort, params, weights)
     }
 
-    /// [`fit_weighted`](Self::fit_weighted) sweeping a presort of `ds` that
-    /// the caller built once, so boosting rounds share it.
+    /// [`fit_weighted`](Self::fit_weighted) from a presort of `ds` that the
+    /// caller built once, so boosting rounds and forest trees share it.
     pub(crate) fn fit_weighted_presorted(
         ds: &Dataset,
-        presort: Option<&Presort>,
+        presort: &Presort,
         params: TreeParams,
         weights: &[f64],
     ) -> Result<Self> {
@@ -678,8 +759,9 @@ impl DecisionTree {
             weights,
             criterion: params.criterion,
         };
+        debug_assert_eq!(presort.values.len(), ds.n_rows() * ds.n_features());
         Ok(DecisionTree {
-            tree: Tree::fit(ds, presort, &stat, &params),
+            tree: Tree::fit(presort, &stat, &params),
             n_classes: ds.n_classes(),
             n_features: ds.n_features(),
             params,
@@ -920,7 +1002,7 @@ mod tests {
     fn stable_partition_keeps_relative_order_on_both_sides() {
         let mut ids = vec![9, 2, 7, 0, 5, 3, 8, 1, 6, 4];
         let goes_left: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
-        let mut scratch = Vec::new();
+        let mut scratch = vec![0; 10];
         stable_partition(&mut ids, &goes_left, &mut scratch);
         assert_eq!(ids, vec![9, 0, 3, 6, 2, 7, 5, 8, 1, 4]);
         // All left or all right leaves the order as it was.
@@ -946,7 +1028,7 @@ mod tests {
     fn presort_orders_by_value_then_row_id() {
         let ds = tied_rows();
         let n = ds.n_rows();
-        let presort = Presort::new(&ds);
+        let presort = Presort::new(&ds, Splitter::Best);
         assert_eq!(presort.order.len(), n * ds.n_features());
         for (f, column) in presort.order.chunks_exact(n).enumerate() {
             let mut ids = column.to_vec();
@@ -967,9 +1049,25 @@ mod tests {
     }
 
     #[test]
+    fn bootstrap_presort_is_the_subset_sorted_by_value_row_and_position() {
+        let ds = tied_rows();
+        let full = Presort::new(&ds, Splitter::Best);
+        let idx: Vec<usize> = (0..50).map(|j| (j * 7 + j / 5) % 40).rev().collect();
+        let boot = full.bootstrap(&idx);
+        let sub = ds.subset(&idx).unwrap();
+        assert_eq!(boot.values, Presort::new(&sub, Splitter::Random).values);
+        let m = idx.len();
+        for f in 0..ds.n_features() {
+            let mut want: Vec<usize> = (0..m).collect();
+            want.sort_by_key(|&j| (order_key(sub.row(j)[f]), idx[j], j));
+            assert_eq!(boot.order[f * m..(f + 1) * m], want[..], "feature {f}");
+        }
+    }
+
+    #[test]
     fn a_shared_presort_grows_the_trees_of_fresh_fits() {
         let ds = tied_rows();
-        let presort = Presort::new(&ds);
+        let presort = Presort::new(&ds, Splitter::Best);
         let params = TreeParams {
             max_depth: 5,
             ..Default::default()
@@ -979,7 +1077,7 @@ mod tests {
             (0..40).map(|i| 1.0 / (1 + i % 6) as f64).collect(),
         ] {
             let shared =
-                DecisionTree::fit_weighted_presorted(&ds, Some(&presort), params.clone(), &weights)
+                DecisionTree::fit_weighted_presorted(&ds, &presort, params.clone(), &weights)
                     .unwrap();
             let fresh = DecisionTree::fit_weighted(&ds, params.clone(), &weights).unwrap();
             assert!(shared.n_nodes() > 1);
@@ -1038,6 +1136,40 @@ mod prop_tests {
                 ..Default::default()
             }).unwrap();
             prop_assert!(tree.depth() <= depth);
+        }
+
+        /// A tree grown from a bootstrap presort, derived from the full
+        /// data's, equals the tree grown from a fresh presort of the
+        /// resample, though the two order tied rows differently. Drawing
+        /// up to 96 indices from 24 rows makes most rows repeat.
+        #[test]
+        fn prop_bootstrap_presort_grows_the_fresh_tree(
+            idx in aml_propcheck::collection::vec(0usize..24, 2..96),
+            seed in 0u64..1000,
+            min_samples_leaf in 1usize..4,
+            max_features in 1usize..13,
+            entropy in aml_propcheck::bool::ANY,
+        ) {
+            let ds = aml_fwgen::generate(&aml_fwgen::FwGenConfig {
+                n: 24,
+                seed,
+                priors: None,
+            })
+            .unwrap();
+            let params = TreeParams {
+                min_samples_leaf,
+                max_features: Some(max_features),
+                criterion: if entropy { Criterion::Entropy } else { Criterion::Gini },
+                seed,
+                ..Default::default()
+            };
+            let sub = ds.subset(&idx).unwrap();
+            let derived = Presort::new(&ds, Splitter::Best).bootstrap(&idx);
+            let unit = vec![1.0; idx.len()];
+            prop_assert_eq!(
+                DecisionTree::fit_weighted_presorted(&sub, &derived, params.clone(), &unit),
+                DecisionTree::fit(&sub, params)
+            );
         }
     }
 }

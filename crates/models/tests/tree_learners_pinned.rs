@@ -426,3 +426,62 @@ fn firewall_adaboost() {
         (9200085717884291861, 12)
     );
 }
+
+/// As many rows as one inner-train split of the firewall workload. Each
+/// feature takes only 78–961 distinct values here, so a bootstrap copies
+/// many tied rows and every sweep crosses long runs of equal values.
+fn firewall_961() -> Dataset {
+    firewall(961, 7)
+}
+
+#[test]
+fn firewall_random_forest_criteria_and_leaf_floors() {
+    let ds = firewall_961();
+    let fit = |criterion: Criterion, min_samples_leaf: usize| {
+        let f = RandomForest::fit(
+            &ds,
+            ForestParams {
+                criterion,
+                min_samples_leaf,
+                ..forest_params()
+            },
+        )
+        .unwrap();
+        firewall_digest(&f, &ds)
+    };
+    assert_eq!(fit(Criterion::Gini, 1), 16984868105723967155);
+    assert_eq!(fit(Criterion::Gini, 4), 432180364368095659);
+    assert_eq!(fit(Criterion::Entropy, 1), 4236651156719732030);
+    assert_eq!(fit(Criterion::Entropy, 4), 6432229525999607328);
+}
+
+#[test]
+fn firewall_extra_trees() {
+    let ds = firewall_961();
+    let f = ExtraTrees::fit(&ds, forest_params()).unwrap();
+    assert_eq!(firewall_digest(&f, &ds), 8997233453886143759);
+}
+
+#[test]
+fn firewall_boosting_on_961_rows() {
+    let ds = firewall_961();
+    let gb = GradientBoosting::fit(
+        &ds,
+        GbdtParams {
+            n_rounds: 6,
+            min_samples_leaf: 4,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(firewall_digest(&gb, &ds), 5821131528869495792);
+    let ada = AdaBoost::fit(
+        &ds,
+        AdaBoostParams {
+            n_rounds: 10,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(firewall_digest(&ada, &ds), 10137698888856306842);
+}

@@ -509,10 +509,8 @@ impl LedgerEvent {
 
 impl LedgerEvent {
     /// Parse one event line: the exact inverse of [`Self::to_json_line`]
-    /// (`to_json_line(from_json_line(l)) == l` byte for byte). Three
-    /// trailing fields added without a schema bump have defaults: a
-    /// missing `params` or `scores` reads as empty, a missing `reason` as
-    /// `"error"`.
+    /// (`to_json_line(from_json_line(l)) == l` byte for byte). A missing
+    /// field is an error naming it.
     /// An event type this build does not know parses as `Ok(None)` —
     /// additive schema changes don't bump the version.
     pub fn from_json_line(line: &str) -> Result<Option<LedgerEvent>, String> {
@@ -523,14 +521,11 @@ impl LedgerEvent {
                 trial: v.u64_at("trial")?,
                 family: s("family")?,
                 config: s("config")?,
-                params: match v.get("params") {
-                    None => Vec::new(),
-                    Some(_) => v
-                        .obj_at("params")?
-                        .iter()
-                        .map(|(name, p)| Ok((name.clone(), ParamValue::from_json(p)?)))
-                        .collect::<Result<_, String>>()?,
-                },
+                params: v
+                    .obj_at("params")?
+                    .iter()
+                    .map(|(name, p)| Ok((name.clone(), ParamValue::from_json(p)?)))
+                    .collect::<Result<_, String>>()?,
             },
             "trial_finished" => LedgerEvent::TrialFinished {
                 trial: v.u64_at("trial")?,
@@ -540,10 +535,7 @@ impl LedgerEvent {
             "trial_failed" => LedgerEvent::TrialFailed {
                 trial: v.u64_at("trial")?,
                 family: s("family")?,
-                reason: match v.get("reason") {
-                    None => "error".to_string(),
-                    Some(_) => s("reason")?,
-                },
+                reason: s("reason")?,
             },
             "ensemble_selected" => LedgerEvent::EnsembleSelected {
                 val_score: v.f64_at("val_score")?,
@@ -570,10 +562,7 @@ impl LedgerEvent {
                 regions: v.u64_at("regions")?,
                 ale_std_mean: v.f64_at("ale_std_mean")?,
                 ale_std_max: v.f64_at("ale_std_max")?,
-                scores: match v.get("scores") {
-                    None => Vec::new(),
-                    Some(_) => v.f64s_at("scores")?,
-                },
+                scores: v.f64s_at("scores")?,
             },
             "region_suggested" => LedgerEvent::RegionSuggested {
                 feature: v.u64_at("feature")?,
@@ -1170,29 +1159,33 @@ mod tests {
     }
 
     #[test]
-    fn trailing_fields_default_when_absent() {
+    fn every_missing_field_is_an_error_naming_it() {
+        // The three trailing fields every v2 writer emits have no default.
+        for (line, field) in [
+            (
+                r#"{"type":"trial_started","trial":9,"family":"knn","config":"c"}"#,
+                "'params'",
+            ),
+            (
+                r#"{"type":"trial_failed","trial":1,"family":"mlp"}"#,
+                "'reason'",
+            ),
+            (
+                r#"{"type":"round_completed","round":0,"strategy":"Uniform","acc_mean":0.5,"acc_min":0.5,"acc_max":0.5,"points_added":0,"regions":0,"ale_std_mean":0,"ale_std_max":0}"#,
+                "'scores'",
+            ),
+            (r#"{"type":"trial_finished","trial":1}"#, "'family'"),
+        ] {
+            let err = LedgerEvent::from_json_line(line).unwrap_err();
+            assert!(err.contains(field), "{line}: {err}");
+        }
+        // Present but empty is fine.
         let started = LedgerEvent::from_json_line(
-            r#"{"type":"trial_started","trial":9,"family":"knn","config":"c"}"#,
+            r#"{"type":"trial_started","trial":9,"family":"knn","config":"c","params":{}}"#,
         )
         .unwrap()
         .unwrap();
         assert!(matches!(started, LedgerEvent::TrialStarted { params, .. } if params.is_empty()));
-        let failed =
-            LedgerEvent::from_json_line(r#"{"type":"trial_failed","trial":1,"family":"mlp"}"#)
-                .unwrap()
-                .unwrap();
-        assert!(matches!(failed, LedgerEvent::TrialFailed { reason, .. } if reason == "error"));
-        // A round written before `scores` existed still inspects.
-        let round = LedgerEvent::from_json_line(
-            r#"{"type":"round_completed","round":0,"strategy":"Uniform","acc_mean":0.5,"acc_min":0.5,"acc_max":0.5,"points_added":0,"regions":0,"ale_std_mean":0,"ale_std_max":0}"#,
-        )
-        .unwrap()
-        .unwrap();
-        assert!(matches!(round, LedgerEvent::RoundCompleted { scores, .. } if scores.is_empty()));
-        // Any other missing field is an error naming it.
-        let err =
-            LedgerEvent::from_json_line(r#"{"type":"trial_finished","trial":1}"#).unwrap_err();
-        assert!(err.contains("'family'"), "{err}");
     }
 
     #[test]

@@ -286,13 +286,20 @@ pub(crate) fn on_span_close(total_ns: u64) {
 /// Capture next to the work enumeration and hand it to [`par_map`],
 /// which attaches it under each job's slot inside the worker:
 ///
-/// ```ignore
+/// ```no_run
+/// use aml_telemetry::tracetree::{par_map, TraceContext};
+///
+/// # fn main() -> Result<(), String> {
 /// let ctx = TraceContext::current();
-/// let jobs: Vec<(u64, Job)> = trials.map(|t| (t.id, t.job)).collect();
-/// let out = par_map(ctx, threads, jobs, |trial, job| {
+/// // Each job keyed by a stable id, here a trial number.
+/// let jobs: Vec<(u64, f64)> = vec![(3, 0.5), (7, 0.25)];
+/// let out = par_map(ctx, 2, jobs, |trial, x| {
 ///     let _s = aml_telemetry::span!("worker.item");
-///     run(trial, job)
+///     trial as f64 * x
 /// })?;
+/// assert_eq!(out, [1.5, 1.75]);
+/// # Ok(())
+/// # }
 /// ```
 ///
 /// Because the slot is a key of the *job* (its index, or a stable id
